@@ -12,10 +12,10 @@
 //! tail node, and per-thread *dequeue request* slots satisfied by assigning
 //! the node after the current head to the next pending dequeuer (the "turn"),
 //! with hazard pointers protecting traversal and each thread retiring the node
-//! it was previously assigned.  The give-up path for empty queues is slightly
-//! simplified relative to the original (a single CAS closes the request); the
-//! round-robin turn selection and the retire-previous-request reclamation are
-//! as published.
+//! it was assigned two requests ago.  Dequeue requests carry the original's
+//! per-request identity (`deqself`/`deqhelp`, see [`CrTurnQueue`]), the
+//! give-up path for empty queues, the round-robin turn selection and the
+//! retire-previous-request reclamation are as published.
 //!
 //! Values are `u64` (the benchmark payload); the queue is unbounded.
 
@@ -25,11 +25,11 @@ use wcq_reclaim::{HazardDomain, HazardHandle};
 
 const NOIDX: usize = usize::MAX;
 
-/// Sentinel pointer marking an open (pending) dequeue request.
-fn pending_sentinel() -> *mut Node {
-    // Any non-null, never-allocated, aligned address works as a marker.
-    std::ptr::NonNull::<Node>::dangling().as_ptr()
-}
+/// Hazard slots: head/tail traversal, the node after the head, and the
+/// `deqhelp` value a helper is about to CAS away from.
+const HP_HEAD: usize = 0;
+const HP_NEXT: usize = 1;
+const HP_DEQ: usize = 2;
 
 struct Node {
     item: u64,
@@ -55,8 +55,17 @@ pub struct CrTurnQueue {
     tail: AtomicPtr<Node>,
     /// Pending enqueue requests: the node thread `i` wants linked.
     enqueuers: Box<[AtomicPtr<Node>]>,
-    /// Pending dequeue requests: null = none, sentinel = open, node = served.
-    deqreq: Box<[AtomicPtr<Node>]>,
+    /// Dequeue requests.  Thread `i`'s request is *open* exactly while
+    /// `deqself[i] == deqhelp[i]`: the owner opens it by copying `deqhelp[i]`
+    /// (the node it was served last time) into `deqself[i]`, and a helper
+    /// closes it by CASing `deqhelp[i]` from that previous node to the newly
+    /// assigned one.  The previous node *is* the request's identity — it is
+    /// not retired until two requests later and helpers hazard-protect it —
+    /// so a stalled helper's CAS from an earlier round can never match a
+    /// later request (a shared "pending" marker could, and delivered nodes
+    /// twice).
+    deqself: Box<[AtomicPtr<Node>]>,
+    deqhelp: Box<[AtomicPtr<Node>]>,
     domain: HazardDomain,
     taken: Box<[AtomicUsize]>,
     /// The very first sentinel, freed on drop (it is never retired).
@@ -79,11 +88,16 @@ impl CrTurnQueue {
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            deqreq: (0..max_threads)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+            // Two distinct dummy nodes per thread: unequal means "no request".
+            deqself: (0..max_threads)
+                .map(|_| AtomicPtr::new(Node::new(0, 0)))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            domain: HazardDomain::new(max_threads, 2),
+            deqhelp: (0..max_threads)
+                .map(|_| AtomicPtr::new(Node::new(0, 0)))
+                .collect::<Vec<_>>()
+                .into_boxed_slice(),
+            domain: HazardDomain::new(max_threads, 3),
             taken: (0..max_threads)
                 .map(|_| AtomicUsize::new(0))
                 .collect::<Vec<_>>()
@@ -105,7 +119,6 @@ impl CrTurnQueue {
                     queue: self,
                     hp: self.domain.register()?,
                     tid,
-                    prev_assigned: std::ptr::null_mut(),
                 });
             }
         }
@@ -142,6 +155,17 @@ impl Drop for CrTurnQueue {
             // pointers and is unreachable from `head` once head moved on.
             drop(unsafe { Box::from_raw(self.initial) });
         }
+        // The request slots own their nodes (dummies, or served nodes not yet
+        // retired).  All of them are at or behind the head; the one that *is*
+        // the head was freed by the walk above.
+        for slot in self.deqself.iter().chain(self.deqhelp.iter()) {
+            let node = slot.load(SeqCst);
+            if node != head {
+                // SAFETY: exclusive access during drop; a node sits in at
+                // most one request slot and is retired only after leaving it.
+                drop(unsafe { Box::from_raw(node) });
+            }
+        }
     }
 }
 
@@ -150,9 +174,6 @@ pub struct CrTurnHandle<'q> {
     queue: &'q CrTurnQueue,
     hp: HazardHandle<'q>,
     tid: usize,
-    /// The node most recently assigned to this thread; retired on the next
-    /// successful dequeue (CRTurn's reclamation rule).
-    prev_assigned: *mut Node,
 }
 
 impl<'q> CrTurnHandle<'q> {
@@ -214,105 +235,139 @@ impl<'q> CrTurnHandle<'q> {
 
     /// Dequeues a value; `None` when the queue is empty.
     pub fn dequeue(&mut self) -> Option<u64> {
-        let n = self.queue.deqreq.len();
-        let pending = pending_sentinel();
-        self.queue.deqreq[self.tid].store(pending, SeqCst);
+        let q = self.queue;
+        let tid = self.tid;
+        let pr_req = q.deqself[tid].load(SeqCst); // previous request
+        let my_req = q.deqhelp[tid].load(SeqCst);
+        q.deqself[tid].store(my_req, SeqCst); // open the request
         loop {
-            if self.queue.deqreq[self.tid].load(SeqCst) != pending {
+            if q.deqhelp[tid].load(SeqCst) != my_req {
                 break; // Our request was served.
             }
-            let lhead = self.hp.protect(0, &self.queue.head);
-            if lhead != self.queue.head.load(SeqCst) {
-                continue;
+            let lhead = self.hp.protect(HP_HEAD, &q.head);
+            if lhead == q.tail.load(SeqCst) {
+                // Empty: roll the request back, then make sure no helper
+                // assigned us a node while it was open.
+                q.deqself[tid].store(pr_req, SeqCst);
+                self.give_up(my_req);
+                if q.deqhelp[tid].load(SeqCst) != my_req {
+                    q.deqself[tid].store(my_req, SeqCst);
+                    break; // Served concurrently; fall through to collect it.
+                }
+                self.hp.clear();
+                return None;
             }
             // SAFETY: lhead is hazard-protected and validated.
-            let lhead_ref = unsafe { &*lhead };
-            let lnext = self.hp.protect(1, &lhead_ref.next);
-            if lhead != self.queue.head.load(SeqCst) {
+            let lnext = self.hp.protect(HP_NEXT, unsafe { &(*lhead).next });
+            if lhead != q.head.load(SeqCst) {
                 continue;
             }
-            if lnext.is_null() {
-                // Empty: close our request unless someone served it meanwhile.
-                if self.queue.deqreq[self.tid]
-                    .compare_exchange(pending, std::ptr::null_mut(), SeqCst, SeqCst)
-                    .is_ok()
-                {
-                    self.hp.clear();
-                    return None;
-                }
-                break; // Served concurrently; fall through to collect it.
-            }
-            // SAFETY: lnext was protected before the head re-validation; while
-            // head == lhead, lnext cannot have been retired.
-            let lnext_ref = unsafe { &*lnext };
-            let mut assigned = lnext_ref.deq_tid.load(SeqCst);
-            if assigned == NOIDX {
-                // The turn: start scanning from the thread after the one the
-                // current sentinel was assigned to.
-                let start = match lhead_ref.deq_tid.load(SeqCst) {
-                    NOIDX => 0,
-                    v => (v + 1) % n,
-                };
-                for j in 0..n {
-                    let cand = (start + j) % n;
-                    if self.queue.deqreq[cand].load(SeqCst) == pending {
-                        let _ = lnext_ref
-                            .deq_tid
-                            .compare_exchange(NOIDX, cand, SeqCst, SeqCst);
-                        break;
-                    }
-                }
-                assigned = lnext_ref.deq_tid.load(SeqCst);
-            }
-            if assigned != NOIDX {
-                // Serve the assigned dequeuer, then advance the head.
-                let _ =
-                    self.queue.deqreq[assigned].compare_exchange(pending, lnext, SeqCst, SeqCst);
-                let _ = self
-                    .queue
-                    .head
-                    .compare_exchange(lhead, lnext, SeqCst, SeqCst);
+            if self.search_next(lhead, lnext) != NOIDX {
+                self.cas_deq_and_head(lhead, lnext);
             }
         }
         // Collect the node assigned to us.
-        let node = self.queue.deqreq[self.tid].swap(std::ptr::null_mut(), SeqCst);
-        debug_assert!(!node.is_null() && node != pending);
+        let node = q.deqhelp[tid].load(SeqCst);
         // Make sure the head has advanced past our node before we retire the
-        // previously assigned one (CRTurn's final step).
-        let lhead = self.hp.protect(0, &self.queue.head);
-        if lhead == self.queue.head.load(SeqCst) {
-            // SAFETY: lhead protected and validated.
-            if unsafe { (*lhead).next.load(SeqCst) } == node {
-                let _ = self
-                    .queue
-                    .head
-                    .compare_exchange(lhead, node, SeqCst, SeqCst);
-            }
+        // previous request (CRTurn's final step).
+        let lhead = self.hp.protect(HP_HEAD, &q.head);
+        // SAFETY: lhead protected and validated.
+        if unsafe { (*lhead).next.load(SeqCst) } == node {
+            let _ = q.head.compare_exchange(lhead, node, SeqCst, SeqCst);
         }
         // SAFETY: `node` is assigned exclusively to us; it stays valid until
-        // *we* retire it (on our next dequeue or when the handle drops).
+        // *we* retire it, two requests from now.
         let value = unsafe { (*node).item };
         self.hp.clear();
-        let prev = std::mem::replace(&mut self.prev_assigned, node);
-        if !prev.is_null() {
-            // SAFETY: `prev` was assigned to us, the head has since moved past
-            // it, and only we retire it.
-            unsafe { self.hp.retire(prev) };
-        }
+        // SAFETY: `pr_req` was assigned to us two requests ago (or is our
+        // initial dummy), it just left `deqself[tid]` for good, the head is
+        // past it, and only we retire it.
+        unsafe { self.hp.retire(pr_req) };
         Some(value)
+    }
+
+    /// Picks the dequeuer `lnext` goes to — the first open request in turn
+    /// order after the thread `lhead` went to — and returns `lnext`'s
+    /// assignee (`NOIDX` if no request is open).
+    ///
+    /// `lhead` and `lnext` must be hazard-protected with `lhead` re-validated
+    /// as the head afterwards.
+    fn search_next(&self, lhead: *mut Node, lnext: *mut Node) -> usize {
+        let q = self.queue;
+        let n = q.deqself.len();
+        // SAFETY: protected by the caller; while head == lhead neither node
+        // can have been retired.
+        let (lhead_ref, lnext_ref) = unsafe { (&*lhead, &*lnext) };
+        let start = match lhead_ref.deq_tid.load(SeqCst) {
+            NOIDX => 0,
+            v => (v + 1) % n,
+        };
+        for j in 0..n {
+            let cand = (start + j) % n;
+            if q.deqself[cand].load(SeqCst) != q.deqhelp[cand].load(SeqCst) {
+                continue;
+            }
+            let _ = lnext_ref
+                .deq_tid
+                .compare_exchange(NOIDX, cand, SeqCst, SeqCst);
+            break;
+        }
+        lnext_ref.deq_tid.load(SeqCst)
+    }
+
+    /// Serves `lnext` to its assignee, then advances the head.  Same
+    /// protection contract as [`Self::search_next`]; `lnext` must be assigned.
+    fn cas_deq_and_head(&self, lhead: *mut Node, lnext: *mut Node) {
+        let q = self.queue;
+        // SAFETY: protected by the caller.
+        let assigned = unsafe { (*lnext).deq_tid.load(SeqCst) };
+        if assigned == self.tid {
+            q.deqhelp[assigned].store(lnext, SeqCst);
+        } else {
+            // Protect the request's identity against retire-free-reallocate-
+            // reassign ABA; the head re-check proves it was still the open
+            // request's node when the hazard was published.
+            let ldeqhelp = self
+                .hp
+                .protect_raw(HP_DEQ, q.deqhelp[assigned].load(SeqCst));
+            if ldeqhelp != lnext && lhead == q.head.load(SeqCst) {
+                let _ = q.deqhelp[assigned].compare_exchange(ldeqhelp, lnext, SeqCst, SeqCst);
+            }
+        }
+        let _ = q.head.compare_exchange(lhead, lnext, SeqCst, SeqCst);
+    }
+
+    /// The give-up procedure of an empty-looking dequeue, run after the
+    /// request was rolled back: if a node showed up meanwhile it may already
+    /// carry our tid (a helper saw the request open), so it must be served —
+    /// to whoever is in turn, or to us when nobody is.
+    fn give_up(&self, my_req: *mut Node) {
+        let q = self.queue;
+        let lhead = q.head.load(SeqCst);
+        if q.deqhelp[self.tid].load(SeqCst) != my_req || lhead == q.tail.load(SeqCst) {
+            return;
+        }
+        self.hp.protect_raw(HP_HEAD, lhead);
+        if lhead != q.head.load(SeqCst) {
+            return;
+        }
+        // SAFETY: lhead is hazard-protected and validated.
+        let lnext = self.hp.protect(HP_NEXT, unsafe { &(*lhead).next });
+        if lhead != q.head.load(SeqCst) {
+            return;
+        }
+        if self.search_next(lhead, lnext) == NOIDX {
+            // SAFETY: lnext protected before the head re-validation.
+            let _ = unsafe { &(*lnext).deq_tid }.compare_exchange(NOIDX, self.tid, SeqCst, SeqCst);
+        }
+        self.cas_deq_and_head(lhead, lnext);
     }
 }
 
 impl<'q> Drop for CrTurnHandle<'q> {
     fn drop(&mut self) {
-        // The last node assigned to this thread may still be the queue's
-        // sentinel (head); in that case ownership stays with the queue, which
-        // frees it on drop.  Retiring it here as well would double-free.
-        if !self.prev_assigned.is_null() && self.prev_assigned != self.queue.head.load(SeqCst) {
-            // SAFETY: same argument as in `dequeue`; the node is strictly
-            // behind the head, hence unreachable.
-            unsafe { self.hp.retire(self.prev_assigned) };
-        }
+        // The request slots (and the nodes in them) belong to the tid, not
+        // the handle: the next handle on this tid picks them up.
         self.queue.taken[self.tid].store(0, SeqCst);
     }
 }
@@ -421,5 +476,44 @@ mod tests {
                 }
             });
         });
+    }
+
+    /// Regression: every dequeue request used to be opened with the *same*
+    /// pending marker, so a stalled helper's serve-CAS from an earlier round
+    /// could match the owner's *next* request — the node came back twice (a
+    /// duplicate element) and was later retired twice (a double free).
+    #[test]
+    fn two_thread_pairs_deliver_every_value_exactly_once() {
+        const PER_THREAD: u64 = 150_000;
+        let q = CrTurnQueue::new(2);
+        let seen: Vec<AtomicU64> = (0..2 * PER_THREAD).map(|_| AtomicU64::new(0)).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (q, seen, start) = (&q, &seen, &start);
+                s.spawn(move || {
+                    let mut h = q.register().unwrap();
+                    let take = |v: u64| {
+                        let before = seen[v as usize].fetch_add(1, Ordering::SeqCst);
+                        assert_eq!(before, 0, "value {v} delivered twice (tid {t})");
+                    };
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        h.enqueue(t * PER_THREAD + i);
+                        if let Some(v) = h.dequeue() {
+                            take(v);
+                        }
+                    }
+                    while let Some(v) = h.dequeue() {
+                        take(v);
+                    }
+                });
+            }
+        });
+        let missing = seen
+            .iter()
+            .filter(|c| c.load(Ordering::SeqCst) != 1)
+            .count();
+        assert_eq!(missing, 0, "values lost or duplicated");
     }
 }

@@ -917,7 +917,11 @@ impl<F: CellFamily> WcqRing<F> {
         let mut abandoned: u32 = 0;
         for (k, &index) in indices.iter().enumerate() {
             debug_assert!(index < self.layout.capacity());
-            if self.try_enq_at(base + k as u64, index, &mut spin).is_ok() {
+            // Once one element lost its ticket, the rest of the run abandon
+            // theirs too: the fallback below takes a *fresh* (later) ticket,
+            // so an element still riding its batch ticket would overtake it
+            // and break the batch's FIFO order.
+            if abandoned == 0 && self.try_enq_at(base + k as u64, index, &mut spin).is_ok() {
                 on_ticket += 1;
             } else {
                 abandoned += 1;

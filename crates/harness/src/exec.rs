@@ -14,9 +14,7 @@
 //! layers report to ([`Counter::ExecPolls`] / [`Counter::ExecWakes`]).  It is
 //! the instrument behind the "a parked receiver is woken by an enqueue, not
 //! by spinning" assertions: a receiver that busy-polls shows hundreds of
-//! polls, a properly parked one a small constant.  The older
-//! [`block_on_counted`] reports the same two numbers as an ad-hoc
-//! [`PollStats`] pair and is deprecated in its favor.
+//! polls, a properly parked one a small constant.
 
 use std::future::Future;
 use std::pin::pin;
@@ -43,37 +41,9 @@ impl Wake for ThreadUnparker {
     }
 }
 
-/// How hard the executor had to work: poll and wake counts of one
-/// [`block_on_counted`] run.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `block_on_instrumented` with a `CountingInstrument` and read \
-            `Counter::ExecPolls` / `Counter::ExecWakes` from its `MetricsSnapshot`"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PollStats {
-    /// Times the future was polled (≥ 1).
-    pub polls: u64,
-    /// Times the future's waker was invoked.
-    pub wakes: u64,
-}
-
 /// Runs `future` to completion on the current thread, parking between polls.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     run_counting(future).0
-}
-
-/// Like [`block_on`], but also reports how many polls and wakes the run took
-/// — the bounded-wake-count oracle for the park/wake tests.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `block_on_instrumented` with a `CountingInstrument` and read \
-            `Counter::ExecPolls` / `Counter::ExecWakes` from its `MetricsSnapshot`"
-)]
-#[allow(deprecated)]
-pub fn block_on_counted<F: Future>(future: F) -> (F::Output, PollStats) {
-    let (output, polls, wakes) = run_counting(future);
-    (output, PollStats { polls, wakes })
 }
 
 /// Like [`block_on`], but records every poll and wake into `instrument`
@@ -115,18 +85,17 @@ fn run_counting<F: Future>(future: F) -> (F::Output, u64, u64) {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated counted runner stays covered until it is removed.
-    #![allow(deprecated)]
-
     use super::*;
     use std::task::Poll;
+    use wcq_core::metrics::CountingInstrument;
 
     #[test]
     fn ready_future_completes_in_one_poll() {
-        let (out, stats) = block_on_counted(std::future::ready(42));
-        assert_eq!(out, 42);
-        assert_eq!(stats.polls, 1);
-        assert_eq!(stats.wakes, 0);
+        let instr = CountingInstrument::new();
+        assert_eq!(block_on_instrumented(std::future::ready(42), &instr), 42);
+        let snap = instr.snapshot();
+        assert_eq!(snap.get(Counter::ExecPolls), 1);
+        assert_eq!(snap.get(Counter::ExecWakes), 0);
     }
 
     #[test]
@@ -159,11 +128,16 @@ mod tests {
             }
         });
 
-        let (out, stats) = block_on_counted(waiter);
+        let instr = CountingInstrument::new();
+        let out = block_on_instrumented(waiter, &instr);
         side.join().unwrap();
         assert_eq!(out, 7);
-        assert!(stats.polls >= 2, "one park, one wake-up poll");
-        assert!(stats.wakes >= 1);
+        let snap = instr.snapshot();
+        assert!(
+            snap.get(Counter::ExecPolls) >= 2,
+            "one park, one wake-up poll"
+        );
+        assert!(snap.get(Counter::ExecWakes) >= 1);
     }
 
     #[test]

@@ -39,9 +39,7 @@ pub mod stress;
 pub mod workload;
 
 pub use channel_stress::{all_channel_backends, ChannelStressPlan, ChannelStressReport};
-pub use exec::block_on_instrumented;
-#[allow(deprecated)]
-pub use exec::{block_on, block_on_counted, PollStats};
+pub use exec::{block_on, block_on_instrumented};
 pub use queues::{
     make_counting_queue, make_queue, make_queue_configured, make_queue_with_policy, QueueHandle,
     QueueKind, ShardPolicy, WaitFreeQueue, HARNESS_SHARDS,

@@ -69,7 +69,5 @@ mod queue;
 mod segment;
 mod shard;
 
-pub use queue::{
-    CacheStats, SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE,
-};
+pub use queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 pub use shard::{ShardPolicy, ShardedWcq, ShardedWcqHandle};

@@ -43,26 +43,6 @@ impl SegmentStats {
     }
 }
 
-/// Hit/miss statistics of an [`UnboundedWcq`]'s segment-recycling cache.
-///
-/// A *hit* is a segment append served from the cache, a *miss* one that had
-/// to go to the allocator; at steady state (bursts that drain) every append
-/// after warm-up should hit.  `recycled`/`reused` count the other direction
-/// and the link-race-adjusted reuse (see `SegmentCache` internals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cache lookups that found a recycled segment.
-    pub hits: usize,
-    /// Cache lookups that fell through to the allocator.
-    pub misses: usize,
-    /// Segments accepted back into the cache after retirement.
-    pub recycled: usize,
-    /// Cache-served segments that actually won their link race.
-    pub reused: usize,
-    /// Segments currently parked in the cache.
-    pub len: usize,
-}
-
 /// An unbounded MPMC FIFO queue of `T`: fixed-capacity wait-free wCQ ring
 /// segments linked into a Michael–Scott-style outer list (the paper's LSCQ
 /// construction, §2.3, with wCQ rings — "wLSCQ").
@@ -261,23 +241,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         }
     }
 
-    /// Hit/miss statistics of the segment-recycling cache.
-    #[deprecated(
-        since = "0.2.0",
-        note = "attach a `CountingInstrument` via `builder().instrument(...)` and read \
-                `MetricsSnapshot` (segment_cache_hits / segment_cache_misses / \
-                segments_reused) instead"
-    )]
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.cache.hits_total(),
-            misses: self.cache.misses_total(),
-            recycled: self.cache.recycled_total(),
-            reused: self.cache.reused_total(),
-            len: self.cache.len(),
-        }
-    }
-
     /// Approximate number of elements currently queued.
     ///
     /// Maintained as a side counter next to the real operations, so it can
@@ -446,18 +409,6 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// The queue this handle operates on.
     pub fn queue(&self) -> &'q UnboundedWcq<T, F> {
         self.queue
-    }
-
-    /// Number of segment-binding switches this handle has performed.  Stays
-    /// at 1 while all operations land in one segment (the memoized fast
-    /// case); grows by at least one per segment the handle crosses.
-    #[deprecated(
-        since = "0.2.0",
-        note = "attach a `CountingInstrument` via `builder().instrument(...)` and read \
-                `MetricsSnapshot` (segment_rebinds) instead"
-    )]
-    pub fn segment_rebinds(&self) -> u64 {
-        self.rebinds
     }
 
     /// Points the memoized binding at `seg`, releasing the previous one.
@@ -866,12 +817,24 @@ impl<T: Send, F: CellFamily> WaitFreeQueue<T> for UnboundedWcq<T, F> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated ad-hoc accessors stay covered until they are removed.
-    #![allow(deprecated)]
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use wcq_core::wcq::LlscFamily;
+
+    /// A queue recording into a fresh counter set — the one way to read
+    /// rebind and cache statistics.
+    fn counted(seg_order: u32, max_threads: usize) -> (UnboundedWcq<u64>, Arc<CounterSet>) {
+        let set = Arc::new(CounterSet::new());
+        let q = UnboundedWcq::with_config_cache_counters(
+            seg_order,
+            max_threads,
+            WcqConfig::default(),
+            DEFAULT_SEGMENT_CACHE,
+            Some(Arc::clone(&set)),
+        );
+        (q, set)
+    }
 
     #[test]
     fn fifo_single_thread_within_one_segment() {
@@ -938,7 +901,7 @@ mod tests {
 
     #[test]
     fn memoized_binding_stays_on_one_segment() {
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(6, 2);
+        let (q, set) = counted(6, 2);
         let mut h = q.register().unwrap();
         for round in 0..10 {
             for i in 0..30 {
@@ -950,14 +913,15 @@ mod tests {
         }
         // 600 operations never left the first segment: the binding was
         // established once and memoized for every later operation.
-        assert_eq!(h.segment_rebinds(), 1, "{h:?}");
+        drop(h); // flushes the handle-local tally
+        assert_eq!(set.get(Counter::SegmentRebinds), 1);
     }
 
     #[test]
     fn memoized_binding_follows_segment_growth_without_losing_values() {
         // 16-slot segments with interleaved enqueue/dequeue force the memo
         // to chase head and tail across many segment transitions.
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(4, 1);
+        let (q, set) = counted(4, 1);
         let mut h = q.register().unwrap();
         let mut next_out = 0u64;
         for i in 0..500u64 {
@@ -972,9 +936,13 @@ mod tests {
             next_out += 1;
         }
         assert_eq!(next_out, 500, "every value crossed the segment chain");
-        assert!(h.segment_rebinds() > 1, "growth must move the binding");
         h.flush_reclamation();
         assert_eq!(q.segments_live(), 1);
+        drop(h); // flushes the handle-local tally
+        assert!(
+            set.get(Counter::SegmentRebinds) > 1,
+            "growth must move the binding"
+        );
     }
 
     #[test]
@@ -1037,7 +1005,7 @@ mod tests {
     fn batch_amortizes_the_memo_within_one_segment() {
         // Large segment: batches must not rebind more than the single op
         // would (one initial bind, no churn).
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(8, 2);
+        let (q, set) = counted(8, 2);
         let mut h = q.register().unwrap();
         for round in 0..8u64 {
             let mut batch: Vec<u64> = (round * 16..(round + 1) * 16).collect();
@@ -1046,7 +1014,8 @@ mod tests {
             assert_eq!(h.dequeue_many(&mut out, 16), 16);
             assert_eq!(out, ((round * 16)..(round + 1) * 16).collect::<Vec<_>>());
         }
-        assert_eq!(h.segment_rebinds(), 1, "{h:?}");
+        drop(h); // flushes the handle-local tally
+        assert_eq!(set.get(Counter::SegmentRebinds), 1);
     }
 
     #[test]
@@ -1168,7 +1137,13 @@ mod tests {
 
     #[test]
     fn cache_stats_count_hits_and_misses() {
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(3, 1);
+        let (q, set) = counted(3, 1);
+        let cache_stats = || {
+            (
+                set.get(Counter::SegmentCacheHits),
+                set.get(Counter::SegmentCacheMisses),
+            )
+        };
         let mut h = q.register().unwrap();
         // Warm-up burst: every append misses (the cache starts empty).
         for i in 0..64 {
@@ -1178,17 +1153,17 @@ mod tests {
             assert_eq!(h.dequeue(), Some(i));
         }
         h.flush_reclamation();
-        let warm = q.cache_stats();
-        assert!(warm.misses > 0, "cold appends must miss: {warm:?}");
-        assert_eq!(warm.hits, 0, "{warm:?}");
+        let (warm_hits, warm_misses) = cache_stats();
+        assert!(warm_misses > 0, "cold appends must miss");
+        assert_eq!(warm_hits, 0);
         // Second, smaller burst (3 appends on top of the live tail — within
         // the 4-segment cache): recycled segments answer from the cache.
         for i in 0..32 {
             h.enqueue(i);
         }
-        let hot = q.cache_stats();
-        assert!(hot.hits > 0, "warm appends must hit: {hot:?}");
-        assert_eq!(hot.misses, warm.misses, "no new allocator trips: {hot:?}");
+        let (hot_hits, hot_misses) = cache_stats();
+        assert!(hot_hits > 0, "warm appends must hit");
+        assert_eq!(hot_misses, warm_misses, "no new allocator trips");
     }
 
     #[test]

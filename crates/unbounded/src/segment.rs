@@ -331,11 +331,6 @@ pub(crate) struct SegmentCache<T, F: CellFamily> {
     recycled: AtomicUsize,
     /// Appends served from the cache instead of the allocator (statistics).
     reused: AtomicUsize,
-    /// [`SegmentCache::take`] calls that found a segment (statistics).
-    hits: AtomicUsize,
-    /// [`SegmentCache::take`] calls that found the cache empty and sent the
-    /// caller to the allocator (statistics).
-    misses: AtomicUsize,
 }
 
 // SAFETY: the raw pointers are exclusively owned by the cache while stored
@@ -355,8 +350,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
                 .into_boxed_slice(),
             recycled: AtomicUsize::new(0),
             reused: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
         }
     }
 
@@ -364,18 +357,16 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     /// is *not* bumped here: a taken segment only counts as reused once its
     /// append wins the link race (see [`SegmentCache::note_reused`]) —
     /// otherwise a lost race that hands the segment straight back would
-    /// overstate cache effectiveness.  Hit/miss counters *are* bumped here:
-    /// they measure how often the cache could answer at all, which is the
-    /// steady-state-allocates-nothing property the memory tests assert.
+    /// overstate cache effectiveness.  (Hits and misses — how often the
+    /// cache could answer at all — are recorded by the caller into the
+    /// queue's counter set.)
     pub(crate) fn take(&self) -> Option<*mut Segment<T, F>> {
         for slot in self.slots.iter() {
             let seg = slot.swap(ptr::null_mut(), SeqCst);
             if !seg.is_null() {
-                self.hits.fetch_add(1, SeqCst);
                 return Some(seg);
             }
         }
-        self.misses.fetch_add(1, SeqCst);
         None
     }
 
@@ -422,14 +413,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
 
     pub(crate) fn reused_total(&self) -> usize {
         self.reused.load(SeqCst)
-    }
-
-    pub(crate) fn hits_total(&self) -> usize {
-        self.hits.load(SeqCst)
-    }
-
-    pub(crate) fn misses_total(&self) -> usize {
-        self.misses.load(SeqCst)
     }
 }
 

@@ -349,29 +349,6 @@ impl<'q, T, F: CellFamily> ShardedWcqHandle<'q, T, F> {
         self.home
     }
 
-    /// Segment-binding switches performed on shard `shard` (see
-    /// [`UnboundedWcqHandle::segment_rebinds`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "attach a `CountingInstrument` via `builder().instrument(...)` and read \
-                `MetricsSnapshot` (segment_rebinds) instead"
-    )]
-    pub fn shard_rebinds(&self, shard: usize) -> u64 {
-        #[allow(deprecated)]
-        self.handles[shard].segment_rebinds()
-    }
-
-    /// Total segment-binding switches across all shards.
-    #[deprecated(
-        since = "0.2.0",
-        note = "attach a `CountingInstrument` via `builder().instrument(...)` and read \
-                `MetricsSnapshot` (segment_rebinds) instead"
-    )]
-    pub fn segment_rebinds(&self) -> u64 {
-        #[allow(deprecated)]
-        self.handles.iter().map(|h| h.segment_rebinds()).sum()
-    }
-
     /// Picks the target shard for one enqueue under the queue's policy.
     fn route(&mut self) -> usize {
         self.routes += 1;
@@ -568,12 +545,9 @@ impl<'q, T, F: CellFamily> Drop for ShardedWcqHandle<'q, T, F> {
 
 impl<'q, T, F: CellFamily> std::fmt::Debug for ShardedWcqHandle<'q, T, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        #[allow(deprecated)]
-        let rebinds = self.segment_rebinds();
         f.debug_struct("ShardedWcqHandle")
             .field("shards", &self.handles.len())
             .field("home", &self.home)
-            .field("rebinds", &rebinds)
             .finish()
     }
 }

@@ -9,8 +9,11 @@
 //! every successful send wakes **one** parked receiver, a close wakes **all**
 //! of them, and (symmetrically, for the bounded backend) every successful
 //! receive wakes one sender parked on a full queue.  No thread ever spins
-//! inside the executor: a future returns `Pending` only after re-checking
-//! the queue *with its waker already parked*, so a wake can never be lost.
+//! inside the executor: every future here is an attempt driven by the wait
+//! core's task driver (`src/wait.rs`; DESIGN.md, "Wait core: attempts ×
+//! drivers"), which returns `Pending` only after re-checking the queue *with
+//! its waker already parked*, so a wake can never be lost — and whose guard
+//! makes dropping a future mid-wait safe.
 //!
 //! The park decision is gated by
 //! [`is_empty_hint`](crate::WaitFreeQueue::is_empty_hint) (the counting
@@ -39,7 +42,10 @@ use std::task::{Context, Poll};
 
 use wcq_core::metrics::{Instrument, NoopInstrument};
 
-use crate::channel::{Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError};
+use crate::channel::{
+    recv_answer, Receiver, RecvError, SendError, Sender, TryRecvError, TrySendError,
+};
+use crate::wait::{Lane, Parked, WakeSide};
 
 // --------------------------------------------------------------------------
 // AsyncSender
@@ -48,14 +54,13 @@ use crate::channel::{Receiver, RecvError, SendError, Sender, TryRecvError, TrySe
 /// The producing endpoint of a channel built by
 /// [`build_async`](crate::QueueBuilder::build_async).
 ///
-/// Wraps a [`Sender`] (same close semantics, same typed errors) and adds a
-/// parked-waker slot so [`send`](AsyncSender::send) on a full *bounded*
+/// Wraps a [`Sender`] (same close semantics, same typed errors, same
+/// send-side wait slot) so [`send`](AsyncSender::send) on a full *bounded*
 /// backend suspends the task instead of spinning; a receive or a close wakes
 /// it.  Unbounded and sharded backends never report full, so their send
 /// futures complete on first poll.
 pub struct AsyncSender<T: Send + 'static, I: Instrument = NoopInstrument> {
     inner: Sender<T, I>,
-    waker_id: u64,
 }
 
 impl<T: Send + 'static, I: Instrument> AsyncSender<T, I> {
@@ -63,9 +68,8 @@ impl<T: Send + 'static, I: Instrument> AsyncSender<T, I> {
     /// with the value back inside [`SendError`] if the channel closes first.
     pub fn send(&mut self, value: T) -> SendFuture<'_, T, I> {
         SendFuture {
-            tx: self,
+            wait: Parked::one(&mut self.inner),
             value: Some(value),
-            parked: false,
         }
     }
 
@@ -86,10 +90,9 @@ impl<T: Send + 'static, I: Instrument> AsyncSender<T, I> {
         let buf: Vec<T> = iter.into_iter().collect();
         let total = buf.len();
         SendIterFuture {
-            tx: self,
+            wait: Parked::one(&mut self.inner),
             buf,
             total,
-            parked: false,
         }
     }
 
@@ -108,33 +111,26 @@ impl<T: Send + 'static, I: Instrument> AsyncSender<T, I> {
         self.inner.backend_name()
     }
 
-    /// Strips the async layer, keeping the registered endpoint.
+    /// Strips the async layer: the wrapped sync endpoint itself, with its
+    /// queue registration and wait slot intact.
     pub fn into_sync(self) -> Sender<T, I> {
-        // Clone-then-drop keeps the sender count ≥ 1 throughout, so the
-        // conversion can never be the "last drop" that closes the channel.
-        let sync = self.inner.clone();
-        drop(self);
-        sync
+        self.inner
     }
 }
 
 impl<T: Send + 'static, I: Instrument> From<Sender<T, I>> for AsyncSender<T, I> {
-    fn from(inner: Sender<T, I>) -> Self {
-        let waker_id = inner.core.send_wakers.attach();
-        Self { inner, waker_id }
+    fn from(mut inner: Sender<T, I>) -> Self {
+        // Attach the wait slot now rather than at the first park: wake-one
+        // picks the earliest-attached parked endpoint, so attach order is
+        // creation order.
+        inner.lane();
+        Self { inner }
     }
 }
 
 impl<T: Send + 'static, I: Instrument> Clone for AsyncSender<T, I> {
     fn clone(&self) -> Self {
         self.inner.clone().into()
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for AsyncSender<T, I> {
-    fn drop(&mut self) {
-        self.inner.core.send_wakers.detach(self.waker_id);
-        // `inner` drops next; the last sender drop closes the channel.
     }
 }
 
@@ -147,15 +143,13 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for AsyncSender<T, I> {
     }
 }
 
-/// Future of [`AsyncSender::send`].
+/// Future of [`AsyncSender::send`]: the `try_send` attempt under the task
+/// driver.
 #[must_use = "futures do nothing unless polled"]
 pub struct SendFuture<'a, T: Send + 'static, I: Instrument = NoopInstrument> {
-    tx: &'a mut AsyncSender<T, I>,
+    wait: Parked<'a, Sender<T, I>>,
     /// The value still to be sent; taken on completion.
     value: Option<T>,
-    /// Whether the last poll returned `Pending` with the waker parked — the
-    /// drop impl uses it to tell a consumed notification from a clean slot.
-    parked: bool,
 }
 
 // No field is structurally pinned (`poll` only ever takes plain `&mut` to
@@ -166,68 +160,19 @@ impl<T: Send + 'static, I: Instrument> Future for SendFuture<'_, T, I> {
     type Output = Result<(), SendError<T>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut(); // SendFuture is Unpin
-        let value = this
-            .value
-            .take()
-            .expect("SendFuture polled after completion");
-        let value = match this.tx.inner.try_send(value) {
-            Ok(()) => return Poll::Ready(this.complete(Ok(()))),
-            Err(TrySendError::Closed(v)) => return Poll::Ready(this.complete(Err(SendError(v)))),
-            Err(TrySendError::Full(v)) => v,
-        };
-        // Full: park, then retry once with the waker in place — a dequeue
-        // that raced between the attempt above and the park has already
-        // consumed its notification, so only this re-check can see it.
-        this.tx.inner.core.park_send(this.tx.waker_id, cx.waker());
-        this.parked = true;
-        match this.tx.inner.try_send(value) {
-            Ok(()) => Poll::Ready(this.complete(Ok(()))),
-            Err(TrySendError::Closed(v)) => Poll::Ready(this.complete(Err(SendError(v)))),
-            Err(TrySendError::Full(v)) => {
-                this.value = Some(v);
-                Poll::Pending
-            }
-        }
+        let Self { wait, value } = self.get_mut();
+        wait.poll_one(cx, |tx| tx.attempt_send(value))
     }
 }
 
-impl<T: Send + 'static, I: Instrument> SendFuture<'_, T, I> {
-    /// Completion bookkeeping: clear any waker still parked from an earlier
-    /// `Pending` round, so no later `notify_one` burns itself on this
-    /// already-finished future.
-    fn complete(&mut self, output: Result<(), SendError<T>>) -> Result<(), SendError<T>> {
-        if self.parked {
-            self.parked = false;
-            self.tx.inner.core.send_wakers.unpark(self.tx.waker_id);
-        }
-        output
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for SendFuture<'_, T, I> {
-    fn drop(&mut self) {
-        // Cancellation safety: never leave a stale waker behind, and never
-        // swallow a notification.  If we parked and the waker is *gone*, a
-        // notify chose us between the wake and this drop — forward it, or
-        // the queue slot it announced goes unobserved by the other parked
-        // senders.
-        if self.parked && !self.tx.inner.core.send_wakers.unpark(self.tx.waker_id) {
-            self.tx.inner.core.wake_send_one();
-        }
-    }
-}
-
-/// Future of [`AsyncSender::send_iter`].
+/// Future of [`AsyncSender::send_iter`]: the `try_send_batch` attempt under
+/// the task driver.
 #[must_use = "futures do nothing unless polled"]
 pub struct SendIterFuture<'a, T: Send + 'static, I: Instrument = NoopInstrument> {
-    tx: &'a mut AsyncSender<T, I>,
+    wait: Parked<'a, Sender<T, I>>,
     /// The elements still to be sent, drained from the front as batches land.
     buf: Vec<T>,
     total: usize,
-    /// Whether the last poll returned `Pending` with the waker parked — the
-    /// drop impl uses it to tell a consumed notification from a clean slot.
-    parked: bool,
 }
 
 impl<T: Send + 'static, I: Instrument> Unpin for SendIterFuture<'_, T, I> {}
@@ -236,53 +181,8 @@ impl<T: Send + 'static, I: Instrument> Future for SendIterFuture<'_, T, I> {
     type Output = Result<usize, SendError<Vec<T>>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut(); // SendIterFuture is Unpin
-        let mut parked_now = false;
-        loop {
-            match this.tx.inner.try_send_batch(&mut this.buf) {
-                Err(SendError(())) => {
-                    let remainder = std::mem::take(&mut this.buf);
-                    return Poll::Ready(this.complete(Err(SendError(remainder))));
-                }
-                Ok(_) if this.buf.is_empty() => {
-                    return Poll::Ready(this.complete(Ok(this.total)));
-                }
-                Ok(accepted) if accepted > 0 => continue, // partial progress
-                Ok(_) => {}
-            }
-            // Full: park once, then retry with the waker in place (same
-            // lost-wake reasoning as `SendFuture`); a second full answer in
-            // the same poll suspends.
-            if parked_now {
-                return Poll::Pending;
-            }
-            this.tx.inner.core.park_send(this.tx.waker_id, cx.waker());
-            this.parked = true;
-            parked_now = true;
-        }
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> SendIterFuture<'_, T, I> {
-    /// Completion bookkeeping; see [`SendFuture`]'s counterpart.
-    fn complete(
-        &mut self,
-        output: Result<usize, SendError<Vec<T>>>,
-    ) -> Result<usize, SendError<Vec<T>>> {
-        if self.parked {
-            self.parked = false;
-            self.tx.inner.core.send_wakers.unpark(self.tx.waker_id);
-        }
-        output
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for SendIterFuture<'_, T, I> {
-    fn drop(&mut self) {
-        // Cancellation safety: see `SendFuture`'s drop impl.
-        if self.parked && !self.tx.inner.core.send_wakers.unpark(self.tx.waker_id) {
-            self.tx.inner.core.wake_send_one();
-        }
+        let Self { wait, buf, total } = self.get_mut();
+        wait.poll_one(cx, |tx| tx.attempt_send_batch(buf, *total))
     }
 }
 
@@ -293,7 +193,7 @@ impl<T: Send + 'static, I: Instrument> Drop for SendIterFuture<'_, T, I> {
 /// The consuming endpoint of a channel built by
 /// [`build_async`](crate::QueueBuilder::build_async).
 ///
-/// Wraps a [`Receiver`] and adds the park/wake machinery:
+/// Wraps a [`Receiver`] (same receive-side wait slot):
 /// [`recv`](AsyncReceiver::recv) on an empty channel parks the task and is
 /// woken by the next send (one receiver per send) or by a close (all
 /// receivers).  The close-drain guarantee carries over unchanged — a receiver
@@ -301,7 +201,6 @@ impl<T: Send + 'static, I: Instrument> Drop for SendIterFuture<'_, T, I> {
 /// been drained by someone.
 pub struct AsyncReceiver<T: Send + 'static, I: Instrument = NoopInstrument> {
     inner: Receiver<T, I>,
-    waker_id: u64,
 }
 
 impl<T: Send + 'static, I: Instrument> AsyncReceiver<T, I> {
@@ -309,10 +208,7 @@ impl<T: Send + 'static, I: Instrument> AsyncReceiver<T, I> {
     /// Resolves with `Err(`[`RecvError`]`)` once the channel is closed and
     /// fully drained.
     pub fn recv(&mut self) -> RecvFuture<'_, T, I> {
-        RecvFuture {
-            rx: self,
-            parked: false,
-        }
+        RecvFuture(Parked::one(&mut self.inner))
     }
 
     /// Non-blocking receive; identical to [`Receiver::try_recv`].
@@ -331,10 +227,9 @@ impl<T: Send + 'static, I: Instrument> AsyncReceiver<T, I> {
         max: usize,
     ) -> RecvManyFuture<'a, T, I> {
         RecvManyFuture {
-            rx: self,
+            wait: Parked::one(&mut self.inner),
             out,
             max,
-            parked: false,
         }
     }
 
@@ -365,37 +260,32 @@ impl<T: Send + 'static, I: Instrument> AsyncReceiver<T, I> {
         self.inner.backend_name()
     }
 
-    /// Strips the async layer, keeping the registered endpoint.
+    /// Strips the async layer: the wrapped sync endpoint itself, with its
+    /// queue registration and wait slot intact.
     pub fn into_sync(self) -> Receiver<T, I> {
-        let sync = self.inner.clone();
-        drop(self);
-        sync
-    }
-
-    /// Select support ([`crate::select`]): the wrapped sync endpoint and the
-    /// endpoint's registry slot, together — the multi-channel wait parks one
-    /// waker per participating receiver through these.
-    pub(crate) fn select_parts(&mut self) -> (&mut Receiver<T, I>, u64) {
-        (&mut self.inner, self.waker_id)
+        self.inner
     }
 }
 
 impl<T: Send + 'static, I: Instrument> From<Receiver<T, I>> for AsyncReceiver<T, I> {
-    fn from(inner: Receiver<T, I>) -> Self {
-        let waker_id = inner.core.recv_wakers.attach();
-        Self { inner, waker_id }
+    fn from(mut inner: Receiver<T, I>) -> Self {
+        inner.lane(); // attach now: see `AsyncSender`'s conversion
+        Self { inner }
+    }
+}
+
+/// A select over async receivers ([`crate::select::recv_any`]) parks in the
+/// wrapped endpoints' lanes.
+impl<T: Send + 'static, I: Instrument> Lane for AsyncReceiver<T, I> {
+    type I = I;
+    fn lane(&mut self) -> (&WakeSide<I>, u64) {
+        self.inner.lane()
     }
 }
 
 impl<T: Send + 'static, I: Instrument> Clone for AsyncReceiver<T, I> {
     fn clone(&self) -> Self {
         self.inner.clone().into()
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for AsyncReceiver<T, I> {
-    fn drop(&mut self) {
-        self.inner.core.recv_wakers.detach(self.waker_id);
     }
 }
 
@@ -408,136 +298,58 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for AsyncReceiver<T, I> {
     }
 }
 
-/// Future of [`AsyncReceiver::recv`].
-#[must_use = "futures do nothing unless polled"]
-pub struct RecvFuture<'a, T: Send + 'static, I: Instrument = NoopInstrument> {
-    rx: &'a mut AsyncReceiver<T, I>,
-    /// Whether the last poll returned `Pending` with the waker parked — the
-    /// drop impl uses it to tell a consumed notification from a clean slot.
-    parked: bool,
+/// The receive futures' attempt: `try_recv` with up to three tries, gated by
+/// the backend's length hint.  While the hint says values exist (they may be
+/// headed to another shard or segment), a retry is cheaper than the
+/// park/re-check round trip; the bound keeps one poll finite even if the
+/// hint stays stubbornly non-empty.  A backend without a real hint reports a
+/// constant `false` — "no information", not "non-empty" — so retrying on it
+/// is never informed: it answers after the first empty try.
+fn hinted<T: Send + 'static, I: Instrument, R>(
+    rx: &mut Receiver<T, I>,
+    mut try_recv: impl FnMut(&mut Receiver<T, I>) -> Result<R, TryRecvError>,
+) -> Option<Result<R, RecvError>> {
+    let has_hint = rx.has_empty_hint();
+    for attempt in 0..3 {
+        if let Some(answer) = recv_answer(try_recv(rx)) {
+            return Some(answer);
+        }
+        if !has_hint || (attempt == 0 && rx.is_empty_hint()) {
+            break; // genuinely empty (or no hint to consult): go park
+        }
+    }
+    None
 }
+
+/// Future of [`AsyncReceiver::recv`]: the hint-gated `try_recv` attempt under
+/// the task driver.
+#[must_use = "futures do nothing unless polled"]
+pub struct RecvFuture<'a, T: Send + 'static, I: Instrument = NoopInstrument>(
+    Parked<'a, Receiver<T, I>>,
+);
 
 impl<T: Send + 'static, I: Instrument> Future for RecvFuture<'_, T, I> {
     type Output = Result<T, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut(); // RecvFuture is Unpin
-                                   // Hint-gated fast path: while the backend's length hint says values
-                                   // exist (they may be headed to another shard or segment), a retry is
-                                   // cheaper than the park/re-check round trip.  The bound keeps one
-                                   // poll finite even if the hint stays stubbornly non-empty.  A backend
-                                   // without a real hint reports a constant `false` — "no information",
-                                   // not "non-empty" — so retrying on it is never informed: park after
-                                   // the first empty answer instead of spinning the extra rounds.
-        let hinted = this.rx.inner.has_empty_hint();
-        for attempt in 0..3 {
-            match this.rx.inner.try_recv() {
-                Ok(value) => return Poll::Ready(this.complete(Ok(value))),
-                Err(TryRecvError::Closed) => return Poll::Ready(this.complete(Err(RecvError))),
-                Err(TryRecvError::Empty) => {}
-            }
-            if !hinted || (attempt == 0 && this.rx.inner.is_empty_hint()) {
-                break; // genuinely empty (or no hint to consult): go park
-            }
-        }
-        // Park, then re-check with the waker in place — an enqueue that raced
-        // ahead of the park has already spent its notification on an empty
-        // registry, so only this re-check can observe its value.
-        this.rx.inner.core.park_recv(this.rx.waker_id, cx.waker());
-        this.parked = true;
-        match this.rx.inner.try_recv() {
-            Ok(value) => Poll::Ready(this.complete(Ok(value))),
-            Err(TryRecvError::Closed) => Poll::Ready(this.complete(Err(RecvError))),
-            Err(TryRecvError::Empty) => Poll::Pending,
-        }
+        (self.get_mut().0).poll_one(cx, |rx| hinted(rx, Receiver::try_recv))
     }
 }
 
-impl<T: Send + 'static, I: Instrument> RecvFuture<'_, T, I> {
-    /// Completion bookkeeping: clear any waker still parked from an earlier
-    /// `Pending` round, so no later `notify_one` burns itself on this
-    /// already-finished future.
-    fn complete(&mut self, output: Result<T, RecvError>) -> Result<T, RecvError> {
-        if self.parked {
-            self.parked = false;
-            self.rx.inner.core.recv_wakers.unpark(self.rx.waker_id);
-        }
-        output
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for RecvFuture<'_, T, I> {
-    fn drop(&mut self) {
-        // Cancellation safety: never leave a stale waker behind, and never
-        // swallow a notification.  If we parked and the waker is *gone*, a
-        // notify chose us between the wake and this drop — forward it, or
-        // the value it announced goes unobserved by the other parked
-        // receivers.
-        if self.parked && !self.rx.inner.core.recv_wakers.unpark(self.rx.waker_id) {
-            self.rx.inner.core.wake_recv_one();
-        }
-    }
-}
-
-/// Future of [`AsyncReceiver::recv_many`].
+/// Future of [`AsyncReceiver::recv_many`]: the hint-gated `try_recv_many`
+/// attempt under the task driver.
 #[must_use = "futures do nothing unless polled"]
 pub struct RecvManyFuture<'a, T: Send + 'static, I: Instrument = NoopInstrument> {
-    rx: &'a mut AsyncReceiver<T, I>,
+    wait: Parked<'a, Receiver<T, I>>,
     out: &'a mut Vec<T>,
     max: usize,
-    /// Whether the last poll returned `Pending` with the waker parked — the
-    /// drop impl uses it to tell a consumed notification from a clean slot.
-    parked: bool,
 }
-
-impl<T: Send + 'static, I: Instrument> Unpin for RecvManyFuture<'_, T, I> {}
 
 impl<T: Send + 'static, I: Instrument> Future for RecvManyFuture<'_, T, I> {
     type Output = Result<usize, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut(); // RecvManyFuture is Unpin
-        if this.max == 0 {
-            return Poll::Ready(this.complete(Ok(0)));
-        }
-        // Hint gating: identical reasoning to `RecvFuture::poll`.
-        let hinted = this.rx.inner.has_empty_hint();
-        for attempt in 0..3 {
-            match this.rx.inner.try_recv_many(this.out, this.max) {
-                Ok(got) => return Poll::Ready(this.complete(Ok(got))),
-                Err(TryRecvError::Closed) => return Poll::Ready(this.complete(Err(RecvError))),
-                Err(TryRecvError::Empty) => {}
-            }
-            if !hinted || (attempt == 0 && this.rx.inner.is_empty_hint()) {
-                break; // genuinely empty (or no hint to consult): go park
-            }
-        }
-        this.rx.inner.core.park_recv(this.rx.waker_id, cx.waker());
-        this.parked = true;
-        match this.rx.inner.try_recv_many(this.out, this.max) {
-            Ok(got) => Poll::Ready(this.complete(Ok(got))),
-            Err(TryRecvError::Closed) => Poll::Ready(this.complete(Err(RecvError))),
-            Err(TryRecvError::Empty) => Poll::Pending,
-        }
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> RecvManyFuture<'_, T, I> {
-    /// Completion bookkeeping; see [`RecvFuture`]'s counterpart.
-    fn complete(&mut self, output: Result<usize, RecvError>) -> Result<usize, RecvError> {
-        if self.parked {
-            self.parked = false;
-            self.rx.inner.core.recv_wakers.unpark(self.rx.waker_id);
-        }
-        output
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for RecvManyFuture<'_, T, I> {
-    fn drop(&mut self) {
-        // Cancellation safety: see `RecvFuture`'s drop impl.
-        if self.parked && !self.rx.inner.core.recv_wakers.unpark(self.rx.waker_id) {
-            self.rx.inner.core.wake_recv_one();
-        }
+        let Self { wait, out, max } = self.get_mut();
+        wait.poll_one(cx, |rx| hinted(rx, |rx| rx.try_recv_many(out, *max)))
     }
 }

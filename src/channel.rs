@@ -64,175 +64,19 @@
 //! ```
 
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex};
-use std::task::Waker;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use wcq_atomics::Backoff;
 use wcq_core::api::{QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, Instrument, NoopInstrument};
+
+use crate::wait::{self, Lane, Parked, WakeSide};
 
 pub use wcq_core::channel::{
     RecvError, RecvTimeoutError, SendError, SendTimeoutError, TryRecvError, TrySendError,
 };
-
-/// A [`Waker`] that unparks the calling thread — the bridge that lets the
-/// *sync* timeout waits ([`Receiver::recv_timeout`], [`Sender::send_timeout`]
-/// and [`crate::select::recv_any_timeout`]) park in the same
-/// [`WakerRegistry`] slots the async futures use, so one notify path serves
-/// both worlds.
-pub(crate) fn thread_waker() -> Waker {
-    struct ThreadUnparker(std::thread::Thread);
-    impl std::task::Wake for ThreadUnparker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-        fn wake_by_ref(self: &Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    Waker::from(Arc::new(ThreadUnparker(std::thread::current())))
-}
-
-/// Sleeps until `deadline` (or a wake), returning `false` once the deadline
-/// has passed.  `None` means "no deadline": park until woken.
-pub(crate) fn park_until(deadline: Option<Instant>) -> bool {
-    match deadline {
-        None => {
-            std::thread::park();
-            true
-        }
-        Some(dl) => {
-            let now = Instant::now();
-            if now >= dl {
-                return false;
-            }
-            std::thread::park_timeout(dl - now);
-            true
-        }
-    }
-}
-
-/// `Instant::now() + timeout` with overflow saturating to "no deadline".
-pub(crate) fn deadline_after(timeout: Duration) -> Option<Instant> {
-    Instant::now().checked_add(timeout)
-}
-
-// --------------------------------------------------------------------------
-// Waker registry (shared with the async endpoints)
-// --------------------------------------------------------------------------
-
-/// A registry of parked task wakers, one slot per attached async endpoint.
-///
-/// The sync endpoints never park, but they *notify*: every successful send
-/// wakes one parked receiver, every successful receive wakes one parked
-/// sender, and a close wakes everyone.  When no async endpoint is attached
-/// the notify paths cost one relaxed-ish atomic load (`parked == 0`), so the
-/// sync channel pays nothing for its async sibling.
-#[derive(Debug, Default)]
-pub(crate) struct WakerRegistry {
-    /// Number of slots currently holding a registered waker (fast path for
-    /// the notify calls).
-    parked: AtomicUsize,
-    /// `(slot id, parked waker)` per attached endpoint.
-    slots: Mutex<Vec<(u64, Option<Waker>)>>,
-    next_id: AtomicU64,
-}
-
-impl WakerRegistry {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(u64, Option<Waker>)>> {
-        self.slots
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Adds an empty slot and returns its id.
-    pub(crate) fn attach(&self) -> u64 {
-        let id = self.next_id.fetch_add(1, SeqCst);
-        self.lock().push((id, None));
-        id
-    }
-
-    /// Removes a slot (dropping any waker still parked in it).
-    pub(crate) fn detach(&self, id: u64) {
-        let mut slots = self.lock();
-        if let Some(pos) = slots.iter().position(|(sid, _)| *sid == id) {
-            if slots.remove(pos).1.is_some() {
-                self.parked.fetch_sub(1, SeqCst);
-            }
-        }
-    }
-
-    /// Parks `waker` in slot `id`, replacing any previous one.
-    pub(crate) fn park(&self, id: u64, waker: &Waker) {
-        let mut slots = self.lock();
-        if let Some((_, slot)) = slots.iter_mut().find(|(sid, _)| *sid == id) {
-            if slot.replace(waker.clone()).is_none() {
-                self.parked.fetch_add(1, SeqCst);
-            }
-        }
-    }
-
-    /// Clears slot `id` without waking (the endpoint made progress itself).
-    ///
-    /// Returns whether a waker was actually removed.  `false` for a slot
-    /// that *was* parked means a notification consumed the waker and has not
-    /// been acted on yet — a cancelled future must forward it (see the
-    /// future `Drop` impls) or another parked endpoint is stranded.
-    pub(crate) fn unpark(&self, id: u64) -> bool {
-        if self.parked.load(SeqCst) == 0 {
-            // Globally nothing parked, so this slot holds no waker either.
-            return false;
-        }
-        let mut slots = self.lock();
-        if let Some((_, slot)) = slots.iter_mut().find(|(sid, _)| *sid == id) {
-            if slot.take().is_some() {
-                self.parked.fetch_sub(1, SeqCst);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Wakes one parked endpoint, if any.  Returns whether a task was woken.
-    pub(crate) fn notify_one(&self) -> bool {
-        if self.parked.load(SeqCst) == 0 {
-            return false;
-        }
-        let woken = {
-            let mut slots = self.lock();
-            slots.iter_mut().find_map(|(_, slot)| slot.take())
-        };
-        if let Some(waker) = woken {
-            self.parked.fetch_sub(1, SeqCst);
-            waker.wake();
-            return true;
-        }
-        false
-    }
-
-    /// Wakes every parked endpoint.  Returns how many tasks were woken.
-    pub(crate) fn notify_all(&self) -> usize {
-        if self.parked.load(SeqCst) == 0 {
-            return 0;
-        }
-        let woken: Vec<Waker> = {
-            let mut slots = self.lock();
-            slots
-                .iter_mut()
-                .filter_map(|(_, slot)| slot.take())
-                .collect()
-        };
-        self.parked.fetch_sub(woken.len(), SeqCst);
-        let count = woken.len();
-        for waker in woken {
-            waker.wake();
-        }
-        count
-    }
-}
 
 // --------------------------------------------------------------------------
 // Shared channel state
@@ -259,11 +103,11 @@ pub(crate) struct ChannelCore<T: Send + 'static, I: Instrument = NoopInstrument>
     /// (see [`ChannelCore::try_send`]): a receiver only concludes `Closed`
     /// once this is zero.
     inflight: AtomicUsize,
-    /// Parked async receivers: one is woken per successful send, all on close.
-    pub(crate) recv_wakers: WakerRegistry,
-    /// Parked async senders (bounded backend, full): one is woken per
-    /// successful receive, all on close.
-    pub(crate) send_wakers: WakerRegistry,
+    /// Parked receivers: one is woken per successful send, all on close.
+    recv_side: WakeSide<I>,
+    /// Parked senders (bounded backend, full): one is woken per successful
+    /// receive, all on close.
+    send_side: WakeSide<I>,
 }
 
 impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
@@ -282,56 +126,14 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         self.inflight.load(SeqCst)
     }
 
-    /// Parks `waker` in recv-side slot `id`, recording the park.
-    pub(crate) fn park_recv(&self, id: u64, waker: &Waker) {
-        self.instrument.record(Counter::ChannelParks, 1);
-        self.recv_wakers.park(id, waker);
-    }
-
-    /// Parks `waker` in send-side slot `id`, recording the park.
-    pub(crate) fn park_send(&self, id: u64, waker: &Waker) {
-        self.instrument.record(Counter::ChannelParks, 1);
-        self.send_wakers.park(id, waker);
-    }
-
-    /// Wakes one parked receiver, recording the wake if one was parked.
-    pub(crate) fn wake_recv_one(&self) {
-        if self.recv_wakers.notify_one() {
-            self.instrument.record(Counter::ChannelWakes, 1);
-        }
-    }
-
-    /// Wakes every parked receiver, recording how many actually woke.
-    pub(crate) fn wake_recv_all(&self) {
-        let woken = self.recv_wakers.notify_all();
-        if woken > 0 {
-            self.instrument.record(Counter::ChannelWakes, woken as u64);
-        }
-    }
-
-    /// Wakes one parked sender, recording the wake if one was parked.
-    pub(crate) fn wake_send_one(&self) {
-        if self.send_wakers.notify_one() {
-            self.instrument.record(Counter::ChannelWakes, 1);
-        }
-    }
-
-    /// Wakes every parked sender, recording how many actually woke.
-    pub(crate) fn wake_send_all(&self) {
-        let woken = self.send_wakers.notify_all();
-        if woken > 0 {
-            self.instrument.record(Counter::ChannelWakes, woken as u64);
-        }
-    }
-
     /// Sets the closed flag and wakes everyone.  Returns `true` for the call
     /// that actually performed the transition.
     pub(crate) fn close(&self) -> bool {
         let transitioned = !self.closed.swap(true, SeqCst);
         if transitioned {
             self.instrument.record(Counter::ChannelCloses, 1);
-            self.wake_recv_all();
-            self.wake_send_all();
+            self.recv_side.wake_all();
+            self.send_side.wake_all();
         }
         transitioned
     }
@@ -352,7 +154,7 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
             self.inflight.fetch_sub(1, SeqCst);
             // A parked receiver may be waiting for exactly this credit to
             // clear before it can conclude `Closed`.
-            self.wake_recv_all();
+            self.recv_side.wake_all();
             return Err(TrySendError::Closed(value));
         }
         let outcome = handle.try_enqueue(value);
@@ -367,15 +169,15 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         match outcome {
             Ok(()) => {
                 if closed_during {
-                    self.wake_recv_all();
+                    self.recv_side.wake_all();
                 } else {
-                    self.wake_recv_one();
+                    self.recv_side.wake_one();
                 }
                 Ok(())
             }
             Err(back) => {
                 if closed_during {
-                    self.wake_recv_all();
+                    self.recv_side.wake_all();
                 }
                 Err(TrySendError::Full(back))
             }
@@ -402,7 +204,7 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         self.inflight.fetch_add(1, SeqCst);
         if self.closed.load(SeqCst) {
             self.inflight.fetch_sub(1, SeqCst);
-            self.wake_recv_all();
+            self.recv_side.wake_all();
             return Err(SendError(()));
         }
         let accepted = handle.enqueue_many(values);
@@ -410,13 +212,13 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         if self.closed.load(SeqCst) {
             // See `try_send`: parked receivers re-park on `closed &&
             // inflight != 0`, and no later send will wake them.
-            self.wake_recv_all();
+            self.recv_side.wake_all();
         } else if accepted == 1 {
-            self.wake_recv_one();
+            self.recv_side.wake_one();
         } else if accepted > 1 {
             // Several values landed: every parked receiver may have one to
             // take, so a lone wake would strand the rest.
-            self.wake_recv_all();
+            self.recv_side.wake_all();
         }
         Ok(accepted)
     }
@@ -424,7 +226,7 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
     /// The closed-aware non-blocking receive.
     pub(crate) fn try_recv(&self, handle: &mut dyn QueueHandle<T>) -> Result<T, TryRecvError> {
         if let Some(value) = handle.dequeue() {
-            self.wake_send_one();
+            self.send_side.wake_one();
             return Ok(value);
         }
         if self.closed.load(SeqCst) {
@@ -437,7 +239,7 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
             // before the in-flight count we just read hit zero.
             return match handle.dequeue() {
                 Some(value) => {
-                    self.wake_send_one();
+                    self.send_side.wake_one();
                     Ok(value)
                 }
                 None => Err(TryRecvError::Closed),
@@ -461,9 +263,9 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         let got = handle.dequeue_into(out, max);
         if got > 0 {
             if got == 1 {
-                self.wake_send_one();
+                self.send_side.wake_one();
             } else {
-                self.wake_send_all();
+                self.send_side.wake_all();
             }
             return Ok(got);
         }
@@ -482,14 +284,14 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
                     match handle.dequeue() {
                         Some(value) => {
                             out.push(value);
-                            self.wake_send_one();
+                            self.send_side.wake_one();
                             Ok(1)
                         }
                         None => Err(TryRecvError::Closed),
                     }
                 }
                 got => {
-                    self.wake_send_all();
+                    self.send_side.wake_all();
                     Ok(got)
                 }
             };
@@ -506,6 +308,26 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for ChannelCore<T, I> {
             .field("senders", &self.senders)
             .field("receivers", &self.receivers)
             .finish()
+    }
+}
+
+/// A non-blocking receive's result as a wait-core attempt answer: `Empty`
+/// is the one result that waits.
+pub(crate) fn recv_answer<R>(result: Result<R, TryRecvError>) -> Option<Result<R, RecvError>> {
+    match result {
+        Ok(value) => Some(Ok(value)),
+        Err(TryRecvError::Closed) => Some(Err(RecvError)),
+        Err(TryRecvError::Empty) => None,
+    }
+}
+
+/// The outcome of a deadline-bounded receive wait (`None` = timed out) in
+/// the timeout error vocabulary.
+pub(crate) fn timed<R>(outcome: Option<Result<R, RecvError>>) -> Result<R, RecvTimeoutError> {
+    match outcome {
+        Some(Ok(value)) => Ok(value),
+        Some(Err(RecvError)) => Err(RecvTimeoutError::Closed),
+        None => Err(RecvTimeoutError::Timeout),
     }
 }
 
@@ -590,10 +412,10 @@ pub struct Sender<T: Send + 'static, I: Instrument = NoopInstrument> {
     // Declared before `core`: fields drop in order, so the lifetime-erased
     // handle dies before the Arc that keeps its queue alive.
     slot: HandleSlot<T>,
-    /// Lazily-attached `send_wakers` slot used by [`Sender::send_timeout`];
-    /// detached on drop.  `None` until the first timed wait.
-    timeout_slot: Option<u64>,
-    pub(crate) core: Arc<ChannelCore<T, I>>,
+    /// This endpoint's slot on the channel's send side, attached on first
+    /// use (see the [`Lane`] impl) and detached on drop.
+    wait_slot: Option<u64>,
+    core: Arc<ChannelCore<T, I>>,
 }
 
 // SAFETY: the slot's type-erased handle only ever wraps handles of the
@@ -617,22 +439,50 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
         core.try_send(handle, value)
     }
 
+    /// The `try_send` attempt (see [`crate::wait`]): `None` means full, with
+    /// the value put back into `item` for the next try.
+    #[inline]
+    pub(crate) fn attempt_send(
+        &mut self,
+        item: &mut Option<T>,
+    ) -> Option<Result<(), SendError<T>>> {
+        let value = item.take().expect("a finished send is not attempted again");
+        match self.try_send(value) {
+            Ok(()) => Some(Ok(())),
+            Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
+            Err(TrySendError::Full(v)) => {
+                *item = Some(v);
+                None
+            }
+        }
+    }
+
+    /// The `try_send_batch` attempt: offers `buf` batch by batch — one
+    /// credit + closed check, then the backend's `enqueue_many`, per batch —
+    /// while the backend accepts anything; `None` means full.  On close the
+    /// unsent remainder comes back in order.
+    pub(crate) fn attempt_send_batch(
+        &mut self,
+        buf: &mut Vec<T>,
+        total: usize,
+    ) -> Option<Result<usize, SendError<Vec<T>>>> {
+        loop {
+            let Self { slot, core, .. } = self;
+            match core.try_send_many(slot.bind(core), buf) {
+                Err(SendError(())) => return Some(Err(SendError(std::mem::take(buf)))),
+                Ok(_) if buf.is_empty() => return Some(Ok(total)),
+                Ok(0) => return None,
+                Ok(_) => {} // partial progress: offer the rest right away
+            }
+        }
+    }
+
     /// Sends `value`, waiting (bounded spin, then yielding) while a bounded
     /// backend is full.  Fails only when the channel closes first; the value
     /// comes back inside the error.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
-        let mut item = value;
-        let mut backoff = Backoff::new();
-        loop {
-            match self.try_send(item) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Closed(v)) => return Err(SendError(v)),
-                Err(TrySendError::Full(v)) => {
-                    item = v;
-                    backoff.snooze_or_yield();
-                }
-            }
-        }
+        let mut item = Some(value);
+        wait::spin(|| self.attempt_send(&mut item))
     }
 
     /// Sends every element of `iter`, paying the handle bind, in-flight
@@ -654,84 +504,30 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
         if total == 0 {
             return Ok(0);
         }
-        let mut backoff = Backoff::new();
-        loop {
-            let Self { slot, core, .. } = self;
-            let handle = slot.bind(core);
-            match core.try_send_many(handle, &mut buf) {
-                Err(SendError(())) => return Err(SendError(buf)),
-                Ok(_) if buf.is_empty() => return Ok(total),
-                Ok(accepted) => {
-                    if accepted == 0 {
-                        // Bounded backend full: let receivers catch up.
-                        backoff.snooze_or_yield();
-                    } else {
-                        backoff = Backoff::new();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking batch send used by `send_iter` and the async variant: one
-    /// credit + closed check, then the backend's `enqueue_many`.
-    pub(crate) fn try_send_batch(&mut self, values: &mut Vec<T>) -> Result<usize, SendError<()>> {
-        let Self { slot, core, .. } = self;
-        let handle = slot.bind(core);
-        core.try_send_many(handle, values)
+        wait::spin(|| self.attempt_send_batch(&mut buf, total))
     }
 
     /// Sends `value`, waiting at most `timeout` while a bounded backend is
     /// full.
     ///
     /// Unlike [`Sender::send`]'s spin-then-yield loop, the wait here *parks*:
-    /// the sender deposits a thread-unparking waker in the same
-    /// `send_wakers` registry slot the async sender uses, so the receive
-    /// path's existing wake hook ends the wait with no polling.  The value
-    /// always comes back inside the error — a timed-out send has **not**
-    /// enqueued it (there is no accepted-but-also-returned state), so
-    /// retrying cannot duplicate.
+    /// the sender deposits a thread-unparking waker in the same send-side
+    /// slot the async sender uses, so the receive path's existing wake hook
+    /// ends the wait with no polling.  The value always comes back inside the
+    /// error — a timed-out send has **not** enqueued it (there is no
+    /// accepted-but-also-returned state), so retrying cannot duplicate.
     ///
     /// A zero `timeout` degrades to [`Sender::try_send`] with `Full` mapped
     /// to `Timeout`.
     pub fn send_timeout(&mut self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let mut item = match self.try_send(value) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Closed(v)) => return Err(SendTimeoutError::Closed(v)),
-            Err(TrySendError::Full(v)) => v,
-        };
-        let deadline = deadline_after(timeout);
-        let id = self.send_slot_id();
-        let waker = thread_waker();
-        let outcome = loop {
-            // Park the waker *before* re-checking: a receive that races in
-            // between consumes the waker and unparks this thread, so the
-            // park below returns immediately instead of losing the wake.
-            self.core.park_send(id, &waker);
-            match self.try_send(item) {
-                Ok(()) => break Ok(()),
-                Err(TrySendError::Closed(v)) => break Err(SendTimeoutError::Closed(v)),
-                Err(TrySendError::Full(v)) => item = v,
-            }
-            if !park_until(deadline) {
-                break Err(SendTimeoutError::Timeout(item));
-            }
-        };
-        // Settle the slot: `false` after the unconditional park above means
-        // a notification consumed our waker since the last look.  Its free
-        // capacity may belong to another parked sender now, so forward it —
-        // a spurious wake is harmless, a swallowed one strands a peer.
-        if !self.core.send_wakers.unpark(id) {
-            self.core.wake_send_one();
+        let mut item = Some(value);
+        match Parked::one(self).park_one(timeout, |tx| tx.attempt_send(&mut item)) {
+            Some(Ok(())) => Ok(()),
+            Some(Err(SendError(v))) => Err(SendTimeoutError::Closed(v)),
+            None => Err(SendTimeoutError::Timeout(
+                item.expect("a send that did not finish still holds its value"),
+            )),
         }
-        outcome
-    }
-
-    /// The endpoint's cached `send_wakers` slot, attached on first use.
-    fn send_slot_id(&mut self) -> u64 {
-        *self
-            .timeout_slot
-            .get_or_insert_with(|| self.core.send_wakers.attach())
     }
 
     /// Closes the channel: all senders fail fast from now on, receivers drain
@@ -763,18 +559,26 @@ impl<T: Send + 'static, I: Instrument> Clone for Sender<T, I> {
         self.core.senders.fetch_add(1, SeqCst);
         Self {
             slot: HandleSlot::new(),
-            timeout_slot: None,
+            wait_slot: None,
             core: Arc::clone(&self.core),
         }
     }
 }
 
+impl<T: Send + 'static, I: Instrument> Lane for Sender<T, I> {
+    type I = I;
+    fn lane(&mut self) -> (&WakeSide<I>, u64) {
+        let side = &self.core.send_side;
+        (side, *self.wait_slot.get_or_insert_with(|| side.attach()))
+    }
+}
+
 impl<T: Send + 'static, I: Instrument> Drop for Sender<T, I> {
     fn drop(&mut self) {
-        if let Some(id) = self.timeout_slot.take() {
-            // `send_timeout` settles its waker before returning, so the slot
-            // is empty here — this only releases the registry entry.
-            self.core.send_wakers.detach(id);
+        if let Some(id) = self.wait_slot.take() {
+            // Every wait settles its waker before it ends, so the slot is
+            // empty here — this only releases the registry entry.
+            self.core.send_side.detach(id);
         }
         if self.core.senders.fetch_sub(1, SeqCst) == 1 {
             self.core.close();
@@ -818,10 +622,9 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for Sender<T, I> {
 pub struct Receiver<T: Send + 'static, I: Instrument = NoopInstrument> {
     // Field order: see `Sender`.
     slot: HandleSlot<T>,
-    /// Lazily-attached `recv_wakers` slot used by [`Receiver::recv_timeout`]
-    /// and [`crate::select::recv_any_timeout`]; detached on drop.
-    timeout_slot: Option<u64>,
-    pub(crate) core: Arc<ChannelCore<T, I>>,
+    /// This endpoint's slot on the channel's receive side (see `Sender`).
+    wait_slot: Option<u64>,
+    core: Arc<ChannelCore<T, I>>,
 }
 
 // SAFETY: identical argument to `Sender`'s impl.
@@ -840,14 +643,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// channel is empty.  Fails only once the channel is closed *and* fully
     /// drained.
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        let mut backoff = Backoff::new();
-        loop {
-            match self.try_recv() {
-                Ok(value) => return Ok(value),
-                Err(TryRecvError::Closed) => return Err(RecvError),
-                Err(TryRecvError::Empty) => backoff.snooze_or_yield(),
-            }
-        }
+        wait::spin(|| recv_answer(self.try_recv()))
     }
 
     /// Receives a value, waiting at most `timeout` while the channel is
@@ -855,9 +651,9 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     ///
     /// Unlike [`Receiver::recv`]'s spin-then-yield loop, the wait here
     /// *parks*: the receiver deposits a thread-unparking waker in the same
-    /// `recv_wakers` registry slot the async receiver uses, so the send
-    /// path's existing wake hook (and close's wake-all) ends the wait with
-    /// no polling.  Three outcomes:
+    /// receive-side slot the async receiver uses, so the send path's existing
+    /// wake hook (and close's wake-all) ends the wait with no polling.  Three
+    /// outcomes:
     ///
     /// * `Ok(value)` — a value arrived within the deadline;
     /// * [`RecvTimeoutError::Timeout`] — the deadline passed with the channel
@@ -870,45 +666,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// A zero `timeout` degrades to [`Receiver::try_recv`] with `Empty`
     /// mapped to `Timeout`.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        match self.try_recv() {
-            Ok(v) => return Ok(v),
-            Err(TryRecvError::Closed) => return Err(RecvTimeoutError::Closed),
-            Err(TryRecvError::Empty) => {}
-        }
-        let deadline = deadline_after(timeout);
-        let id = self.recv_slot_id();
-        let waker = thread_waker();
-        let outcome = loop {
-            // Park the waker *before* re-checking: a send that races in
-            // between consumes the waker and unparks this thread, so the
-            // park below returns immediately instead of losing the wake.
-            self.core.park_recv(id, &waker);
-            match self.try_recv() {
-                Ok(v) => break Ok(v),
-                Err(TryRecvError::Closed) => break Err(RecvTimeoutError::Closed),
-                Err(TryRecvError::Empty) => {}
-            }
-            if !park_until(deadline) {
-                break Err(RecvTimeoutError::Timeout);
-            }
-        };
-        // Settle the slot: `false` after the unconditional park above means
-        // a notification consumed our waker since the last look.  The value
-        // it announced may belong to another parked receiver, so forward it
-        // — a spurious wake is harmless, a swallowed one strands a peer.
-        if !self.core.recv_wakers.unpark(id) {
-            self.core.wake_recv_one();
-        }
-        outcome
-    }
-
-    /// The endpoint's cached `recv_wakers` slot, attached on first use.
-    /// Shared with the multi-channel select (`crate::select`), which parks
-    /// one waker per participating receiver through this same slot.
-    pub(crate) fn recv_slot_id(&mut self) -> u64 {
-        *self
-            .timeout_slot
-            .get_or_insert_with(|| self.core.recv_wakers.attach())
+        timed(Parked::one(self).park_one(timeout, |rx| recv_answer(rx.try_recv())))
     }
 
     /// Receives up to `max` values into `out` with one handle bind and one
@@ -921,19 +679,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// the channel is closed *and* fully drained.  `max == 0` returns `Ok(0)`
     /// immediately.
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
-        if max == 0 {
-            return Ok(0);
-        }
-        let mut backoff = Backoff::new();
-        loop {
-            let Self { slot, core, .. } = self;
-            let handle = slot.bind(core);
-            match core.try_recv_many(handle, out, max) {
-                Ok(got) => return Ok(got),
-                Err(TryRecvError::Closed) => return Err(RecvError),
-                Err(TryRecvError::Empty) => backoff.snooze_or_yield(),
-            }
-        }
+        wait::spin(|| recv_answer(self.try_recv_many(out, max)))
     }
 
     /// Closes the channel from the consuming side (e.g. a worker pool
@@ -998,18 +744,25 @@ impl<T: Send + 'static, I: Instrument> Clone for Receiver<T, I> {
         self.core.receivers.fetch_add(1, SeqCst);
         Self {
             slot: HandleSlot::new(),
-            timeout_slot: None,
+            wait_slot: None,
             core: Arc::clone(&self.core),
         }
     }
 }
 
+impl<T: Send + 'static, I: Instrument> Lane for Receiver<T, I> {
+    type I = I;
+    fn lane(&mut self) -> (&WakeSide<I>, u64) {
+        let side = &self.core.recv_side;
+        (side, *self.wait_slot.get_or_insert_with(|| side.attach()))
+    }
+}
+
 impl<T: Send + 'static, I: Instrument> Drop for Receiver<T, I> {
     fn drop(&mut self) {
-        if let Some(id) = self.timeout_slot.take() {
-            // The timed waits settle their waker before returning, so the
-            // slot is empty here — this only releases the registry entry.
-            self.core.recv_wakers.detach(id);
+        if let Some(id) = self.wait_slot.take() {
+            // See `Sender`'s drop: this only releases the registry entry.
+            self.core.recv_side.detach(id);
         }
         if self.core.receivers.fetch_sub(1, SeqCst) == 1 {
             // No receiver can ever drain the channel again: close it so
@@ -1058,23 +811,23 @@ pub(crate) fn channel_over_instrumented<T: Send + 'static, I: Instrument>(
 ) -> (Sender<T, I>, Receiver<T, I>) {
     let core = Arc::new(ChannelCore {
         queue,
-        instrument,
         closed: AtomicBool::new(false),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
         inflight: AtomicUsize::new(0),
-        recv_wakers: WakerRegistry::default(),
-        send_wakers: WakerRegistry::default(),
+        recv_side: WakeSide::new(instrument.clone()),
+        send_side: WakeSide::new(instrument.clone()),
+        instrument,
     });
     (
         Sender {
             slot: HandleSlot::new(),
-            timeout_slot: None,
+            wait_slot: None,
             core: Arc::clone(&core),
         },
         Receiver {
             slot: HandleSlot::new(),
-            timeout_slot: None,
+            wait_slot: None,
             core,
         },
     )
@@ -1103,6 +856,7 @@ pub unsafe fn from_queue<T: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn unbounded_pair() -> (Sender<u64>, Receiver<u64>) {
         crate::builder()
@@ -1382,47 +1136,5 @@ mod tests {
         tx.send_timeout(3, Duration::from_secs(30)).unwrap();
         assert!(start.elapsed() < Duration::from_secs(10));
         receiver.join().unwrap();
-    }
-
-    #[test]
-    fn waker_registry_counts_parks_and_notifies() {
-        use std::sync::atomic::AtomicUsize;
-        use std::task::{Wake, Waker};
-
-        struct CountingWake(AtomicUsize);
-        impl Wake for CountingWake {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, SeqCst);
-            }
-        }
-
-        let reg = WakerRegistry::default();
-        let count = Arc::new(CountingWake(AtomicUsize::new(0)));
-        let waker = Waker::from(Arc::clone(&count));
-
-        let a = reg.attach();
-        let b = reg.attach();
-        reg.notify_one(); // nobody parked: no-op
-        assert_eq!(count.0.load(SeqCst), 0);
-
-        reg.park(a, &waker);
-        reg.park(b, &waker);
-        reg.notify_one();
-        assert_eq!(count.0.load(SeqCst), 1, "wake one, not all");
-        reg.notify_all();
-        assert_eq!(count.0.load(SeqCst), 2, "remaining parked waker woken");
-        reg.notify_all();
-        assert_eq!(count.0.load(SeqCst), 2, "nothing left to wake");
-
-        reg.park(a, &waker);
-        reg.unpark(a);
-        reg.notify_all();
-        assert_eq!(count.0.load(SeqCst), 2, "unpark removes without waking");
-
-        reg.park(b, &waker);
-        reg.detach(b);
-        reg.notify_all();
-        assert_eq!(count.0.load(SeqCst), 2, "detach drops the parked waker");
-        reg.detach(a);
     }
 }

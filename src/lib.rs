@@ -126,6 +126,7 @@
 pub mod async_channel;
 pub mod channel;
 pub mod select;
+mod wait;
 
 pub use wcq_atomics as atomics;
 pub use wcq_baselines as baselines;
@@ -150,8 +151,8 @@ pub use wcq_core::wcq::{
     CellFamily, LlscFamily, NativeFamily, WcqConfig, WcqQueue, WcqQueueHandle, WcqRing, WcqStats,
 };
 pub use wcq_unbounded::{
-    CacheStats, SegmentStats, ShardPolicy, ShardedWcq, ShardedWcqHandle, UnboundedWcq,
-    UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE,
+    SegmentStats, ShardPolicy, ShardedWcq, ShardedWcqHandle, UnboundedWcq, UnboundedWcqHandle,
+    DEFAULT_SEGMENT_CACHE,
 };
 
 use core::marker::PhantomData;

@@ -3,19 +3,18 @@
 //!
 //! A fan-in server shape — one worker draining a high-priority control lane
 //! *and* a bulk request lane — needs to wait on both channels without
-//! polling either.  The [`WakerRegistry`](crate::channel) was built for this
-//! from the start: a slot holds an arbitrary [`std::task::Waker`], so one
-//! task (or one thread-unparking waker) can park a clone of itself in
-//! *several* channels' registries and be woken by whichever side fires
-//! first.  This module packages that into two faces:
+//! polling either.  The wait core (`src/wait.rs`) was built for this from the
+//! start: a wait-slot holds an arbitrary [`std::task::Waker`], so one task (or
+//! one thread-unparking waker) can park a clone of itself in *several*
+//! channels' receive sides and be woken by whichever fires first.  Both faces
+//! here are the same attempt — a lane scan — under a different driver of that
+//! core, and inherit its no-lost-wake / no-swallowed-wake protocol (DESIGN.md,
+//! "Wait core: attempts × drivers"):
 //!
-//! * [`recv_any`] — an async future over a set of [`AsyncReceiver`]s.  Each
-//!   poll parks one waker clone per channel and upholds the same
-//!   no-lost-wake discipline as the single-channel futures: `Pending` is
-//!   only ever returned after re-checking every channel *with the wakers
-//!   already parked*.
+//! * [`recv_any`] — an async future over a set of [`AsyncReceiver`]s (the
+//!   task driver);
 //! * [`recv_any_timeout`] — the sync, deadline-bounded counterpart over
-//!   [`Receiver`]s, parking the calling thread.
+//!   [`Receiver`]s, parking the calling thread (the thread driver).
 //!
 //! Both scan channels in **slice order**, making the select a *priority*
 //! select: when several lanes hold values, the earliest one in the slice
@@ -25,8 +24,8 @@
 //! *and* fully drained — a single closed lane never ends the wait while its
 //! peers are live.  And both settle their waker slots on the way out: a slot
 //! whose waker was consumed by a notification we did not act on has that
-//! notification *forwarded* (see the `Drop` impls' comments), so a select
-//! that completes on lane A can never swallow lane B's wake.
+//! notification *forwarded*, so a select that completes on lane A can never
+//! swallow lane B's wake.
 //!
 //! ```
 //! use wcq::select::recv_any;
@@ -55,9 +54,26 @@ use std::time::Duration;
 use wcq_core::metrics::{Instrument, NoopInstrument};
 
 use crate::async_channel::AsyncReceiver;
-use crate::channel::{
-    deadline_after, park_until, thread_waker, Receiver, RecvError, RecvTimeoutError, TryRecvError,
-};
+use crate::channel::{timed, Receiver, RecvError, RecvTimeoutError, TryRecvError};
+use crate::wait::{Answer, Parked};
+
+/// The lane-scan attempt: one pass over the lanes in slice order.  The first
+/// value wins; `Closed` only once every lane reported closed-and-drained
+/// (vacuously so for no lanes at all).
+fn scan<R, T>(
+    lanes: &mut [R],
+    mut try_recv: impl FnMut(&mut R) -> Result<T, TryRecvError>,
+) -> Answer<Result<(usize, T), RecvError>> {
+    let mut closed = 0;
+    for (i, rx) in lanes.iter_mut().enumerate() {
+        match try_recv(rx) {
+            Ok(value) => return Some((Some(i), Ok((i, value)))),
+            Err(TryRecvError::Closed) => closed += 1,
+            Err(TryRecvError::Empty) => {}
+        }
+    }
+    (closed == lanes.len()).then_some((None, Err(RecvError)))
+}
 
 /// Waits on every receiver in `rxs` at once, resolving with `(index, value)`
 /// for whichever channel yields first.
@@ -71,103 +87,20 @@ use crate::channel::{
 pub fn recv_any<'s, 'r, T: Send + 'static, I: Instrument>(
     rxs: &'s mut [&'r mut AsyncReceiver<T, I>],
 ) -> RecvAny<'s, 'r, T, I> {
-    RecvAny { rxs, parked: false }
+    RecvAny(Parked::new(rxs))
 }
 
-/// Future of [`recv_any`].
+/// Future of [`recv_any`]: the lane scan under the task driver.
 #[must_use = "futures do nothing unless polled"]
-pub struct RecvAny<'s, 'r, T: Send + 'static, I: Instrument = NoopInstrument> {
-    rxs: &'s mut [&'r mut AsyncReceiver<T, I>],
-    /// Whether the last poll returned `Pending` with a waker clone parked in
-    /// *every* channel's slot — the settle path walks them all.
-    parked: bool,
-}
-
-impl<T: Send + 'static, I: Instrument> Unpin for RecvAny<'_, '_, T, I> {}
-
-impl<T: Send + 'static, I: Instrument> RecvAny<'_, '_, T, I> {
-    /// One pass over the channels in slice order: the first value wins;
-    /// `Err(n)` carries how many channels reported closed-and-drained.
-    fn scan(&mut self) -> Result<(usize, T), usize> {
-        let mut closed = 0;
-        for (i, rx) in self.rxs.iter_mut().enumerate() {
-            match rx.try_recv() {
-                Ok(value) => return Ok((i, value)),
-                Err(TryRecvError::Closed) => closed += 1,
-                Err(TryRecvError::Empty) => {}
-            }
-        }
-        Err(closed)
-    }
-
-    /// Settles every parked slot.  `winner` is the channel whose value this
-    /// future consumed (if any): a consumed notification *there* was spent on
-    /// us, while one on any other channel announced a value we did not take —
-    /// that wake is forwarded so another parked receiver can claim it.
-    fn settle(&mut self, winner: Option<usize>) {
-        if !self.parked {
-            return;
-        }
-        self.parked = false;
-        for (i, rx) in self.rxs.iter_mut().enumerate() {
-            let (inner, id) = rx.select_parts();
-            if !inner.core.recv_wakers.unpark(id) && winner != Some(i) {
-                inner.core.wake_recv_one();
-            }
-        }
-    }
-}
+pub struct RecvAny<'s, 'r, T: Send + 'static, I: Instrument = NoopInstrument>(
+    Parked<'s, &'r mut AsyncReceiver<T, I>>,
+);
 
 impl<T: Send + 'static, I: Instrument> Future for RecvAny<'_, '_, T, I> {
     type Output = Result<(usize, T), RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut(); // RecvAny is Unpin
-        let n = this.rxs.len();
-        if n == 0 {
-            return Poll::Ready(Err(RecvError));
-        }
-        match this.scan() {
-            Ok((i, value)) => {
-                this.settle(Some(i));
-                return Poll::Ready(Ok((i, value)));
-            }
-            Err(closed) if closed == n => {
-                this.settle(None);
-                return Poll::Ready(Err(RecvError));
-            }
-            Err(_) => {}
-        }
-        // Park one clone of the task waker in every channel's slot, then
-        // re-check them all — a send that raced ahead of its channel's park
-        // has already spent its notification, so only this re-check can see
-        // its value.  Closed lanes are parked too: harmless (close already
-        // notified), and it keeps the settle path uniform.
-        for rx in this.rxs.iter_mut() {
-            let (inner, id) = rx.select_parts();
-            inner.core.park_recv(id, cx.waker());
-        }
-        this.parked = true;
-        match this.scan() {
-            Ok((i, value)) => {
-                this.settle(Some(i));
-                Poll::Ready(Ok((i, value)))
-            }
-            Err(closed) if closed == n => {
-                this.settle(None);
-                Poll::Ready(Err(RecvError))
-            }
-            Err(_) => Poll::Pending,
-        }
-    }
-}
-
-impl<T: Send + 'static, I: Instrument> Drop for RecvAny<'_, '_, T, I> {
-    fn drop(&mut self) {
-        // Cancellation safety: no stale waker stays behind in any registry,
-        // and no consumed notification is swallowed — with no winner, every
-        // consumed slot forwards (see `settle`).
-        self.settle(None);
+        (self.get_mut().0).poll_task(cx, |lanes| scan(lanes, |rx| rx.try_recv()))
     }
 }
 
@@ -185,65 +118,14 @@ impl<T: Send + 'static, I: Instrument> Drop for RecvAny<'_, '_, T, I> {
 ///   lane never ends the wait while its peers are live.
 ///
 /// The wait parks the calling thread with one thread-unparking waker cloned
-/// into each channel's registry slot — the same no-lost-wake park/re-check
-/// discipline as the async [`recv_any`], woken by whichever channel sends
-/// (or closes) first.
+/// into each channel's receive-side slot — the same park/re-check discipline
+/// as the async [`recv_any`], woken by whichever channel sends (or closes)
+/// first.
 pub fn recv_any_timeout<T: Send + 'static, I: Instrument>(
     rxs: &mut [&mut Receiver<T, I>],
     timeout: Duration,
 ) -> Result<(usize, T), RecvTimeoutError> {
-    let n = rxs.len();
-    if n == 0 {
-        return Err(RecvTimeoutError::Closed);
-    }
-    // Priority scan: first value in slice order wins; count closed lanes.
-    let scan = |rxs: &mut [&mut Receiver<T, I>]| -> Result<(usize, T), usize> {
-        let mut closed = 0;
-        for (i, rx) in rxs.iter_mut().enumerate() {
-            match rx.try_recv() {
-                Ok(value) => return Ok((i, value)),
-                Err(TryRecvError::Closed) => closed += 1,
-                Err(TryRecvError::Empty) => {}
-            }
-        }
-        Err(closed)
-    };
-    match scan(rxs) {
-        Ok(hit) => return Ok(hit),
-        Err(closed) if closed == n => return Err(RecvTimeoutError::Closed),
-        Err(_) => {}
-    }
-    let deadline = deadline_after(timeout);
-    let waker = thread_waker();
-    let ids: Vec<u64> = rxs.iter_mut().map(|rx| rx.recv_slot_id()).collect();
-    let mut winner = None;
-    let outcome = loop {
-        // Park in every slot first, then re-check every channel: a send
-        // racing in between consumes its channel's waker and unparks this
-        // thread, so the park below returns immediately.
-        for (rx, id) in rxs.iter_mut().zip(&ids) {
-            rx.core.park_recv(*id, &waker);
-        }
-        match scan(rxs) {
-            Ok((i, value)) => {
-                winner = Some(i);
-                break Ok((i, value));
-            }
-            Err(closed) if closed == n => break Err(RecvTimeoutError::Closed),
-            Err(_) => {}
-        }
-        if !park_until(deadline) {
-            break Err(RecvTimeoutError::Timeout);
-        }
-    };
-    // Settle every slot; consumed notifications on non-winning channels are
-    // forwarded (same reasoning as the async settle path).
-    for (i, (rx, id)) in rxs.iter_mut().zip(&ids).enumerate() {
-        if !rx.core.recv_wakers.unpark(*id) && winner != Some(i) {
-            rx.core.wake_recv_one();
-        }
-    }
-    outcome
+    timed(Parked::new(rxs).park_thread(timeout, |lanes| scan(lanes, |rx| rx.try_recv())))
 }
 
 #[cfg(test)]

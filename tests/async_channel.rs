@@ -6,14 +6,11 @@
 //! * **deterministically**, by hand-polling a future with a counting waker:
 //!   `Pending` proves the waker is parked, and the wake count after a send /
 //!   close proves exactly who woke it;
-//! * **end to end**, through the dependency-free `block_on_counted` executor
-//!   shim: a full cross-thread pipeline must finish with poll/wake counts
+//! * **end to end**, through the dependency-free `block_on_instrumented`
+//!   executor shim: a full cross-thread pipeline must finish with poll/wake
+//!   counts (`ExecPolls`/`ExecWakes` in the `CountingInstrument` snapshot)
 //!   linear in the item count (a busy-polling receiver shows orders of
 //!   magnitude more).
-
-// The deprecated ad-hoc stats accessors stay covered until they are removed
-// (their replacement is the `CountingInstrument` metrics snapshot).
-#![allow(deprecated)]
 
 use std::future::Future;
 use std::pin::Pin;
@@ -22,8 +19,8 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use wcq::channel::{RecvError, SendError, TrySendError};
-use wcq::ChannelBackend;
-use wcq_harness::exec::{block_on, block_on_counted};
+use wcq::{ChannelBackend, Counter, CountingInstrument};
+use wcq_harness::exec::{block_on, block_on_instrumented};
 
 /// A waker that only counts; `Pending` + count 0 proves nothing woke us.
 struct CountingWake(AtomicU64);
@@ -301,15 +298,21 @@ fn cross_thread_pipeline_has_bounded_poll_and_wake_counts() {
         })
     });
 
-    let (sum, stats) = block_on_counted(async move {
-        let mut rx = rx;
-        let mut sum = 0u64;
-        while let Ok(v) = rx.recv().await {
-            sum += v;
-        }
-        sum
-    });
+    let instr = CountingInstrument::new();
+    let sum = block_on_instrumented(
+        async move {
+            let mut rx = rx;
+            let mut sum = 0u64;
+            while let Ok(v) = rx.recv().await {
+                sum += v;
+            }
+            sum
+        },
+        &instr,
+    );
     producer.join().unwrap();
+    let snap = instr.snapshot();
+    let (polls, wakes) = (snap.get(Counter::ExecPolls), snap.get(Counter::ExecWakes));
 
     assert_eq!(
         sum,
@@ -321,14 +324,12 @@ fn cross_thread_pipeline_has_bounded_poll_and_wake_counts() {
     // pair when the producer falls behind.  The close adds one final wake.
     let bound = 3 * ITEMS + 16;
     assert!(
-        stats.polls <= bound,
-        "parked consumer must not busy-poll: {} polls for {ITEMS} items",
-        stats.polls
+        polls <= bound,
+        "parked consumer must not busy-poll: {polls} polls for {ITEMS} items"
     );
     assert!(
-        stats.wakes <= ITEMS + 8,
-        "at most one wake per send plus the close: {} wakes",
-        stats.wakes
+        wakes <= ITEMS + 8,
+        "at most one wake per send plus the close: {wakes} wakes"
     );
 }
 

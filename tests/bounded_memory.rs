@@ -7,21 +7,33 @@
 //! that heap usage stays flat across 100k operations.
 //!
 //! This is its own integration-test binary because `#[global_allocator]`
-//! applies process-wide.
-
-// The deprecated ad-hoc stats accessors stay covered until they are removed
-// (their replacement is the `CountingInstrument` metrics snapshot).
-#![allow(deprecated)]
+//! applies process-wide — and for the same reason its tests run one at a
+//! time: they all read the one process-wide allocation counter, so a sibling
+//! test building its queues on another test thread lands inside this test's
+//! before/after window (about one run in four failed that way on a 2-vCPU
+//! box).  Every test holds [`SERIAL`] for its whole body.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-use wcq::ShardPolicy;
+use wcq::{Counter, CountingInstrument, ShardPolicy};
 use wcq_core::wcq::{WcqConfig, WcqQueue};
 use wcq_harness::memtrack::{self, CountingAllocator};
 use wcq_unbounded::UnboundedWcq;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Serialises the tests of this binary (see the module doc).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`], tolerating poison: a failed sibling must not turn every
+/// later test into a second, misleading failure.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn forced_slow_path() -> WcqConfig {
     WcqConfig {
@@ -35,6 +47,7 @@ fn forced_slow_path() -> WcqConfig {
 
 #[test]
 fn wcq_slow_path_does_not_allocate_across_100k_ops() {
+    let _serial = serial();
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 25_000; // 100k ops total
     let q: WcqQueue<u64> = wcq::builder()
@@ -97,6 +110,7 @@ fn wcq_slow_path_does_not_allocate_across_100k_ops() {
 
 #[test]
 fn wcq_footprint_is_a_function_of_geometry_only() {
+    let _serial = serial();
     // Two identically configured queues report identical footprints, and the
     // footprint scales with capacity, never with the operation history.
     let a: WcqQueue<u64> = WcqQueue::new(6, 4);
@@ -123,6 +137,7 @@ fn wcq_footprint_is_a_function_of_geometry_only() {
 
 #[test]
 fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
+    let _serial = serial();
     // The unbounded queue cannot be allocation-free in general — growth *is*
     // allocation — but at steady state (periodic bursts that drain), segment
     // churn must be served from the recycling cache: the number of segments
@@ -178,18 +193,22 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
 
 #[test]
 fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
+    let _serial = serial();
     // The sharded queue inherits the steady-state property shard-wise: after
     // a warm-up burst/drain cycle, segment churn on *every* shard is served
     // from that shard's recycling cache — the allocator is never consulted
-    // again, and the cache hit/miss counters prove it per shard.
+    // again: no shard allocates a segment (so none of its cache lookups
+    // missed), every shard reuses some, and the hit/miss counters agree.
     const SHARDS: usize = 4;
     const SEG_ORDER: u32 = 4; // 16-slot segments
     const BURST: u64 = 256; // 64 values -> 4 segments of churn per shard
+    let instr = CountingInstrument::new();
     let q = wcq::builder()
         .capacity_order(SEG_ORDER)
         .threads(2)
         .shards(SHARDS)
         .shard_policy(ShardPolicy::RoundRobin)
+        .instrument(instr.clone())
         .build_sharded::<u64>();
     let mut h = q.handle();
 
@@ -201,7 +220,10 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
     h.flush_reclamation();
 
     let allocated_before: Vec<usize> = q.shards().iter().map(|s| s.segments_allocated()).collect();
-    let misses_before: Vec<usize> = q.shards().iter().map(|s| s.cache_stats().misses).collect();
+    let reused_before: Vec<usize> = (q.shards().iter())
+        .map(|s| s.segment_stats().reused_total)
+        .collect();
+    let warm = instr.snapshot();
     let before = memtrack::snapshot();
     const ROUNDS: u64 = 40;
     for round in 0..ROUNDS {
@@ -220,16 +242,22 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
             "shard {i} must serve steady-state churn from its cache: {:?}",
             shard.segment_stats()
         );
-        let stats = shard.cache_stats();
-        assert_eq!(
-            stats.misses, misses_before[i],
-            "shard {i} cache must not miss at steady state: {stats:?}"
-        );
         assert!(
-            stats.hits > 0,
-            "shard {i} cache must have served the churn: {stats:?}"
+            shard.segment_stats().reused_total > reused_before[i],
+            "shard {i} cache must have served the churn: {:?}",
+            shard.segment_stats()
         );
     }
+    let hot = instr.snapshot();
+    assert_eq!(
+        hot.get(Counter::SegmentCacheMisses),
+        warm.get(Counter::SegmentCacheMisses),
+        "no cache lookup may miss at steady state"
+    );
+    assert!(
+        hot.get(Counter::SegmentCacheHits) > warm.get(Counter::SegmentCacheHits),
+        "the cache must have served the churn"
+    );
     // 40 rounds * 512 ops with per-op allocation would show up as >= 20k
     // allocations; only the hazard scans' small bookkeeping is allowed.
     let allocs = after.total_allocs - before.total_allocs;

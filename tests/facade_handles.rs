@@ -12,11 +12,7 @@
 //! (`!Send`-ness of the handles is enforced at compile time by the
 //! `compile_fail` doctests on `WcqQueueHandle` and `UnboundedWcqHandle`.)
 
-// The deprecated ad-hoc stats accessors stay covered until they are removed
-// (their replacement is the `CountingInstrument` metrics snapshot).
-#![allow(deprecated)]
-
-use wcq::{UnboundedWcq, WcqQueue};
+use wcq::{Counter, CountingInstrument, UnboundedWcq, WcqQueue};
 use wcq_harness::{make_queue, QueueKind};
 
 #[test]
@@ -92,20 +88,25 @@ fn segment_memo_survives_forced_growth_without_missing_values() {
     // while a consumer chases the producer.  The memoized binding must follow
     // head/tail across every transition without losing or reordering values.
     const ITEMS: u64 = 2_000;
+    let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = wcq::builder()
         .capacity_order(4)
         .threads(3)
+        .instrument(instr.clone())
         .build_unbounded();
+    // Rebind tallies flush on handle drop: the consumer keeps its handle
+    // until the producer has read its own.
+    let producer_read = std::sync::Barrier::new(2);
     std::thread::scope(|s| {
         s.spawn(|| {
             let mut h = q.handle();
             for i in 0..ITEMS {
                 h.enqueue(i);
             }
-            assert!(
-                h.segment_rebinds() > 1,
-                "growth must have moved the producer's binding"
-            );
+            drop(h);
+            let rebinds = instr.snapshot().get(Counter::SegmentRebinds);
+            producer_read.wait(); // before the assert: a panic must not strand the consumer
+            assert!(rebinds > 1, "growth must have moved the producer's binding");
         });
         s.spawn(|| {
             let mut h = q.handle();
@@ -118,6 +119,7 @@ fn segment_memo_survives_forced_growth_without_missing_values() {
                     std::thread::yield_now();
                 }
             }
+            producer_read.wait();
         });
     });
     let mut h = q.handle();
@@ -133,9 +135,11 @@ fn segment_memo_survives_forced_growth_without_missing_values() {
 
 #[test]
 fn segment_memo_amortizes_binding_on_the_stay_in_one_segment_case() {
+    let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = wcq::builder()
         .capacity_order(8)
         .threads(1)
+        .instrument(instr.clone())
         .build_unbounded();
     let mut h = q.handle();
     for round in 0..50u64 {
@@ -147,7 +151,8 @@ fn segment_memo_amortizes_binding_on_the_stay_in_one_segment_case() {
         }
     }
     // 10_000 operations, one 256-slot segment: exactly one bind, ever.
-    assert_eq!(h.segment_rebinds(), 1);
+    drop(h); // flushes the handle-local tally
+    assert_eq!(instr.snapshot().get(Counter::SegmentRebinds), 1);
 }
 
 #[test]

@@ -11,18 +11,22 @@
 //! (`!Send`-ness of `ShardedWcqHandle` is enforced at compile time by its
 //! `compile_fail` doctest in `wcq-unbounded`.)
 
-// The deprecated ad-hoc stats accessors stay covered until they are removed
-// (their replacement is the `CountingInstrument` metrics snapshot).
-#![allow(deprecated)]
-
 use std::collections::HashSet;
 
-use wcq::{ShardPolicy, ShardedWcq, WaitFreeQueue};
+use wcq::{Counter, CountingInstrument, Instrument, ShardPolicy, ShardedWcq, WaitFreeQueue};
 use wcq_harness::{QueueKind, StressPlan};
 
 const SHARDS: usize = 4;
 
 fn tiny_segments(policy: ShardPolicy, threads: usize) -> ShardedWcq<u64> {
+    tiny_segments_instrumented(policy, threads, wcq::NoopInstrument)
+}
+
+fn tiny_segments_instrumented(
+    policy: ShardPolicy,
+    threads: usize,
+    instr: impl Instrument,
+) -> ShardedWcq<u64> {
     // ring_order = 4: 16-slot segments, so a few hundred values force
     // growth, closing, retirement and recycling on every shard.
     wcq::builder()
@@ -30,31 +34,38 @@ fn tiny_segments(policy: ShardPolicy, threads: usize) -> ShardedWcq<u64> {
         .threads(threads)
         .shards(SHARDS)
         .shard_policy(policy)
+        .instrument(instr)
         .build_sharded()
 }
 
 #[test]
 fn every_shard_binding_follows_forced_segment_growth() {
-    let q = tiny_segments(ShardPolicy::RoundRobin, 2);
+    let instr = CountingInstrument::new();
+    let q = tiny_segments_instrumented(ShardPolicy::RoundRobin, 2, instr.clone());
     let mut h = q.handle();
     // 400 round-robin values: 100 per 16-slot-segment shard, so every shard
     // crosses several segments while its binding chases the tail.
     for i in 0..400 {
         h.enqueue(i);
     }
-    for shard in 0..SHARDS {
-        assert!(
-            h.shard_rebinds(shard) > 1,
-            "shard {shard} must have rebound across growth: {h:?}"
-        );
-    }
+    // A value only reaches a later segment through a binding that moved
+    // there, so per-shard growth is per-shard rebinding.
+    let grown: usize = (q.shards().iter())
+        .map(|shard| shard.segments_allocated())
+        .inspect(|&segments| assert!(segments > 1, "every shard must have grown"))
+        .sum();
     let mut seen = HashSet::new();
     while let Some(v) = h.dequeue() {
         assert!(seen.insert(v), "duplicated {v}");
     }
     assert_eq!(seen.len(), 400, "growth must not lose values");
     h.flush_reclamation();
-    drop(h);
+    drop(h); // flushes every per-shard handle's rebind tally
+    let rebinds = instr.snapshot().get(Counter::SegmentRebinds);
+    assert!(
+        rebinds >= grown as u64,
+        "one rebind per segment crossed at least: {rebinds} rebinds, {grown} segments"
+    );
     for (i, shard) in q.shards().iter().enumerate() {
         assert_eq!(
             shard.segments_live(),

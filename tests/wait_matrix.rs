@@ -1,0 +1,445 @@
+//! The attempts × drivers matrix of the wait core (`src/wait.rs`; DESIGN.md,
+//! "Wait core: attempts × drivers").
+//!
+//! Twelve waiting operations are five attempts under three drivers.  The
+//! four `spin` cells hold no parked state; the other eight share one
+//! protocol — the `Parked` guard's — and this suite checks it cell by cell,
+//! so a regression in the one copy shows up under the name of the operation
+//! it breaks:
+//!
+//! * **`poll_task` × each of the five attempts** (`send`, `send_iter`,
+//!   `recv`, `recv_many`, `recv_any`), hand-polled with counting wakers so
+//!   wake delivery is exactly observable: (a) the wait completes on re-poll
+//!   after a wake and leaves no waker behind, (b) dropped after its waker
+//!   was consumed it forwards the notification to a parked sibling, (c)
+//!   dropped while still parked it leaves no stale waker.
+//! * **`park_thread` × its three attempts** (`recv_timeout`, `send_timeout`,
+//!   `recv_any_timeout`): a timeout that races a notification forwards it.
+//!   The racing window — after the wait's last re-park, before it settles —
+//!   cannot be forced from outside, so these cells race a zero-timeout wait
+//!   against one notification per round and assert what the forward
+//!   guarantees: a long-parked sibling is never left asleep next to the
+//!   value (or free slot) the notification announced.
+
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
+use std::time::{Duration, Instant};
+
+use wcq::channel::{RecvTimeoutError, SendTimeoutError};
+use wcq::{AsyncReceiver, AsyncSender, ChannelBackend, Receiver, Sender};
+
+// --------------------------------------------------------------------------
+// poll_task × five attempts
+// --------------------------------------------------------------------------
+
+/// A waker that only counts; `Pending` + count 0 proves nothing woke us.
+struct CountingWake(AtomicU64);
+
+impl Wake for CountingWake {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, SeqCst);
+    }
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.fetch_add(1, SeqCst);
+    }
+}
+
+fn counting_waker() -> (Arc<CountingWake>, Waker) {
+    let count = Arc::new(CountingWake(AtomicU64::new(0)));
+    let waker = Waker::from(Arc::clone(&count));
+    (count, waker)
+}
+
+/// One wait of a cell, boxed so every row has the same shape.  Resolves
+/// `true` when the operation went through (not `Closed`).
+type Wait<'a> = Pin<Box<dyn Future<Output = bool> + 'a>>;
+
+fn poll_once(wait: &mut Wait<'_>, waker: &Waker) -> Poll<bool> {
+    wait.as_mut().poll(&mut Context::from_waker(waker))
+}
+
+/// One row of the matrix: how to build the cell's channel in the state where
+/// the attempt has to wait, how to start a wait, and how the other side
+/// notifies (each call lets exactly one waiter finish and wakes one).
+///
+/// `rig` returns the waiting side twice — the endpoint attached first (the
+/// one a wake-one picks while both are parked) and its sibling — plus the
+/// notifying endpoint.
+struct Row {
+    name: &'static str,
+    run: Box<dyn Fn(Case)>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Case {
+    CompletesAfterWake,
+    DroppedAfterWakeForwards,
+    DroppedWhileParkedLeavesNothing,
+}
+
+fn row<E: 'static, N: 'static>(
+    name: &'static str,
+    rig: fn() -> (E, E, N),
+    wait: for<'a> fn(&'a mut E) -> Wait<'a>,
+    notify: fn(&mut N),
+) -> Row {
+    let run = move |case| {
+        let (mut first, mut sibling, mut notifier) = rig();
+        let (count, waker) = counting_waker();
+        let woken = || count.0.load(SeqCst);
+        match case {
+            Case::CompletesAfterWake => {
+                let mut w = wait(&mut first);
+                assert!(poll_once(&mut w, &waker).is_pending(), "{name}: must wait");
+                assert_eq!(woken(), 0, "{name}: parked, not spinning");
+                notify(&mut notifier);
+                assert_eq!(woken(), 1, "{name}: one notification, one wake");
+                assert_eq!(poll_once(&mut w, &waker), Poll::Ready(true), "{name}");
+                drop(w);
+                // The finished wait cleared its slot: a second notification
+                // finds nobody parked instead of burning itself on it.
+                notify(&mut notifier);
+                assert_eq!(woken(), 1, "{name}: left no waker behind");
+            }
+            Case::DroppedAfterWakeForwards => {
+                let (sibling_count, sibling_waker) = counting_waker();
+                let mut s = wait(&mut sibling);
+                assert!(poll_once(&mut s, &sibling_waker).is_pending(), "{name}");
+                let mut w = wait(&mut first);
+                assert!(poll_once(&mut w, &waker).is_pending(), "{name}");
+                notify(&mut notifier);
+                assert_eq!(woken(), 1, "{name}: the first-attached waiter is chosen");
+                assert_eq!(sibling_count.0.load(SeqCst), 0, "{name}");
+                // Cancelled with a consumed, un-acted-on notification.
+                drop(w);
+                assert_eq!(
+                    sibling_count.0.load(SeqCst),
+                    1,
+                    "{name}: the consumed notification is forwarded to the sibling"
+                );
+                assert_eq!(
+                    poll_once(&mut s, &sibling_waker),
+                    Poll::Ready(true),
+                    "{name}"
+                );
+            }
+            Case::DroppedWhileParkedLeavesNothing => {
+                let mut w = wait(&mut first);
+                assert!(poll_once(&mut w, &waker).is_pending(), "{name}");
+                drop(w);
+                notify(&mut notifier);
+                assert_eq!(woken(), 0, "{name}: cancelled wait left no waker behind");
+                // What the notification announced is still there to take.
+                let mut again = wait(&mut first);
+                assert_eq!(poll_once(&mut again, &waker), Poll::Ready(true), "{name}");
+            }
+        }
+    };
+    Row {
+        name,
+        run: Box::new(run),
+    }
+}
+
+/// Two async receivers on one empty channel, and its sender.
+fn empty_channel() -> (AsyncReceiver<u64>, AsyncReceiver<u64>, AsyncSender<u64>) {
+    let (tx, rx) = wcq::builder().threads(6).build_async::<u64>();
+    let sibling = rx.clone();
+    (rx, sibling, tx)
+}
+
+/// Two async senders on one full bounded channel, and its receiver.
+fn full_channel() -> (AsyncSender<u64>, AsyncSender<u64>, AsyncReceiver<u64>) {
+    let (mut tx, rx) = wcq::builder()
+        .capacity_order(2) // capacity 4: room for the three endpoints' handles
+        .threads(4)
+        .backend(ChannelBackend::Bounded)
+        .build_async::<u64>();
+    for v in 0..4 {
+        tx.try_send(v).unwrap();
+    }
+    let sibling = tx.clone();
+    (tx, sibling, rx)
+}
+
+fn send_one(tx: &mut AsyncSender<u64>) {
+    tx.try_send(7).expect("the channel has room");
+}
+
+fn recv_one(rx: &mut AsyncReceiver<u64>) {
+    rx.try_recv().expect("the channel holds a value");
+}
+
+fn wait_send(tx: &mut AsyncSender<u64>) -> Wait<'_> {
+    Box::pin(async move { tx.send(9).await.is_ok() })
+}
+
+fn wait_send_iter(tx: &mut AsyncSender<u64>) -> Wait<'_> {
+    Box::pin(async move { tx.send_iter([9]).await == Ok(1) })
+}
+
+fn wait_recv(rx: &mut AsyncReceiver<u64>) -> Wait<'_> {
+    Box::pin(async move { rx.recv().await.is_ok() })
+}
+
+fn wait_recv_many(rx: &mut AsyncReceiver<u64>) -> Wait<'_> {
+    Box::pin(async move {
+        let mut out = Vec::new();
+        rx.recv_many(&mut out, 4).await == Ok(1) && out.len() == 1
+    })
+}
+
+/// A select over the lane under test and an idle, open second lane: whatever
+/// the select leaves behind on the first lane is the scan's doing.
+fn wait_recv_any(rx: &mut AsyncReceiver<u64>) -> Wait<'_> {
+    Box::pin(async move {
+        let (_idle_tx, mut idle_rx) = wcq::builder().threads(2).build_async::<u64>();
+        let mut lanes = [rx, &mut idle_rx];
+        matches!(wcq::recv_any(&mut lanes).await, Ok((0, _)))
+    })
+}
+
+#[test]
+fn every_attempt_under_the_task_driver_keeps_the_park_protocol() {
+    let table = [
+        row("try_send × poll_task", full_channel, wait_send, recv_one),
+        row(
+            "try_send_batch × poll_task",
+            full_channel,
+            wait_send_iter,
+            recv_one,
+        ),
+        row("try_recv × poll_task", empty_channel, wait_recv, send_one),
+        row(
+            "try_recv_many × poll_task",
+            empty_channel,
+            wait_recv_many,
+            send_one,
+        ),
+        row(
+            "lane scan × poll_task",
+            empty_channel,
+            wait_recv_any,
+            send_one,
+        ),
+    ];
+    // Run every cell even after one fails, so a regression in the one copy
+    // of the protocol is reported under the name of each operation it breaks.
+    let mut failed = Vec::new();
+    for row in &table {
+        for case in [
+            Case::CompletesAfterWake,
+            Case::DroppedAfterWakeForwards,
+            Case::DroppedWhileParkedLeavesNothing,
+        ] {
+            let cell = std::panic::AssertUnwindSafe(|| (row.run)(case));
+            if std::panic::catch_unwind(cell).is_err() {
+                failed.push(format!("{} / {case:?}", row.name));
+            }
+        }
+    }
+    assert!(failed.is_empty(), "cells failed: {failed:#?}");
+}
+
+// --------------------------------------------------------------------------
+// park_thread × three attempts
+// --------------------------------------------------------------------------
+
+/// How long the sibling parks: far beyond any scheduling hiccup, so only a
+/// swallowed notification can make it expire.
+const SIBLING_WAIT: Duration = Duration::from_secs(20);
+/// How long the notifier waits for *someone* to act on a notification.
+const STRANDED_AFTER: Duration = Duration::from_secs(5);
+const ROUNDS: u64 = 1_000;
+/// Upper bound of the per-round delay before the notification, in spin-loop
+/// iterations: about the length of one zero-timeout wait.
+const JITTER_SPINS: u64 = 512;
+
+/// What one timed wait came to.
+enum Waited {
+    Done,
+    TimedOut,
+    Closed,
+}
+
+/// Races a zero-timeout wait (`racer`, on the first-attached endpoint) against
+/// one notification per round, with a sibling parked for [`SIBLING_WAIT`] on
+/// the same side.  Every notification must be acted on by one of the two,
+/// promptly: if the racer times out on a waker a notification already
+/// consumed and does not forward it, the sibling sleeps on next to the value.
+///
+/// `racer` and `sibling` perform one wait of the given timeout; `notify`
+/// lets exactly one waiter finish; `close` ends the sibling's last wait.
+fn race_timeouts_against_notifications(
+    name: &str,
+    mut racer: impl FnMut(Duration) -> Waited + Send,
+    mut sibling: impl FnMut(Duration) -> Waited + Send,
+    mut notify: impl FnMut(),
+    close: impl FnOnce(),
+) {
+    let done = AtomicU64::new(0);
+    // Spin rendezvous (a `Barrier`'s futex wake would land the racer tens of
+    // microseconds late): the racer announces it is ready for round `i`, the
+    // notifier releases round `i`.  `u64::MAX` releases the racer for good.
+    let ready = AtomicU64::new(0);
+    let go = AtomicU64::new(0);
+    let mut stranded = None;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 1.. {
+                ready.store(i, SeqCst);
+                while go.load(SeqCst) < i {
+                    std::hint::spin_loop();
+                }
+                if go.load(SeqCst) == u64::MAX {
+                    return;
+                }
+                if let Waited::Done = racer(Duration::ZERO) {
+                    done.fetch_add(1, SeqCst);
+                }
+            }
+        });
+        s.spawn(|| loop {
+            match sibling(SIBLING_WAIT) {
+                Waited::Done => done.fetch_add(1, SeqCst),
+                Waited::TimedOut => panic!("{name}: the sibling slept through a notification"),
+                Waited::Closed => return,
+            };
+        });
+        let mut jitter = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut rounds = 0;
+        while rounds < ROUNDS && stranded.is_none() {
+            rounds += 1;
+            while ready.load(SeqCst) < rounds {
+                std::hint::spin_loop();
+            }
+            go.store(rounds, SeqCst);
+            // Sweep the notification across the racer's wait: anywhere from
+            // before its first attempt to after it has settled.
+            jitter = jitter.wrapping_mul(6364136223846793005).wrapping_add(1);
+            for _ in 0..(jitter >> 33) % JITTER_SPINS {
+                std::hint::spin_loop();
+            }
+            notify();
+            let sent = Instant::now();
+            while done.load(SeqCst) < rounds && stranded.is_none() {
+                if sent.elapsed() > STRANDED_AFTER {
+                    stranded = Some(rounds);
+                }
+                std::thread::yield_now();
+            }
+        }
+        go.store(u64::MAX, SeqCst);
+        close();
+    });
+    assert_eq!(
+        stranded, None,
+        "{name}: a notification was swallowed — nobody acted on it within {STRANDED_AFTER:?}"
+    );
+    assert_eq!(
+        done.load(SeqCst),
+        ROUNDS,
+        "{name}: one completion per round"
+    );
+}
+
+fn waited<T>(outcome: Result<T, RecvTimeoutError>) -> Waited {
+    match outcome {
+        Ok(_) => Waited::Done,
+        Err(RecvTimeoutError::Timeout) => Waited::TimedOut,
+        Err(RecvTimeoutError::Closed) => Waited::Closed,
+    }
+}
+
+/// A sync channel with two receivers whose wait slots are attached in a known
+/// order: `first`'s, then `sibling`'s (a zero-timeout wait attaches the
+/// slot), so a wake-one picks `first` whenever both are parked.
+fn two_attached_receivers() -> (Sender<u64>, Receiver<u64>, Receiver<u64>) {
+    let (tx, mut first) = wcq::builder().threads(6).build_channel::<u64>();
+    let mut sibling = first.clone();
+    for rx in [&mut first, &mut sibling] {
+        assert_eq!(
+            rx.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+    }
+    (tx, first, sibling)
+}
+
+fn recv_timeout_racing_a_send() {
+    let (mut tx, mut first, mut sibling) = two_attached_receivers();
+    let closer = tx.clone();
+    race_timeouts_against_notifications(
+        "try_recv × park_thread",
+        |timeout| waited(first.recv_timeout(timeout)),
+        |timeout| waited(sibling.recv_timeout(timeout)),
+        || tx.try_send(7).unwrap(),
+        || {
+            closer.close();
+        },
+    );
+}
+
+fn recv_any_timeout_racing_a_send() {
+    let (mut tx, mut first, mut sibling) = two_attached_receivers();
+    let (_idle_tx, mut idle) = wcq::builder().threads(2).build_channel::<u64>();
+    let closer = tx.clone();
+    race_timeouts_against_notifications(
+        "lane scan × park_thread",
+        |timeout| waited(wcq::recv_any_timeout(&mut [&mut first, &mut idle], timeout)),
+        |timeout| waited(sibling.recv_timeout(timeout)),
+        || tx.try_send(7).unwrap(),
+        || {
+            closer.close();
+        },
+    );
+}
+
+fn send_timeout_racing_a_receive() {
+    let (mut first, mut rx) = wcq::builder()
+        .capacity_order(2) // capacity 4: room for the three endpoints' handles
+        .threads(4)
+        .backend(ChannelBackend::Bounded)
+        .build_channel::<u64>();
+    for v in 0..4 {
+        first.try_send(v).unwrap();
+    }
+    let mut sibling = first.clone();
+    // Attach the wait slots in order: `first`'s, then `sibling`'s.
+    for tx in [&mut first, &mut sibling] {
+        assert_eq!(
+            tx.send_timeout(0, Duration::ZERO),
+            Err(SendTimeoutError::Timeout(0))
+        );
+    }
+    let closer = first.clone();
+    let send = |tx: &mut Sender<u64>, timeout| match tx.send_timeout(9, timeout) {
+        Ok(()) => Waited::Done,
+        Err(SendTimeoutError::Timeout(_)) => Waited::TimedOut,
+        Err(SendTimeoutError::Closed(_)) => Waited::Closed,
+    };
+    race_timeouts_against_notifications(
+        "try_send × park_thread",
+        |timeout| send(&mut first, timeout),
+        |timeout| send(&mut sibling, timeout),
+        || {
+            rx.try_recv().expect("the channel is full between rounds");
+        },
+        || {
+            closer.close();
+        },
+    );
+}
+
+/// The three cells run one after the other: each keeps two threads spinning
+/// on the rendezvous, and more than one pair at a time would push them off
+/// the cores and out of alignment.
+#[test]
+fn a_timeout_racing_a_notification_forwards_it_under_every_thread_driver_attempt() {
+    recv_timeout_racing_a_send();
+    send_timeout_racing_a_receive();
+    recv_any_timeout_racing_a_send();
+}
