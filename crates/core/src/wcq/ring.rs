@@ -899,8 +899,22 @@ impl<F: CellFamily> WcqRing<F> {
     /// unsafe bit, straddling the head) abandon that ticket — exactly what a
     /// failed fast-path attempt does — and fall back to the standard
     /// [`WcqRing::enqueue_index`] path, patience bound and slow-path helping
-    /// included, so the wait-freedom argument is unchanged.  Returns the
-    /// number of elements that used their batch ticket (statistics).
+    /// included, so the wait-freedom argument is unchanged.  After the first
+    /// such miss the rest of the run is skipped uninspected and falls back
+    /// too, so the batch stays in FIFO order (one extra F&A per skipped
+    /// element, on the contended path only: an uncontended batch never
+    /// misses).  Returns the number of elements that used their batch ticket
+    /// (statistics).
+    ///
+    /// Skipped tickets do not loosen the `3n - 1` threshold bound.  To a
+    /// dequeuer, a tail ticket nobody deposits at is what every failed
+    /// fast-path attempt — or an enqueuer stalled right after its F&A —
+    /// already leaves behind; the bound never counted on the tickets below an
+    /// element being filled.  It is re-armed by each *successful* deposit, at
+    /// that deposit's own ticket `T`, and bounds the head's distance to `T`
+    /// through the conditions `try_enq_at` checks on `T`'s slot alone (its
+    /// cycle, its safe bit against the head) — and every fallback deposit
+    /// goes through exactly that check on its fresh ticket.
     pub(crate) fn enqueue_many(&self, tid: usize, indices: &[u64], pace: &PatienceCell) -> usize {
         if indices.is_empty() {
             return 0;
@@ -920,7 +934,8 @@ impl<F: CellFamily> WcqRing<F> {
             // Once one element lost its ticket, the rest of the run abandon
             // theirs too: the fallback below takes a *fresh* (later) ticket,
             // so an element still riding its batch ticket would overtake it
-            // and break the batch's FIFO order.
+            // and break the batch's FIFO order (pinned by
+            // `batch_mpmc_keeps_each_producers_order`).
             if abandoned == 0 && self.try_enq_at(base + k as u64, index, &mut spin).is_ok() {
                 on_ticket += 1;
             } else {
@@ -1421,6 +1436,71 @@ mod tests {
             );
         }
         let mut h = r.register().unwrap();
+        assert_eq!(h.dequeue(), None);
+    }
+
+    /// A batch keeps its producer's order even when some of its reserved
+    /// tickets are lost to racing dequeuers: every consumer sees each
+    /// producer's values ascending (an element still riding its batch ticket
+    /// must not overtake a batch-mate that fell back to a fresh, later
+    /// ticket), and the tickets skipped on the way never read as a spurious
+    /// empty — the half the racing consumers leave behind drains, on one
+    /// thread, without a single `None`.
+    #[test]
+    fn batch_mpmc_keeps_each_producers_order() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // As in `batch_mpmc_no_loss_or_duplication`: capacity covers every
+        // value, so the capacity discipline holds trivially.
+        let r = ring::<NativeFamily>(13, 4);
+        let producers = 2u64;
+        let per_producer = 4_000u64;
+        let total = producers * per_producer;
+        assert!(total <= r.capacity());
+        let batch = 8u64;
+        let consumed = AtomicU64::new(0);
+        // One consumer's view: each producer's values only ever go up.
+        let in_order = |last: &mut [Option<u64>; 2], v: u64| {
+            let seen = &mut last[(v / per_producer) as usize];
+            assert!(*seen < Some(v), "{v} dequeued after {seen:?}");
+            *seen = Some(v);
+        };
+        std::thread::scope(|s| {
+            for p in 0..producers {
+                let r = &r;
+                s.spawn(move || {
+                    let mut h = r.register().unwrap();
+                    for base in (p * per_producer..(p + 1) * per_producer).step_by(batch as usize) {
+                        let run: Vec<u64> = (base..base + batch).collect();
+                        h.enqueue_many(&run);
+                        // Keep the ring near empty, where a hungry consumer
+                        // reaches a reserved ticket before its producer does.
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let (r, consumed) = (&r, &consumed);
+                s.spawn(move || {
+                    let mut h = r.register().unwrap();
+                    let mut last = [None; 2];
+                    while consumed.load(Ordering::SeqCst) < total / 2 {
+                        match h.dequeue() {
+                            Some(v) => {
+                                in_order(&mut last, v);
+                                consumed.fetch_add(1, Ordering::SeqCst);
+                            }
+                            None => std::hint::spin_loop(),
+                        }
+                    }
+                });
+            }
+        });
+        let mut h = r.register().unwrap();
+        let mut last = [None; 2];
+        for left in (1..=total - consumed.load(Ordering::SeqCst)).rev() {
+            let v = (h.dequeue()).unwrap_or_else(|| panic!("empty answer with {left} left"));
+            in_order(&mut last, v);
+        }
         assert_eq!(h.dequeue(), None);
     }
 

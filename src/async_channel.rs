@@ -182,7 +182,7 @@ impl<T: Send + 'static, I: Instrument> Future for SendIterFuture<'_, T, I> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let Self { wait, buf, total } = self.get_mut();
-        wait.poll_one(cx, |tx| tx.attempt_send_batch(buf, *total))
+        wait.poll_one(cx, |tx| tx.attempt_send_batch(buf, *total, || ()))
     }
 }
 
@@ -298,27 +298,28 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for AsyncReceiver<T, I> {
     }
 }
 
-/// The receive futures' attempt: `try_recv` with up to three tries, gated by
-/// the backend's length hint.  While the hint says values exist (they may be
-/// headed to another shard or segment), a retry is cheaper than the
-/// park/re-check round trip; the bound keeps one poll finite even if the
-/// hint stays stubbornly non-empty.  A backend without a real hint reports a
-/// constant `false` — "no information", not "non-empty" — so retrying on it
-/// is never informed: it answers after the first empty try.
-fn hinted<T: Send + 'static, I: Instrument, R>(
-    rx: &mut Receiver<T, I>,
+/// The receive futures' poll: `try_recv` under the task driver, with up to
+/// two more tries before parking, gated by the backend's length hint.  While
+/// the hint says values exist (they may be headed to another shard or
+/// segment), a retry is cheaper than the park/re-check round trip; the bound
+/// keeps one poll finite even if the hint stays stubbornly non-empty.  A
+/// backend without a real hint reports a constant `false` — "no information",
+/// not "non-empty" — so retrying on it is never informed: it parks after the
+/// first empty try.  The re-check with the waker in place is always one try.
+fn poll_hinted<T: Send + 'static, I: Instrument, R>(
+    wait: &mut Parked<'_, Receiver<T, I>>,
+    cx: &mut Context<'_>,
     mut try_recv: impl FnMut(&mut Receiver<T, I>) -> Result<R, TryRecvError>,
-) -> Option<Result<R, RecvError>> {
-    let has_hint = rx.has_empty_hint();
-    for attempt in 0..3 {
-        if let Some(answer) = recv_answer(try_recv(rx)) {
-            return Some(answer);
+) -> Poll<Result<R, RecvError>> {
+    let mut pre_park = true;
+    wait.poll_one(cx, |rx| {
+        let mut answer = recv_answer(try_recv(rx));
+        let retry = std::mem::take(&mut pre_park) && answer.is_none();
+        if retry && rx.has_empty_hint() && !rx.is_empty_hint() {
+            answer = recv_answer(try_recv(rx)).or_else(|| recv_answer(try_recv(rx)));
         }
-        if !has_hint || (attempt == 0 && rx.is_empty_hint()) {
-            break; // genuinely empty (or no hint to consult): go park
-        }
-    }
-    None
+        answer // `None`: genuinely empty (or no hint to consult), go park
+    })
 }
 
 /// Future of [`AsyncReceiver::recv`]: the hint-gated `try_recv` attempt under
@@ -332,7 +333,7 @@ impl<T: Send + 'static, I: Instrument> Future for RecvFuture<'_, T, I> {
     type Output = Result<T, RecvError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        (self.get_mut().0).poll_one(cx, |rx| hinted(rx, Receiver::try_recv))
+        poll_hinted(&mut self.get_mut().0, cx, Receiver::try_recv)
     }
 }
 
@@ -350,6 +351,6 @@ impl<T: Send + 'static, I: Instrument> Future for RecvManyFuture<'_, T, I> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let Self { wait, out, max } = self.get_mut();
-        wait.poll_one(cx, |rx| hinted(rx, |rx| rx.try_recv_many(out, *max)))
+        poll_hinted(wait, cx, |rx| rx.try_recv_many(out, *max))
     }
 }

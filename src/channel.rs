@@ -459,12 +459,14 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
 
     /// The `try_send_batch` attempt: offers `buf` batch by batch — one
     /// credit + closed check, then the backend's `enqueue_many`, per batch —
-    /// while the backend accepts anything; `None` means full.  On close the
-    /// unsent remainder comes back in order.
+    /// while the backend accepts anything (`progressed` is told of every
+    /// batch that only partly fit); `None` means full.  On close the unsent
+    /// remainder comes back in order.
     pub(crate) fn attempt_send_batch(
         &mut self,
         buf: &mut Vec<T>,
         total: usize,
+        mut progressed: impl FnMut(),
     ) -> Option<Result<usize, SendError<Vec<T>>>> {
         loop {
             let Self { slot, core, .. } = self;
@@ -472,7 +474,7 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
                 Err(SendError(())) => return Some(Err(SendError(std::mem::take(buf)))),
                 Ok(_) if buf.is_empty() => return Some(Ok(total)),
                 Ok(0) => return None,
-                Ok(_) => {} // partial progress: offer the rest right away
+                Ok(_) => progressed(), // offer the rest right away
             }
         }
     }
@@ -482,7 +484,7 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
     /// comes back inside the error.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
         let mut item = Some(value);
-        wait::spin(|| self.attempt_send(&mut item))
+        wait::spin(|_| self.attempt_send(&mut item))
     }
 
     /// Sends every element of `iter`, paying the handle bind, in-flight
@@ -504,7 +506,9 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
         if total == 0 {
             return Ok(0);
         }
-        wait::spin(|| self.attempt_send_batch(&mut buf, total))
+        // Receivers are catching up once a batch partly fits: start the
+        // delay over rather than keep yielding at the cap.
+        wait::spin(|backoff| self.attempt_send_batch(&mut buf, total, || backoff.reset()))
     }
 
     /// Sends `value`, waiting at most `timeout` while a bounded backend is
@@ -643,7 +647,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// channel is empty.  Fails only once the channel is closed *and* fully
     /// drained.
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        wait::spin(|| recv_answer(self.try_recv()))
+        wait::spin(|_| recv_answer(self.try_recv()))
     }
 
     /// Receives a value, waiting at most `timeout` while the channel is
@@ -679,7 +683,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// the channel is closed *and* fully drained.  `max == 0` returns `Ok(0)`
     /// immediately.
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
-        wait::spin(|| recv_answer(self.try_recv_many(out, max)))
+        wait::spin(|_| recv_answer(self.try_recv_many(out, max)))
     }
 
     /// Closes the channel from the consuming side (e.g. a worker pool
@@ -1015,6 +1019,31 @@ mod tests {
         assert_eq!(tx.send_iter(0..12), Ok(12));
         drop(tx);
         assert_eq!(consumer.join().unwrap(), (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn into_sync_hands_back_the_wrapped_endpoint_itself() {
+        use crate::async_channel::{AsyncReceiver, AsyncSender};
+        let (tx, rx) = unbounded_pair();
+        let core = Arc::clone(&rx.core);
+        let (mut tx, mut rx) = (AsyncSender::from(tx), AsyncReceiver::from(rx));
+        tx.try_send(1).unwrap();
+        assert_eq!(rx.try_recv(), Ok(1)); // both endpoints now hold a queue handle
+        let (tx, rx) = (tx.into_sync(), rx.into_sync());
+        assert!(
+            tx.slot.bound.is_some() && rx.slot.bound.is_some(),
+            "the registrations are kept, not re-acquired lazily"
+        );
+        // The slots the conversions to async attached (the first of each side).
+        assert_eq!((tx.wait_slot, rx.wait_slot), (Some(0), Some(0)));
+        let attached = || (core.send_side.attached(), core.recv_side.attached());
+        assert_eq!(attached(), (1, 1));
+        drop((tx, rx));
+        assert_eq!(
+            attached(),
+            (0, 0),
+            "dropping the endpoint detaches its slot"
+        );
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!
 //! The two parking drivers share one protocol, kept by the [`Parked`] guard:
 //! park in every lane *before* the re-check, sleep only after a re-check with
-//! the wakers in place, clear our own slots on completion, and on drop or
-//! timeout forward any notification that consumed our waker on a lane we did
-//! not win.
+//! the wakers in place, clear our own slots on completion, and forward any
+//! notification that consumed our waker without being the one we acted on —
+//! on drop or timeout, on a lane we did not win, and on a win that came
+//! after a re-park.
 
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
@@ -211,26 +212,35 @@ impl<'a, E: Lane> Parked<'a, E> {
     }
 
     /// Clears our slot in every lane.  A slot found already empty had its
-    /// waker consumed by a notification; unless that lane is the `winner` —
-    /// the notification was spent on us — it announced something we did not
-    /// take, so it is forwarded: a spurious wake is harmless, a swallowed one
-    /// strands a parked peer.
-    fn settle(&mut self, winner: Option<usize>) {
+    /// waker consumed by a notification; unless that lane is `spent_on` — the
+    /// notification is the one that woke us for the value we took — it
+    /// announced something we did not take, so it is forwarded: a spurious
+    /// wake is harmless, a swallowed one strands a parked peer.
+    fn settle(&mut self, spent_on: Option<usize>) {
         if !std::mem::take(&mut self.parked) {
             return;
         }
         for (i, lane) in self.lanes.iter_mut().enumerate() {
             let (side, id) = lane.lane();
-            if !side.unpark(id) && winner != Some(i) {
+            if !side.unpark(id) && spent_on != Some(i) {
                 side.wake_one();
             }
         }
     }
 
-    /// One attempt; settles the lanes if it finished.
-    fn once<O>(&mut self, attempt: &mut impl FnMut(&mut [E]) -> Answer<O>) -> Option<O> {
+    /// One attempt; settles the lanes if it finished.  `woken` says no park
+    /// came between the wait's last sleep and this attempt, so the only
+    /// notification that can have consumed the winning lane's waker is the
+    /// one that woke us: it is spent.  After a (re-)park the same emptiness
+    /// means a *further* notification arrived while we were taking a value an
+    /// earlier one announced, and winning does not excuse forwarding it.
+    fn once<O>(
+        &mut self,
+        attempt: &mut impl FnMut(&mut [E]) -> Answer<O>,
+        woken: bool,
+    ) -> Option<O> {
         let (winner, output) = attempt(self.lanes)?;
-        self.settle(winner);
+        self.settle(if woken { winner } else { None });
         Some(output)
     }
 
@@ -242,26 +252,25 @@ impl<'a, E: Lane> Parked<'a, E> {
         cx: &mut Context<'_>,
         mut attempt: impl FnMut(&mut [E]) -> Answer<O>,
     ) -> Poll<O> {
-        if let Some(output) = self.once(&mut attempt) {
+        if let Some(output) = self.once(&mut attempt, true) {
             return Poll::Ready(output);
         }
         self.park(cx.waker());
-        match self.once(&mut attempt) {
-            Some(output) => Poll::Ready(output),
-            None => Poll::Pending,
-        }
+        self.once(&mut attempt, false)
+            .map_or(Poll::Pending, Poll::Ready)
     }
 
     /// The thread driver: repeats `attempt` until it answers or `timeout`
     /// passes (`None`; a zero timeout never sleeps), sleeping in between with
     /// a [`thread_waker`] parked in every lane.  A notification racing the
-    /// park unparks this thread, so the sleep returns immediately.
+    /// park unparks this thread, so the sleep returns immediately.  Every
+    /// round re-parks before it re-checks, so no win here is `woken`.
     pub(crate) fn park_thread<O>(
         mut self,
         timeout: Duration,
         mut attempt: impl FnMut(&mut [E]) -> Answer<O>,
     ) -> Option<O> {
-        if let Some(output) = self.once(&mut attempt) {
+        if let Some(output) = self.once(&mut attempt, false) {
             return Some(output);
         }
         // Overflow saturates to "no deadline".
@@ -269,11 +278,9 @@ impl<'a, E: Lane> Parked<'a, E> {
         let waker = thread_waker();
         loop {
             self.park(&waker);
-            if let Some(output) = self.once(&mut attempt) {
-                return Some(output);
-            }
-            if !park_until(deadline) {
-                return None; // dropping `self` settles with no winner
+            let answer = self.once(&mut attempt, false);
+            if answer.is_some() || !park_until(deadline) {
+                return answer; // timed out: dropping `self` settles the lanes
             }
         }
     }
@@ -310,13 +317,15 @@ impl<E: Lane> Drop for Parked<'_, E> {
 
 /// The spin driver: repeats `attempt` until it answers, backing off (bounded
 /// spin, then yielding) between tries.  It parks nothing, so there is nothing
-/// to settle.  (Inlined: with an attempt that answers first time — every
-/// uncontended `send`/`recv` — this is the attempt and nothing else.)
+/// to settle.  The attempt is handed the backoff so one that made partial
+/// progress before it had to wait can reset the delay.  (Inlined: with an
+/// attempt that answers first time — every uncontended `send`/`recv` — this
+/// is the attempt and nothing else.)
 #[inline]
-pub(crate) fn spin<O>(mut attempt: impl FnMut() -> Option<O>) -> O {
+pub(crate) fn spin<O>(mut attempt: impl FnMut(&mut Backoff) -> Option<O>) -> O {
     let mut backoff = Backoff::new();
     loop {
-        if let Some(output) = attempt() {
+        if let Some(output) = attempt(&mut backoff) {
             return output;
         }
         backoff.snooze_or_yield();
@@ -351,18 +360,101 @@ mod tests {
     use std::task::Wake;
     use wcq_core::metrics::NoopInstrument;
 
-    #[test]
-    fn waker_registry_counts_parks_and_notifies() {
-        struct CountingWake(AtomicUsize);
-        impl Wake for CountingWake {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, SeqCst);
-            }
+    impl<I: Instrument> WakeSide<I> {
+        /// Number of attached slots (for the endpoints' own tests).
+        pub(crate) fn attached(&self) -> usize {
+            self.lock().len()
         }
+    }
 
-        let side = WakeSide::new(NoopInstrument);
+    struct CountingWake(AtomicUsize);
+    impl Wake for CountingWake {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+
+    fn counting_waker() -> (Arc<CountingWake>, Waker) {
         let count = Arc::new(CountingWake(AtomicUsize::new(0)));
         let waker = Waker::from(Arc::clone(&count));
+        (count, waker)
+    }
+
+    /// A bare lane, so a test attempt can notify at an exact point of a wait.
+    struct TestLane<'s>(&'s WakeSide<NoopInstrument>, u64);
+    impl Lane for TestLane<'_> {
+        type I = NoopInstrument;
+        fn lane(&mut self) -> (&WakeSide<NoopInstrument>, u64) {
+            (self.0, self.1)
+        }
+    }
+
+    /// A side with the lane under test attached first (a wake-one picks it
+    /// while both are parked) and a sibling parked with a counting waker.
+    fn lane_with_parked_sibling(
+        side: &WakeSide<NoopInstrument>,
+    ) -> (TestLane<'_>, Arc<CountingWake>) {
+        let lane = TestLane(side, side.attach());
+        let (sibling, sibling_waker) = counting_waker();
+        side.park(side.attach(), &sibling_waker);
+        (lane, sibling)
+    }
+
+    /// The window no outside test can force: a second notification lands on
+    /// the waiter between its (re-)park and its winning re-check.
+    #[test]
+    fn a_win_after_a_park_forwards_a_notification_that_came_in_between() {
+        let side = WakeSide::new(NoopInstrument);
+
+        let (mut lane, sibling) = lane_with_parked_sibling(&side);
+        let mut tries = 0;
+        let won = Parked::one(&mut lane).park_one(Duration::from_secs(5), |_| {
+            tries += 1;
+            // The re-check: by now our waker is parked.  A notification takes
+            // it, and the attempt then wins what an earlier one announced.
+            (tries == 2).then(|| side.wake_one())
+        });
+        assert_eq!(won, Some(()));
+        assert_eq!(sibling.0.load(SeqCst), 1, "thread driver: forwarded");
+
+        let (mut lane, sibling) = lane_with_parked_sibling(&side);
+        let (count, waker) = counting_waker();
+        let mut tries = 0;
+        let poll = Parked::one(&mut lane).poll_one(&mut Context::from_waker(&waker), |_| {
+            tries += 1;
+            (tries == 2).then(|| side.wake_one())
+        });
+        assert_eq!(poll, Poll::Ready(()));
+        assert_eq!(count.0.load(SeqCst), 1, "the notification took our waker");
+        assert_eq!(sibling.0.load(SeqCst), 1, "task driver: forwarded");
+    }
+
+    /// The other side of the rule: a re-poll that wins without re-parking
+    /// acted on the notification that woke it, and forwards nothing.
+    #[test]
+    fn a_win_on_the_poll_a_notification_woke_keeps_it() {
+        let side = WakeSide::new(NoopInstrument);
+        let (mut lane, sibling) = lane_with_parked_sibling(&side);
+        let (count, waker) = counting_waker();
+        let mut wait = Parked::one(&mut lane);
+        let mut cx = Context::from_waker(&waker);
+        assert_eq!(wait.poll_one(&mut cx, |_| None::<()>), Poll::Pending);
+        side.wake_one();
+        assert_eq!(count.0.load(SeqCst), 1);
+        assert_eq!(wait.poll_one(&mut cx, |_| Some(())), Poll::Ready(()));
+        assert_eq!(
+            sibling.0.load(SeqCst),
+            0,
+            "the wake was spent on the winner"
+        );
+        drop(wait);
+        assert_eq!(sibling.0.load(SeqCst), 0, "settled once");
+    }
+
+    #[test]
+    fn waker_registry_counts_parks_and_notifies() {
+        let side = WakeSide::new(NoopInstrument);
+        let (count, waker) = counting_waker();
 
         let a = side.attach();
         let b = side.attach();

@@ -20,6 +20,11 @@
 //!   against one notification per round and assert what the forward
 //!   guarantees: a long-parked sibling is never left asleep next to the
 //!   value (or free slot) the notification announced.
+//! * **`park_thread`, the win after a re-park**: two notifications in a row
+//!   against two long-parked waiters.  The second can pick the waiter the
+//!   first already woke, after its re-park and before its winning re-check;
+//!   that wait succeeds *and* must forward (`src/wait.rs`'s unit tests force
+//!   the same window deterministically, on a bare lane).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -398,8 +403,10 @@ fn recv_any_timeout_racing_a_send() {
     );
 }
 
-fn send_timeout_racing_a_receive() {
-    let (mut first, mut rx) = wcq::builder()
+/// A full bounded sync channel with two senders whose wait slots are
+/// attached in a known order — `first`'s, then `sibling`'s — and its receiver.
+fn two_attached_senders() -> (Sender<u64>, Sender<u64>, Receiver<u64>) {
+    let (mut first, rx) = wcq::builder()
         .capacity_order(2) // capacity 4: room for the three endpoints' handles
         .threads(4)
         .backend(ChannelBackend::Bounded)
@@ -408,23 +415,30 @@ fn send_timeout_racing_a_receive() {
         first.try_send(v).unwrap();
     }
     let mut sibling = first.clone();
-    // Attach the wait slots in order: `first`'s, then `sibling`'s.
     for tx in [&mut first, &mut sibling] {
         assert_eq!(
             tx.send_timeout(0, Duration::ZERO),
             Err(SendTimeoutError::Timeout(0))
         );
     }
-    let closer = first.clone();
-    let send = |tx: &mut Sender<u64>, timeout| match tx.send_timeout(9, timeout) {
+    (first, sibling, rx)
+}
+
+fn send_waited(tx: &mut Sender<u64>, timeout: Duration) -> Waited {
+    match tx.send_timeout(9, timeout) {
         Ok(()) => Waited::Done,
         Err(SendTimeoutError::Timeout(_)) => Waited::TimedOut,
         Err(SendTimeoutError::Closed(_)) => Waited::Closed,
-    };
+    }
+}
+
+fn send_timeout_racing_a_receive() {
+    let (mut first, mut sibling, mut rx) = two_attached_senders();
+    let closer = first.clone();
     race_timeouts_against_notifications(
         "try_send × park_thread",
-        |timeout| send(&mut first, timeout),
-        |timeout| send(&mut sibling, timeout),
+        |timeout| send_waited(&mut first, timeout),
+        |timeout| send_waited(&mut sibling, timeout),
         || {
             rx.try_recv().expect("the channel is full between rounds");
         },
@@ -442,4 +456,132 @@ fn a_timeout_racing_a_notification_forwards_it_under_every_thread_driver_attempt
     recv_timeout_racing_a_send();
     send_timeout_racing_a_receive();
     recv_any_timeout_racing_a_send();
+}
+
+/// Rounds of the two-sends race; the window is a few instructions wide and
+/// is hit in 1–2 % of the rounds on a 2-vCPU box.
+const PAIR_ROUNDS: u64 = 3_000;
+/// Upper bound of the gap between a round's two sends, in spin-loop
+/// iterations: about the time a woken waiter needs to run again and re-park.
+const PAIR_GAP_SPINS: u64 = 4_000;
+
+/// Two long-parked waiters, two back-to-back notifications per round, each
+/// waiter finishing exactly one wait per round.  The thread driver re-parks
+/// every time it wakes, so the second notification's wake-one can land on
+/// the waiter the first one already woke (`first`, the earliest-attached) in
+/// the window after its re-park and before it settles.  That waiter then
+/// *wins* — it takes the first value — holding a freshly consumed waker for
+/// a value it will not take: the notification must be forwarded even though
+/// the wait succeeded, or the sibling sleeps on next to the second value.
+///
+/// `waiters` are one long wait each on the lane under test (`first`'s, then
+/// `sibling`'s); `notify` lets exactly one waiter finish; `close` ends them.
+fn race_two_notifications_against_two_parked_waiters(
+    name: &str,
+    waiters: [Box<dyn FnMut(Duration) -> Waited + Send + '_>; 2],
+    mut notify: impl FnMut(),
+    close: impl FnOnce(),
+) {
+    let done = AtomicU64::new(0);
+    let go = AtomicU64::new(0);
+    let mut stranded = None;
+    std::thread::scope(|s| {
+        for mut wait in waiters {
+            let (done, go) = (&done, &go);
+            s.spawn(move || {
+                for round in 1.. {
+                    while go.load(SeqCst) < round {
+                        std::thread::yield_now();
+                    }
+                    match wait(SIBLING_WAIT) {
+                        Waited::Done => done.fetch_add(1, SeqCst),
+                        Waited::TimedOut => {
+                            panic!("{name}: a waiter slept through a notification")
+                        }
+                        Waited::Closed => return,
+                    };
+                }
+            });
+        }
+        let mut jitter = 0x9E37_79B9_7F4A_7C15_u64;
+        for round in 1..=PAIR_ROUNDS {
+            go.store(round, SeqCst);
+            // Let both waiters park before the pair goes out.
+            std::thread::sleep(Duration::from_micros(20));
+            notify();
+            jitter = jitter.wrapping_mul(6364136223846793005).wrapping_add(1);
+            for _ in 0..(jitter >> 33) % PAIR_GAP_SPINS {
+                std::hint::spin_loop();
+            }
+            notify();
+            let sent = Instant::now();
+            while done.load(SeqCst) < 2 * round && stranded.is_none() {
+                if sent.elapsed() > STRANDED_AFTER {
+                    stranded = Some(round);
+                }
+                std::thread::yield_now();
+            }
+            if stranded.is_some() {
+                break;
+            }
+        }
+        go.store(u64::MAX, SeqCst);
+        close();
+    });
+    assert_eq!(
+        stranded, None,
+        "{name}: a waiter that won swallowed the next notification — its sibling \
+         slept on next to what it announced for {STRANDED_AFTER:?}"
+    );
+}
+
+#[test]
+fn a_win_after_a_re_park_forwards_the_next_notification() {
+    let (mut tx, mut first, mut sibling) = two_attached_receivers();
+    let closer = tx.clone();
+    race_two_notifications_against_two_parked_waiters(
+        "try_recv × park_thread",
+        [
+            Box::new(|timeout| waited(first.recv_timeout(timeout))),
+            Box::new(|timeout| waited(sibling.recv_timeout(timeout))),
+        ],
+        || tx.try_send(7).unwrap(),
+        || {
+            closer.close();
+        },
+    );
+
+    let (mut first, mut sibling, mut rx) = two_attached_senders();
+    let closer = first.clone();
+    race_two_notifications_against_two_parked_waiters(
+        "try_send × park_thread",
+        [
+            Box::new(|timeout| send_waited(&mut first, timeout)),
+            Box::new(|timeout| send_waited(&mut sibling, timeout)),
+        ],
+        || {
+            rx.try_recv().expect("the channel is full between rounds");
+        },
+        || {
+            closer.close();
+        },
+    );
+
+    let (mut tx, mut first, mut sibling) = two_attached_receivers();
+    let (idle_tx, mut idle) = wcq::builder().threads(2).build_channel::<u64>();
+    let closer = tx.clone();
+    race_two_notifications_against_two_parked_waiters(
+        "lane scan × park_thread",
+        [
+            Box::new(|timeout| {
+                waited(wcq::recv_any_timeout(&mut [&mut first, &mut idle], timeout))
+            }),
+            Box::new(|timeout| waited(sibling.recv_timeout(timeout))),
+        ],
+        || tx.try_send(7).unwrap(),
+        || {
+            closer.close();
+            idle_tx.close();
+        },
+    );
 }
