@@ -9,7 +9,8 @@
 //!
 //! Every run drives one [`Target`] — the bounded queue under the
 //! [`CheckedFamily`] native-CAS2 model or the instrumented LL/SC model, the
-//! unbounded wLSCQ, or the channel close protocol — under one
+//! unbounded wLSCQ, the channel close protocol, or the directed
+//! hazard-window probe — under one
 //! [`Schedule`], then feeds the observations to the shared
 //! no-loss/no-duplication/per-producer-FIFO oracle
 //! ([`verify_observations`]) plus the
@@ -27,9 +28,11 @@
 //! coordinates; [`replay`] re-executes exactly that run, which is how the
 //! regression corpus in `tests/check_schedules.rs` pins fixed bugs forever.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, VecDeque};
 use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -38,10 +41,12 @@ use wcq_core::adaptive::AdaptivePatience;
 use wcq_core::wcq::cells::CellFamily;
 use wcq_core::wcq::{LlscFamily, WcqConfig, WcqQueue};
 use wcq_harness::{decode, encode, verify_observations, DetRng};
-use wcq_unbounded::{ShardPolicy, ShardedWcq, UnboundedWcq, DEFAULT_SEGMENT_CACHE};
+use wcq_unbounded::{
+    ShardPolicy, ShardedWcq, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE,
+};
 
 use crate::family::CheckedFamily;
-use crate::sched::{maybe_yield, Schedule, Scheduler};
+use crate::sched::{maybe_yield, with_intruder, Schedule, Scheduler};
 
 /// Which structure a checked run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,17 +72,29 @@ pub enum Target {
     /// dequeue scan recovers every element a shrink leaves behind the
     /// prefix, at every explored interleaving.
     ShardedAdaptive,
+    /// Directed, not sampled: one handle of an unbounded wLSCQ is stalled at
+    /// the first yield point of a seed-chosen dequeue while a second handle
+    /// turns the whole queue over — fills past two segment boundaries,
+    /// drains everything, flushes reclamation, leaves a few values — and
+    /// every result of the run is checked against a sequential model.  A
+    /// segment the stalled operation holds must survive that, which is what
+    /// hazard protection is for; a random schedule never parks a thread for
+    /// the hundreds of steps a segment's whole life takes, so the sampled
+    /// targets above never exercise it.  The schedule's seed and depth
+    /// together pick the stalled operation and the traffic around it.
+    HazardWindow,
 }
 
 impl Target {
     /// Every target, in the order the explorer sweeps them.
-    pub fn all() -> [Target; 5] {
+    pub fn all() -> [Target; 6] {
         [
             Target::Bounded,
             Target::BoundedLlsc,
             Target::Unbounded,
             Target::Channel,
             Target::ShardedAdaptive,
+            Target::HazardWindow,
         ]
     }
 
@@ -89,6 +106,7 @@ impl Target {
             Target::Unbounded => "unbounded",
             Target::Channel => "channel",
             Target::ShardedAdaptive => "sharded-adaptive",
+            Target::HazardWindow => "hazard-window",
         }
     }
 
@@ -149,6 +167,7 @@ impl CheckPlan {
     pub fn threads(&self, target: Target) -> usize {
         match target {
             Target::Channel => self.producers + 1,
+            Target::HazardWindow => 1,
             _ => self.producers + self.consumers,
         }
     }
@@ -233,6 +252,7 @@ pub fn run_one(plan: &CheckPlan, target: Target, schedule: Schedule) -> Result<u
         Target::Unbounded => run_unbounded(plan, schedule),
         Target::Channel => run_channel(plan, schedule),
         Target::ShardedAdaptive => run_sharded_adaptive(plan, schedule),
+        Target::HazardWindow => run_hazard_window(plan, schedule),
     }));
     let violation = |message: String| Violation {
         plan_seed: plan.seed,
@@ -534,6 +554,149 @@ fn run_unbounded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     }
     drop(ManuallyDrop::into_inner(queue));
     Ok(sched.steps())
+}
+
+/// State the stalled handle's script and the intruder share in a
+/// [`Target::HazardWindow`] run (one thread, so plain cells).
+struct Window {
+    queue: ManuallyDrop<UnboundedWcq<u64, CheckedFamily>>,
+    /// What the queue must hold, front first: every operation of either
+    /// handle is applied here too, and every dequeue is checked against it.
+    model: RefCell<VecDeque<u64>>,
+    rng: RefCell<DetRng>,
+    /// Set around the dequeue to stall; the intruder fires once, at the first
+    /// yield point it sees while this is set.
+    armed: Cell<bool>,
+    fired: Cell<bool>,
+    /// Yield points the stalled handle passed (the run's step count).
+    yields: Cell<u64>,
+    /// Values enqueued so far by each of the two handles.
+    sent: [Cell<u64>; 2],
+    violation: RefCell<Option<String>>,
+}
+
+impl Window {
+    fn enqueue(&self, h: &mut UnboundedWcqHandle<'_, u64, CheckedFamily>, who: usize) {
+        let seq = self.sent[who].get() + 1;
+        self.sent[who].set(seq);
+        let v = encode(who, seq);
+        h.enqueue(v);
+        self.model.borrow_mut().push_back(v);
+    }
+
+    /// Dequeues through `h` and checks the result against the model; `false`
+    /// (with the violation recorded) on a mismatch.
+    fn dequeue(&self, h: &mut UnboundedWcqHandle<'_, u64, CheckedFamily>, what: &str) -> bool {
+        let got = h.dequeue();
+        let want = self.model.borrow_mut().pop_front();
+        if got != want {
+            let show = |v: Option<u64>| v.map(decode);
+            self.violation.borrow_mut().get_or_insert(format!(
+                "{what} returned {:?} where the sequential model holds {:?} \
+                 (worker, seq): a segment was used after it was recycled",
+                show(got),
+                show(want),
+            ));
+        }
+        got == want
+    }
+
+    /// The intruder: the second handle's whole-queue turnover.
+    fn turn_over(&self) {
+        let cap = self.queue.segment_capacity() as u64;
+        let mut b = self.queue.register().expect("intruder slot");
+        let grow = 2 * cap + self.rng.borrow_mut().next_below(cap);
+        for _ in 0..grow {
+            self.enqueue(&mut b, 1);
+        }
+        while !self.model.borrow().is_empty() {
+            if !self.dequeue(&mut b, "the intruder's drain") {
+                return;
+            }
+        }
+        b.flush_reclamation();
+        let leave = 1 + self.rng.borrow_mut().next_below(cap);
+        for _ in 0..leave {
+            self.enqueue(&mut b, 1);
+        }
+    }
+}
+
+fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
+    const OPS: u64 = 48;
+    let mut rng = DetRng::new(
+        schedule.seed ^ u64::from(schedule.depth).rotate_left(32) ^ 0x4A2A_12D0_57A1_1ED0,
+    );
+    let stall_at = rng.next_below(OPS / 2);
+    // `ManuallyDrop`: leaked on a non-clean exit for the same double-panic
+    // reason as `run_bounded`.
+    let w = Rc::new(Window {
+        queue: ManuallyDrop::new(UnboundedWcq::with_config(plan.ring_order, 2, plan.config())),
+        model: RefCell::new(VecDeque::new()),
+        rng: RefCell::new(rng),
+        armed: Cell::new(false),
+        fired: Cell::new(false),
+        yields: Cell::new(0),
+        sent: [Cell::new(0), Cell::new(0)],
+        violation: RefCell::new(None),
+    });
+
+    let intruder = {
+        let w = Rc::clone(&w);
+        move |_op: &'static str| {
+            w.yields.set(w.yields.get() + 1);
+            if w.armed.replace(false) {
+                w.fired.set(true);
+                w.turn_over();
+            }
+        }
+    };
+    with_intruder(intruder, || {
+        let mut a = w.queue.register().expect("stalled handle's slot");
+        let mut dequeues = 0;
+        for _ in 0..OPS {
+            // Enqueue-heavy, so the backlog soon spans segments and the
+            // handle's memoized binding keeps moving between tail and head.
+            if w.rng.borrow_mut().chance(0.6) {
+                w.enqueue(&mut a, 0);
+                continue;
+            }
+            // From the chosen dequeue on, until one reaches a yield point
+            // (an empty-ring early exit passes none).
+            w.armed.set(dequeues >= stall_at && !w.fired.get());
+            dequeues += 1;
+            let ok = w.dequeue(&mut a, "a dequeue");
+            w.armed.set(false);
+            if !ok {
+                return;
+            }
+        }
+        while !w.model.borrow().is_empty() {
+            if !w.dequeue(&mut a, "the final drain") {
+                return;
+            }
+        }
+        w.dequeue(&mut a, "the dequeue after the drain");
+        a.flush_reclamation();
+    });
+    if let Some(violation) = w.violation.borrow_mut().take() {
+        return Err(violation);
+    }
+
+    // Same residency probe as `run_unbounded`, for the two handles here.
+    let stats = w.queue.segment_stats();
+    let bound = 1 + DEFAULT_SEGMENT_CACHE + 2;
+    if stats.resident() > bound {
+        return Err(format!(
+            "segment residency bound violated after drain: {} resident > {bound}",
+            stats.resident()
+        ));
+    }
+    let steps = w.yields.get();
+    if let Ok(w) = Rc::try_unwrap(w) {
+        drop(ManuallyDrop::into_inner(w.queue));
+    }
+    Ok(steps)
 }
 
 fn run_sharded_adaptive(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {

@@ -89,17 +89,50 @@ pub struct Scheduler {
 
 thread_local! {
     static CURRENT: RefCell<Option<(Arc<Scheduler>, usize)>> = const { RefCell::new(None) };
+    static INTRUDER: RefCell<Option<Intruder>> = const { RefCell::new(None) };
 }
 
+/// What a *directed* run does at its yield points (see [`with_intruder`]).
+type Intruder = Box<dyn FnMut(&'static str)>;
+
 /// The process-global checkpoint dispatcher: routes an instrumented atomic
-/// operation to the scheduler the calling thread registered with, and is a
-/// no-op on unregistered threads (other tests in the same process, the
-/// driver's main thread).
+/// operation to the scheduler the calling thread registered with, or to the
+/// intruder a directed run installed on it, and is a no-op on every other
+/// thread (other tests in the same process, the driver's main thread).
 fn dispatcher(op: &'static str) {
     let entry = CURRENT.with(|c| c.borrow().clone());
     if let Some((sched, id)) = entry {
         sched.yield_point(id, op);
+        return;
     }
+    // Taken out of the slot while it runs, so the yield points of the
+    // intruder's own queue operations do not re-enter it.
+    if let Some(mut intruder) = INTRUDER.with(|i| i.borrow_mut().take()) {
+        intruder(op);
+        INTRUDER.with(|i| *i.borrow_mut() = Some(intruder));
+    }
+}
+
+/// Runs `body` as a *directed* run: `intruder` is called, on this same
+/// thread, at every yield point `body` passes, and may operate on the
+/// structure under test itself — the serialized equivalent of "this thread
+/// was preempted exactly here while another one did all that".  Where the
+/// random schedules of a [`Scheduler`] sample interleavings, a directed run
+/// constructs one that is too long a preemption for sampling to find.
+pub fn with_intruder<R>(
+    intruder: impl FnMut(&'static str) + 'static,
+    body: impl FnOnce() -> R,
+) -> R {
+    struct Uninstall;
+    impl Drop for Uninstall {
+        fn drop(&mut self) {
+            INTRUDER.with(|i| *i.borrow_mut() = None);
+        }
+    }
+    install_global_hook();
+    INTRUDER.with(|i| *i.borrow_mut() = Some(Box::new(intruder)));
+    let _uninstall = Uninstall;
+    body()
 }
 
 fn install_global_hook() {

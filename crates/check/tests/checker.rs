@@ -1,6 +1,6 @@
 //! Integration tests for the checker itself: the sweep is clean on the real
 //! tree, deterministic run-for-run, and — with the `check-mutations` feature
-//! — reliably detects the documented injected bug.
+//! — reliably detects both documented injected bugs.
 //!
 //! The clean-sweep and mutation-detection tests are feature-complementary:
 //! `cargo test -p wcq-check` runs the former, `cargo test -p wcq-check
@@ -21,7 +21,7 @@ fn mini_sweep_is_clean_on_the_real_tree() {
         return; // serialized schedule replays are interpreter-hostile
     }
     let out = mini_sweep();
-    assert!(out.runs >= 240, "sweep shrank: {} runs", out.runs);
+    assert!(out.runs >= 360, "sweep shrank: {} runs", out.runs);
     assert!(
         out.violations.is_empty(),
         "clean tree produced violations:\n{}",
@@ -39,13 +39,22 @@ fn mutation_is_detected_and_coordinates_are_stable() {
     if cfg!(miri) {
         return;
     }
-    // The torn Head/Tail F&A must be caught by the fixed-seed sweep...
+    // Each mutant must be caught by the fixed-seed sweep on a target only
+    // it can trip: the torn Head/Tail F&A on the bounded ring (which has no
+    // hazards), the skipped hazard protection on the directed window (whose
+    // single thread a torn F&A cannot hurt)...
     let first = mini_sweep();
-    assert!(
-        !first.violations.is_empty(),
-        "the injected torn-F&A mutation survived {} schedules undetected",
-        first.runs
-    );
+    for (target, mutant) in [
+        (Target::Bounded, "torn-F&A"),
+        (Target::HazardWindow, "skipped-hazard"),
+    ] {
+        assert!(
+            first.violations.iter().any(|v| v.target == target),
+            "the injected {mutant} mutation survived {} schedules undetected on {}",
+            first.runs,
+            target.name()
+        );
+    }
     // ...and a second identical sweep must flag the *same* schedules: the
     // explorer is a pure function of its seeds, mutations included.
     let second = mini_sweep();

@@ -38,8 +38,6 @@
 //! argument carries over verbatim — the bound on fast-path attempts before
 //! helping is `max` instead of a constant.
 
-use core::cell::Cell;
-
 use crate::wcq::WcqConfig;
 
 /// Fixed-point scale of the contention EWMA: a level of `EWMA_ONE` means an
@@ -121,9 +119,9 @@ pub enum Adjustment {
 
 /// The windowed-EWMA patience controller (one ring direction).
 ///
-/// Plain `Copy` data — it lives inside a [`Cell`] on the owning handle and is
-/// updated by read-modify-write of the whole struct, so the hot path needs no
-/// atomics, no allocation and no sharing.  All arithmetic is integral and the
+/// Plain `Copy` data — it lives inside the owning handle's [`PatienceCell`]
+/// and is updated in place, so the hot path needs no atomics, no allocation
+/// and no sharing.  All arithmetic is integral and the
 /// decision sequence is a pure function of the observation sequence, which is
 /// what makes the unit tests below exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,16 +237,18 @@ impl PatienceController {
     }
 }
 
-/// The per-handle patience state: one controller per ring direction, behind
-/// [`Cell`]s so the (deliberately `!Sync`) owning handle can update them
-/// through a shared reference while the ring borrows it.
+/// The per-handle patience state: one controller per ring direction, owned
+/// by the handle and lent to the ring operation (`&mut`) for its duration.
 ///
-/// Safe without atomics because every handle type that owns a cell is
-/// `!Send`: the cell is only ever touched from its registering thread.
+/// Plain data, updated in place: an observation on the uncontended path is
+/// three field updates and a compare.  (Copying a controller out of a
+/// `Cell` and back per observation, as this type once did, reloads the whole
+/// struct right behind narrower stores to it; the failed store forwarding
+/// cost ≈ 6 ns per ring operation.)
 #[derive(Debug)]
 pub struct PatienceCell {
-    enq: Cell<PatienceController>,
-    deq: Cell<PatienceController>,
+    enq: PatienceController,
+    deq: PatienceController,
 }
 
 impl PatienceCell {
@@ -258,8 +258,8 @@ impl PatienceCell {
     pub fn from_config(config: &WcqConfig) -> Self {
         match config.adaptive_patience {
             Some(ap) => Self {
-                enq: Cell::new(PatienceController::new(ap)),
-                deq: Cell::new(PatienceController::new(ap)),
+                enq: PatienceController::new(ap),
+                deq: PatienceController::new(ap),
             },
             None => Self::fixed(config.max_patience_enqueue, config.max_patience_dequeue),
         }
@@ -268,69 +268,57 @@ impl PatienceCell {
     /// A cell pinned to static bounds (no adjustments will ever fire).
     pub fn fixed(enqueue: u32, dequeue: u32) -> Self {
         Self {
-            enq: Cell::new(PatienceController::fixed(enqueue)),
-            deq: Cell::new(PatienceController::fixed(dequeue)),
+            enq: PatienceController::fixed(enqueue),
+            deq: PatienceController::fixed(dequeue),
         }
     }
 
     /// The current enqueue-side patience bound.
     #[inline]
     pub fn enqueue_patience(&self) -> u32 {
-        self.enq.get().patience()
+        self.enq.patience()
     }
 
     /// The current dequeue-side patience bound.
     #[inline]
     pub fn dequeue_patience(&self) -> u32 {
-        self.deq.get().patience()
+        self.deq.patience()
     }
 
     /// Reports one ring enqueue to the enqueue-side controller.
     #[inline]
-    pub fn observe_enqueue(&self, extra_attempts: u32, exhausted: bool) -> Option<Adjustment> {
-        let mut c = self.enq.get();
-        let adj = c.observe(extra_attempts, exhausted);
-        self.enq.set(c);
-        adj
+    pub fn observe_enqueue(&mut self, extra_attempts: u32, exhausted: bool) -> Option<Adjustment> {
+        self.enq.observe(extra_attempts, exhausted)
     }
 
     /// Reports one ring dequeue to the dequeue-side controller.
     #[inline]
-    pub fn observe_dequeue(&self, extra_attempts: u32, exhausted: bool) -> Option<Adjustment> {
-        let mut c = self.deq.get();
-        let adj = c.observe(extra_attempts, exhausted);
-        self.deq.set(c);
-        adj
+    pub fn observe_dequeue(&mut self, extra_attempts: u32, exhausted: bool) -> Option<Adjustment> {
+        self.deq.observe(extra_attempts, exhausted)
     }
 
     /// Reports a batch-reserved run of `ops` ring enqueues (pooled retry
     /// tally) to the enqueue-side controller.
     #[inline]
     pub fn observe_enqueue_batch(
-        &self,
+        &mut self,
         ops: u32,
         extra_attempts: u32,
         exhausted: bool,
     ) -> Option<Adjustment> {
-        let mut c = self.enq.get();
-        let adj = c.observe_batch(ops, extra_attempts, exhausted);
-        self.enq.set(c);
-        adj
+        self.enq.observe_batch(ops, extra_attempts, exhausted)
     }
 
     /// Reports a batch-reserved run of `ops` ring dequeues (pooled retry
     /// tally) to the dequeue-side controller.
     #[inline]
     pub fn observe_dequeue_batch(
-        &self,
+        &mut self,
         ops: u32,
         extra_attempts: u32,
         exhausted: bool,
     ) -> Option<Adjustment> {
-        let mut c = self.deq.get();
-        let adj = c.observe_batch(ops, extra_attempts, exhausted);
-        self.deq.set(c);
-        adj
+        self.deq.observe_batch(ops, extra_attempts, exhausted)
     }
 
     /// The handle's current contention level: the larger of the two
@@ -340,7 +328,7 @@ impl PatienceCell {
     /// patience bounds themselves are pinned.
     #[inline]
     pub fn contention_level(&self) -> u32 {
-        self.enq.get().ewma().max(self.deq.get().ewma())
+        self.enq.ewma().max(self.deq.ewma())
     }
 
     /// The spin-phase cap (a `Backoff` max shift) the blocking enqueue retry
@@ -494,7 +482,7 @@ mod tests {
             }),
             ..WcqConfig::default()
         };
-        let cell = PatienceCell::from_config(&cfg);
+        let mut cell = PatienceCell::from_config(&cfg);
         assert_eq!(cell.enqueue_patience(), 1);
         assert_eq!(cell.dequeue_patience(), 1);
         // Pressure only on the enqueue side.
@@ -508,7 +496,7 @@ mod tests {
 
     #[test]
     fn fixed_cell_reports_contention_but_keeps_static_bounds() {
-        let cell = PatienceCell::fixed(16, 64);
+        let mut cell = PatienceCell::fixed(16, 64);
         assert_eq!(cell.enqueue_patience(), 16);
         assert_eq!(cell.dequeue_patience(), 64);
         assert_eq!(cell.contention_level(), 0);
@@ -523,8 +511,8 @@ mod tests {
 
     #[test]
     fn spin_cap_is_monotone_in_contention() {
-        let quiet = PatienceCell::fixed(16, 64);
-        let busy = PatienceCell::fixed(16, 64);
+        let mut quiet = PatienceCell::fixed(16, 64);
+        let mut busy = PatienceCell::fixed(16, 64);
         // Four default windows: enough for the EWMA (64, 112, 148, 175 at one
         // extra attempt per op) to cross `RAISE_LEVEL`.
         for _ in 0..256 {
@@ -593,7 +581,7 @@ mod tests {
 
     #[test]
     fn cell_batch_wrappers_route_directions_independently() {
-        let cell = PatienceCell::from_config(&WcqConfig {
+        let mut cell = PatienceCell::from_config(&WcqConfig {
             adaptive_patience: Some(AdaptivePatience {
                 min: 1,
                 max: 32,

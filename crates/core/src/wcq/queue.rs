@@ -217,7 +217,12 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// # Safety
     /// The caller must own slot `tid` via [`WcqQueue::try_acquire_slot`] and
     /// no other thread may operate under the same `tid` concurrently.
-    pub unsafe fn enqueue_at(&self, tid: usize, value: T, pace: &PatienceCell) -> Result<(), T> {
+    pub unsafe fn enqueue_at(
+        &self,
+        tid: usize,
+        value: T,
+        pace: &mut PatienceCell,
+    ) -> Result<(), T> {
         let (index, _slow) = self.fq.dequeue_index(tid, pace);
         let Some(index) = index else {
             return Err(value);
@@ -234,7 +239,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn dequeue_at(&self, tid: usize, pace: &PatienceCell) -> Option<T> {
+    pub unsafe fn dequeue_at(&self, tid: usize, pace: &mut PatienceCell) -> Option<T> {
         let (index, _slow) = self.aq.dequeue_index(tid, pace);
         let index = index?;
         // SAFETY: the index came from `aq`; the matching enqueue fully
@@ -265,7 +270,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         &self,
         tid: usize,
         values: &mut VecDeque<T>,
-        pace: &PatienceCell,
+        pace: &mut PatienceCell,
     ) -> usize {
         if values.is_empty() {
             return 0;
@@ -296,7 +301,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
-        pace: &PatienceCell,
+        pace: &mut PatienceCell,
     ) -> usize {
         if max == 0 {
             return 0;
@@ -413,7 +418,7 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Attempts to enqueue `value`; returns it back inside `Err` when the
     /// queue is full (`Enqueue_Ptr`, Figure 2).
     pub fn enqueue(&mut self, value: T) -> Result<(), T> {
-        let (index, slow) = self.queue.fq.dequeue_index(self.tid, &self.pace);
+        let (index, slow) = self.queue.fq.dequeue_index(self.tid, &mut self.pace);
         if slow {
             self.fq_stats.slow_dequeues += 1;
         } else {
@@ -425,7 +430,7 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
         // SAFETY: the free index came from `fq`; we own the slot until we
         // publish the index through `aq`.
         unsafe { (*self.queue.data[index as usize].get()).write(value) };
-        if self.queue.aq.enqueue_index(self.tid, index, &self.pace) {
+        if self.queue.aq.enqueue_index(self.tid, index, &mut self.pace) {
             self.aq_stats.slow_enqueues += 1;
         } else {
             self.aq_stats.fast_enqueues += 1;
@@ -437,7 +442,7 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Attempts to dequeue an element; returns `None` when the queue is empty
     /// (`Dequeue_Ptr`, Figure 2).
     pub fn dequeue(&mut self) -> Option<T> {
-        let (index, slow) = self.queue.aq.dequeue_index(self.tid, &self.pace);
+        let (index, slow) = self.queue.aq.dequeue_index(self.tid, &mut self.pace);
         if slow {
             self.aq_stats.slow_dequeues += 1;
         } else {
@@ -448,7 +453,7 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
         // initialized the slot and nobody else touches it until we hand the
         // index back to `fq`.
         let value = unsafe { (*self.queue.data[index as usize].get()).assume_init_read() };
-        if self.queue.fq.enqueue_index(self.tid, index, &self.pace) {
+        if self.queue.fq.enqueue_index(self.tid, index, &mut self.pace) {
             self.fq_stats.slow_enqueues += 1;
         } else {
             self.fq_stats.fast_enqueues += 1;
@@ -471,7 +476,7 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
         // the registering thread (`!Send`).
         let accepted = unsafe {
             self.queue
-                .enqueue_many_at(self.tid, &mut pending, &self.pace)
+                .enqueue_many_at(self.tid, &mut pending, &mut self.pace)
         };
         *values = pending.into();
         self.fq_stats.fast_dequeues += accepted as u64;
@@ -487,7 +492,10 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// [`WcqQueue::dequeue_many_at`] for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         // SAFETY: as in `enqueue_many`.
-        let got = unsafe { self.queue.dequeue_many_at(self.tid, out, max, &self.pace) };
+        let got = unsafe {
+            self.queue
+                .dequeue_many_at(self.tid, out, max, &mut self.pace)
+        };
         self.aq_stats.fast_dequeues += got as u64;
         self.fq_stats.fast_enqueues += got as u64;
         self.tallies.dequeues_completed += got as u64;
@@ -643,14 +651,14 @@ mod tests {
         let q: WcqQueue<u64> = WcqQueue::new(3, 2);
         assert!(q.try_acquire_slot(0));
         assert!(!q.try_acquire_slot(0), "double acquisition must fail");
-        let pace = PatienceCell::from_config(q.config());
+        let mut pace = PatienceCell::from_config(q.config());
         // SAFETY: slot 0 acquired above; single-threaded use.
         unsafe {
-            assert_eq!(q.enqueue_at(0, 41, &pace), Ok(()));
-            assert_eq!(q.enqueue_at(0, 42, &pace), Ok(()));
-            assert_eq!(q.dequeue_at(0, &pace), Some(41));
-            assert_eq!(q.dequeue_at(0, &pace), Some(42));
-            assert_eq!(q.dequeue_at(0, &pace), None);
+            assert_eq!(q.enqueue_at(0, 41, &mut pace), Ok(()));
+            assert_eq!(q.enqueue_at(0, 42, &mut pace), Ok(()));
+            assert_eq!(q.dequeue_at(0, &mut pace), Some(41));
+            assert_eq!(q.dequeue_at(0, &mut pace), Some(42));
+            assert_eq!(q.dequeue_at(0, &mut pace), None);
             q.release_slot(0);
         }
         assert!(q.try_acquire_slot(0), "release frees the slot");

@@ -6,7 +6,9 @@
 //! (enqueue or dequeue, the starting tail/head ticket, the value to insert)
 //! and are double-checked with a `seq1`/`seq2` pair so helpers never act on a
 //! torn snapshot.  The *private* fields drive the helping round-robin
-//! (`nextCheck` / `nextTid`) and are only touched by the owning thread.
+//! (`nextCheck` / `nextTid`) and are only touched by the owning thread, so
+//! they are accessed `Relaxed` (the "private cursor" block of
+//! [`ThreadRecord`]).
 //!
 //! The `localTail` / `localHead` words carry two flag bits above the counter:
 //!
@@ -92,7 +94,15 @@ impl Phase2Rec {
 /// A per-thread helping record (`thrdrec_t`, Figure 4).
 #[derive(Debug)]
 pub struct ThreadRecord {
-    // === Private fields (only the owner mutates them) ===
+    // === Private cursor (Figure 4's `nextCheck` / `nextTid`) ===
+    //
+    // Read and written only by the thread that currently owns this record;
+    // helpers never look at them.  They are atomics only because the record
+    // is reached through a shared reference, and every access is `Relaxed`:
+    // there is no second thread to order against, and a later owner of the
+    // slot is ordered after the previous one by the slot hand-off (see
+    // `WcqRing::help_threads`).  On x86 that makes the per-operation
+    // countdown a plain `mov` where a `SeqCst` store was an `xchg`.
     /// Operations remaining before the next helping check (`nextCheck`).
     pub next_check: AtomicU64,
     /// Next thread index to inspect for pending requests (`nextTid`).

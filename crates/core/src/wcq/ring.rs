@@ -6,7 +6,10 @@
 //! `cells.rs`) and the `⊥c` guard in the slow-path result gathering, both
 //! documented in DESIGN.md.
 
-use core::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::SeqCst};
+use core::sync::atomic::{
+    AtomicBool, AtomicI64, AtomicU64,
+    Ordering::{Relaxed, SeqCst},
+};
 use std::sync::Arc;
 
 use wcq_atomics::CachePadded;
@@ -475,12 +478,21 @@ impl<F: CellFamily> WcqRing<F> {
     /// Returns `true` if help was actually performed (statistics only).
     fn help_threads(&self, my_tid: usize) -> bool {
         let rec = &self.records[my_tid];
-        let remaining = rec.next_check.load(SeqCst);
+        // relaxed: `next_check` / `next_tid` are the owner-private cursor of
+        // Figure 4 — only the thread holding record `my_tid` ever reads or
+        // writes them (helpers inspect the shared fields only), so there is
+        // no second thread to order against.  A later owner of the slot is
+        // ordered after this one by the slot hand-off itself (the `SeqCst`
+        // store in `release_record`, the `SeqCst` CAS in
+        // `try_acquire_record`).
+        let remaining = rec.next_check.load(Relaxed);
         if remaining > 1 {
-            rec.next_check.store(remaining - 1, SeqCst);
+            // relaxed: owner-private cursor, see above.
+            rec.next_check.store(remaining - 1, Relaxed);
             return false;
         }
-        let target = rec.next_tid.load(SeqCst) % self.records.len();
+        // relaxed: owner-private cursor, see above.
+        let target = rec.next_tid.load(Relaxed) % self.records.len();
         let mut helped = false;
         if target != my_tid {
             let thr = &self.records[target];
@@ -493,9 +505,11 @@ impl<F: CellFamily> WcqRing<F> {
                 helped = true;
             }
         }
-        rec.next_check.store(self.config.help_delay.max(1), SeqCst);
+        // relaxed: owner-private cursor, see above.
+        rec.next_check.store(self.config.help_delay.max(1), Relaxed);
+        // relaxed: owner-private cursor, see above.
         rec.next_tid
-            .store((target + 1) % self.records.len(), SeqCst);
+            .store((target + 1) % self.records.len(), Relaxed);
         helped
     }
 
@@ -788,7 +802,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// tally as contention feedback.  Wait-freedom is untouched — the bound
     /// is always finite (clamped to `>= 1`) and the slow path below remains
     /// reachable regardless of what the controller does.
-    pub(crate) fn enqueue_index(&self, tid: usize, index: u64, pace: &PatienceCell) -> bool {
+    pub(crate) fn enqueue_index(&self, tid: usize, index: u64, pace: &mut PatienceCell) -> bool {
         debug_assert!(index < self.layout.capacity());
         self.count(Counter::RingEnqueues, 1);
         if self.help_threads(tid) {
@@ -833,7 +847,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// `pace` plays the same role as in [`WcqRing::enqueue_index`].  The
     /// empty early-exit still reports a zero-attempt observation so a handle
     /// polling an empty ring pulls its patience back down.
-    pub(crate) fn dequeue_index(&self, tid: usize, pace: &PatienceCell) -> (Option<u64>, bool) {
+    pub(crate) fn dequeue_index(&self, tid: usize, pace: &mut PatienceCell) -> (Option<u64>, bool) {
         let l = &self.layout;
         self.count(Counter::RingDequeues, 1);
         if self.threshold.load(SeqCst) < 0 {
@@ -915,7 +929,12 @@ impl<F: CellFamily> WcqRing<F> {
     /// through the conditions `try_enq_at` checks on `T`'s slot alone (its
     /// cycle, its safe bit against the head) — and every fallback deposit
     /// goes through exactly that check on its fresh ticket.
-    pub(crate) fn enqueue_many(&self, tid: usize, indices: &[u64], pace: &PatienceCell) -> usize {
+    pub(crate) fn enqueue_many(
+        &self,
+        tid: usize,
+        indices: &[u64],
+        pace: &mut PatienceCell,
+    ) -> usize {
         if indices.is_empty() {
             return 0;
         }
@@ -980,7 +999,7 @@ impl<F: CellFamily> WcqRing<F> {
         tid: usize,
         out: &mut Vec<u64>,
         max: usize,
-        pace: &PatienceCell,
+        pace: &mut PatienceCell,
     ) -> usize {
         if max == 0 || self.threshold.load(SeqCst) < 0 {
             return 0;
@@ -1074,7 +1093,7 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
     /// Enqueues `index` (must be `< capacity`).  Always succeeds provided the
     /// capacity discipline is respected (at most `capacity` values circulate).
     pub fn enqueue(&mut self, index: u64) {
-        if self.ring.enqueue_index(self.tid, index, &self.pace) {
+        if self.ring.enqueue_index(self.tid, index, &mut self.pace) {
             self.stats.slow_enqueues += 1;
         } else {
             self.stats.fast_enqueues += 1;
@@ -1083,7 +1102,7 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
 
     /// Dequeues an index; `None` means the ring was empty.
     pub fn dequeue(&mut self) -> Option<u64> {
-        let (value, slow) = self.ring.dequeue_index(self.tid, &self.pace);
+        let (value, slow) = self.ring.dequeue_index(self.tid, &mut self.pace);
         if slow {
             self.stats.slow_dequeues += 1;
         } else {
@@ -1097,7 +1116,7 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
     /// batch ticket fell back to the standard path and are counted as slow
     /// enqueues.
     pub fn enqueue_many(&mut self, indices: &[u64]) {
-        let on_ticket = self.ring.enqueue_many(self.tid, indices, &self.pace) as u64;
+        let on_ticket = self.ring.enqueue_many(self.tid, indices, &mut self.pace) as u64;
         self.stats.fast_enqueues += on_ticket;
         self.stats.slow_enqueues += indices.len() as u64 - on_ticket;
     }
@@ -1106,7 +1125,7 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
     /// whole run; returns the number appended (see
     /// `WcqRing::dequeue_many` for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-        let got = self.ring.dequeue_many(self.tid, out, max, &self.pace);
+        let got = self.ring.dequeue_many(self.tid, out, max, &mut self.pace);
         self.stats.fast_dequeues += got as u64;
         got
     }

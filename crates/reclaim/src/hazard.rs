@@ -287,6 +287,12 @@ impl<'d> HazardHandle<'d> {
         }
     }
 
+    /// The pointer currently published in hazard slot `idx` (null when the
+    /// slot is clear).  Diagnostics and tests.
+    pub fn protected(&self, idx: usize) -> *mut u8 {
+        self.domain.slot(self.tid, idx).load(Ordering::SeqCst)
+    }
+
     /// Clears a single hazard slot.
     #[inline]
     pub fn clear_one(&self, idx: usize) {

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::ptr;
 use std::sync::atomic::{
-    AtomicIsize, AtomicPtr, AtomicUsize,
+    AtomicPtr, AtomicU64, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
 };
 use std::sync::Arc;
@@ -80,15 +80,17 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     per_segment_bytes: usize,
     segments_live: AtomicUsize,
     segments_allocated: AtomicUsize,
-    /// Approximate element count: incremented after a completed enqueue,
-    /// decremented after a successful dequeue.  Deliberately decoupled from
-    /// the queue's linearization points — it is a *routing hint* (the sharded
-    /// queue's least-loaded policy and `is_empty_hint` read it), never a
-    /// correctness input, so relaxed ordering suffices.  The relaxed RMW on
-    /// this dedicated padded line is the price every operation pays for the
-    /// hint; the warn-only bench differ tracks it against the pre-counter
-    /// baselines.
-    len_hint: CachePadded<AtomicIsize>,
+    /// The length hint, kept as one single-writer net count (enqueues minus
+    /// dequeues) per handle slot and summed on read (see
+    /// [`UnboundedWcq::len_hint`]).  Deliberately decoupled from the queue's
+    /// linearization points — it is a *routing hint* (the sharded queue's
+    /// least-loaded policy and `is_empty_hint` read it), never a correctness
+    /// input.  Updating it is a plain load and store on the owner's own
+    /// word, where one shared counter cost every operation a locked
+    /// `fetch_add`.  The words are not cache-padded (8 B × `max_threads`
+    /// keeps the queue header small), so handles still share their lines —
+    /// as they shared the one counter's.
+    net_counts: Box<[NetCount]>,
     /// Optional telemetry counter set, shared with every segment's inner
     /// rings; segment-lifecycle events are recorded here too.
     counters: Option<Arc<CounterSet>>,
@@ -155,8 +157,9 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         Self {
             head: CachePadded::new(AtomicPtr::new(first)),
             tail: CachePadded::new(AtomicPtr::new(first)),
-            // Slot 0 protects the segment of the operation in flight; slot 1
-            // pins the handle's memoized segment binding between operations.
+            // Slot 1 pins the handle's memoized segment binding, between and
+            // during operations; slot 0 protects the segment of an operation
+            // that finds the memo pointing elsewhere (see `pin`).
             domain: HazardDomain::new(max_threads, 2),
             cache,
             seg_order,
@@ -165,7 +168,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             per_segment_bytes,
             segments_live: AtomicUsize::new(1),
             segments_allocated: AtomicUsize::new(1),
-            len_hint: CachePadded::new(AtomicIsize::new(0)),
+            net_counts: (0..max_threads).map(|_| NetCount::default()).collect(),
             counters,
         }
     }
@@ -176,6 +179,18 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         if let Some(set) = &self.counters {
             set.add(counter, n);
         }
+    }
+
+    /// Adds `n` completed enqueues by handle `tid` to the length hint.
+    #[inline]
+    fn note_enqueued(&self, tid: usize, n: u64) {
+        self.net_counts[tid].add(n);
+    }
+
+    /// Takes `n` completed dequeues by handle `tid` off the length hint.
+    #[inline]
+    fn note_dequeued(&self, tid: usize, n: u64) {
+        self.net_counts[tid].add(n.wrapping_neg());
     }
 
     /// The telemetry counter set shared with every segment, if attached.
@@ -209,6 +224,8 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             queue: self,
             hp,
             bound: ptr::null_mut(),
+            slot0_held: false,
+            pins: 0,
             pace: PatienceCell::from_config(&self.config),
             rebinds: 0,
             enqueues_completed: 0,
@@ -243,15 +260,20 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
 
     /// Approximate number of elements currently queued.
     ///
-    /// Maintained as a side counter next to the real operations, so it can
-    /// transiently lag both ways under concurrency; transient negatives clamp
-    /// to zero.  Use it for load-balancing decisions (the sharded queue's
+    /// Maintained as per-handle side counters next to the real operations
+    /// and summed here, so it can transiently lag both ways under concurrency;
+    /// transient negatives clamp to zero.  Use it for load-balancing decisions (the sharded queue's
     /// least-loaded routing) and freshness hints — never as an emptiness
     /// proof; only a dequeue that returns `None` is authoritative.
     pub fn len_hint(&self) -> usize {
-        // relaxed: advisory snapshot; the doc contract above says a stale
-        // or torn read is acceptable.
-        self.len_hint.load(Relaxed).max(0) as usize
+        // Exact whenever no operation is in flight; otherwise each handle's
+        // word is read at its own instant, hence the clamp.  (One handle's
+        // word alone may well be "negative": a pure consumer's is.)
+        let net = self
+            .net_counts
+            .iter()
+            .fold(0u64, |net, count| net.wrapping_add(count.read()));
+        (net as i64).max(0) as usize
     }
 
     /// Segments currently linked into the queue.
@@ -352,6 +374,33 @@ impl<T, F: CellFamily> std::fmt::Debug for UnboundedWcq<T, F> {
     }
 }
 
+/// One handle slot's completed enqueues minus its completed dequeues, modulo
+/// 2^64: a single writer at a time — the handle that owns the slot — and any
+/// number of advisory readers.
+#[derive(Default)]
+struct NetCount(AtomicU64);
+
+impl NetCount {
+    /// Adds `delta` (a negated count to subtract).  Owner only.
+    #[inline]
+    fn add(&self, delta: u64) {
+        // relaxed: single writer, so load-then-store loses no update; the
+        // value publishes nothing (an advisory statistic).  A later owner of
+        // the slot is ordered after this one by the hazard domain's
+        // participant hand-off.
+        let now = self.0.load(Relaxed).wrapping_add(delta);
+        // relaxed: see above.
+        self.0.store(now, Relaxed);
+    }
+
+    /// An advisory snapshot.
+    #[inline]
+    fn read(&self) -> u64 {
+        // relaxed: the `len_hint` contract says a stale read is acceptable.
+        self.0.load(Relaxed)
+    }
+}
+
 /// A per-thread handle to an [`UnboundedWcq`].
 ///
 /// The handle owns one hazard-domain participant slot; its participant id
@@ -362,7 +411,10 @@ impl<T, F: CellFamily> std::fmt::Debug for UnboundedWcq<T, F> {
 /// segment stays bound (record slots held, hazard slot 1 pinning it) between
 /// operations, so the common stay-in-one-segment case skips the per-operation
 /// acquire/release round trip entirely — two CASes and two releases per ring
-/// amortize to zero (the ROADMAP's "cheaper per-operation segment binding").
+/// amortize to zero (the ROADMAP's "cheaper per-operation segment binding")
+/// — and so does hazard protection: while `head`/`tail` still reads equal to
+/// the bound segment, an operation runs under slot 1 alone and writes no
+/// hazard slot at all (see `pin`).
 /// A bound segment cannot be recycled until the handle rebinds or drops, so
 /// at most one extra segment per registered handle can linger in the retired
 /// state — the memory bound stays O(backlog + threads).
@@ -384,6 +436,12 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// The memoized segment this handle is currently bound to (null when
     /// unbound).  Kept alive by hazard slot 1 for as long as it is set.
     bound: *mut Segment<T, F>,
+    /// `true` while hazard slot 0 holds a segment for the operation in flight:
+    /// set by [`Self::pin`] on a memo miss, cleared by [`Self::unpin`].
+    slot0_held: bool,
+    /// How many times [`Self::pin`] missed the memo and took hazard slot 0
+    /// (statistics; lets tests assert which path an operation ran).
+    pins: u64,
     /// Handle-local patience controller, carried *across* segments: the
     /// contention a handle sees is a property of the workload, not of which
     /// segment currently holds the backlog, so rebinding must not reset it.
@@ -411,15 +469,65 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         self.queue
     }
 
+    /// Returns the segment `src` (the outer `head` or `tail`) points at, safe
+    /// to dereference until [`Self::unpin`].
+    ///
+    /// **Memo hit** — `src` reads equal to the bound segment: hazard slot 1
+    /// has pinned that segment ever since [`Self::rebind`] moved onto it under
+    /// a validated slot-0 protection, so it cannot have been reclaimed (nor,
+    /// therefore, recycled and re-linked: the equality is not an ABA), and
+    /// the one load is the same "`src` pointed here at some instant during the
+    /// operation" a validated protect establishes.  No hazard slot is
+    /// written.  (`src` is never null, so an unbound handle always misses.)
+    ///
+    /// **Memo miss** — a segment crossing, a lagging tail, a head advance, a
+    /// fresh handle: Michael's publish-and-revalidate on slot 0, as before.
+    fn pin(&mut self, src: &AtomicPtr<Segment<T, F>>) -> *mut Segment<T, F> {
+        let seen = src.load(SeqCst);
+        if seen == self.bound {
+            return seen;
+        }
+        #[cfg(feature = "check-mutations")]
+        {
+            // MUTATION (check-mutations): treats every miss as a hit — the
+            // segment is used on the strength of one unvalidated load, with
+            // no hazard published.  The schedule point marks the window the
+            // missing protection leaves open: whatever runs here can drain,
+            // retire and recycle `seen` before this operation touches it.
+            wcq_atomics::checkpoint::hit("hazard.unpinned");
+            seen
+        }
+        #[cfg(not(feature = "check-mutations"))]
+        {
+            self.slot0_held = true;
+            self.pins += 1;
+            self.hp.protect(0, src)
+        }
+    }
+
+    /// Ends the protection [`Self::pin`] took: clears hazard slot 0 iff this
+    /// operation published it.  The one place slot 0 is cleared.
+    fn unpin(&mut self) {
+        if self.slot0_held {
+            self.slot0_held = false;
+            self.hp.clear_one(0);
+        }
+    }
+
     /// Points the memoized binding at `seg`, releasing the previous one.
     ///
     /// # Safety
-    /// `seg` must be protected by hazard slot 0 (it cannot be reclaimed while
-    /// we move hazard slot 1 onto it).
+    /// `seg` must come from [`Self::pin`] in the current operation: either it
+    /// is already the bound segment, or hazard slot 0 protects it (so it
+    /// cannot be reclaimed while hazard slot 1 moves onto it).
     unsafe fn rebind(&mut self, seg: *mut Segment<T, F>) {
         if self.bound == seg {
             return;
         }
+        debug_assert!(
+            self.slot0_held,
+            "a segment crossing must run under hazard slot 0"
+        );
         self.unbind();
         self.hp.protect_raw(1, seg);
         // SAFETY: protected via slot 0 per the function contract.
@@ -443,37 +551,34 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// Enqueues `value`.  Never fails: when the tail segment is full it is
     /// closed and a new segment (pre-loaded with `value`) is appended.
     pub fn enqueue(&mut self, value: T) {
+        self.enqueue_pinned(value);
+        self.unpin();
+    }
+
+    /// [`Self::enqueue`] up to, not including, the closing [`Self::unpin`].
+    fn enqueue_pinned(&mut self, value: T) {
+        let queue = self.queue;
         let tid = self.hp.tid();
         let mut value = value;
         loop {
-            let tailp = self.hp.protect(0, &self.queue.tail);
-            // SAFETY: protected by hazard slot 0; segments are retired only
-            // after becoming unreachable and unprotected.
+            let tailp = self.pin(&queue.tail);
+            // SAFETY: pinned; segments are retired only after becoming
+            // unreachable and unprotected.
             let seg = unsafe { &*tailp };
             let next = seg.next.load(SeqCst);
             if !next.is_null() {
                 // Help swing the lagging outer tail, as in MSQueue.
-                let _ = self
-                    .queue
-                    .tail
-                    .compare_exchange(tailp, next, SeqCst, SeqCst);
+                let _ = queue.tail.compare_exchange(tailp, next, SeqCst, SeqCst);
                 continue;
             }
-            // SAFETY: `tailp` is protected by slot 0 (rebind contract), and
-            // the bound op runs under the binding established here.
+            // SAFETY: `tailp` comes from `pin` (rebind contract), and the
+            // bound op runs under the binding established here.
             let attempt = unsafe {
                 self.rebind(tailp);
-                seg.try_enqueue_bound(tid, value, &self.pace)
+                seg.try_enqueue_bound(tid, value, &mut self.pace)
             };
             match attempt {
-                Ok(()) => {
-                    // relaxed: advisory length hint — monotonicity errors only skew
-                    // load-balance/freshness decisions, never correctness (see `len_hint`).
-                    self.queue.len_hint.fetch_add(1, Relaxed);
-                    self.enqueues_completed += 1;
-                    self.hp.clear_one(0);
-                    return;
-                }
+                Ok(()) => break,
                 Err(back) => {
                     value = back;
                     // Full: close so no later enqueue can land (the LSCQ
@@ -481,111 +586,116 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                     // successor), then append a fresh segment carrying the
                     // value, so winning the link race completes the enqueue.
                     seg.close();
-                    let (fresh, from_cache) = self.queue.fresh_segment_with(tid, value);
+                    let (fresh, from_cache) = queue.fresh_segment_with(tid, value);
                     if seg
                         .next
                         .compare_exchange(ptr::null_mut(), fresh, SeqCst, SeqCst)
                         .is_ok()
                     {
                         if from_cache {
-                            self.queue.cache.note_reused();
-                            self.queue.count(Counter::SegmentsReused, 1);
+                            queue.cache.note_reused();
+                            queue.count(Counter::SegmentsReused, 1);
                         }
-                        let _ = self
-                            .queue
-                            .tail
-                            .compare_exchange(tailp, fresh, SeqCst, SeqCst);
+                        let _ = queue.tail.compare_exchange(tailp, fresh, SeqCst, SeqCst);
                         // The pre-loaded value became reachable when the link
                         // CAS published the segment.
-                        // relaxed: advisory length hint — monotonicity errors only skew
-                        // load-balance/freshness decisions, never correctness (see `len_hint`).
-                        self.queue.len_hint.fetch_add(1, Relaxed);
-                        self.enqueues_completed += 1;
-                        self.hp.clear_one(0);
-                        return;
+                        break;
                     }
                     // Lost the race: reclaim the value and retry on the
                     // now-extended list.
-                    value = self.queue.abandon_fresh(tid, fresh);
+                    value = queue.abandon_fresh(tid, fresh);
                 }
             }
         }
+        queue.note_enqueued(tid, 1);
+        self.enqueues_completed += 1;
     }
 
     /// Dequeues an element; `None` when the whole queue was observed empty.
     pub fn dequeue(&mut self) -> Option<T> {
+        let value = self.dequeue_pinned();
+        self.unpin();
+        value
+    }
+
+    /// [`Self::dequeue`] up to, not including, the closing [`Self::unpin`].
+    fn dequeue_pinned(&mut self) -> Option<T> {
+        let queue = self.queue;
         let tid = self.hp.tid();
         // Contention-capped: under pressure the straggling enqueuer we may
         // wait on below needs the CPU more than we need a long spin phase.
         let mut backoff = Backoff::with_max_shift(self.pace.spin_cap());
         loop {
-            let headp = self.hp.protect(0, &self.queue.head);
-            // SAFETY: protected by hazard slot 0; the bound ops below run
-            // under the binding established by `rebind`.
+            let headp = self.pin(&queue.head);
+            // SAFETY: pinned; the bound ops below run under the binding
+            // established by `rebind`.
             let seg = unsafe {
                 self.rebind(headp);
                 &*headp
             };
             // SAFETY: bound just above.
-            if let Some(v) = unsafe { seg.try_dequeue_bound(tid, &self.pace) } {
-                // relaxed: advisory length hint — monotonicity errors only skew
-                // load-balance/freshness decisions, never correctness (see `len_hint`).
-                self.queue.len_hint.fetch_sub(1, Relaxed);
-                self.dequeues_completed += 1;
-                self.hp.clear_one(0);
-                return Some(v);
+            let mut got = unsafe { seg.try_dequeue_bound(tid, &mut self.pace) };
+            if got.is_none() {
+                let next = seg.next.load(SeqCst);
+                if next.is_null() {
+                    // Empty head segment with no successor: the queue was
+                    // empty at the inner dequeue's linearization point.
+                    return None;
+                }
+                // The segment is closed (it has a successor).  Before
+                // advancing, wait out enqueuers that hold a pre-close credit,
+                // then re-check emptiness: after that, the segment is
+                // permanently empty.
+                if seg.inflight() != 0 {
+                    // Bounded exponential backoff, then yield: the straggler
+                    // completes a *wait-free* inner enqueue as soon as it
+                    // gets CPU, so giving it the core beats burning ours.
+                    backoff.snooze_or_yield();
+                    continue;
+                }
+                // SAFETY: still bound to `headp`.
+                got = unsafe { seg.try_dequeue_bound(tid, &mut self.pace) };
+                if got.is_none() {
+                    // SAFETY: `headp` is pinned, drained and closed, and
+                    // `next` is its successor.
+                    unsafe { self.advance_head(headp, next) };
+                    continue;
+                }
             }
-            let next = seg.next.load(SeqCst);
-            if next.is_null() {
-                // Empty head segment with no successor: the queue was empty
-                // at the inner dequeue's linearization point.
-                self.hp.clear_one(0);
-                return None;
-            }
-            // The segment is closed (it has a successor).  Before advancing,
-            // wait out enqueuers that hold a pre-close credit, then re-check
-            // emptiness: after that, the segment is permanently empty.
-            if seg.inflight() != 0 {
-                // Bounded exponential backoff, then yield: the straggler
-                // completes a *wait-free* inner enqueue as soon as it gets
-                // CPU, so giving it the core beats burning ours.
-                backoff.snooze_or_yield();
-                continue;
-            }
-            // SAFETY: still bound to `headp`.
-            if let Some(v) = unsafe { seg.try_dequeue_bound(tid, &self.pace) } {
-                // relaxed: advisory length hint — monotonicity errors only skew
-                // load-balance/freshness decisions, never correctness (see `len_hint`).
-                self.queue.len_hint.fetch_sub(1, Relaxed);
-                self.dequeues_completed += 1;
-                self.hp.clear_one(0);
-                return Some(v);
-            }
-            // Help a lagging tail past the segment we are about to retire
-            // (MS-queue discipline).  The appender's hazard pins the segment
-            // until its own tail swing, so this is not needed for safety, but
-            // it keeps `head` from ever overtaking `tail`.
-            let _ = self
-                .queue
-                .tail
-                .compare_exchange(headp, next, SeqCst, SeqCst);
-            if self
-                .queue
-                .head
-                .compare_exchange(headp, next, SeqCst, SeqCst)
-                .is_ok()
-            {
-                self.queue.segments_live.fetch_sub(1, SeqCst);
-                // Release our own memoized binding before retiring the
-                // segment, or our hazard slot 1 would keep it pending until
-                // the next rebind.
-                self.unbind();
-                self.hp.clear_one(0);
-                self.queue.count(Counter::SegmentsRetired, 1);
-                // SAFETY: the CAS winner is the unique retirer of the now
-                // unreachable segment; `recycle_segment` matches `T, F`.
-                unsafe { self.hp.retire_with(headp, recycle_segment::<T, F>) };
-            }
+            queue.note_dequeued(tid, 1);
+            self.dequeues_completed += 1;
+            return got;
+        }
+    }
+
+    /// Swings the outer head from `headp` to its successor `next` and, when
+    /// this thread wins the swing, retires `headp`.
+    ///
+    /// # Safety
+    /// `headp` must be the pinned, bound head segment, observed closed (it has
+    /// the successor `next`), free of in-flight enqueuers, and empty after
+    /// that.
+    unsafe fn advance_head(&mut self, headp: *mut Segment<T, F>, next: *mut Segment<T, F>) {
+        let queue = self.queue;
+        // Help a lagging tail past the segment we are about to retire
+        // (MS-queue discipline).  The appender's hazard pins the segment
+        // until its own tail swing, so this is not needed for safety, but
+        // it keeps `head` from ever overtaking `tail`.
+        let _ = queue.tail.compare_exchange(headp, next, SeqCst, SeqCst);
+        if queue
+            .head
+            .compare_exchange(headp, next, SeqCst, SeqCst)
+            .is_ok()
+        {
+            queue.segments_live.fetch_sub(1, SeqCst);
+            // Release our own protection before retiring the segment, or our
+            // hazard slots would keep it pending until the next rebind.
+            self.unbind();
+            self.unpin();
+            queue.count(Counter::SegmentsRetired, 1);
+            // SAFETY: the CAS winner is the unique retirer of the now
+            // unreachable segment; `recycle_segment` matches `T, F`.
+            unsafe { self.hp.retire_with(headp, recycle_segment::<T, F>) };
         }
     }
 
@@ -600,6 +710,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// fresh tail, so the wait-freedom and exact-close arguments of
     /// [`UnboundedWcqHandle::enqueue`] carry over unchanged.
     pub fn enqueue_many(&mut self, values: &mut Vec<T>) -> usize {
+        let queue = self.queue;
         let tid = self.hp.tid();
         // A `VecDeque` makes every front removal along the segment walk O(1)
         // (a batch crossing many full segments would otherwise pay a front
@@ -609,28 +720,23 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         let mut pending: VecDeque<T> = std::mem::take(values).into();
         let mut total = 0;
         while !pending.is_empty() {
-            let tailp = self.hp.protect(0, &self.queue.tail);
-            // SAFETY: protected by hazard slot 0; segments are retired only
-            // after becoming unreachable and unprotected.
+            let tailp = self.pin(&queue.tail);
+            // SAFETY: pinned; segments are retired only after becoming
+            // unreachable and unprotected.
             let seg = unsafe { &*tailp };
             let next = seg.next.load(SeqCst);
             if !next.is_null() {
-                let _ = self
-                    .queue
-                    .tail
-                    .compare_exchange(tailp, next, SeqCst, SeqCst);
+                let _ = queue.tail.compare_exchange(tailp, next, SeqCst, SeqCst);
                 continue;
             }
-            // SAFETY: `tailp` is protected by slot 0 (rebind contract), and
-            // the bound op runs under the binding established here.
+            // SAFETY: `tailp` comes from `pin` (rebind contract), and the
+            // bound op runs under the binding established here.
             let accepted = unsafe {
                 self.rebind(tailp);
-                seg.try_enqueue_many_bound(tid, &mut pending, &self.pace)
+                seg.try_enqueue_many_bound(tid, &mut pending, &mut self.pace)
             };
             if accepted > 0 {
-                // relaxed: advisory length hint — monotonicity errors only skew
-                // load-balance/freshness decisions, never correctness (see `len_hint`).
-                self.queue.len_hint.fetch_add(accepted as isize, Relaxed);
+                queue.note_enqueued(tid, accepted as u64);
                 self.enqueues_completed += accepted as u64;
                 total += accepted;
                 continue;
@@ -639,11 +745,11 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // the single-op path (which closes the tail and appends a fresh
             // segment), then resume batching into the new tail.
             let value = pending.pop_front().expect("loop guard: non-empty");
-            // `enqueue` tallies its own completion.
-            self.enqueue(value);
+            // `enqueue_pinned` tallies its own completion.
+            self.enqueue_pinned(value);
             total += 1;
         }
-        self.hp.clear_one(0);
+        self.unpin();
         self.batch_values_granted += total as u64;
         total
     }
@@ -660,66 +766,51 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             return 0;
         }
         self.batch_values_requested += max as u64;
+        let got = self.dequeue_many_pinned(out, max);
+        self.unpin();
+        got
+    }
+
+    /// [`Self::dequeue_many`] up to, not including, the closing
+    /// [`Self::unpin`].
+    fn dequeue_many_pinned(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        let queue = self.queue;
         let tid = self.hp.tid();
         // Contention-capped, as in `dequeue`.
         let mut backoff = Backoff::with_max_shift(self.pace.spin_cap());
         loop {
-            let headp = self.hp.protect(0, &self.queue.head);
-            // SAFETY: protected by hazard slot 0; the bound ops below run
-            // under the binding established by `rebind`.
+            let headp = self.pin(&queue.head);
+            // SAFETY: pinned; the bound ops below run under the binding
+            // established by `rebind`.
             let seg = unsafe {
                 self.rebind(headp);
                 &*headp
             };
             // SAFETY: bound just above.
-            let got = unsafe { seg.try_dequeue_many_bound(tid, out, max, &self.pace) };
-            if got > 0 {
-                // relaxed: advisory length hint — monotonicity errors only skew
-                // load-balance/freshness decisions, never correctness (see `len_hint`).
-                self.queue.len_hint.fetch_sub(got as isize, Relaxed);
-                self.dequeues_completed += got as u64;
-                self.batch_values_granted += got as u64;
-                self.hp.clear_one(0);
-                return got;
+            let mut got = unsafe { seg.try_dequeue_many_bound(tid, out, max, &mut self.pace) };
+            if got == 0 {
+                // Same close / in-flight / re-check sequence as `dequeue`.
+                let next = seg.next.load(SeqCst);
+                if next.is_null() {
+                    return 0;
+                }
+                if seg.inflight() != 0 {
+                    backoff.snooze_or_yield();
+                    continue;
+                }
+                // SAFETY: still bound to `headp`.
+                got = unsafe { seg.try_dequeue_many_bound(tid, out, max, &mut self.pace) };
+                if got == 0 {
+                    // SAFETY: `headp` is pinned, drained and closed, and
+                    // `next` is its successor.
+                    unsafe { self.advance_head(headp, next) };
+                    continue;
+                }
             }
-            let next = seg.next.load(SeqCst);
-            if next.is_null() {
-                self.hp.clear_one(0);
-                return 0;
-            }
-            if seg.inflight() != 0 {
-                backoff.snooze_or_yield();
-                continue;
-            }
-            // SAFETY: still bound to `headp`.
-            let got = unsafe { seg.try_dequeue_many_bound(tid, out, max, &self.pace) };
-            if got > 0 {
-                // relaxed: advisory length hint — monotonicity errors only skew
-                // load-balance/freshness decisions, never correctness (see `len_hint`).
-                self.queue.len_hint.fetch_sub(got as isize, Relaxed);
-                self.dequeues_completed += got as u64;
-                self.batch_values_granted += got as u64;
-                self.hp.clear_one(0);
-                return got;
-            }
-            let _ = self
-                .queue
-                .tail
-                .compare_exchange(headp, next, SeqCst, SeqCst);
-            if self
-                .queue
-                .head
-                .compare_exchange(headp, next, SeqCst, SeqCst)
-                .is_ok()
-            {
-                self.queue.segments_live.fetch_sub(1, SeqCst);
-                self.unbind();
-                self.hp.clear_one(0);
-                self.queue.count(Counter::SegmentsRetired, 1);
-                // SAFETY: the CAS winner is the unique retirer of the now
-                // unreachable segment; `recycle_segment` matches `T, F`.
-                unsafe { self.hp.retire_with(headp, recycle_segment::<T, F>) };
-            }
+            queue.note_dequeued(tid, got as u64);
+            self.dequeues_completed += got as u64;
+            self.batch_values_granted += got as u64;
+            return got;
         }
     }
 
@@ -763,6 +854,7 @@ impl<'q, T, F: CellFamily> std::fmt::Debug for UnboundedWcqHandle<'q, T, F> {
         f.debug_struct("UnboundedWcqHandle")
             .field("tid", &self.hp.tid())
             .field("rebinds", &self.rebinds)
+            .field("pins", &self.pins)
             .finish()
     }
 }
@@ -943,6 +1035,68 @@ mod tests {
             set.get(Counter::SegmentRebinds) > 1,
             "growth must move the binding"
         );
+    }
+
+    #[test]
+    fn staying_in_one_segment_never_touches_hazard_slot_zero() {
+        // 256-slot segment, at most 2 values queued: 10 000 operations that
+        // never leave the first segment (fewer under the interpreter).
+        let rounds: u64 = if cfg!(miri) { 50 } else { 2_500 };
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(8, 2);
+        let mut h = q.register().unwrap();
+        assert_eq!(h.dequeue(), None, "the first operation binds the memo");
+        assert_eq!((h.pins, h.rebinds), (1, 1));
+        let seg = h.bound;
+        let on_the_memo = |h: &UnboundedWcqHandle<'_, u64>| {
+            assert!(h.hp.protected(0).is_null(), "slot 0 is clear between ops");
+            assert_eq!(h.hp.protected(1), seg.cast(), "slot 1 pins the segment");
+            assert_eq!(h.bound, seg);
+        };
+        on_the_memo(&h);
+        for i in 0..rounds {
+            h.enqueue(2 * i);
+            on_the_memo(&h);
+            h.enqueue(2 * i + 1);
+            on_the_memo(&h);
+            assert_eq!(h.dequeue(), Some(2 * i));
+            on_the_memo(&h);
+            assert_eq!(h.dequeue(), Some(2 * i + 1));
+            on_the_memo(&h);
+        }
+        assert_eq!(h.dequeue(), None, "an empty poll is a memo hit too");
+        on_the_memo(&h);
+        assert_eq!(
+            (h.pins, h.rebinds),
+            (1, 1),
+            "every operation after the first ran under hazard slot 1 alone"
+        );
+    }
+
+    #[test]
+    fn every_segment_crossing_runs_under_hazard_slot_zero() {
+        // 16-slot segments with interleaved enqueue/dequeue: the binding
+        // chases head and tail across many crossings, and each one must have
+        // been a memo miss that published (and afterwards cleared) slot 0.
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(4, 1);
+        let mut h = q.register().unwrap();
+        let mut next_out = 0u64;
+        let mut crossings = 0;
+        for i in 0..500u64 {
+            let (pins, rebinds) = (h.pins, h.rebinds);
+            h.enqueue(i);
+            if i % 3 == 0 {
+                assert_eq!(h.dequeue(), Some(next_out));
+                next_out += 1;
+            }
+            if h.rebinds > rebinds {
+                crossings += 1;
+                assert!(h.pins > pins, "a rebind without a slot-0 pin at op {i}");
+            }
+            assert!(h.hp.protected(0).is_null(), "slot 0 outlived op {i}");
+            assert_eq!(h.hp.protected(1), h.bound.cast());
+        }
+        assert!(crossings > 20, "growth must move the binding: {crossings}");
+        assert!(h.pins >= h.rebinds);
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl<T, F: CellFamily> Segment<T, F> {
         &self,
         tid: usize,
         value: T,
-        pace: &PatienceCell,
+        pace: &mut PatienceCell,
     ) -> Result<(), T> {
         self.inflight.fetch_add(1, SeqCst);
         let credit = self.state.fetch_sub(1, SeqCst);
@@ -125,13 +125,21 @@ impl<T, F: CellFamily> Segment<T, F> {
         // SAFETY: bound per the function contract.
         let res = unsafe { self.queue.enqueue_at(tid, value, pace) };
         if res.is_err() {
-            // A credit guarantees a free inner slot, so this branch is
-            // unreachable; restore the credit if the invariant ever breaks.
-            debug_assert!(false, "credit-holding enqueue found the inner ring full");
-            self.state.fetch_add(1, SeqCst);
+            self.credit_invariant_broken(1);
         }
         self.inflight.fetch_sub(1, SeqCst);
         res
+    }
+
+    /// A credit guarantees a free inner slot, so a credit-holding enqueue
+    /// never finds the inner ring full.  Should the invariant ever break,
+    /// give the `unused` credits back rather than leak them — out of line, so
+    /// the enqueue path carries only the (never taken) branch.
+    #[cold]
+    #[inline(never)]
+    fn credit_invariant_broken(&self, unused: i64) {
+        debug_assert!(false, "credit-holding enqueue found the inner ring full");
+        self.state.fetch_add(unused, SeqCst);
     }
 
     /// Batch counterpart of [`Segment::try_enqueue_bound`]: claims up to
@@ -159,7 +167,7 @@ impl<T, F: CellFamily> Segment<T, F> {
         &self,
         tid: usize,
         values: &mut VecDeque<T>,
-        pace: &PatienceCell,
+        pace: &mut PatienceCell,
     ) -> usize {
         if values.is_empty() {
             return 0;
@@ -201,7 +209,7 @@ impl<T, F: CellFamily> Segment<T, F> {
                     // The credit invariant rules this out; restore the value
                     // and the unused credits rather than losing either.
                     values.push_front(value);
-                    self.state.fetch_add(granted - accepted as i64, SeqCst);
+                    self.credit_invariant_broken(granted - accepted as i64);
                     break;
                 }
             }
@@ -215,7 +223,11 @@ impl<T, F: CellFamily> Segment<T, F> {
     ///
     /// # Safety
     /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_dequeue_bound(&self, tid: usize, pace: &PatienceCell) -> Option<T> {
+    pub(crate) unsafe fn try_dequeue_bound(
+        &self,
+        tid: usize,
+        pace: &mut PatienceCell,
+    ) -> Option<T> {
         // SAFETY: bound per the function contract.
         let v = unsafe { self.queue.dequeue_at(tid, pace) };
         if v.is_some() {
@@ -235,7 +247,7 @@ impl<T, F: CellFamily> Segment<T, F> {
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
-        pace: &PatienceCell,
+        pace: &mut PatienceCell,
     ) -> usize {
         // SAFETY: bound per the function contract.
         let got = unsafe { self.queue.dequeue_many_at(tid, out, max, pace) };
@@ -250,9 +262,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// fixed patience cell per call is fine for the same reason.
     pub(crate) fn try_enqueue(&self, tid: usize, value: T) -> Result<(), T> {
         assert!(self.bind(tid), "outer tid is exclusive to one operation");
-        let pace = PatienceCell::from_config(self.queue.config());
+        let mut pace = PatienceCell::from_config(self.queue.config());
         // SAFETY: bound above; unbound immediately after.
-        let res = unsafe { self.try_enqueue_bound(tid, value, &pace) };
+        let res = unsafe { self.try_enqueue_bound(tid, value, &mut pace) };
         unsafe { self.unbind(tid) };
         res
     }
@@ -261,9 +273,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// lost link race takes the pre-loaded value back out).
     pub(crate) fn try_dequeue(&self, tid: usize) -> Option<T> {
         assert!(self.bind(tid), "outer tid is exclusive to one operation");
-        let pace = PatienceCell::from_config(self.queue.config());
+        let mut pace = PatienceCell::from_config(self.queue.config());
         // SAFETY: bound above; unbound immediately after.
-        let v = unsafe { self.try_dequeue_bound(tid, &pace) };
+        let v = unsafe { self.try_dequeue_bound(tid, &mut pace) };
         unsafe { self.unbind(tid) };
         v
     }

@@ -63,10 +63,10 @@
 //! assert_eq!(sum, (0..100).sum());
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Arc;
-use std::thread::ThreadId;
 use std::time::Duration;
 
 use wcq_core::api::{QueueHandle, WaitFreeQueue};
@@ -335,6 +335,29 @@ pub(crate) fn timed<R>(outcome: Option<Result<R, RecvError>>) -> Result<R, RecvT
 // Lazily-bound per-endpoint queue handle
 // --------------------------------------------------------------------------
 
+/// A process-unique, never-zero id of the calling thread: one thread-local
+/// read per call, assigned from a global counter on the thread's first call.
+///
+/// [`HandleSlot::bind`] runs on every `send` and `recv`, and
+/// `std::thread::current().id()` clones and drops an `Arc<Thread>` each time
+/// (two locked instructions).  The address of a thread-local would be as
+/// cheap but is *not* an identity: a thread spawned after another exited can
+/// be handed the same TLS block, so an endpoint moved to it would look
+/// unmoved and skip the re-registration `bind` promises.  A counter value is
+/// never handed out twice.
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TOKEN: Cell<u64> = const { Cell::new(0) };
+    }
+    TOKEN.with(|token| {
+        if token.get() == 0 {
+            token.set(NEXT.fetch_add(1, SeqCst));
+        }
+        token.get()
+    })
+}
+
 /// An endpoint's registered queue handle, bound to the thread that last used
 /// the endpoint.
 ///
@@ -348,7 +371,8 @@ pub(crate) fn timed<R>(outcome: Option<Result<R, RecvError>>) -> Result<R, RecvT
 ///   outlive the `Arc` through any other path (`mem::forget` leaks both
 ///   together, which is safe).
 struct HandleSlot<T: Send + 'static> {
-    bound: Option<(ThreadId, Box<dyn QueueHandle<T> + 'static>)>,
+    /// The owning thread's [`thread_token`] and its handle.
+    bound: Option<(u64, Box<dyn QueueHandle<T> + 'static>)>,
 }
 
 impl<T: Send + 'static> HandleSlot<T> {
@@ -367,7 +391,7 @@ impl<T: Send + 'static> HandleSlot<T> {
         &'s mut self,
         core: &Arc<ChannelCore<T, I>>,
     ) -> &'s mut (dyn QueueHandle<T> + 'static) {
-        let me = std::thread::current().id();
+        let me = thread_token();
         if let Some((owner, _)) = &self.bound {
             if *owner != me {
                 // The endpoint migrated: release the old registration (all
@@ -647,7 +671,46 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// channel is empty.  Fails only once the channel is closed *and* fully
     /// drained.
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        wait::spin(|_| recv_answer(self.try_recv()))
+        self.spin_recv(Self::try_recv)
+    }
+
+    /// The spin driver over a receive attempt: after a first empty answer it
+    /// re-polls the ring only once [`Self::still_looks_empty`] says there may
+    /// be something to find.
+    fn spin_recv<R>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> Result<R, TryRecvError>,
+    ) -> Result<R, RecvError> {
+        wait::spin(|backoff| {
+            if backoff.step() > 0 && self.still_looks_empty() {
+                return None;
+            }
+            recv_answer(attempt(self))
+        })
+    }
+
+    /// Whether a spinning receive that has already found the channel empty
+    /// can skip its next poll: the channel is still open and the backend's
+    /// length hint still says empty.
+    ///
+    /// An empty poll of an SCQ-style ring is not a read: it takes a head
+    /// ticket, advances the slot's cycle, catches the tail up and decrements
+    /// the threshold — four writes to cache lines the next `send` needs.  A
+    /// receiver that outpaces its sender and re-polls the ring at the pace of
+    /// the backoff's first steps slows that sender down (measured: 20 000
+    /// sends into a spinning `recv` on another core took 30–50 % longer once
+    /// the uncontended poll itself had become cheap).  Re-polling the hint —
+    /// one or a few read-only words — costs the sender at most one line.
+    ///
+    /// Liveness needs only what every workspace backend's hint provides: it
+    /// is exact once operations have quiesced, so a value nobody takes turns
+    /// it non-empty and the next spin polls for real; a backend without a
+    /// real hint ([`WaitFreeQueue::has_empty_hint`]) is always polled.  A
+    /// closed channel is always polled too, so the exact-drain verdict comes
+    /// from `try_recv` alone.
+    fn still_looks_empty(&self) -> bool {
+        let queue = self.core.queue();
+        !self.core.is_closed() && queue.has_empty_hint() && queue.is_empty_hint()
     }
 
     /// Receives a value, waiting at most `timeout` while the channel is
@@ -683,7 +746,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// the channel is closed *and* fully drained.  `max == 0` returns `Ok(0)`
     /// immediately.
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
-        wait::spin(|_| recv_answer(self.try_recv_many(out, max)))
+        self.spin_recv(|rx| rx.try_recv_many(out, max))
     }
 
     /// Closes the channel from the consuming side (e.g. a worker pool
@@ -950,6 +1013,74 @@ mod tests {
         assert_eq!(rx.recv(), Ok(7));
         tx.send(8).unwrap(); // re-binds on this thread after the migration
         assert_eq!(rx.recv(), Ok(8));
+    }
+
+    #[test]
+    fn thread_tokens_are_nonzero_stable_and_never_reused() {
+        let mine = thread_token();
+        assert_ne!(mine, 0);
+        assert_eq!(thread_token(), mine, "stable within a thread");
+        // Sequential threads, each spawned after the previous one exited: the
+        // runtime typically hands every one of them the same stack and TLS
+        // block, which is exactly why the address of a thread-local cannot
+        // serve as the identity.  The tokens must all differ regardless.
+        thread_local! {
+            static PROBE: Cell<u8> = const { Cell::new(0) };
+        }
+        let mut tokens = vec![mine];
+        let mut tls_blocks = std::collections::HashSet::new();
+        for _ in 0..32 {
+            let (token, block) =
+                std::thread::spawn(|| (thread_token(), PROBE.with(|p| p.as_ptr() as usize)))
+                    .join()
+                    .unwrap();
+            assert_ne!(token, 0);
+            tokens.push(token);
+            tls_blocks.insert(block);
+        }
+        let distinct: std::collections::HashSet<u64> = tokens.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            tokens.len(),
+            "33 threads over {} distinct TLS blocks must hold 33 distinct tokens",
+            tls_blocks.len()
+        );
+    }
+
+    #[test]
+    fn a_moved_endpoint_rebinds_under_the_new_threads_token() {
+        let bound_to = |slot: &HandleSlot<u64>| slot.bound.as_ref().map(|(token, _)| *token);
+        let (mut tx, mut rx) = unbounded_pair();
+        assert_eq!(bound_to(&tx.slot), None, "binding is lazy");
+        tx.send(0).unwrap();
+        assert_eq!(bound_to(&tx.slot), Some(thread_token()));
+        // Thread A uses both endpoints and exits; thread B is spawned after.
+        let mut owners = vec![thread_token()];
+        for hop in 1..=2u64 {
+            (tx, rx, owners) = std::thread::spawn(move || {
+                tx.send(hop).unwrap();
+                assert_eq!(rx.recv(), Ok(hop - 1), "FIFO across the migration");
+                assert_eq!(bound_to(&tx.slot), Some(thread_token()));
+                assert_eq!(bound_to(&rx.slot), Some(thread_token()));
+                owners.push(thread_token());
+                (tx, rx, owners)
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(
+            bound_to(&tx.slot),
+            Some(owners[2]),
+            "still registered by the last thread that used it"
+        );
+        assert!(owners[0] != owners[1] && owners[1] != owners[2] && owners[0] != owners[2]);
+        // Back here: re-registers once more, and the drain is exact.
+        tx.send(3).unwrap();
+        assert_eq!(bound_to(&tx.slot), Some(owners[0]));
+        tx.close();
+        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(rx.recv(), Ok(3));
+        assert_eq!(rx.recv(), Err(RecvError));
     }
 
     #[test]

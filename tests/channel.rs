@@ -126,6 +126,86 @@ fn endpoints_fan_out_across_plain_spawned_threads() {
 }
 
 #[test]
+fn endpoints_migrate_through_a_chain_of_short_lived_threads() {
+    // Each hop's thread is spawned only after the previous one exited, so it
+    // is typically handed the dead thread's stack and TLS block: an endpoint
+    // that told threads apart by a TLS address would take every hop for the
+    // thread it is already registered on.  Whatever the registrations do,
+    // the values must come out exactly once — and in order wherever the
+    // backend promises order across a re-registration (the sharded backend
+    // keeps it per home shard, and a migrated endpoint may be given another).
+    const HOPS: u64 = 16;
+    const SENT_PER_HOP: u64 = 4;
+    const TAKEN_PER_HOP: u64 = 3;
+    for backend in all_channel_backends() {
+        let (mut tx, mut rx) = pair_over(backend);
+        let mut seen = Vec::new();
+        for hop in 0..HOPS {
+            let worker = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                for i in 0..SENT_PER_HOP {
+                    tx.send(hop * SENT_PER_HOP + i).unwrap();
+                }
+                for _ in 0..TAKEN_PER_HOP {
+                    got.push(rx.recv().unwrap());
+                }
+                (tx, rx, got)
+            });
+            let (tx_back, rx_back, got) = worker.join().unwrap();
+            (tx, rx) = (tx_back, rx_back);
+            seen.extend(got);
+        }
+        // Back on this thread: close, then the exact drain.
+        tx.close();
+        assert!(matches!(tx.try_send(0), Err(TrySendError::Closed(0))));
+        while let Ok(v) = rx.recv() {
+            seen.push(v);
+        }
+        assert_eq!(rx.recv(), Err(RecvError), "backend {backend:?}");
+        if backend == ChannelBackend::Sharded {
+            seen.sort_unstable();
+        }
+        assert_eq!(
+            seen,
+            (0..HOPS * SENT_PER_HOP).collect::<Vec<_>>(),
+            "backend {backend:?}: every value exactly once across {HOPS} migrations"
+        );
+    }
+}
+
+#[test]
+fn a_spinning_recv_watches_the_length_hint_instead_of_polling_the_ring() {
+    // An empty poll of the ring writes to four cache lines the next send
+    // needs, so a blocked `recv` must not keep issuing them: after its first
+    // empty answer it re-polls the backend's length hint and touches the
+    // ring again only when that turns non-empty (or the channel closes).
+    use wcq::{Counter, CountingInstrument};
+    for backend in [ChannelBackend::Unbounded, ChannelBackend::Sharded] {
+        let instr = CountingInstrument::new();
+        let (mut tx, mut rx) = wcq::builder()
+            .threads(4)
+            .backend(backend)
+            .instrument(instr.clone())
+            .build_channel::<u64>();
+        let ring_polls = || instr.snapshot().get(Counter::RingDequeues);
+        let receiver = std::thread::spawn(move || (rx.recv(), rx.recv()));
+        while ring_polls() == 0 {
+            std::thread::yield_now(); // until the receiver's first (empty) poll
+        }
+        // Time enough for thousands of polls, had it kept polling.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let while_empty = ring_polls();
+        assert!(
+            while_empty <= 8,
+            "backend {backend:?}: {while_empty} ring polls while provably empty"
+        );
+        tx.send(7).unwrap();
+        drop(tx); // the second `recv` must still see the close through the gate
+        assert_eq!(receiver.join().unwrap(), (Ok(7), Err(RecvError)));
+    }
+}
+
+#[test]
 fn receiver_side_close_fails_producers_fast() {
     let (mut tx, rx) = pair_over(ChannelBackend::Unbounded);
     tx.send(1).unwrap();

@@ -112,6 +112,20 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         16,
         "shard-set shrink racing a dequeue drain must lose nothing",
     ),
+    // Pins the hazard memo's miss condition rather than a fixed bug: under
+    // this seed the stalled dequeue is a memo *miss* (the handle's binding is
+    // not on the head segment), so only hazard slot 0 keeps the head segment
+    // from being recycled during the turnover.  The `check-mutations` mutant
+    // that skips slot 0 fails exactly here ("a dequeue returned None where
+    // the sequential model holds ..."); if a memo hit is ever inferred from
+    // anything weaker than `src == bound`, so does the real tree.
+    (
+        1,
+        Target::HazardWindow,
+        0x9E37_79B9_7F4A_7C1F,
+        1,
+        "a segment pinned by a stalled memo-miss dequeue must not be recycled",
+    ),
 ];
 
 #[test]
