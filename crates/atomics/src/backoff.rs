@@ -15,10 +15,6 @@
 #[derive(Debug, Clone)]
 pub struct Backoff {
     step: u32,
-    /// This instance's spin-phase cap (`<= MAX_SHIFT`).  Contention-aware
-    /// callers lower it so the loop reaches its yield phase sooner instead of
-    /// burning long spin bursts nobody will win.
-    max_shift: u32,
 }
 
 impl Backoff {
@@ -28,24 +24,7 @@ impl Backoff {
 
     /// Creates a fresh backoff with zero accumulated delay.
     pub const fn new() -> Self {
-        Self {
-            step: 0,
-            max_shift: Self::MAX_SHIFT,
-        }
-    }
-
-    /// Creates a backoff whose spin phase is capped at `2^cap` iterations
-    /// (`cap` itself is clamped to [`Backoff::MAX_SHIFT`]).  With a lower
-    /// cap, [`Backoff::snooze_or_yield`] starts yielding sooner.
-    pub const fn with_max_shift(cap: u32) -> Self {
-        Self {
-            step: 0,
-            max_shift: if cap > Self::MAX_SHIFT {
-                Self::MAX_SHIFT
-            } else {
-                cap
-            },
-        }
+        Self { step: 0 }
     }
 
     /// Resets the accumulated delay to zero.
@@ -57,11 +36,11 @@ impl Backoff {
     /// Spins briefly; the delay grows exponentially up to the cap.
     #[inline]
     pub fn snooze(&mut self) {
-        let spins = 1u32 << self.step.min(self.max_shift);
+        let spins = 1u32 << self.step.min(Self::MAX_SHIFT);
         for _ in 0..spins {
             core::hint::spin_loop();
         }
-        if self.step < self.max_shift {
+        if self.step < Self::MAX_SHIFT {
             self.step += 1;
         }
     }
@@ -69,7 +48,7 @@ impl Backoff {
     /// Returns `true` once the exponential delay has reached its cap.
     #[inline]
     pub fn is_completed(&self) -> bool {
-        self.step >= self.max_shift
+        self.step >= Self::MAX_SHIFT
     }
 
     /// Spins while the exponential delay is still growing, then yields the
@@ -123,25 +102,6 @@ mod tests {
         // Further snoozes stay capped.
         b.snooze();
         assert_eq!(b.step(), Backoff::MAX_SHIFT);
-    }
-
-    #[test]
-    fn lowered_cap_completes_sooner() {
-        let mut b = Backoff::with_max_shift(3);
-        for _ in 0..3 {
-            assert!(!b.is_completed());
-            b.snooze();
-        }
-        assert!(b.is_completed());
-        assert_eq!(b.step(), 3, "step never grows past the instance cap");
-        // The cap itself clamps to MAX_SHIFT.
-        let b = Backoff::with_max_shift(99);
-        assert!(!b.is_completed());
-        let mut b = b;
-        for _ in 0..Backoff::MAX_SHIFT {
-            b.snooze();
-        }
-        assert!(b.is_completed());
     }
 
     #[test]

@@ -85,7 +85,6 @@ fn ablation() {
             max_patience_dequeue: pd,
             help_delay: 16,
             catchup_bound: 64,
-            ..WcqConfig::default()
         };
         let queue = wcq::builder()
             .capacity_order(RING_ORDER)

@@ -3,8 +3,7 @@
 //!
 //! §6 of the paper states that with MAX_PATIENCE = 16 (enqueue) / 64
 //! (dequeue) the slow path is taken "relatively infrequently".  This binary
-//! measures exactly that: for several patience settings — the fixed sweep
-//! plus one `PatienceMode::Adaptive` row per thread count — it runs the
+//! measures exactly that: for several patience settings it runs the
 //! pairwise workload with a live [`wcq::CountingInstrument`] attached and reports
 //! throughput plus the slow-path fraction, the number of helping entries
 //! (Kogan-Petrank round-robin help checks that found a pending request) and
@@ -20,7 +19,7 @@
 
 use std::time::Instant;
 
-use wcq::{AdaptivePatience, Counter, CountingInstrument, WcqConfig};
+use wcq::{Counter, CountingInstrument, WcqConfig};
 use wcq_bench::BenchOpts;
 
 struct ConfigRun {
@@ -94,7 +93,6 @@ fn main() {
                 max_patience_dequeue: pd,
                 help_delay: hd,
                 catchup_bound: 64,
-                ..WcqConfig::default()
             };
             let run = run_config(cfg, threads, opts.ops, order);
             println!(
@@ -109,28 +107,6 @@ fn main() {
                 run.patience_exhausted
             );
         }
-        // The self-tuning row: same workload, no manual patience choice.  At
-        // one thread the controller rests at its minimum (uncontended shape);
-        // at the highest thread count it widens on its own — the acceptance
-        // bar is landing within 5% of whichever fixed row wins above.
-        let cfg = WcqConfig {
-            help_delay: 16,
-            catchup_bound: 64,
-            adaptive_patience: Some(AdaptivePatience::default()),
-            ..WcqConfig::default()
-        };
-        let run = run_config(cfg, threads, opts.ops, order);
-        println!(
-            "{:>8} {:>10} {:>10} {:>12} {:>12.3} {:>14.6} {:>12} {:>12}",
-            threads,
-            "adaptive",
-            "adaptive",
-            16,
-            run.mops,
-            run.slow_frac,
-            run.helping_entries,
-            run.patience_exhausted
-        );
     }
     println!();
     println!(
@@ -138,8 +114,6 @@ fn main() {
          reproducing the §6 claim that the slow path is taken relatively infrequently. \
          The helping and exhausted columns are absolute event counts from the metrics \
          snapshot: helping entries bound the wait-free help cost, patience exhaustions \
-         are exactly the slow-path entries.  The adaptive row uses \
-         PatienceMode::Adaptive with default clamps: no manual tuning, one row per \
-         thread count, expected within 5% of the best fixed row on its shape."
+         are exactly the slow-path entries."
     );
 }

@@ -7,7 +7,7 @@
 //! `t` consumers:
 //!
 //! * **channel rows** — endpoints from `build_channel()` over the unbounded,
-//!   bounded and sharded (pinned, x4) backends; the run ends through the
+//!   bounded and sharded (x4) backends; the run ends through the
 //!   channel's own close-and-drain protocol (producers drop, consumers recv
 //!   until `Closed`);
 //! * **batched rows** — the unbounded and sharded backends again, but with
@@ -48,9 +48,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::time::Instant;
 
 use wcq::channel::{Receiver, Sender};
-use wcq::{
-    ChannelBackend, CountingInstrument, Instrument, LatencyHistogram, ShardPolicy, WaitFreeQueue,
-};
+use wcq::{ChannelBackend, CountingInstrument, Instrument, LatencyHistogram, WaitFreeQueue};
 use wcq_bench::latency::{record_percentiles, timed};
 use wcq_bench::sweep::{print_table, write_tables_json};
 use wcq_bench::BenchOpts;
@@ -84,7 +82,6 @@ fn channel_builder(
         } else {
             1
         })
-        .shard_policy(ShardPolicy::Pinned)
         .backend(backend)
 }
 

@@ -36,7 +36,7 @@
 
 use std::time::Duration;
 
-use wcq::{AdaptivePatience, ChannelBackend, PatienceMode, ShardPolicy};
+use wcq::ChannelBackend;
 use wcq_bench::latency::record_percentiles;
 use wcq_bench::sweep::{print_table, write_tables_json};
 use wcq_bench::BenchOpts;
@@ -103,8 +103,6 @@ fn main() {
                     pattern,
                     backend,
                     shards: SCENARIO_SHARDS,
-                    shard_policy: ShardPolicy::default(),
-                    patience: PatienceMode::Adaptive(AdaptivePatience::default()),
                     work_ns: 200,
                     churn_events: 64,
                     worker_timeout: Duration::from_micros(500),

@@ -7,29 +7,22 @@
 //! the pairwise workload, while shards=1 stays within noise of the plain
 //! (unsharded) wLSCQ — i.e. the shard-router layer itself is close to free.
 //!
-//! The shard sweep routes with [`ShardPolicy::Pinned`] — the policy that
-//! actually partitions the hot spots (each thread stays on its home shard,
-//! so contention falls with the shard count).  The spreading policies
-//! (round-robin, least-loaded) deliberately trade that locality for uniform
-//! load distribution; they appear as x4 comparison series so the cost of the
-//! trade is visible in the same table.  The adaptive series routes to a
-//! self-sizing active prefix: at low thread counts it should track the x1
-//! single-shard fast path (beating round-robin's spread tax), and at 8
-//! threads it should widen to the full set and match pinned x4.
+//! Every thread enqueues on its home shard (the one routing rule), so
+//! contention falls with the shard count.
 //!
 //! The empty-dequeue workload is the honest worst case for sharding: a
 //! dequeue on an empty queue must observe *every* shard empty before
 //! returning `None`, so its cost grows linearly with the shard count.
 //!
 //! The pairwise table additionally records `enqueue_many(batch=64)` rows for
-//! plain wLSCQ and the x4 pinned shards: the same traffic through the batched
+//! plain wLSCQ and the x4 shards: the same traffic through the batched
 //! entry points, which claim a run of tickets with one F&A and pay the
 //! shard-routing / segment-memo cost once per batch (ROADMAP item 1 tracks
 //! this against LCRQ's single-op pairwise row).
 //!
 //! When the pairwise workload runs, a second table records per-op
 //! **latency percentiles** (p50/p90/p99/p999, in ns) of raw-handle enqueue
-//! and dequeue on plain wLSCQ and the x4 pinned shards, sampled with the
+//! and dequeue on plain wLSCQ and the x4 shards, sampled with the
 //! zero-dependency [`wcq::LatencyHistogram`] — the tail-latency view of the
 //! same hot-spot-splitting claim the throughput table makes.  It goes to the
 //! separate artifact `BENCH_sharded_latency.json` so the committed throughput
@@ -45,7 +38,7 @@
 //! 1 repeat / order 8) — the same flags the committed
 //! `bench_baselines/BENCH_sharded.json` was recorded with.
 
-use wcq::{LatencyHistogram, ShardPolicy, WaitFreeQueue};
+use wcq::{LatencyHistogram, WaitFreeQueue};
 use wcq_bench::batch::{run_batched_pairs_once, PAIRWISE_BATCH};
 use wcq_bench::latency::{record_percentiles, timed};
 use wcq_bench::sweep::{print_table, write_tables_json};
@@ -57,12 +50,7 @@ use wcq_harness::{make_queue, run_workload, QueueKind, Workload, WorkloadConfig}
 /// Shard counts the sweep covers.
 const SHARD_SWEEP: &[usize] = &[1, 2, 4, 8];
 
-fn sharded_queue(
-    shards: usize,
-    policy: ShardPolicy,
-    threads: usize,
-    ring_order: u32,
-) -> Box<dyn WaitFreeQueue<u64>> {
+fn sharded_queue(shards: usize, threads: usize, ring_order: u32) -> Box<dyn WaitFreeQueue<u64>> {
     Box::new(
         wcq::builder()
             // Same per-segment cap as the harness uses for the segmented
@@ -71,7 +59,6 @@ fn sharded_queue(
             // +1 slot for the between-repetitions drain handle.
             .threads(threads + 1)
             .shards(shards)
-            .shard_policy(policy)
             .build_sharded::<u64>(),
     )
 }
@@ -140,7 +127,7 @@ fn main() {
         );
         for &threads in &opts.threads {
             for &shards in SHARD_SWEEP {
-                let queue = sharded_queue(shards, ShardPolicy::Pinned, threads, opts.ring_order);
+                let queue = sharded_queue(shards, threads, opts.ring_order);
                 let series = format!("Sharded wLSCQ x{shards}");
                 sweep_cell(
                     &mut table,
@@ -150,14 +137,6 @@ fn main() {
                     threads,
                     &opts,
                 );
-            }
-            for (policy, series) in [
-                (ShardPolicy::RoundRobin, "Sharded wLSCQ x4 (round-robin)"),
-                (ShardPolicy::LeastLoaded, "Sharded wLSCQ x4 (least-loaded)"),
-                (ShardPolicy::Adaptive, "Sharded wLSCQ x4 (adaptive)"),
-            ] {
-                let queue = sharded_queue(4, policy, threads, opts.ring_order);
-                sweep_cell(&mut table, series, queue.as_ref(), workload, threads, &opts);
             }
             for kind in [QueueKind::WcqUnbounded, QueueKind::Lcrq] {
                 let queue = make_queue(kind, threads + 1, opts.ring_order);
@@ -181,7 +160,7 @@ fn main() {
                     ),
                     (
                         format!("Sharded wLSCQ x4 enqueue_many(batch={PAIRWISE_BATCH})"),
-                        sharded_queue(4, ShardPolicy::Pinned, threads, opts.ring_order),
+                        sharded_queue(4, threads, opts.ring_order),
                     ),
                 ] {
                     let samples: Vec<f64> = (0..opts.repeats)
@@ -233,7 +212,7 @@ fn main() {
                 ),
                 (
                     "Sharded wLSCQ x4",
-                    sharded_queue(4, ShardPolicy::Pinned, threads, opts.ring_order),
+                    sharded_queue(4, threads, opts.ring_order),
                 ),
             ] {
                 let enq_hist = LatencyHistogram::new();

@@ -17,8 +17,7 @@
 //!   hardware models) against the unbounded baselines LCRQ and MSQueue,
 //!   throughput plus post-run footprint.
 //! * `bench_sharded` — beyond the paper: the `ShardedWcq` shard-count sweep
-//!   (1/2/4/8 pinned shards, plus the round-robin / least-loaded routing
-//!   comparison) against plain wLSCQ and LCRQ; `--quick` reproduces the CI
+//!   (1/2/4/8 shards) against plain wLSCQ and LCRQ; `--quick` reproduces the CI
 //!   smoke / committed-baseline shape.
 //! * `bench_channel` — beyond the paper: the typed `Sender`/`Receiver`
 //!   channel endpoints (sync and async, all three backends) against raw

@@ -9,8 +9,8 @@
 //!
 //! Every run drives one [`Target`] — the bounded queue under the
 //! [`CheckedFamily`] native-CAS2 model or the instrumented LL/SC model, the
-//! unbounded wLSCQ, the channel close protocol, or the directed
-//! hazard-window probe — under one
+//! unbounded wLSCQ, the channel close protocol, the two-shard sharded queue,
+//! or the directed hazard-window probe — under one
 //! [`Schedule`], then feeds the observations to the shared
 //! no-loss/no-duplication/per-producer-FIFO oracle
 //! ([`verify_observations`]) plus the
@@ -37,13 +37,10 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wcq::{builder, ChannelBackend, TryRecvError, TrySendError};
-use wcq_core::adaptive::AdaptivePatience;
 use wcq_core::wcq::cells::CellFamily;
 use wcq_core::wcq::{LlscFamily, WcqConfig, WcqQueue};
 use wcq_harness::{decode, encode, verify_observations, DetRng};
-use wcq_unbounded::{
-    ShardPolicy, ShardedWcq, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE,
-};
+use wcq_unbounded::{ShardedWcq, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
 use crate::family::CheckedFamily;
 use crate::sched::{maybe_yield, with_intruder, Schedule, Scheduler};
@@ -66,12 +63,12 @@ pub enum Target {
     /// The channel close protocol over an LL/SC bounded backend, plus the
     /// in-flight close-credit probe.
     Channel,
-    /// Two-shard adaptive [`ShardedWcq`] over [`CheckedFamily`] segments,
-    /// with adaptive patience enabled and a *forced* active-prefix shrink
-    /// placed mid-run, racing the consumers' drain — proving the full-set
-    /// dequeue scan recovers every element a shrink leaves behind the
-    /// prefix, at every explored interleaving.
-    ShardedAdaptive,
+    /// Two-shard [`ShardedWcq`] over [`CheckedFamily`] segments: producers
+    /// on distinct home shards, consumers draining their own home and
+    /// stealing from the other while its producer is still enqueueing —
+    /// under the full oracle (per-producer FIFO included) plus the segment
+    /// residency bound composed over the shard set.
+    Sharded,
     /// Directed, not sampled: one handle of an unbounded wLSCQ is stalled at
     /// the first yield point of a seed-chosen dequeue while a second handle
     /// turns the whole queue over — fills past two segment boundaries,
@@ -93,7 +90,7 @@ impl Target {
             Target::BoundedLlsc,
             Target::Unbounded,
             Target::Channel,
-            Target::ShardedAdaptive,
+            Target::Sharded,
             Target::HazardWindow,
         ]
     }
@@ -105,7 +102,7 @@ impl Target {
             Target::BoundedLlsc => "bounded-llsc",
             Target::Unbounded => "unbounded",
             Target::Channel => "channel",
-            Target::ShardedAdaptive => "sharded-adaptive",
+            Target::Sharded => "sharded",
             Target::HazardWindow => "hazard-window",
         }
     }
@@ -179,26 +176,9 @@ impl CheckPlan {
                 max_patience_dequeue: 1,
                 help_delay: 1,
                 catchup_bound: 8,
-                ..WcqConfig::default()
             }
         } else {
             WcqConfig::default()
-        }
-    }
-
-    /// The sharded-adaptive target's config: the plan's patience shape with
-    /// the runtime controller switched on, so schedule exploration also
-    /// drives the EWMA bookkeeping.  A forced-slow plan clamps the adaptive
-    /// range to `[1, 1]`, preserving the slow-path forcing.
-    fn adaptive_config(&self) -> WcqConfig {
-        let max = if self.force_slow_path { 1 } else { 64 };
-        WcqConfig {
-            adaptive_patience: Some(AdaptivePatience {
-                min: 1,
-                max,
-                sample_every: 8,
-            }),
-            ..self.config()
         }
     }
 }
@@ -251,7 +231,7 @@ pub fn run_one(plan: &CheckPlan, target: Target, schedule: Schedule) -> Result<u
         Target::BoundedLlsc => run_bounded::<LlscFamily>(plan, schedule),
         Target::Unbounded => run_unbounded(plan, schedule),
         Target::Channel => run_channel(plan, schedule),
-        Target::ShardedAdaptive => run_sharded_adaptive(plan, schedule),
+        Target::Sharded => run_sharded(plan, schedule),
         Target::HazardWindow => run_hazard_window(plan, schedule),
     }));
     let violation = |message: String| Violation {
@@ -699,7 +679,7 @@ fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String
     Ok(steps)
 }
 
-fn run_sharded_adaptive(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
+fn run_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     const SHARDS: usize = 2;
     let threads = plan.producers + plan.consumers;
     let sched = Scheduler::new(threads, schedule);
@@ -710,45 +690,51 @@ fn run_sharded_adaptive(plan: &CheckPlan, schedule: Schedule) -> Result<u64, Str
             SHARDS,
             plan.ring_order,
             threads,
-            plan.adaptive_config(),
+            plan.config(),
             DEFAULT_SEGMENT_CACHE,
-            ShardPolicy::Adaptive,
         ));
     let expected = plan.producers as u64 * plan.ops_per_producer;
     let consumed = AtomicU64::new(0);
+    // Workers register on the queue in logical-id order, so record slots —
+    // and with them home shards — are a function of the plan, not of the
+    // schedule: worker `id` lives on shard `id % SHARDS`.  Two producers sit
+    // on distinct shards; a lone producer's shard is drained by a consumer
+    // whose home is the *other* one, so each of its dequeues is a steal.
+    let turn = AtomicU64::new(0);
+    let register_in_turn = |id: usize| {
+        while turn.load(SeqCst) != id as u64 {
+            maybe_yield("driver.register");
+        }
+        let h = queue.register().expect("one slot per worker");
+        assert_eq!(h.home_shard(), id % SHARDS);
+        turn.fetch_add(1, SeqCst);
+        h
+    };
 
     let observations = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for wid in 0..plan.producers {
             let sched = Arc::clone(&sched);
-            let queue = &queue;
+            let register_in_turn = &register_in_turn;
             let ops = plan.ops_per_producer;
             handles.push(s.spawn(move || {
                 let _reg = sched.register(wid);
-                let mut h = queue.register().expect("producer slot");
-                // First half with the prefix forced wide, so both shards
-                // hold elements; then shrink it back to one shard *while
-                // the consumers are mid-drain* and keep enqueueing.  The
-                // transitions land at whatever points the schedule chooses.
-                h.debug_set_active(SHARDS);
+                let mut h = register_in_turn(wid);
                 for seq in 1..=ops {
-                    if seq == ops / 2 + 1 {
-                        h.debug_set_active(1);
-                    }
                     maybe_yield("driver.enqueue");
                     h.enqueue(encode(wid, seq));
                 }
                 h.flush_reclamation();
-                Ok(Vec::new())
+                Vec::new()
             }));
         }
         for c in 0..plan.consumers {
             let sched = Arc::clone(&sched);
-            let queue = &queue;
+            let register_in_turn = &register_in_turn;
             let consumed = &consumed;
-            handles.push(s.spawn(move || -> Result<Vec<u64>, String> {
+            handles.push(s.spawn(move || {
                 let _reg = sched.register(plan.producers + c);
-                let mut h = queue.register().expect("consumer slot");
+                let mut h = register_in_turn(plan.producers + c);
                 let mut local = Vec::new();
                 while consumed.load(SeqCst) < expected {
                     maybe_yield("driver.poll");
@@ -758,7 +744,7 @@ fn run_sharded_adaptive(plan: &CheckPlan, schedule: Schedule) -> Result<u64, Str
                     }
                 }
                 h.flush_reclamation();
-                Ok(local)
+                local
             }));
         }
         handles
@@ -767,30 +753,21 @@ fn run_sharded_adaptive(plan: &CheckPlan, schedule: Schedule) -> Result<u64, Str
                 h.join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
+            .collect::<Vec<_>>()
+    });
 
     let enqueue_counts: HashMap<usize, u64> = (0..plan.producers)
         .map(|wid| (wid, plan.ops_per_producer))
         .collect();
-    // Count balance (a shrink that strands an element behind the prefix
-    // shows up here as loss), no invention, no duplication.  Per-producer
-    // FIFO is *not* asserted: adaptive routing deliberately spreads one
-    // producer across shards, whose streams may interleave.
-    let got: u64 = observations.iter().map(|o| o.len() as u64).sum();
-    if got != expected {
-        return Err(format!(
-            "shrink-vs-drain loss or over-consumption: {expected} values              enqueued but {got} dequeued"
-        ));
-    }
-    verify_observations(&enqueue_counts, &observations, false)?;
+    verify_counts(&enqueue_counts, &observations)?;
 
     // Per-shard residency probe, composed over the shard set.
     let stats = queue.segment_stats();
     let bound = SHARDS * (1 + DEFAULT_SEGMENT_CACHE + threads);
     if stats.resident() > bound {
         return Err(format!(
-            "sharded segment residency bound violated after drain: {resident}              resident (live {live} + cached {cached} + retired {retired}) > {bound}",
+            "sharded segment residency bound violated after drain: {resident} \
+             resident (live {live} + cached {cached} + retired {retired}) > {bound}",
             resident = stats.resident(),
             live = stats.live,
             cached = stats.cached,

@@ -29,7 +29,7 @@ fn usage() -> ExitCode {
          \x20      wcq-check --smoke\n\
          \x20      wcq-check --explore [plan_count] [sched_seeds_per]\n\
          \x20      wcq-check --replay <plan_seed> <target> <sched_seed> <depth>\n\
-         targets: bounded bounded-llsc unbounded channel sharded-adaptive hazard-window"
+         targets: bounded bounded-llsc unbounded channel sharded hazard-window"
     );
     ExitCode::from(2)
 }

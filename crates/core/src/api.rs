@@ -77,30 +77,15 @@ pub trait QueueHandle<T> {
     /// latency-sensitive callers should prefer [`QueueHandle::try_enqueue`]
     /// and their own backpressure policy.
     ///
-    /// The spin phase is bounded by [`QueueHandle::spin_cap_hint`], so
-    /// contention-aware handles reach the yield phase sooner when long spin
-    /// bursts would only steal cycles from the consumers draining the queue.
-    /// Each retry still passes through `Backoff::snooze_or_yield`'s
-    /// `wcq-check` checkpoint seam regardless of the cap — the scheduler sees
-    /// every wait iteration, capped or not, so schedule exploration is
-    /// unaffected by the adaptive signal.
+    /// Each retry passes through `Backoff::snooze_or_yield`'s `wcq-check`
+    /// checkpoint seam, so the schedule explorer sees every wait iteration.
     fn enqueue(&mut self, value: T) {
         let mut item = value;
-        let mut backoff = wcq_atomics::Backoff::with_max_shift(self.spin_cap_hint());
+        let mut backoff = wcq_atomics::Backoff::new();
         while let Err(back) = self.try_enqueue(item) {
             item = back;
             backoff.snooze_or_yield();
         }
-    }
-
-    /// The spin-phase cap (a [`wcq_atomics::Backoff`] max shift) the blocking
-    /// [`QueueHandle::enqueue`] retry loop should run with.  The default is
-    /// the full [`wcq_atomics::Backoff::MAX_SHIFT`] (the historical
-    /// behaviour); handles with a handle-local contention estimate override
-    /// it to yield sooner under pressure.  Hint only — any value is safe, the
-    /// backoff clamps it.
-    fn spin_cap_hint(&self) -> u32 {
-        wcq_atomics::Backoff::MAX_SHIFT
     }
 
     /// Enqueues a batch: accepts a prefix of `values` (removed from the
@@ -118,8 +103,7 @@ pub trait QueueHandle<T> {
     /// queue's ordering guarantee — for FIFO queues, elements of one batch
     /// dequeue in batch order and batches from one handle dequeue in call
     /// order (per-producer FIFO); no ordering is added *across* concurrent
-    /// producers, and a sharded backend keeps per-producer FIFO only under
-    /// pinned routing, batch or not.
+    /// producers.
     ///
     /// The default walks [`QueueHandle::try_enqueue`]; implementations with
     /// a cheaper bulk path (one ticket-run reservation per batch, one
@@ -338,9 +322,6 @@ impl<T: Send, F: CellFamily> QueueHandle<T> for WcqQueueHandle<'_, T, F> {
     }
     fn dequeue_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         WcqQueueHandle::dequeue_many(self, out, max)
-    }
-    fn spin_cap_hint(&self) -> u32 {
-        self.pace().spin_cap()
     }
 }
 

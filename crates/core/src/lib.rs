@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adaptive;
 pub mod api;
 pub mod channel;
 pub mod metrics;
@@ -62,7 +61,6 @@ pub mod pack;
 pub mod scq;
 pub mod wcq;
 
-pub use adaptive::{AdaptivePatience, PatienceCell, PatienceController, PatienceMode};
 pub use api::{QueueHandle, WaitFreeQueue};
 pub use channel::{RecvError, SendError, TryRecvError, TrySendError};
 pub use metrics::{

@@ -10,7 +10,7 @@
 //! * [`Counter`] / [`CounterSet`] — a fixed registry of cache-padded atomic
 //!   counters covering every layer: ring ops and helping entries, patience
 //!   exhaustion, CAS and spurious-SC failures, segment allocation vs cache
-//!   reuse, shard routing vs stealing, batch sizes requested vs granted,
+//!   reuse, shard stealing, batch sizes requested vs granted,
 //!   channel park/wake/close events and executor poll/wake counts.
 //! * [`Instrument`] — the compile-time strategy: [`NoopInstrument`] (the
 //!   default) monomorphizes every `record` call to nothing, while
@@ -55,7 +55,7 @@ use wcq_atomics::CachePadded;
 // --------------------------------------------------------------------------
 
 /// Number of distinct counters in the registry.
-pub const COUNTER_COUNT: usize = 28;
+pub const COUNTER_COUNT: usize = 24;
 
 /// Every event class the observability layer records, across all layers.
 ///
@@ -104,8 +104,6 @@ pub enum Counter {
     SegmentsRetired,
     /// Times a handle's memoized segment binding had to move.
     SegmentRebinds,
-    /// Shard-routing decisions taken by sharded enqueue/batch calls.
-    ShardRoutes,
     /// Dequeues satisfied by a non-home shard (work stealing).
     ShardSteals,
     /// Channel-side waker parks (a future registered and suspended).
@@ -118,14 +116,12 @@ pub enum Counter {
     ExecPolls,
     /// Executor wakes (unpark calls) observed by the harness executor.
     ExecWakes,
-    /// Adaptive patience controller widened a handle's patience bound.
+    /// Retired: always 0.  Patience is the static bound of [`WcqConfig`]
+    /// (§6 of the paper) and nothing raises it; the variant only remains
+    /// because the gated `benchmark/` package still names it.
+    ///
+    /// [`WcqConfig`]: crate::wcq::WcqConfig
     PatienceRaised,
-    /// Adaptive patience controller shrank a handle's patience bound.
-    PatienceLowered,
-    /// Adaptive shard routing widened a handle's active shard prefix.
-    ShardSetGrown,
-    /// Adaptive shard routing shrank a handle's active shard prefix.
-    ShardSetShrunk,
 }
 
 impl Counter {
@@ -148,7 +144,6 @@ impl Counter {
         Counter::SegmentsReused,
         Counter::SegmentsRetired,
         Counter::SegmentRebinds,
-        Counter::ShardRoutes,
         Counter::ShardSteals,
         Counter::ChannelParks,
         Counter::ChannelWakes,
@@ -156,9 +151,6 @@ impl Counter {
         Counter::ExecPolls,
         Counter::ExecWakes,
         Counter::PatienceRaised,
-        Counter::PatienceLowered,
-        Counter::ShardSetGrown,
-        Counter::ShardSetShrunk,
     ];
 
     /// Stable snake_case name, used as the JSON series key.
@@ -181,7 +173,6 @@ impl Counter {
             Counter::SegmentsReused => "segments_reused",
             Counter::SegmentsRetired => "segments_retired",
             Counter::SegmentRebinds => "segment_rebinds",
-            Counter::ShardRoutes => "shard_routes",
             Counter::ShardSteals => "shard_steals",
             Counter::ChannelParks => "channel_parks",
             Counter::ChannelWakes => "channel_wakes",
@@ -189,9 +180,6 @@ impl Counter {
             Counter::ExecPolls => "exec_polls",
             Counter::ExecWakes => "exec_wakes",
             Counter::PatienceRaised => "patience_raised",
-            Counter::PatienceLowered => "patience_lowered",
-            Counter::ShardSetGrown => "shard_set_grown",
-            Counter::ShardSetShrunk => "shard_set_shrunk",
         }
     }
 

@@ -18,4 +18,4 @@ mod ring;
 
 pub use cells::{CellFamily, LlscFamily, NativeFamily};
 pub use queue::{WcqQueue, WcqQueueHandle};
-pub use ring::{WcqConfig, WcqHandle, WcqRing, WcqStats};
+pub use ring::{WcqConfig, WcqHandle, WcqRing};

@@ -8,12 +8,11 @@ use core::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::adaptive::PatienceCell;
 use crate::api::tid_memo;
 use crate::metrics::{Counter, CounterSet};
 
 use super::cells::{CellFamily, NativeFamily};
-use super::ring::{WcqConfig, WcqRing, WcqStats};
+use super::ring::{WcqConfig, WcqRing};
 
 /// A bounded, wait-free MPMC FIFO queue of `T` with capacity `2^order`.
 ///
@@ -163,10 +162,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         self.try_acquire_slot(tid).then(|| WcqQueueHandle {
             queue: self,
             tid,
-            aq_stats: WcqStats::default(),
-            fq_stats: WcqStats::default(),
             tallies: OpTallies::default(),
-            pace: PatienceCell::from_config(self.config()),
             _not_send: PhantomData,
         })
     }
@@ -208,45 +204,35 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     }
 
     /// Attempts to enqueue `value` as the thread owning record slot `tid`;
-    /// returns it back inside `Err` when the queue is full.
-    ///
-    /// `pace` is the caller's [`PatienceCell`] (see [`crate::adaptive`]);
-    /// handle-based callers pass their own, raw callers keep one per slot
-    /// binding (or a fresh fixed cell when off the hot path).
+    /// returns it back inside `Err` when the queue is full (`Enqueue_Ptr`,
+    /// Figure 2).
     ///
     /// # Safety
     /// The caller must own slot `tid` via [`WcqQueue::try_acquire_slot`] and
     /// no other thread may operate under the same `tid` concurrently.
-    pub unsafe fn enqueue_at(
-        &self,
-        tid: usize,
-        value: T,
-        pace: &mut PatienceCell,
-    ) -> Result<(), T> {
-        let (index, _slow) = self.fq.dequeue_index(tid, pace);
-        let Some(index) = index else {
+    pub unsafe fn enqueue_at(&self, tid: usize, value: T) -> Result<(), T> {
+        let Some(index) = self.fq.dequeue_index(tid) else {
             return Err(value);
         };
         // SAFETY: the free index came from `fq`; we own the slot until we
         // publish the index through `aq`.
         unsafe { (*self.data[index as usize].get()).write(value) };
-        self.aq.enqueue_index(tid, index, pace);
+        self.aq.enqueue_index(tid, index);
         Ok(())
     }
 
     /// Attempts to dequeue an element as the thread owning record slot `tid`;
-    /// `None` when the queue was observed empty.
+    /// `None` when the queue was observed empty (`Dequeue_Ptr`, Figure 2).
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn dequeue_at(&self, tid: usize, pace: &mut PatienceCell) -> Option<T> {
-        let (index, _slow) = self.aq.dequeue_index(tid, pace);
-        let index = index?;
+    pub unsafe fn dequeue_at(&self, tid: usize) -> Option<T> {
+        let index = self.aq.dequeue_index(tid)?;
         // SAFETY: the index came from `aq`; the matching enqueue fully
         // initialized the slot and nobody else touches it until we hand the
         // index back to `fq`.
         let value = unsafe { (*self.data[index as usize].get()).assume_init_read() };
-        self.fq.enqueue_index(tid, index, pace);
+        self.fq.enqueue_index(tid, index);
         Some(value)
     }
 
@@ -266,24 +252,19 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn enqueue_many_at(
-        &self,
-        tid: usize,
-        values: &mut VecDeque<T>,
-        pace: &mut PatienceCell,
-    ) -> usize {
+    pub unsafe fn enqueue_many_at(&self, tid: usize, values: &mut VecDeque<T>) -> usize {
         if values.is_empty() {
             return 0;
         }
         let mut free = Vec::with_capacity(values.len().min(self.capacity()));
-        self.fq.dequeue_many(tid, &mut free, values.len(), pace);
+        self.fq.dequeue_many(tid, &mut free, values.len());
         let accepted = free.len();
         for (&index, value) in free.iter().zip(values.drain(..accepted)) {
             // SAFETY: each free index came from `fq`; we own its slot until
             // the run is published through `aq`.
             unsafe { (*self.data[index as usize].get()).write(value) };
         }
-        self.aq.enqueue_many(tid, &free, pace);
+        self.aq.enqueue_many(tid, &free);
         accepted
     }
 
@@ -296,25 +277,19 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn dequeue_many_at(
-        &self,
-        tid: usize,
-        out: &mut Vec<T>,
-        max: usize,
-        pace: &mut PatienceCell,
-    ) -> usize {
+    pub unsafe fn dequeue_many_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
         }
         let mut indices = Vec::with_capacity(max.min(self.capacity()));
-        let got = self.aq.dequeue_many(tid, &mut indices, max, pace);
+        let got = self.aq.dequeue_many(tid, &mut indices, max);
         for &index in &indices {
             // SAFETY: each index came from `aq`; the matching enqueue fully
             // initialized the slot and nobody else touches it until the run
             // is handed back to `fq`.
             out.push(unsafe { (*self.data[index as usize].get()).assume_init_read() });
         }
-        self.fq.enqueue_many(tid, &indices, pace);
+        self.fq.enqueue_many(tid, &indices);
         got
     }
 
@@ -378,13 +353,7 @@ impl<T, F: CellFamily> std::fmt::Debug for WcqQueue<T, F> {
 pub struct WcqQueueHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q WcqQueue<T, F>,
     tid: usize,
-    aq_stats: WcqStats,
-    fq_stats: WcqStats,
     tallies: OpTallies,
-    /// Handle-local patience controller shared by both rings: ring enqueues
-    /// feed its enqueue direction, ring dequeues its dequeue direction (a
-    /// queue-level enqueue exercises both, via `fq` then `aq`).
-    pace: PatienceCell,
     /// Pins the handle to its registering thread (`!Send`/`!Sync`).
     _not_send: PhantomData<*const ()>,
 }
@@ -416,48 +385,20 @@ impl OpTallies {
 
 impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Attempts to enqueue `value`; returns it back inside `Err` when the
-    /// queue is full (`Enqueue_Ptr`, Figure 2).
+    /// queue is full.
     pub fn enqueue(&mut self, value: T) -> Result<(), T> {
-        let (index, slow) = self.queue.fq.dequeue_index(self.tid, &mut self.pace);
-        if slow {
-            self.fq_stats.slow_dequeues += 1;
-        } else {
-            self.fq_stats.fast_dequeues += 1;
-        }
-        let Some(index) = index else {
-            return Err(value);
-        };
-        // SAFETY: the free index came from `fq`; we own the slot until we
-        // publish the index through `aq`.
-        unsafe { (*self.queue.data[index as usize].get()).write(value) };
-        if self.queue.aq.enqueue_index(self.tid, index, &mut self.pace) {
-            self.aq_stats.slow_enqueues += 1;
-        } else {
-            self.aq_stats.fast_enqueues += 1;
-        }
+        // SAFETY: the handle's existence proves ownership of slot `tid` on
+        // the registering thread (`!Send`).
+        unsafe { self.queue.enqueue_at(self.tid, value) }?;
         self.tallies.enqueues_completed += 1;
         Ok(())
     }
 
-    /// Attempts to dequeue an element; returns `None` when the queue is empty
-    /// (`Dequeue_Ptr`, Figure 2).
+    /// Attempts to dequeue an element; returns `None` when the queue is
+    /// empty.
     pub fn dequeue(&mut self) -> Option<T> {
-        let (index, slow) = self.queue.aq.dequeue_index(self.tid, &mut self.pace);
-        if slow {
-            self.aq_stats.slow_dequeues += 1;
-        } else {
-            self.aq_stats.fast_dequeues += 1;
-        }
-        let index = index?;
-        // SAFETY: the index came from `aq`; the matching enqueue fully
-        // initialized the slot and nobody else touches it until we hand the
-        // index back to `fq`.
-        let value = unsafe { (*self.queue.data[index as usize].get()).assume_init_read() };
-        if self.queue.fq.enqueue_index(self.tid, index, &mut self.pace) {
-            self.fq_stats.slow_enqueues += 1;
-        } else {
-            self.fq_stats.fast_enqueues += 1;
-        }
+        // SAFETY: as in `enqueue`.
+        let value = unsafe { self.queue.dequeue_at(self.tid) }?;
         self.tallies.dequeues_completed += 1;
         Some(value)
     }
@@ -465,22 +406,15 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Batch [`WcqQueueHandle::enqueue`]: accepts a FIFO prefix of `values`
     /// with one free-ring and one data-ring F&A for the whole run (see
     /// [`WcqQueue::enqueue_many_at`]); the unaccepted remainder stays in
-    /// `values`.  Returns the number accepted.  Batch elements are counted
-    /// as fast-path operations in [`WcqQueueHandle::stats`].
+    /// `values`.  Returns the number accepted.
     pub fn enqueue_many(&mut self, values: &mut Vec<T>) -> usize {
         // The Vec ↔ VecDeque round-trip is one buffer reuse in and at most
         // one memmove out (when a prefix was drained).
         let requested = values.len() as u64;
         let mut pending: VecDeque<T> = std::mem::take(values).into();
-        // SAFETY: the handle's existence proves ownership of slot `tid` on
-        // the registering thread (`!Send`).
-        let accepted = unsafe {
-            self.queue
-                .enqueue_many_at(self.tid, &mut pending, &mut self.pace)
-        };
+        // SAFETY: as in `enqueue`.
+        let accepted = unsafe { self.queue.enqueue_many_at(self.tid, &mut pending) };
         *values = pending.into();
-        self.fq_stats.fast_dequeues += accepted as u64;
-        self.aq_stats.fast_enqueues += accepted as u64;
         self.tallies.enqueues_completed += accepted as u64;
         self.tallies.batch_values_requested += requested;
         self.tallies.batch_values_granted += accepted as u64;
@@ -491,13 +425,8 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// `out` with one data-ring and one free-ring F&A for the whole run (see
     /// [`WcqQueue::dequeue_many_at`] for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        // SAFETY: as in `enqueue_many`.
-        let got = unsafe {
-            self.queue
-                .dequeue_many_at(self.tid, out, max, &mut self.pace)
-        };
-        self.aq_stats.fast_dequeues += got as u64;
-        self.fq_stats.fast_enqueues += got as u64;
+        // SAFETY: as in `enqueue`.
+        let got = unsafe { self.queue.dequeue_many_at(self.tid, out, max) };
         self.tallies.dequeues_completed += got as u64;
         self.tallies.batch_values_requested += max as u64;
         self.tallies.batch_values_granted += got as u64;
@@ -512,21 +441,6 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// The record-slot index this handle owns in both rings.
     pub fn tid(&self) -> usize {
         self.tid
-    }
-
-    /// Combined fast/slow path statistics of the underlying `aq`/`fq` rings.
-    ///
-    /// The `aq` half counts this handle's data-ring operations (enqueues from
-    /// [`WcqQueueHandle::enqueue`], dequeues from
-    /// [`WcqQueueHandle::dequeue`]); the `fq` half the mirror-image free-ring
-    /// operations, matching the pre-split per-ring handle statistics.
-    pub fn stats(&self) -> (WcqStats, WcqStats) {
-        (self.aq_stats, self.fq_stats)
-    }
-
-    /// The handle's patience cell (current bounds + contention estimate).
-    pub fn pace(&self) -> &PatienceCell {
-        &self.pace
     }
 }
 
@@ -545,8 +459,6 @@ impl<'q, T, F: CellFamily> std::fmt::Debug for WcqQueueHandle<'q, T, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WcqQueueHandle")
             .field("tid", &self.tid)
-            .field("aq_stats", &self.aq_stats)
-            .field("fq_stats", &self.fq_stats)
             .finish()
     }
 }
@@ -651,14 +563,13 @@ mod tests {
         let q: WcqQueue<u64> = WcqQueue::new(3, 2);
         assert!(q.try_acquire_slot(0));
         assert!(!q.try_acquire_slot(0), "double acquisition must fail");
-        let mut pace = PatienceCell::from_config(q.config());
         // SAFETY: slot 0 acquired above; single-threaded use.
         unsafe {
-            assert_eq!(q.enqueue_at(0, 41, &mut pace), Ok(()));
-            assert_eq!(q.enqueue_at(0, 42, &mut pace), Ok(()));
-            assert_eq!(q.dequeue_at(0, &mut pace), Some(41));
-            assert_eq!(q.dequeue_at(0, &mut pace), Some(42));
-            assert_eq!(q.dequeue_at(0, &mut pace), None);
+            assert_eq!(q.enqueue_at(0, 41), Ok(()));
+            assert_eq!(q.enqueue_at(0, 42), Ok(()));
+            assert_eq!(q.dequeue_at(0), Some(41));
+            assert_eq!(q.dequeue_at(0), Some(42));
+            assert_eq!(q.dequeue_at(0), None);
             q.release_slot(0);
         }
         assert!(q.try_acquire_slot(0), "release frees the slot");
@@ -729,7 +640,6 @@ mod tests {
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
-            ..WcqConfig::default()
         };
         let q: WcqQueue<u64> = WcqQueue::with_config(4, 2, cfg);
         let mut h = q.register().unwrap();
@@ -839,7 +749,6 @@ mod tests {
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
-            ..WcqConfig::default()
         };
         let q: WcqQueue<(u64, u64)> = WcqQueue::with_config(5, 3, cfg);
 

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use wcq_atomics::CachePadded;
 
-use crate::adaptive::{AdaptivePatience, Adjustment, PatienceCell};
 use crate::metrics::{Counter, CounterSet};
 use crate::pack::Layout;
 
@@ -36,12 +35,6 @@ pub struct WcqConfig {
     pub help_delay: u64,
     /// Iteration bound of `catchup` (§3.2 "Bounding catchup").
     pub catchup_bound: u32,
-    /// When `Some`, each handle self-tunes its patience bound within the
-    /// given clamps from handle-local contention feedback, and
-    /// `max_patience_enqueue` / `max_patience_dequeue` are ignored (see
-    /// [`crate::adaptive`]).  `None` — the default — keeps the paper's static
-    /// bounds.
-    pub adaptive_patience: Option<AdaptivePatience>,
 }
 
 impl Default for WcqConfig {
@@ -51,23 +44,8 @@ impl Default for WcqConfig {
             max_patience_dequeue: 64,
             help_delay: 16,
             catchup_bound: 64,
-            adaptive_patience: None,
         }
     }
-}
-
-/// Per-handle operation statistics, used to verify the paper's claim that the
-/// slow path is taken "relatively infrequently" (EXPERIMENTS.md, E7).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WcqStats {
-    /// Enqueues completed on the fast path.
-    pub fast_enqueues: u64,
-    /// Enqueues that fell back to the slow path.
-    pub slow_enqueues: u64,
-    /// Dequeues completed on the fast path (including empty results).
-    pub fast_dequeues: u64,
-    /// Dequeues that fell back to the slow path.
-    pub slow_dequeues: u64,
 }
 
 /// Result of one fast-path dequeue attempt.
@@ -187,18 +165,6 @@ impl<F: CellFamily> WcqRing<F> {
         }
     }
 
-    /// Records a patience adjustment reported by a handle's controller.
-    /// Adjustments are rare (at most one per sampling window), so this stays
-    /// off the hot path even with telemetry attached.
-    #[inline]
-    fn note_pace(&self, adjustment: Option<Adjustment>) {
-        match adjustment {
-            Some(Adjustment::Raised) => self.count(Counter::PatienceRaised, 1),
-            Some(Adjustment::Lowered) => self.count(Counter::PatienceLowered, 1),
-            None => {}
-        }
-    }
-
     /// The attached telemetry counter set, if any.
     pub fn counter_set(&self) -> Option<&Arc<CounterSet>> {
         self.counters.as_ref()
@@ -306,12 +272,8 @@ impl<F: CellFamily> WcqRing<F> {
     /// holding one persistent binding per handle and re-acquiring only when
     /// the handle crosses to a different segment.
     pub fn register_at(&self, tid: usize) -> Option<WcqHandle<'_, F>> {
-        self.try_acquire_record(tid).then(|| WcqHandle {
-            ring: self,
-            tid,
-            stats: WcqStats::default(),
-            pace: PatienceCell::from_config(&self.config),
-        })
+        self.try_acquire_record(tid)
+            .then(|| WcqHandle { ring: self, tid })
     }
 
     /// Claims the thread-record slot `tid` with a single CAS, without
@@ -350,22 +312,15 @@ impl<F: CellFamily> WcqRing<F> {
 
     /// Fast-path enqueue attempt (`try_enq`).  On failure returns the tail
     /// ticket, which seeds the slow path.
-    fn try_enq_fast(&self, index: u64, spin: &mut u32) -> Result<(), u64> {
+    fn try_enq_fast(&self, index: u64) -> Result<(), u64> {
         let t = self.tail.fetch_add_cnt();
-        self.try_enq_at(t, index, spin)
+        self.try_enq_at(t, index)
     }
 
     /// One insertion attempt at an already-reserved tail ticket `t` — the
     /// body of `try_enq` after the F&A.  Batch enqueues reserve a run of
     /// tickets with a single F&A and drive each through this.
-    ///
-    /// `spin` tallies the internal CAS re-read iterations.  They never leave
-    /// this loop (the ticket is already reserved, so re-evaluating in place
-    /// is the only correct move), which makes them invisible to the outer
-    /// patience loop — yet on LL/SC hardware spurious store-conditional
-    /// failures land exactly here.  Surfacing the tally lets the adaptive
-    /// controller count them as the extra fast-path work they are.
-    fn try_enq_at(&self, t: u64, index: u64, spin: &mut u32) -> Result<(), u64> {
+    fn try_enq_at(&self, t: u64, index: u64) -> Result<(), u64> {
         let l = &self.layout;
         let j = l.slot(t);
         let cell = &self.entries[j];
@@ -379,7 +334,6 @@ impl<F: CellFamily> WcqRing<F> {
                 let new = l.pack(l.cycle(t), true, true, index);
                 if !cell.cas_value(raw, new) {
                     self.count(Counter::CasFailures, 1);
-                    *spin = spin.saturating_add(1);
                     continue; // Figure 3, line 25: re-read and re-evaluate.
                 }
                 if self.threshold.load(SeqCst) != l.max_threshold() {
@@ -392,9 +346,9 @@ impl<F: CellFamily> WcqRing<F> {
     }
 
     /// Fast-path dequeue attempt (`try_deq`).
-    fn try_deq_fast(&self, my_tid: usize, spin: &mut u32) -> FastDeq {
+    fn try_deq_fast(&self, my_tid: usize) -> FastDeq {
         let h = self.head.fetch_add_cnt();
-        self.try_deq_at(my_tid, h, spin)
+        self.try_deq_at(my_tid, h)
     }
 
     /// One consume attempt at an already-reserved head ticket `h` — the body
@@ -402,10 +356,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// here: a missed ticket still advances the slot's cycle so a straggling
     /// enqueuer with an older ticket cannot deposit into a slot no dequeuer
     /// will ever visit again.
-    ///
-    /// `spin` plays the same role as in [`WcqRing::try_enq_at`]: it surfaces
-    /// the internal CAS re-read iterations to the adaptive controller.
-    fn try_deq_at(&self, my_tid: usize, h: u64, spin: &mut u32) -> FastDeq {
+    fn try_deq_at(&self, my_tid: usize, h: u64) -> FastDeq {
         let l = &self.layout;
         let j = l.slot(h);
         let cell = &self.entries[j];
@@ -425,7 +376,6 @@ impl<F: CellFamily> WcqRing<F> {
             };
             if e.cycle < l.cycle(h) && !cell.cas_value(raw, new) {
                 self.count(Counter::CasFailures, 1);
-                *spin = spin.saturating_add(1);
                 continue;
             }
             let t = self.tail.load_cnt();
@@ -795,36 +745,22 @@ impl<F: CellFamily> WcqRing<F> {
     // ------------------------------------------------------------------
 
     /// Full enqueue operation for the thread owning record `tid`
-    /// (`Enqueue_wCQ`).  Returns `true` if the slow path was taken.
-    ///
-    /// `pace` is the calling handle's patience cell: it supplies the
-    /// fast-path attempt bound for this operation and absorbs the attempt
-    /// tally as contention feedback.  Wait-freedom is untouched — the bound
-    /// is always finite (clamped to `>= 1`) and the slow path below remains
-    /// reachable regardless of what the controller does.
-    pub(crate) fn enqueue_index(&self, tid: usize, index: u64, pace: &mut PatienceCell) -> bool {
+    /// (`Enqueue_wCQ`).
+    pub(crate) fn enqueue_index(&self, tid: usize, index: u64) {
         debug_assert!(index < self.layout.capacity());
         self.count(Counter::RingEnqueues, 1);
         if self.help_threads(tid) {
             self.count(Counter::HelpingEntries, 1);
         }
-        // Fast path.  `spin` accumulates the in-slot CAS retries across the
-        // attempts: on LL/SC hardware spurious SC failures show up there, not
-        // as abandoned tickets, and the controller must see both.
+        // Fast path: at most MAX_PATIENCE attempts (Figure 5, lines 14–17).
         let mut tail = 0;
-        let mut spin = 0;
-        let patience = pace.enqueue_patience().max(1);
-        for attempt in 0..patience {
-            match self.try_enq_fast(index, &mut spin) {
-                Ok(()) => {
-                    self.note_pace(pace.observe_enqueue(attempt.saturating_add(spin), false));
-                    return false;
-                }
+        for _ in 0..self.config.max_patience_enqueue.max(1) {
+            match self.try_enq_fast(index) {
+                Ok(()) => return,
                 Err(t) => tail = t,
             }
         }
         self.count(Counter::PatienceExhaustedEnqueues, 1);
-        self.note_pace(pace.observe_enqueue(patience.saturating_add(spin), true));
         // Slow path: publish the request, then run it; helpers may finish it
         // for us.
         let rec = &self.records[tid];
@@ -838,44 +774,29 @@ impl<F: CellFamily> WcqRing<F> {
         self.enqueue_slow(tid, tid, tail, index);
         rec.pending.store(false, SeqCst);
         rec.seq1.store(seq + 1, SeqCst);
-        true
     }
 
     /// Full dequeue operation for the thread owning record `tid`
-    /// (`Dequeue_wCQ`).  Returns `(value, took_slow_path)`.
-    ///
-    /// `pace` plays the same role as in [`WcqRing::enqueue_index`].  The
-    /// empty early-exit still reports a zero-attempt observation so a handle
-    /// polling an empty ring pulls its patience back down.
-    pub(crate) fn dequeue_index(&self, tid: usize, pace: &mut PatienceCell) -> (Option<u64>, bool) {
+    /// (`Dequeue_wCQ`); `None` means the ring was empty.
+    pub(crate) fn dequeue_index(&self, tid: usize) -> Option<u64> {
         let l = &self.layout;
         self.count(Counter::RingDequeues, 1);
         if self.threshold.load(SeqCst) < 0 {
-            self.note_pace(pace.observe_dequeue(0, false));
-            return (None, false); // Line 30: empty.
+            return None; // Line 30: empty.
         }
         if self.help_threads(tid) {
             self.count(Counter::HelpingEntries, 1);
         }
-        // Fast path.  `spin` plays the same role as in `enqueue_index`.
+        // Fast path: at most MAX_PATIENCE attempts (Figure 5, lines 33–41).
         let mut head = 0;
-        let mut spin = 0;
-        let patience = pace.dequeue_patience().max(1);
-        for attempt in 0..patience {
-            match self.try_deq_fast(tid, &mut spin) {
-                FastDeq::Got(idx) => {
-                    self.note_pace(pace.observe_dequeue(attempt.saturating_add(spin), false));
-                    return (Some(idx), false);
-                }
-                FastDeq::Empty => {
-                    self.note_pace(pace.observe_dequeue(attempt.saturating_add(spin), false));
-                    return (None, false);
-                }
+        for _ in 0..self.config.max_patience_dequeue.max(1) {
+            match self.try_deq_fast(tid) {
+                FastDeq::Got(idx) => return Some(idx),
+                FastDeq::Empty => return None,
                 FastDeq::Retry(h) => head = h,
             }
         }
         self.count(Counter::PatienceExhaustedDequeues, 1);
-        self.note_pace(pace.observe_dequeue(patience.saturating_add(spin), true));
         // Slow path.
         let rec = &self.records[tid];
         let seq = rec.seq1.load(SeqCst);
@@ -894,9 +815,9 @@ impl<F: CellFamily> WcqRing<F> {
         let e = l.unpack(raw);
         if e.cycle == l.cycle(h) && !l.is_reserved(e.index) {
             self.consume(tid, h, j, raw);
-            return (Some(e.index), true);
+            return Some(e.index);
         }
-        (None, true)
+        None
     }
 
     // ------------------------------------------------------------------
@@ -917,8 +838,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// such miss the rest of the run is skipped uninspected and falls back
     /// too, so the batch stays in FIFO order (one extra F&A per skipped
     /// element, on the contended path only: an uncontended batch never
-    /// misses).  Returns the number of elements that used their batch ticket
-    /// (statistics).
+    /// misses).
     ///
     /// Skipped tickets do not loosen the `3n - 1` threshold bound.  To a
     /// dequeuer, a tail ticket nobody deposits at is what every failed
@@ -929,25 +849,16 @@ impl<F: CellFamily> WcqRing<F> {
     /// through the conditions `try_enq_at` checks on `T`'s slot alone (its
     /// cycle, its safe bit against the head) — and every fallback deposit
     /// goes through exactly that check on its fresh ticket.
-    pub(crate) fn enqueue_many(
-        &self,
-        tid: usize,
-        indices: &[u64],
-        pace: &mut PatienceCell,
-    ) -> usize {
+    pub(crate) fn enqueue_many(&self, tid: usize, indices: &[u64]) {
         if indices.is_empty() {
-            return 0;
+            return;
         }
         if self.help_threads(tid) {
             self.count(Counter::HelpingEntries, 1);
         }
         let base = self.tail.fetch_add_cnt_n(indices.len() as u64);
+        // Elements that used their batch ticket: a prefix of the run.
         let mut on_ticket = 0;
-        // The whole run is one pooled observation: `spin` tallies the in-slot
-        // retries across every batch ticket, and each abandoned ticket is
-        // exactly one failed fast-path attempt.
-        let mut spin: u32 = 0;
-        let mut abandoned: u32 = 0;
         for (k, &index) in indices.iter().enumerate() {
             debug_assert!(index < self.layout.capacity());
             // Once one element lost its ticket, the rest of the run abandon
@@ -955,25 +866,16 @@ impl<F: CellFamily> WcqRing<F> {
             // so an element still riding its batch ticket would overtake it
             // and break the batch's FIFO order (pinned by
             // `batch_mpmc_keeps_each_producers_order`).
-            if abandoned == 0 && self.try_enq_at(base + k as u64, index, &mut spin).is_ok() {
+            if on_ticket == k && self.try_enq_at(base + k as u64, index).is_ok() {
                 on_ticket += 1;
             } else {
-                abandoned += 1;
                 // The fallback records its own RingEnqueues (and any further
                 // helping entry), so only the on-ticket elements are counted
-                // below — no double counting.  It also feeds `pace` with its
-                // own attempts; the abandoned ticket itself is pooled into
-                // the batch observation instead.
-                self.enqueue_index(tid, index, pace);
+                // below — no double counting.
+                self.enqueue_index(tid, index);
             }
         }
         self.count(Counter::RingEnqueues, on_ticket as u64);
-        self.note_pace(pace.observe_enqueue_batch(
-            on_ticket as u32,
-            spin.saturating_add(abandoned),
-            false,
-        ));
-        on_ticket
     }
 
     /// Dequeues up to `max` indices into `out`, reserving the whole run of
@@ -994,13 +896,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// skipping one would let a straggling enqueuer deposit into a slot no
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
-    pub(crate) fn dequeue_many(
-        &self,
-        tid: usize,
-        out: &mut Vec<u64>,
-        max: usize,
-        pace: &mut PatienceCell,
-    ) -> usize {
+    pub(crate) fn dequeue_many(&self, tid: usize, out: &mut Vec<u64>, max: usize) -> usize {
         if max == 0 || self.threshold.load(SeqCst) < 0 {
             return 0;
         }
@@ -1015,24 +911,12 @@ impl<F: CellFamily> WcqRing<F> {
         let mut got = 0;
         if run > 0 {
             let base = self.head.fetch_add_cnt_n(run);
-            // As in `enqueue_many`, the run is one pooled observation: the
-            // in-slot retry tally plus one failed attempt per missed ticket.
-            let mut spin: u32 = 0;
             for k in 0..run {
-                match self.try_deq_at(tid, base + k, &mut spin) {
-                    FastDeq::Got(index) => {
-                        out.push(index);
-                        got += 1;
-                    }
-                    FastDeq::Empty | FastDeq::Retry(_) => {}
+                if let FastDeq::Got(index) = self.try_deq_at(tid, base + k) {
+                    out.push(index);
+                    got += 1;
                 }
             }
-            let misses = u32::try_from(run - got as u64).unwrap_or(u32::MAX);
-            self.note_pace(pace.observe_dequeue_batch(
-                u32::try_from(run).unwrap_or(u32::MAX),
-                spin.saturating_add(misses),
-                false,
-            ));
         }
         if got == 0 {
             // Two ways to get here: the tail counter lags a slow-path
@@ -1041,12 +925,12 @@ impl<F: CellFamily> WcqRing<F> {
             // leave elements behind (e.g. a hole-run longer than `max`).
             // Either way the standard path (patience + helping + threshold)
             // delivers the authoritative verdict.
-            return match self.dequeue_index(tid, pace) {
-                (Some(index), _) => {
+            return match self.dequeue_index(tid) {
+                Some(index) => {
                     out.push(index);
                     1
                 }
-                (None, _) => 0,
+                None => 0,
             };
         }
         got
@@ -1065,8 +949,6 @@ unsafe impl<F: CellFamily> Sync for WcqRing<F> {}
 pub struct WcqHandle<'q, F: CellFamily = NativeFamily> {
     ring: &'q WcqRing<F>,
     tid: usize,
-    stats: WcqStats,
-    pace: PatienceCell,
 }
 
 impl<'q, F: CellFamily> WcqHandle<'q, F> {
@@ -1080,63 +962,34 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
         self.ring
     }
 
-    /// Operation statistics accumulated by this handle.
-    pub fn stats(&self) -> WcqStats {
-        self.stats
-    }
-
-    /// The handle's patience cell (current bounds + contention estimate).
-    pub fn pace(&self) -> &PatienceCell {
-        &self.pace
-    }
-
     /// Enqueues `index` (must be `< capacity`).  Always succeeds provided the
     /// capacity discipline is respected (at most `capacity` values circulate).
     pub fn enqueue(&mut self, index: u64) {
-        if self.ring.enqueue_index(self.tid, index, &mut self.pace) {
-            self.stats.slow_enqueues += 1;
-        } else {
-            self.stats.fast_enqueues += 1;
-        }
+        self.ring.enqueue_index(self.tid, index);
     }
 
     /// Dequeues an index; `None` means the ring was empty.
     pub fn dequeue(&mut self) -> Option<u64> {
-        let (value, slow) = self.ring.dequeue_index(self.tid, &mut self.pace);
-        if slow {
-            self.stats.slow_dequeues += 1;
-        } else {
-            self.stats.fast_dequeues += 1;
-        }
-        value
+        self.ring.dequeue_index(self.tid)
     }
 
     /// Enqueues every index in `indices` with one tail F&A for the whole run
-    /// (see `WcqRing::enqueue_many`).  Elements that could not use their
-    /// batch ticket fell back to the standard path and are counted as slow
-    /// enqueues.
+    /// (see `WcqRing::enqueue_many`).
     pub fn enqueue_many(&mut self, indices: &[u64]) {
-        let on_ticket = self.ring.enqueue_many(self.tid, indices, &mut self.pace) as u64;
-        self.stats.fast_enqueues += on_ticket;
-        self.stats.slow_enqueues += indices.len() as u64 - on_ticket;
+        self.ring.enqueue_many(self.tid, indices);
     }
 
     /// Dequeues up to `max` indices into `out` with one head F&A for the
     /// whole run; returns the number appended (see
     /// `WcqRing::dequeue_many` for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-        let got = self.ring.dequeue_many(self.tid, out, max, &mut self.pace);
-        self.stats.fast_dequeues += got as u64;
-        got
+        self.ring.dequeue_many(self.tid, out, max)
     }
 }
 
 impl<'q, F: CellFamily> std::fmt::Debug for WcqHandle<'q, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WcqHandle")
-            .field("tid", &self.tid)
-            .field("stats", &self.stats)
-            .finish()
+        f.debug_struct("WcqHandle").field("tid", &self.tid).finish()
     }
 }
 
@@ -1211,7 +1064,6 @@ mod tests {
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
-            ..WcqConfig::default()
         };
         let r = WcqRing::<NativeFamily>::with_config(4, 2, cfg);
         let mut h = r.register().unwrap();
@@ -1225,36 +1077,25 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_patience_stays_clamped_and_fifo() {
-        let cfg = WcqConfig {
-            adaptive_patience: Some(AdaptivePatience {
-                min: 1,
-                max: 8,
-                sample_every: 4,
-            }),
-            ..WcqConfig::default()
-        };
-        let r = WcqRing::<NativeFamily>::with_config(4, 2, cfg);
-        let mut h = r.register().unwrap();
-        for round in 0..300u64 {
-            h.enqueue(round % r.capacity());
-            assert_eq!(h.dequeue(), Some(round % r.capacity()));
-            let p = h.pace();
-            assert!((1..=8).contains(&p.enqueue_patience()));
-            assert!((1..=8).contains(&p.dequeue_patience()));
-        }
-        assert_eq!(h.dequeue(), None);
-    }
-
-    #[test]
     fn stats_track_fast_and_slow_paths() {
-        let r = ring::<NativeFamily>(4, 1);
+        // The fast/slow split of a ring is `PatienceExhausted*` against
+        // `Ring*`: uncontended at paper patience nothing leaves the fast path.
+        let counters = Arc::new(CounterSet::new());
+        let r = WcqRing::<NativeFamily>::with_config_counters(
+            4,
+            1,
+            WcqConfig::default(),
+            Some(Arc::clone(&counters)),
+        );
         let mut h = r.register().unwrap();
         h.enqueue(1);
         assert_eq!(h.dequeue(), Some(1));
-        let s = h.stats();
-        assert_eq!(s.fast_enqueues + s.slow_enqueues, 1);
-        assert_eq!(s.fast_dequeues + s.slow_dequeues, 1);
+        let snap = counters.snapshot();
+        assert_eq!(snap.get(Counter::RingEnqueues), 1);
+        assert_eq!(snap.get(Counter::RingDequeues), 1);
+        assert_eq!(snap.get(Counter::PatienceExhaustedEnqueues), 0);
+        assert_eq!(snap.get(Counter::PatienceExhaustedDequeues), 0);
+        assert_eq!(snap.fast_ring_ops(), 2);
     }
 
     fn mpmc_stress<F: CellFamily>(producers: usize, consumers: usize, per_producer: u64) {
@@ -1537,7 +1378,6 @@ mod tests {
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
-            ..WcqConfig::default()
         };
         let r = WcqRing::<NativeFamily>::with_config(5, 4, cfg);
         let capacity = r.capacity();

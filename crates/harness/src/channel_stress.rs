@@ -39,10 +39,7 @@ use crate::stress::encode;
 pub struct ChannelStressPlan {
     /// The seed every other field was derived from.
     pub seed: u64,
-    /// Queue shape behind the channel.  Sharded channels run with pinned
-    /// routing, the policy under which per-producer FIFO holds end to end
-    /// (the relaxed round-robin ordering is covered by the queue-level
-    /// [`StressPlan`](crate::StressPlan)).
+    /// Queue shape behind the channel.
     pub backend: ChannelBackend,
     /// Number of producer endpoints (≥ 1), each a `Sender` clone.
     pub producers: usize,
@@ -116,9 +113,7 @@ impl ChannelStressPlan {
             .threads(self.producers + self.consumers + 2)
             .backend(self.backend);
         if self.backend == ChannelBackend::Sharded {
-            builder = builder
-                .shards(HARNESS_SHARDS)
-                .shard_policy(wcq::ShardPolicy::Pinned);
+            builder = builder.shards(HARNESS_SHARDS);
         }
         builder.build_channel::<u64>()
     }
@@ -325,8 +320,8 @@ impl ChannelStressReport {
             ));
         }
         // The per-observation half — invention / duplication / per-producer
-        // FIFO — is the queue-level oracle, shared verbatim; channel plans
-        // always pin sharded routing, so the FIFO clause always applies.
+        // FIFO — is the queue-level oracle, shared verbatim; every backend
+        // keeps per-sender FIFO, so the FIFO clause always applies.
         crate::stress::verify_observations(&self.sent_per_producer, &self.observations, true)?;
         if self.post_close_send_failed == Some(false) {
             return Err("a post-close send was accepted instead of failing Closed".into());

@@ -41,11 +41,10 @@ pub mod workload;
 pub use channel_stress::{all_channel_backends, ChannelStressPlan, ChannelStressReport};
 pub use exec::{block_on, block_on_instrumented};
 pub use queues::{
-    make_counting_queue, make_queue, make_queue_configured, make_queue_with_policy, QueueHandle,
-    QueueKind, ShardPolicy, WaitFreeQueue, HARNESS_SHARDS,
+    make_counting_queue, make_queue, make_queue_configured, QueueHandle, QueueKind, WaitFreeQueue,
+    HARNESS_SHARDS,
 };
 pub use rng::DetRng;
 pub use stress::{all_real_queues, decode, encode, verify_observations, StressPlan, StressReport};
-pub use wcq_core::adaptive::AdaptivePatience;
 pub use wcq_core::wcq::WcqConfig;
 pub use workload::{run_workload, RunResult, Workload, WorkloadConfig};

@@ -19,7 +19,6 @@ use wcq_core::metrics::CountingInstrument;
 use wcq_core::wcq::WcqConfig;
 use wcq_core::ScqQueue;
 
-pub use wcq::ShardPolicy;
 pub use wcq_core::api::{QueueHandle, WaitFreeQueue};
 
 /// Shard count the harness uses for the sharded kinds: enough to split the
@@ -57,16 +56,10 @@ pub enum QueueKind {
     WcqSharded,
     /// Sharded wLSCQ over the emulated LL/SC construction.
     WcqShardedLlsc,
-    /// Sharded wLSCQ under [`ShardPolicy::Adaptive`] routing: the active
-    /// shard prefix grows and shrinks with contention, so plans cross the
-    /// single-shard fast path, the widening transitions and the shrink-vs-
-    /// drain races.  The kind carries the policy (the explicit policy
-    /// argument of [`make_queue_with_policy`] is ignored for it).
-    WcqShardedAdaptive,
 }
 
 impl QueueKind {
-    /// Every kind the harness knows (all 14), in a stable order.
+    /// Every kind the harness knows (all 13), in a stable order.
     pub fn all() -> Vec<QueueKind> {
         vec![
             QueueKind::Wcq,
@@ -82,7 +75,6 @@ impl QueueKind {
             QueueKind::WcqUnboundedLlsc,
             QueueKind::WcqSharded,
             QueueKind::WcqShardedLlsc,
-            QueueKind::WcqShardedAdaptive,
         ]
     }
 
@@ -134,16 +126,6 @@ impl QueueKind {
         )
     }
 
-    /// `true` for the sharded kinds, whose enqueue routing decides whether
-    /// per-producer FIFO order is preserved (only pinned routing keeps each
-    /// producer's values in one per-shard FIFO stream).
-    pub fn is_sharded(&self) -> bool {
-        matches!(
-            self,
-            QueueKind::WcqSharded | QueueKind::WcqShardedLlsc | QueueKind::WcqShardedAdaptive
-        )
-    }
-
     /// `true` for the kinds that maintain an approximate length counter, i.e.
     /// whose `WaitFreeQueue::is_empty_hint` is meaningful rather than the
     /// conservative `false` default.
@@ -154,7 +136,6 @@ impl QueueKind {
                 | QueueKind::WcqUnboundedLlsc
                 | QueueKind::WcqSharded
                 | QueueKind::WcqShardedLlsc
-                | QueueKind::WcqShardedAdaptive
         )
     }
 
@@ -174,7 +155,6 @@ impl QueueKind {
             QueueKind::WcqUnboundedLlsc => "wLSCQ (LL/SC)",
             QueueKind::WcqSharded => "Sharded wLSCQ",
             QueueKind::WcqShardedLlsc => "Sharded wLSCQ (LL/SC)",
-            QueueKind::WcqShardedAdaptive => "Sharded wLSCQ (adaptive)",
         }
     }
 }
@@ -193,37 +173,13 @@ pub fn make_queue(
 
 /// Like [`make_queue`], but with an explicit wait-freedom configuration for
 /// the wCQ kinds.  Stress plans use this to force the slow path with
-/// `max_patience = 1`; other kinds ignore the configuration.
-///
-/// Sharded kinds default to [`ShardPolicy::Pinned`] routing — the policy
-/// under which the full per-producer-FIFO oracle applies — with
-/// [`HARNESS_SHARDS`] shards; [`make_queue_with_policy`] selects the
-/// spreading policies explicitly.
+/// `max_patience = 1`; other kinds ignore the configuration.  Sharded kinds
+/// get [`HARNESS_SHARDS`] shards.
 pub fn make_queue_configured(
     kind: QueueKind,
     max_threads: usize,
     ring_order: u32,
     wcq_config: Option<WcqConfig>,
-) -> Box<dyn WaitFreeQueue<u64>> {
-    make_queue_with_policy(
-        kind,
-        max_threads,
-        ring_order,
-        wcq_config,
-        ShardPolicy::Pinned,
-    )
-}
-
-/// The fully explicit construction path: like [`make_queue_configured`] with
-/// the enqueue-routing policy for the sharded kinds spelled out (ignored by
-/// every other kind).  The stress driver uses this to run the relaxed
-/// (unpinned) sharded plan variant.
-pub fn make_queue_with_policy(
-    kind: QueueKind,
-    max_threads: usize,
-    ring_order: u32,
-    wcq_config: Option<WcqConfig>,
-    shard_policy: ShardPolicy,
 ) -> Box<dyn WaitFreeQueue<u64>> {
     let wcq_builder = wcq::builder()
         .capacity_order(ring_order)
@@ -234,10 +190,7 @@ pub fn make_queue_with_policy(
     // `--order 16` should size their segments, not one giant ring — and the
     // shared cap keeps the wLSCQ-vs-LCRQ comparison like for like.
     let segmented = wcq_builder.clone().capacity_order(ring_order.min(12));
-    let sharded = segmented
-        .clone()
-        .shards(HARNESS_SHARDS)
-        .shard_policy(shard_policy);
+    let sharded = segmented.clone().shards(HARNESS_SHARDS);
     match kind {
         QueueKind::Wcq => Box::new(wcq_builder.build_bounded::<u64>()),
         QueueKind::WcqLlsc => Box::new(wcq_builder.llsc().build_bounded::<u64>()),
@@ -245,12 +198,6 @@ pub fn make_queue_with_policy(
         QueueKind::WcqUnboundedLlsc => Box::new(segmented.llsc().build_unbounded::<u64>()),
         QueueKind::WcqSharded => Box::new(sharded.build_sharded::<u64>()),
         QueueKind::WcqShardedLlsc => Box::new(sharded.llsc().build_sharded::<u64>()),
-        QueueKind::WcqShardedAdaptive => Box::new(
-            segmented
-                .shards(HARNESS_SHARDS)
-                .shard_policy(ShardPolicy::Adaptive)
-                .build_sharded::<u64>(),
-        ),
         QueueKind::Scq => Box::new(ScqQueue::new(ring_order)),
         QueueKind::MsQueue => Box::new(MsQueue::new(max_threads)),
         QueueKind::Lcrq => Box::new(Lcrq::new(ring_order.min(12), max_threads)),
@@ -263,7 +210,7 @@ pub fn make_queue_with_policy(
 
 /// Like [`make_queue_configured`], but attaches a live
 /// [`CountingInstrument`] to the queue so every layer — ring fast/slow paths,
-/// helping entries, CAS failures, segment lifecycle, shard routing — records
+/// helping entries, CAS failures, segment lifecycle, shard steals — records
 /// into its shared counter set.  Returns `None` for the baseline kinds, which
 /// have no instrumentation hooks; only the wCQ family (bounded, unbounded,
 /// sharded, both hardware models) is observable.
@@ -284,12 +231,9 @@ pub fn make_counting_queue(
         .config(wcq_config.unwrap_or_default())
         .instrument(instr.clone());
     // Segment-order cap and shard geometry: same reasoning as
-    // `make_queue_with_policy`, so counting runs measure the same shapes.
+    // `make_queue_configured`, so counting runs measure the same shapes.
     let segmented = wcq_builder.clone().capacity_order(ring_order.min(12));
-    let sharded = segmented
-        .clone()
-        .shards(HARNESS_SHARDS)
-        .shard_policy(ShardPolicy::Pinned);
+    let sharded = segmented.clone().shards(HARNESS_SHARDS);
     let queue: Box<dyn WaitFreeQueue<u64>> = match kind {
         QueueKind::Wcq => Box::new(wcq_builder.build_bounded::<u64>()),
         QueueKind::WcqLlsc => Box::new(wcq_builder.llsc().build_bounded::<u64>()),
@@ -297,12 +241,6 @@ pub fn make_counting_queue(
         QueueKind::WcqUnboundedLlsc => Box::new(segmented.llsc().build_unbounded::<u64>()),
         QueueKind::WcqSharded => Box::new(sharded.build_sharded::<u64>()),
         QueueKind::WcqShardedLlsc => Box::new(sharded.llsc().build_sharded::<u64>()),
-        QueueKind::WcqShardedAdaptive => Box::new(
-            segmented
-                .shards(HARNESS_SHARDS)
-                .shard_policy(ShardPolicy::Adaptive)
-                .build_sharded::<u64>(),
-        ),
         _ => return None,
     };
     Some((queue, instr))
@@ -314,7 +252,7 @@ mod tests {
 
     #[test]
     fn every_kind_constructs_and_round_trips_through_the_facade() {
-        // All 14 QueueKinds flow through the public WaitFreeQueue trait.
+        // All 13 QueueKinds flow through the public WaitFreeQueue trait.
         for kind in QueueKind::all() {
             let q = make_queue(kind, 2, 8);
             let mut h = q.handle();
@@ -381,28 +319,6 @@ mod tests {
             "LCRQ needs CAS2 and is absent on PowerPC"
         );
         assert!(ppc.contains(&"wCQ (LL/SC)"));
-        assert_eq!(QueueKind::all().len(), 14);
-    }
-
-    #[test]
-    fn sharded_kinds_construct_with_explicit_policies() {
-        for policy in [
-            ShardPolicy::RoundRobin,
-            ShardPolicy::LeastLoaded,
-            ShardPolicy::Pinned,
-        ] {
-            for kind in [QueueKind::WcqSharded, QueueKind::WcqShardedLlsc] {
-                let q = make_queue_with_policy(kind, 2, 6, None, policy);
-                let mut h = q.handle();
-                for i in 0..100 {
-                    h.enqueue(i);
-                }
-                let mut seen = std::collections::HashSet::new();
-                while let Some(v) = h.dequeue() {
-                    assert!(seen.insert(v), "kind {kind:?} duplicated {v}");
-                }
-                assert_eq!(seen.len(), 100, "kind {kind:?} policy {policy:?}");
-            }
-        }
+        assert_eq!(QueueKind::all().len(), 13);
     }
 }

@@ -17,7 +17,10 @@
 //! (sometimes forcing the slow path) and the injected LL/SC spurious-failure
 //! rate are all pseudo-random but reproducible.  When an assertion fails, the
 //! panic message carries the seed; re-running `from_seed` with it replays the
-//! exact same plan.
+//! exact same plan.  New plan dimensions are always drawn *after* the
+//! existing ones, and the one draw ever removed (an adaptive-patience coin)
+//! was the last in the stream, so every field a seed derived before still
+//! derives to the same value.
 //!
 //! ## Thread roles
 //!
@@ -49,10 +52,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 
-use wcq_core::adaptive::AdaptivePatience;
 use wcq_core::wcq::WcqConfig;
 
-use crate::queues::{make_queue_with_policy, QueueKind, ShardPolicy};
+use crate::queues::{make_queue_configured, QueueKind};
 use crate::rng::DetRng;
 
 /// Bits reserved for the per-worker sequence number inside an encoded value.
@@ -105,15 +107,6 @@ pub struct StressPlan {
     /// serializes LL/SC plans behind an internal lock; spurious failures
     /// never affect correctness, only how often retry paths run.
     pub spurious_rate: f64,
-    /// Whether the sharded kinds route every producer's enqueues to its home
-    /// shard ([`ShardPolicy::Pinned`]).  Pinning keeps each producer's
-    /// values in one per-shard FIFO stream, so the full oracle — including
-    /// per-producer FIFO — applies; unpinned plans use round-robin routing,
-    /// which spreads a producer across shards and deliberately gives up that
-    /// order, so [`StressReport::verify`] checks only loss / duplication /
-    /// invention for them.  Ignored by non-sharded kinds (their FIFO check
-    /// always applies).  `from_seed` pins sharded plans by default.
-    pub pin_producers: bool,
     /// Batch size for producer enqueues and consumer dequeues.  `1` runs the
     /// original per-operation loops; larger values route through
     /// [`QueueHandle::enqueue_many`]/[`QueueHandle::dequeue_into`] so the
@@ -155,7 +148,6 @@ impl StressPlan {
                 max_patience_dequeue: 1,
                 help_delay: 1,
                 catchup_bound: 8,
-                ..WcqConfig::default()
             }
         };
         let spurious_rate = if kind.is_llsc() && rng.chance(0.5) {
@@ -169,31 +161,6 @@ impl StressPlan {
             rng.range_inclusive(2, 16) as usize
         } else {
             1
-        };
-        // Half the plans additionally self-tune patience at runtime (drawn
-        // after `batch` so the older fields' derivations are unchanged for a
-        // given seed).  When the plan forces the slow path, the adaptive
-        // clamps collapse to [1, 1], preserving that forcing while still
-        // exercising the controller's bookkeeping.
-        let wcq_config = {
-            let mut cfg = wcq_config;
-            if rng.chance(0.5) {
-                let forced_slow = cfg.max_patience_enqueue == 1;
-                cfg.adaptive_patience = Some(if forced_slow {
-                    AdaptivePatience {
-                        min: 1,
-                        max: 1,
-                        sample_every: 32,
-                    }
-                } else {
-                    AdaptivePatience {
-                        min: 1,
-                        max: 256,
-                        sample_every: 32,
-                    }
-                });
-            }
-            cfg
         };
         // Under Miri every atomic op costs ~1000x native, so shrink the op
         // counts ~50x after *all* fields are drawn — the PRNG stream (and
@@ -216,10 +183,6 @@ impl StressPlan {
             ring_order,
             wcq_config,
             spurious_rate,
-            // Adaptive-routed plans run unpinned by construction: the
-            // active-prefix router deliberately spreads a producer, so the
-            // oracle's per-producer FIFO clause does not apply to them.
-            pin_producers: matches!(kind, QueueKind::WcqSharded | QueueKind::WcqShardedLlsc),
             batch,
         }
     }
@@ -243,17 +206,11 @@ impl StressPlan {
             wcq_atomics::llsc::set_spurious_failure_rate(self.spurious_rate);
             guard
         });
-        let shard_policy = if self.pin_producers {
-            ShardPolicy::Pinned
-        } else {
-            ShardPolicy::RoundRobin
-        };
-        let queue = make_queue_with_policy(
+        let queue = make_queue_configured(
             self.kind,
             self.threads(),
             self.ring_order,
             Some(self.wcq_config),
-            shard_policy,
         );
 
         let enqueued_total = AtomicU64::new(0);
@@ -452,14 +409,7 @@ impl StressReport {
     }
 
     /// Runs the loss / duplication / invention / per-producer-FIFO oracle.
-    ///
-    /// The FIFO clause is skipped for *unpinned* sharded plans: round-robin
-    /// routing spreads one producer's values across shards, whose streams can
-    /// legally interleave in any order (see [`StressPlan::pin_producers`]).
-    /// Everything else — no loss, no duplication, no invention — is checked
-    /// unconditionally.
     pub fn verify(&self) -> Result<(), String> {
-        let check_fifo = !self.plan.kind.is_sharded() || self.plan.pin_producers;
         let expected = self.total_enqueued();
         let got = self.total_consumed();
         if got != expected {
@@ -467,7 +417,7 @@ impl StressReport {
                 "loss or over-consumption: {expected} values enqueued but {got} dequeued"
             ));
         }
-        verify_observations(&self.enqueue_counts, &self.observations, check_fifo)?;
+        verify_observations(&self.enqueue_counts, &self.observations, true)?;
         // With the exact-count check above passed, the queue was fully
         // drained — a counting kind whose hint still says "non-empty" has a
         // drifted length counter.
@@ -535,7 +485,8 @@ pub fn verify_observations(
 /// The real queue algorithms (everything except FAA), in a stable order —
 /// the set the cross-queue semantic tests sweep.  The eight paper algorithms
 /// come first, then the unbounded and sharded wLSCQ kinds this repo adds on
-/// top (sharded plans run pinned by default, so the full oracle applies).
+/// top (a sharded producer stays on its home shard, so the full oracle
+/// applies to them too).
 pub fn all_real_queues() -> Vec<QueueKind> {
     vec![
         QueueKind::Wcq,
@@ -550,7 +501,6 @@ pub fn all_real_queues() -> Vec<QueueKind> {
         QueueKind::WcqUnboundedLlsc,
         QueueKind::WcqSharded,
         QueueKind::WcqShardedLlsc,
-        QueueKind::WcqShardedAdaptive,
     ]
 }
 
@@ -638,44 +588,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_plans_pin_producers_by_default() {
-        assert!(StressPlan::from_seed(QueueKind::WcqSharded, 5).pin_producers);
-        assert!(StressPlan::from_seed(QueueKind::WcqShardedLlsc, 5).pin_producers);
-        assert!(!StressPlan::from_seed(QueueKind::Wcq, 5).pin_producers);
-    }
-
-    #[test]
-    fn unpinned_sharded_plans_relax_only_the_fifo_clause() {
-        // Cross-shard reordering of one producer's values: an unpinned
-        // sharded plan accepts it, a pinned one rejects it — and loss is
-        // still caught either way.
-        let mut plan = StressPlan::from_seed(QueueKind::WcqSharded, 3);
-        plan.pin_producers = false;
-        let reordered = StressReport {
-            plan: plan.clone(),
+    fn sharded_plans_get_the_fifo_clause_too() {
+        // Cross-shard reordering of one producer's values is a violation:
+        // a producer's values never leave its home shard.
+        let report = StressReport {
+            plan: StressPlan::from_seed(QueueKind::WcqSharded, 3),
             enqueue_counts: HashMap::from([(0, 2)]),
             observations: vec![vec![encode(0, 2), encode(0, 1)]],
             empty_hint_after_drain: None,
         };
-        reordered
-            .verify()
-            .expect("unpinned sharded routing may reorder a producer's values");
-        let mut pinned = reordered.plan.clone();
-        pinned.pin_producers = true;
-        let rejected = StressReport {
-            plan: pinned,
-            enqueue_counts: HashMap::from([(0, 2)]),
-            observations: vec![vec![encode(0, 2), encode(0, 1)]],
-            empty_hint_after_drain: None,
-        };
-        assert!(rejected.verify().unwrap_err().contains("FIFO"));
-        let lossy = StressReport {
-            plan,
-            enqueue_counts: HashMap::from([(0, 3)]),
-            observations: vec![vec![encode(0, 2), encode(0, 1)]],
-            empty_hint_after_drain: None,
-        };
-        assert!(lossy.verify().unwrap_err().contains("loss"));
+        assert!(report.verify().unwrap_err().contains("FIFO"));
     }
 
     #[test]

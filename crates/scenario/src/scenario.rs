@@ -36,8 +36,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use wcq::{
-    ChannelBackend, HistogramSnapshot, LatencyHistogram, PatienceMode, Receiver, RecvTimeoutError,
-    Sender, ShardPolicy,
+    ChannelBackend, HistogramSnapshot, LatencyHistogram, Receiver, RecvTimeoutError, Sender,
 };
 use wcq_harness::DetRng;
 
@@ -73,10 +72,6 @@ pub struct ScenarioConfig {
     pub backend: ChannelBackend,
     /// Shard count for [`ChannelBackend::Sharded`] (ignored otherwise).
     pub shards: usize,
-    /// Enqueue routing policy for the sharded backend.
-    pub shard_policy: ShardPolicy,
-    /// Fast-path patience selection for every queue in the pipeline.
-    pub patience: PatienceMode,
     /// Simulated service time per request, in nanoseconds of spinning.
     pub work_ns: u64,
     /// Number of churn events raced against the run (0 disables churn).
@@ -102,8 +97,6 @@ impl Default for ScenarioConfig {
             },
             backend: ChannelBackend::Unbounded,
             shards: 1,
-            shard_policy: ShardPolicy::default(),
-            patience: PatienceMode::Adaptive(wcq::AdaptivePatience::default()),
             work_ns: 500,
             churn_events: 64,
             worker_timeout: Duration::from_millis(1),
@@ -214,14 +207,11 @@ impl Scenario {
         // channel.  +2 covers the main thread and a churn-thread bind.
         let request_slots = frontends + workers + 2;
         let lane_builder = || {
-            let mut b = wcq::builder()
+            wcq::builder()
                 .capacity_order(10)
                 .threads(request_slots)
                 .shards(cfg.shards.max(1))
-                .shard_policy(cfg.shard_policy)
-                .patience_mode(cfg.patience);
-            b = b.backend(cfg.backend);
-            b
+                .backend(cfg.backend)
         };
         let (hi_tx, hi_rx) = lane_builder().build_channel::<Request>();
         let (lo_tx, lo_rx) = lane_builder().build_channel::<Request>();
@@ -230,7 +220,6 @@ impl Scenario {
             .threads(workers + 2)
             .backend(cfg.backend)
             .shards(cfg.shards.max(1))
-            .shard_policy(cfg.shard_policy)
             .build_channel::<Request>();
 
         let queue_wait = LatencyHistogram::new();

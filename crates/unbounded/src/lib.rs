@@ -29,11 +29,11 @@
 //! * The whole queue is generic over the paper's two hardware models
 //!   ([`wcq_core::wcq::NativeFamily`], [`wcq_core::wcq::LlscFamily`]).
 //! * For high thread counts, [`ShardedWcq`] puts `N` independent wLSCQ
-//!   shards behind the same facade with a pluggable [`ShardPolicy`]
-//!   (round-robin / least-loaded / pinned enqueue routing) and a
-//!   home-shard-first, work-stealing dequeue — breaking the single head/tail
-//!   hot spots while keeping every per-shard guarantee (see [`shard`'s
-//!   module docs](ShardedWcq) for the order/throughput trade).
+//!   shards behind the same facade: an enqueue goes to the handle's home
+//!   shard, a dequeue scans home-first and steals — breaking the single
+//!   head/tail hot spots while keeping every per-shard guarantee and
+//!   per-producer FIFO (see [`shard`'s module docs](ShardedWcq) for what is
+//!   traded).
 //!
 //! ## Example
 //!
@@ -70,4 +70,4 @@ mod segment;
 mod shard;
 
 pub use queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
-pub use shard::{ShardPolicy, ShardedWcq, ShardedWcqHandle};
+pub use shard::{ShardedWcq, ShardedWcqHandle};

@@ -9,7 +9,6 @@ use std::sync::atomic::{
 use std::sync::Arc;
 
 use wcq_atomics::{Backoff, CachePadded};
-use wcq_core::adaptive::PatienceCell;
 use wcq_core::api::{tid_memo, QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, CounterSet};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig};
@@ -83,11 +82,10 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     /// The length hint, kept as one single-writer net count (enqueues minus
     /// dequeues) per handle slot and summed on read (see
     /// [`UnboundedWcq::len_hint`]).  Deliberately decoupled from the queue's
-    /// linearization points — it is a *routing hint* (the sharded queue's
-    /// least-loaded policy and `is_empty_hint` read it), never a correctness
-    /// input.  Updating it is a plain load and store on the owner's own
-    /// word, where one shared counter cost every operation a locked
-    /// `fetch_add`.  The words are not cache-padded (8 B × `max_threads`
+    /// linearization points — it is a *hint* (`is_empty_hint` and the
+    /// channel's park decision read it), never a correctness input.
+    /// Updating it is a plain load and store on the owner's own word, where
+    /// one shared counter cost every operation a locked `fetch_add`.  The words are not cache-padded (8 B × `max_threads`
     /// keeps the queue header small), so handles still share their lines —
     /// as they shared the one counter's.
     net_counts: Box<[NetCount]>,
@@ -226,7 +224,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             bound: ptr::null_mut(),
             slot0_held: false,
             pins: 0,
-            pace: PatienceCell::from_config(&self.config),
             rebinds: 0,
             enqueues_completed: 0,
             dequeues_completed: 0,
@@ -262,9 +259,9 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
     ///
     /// Maintained as per-handle side counters next to the real operations
     /// and summed here, so it can transiently lag both ways under concurrency;
-    /// transient negatives clamp to zero.  Use it for load-balancing decisions (the sharded queue's
-    /// least-loaded routing) and freshness hints — never as an emptiness
-    /// proof; only a dequeue that returns `None` is authoritative.
+    /// transient negatives clamp to zero.  Use it for load estimates and
+    /// freshness hints — never as an emptiness proof; only a dequeue that
+    /// returns `None` is authoritative.
     pub fn len_hint(&self) -> usize {
         // Exact whenever no operation is in flight; otherwise each handle's
         // word is read at its own instant, hence the clamp.  (One handle's
@@ -442,10 +439,6 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// How many times [`Self::pin`] missed the memo and took hazard slot 0
     /// (statistics; lets tests assert which path an operation ran).
     pins: u64,
-    /// Handle-local patience controller, carried *across* segments: the
-    /// contention a handle sees is a property of the workload, not of which
-    /// segment currently holds the backlog, so rebinding must not reset it.
-    pace: PatienceCell,
     /// How many times the memo missed and the binding moved to a different
     /// segment (statistics; lets tests assert the memo actually hits).
     rebinds: u64,
@@ -575,7 +568,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // bound op runs under the binding established here.
             let attempt = unsafe {
                 self.rebind(tailp);
-                seg.try_enqueue_bound(tid, value, &mut self.pace)
+                seg.try_enqueue_bound(tid, value)
             };
             match attempt {
                 Ok(()) => break,
@@ -622,9 +615,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     fn dequeue_pinned(&mut self) -> Option<T> {
         let queue = self.queue;
         let tid = self.hp.tid();
-        // Contention-capped: under pressure the straggling enqueuer we may
-        // wait on below needs the CPU more than we need a long spin phase.
-        let mut backoff = Backoff::with_max_shift(self.pace.spin_cap());
+        let mut backoff = Backoff::new();
         loop {
             let headp = self.pin(&queue.head);
             // SAFETY: pinned; the bound ops below run under the binding
@@ -634,7 +625,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                 &*headp
             };
             // SAFETY: bound just above.
-            let mut got = unsafe { seg.try_dequeue_bound(tid, &mut self.pace) };
+            let mut got = unsafe { seg.try_dequeue_bound(tid) };
             if got.is_none() {
                 let next = seg.next.load(SeqCst);
                 if next.is_null() {
@@ -654,7 +645,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                     continue;
                 }
                 // SAFETY: still bound to `headp`.
-                got = unsafe { seg.try_dequeue_bound(tid, &mut self.pace) };
+                got = unsafe { seg.try_dequeue_bound(tid) };
                 if got.is_none() {
                     // SAFETY: `headp` is pinned, drained and closed, and
                     // `next` is its successor.
@@ -733,7 +724,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // bound op runs under the binding established here.
             let accepted = unsafe {
                 self.rebind(tailp);
-                seg.try_enqueue_many_bound(tid, &mut pending, &mut self.pace)
+                seg.try_enqueue_many_bound(tid, &mut pending)
             };
             if accepted > 0 {
                 queue.note_enqueued(tid, accepted as u64);
@@ -776,8 +767,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     fn dequeue_many_pinned(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let queue = self.queue;
         let tid = self.hp.tid();
-        // Contention-capped, as in `dequeue`.
-        let mut backoff = Backoff::with_max_shift(self.pace.spin_cap());
+        let mut backoff = Backoff::new();
         loop {
             let headp = self.pin(&queue.head);
             // SAFETY: pinned; the bound ops below run under the binding
@@ -787,7 +777,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                 &*headp
             };
             // SAFETY: bound just above.
-            let mut got = unsafe { seg.try_dequeue_many_bound(tid, out, max, &mut self.pace) };
+            let mut got = unsafe { seg.try_dequeue_many_bound(tid, out, max) };
             if got == 0 {
                 // Same close / in-flight / re-check sequence as `dequeue`.
                 let next = seg.next.load(SeqCst);
@@ -799,7 +789,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                     continue;
                 }
                 // SAFETY: still bound to `headp`.
-                got = unsafe { seg.try_dequeue_many_bound(tid, out, max, &mut self.pace) };
+                got = unsafe { seg.try_dequeue_many_bound(tid, out, max) };
                 if got == 0 {
                     // SAFETY: `headp` is pinned, drained and closed, and
                     // `next` is its successor.
@@ -818,19 +808,6 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// now (used by tests to make recycling deterministic).
     pub fn flush_reclamation(&mut self) {
         self.hp.flush();
-    }
-
-    /// The handle's patience cell (current bounds + contention estimate).
-    pub fn pace(&self) -> &PatienceCell {
-        &self.pace
-    }
-
-    /// The handle's current contention estimate (fixed point,
-    /// `wcq_core::adaptive::EWMA_ONE` = one extra fast-path attempt per ring
-    /// operation).  Handle-local — reading it touches no shared memory.  The
-    /// sharded front-end's adaptive router feeds on this.
-    pub fn contention_level(&self) -> u32 {
-        self.pace.contention_level()
     }
 }
 
@@ -876,9 +853,6 @@ impl<T: Send, F: CellFamily> QueueHandle<T> for UnboundedWcqHandle<'_, T, F> {
     }
     fn dequeue_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         UnboundedWcqHandle::dequeue_many(self, out, max)
-    }
-    fn spin_cap_hint(&self) -> u32 {
-        self.pace.spin_cap()
     }
 }
 

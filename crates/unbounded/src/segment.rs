@@ -37,7 +37,6 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicUsize, Ordering:
 use std::sync::Arc;
 
 use wcq_atomics::CachePadded;
-use wcq_core::adaptive::PatienceCell;
 use wcq_core::metrics::CounterSet;
 use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue};
 
@@ -104,17 +103,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// caller is already bound to this segment.  `Err` means the segment is
     /// full or closed and will never accept this value.
     ///
-    /// `pace` is the calling handle's patience cell, forwarded to the inner
-    /// ring operations (see `wcq_core::adaptive`).
-    ///
     /// # Safety
     /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_enqueue_bound(
-        &self,
-        tid: usize,
-        value: T,
-        pace: &mut PatienceCell,
-    ) -> Result<(), T> {
+    pub(crate) unsafe fn try_enqueue_bound(&self, tid: usize, value: T) -> Result<(), T> {
         self.inflight.fetch_add(1, SeqCst);
         let credit = self.state.fetch_sub(1, SeqCst);
         if credit <= 0 {
@@ -123,7 +114,7 @@ impl<T, F: CellFamily> Segment<T, F> {
             return Err(value);
         }
         // SAFETY: bound per the function contract.
-        let res = unsafe { self.queue.enqueue_at(tid, value, pace) };
+        let res = unsafe { self.queue.enqueue_at(tid, value) };
         if res.is_err() {
             self.credit_invariant_broken(1);
         }
@@ -167,7 +158,6 @@ impl<T, F: CellFamily> Segment<T, F> {
         &self,
         tid: usize,
         values: &mut VecDeque<T>,
-        pace: &mut PatienceCell,
     ) -> usize {
         if values.is_empty() {
             return 0;
@@ -185,14 +175,14 @@ impl<T, F: CellFamily> Segment<T, F> {
         }
         let mut accepted = if granted as usize == values.len() {
             // SAFETY: bound per the function contract.
-            unsafe { self.queue.enqueue_many_at(tid, values, pace) }
+            unsafe { self.queue.enqueue_many_at(tid, values) }
         } else {
             // Only the granted prefix may touch the inner ring: feeding the
             // whole buffer would let the inner enqueue consume free slots
             // that belong to other credit holders.
             let mut run: VecDeque<T> = values.drain(..granted as usize).collect();
             // SAFETY: bound per the function contract.
-            let accepted = unsafe { self.queue.enqueue_many_at(tid, &mut run, pace) };
+            let accepted = unsafe { self.queue.enqueue_many_at(tid, &mut run) };
             while let Some(value) = run.pop_back() {
                 values.push_front(value);
             }
@@ -203,7 +193,7 @@ impl<T, F: CellFamily> Segment<T, F> {
         while (accepted as i64) < granted {
             let value = values.pop_front().expect("one element per granted credit");
             // SAFETY: bound per the function contract.
-            match unsafe { self.queue.enqueue_at(tid, value, pace) } {
+            match unsafe { self.queue.enqueue_at(tid, value) } {
                 Ok(()) => accepted += 1,
                 Err(value) => {
                     // The credit invariant rules this out; restore the value
@@ -223,13 +213,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     ///
     /// # Safety
     /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_dequeue_bound(
-        &self,
-        tid: usize,
-        pace: &mut PatienceCell,
-    ) -> Option<T> {
+    pub(crate) unsafe fn try_dequeue_bound(&self, tid: usize) -> Option<T> {
         // SAFETY: bound per the function contract.
-        let v = unsafe { self.queue.dequeue_at(tid, pace) };
+        let v = unsafe { self.queue.dequeue_at(tid) };
         if v.is_some() {
             self.state.fetch_add(1, SeqCst);
         }
@@ -247,10 +233,9 @@ impl<T, F: CellFamily> Segment<T, F> {
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
-        pace: &mut PatienceCell,
     ) -> usize {
         // SAFETY: bound per the function contract.
-        let got = unsafe { self.queue.dequeue_many_at(tid, out, max, pace) };
+        let got = unsafe { self.queue.dequeue_many_at(tid, out, max) };
         if got > 0 {
             self.state.fetch_add(got as i64, SeqCst);
         }
@@ -258,13 +243,11 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// One-shot enqueue: bind, operate, unbind.  Used off the hot path (the
-    /// fresh-segment preload), where binding churn does not matter — a fresh
-    /// fixed patience cell per call is fine for the same reason.
+    /// fresh-segment preload), where binding churn does not matter.
     pub(crate) fn try_enqueue(&self, tid: usize, value: T) -> Result<(), T> {
         assert!(self.bind(tid), "outer tid is exclusive to one operation");
-        let mut pace = PatienceCell::from_config(self.queue.config());
         // SAFETY: bound above; unbound immediately after.
-        let res = unsafe { self.try_enqueue_bound(tid, value, &mut pace) };
+        let res = unsafe { self.try_enqueue_bound(tid, value) };
         unsafe { self.unbind(tid) };
         res
     }
@@ -273,9 +256,8 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// lost link race takes the pre-loaded value back out).
     pub(crate) fn try_dequeue(&self, tid: usize) -> Option<T> {
         assert!(self.bind(tid), "outer tid is exclusive to one operation");
-        let mut pace = PatienceCell::from_config(self.queue.config());
         // SAFETY: bound above; unbound immediately after.
-        let v = unsafe { self.try_dequeue_bound(tid, &mut pace) };
+        let v = unsafe { self.try_dequeue_bound(tid) };
         unsafe { self.unbind(tid) };
         v
     }

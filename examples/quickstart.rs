@@ -4,7 +4,7 @@
 //! thread (RAII — the record slot is released when the handle drops, and
 //! re-registration by the same thread is O(1) through the thread-local tid
 //! memo).  The example moves a million integers producer → consumer and
-//! prints the fast-path/slow-path statistics at the end.
+//! prints the fast-path/slow-path split from the metrics snapshot at the end.
 //!
 //! Run with:
 //! ```text
@@ -13,15 +13,18 @@
 
 use std::time::Instant;
 
-use wcq::WaitFreeQueue;
+use wcq::{Counter, CountingInstrument, WaitFreeQueue};
 
 const ITEMS: u64 = 1_000_000;
 
 fn main() {
-    // Capacity 2^12 = 4096 elements, up to 4 registered threads.
+    // Capacity 2^12 = 4096 elements, up to 4 registered threads; the
+    // counting instrument is what makes the statistics below readable.
+    let instr = CountingInstrument::new();
     let queue = wcq::builder()
         .capacity_order(12)
         .threads(4)
+        .instrument(instr.clone())
         .build_bounded::<u64>();
     let start = Instant::now();
 
@@ -36,10 +39,8 @@ fn main() {
             }
         });
 
-        // Consumer: uses the concrete handle from `register()`, which
-        // additionally exposes the per-ring wait-freedom statistics.
         s.spawn(|| {
-            let mut handle = queue.register().expect("a registration slot is free");
+            let mut handle = queue.handle();
             let mut received = 0u64;
             let mut sum = 0u64;
             while received < ITEMS {
@@ -56,20 +57,19 @@ fn main() {
                 ITEMS * (ITEMS - 1) / 2,
                 "no element lost or duplicated"
             );
-            let (aq, fq) = handle.stats();
             println!("consumer done: {received} items, checksum OK");
-            println!(
-                "  aq ring: {} fast / {} slow dequeues",
-                aq.fast_dequeues, aq.slow_dequeues
-            );
-            println!(
-                "  fq ring: {} fast / {} slow enqueues",
-                fq.fast_enqueues, fq.slow_enqueues
-            );
         });
     });
 
     let elapsed = start.elapsed();
+    let snap = instr.snapshot();
+    println!(
+        "  ring ops: {} fast, {} slow enqueues + {} slow dequeues (slow-path fraction {:.6})",
+        snap.fast_ring_ops(),
+        snap.get(Counter::PatienceExhaustedEnqueues),
+        snap.get(Counter::PatienceExhaustedDequeues),
+        snap.slow_path_fraction()
+    );
     println!(
         "moved {ITEMS} items in {:.3} s ({:.2} Mops/s enqueue+dequeue)",
         elapsed.as_secs_f64(),

@@ -20,7 +20,7 @@
 //!
 //! The same workload is run twice — steady arrivals, then the same average
 //! rate delivered in bursts — to show what burstiness alone does to the
-//! tail percentiles of a least-loaded sharded pool.
+//! tail percentiles of a sharded pool.
 //!
 //! Run with:
 //! ```text
@@ -29,7 +29,7 @@
 
 use std::time::Duration;
 
-use wcq::{AdaptivePatience, ChannelBackend, PatienceMode, ShardPolicy};
+use wcq::ChannelBackend;
 use wcq_scenario::{ArrivalPattern, Scenario, ScenarioConfig, ScenarioReport};
 
 const FRONTENDS: usize = 2;
@@ -49,12 +49,10 @@ fn run(label: &str, pattern: ArrivalPattern) -> ScenarioReport {
         workers: WORKERS,
         requests: REQUESTS,
         pattern,
-        // The task pool of the old example: unbounded wLSCQ shards behind
-        // least-loaded enqueue routing and work-stealing dequeues.
+        // The task pool of the old example: unbounded wLSCQ shards, each
+        // frontend feeding its home shard, workers stealing across shards.
         backend: ChannelBackend::Sharded,
         shards: SHARDS,
-        shard_policy: ShardPolicy::LeastLoaded,
-        patience: PatienceMode::Adaptive(AdaptivePatience::default()),
         // Simulated service time per request (the old trial-factoring).
         work_ns: 400,
         churn_events: 128,

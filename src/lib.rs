@@ -52,8 +52,6 @@
 //! the LL/SC hardware model:
 //!
 //! ```
-//! use wcq::ShardPolicy;
-//!
 //! let unbounded = wcq::builder()
 //!     .capacity_order(8)   // per-segment capacity
 //!     .threads(8)
@@ -62,13 +60,12 @@
 //! let mut h = unbounded.handle();
 //! h.enqueue("never blocks, never fails".to_string());
 //!
-//! // Four independent wLSCQ shards behind one facade: least-loaded enqueue
-//! // routing, home-shard-first work-stealing dequeue.
+//! // Four independent wLSCQ shards behind one facade: an enqueue goes to the
+//! // handle's home shard, a dequeue scans home-first and steals.
 //! let sharded = wcq::builder()
 //!     .capacity_order(8)
 //!     .threads(8)
 //!     .shards(4)
-//!     .shard_policy(ShardPolicy::LeastLoaded)
 //!     .build_sharded::<u64>();
 //! # drop(sharded);
 //!
@@ -111,7 +108,6 @@
 //! | hand-rolled closed-flag channel over `WcqQueue` | `…().backend(ChannelBackend::Bounded).build_channel()` |
 //! | `h.try_enqueue(v) == Err(v)` / `h.dequeue() == None` | `TrySendError::{Full, Closed}` / `TryRecvError::{Empty, Closed}` |
 //! | spin-wait for consumers (`Backoff` loops) | `build_async()` + `AsyncReceiver::recv().await` (park/wake) |
-//! | hand-tuned `patience(e, d)` per workload | `patience_mode(PatienceMode::Adaptive(AdaptivePatience::default()))` (self-tuning) |
 //! | deadline loops over `try_recv()` + `Instant` checks | [`Receiver::recv_timeout`] / [`Sender::send_timeout`] (parked, not polled) |
 //! | one thread (or task) per drained channel | [`select::recv_any`] / [`select::recv_any_timeout`] — one waker parked across all lanes |
 //!
@@ -140,7 +136,6 @@ pub use channel::{
     TrySendError,
 };
 pub use select::{recv_any, recv_any_timeout, RecvAny};
-pub use wcq_core::adaptive::{AdaptivePatience, PatienceMode};
 pub use wcq_core::api::{tid_memo, QueueHandle, WaitFreeQueue};
 pub use wcq_core::metrics::{
     Counter, CounterSet, CountingInstrument, HistogramSnapshot, Instrument, LatencyHistogram,
@@ -148,10 +143,10 @@ pub use wcq_core::metrics::{
 };
 pub use wcq_core::scq::ScqQueue;
 pub use wcq_core::wcq::{
-    CellFamily, LlscFamily, NativeFamily, WcqConfig, WcqQueue, WcqQueueHandle, WcqRing, WcqStats,
+    CellFamily, LlscFamily, NativeFamily, WcqConfig, WcqQueue, WcqQueueHandle, WcqRing,
 };
 pub use wcq_unbounded::{
-    SegmentStats, ShardPolicy, ShardedWcq, ShardedWcqHandle, UnboundedWcq, UnboundedWcqHandle,
+    SegmentStats, ShardedWcq, ShardedWcqHandle, UnboundedWcq, UnboundedWcqHandle,
     DEFAULT_SEGMENT_CACHE,
 };
 
@@ -173,7 +168,6 @@ pub fn builder() -> QueueBuilder<NativeFamily> {
         config: WcqConfig::default(),
         segment_cache: DEFAULT_SEGMENT_CACHE,
         shards: 1,
-        shard_policy: ShardPolicy::default(),
         backend: None,
         instr: NoopInstrument,
         _family: PhantomData,
@@ -192,7 +186,7 @@ pub enum ChannelBackend {
     Unbounded,
     /// The sharded wLSCQ (the default when
     /// [`shards`](QueueBuilder::shards)` > 1`): unbounded, with the builder's
-    /// shard count and routing policy.
+    /// shard count.
     Sharded,
 }
 
@@ -204,8 +198,7 @@ pub enum ChannelBackend {
 /// [`build_unbounded`](QueueBuilder::build_unbounded) (the wLSCQ
 /// [`UnboundedWcq`] of linked segments),
 /// [`build_sharded`](QueueBuilder::build_sharded) (a [`ShardedWcq`] of
-/// [`shards`](QueueBuilder::shards) independent wLSCQ shards with
-/// [`shard_policy`](QueueBuilder::shard_policy) routing) or
+/// [`shards`](QueueBuilder::shards) independent wLSCQ shards) or
 /// [`build_ring`](QueueBuilder::build_ring) (a raw index ring, the Figure 2
 /// indirection building block).
 ///
@@ -226,7 +219,6 @@ pub struct QueueBuilder<F: CellFamily = NativeFamily, I: Instrument = NoopInstru
     config: WcqConfig,
     segment_cache: usize,
     shards: usize,
-    shard_policy: ShardPolicy,
     backend: Option<ChannelBackend>,
     instr: I,
     _family: PhantomData<F>,
@@ -242,7 +234,6 @@ impl<F: CellFamily, I: Instrument> Clone for QueueBuilder<F, I> {
             config: self.config,
             segment_cache: self.segment_cache,
             shards: self.shards,
-            shard_policy: self.shard_policy,
             backend: self.backend,
             instr: self.instr.clone(),
             _family: PhantomData,
@@ -260,7 +251,6 @@ impl<I: Instrument> QueueBuilder<NativeFamily, I> {
             config: self.config,
             segment_cache: self.segment_cache,
             shards: self.shards,
-            shard_policy: self.shard_policy,
             backend: self.backend,
             instr: self.instr,
             _family: PhantomData,
@@ -273,7 +263,7 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// selects the hardware model: pass a [`CountingInstrument`] (keep a
     /// clone!) and every queue, segment, shard and channel endpoint the
     /// finishers build records contention telemetry — fast/slow-path ops,
-    /// helping entries, CAS failures, segment lifecycle, shard routing,
+    /// helping entries, CAS failures, segment lifecycle, shard steals,
     /// channel park/wake — into its shared [`CounterSet`].  The default
     /// [`NoopInstrument`] compiles all of it out (see the [`Instrument`]
     /// zero-overhead contract).
@@ -303,7 +293,6 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
             config: self.config,
             segment_cache: self.segment_cache,
             shards: self.shards,
-            shard_policy: self.shard_policy,
             backend: self.backend,
             instr,
             _family: PhantomData,
@@ -339,42 +328,6 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
         self
     }
 
-    /// Selects how patience is chosen at runtime:
-    /// [`PatienceMode::Fixed`]`(n)` pins both bounds to `n` (equivalent to
-    /// [`patience`](QueueBuilder::patience)`(n, n)`), while
-    /// [`PatienceMode::Adaptive`] installs a handle-local controller that
-    /// widens patience under CAS contention and shrinks it toward the
-    /// configured minimum when the fast path is succeeding — each handle
-    /// self-tunes from its own operation tallies, never from shared counters,
-    /// so the hot path stays coordination-free and wait-freedom is untouched
-    /// (patience is always clamped to the configured `[min, max]`).
-    ///
-    /// ```
-    /// use wcq::{AdaptivePatience, PatienceMode, QueueHandle, WaitFreeQueue};
-    ///
-    /// let q = wcq::builder()
-    ///     .capacity_order(6)
-    ///     .threads(4)
-    ///     .patience_mode(PatienceMode::Adaptive(AdaptivePatience::default()))
-    ///     .build_bounded::<u64>();
-    /// let mut h = q.handle();
-    /// h.enqueue(7);
-    /// assert_eq!(h.dequeue(), Some(7));
-    /// ```
-    pub fn patience_mode(mut self, mode: PatienceMode) -> Self {
-        match mode {
-            PatienceMode::Fixed(bound) => {
-                self.config.max_patience_enqueue = bound;
-                self.config.max_patience_dequeue = bound;
-                self.config.adaptive_patience = None;
-            }
-            PatienceMode::Adaptive(cfg) => {
-                self.config.adaptive_patience = Some(cfg);
-            }
-        }
-        self
-    }
-
     /// How many drained segments an unbounded queue keeps for reuse instead
     /// of freeing (ignored by [`build_bounded`](QueueBuilder::build_bounded)).
     pub fn segment_cache(mut self, segments: usize) -> Self {
@@ -389,18 +342,6 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// `shards × (live segments + segment cache)`.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Enqueue-routing policy for
-    /// [`build_sharded`](QueueBuilder::build_sharded): round-robin (default),
-    /// least-loaded (two-choice sampled), pinned or adaptive (a handle-local
-    /// active prefix that grows under contention and shrinks when load is
-    /// light).  Pinned keeps each producer's values on its home shard, which
-    /// is the only policy that preserves per-producer FIFO order across the
-    /// whole queue.
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
         self
     }
 
@@ -445,11 +386,9 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// [`threads`](QueueBuilder::threads) for the peak number of live
     /// endpoints.
     ///
-    /// Per-sender FIFO order holds on the bounded and unbounded backends
-    /// unconditionally; a *sharded* channel keeps it only under
-    /// [`ShardPolicy::Pinned`] routing ([`shard_policy`](QueueBuilder::shard_policy))
-    /// — the spreading policies trade that order for load balance, exactly as
-    /// they do on the raw queue.
+    /// Per-sender FIFO order holds on all three backends, for the lifetime of
+    /// a sender's bound handle (a sender that migrates to another thread
+    /// re-registers, and on the sharded backend may land on another shard).
     ///
     /// ```
     /// let (tx, mut rx) = wcq::builder().threads(2).build_channel::<u64>();
@@ -515,10 +454,10 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     }
 
     /// Builds the sharded unbounded queue: [`shards`](QueueBuilder::shards)
-    /// independent wLSCQ shards behind one [`WaitFreeQueue`] facade, with
-    /// [`shard_policy`](QueueBuilder::shard_policy) enqueue routing and a
-    /// home-shard-first work-stealing dequeue — the high-thread-count shape
-    /// that breaks the single head/tail hot spots.
+    /// independent wLSCQ shards behind one [`WaitFreeQueue`] facade; an
+    /// enqueue goes to the handle's home shard, a dequeue scans home-first and
+    /// steals — the high-thread-count shape that breaks the single head/tail
+    /// hot spots while keeping per-producer FIFO.
     pub fn build_sharded<T>(&self) -> ShardedWcq<T, F> {
         ShardedWcq::with_config_cache_counters(
             self.shards,
@@ -526,7 +465,6 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
             self.threads,
             self.config,
             self.segment_cache,
-            self.shard_policy,
             self.instr.counter_set(),
         )
     }
@@ -576,7 +514,6 @@ mod tests {
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
-            ..WcqConfig::default()
         };
         let q = builder()
             .capacity_order(4)
@@ -592,7 +529,8 @@ mod tests {
     #[test]
     fn builder_patience_shorthand_sets_the_bounds() {
         let q = builder().patience(2, 3).build_bounded::<u64>();
-        let _ = q; // construction is the assertion: no panic, k <= n holds
+        assert_eq!(q.config().max_patience_enqueue, 2);
+        assert_eq!(q.config().max_patience_dequeue, 3);
     }
 
     #[test]
@@ -610,83 +548,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_builds_sharded_with_requested_geometry_and_policy() {
+    fn builder_builds_sharded_with_requested_geometry() {
         let q = builder()
             .capacity_order(4)
             .threads(2)
             .shards(4)
-            .shard_policy(ShardPolicy::Pinned)
             .build_sharded::<u64>();
         assert_eq!(q.shard_count(), 4);
-        assert_eq!(q.policy(), ShardPolicy::Pinned);
         assert_eq!(ShardedWcq::max_threads(&q), 2);
         assert_eq!(q.shards()[0].segment_capacity(), 16);
         let mut h = q.handle();
         for i in 0..100 {
             h.enqueue(i);
         }
-        // Pinned routing: FIFO holds end to end for a single producer.
+        // Home-shard routing: FIFO holds end to end for a single producer.
         for i in 0..100 {
             assert_eq!(h.dequeue(), Some(i));
         }
     }
 
     #[test]
-    fn builder_defaults_to_one_round_robin_shard() {
+    fn builder_defaults_to_one_shard() {
         let q = builder()
             .capacity_order(4)
             .threads(2)
             .build_sharded::<u64>();
         assert_eq!(q.shard_count(), 1);
-        assert_eq!(q.policy(), ShardPolicy::RoundRobin);
-    }
-
-    #[test]
-    fn builder_patience_mode_fixed_and_adaptive_reach_the_config() {
-        let q = builder()
-            .patience_mode(PatienceMode::Fixed(5))
-            .build_bounded::<u64>();
-        assert_eq!(q.config().max_patience_enqueue, 5);
-        assert_eq!(q.config().max_patience_dequeue, 5);
-        assert!(q.config().adaptive_patience.is_none());
-
-        let ap = AdaptivePatience {
-            min: 2,
-            max: 32,
-            sample_every: 16,
-        };
-        let q = builder()
-            .capacity_order(5)
-            .threads(2)
-            .patience_mode(PatienceMode::Adaptive(ap))
-            .build_bounded::<u64>();
-        assert_eq!(q.config().adaptive_patience, Some(ap));
-        let mut h = q.handle();
-        for i in 0..200 {
-            h.enqueue(i);
-            assert_eq!(h.dequeue(), Some(i));
-        }
-    }
-
-    #[test]
-    fn builder_builds_adaptive_sharded() {
-        let q = builder()
-            .capacity_order(4)
-            .threads(2)
-            .shards(4)
-            .shard_policy(ShardPolicy::Adaptive)
-            .patience_mode(PatienceMode::Adaptive(AdaptivePatience::default()))
-            .build_sharded::<u64>();
-        assert_eq!(WaitFreeQueue::<u64>::name(&q), "Sharded wLSCQ (adaptive)");
-        let mut h = q.handle();
-        for i in 0..500 {
-            h.enqueue(i);
-        }
-        let mut got = 0;
-        while h.dequeue().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 500);
     }
 
     #[test]

@@ -48,8 +48,6 @@ fn async_pair(backend: ChannelBackend) -> (wcq::AsyncSender<u64>, wcq::AsyncRece
         } else {
             1
         })
-        // Per-producer FIFO for sharded channels needs pinned routing.
-        .shard_policy(wcq::ShardPolicy::Pinned)
         .backend(backend)
         .build_async::<u64>()
 }

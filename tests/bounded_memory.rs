@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use wcq::{Counter, CountingInstrument, ShardPolicy};
+use wcq::{Counter, CountingInstrument};
 use wcq_core::wcq::{WcqConfig, WcqQueue};
 use wcq_harness::memtrack::{self, CountingAllocator};
 use wcq_unbounded::UnboundedWcq;
@@ -41,7 +41,6 @@ fn forced_slow_path() -> WcqConfig {
         max_patience_dequeue: 1,
         help_delay: 1,
         catchup_bound: 8,
-        ..WcqConfig::default()
     }
 }
 
@@ -205,19 +204,30 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
     let instr = CountingInstrument::new();
     let q = wcq::builder()
         .capacity_order(SEG_ORDER)
-        .threads(2)
+        .threads(SHARDS)
         .shards(SHARDS)
-        .shard_policy(ShardPolicy::RoundRobin)
         .instrument(instr.clone())
         .build_sharded::<u64>();
-    let mut h = q.handle();
+    // One producer handle per shard, held at once: distinct record slots,
+    // hence distinct home shards, so a burst lands on every shard.
+    let mut handles: Vec<_> = (0..SHARDS).map(|_| q.handle()).collect();
+    let mut homes: Vec<usize> = handles.iter().map(|h| h.home_shard()).collect();
+    homes.sort_unstable();
+    assert_eq!(homes, (0..SHARDS).collect::<Vec<_>>());
+    // A burst spreads its values over the producers; the first handle then
+    // drains all four shards (its own by home, the rest by stealing).
+    let mut cycle = |base: u64| {
+        for i in 0..BURST {
+            handles[i as usize % SHARDS].enqueue(base + i);
+        }
+        while handles[0].dequeue().is_some() {}
+        for h in &mut handles {
+            h.flush_reclamation();
+        }
+    };
 
     // Warm-up: populate every shard's segment cache through one full cycle.
-    for i in 0..BURST {
-        h.enqueue(i);
-    }
-    while h.dequeue().is_some() {}
-    h.flush_reclamation();
+    cycle(0);
 
     let allocated_before: Vec<usize> = q.shards().iter().map(|s| s.segments_allocated()).collect();
     let reused_before: Vec<usize> = (q.shards().iter())
@@ -226,12 +236,8 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
     let warm = instr.snapshot();
     let before = memtrack::snapshot();
     const ROUNDS: u64 = 40;
-    for round in 0..ROUNDS {
-        for i in 0..BURST {
-            h.enqueue(round * BURST + i);
-        }
-        while h.dequeue().is_some() {}
-        h.flush_reclamation();
+    for round in 1..=ROUNDS {
+        cycle(round * BURST);
     }
     let after = memtrack::snapshot();
 

@@ -21,10 +21,6 @@ fn pair_over(backend: ChannelBackend) -> (wcq::Sender<u64>, wcq::Receiver<u64>) 
         } else {
             1
         })
-        // Pinned routing is the policy under which a sharded channel keeps
-        // per-producer FIFO (each endpoint stays on its home shard); the
-        // spreading policies deliberately trade that order away.
-        .shard_policy(wcq::ShardPolicy::Pinned)
         .backend(backend)
         .build_channel::<u64>()
 }
@@ -271,4 +267,55 @@ fn counting_backends_hint_empty_after_a_drain() {
         }
         assert!(rx.is_empty_hint(), "backend {backend:?}: drained");
     }
+}
+
+/// Regression: a sharded channel built with `.shards(4)` and *no other call*
+/// keeps per-sender FIFO, like every other backend.  Under the old default
+/// (round-robin enqueue routing) one sender's values were spread over the
+/// four shards and came back as `[1, 5, 9, 13, 2, 6, …]`.
+#[test]
+fn default_sharded_channel_keeps_per_sender_fifo() {
+    const N: usize = 1_000;
+    let expected: Vec<u64> = (0..N as u64).collect();
+
+    // Sync endpoints, one value at a time.
+    let (mut tx, mut rx) = wcq::builder().shards(4).build_channel::<u64>();
+    for &v in &expected {
+        tx.send(v).unwrap();
+    }
+    let got: Vec<u64> = (0..N).map(|_| rx.recv().unwrap()).collect();
+    assert_eq!(got, expected, "sync singles");
+
+    // Sync endpoints, batches.
+    let (mut tx, mut rx) = wcq::builder().shards(4).build_channel::<u64>();
+    for chunk in expected.chunks(37) {
+        assert_eq!(tx.send_iter(chunk.iter().copied()).unwrap(), chunk.len());
+    }
+    let mut got = Vec::new();
+    while got.len() < N {
+        rx.recv_many(&mut got, 64).unwrap();
+    }
+    assert_eq!(got, expected, "sync send_iter/recv_many");
+
+    // Async endpoints: singles, then batches, through one channel.
+    let (mut tx, mut rx) = wcq::builder().shards(4).build_async::<u64>();
+    wcq_harness::block_on(async {
+        for &v in &expected {
+            tx.send(v).await.unwrap();
+        }
+        let mut got = Vec::new();
+        for _ in 0..N {
+            got.push(rx.recv().await.unwrap());
+        }
+        assert_eq!(got, expected, "async singles");
+
+        for chunk in expected.chunks(37) {
+            assert_eq!(tx.send_iter(chunk.iter().copied()).await, Ok(chunk.len()));
+        }
+        let mut got = Vec::new();
+        while got.len() < N {
+            rx.recv_many(&mut got, 64).await.unwrap();
+        }
+        assert_eq!(got, expected, "async send_iter/recv_many");
+    });
 }

@@ -99,18 +99,20 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         16,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
-    // Pins the adaptive shard router's shrink-vs-drain guarantee rather than
-    // a fixed bug: the run forces the active prefix from two shards back to
-    // one while consumers are mid-drain, and the oracle proves the full-set
-    // dequeue scan recovers every element left behind the prefix under this
-    // exact interleaving.  If routing ever consults the active prefix on the
-    // dequeue side, this replay is the first to lose elements.
+    // Pins the sharded queue's ordering contract rather than a fixed bug.
+    // Plan 3 is one producer (home shard 0) forced down the slow path across
+    // a segment boundary, and two consumers: one whose home is shard 0, one
+    // whose home is the empty shard 1, so all it ever gets it steals.  Under
+    // this schedule four of the eleven values are stolen while the producer
+    // is still enqueueing on that shard, and the oracle asserts per-producer
+    // FIFO on both consumers' views.  If an enqueue ever leaves its handle's
+    // home shard, this replay is the first to see a producer reordered.
     (
         3,
-        Target::ShardedAdaptive,
+        Target::Sharded,
         0xDAA6_6D2C_7DDF_7443,
-        16,
-        "shard-set shrink racing a dequeue drain must lose nothing",
+        4,
+        "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
     // this seed the stalled dequeue is a memo *miss* (the handle's binding is

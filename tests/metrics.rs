@@ -19,9 +19,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 
-use wcq::{
-    AdaptivePatience, ChannelBackend, Counter, CountingInstrument, MetricsSnapshot, WcqConfig,
-};
+use wcq::{ChannelBackend, Counter, CountingInstrument, MetricsSnapshot, WcqConfig};
 use wcq_harness::{block_on_instrumented, make_counting_queue, QueueKind};
 
 /// The queue kinds `make_counting_queue` can instrument — the whole wCQ
@@ -33,7 +31,6 @@ const COUNTING_KINDS: &[QueueKind] = &[
     QueueKind::WcqUnboundedLlsc,
     QueueKind::WcqSharded,
     QueueKind::WcqShardedLlsc,
-    QueueKind::WcqShardedAdaptive,
 ];
 
 const PRODUCERS: usize = 2;
@@ -49,7 +46,6 @@ fn forced_slow() -> WcqConfig {
         max_patience_dequeue: 1,
         help_delay: 1,
         catchup_bound: 8,
-        ..WcqConfig::default()
     }
 }
 
@@ -62,12 +58,7 @@ static LLSC_RATE_LOCK: Mutex<()> = Mutex::new(());
 /// inside the scope, so their handle-local op tallies are flushed before the
 /// snapshot is taken.
 fn verified_drain(kind: QueueKind) -> MetricsSnapshot {
-    verified_drain_with(kind, forced_slow())
-}
-
-/// [`verified_drain`] with an explicit wait-freedom configuration.
-fn verified_drain_with(kind: QueueKind, config: WcqConfig) -> MetricsSnapshot {
-    let (queue, instr) = make_counting_queue(kind, PRODUCERS + CONSUMERS, 7, Some(config))
+    let (queue, instr) = make_counting_queue(kind, PRODUCERS + CONSUMERS, 7, Some(forced_slow()))
         .unwrap_or_else(|| panic!("{kind:?} must support counting construction"));
     let producers_done = AtomicUsize::new(0);
     let consumed = AtomicU64::new(0);
@@ -197,138 +188,26 @@ fn unbounded_kinds_report_segment_traffic() {
 
 #[test]
 fn sharded_kinds_report_routing() {
-    let snap = verified_drain(QueueKind::WcqSharded);
-    assert!(
-        snap.get(Counter::ShardRoutes) > 0,
-        "no shard routes recorded"
-    );
-}
-
-#[test]
-fn adaptive_patience_raises_show_up_in_telemetry() {
-    // Spurious store-conditional failures surface as in-slot CAS retries,
-    // which the ring reports to the adaptive controller as extra fast-path
-    // attempts.  At a 50% rate every CAS burns one expected retry, so the
-    // EWMA converges toward `EWMA_ONE` — past `RAISE_LEVEL` within a few
-    // sampling windows, deterministically.
-    let _rate = LLSC_RATE_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    wcq_atomics::llsc::set_spurious_failure_rate(0.5);
-    let cfg = WcqConfig {
-        adaptive_patience: Some(AdaptivePatience {
-            min: 1,
-            max: 256,
-            sample_every: 16,
-        }),
-        ..WcqConfig::default()
-    };
-    let snap = verified_drain_with(QueueKind::WcqLlsc, cfg);
-    wcq_atomics::llsc::set_spurious_failure_rate(0.0);
-    assert!(
-        snap.get(Counter::PatienceRaised) >= 1,
-        "spurious-failure exhaustion under adaptive patience must record a raise"
-    );
-    // The structural invariant the counter-balance test checks holds under
-    // the adaptive controller too.
-    let exhausted =
-        snap.get(Counter::PatienceExhaustedEnqueues) + snap.get(Counter::PatienceExhaustedDequeues);
-    assert_eq!(snap.fast_ring_ops() + exhausted, snap.total_ring_ops());
-}
-
-#[test]
-fn batch_only_traffic_drives_the_adaptive_patience_controller() {
-    // The batch entry points reserve whole runs of tickets with one F&A and
-    // pool the run's retry tally into a single controller observation — they
-    // must drive the adaptive patience exactly like single-op traffic does.
-    // Injected LL/SC spurious failures make the in-slot CAS retries (and so
-    // the raise) deterministic on a single core; switching the injection off
-    // lets the EWMA decay and must walk the bound back down.  Both directions
-    // of the movement are asserted through the shared counters, under traffic
-    // that *only* uses `enqueue_many`/`dequeue_into`.
-    let _rate = LLSC_RATE_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let cfg = WcqConfig {
-        adaptive_patience: Some(AdaptivePatience {
-            min: 1,
-            max: 256,
-            sample_every: 16,
-        }),
-        ..WcqConfig::default()
-    };
+    const VALUES: u64 = 500;
     let (queue, instr) =
-        make_counting_queue(QueueKind::WcqLlsc, 1, 9, Some(cfg)).expect("LLSC kind counts");
+        make_counting_queue(QueueKind::WcqSharded, 2, 6, None).expect("sharded kind counts");
     {
-        let mut h = queue.handle();
-        let mut batch = Vec::new();
-        let mut out = Vec::new();
-        // Phase 1 — contended batches: at a 50% spurious-failure rate every
-        // in-slot CAS burns one expected retry, so each pooled run averages
-        // ~EWMA_ONE extra attempts per op and the bound doubles within a few
-        // windows.
-        wcq_atomics::llsc::set_spurious_failure_rate(0.5);
-        for round in 0..100u64 {
-            batch.extend((0..32).map(|i| round * 32 + i));
-            assert_eq!(h.enqueue_many(&mut batch), 32, "batch must be accepted");
-            batch.clear();
-            while out.len() < 32 {
-                let want = 32 - out.len();
-                h.dequeue_into(&mut out, want);
-            }
-            out.clear();
+        // Two live handles own distinct record slots, hence distinct home
+        // shards: everything the consumer gets, it steals from the
+        // producer's shard.
+        let mut producer = queue.handle();
+        let mut consumer = queue.handle();
+        for i in 0..VALUES {
+            producer.enqueue(i);
         }
-        // Phase 2 — quiet batches: no injection, no misses; the EWMA decays
-        // geometrically below LOWER_LEVEL and the bound halves back down.
-        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
-        for round in 0..100u64 {
-            batch.extend((0..32).map(|i| round * 32 + i));
-            assert_eq!(h.enqueue_many(&mut batch), 32, "batch must be accepted");
-            batch.clear();
-            while out.len() < 32 {
-                let want = 32 - out.len();
-                h.dequeue_into(&mut out, want);
-            }
-            out.clear();
+        for i in 0..VALUES {
+            assert_eq!(consumer.dequeue(), Some(i));
         }
+        // The producer's own dequeues start at home: no steal.
+        producer.enqueue(VALUES);
+        assert_eq!(producer.dequeue(), Some(VALUES));
     }
-    let snap = instr.snapshot();
-    assert!(
-        snap.get(Counter::PatienceRaised) >= 1,
-        "contended batch-only traffic must raise the patience bound"
-    );
-    assert!(
-        snap.get(Counter::PatienceLowered) >= 1,
-        "quiet batch-only traffic must lower the patience bound back"
-    );
-}
-
-#[test]
-fn adaptive_shard_set_transitions_show_up_in_telemetry() {
-    let (queue, instr) = make_counting_queue(QueueKind::WcqShardedAdaptive, 1, 6, None)
-        .expect("adaptive sharded counts");
-    {
-        let mut h = queue.handle();
-        // Undrained backlog widens the active prefix (grown events)...
-        for i in 0..3_000u64 {
-            h.enqueue(i);
-        }
-        // ...then a drain plus calm traffic walks it back down (shrunk).
-        while h.dequeue().is_some() {}
-        for i in 0..300 {
-            h.enqueue(i);
-            assert!(h.dequeue().is_some());
-        }
-    }
-    let snap = instr.snapshot();
-    assert!(
-        snap.get(Counter::ShardSetGrown) >= 1,
-        "backlog must grow the active shard set"
-    );
-    assert!(
-        snap.get(Counter::ShardSetShrunk) >= 1,
-        "a drained queue must shrink the active shard set"
-    );
+    assert_eq!(instr.snapshot().get(Counter::ShardSteals), VALUES);
 }
 
 #[test]

@@ -13,40 +13,51 @@
 
 use std::collections::HashSet;
 
-use wcq::{Counter, CountingInstrument, Instrument, ShardPolicy, ShardedWcq, WaitFreeQueue};
+use wcq::{Counter, CountingInstrument, Instrument, ShardedWcq, ShardedWcqHandle, WaitFreeQueue};
 use wcq_harness::{QueueKind, StressPlan};
 
 const SHARDS: usize = 4;
 
-fn tiny_segments(policy: ShardPolicy, threads: usize) -> ShardedWcq<u64> {
-    tiny_segments_instrumented(policy, threads, wcq::NoopInstrument)
+fn tiny_segments(threads: usize) -> ShardedWcq<u64> {
+    tiny_segments_instrumented(threads, wcq::NoopInstrument)
 }
 
-fn tiny_segments_instrumented(
-    policy: ShardPolicy,
-    threads: usize,
-    instr: impl Instrument,
-) -> ShardedWcq<u64> {
+fn tiny_segments_instrumented(threads: usize, instr: impl Instrument) -> ShardedWcq<u64> {
     // ring_order = 4: 16-slot segments, so a few hundred values force
     // growth, closing, retirement and recycling on every shard.
     wcq::builder()
         .capacity_order(4)
         .threads(threads)
         .shards(SHARDS)
-        .shard_policy(policy)
         .instrument(instr)
         .build_sharded()
+}
+
+/// One live producer handle per shard: handles held at once own distinct
+/// record slots, hence distinct home shards — the way to put traffic on
+/// every shard under home-shard routing.
+fn producer_per_shard(q: &ShardedWcq<u64>) -> Vec<ShardedWcqHandle<'_, u64>> {
+    let producers: Vec<_> = (0..SHARDS).map(|_| q.handle()).collect();
+    let homes: HashSet<usize> = producers.iter().map(|h| h.home_shard()).collect();
+    assert_eq!(
+        homes.len(),
+        SHARDS,
+        "distinct tids must give distinct homes"
+    );
+    producers
 }
 
 #[test]
 fn every_shard_binding_follows_forced_segment_growth() {
     let instr = CountingInstrument::new();
-    let q = tiny_segments_instrumented(ShardPolicy::RoundRobin, 2, instr.clone());
-    let mut h = q.handle();
-    // 400 round-robin values: 100 per 16-slot-segment shard, so every shard
-    // crosses several segments while its binding chases the tail.
-    for i in 0..400 {
-        h.enqueue(i);
+    let q = tiny_segments_instrumented(SHARDS, instr.clone());
+    let mut producers = producer_per_shard(&q);
+    // 100 values per 16-slot-segment shard, so every shard crosses several
+    // segments while its producer's binding chases the tail.
+    for (p, h) in producers.iter_mut().enumerate() {
+        for i in 0..100 {
+            h.enqueue(p as u64 * 100 + i);
+        }
     }
     // A value only reaches a later segment through a binding that moved
     // there, so per-shard growth is per-shard rebinding.
@@ -54,13 +65,18 @@ fn every_shard_binding_follows_forced_segment_growth() {
         .map(|shard| shard.segments_allocated())
         .inspect(|&segments| assert!(segments > 1, "every shard must have grown"))
         .sum();
+    // One handle drains all four shards: its own by home, the rest by
+    // stealing, each through its own per-shard binding.
+    let h = &mut producers[0];
     let mut seen = HashSet::new();
     while let Some(v) = h.dequeue() {
         assert!(seen.insert(v), "duplicated {v}");
     }
     assert_eq!(seen.len(), 400, "growth must not lose values");
-    h.flush_reclamation();
-    drop(h); // flushes every per-shard handle's rebind tally
+    for h in &mut producers {
+        h.flush_reclamation();
+    }
+    drop(producers); // flushes every per-shard handle's rebind tally
     let rebinds = instr.snapshot().get(Counter::SegmentRebinds);
     assert!(
         rebinds >= grown as u64,
@@ -77,13 +93,14 @@ fn every_shard_binding_follows_forced_segment_growth() {
 
 #[test]
 fn handle_drop_releases_every_shard_slot() {
-    let q = tiny_segments(ShardPolicy::Pinned, 2);
+    let q = tiny_segments(2);
     let mut h1 = q.handle();
     // Touch every shard so each inner handle holds a live segment binding —
-    // drop must release bindings *and* slots.
-    for shard in 0..SHARDS as u64 {
-        h1.enqueue(shard);
-    }
+    // drop must release bindings *and* slots.  (The second dequeue scans all
+    // four shards before answering empty.)
+    h1.enqueue(7);
+    assert_eq!(h1.dequeue(), Some(7));
+    assert_eq!(h1.dequeue(), None);
     let _h2 = q.handle();
     assert!(q.register().is_none(), "both slots taken on every shard");
     drop(h1);
@@ -104,17 +121,14 @@ fn handle_drop_releases_every_shard_slot() {
 #[test]
 fn one_consumer_steals_from_every_shard() {
     const PER_SHARD: u64 = 200;
-    let q = tiny_segments(ShardPolicy::RoundRobin, 3);
-    std::thread::scope(|s| {
-        // One producer spreads values across all shards (round-robin)...
-        s.spawn(|| {
-            let mut h = q.handle();
-            for i in 0..SHARDS as u64 * PER_SHARD {
-                h.enqueue(i);
-            }
-        });
-    });
-    // ...and every shard really holds a share.
+    let q = tiny_segments(SHARDS);
+    // Four producers, one per shard...
+    for (p, h) in producer_per_shard(&q).iter_mut().enumerate() {
+        for i in 0..PER_SHARD {
+            h.enqueue(p as u64 * PER_SHARD + i);
+        }
+    }
+    // ...so every shard really holds a share.
     for (i, shard) in q.shards().iter().enumerate() {
         assert_eq!(shard.len_hint(), PER_SHARD as usize, "shard {i} share");
     }
@@ -133,7 +147,7 @@ fn one_consumer_steals_from_every_shard() {
 fn pinned_producers_preserve_per_producer_fifo_through_stealing() {
     const PRODUCERS: usize = 3;
     const PER_PRODUCER: u64 = 2_000;
-    let q = tiny_segments(ShardPolicy::Pinned, PRODUCERS + 1);
+    let q = tiny_segments(PRODUCERS + 1);
     std::thread::scope(|s| {
         for p in 0..PRODUCERS as u64 {
             let q = &q;
@@ -171,37 +185,10 @@ fn pinned_producers_preserve_per_producer_fifo_through_stealing() {
 #[test]
 fn stress_oracle_holds_for_sharded_kinds_under_forced_growth() {
     // The CI sharded-stress smoke: both hardware models, tiny segments, the
-    // full loss/duplication/invention/pinned-producer-FIFO oracle.
+    // full loss/duplication/invention/per-producer-FIFO oracle.
     for kind in [QueueKind::WcqSharded, QueueKind::WcqShardedLlsc] {
         let mut plan = StressPlan::from_seed(kind, 0x5AAD_ED01);
         plan.ring_order = 4; // 16-slot segments << ops_per_producer
-        assert!(plan.pin_producers, "sharded plans pin by default");
         plan.assert_holds();
     }
-}
-
-#[test]
-fn stress_oracle_holds_for_adaptive_routing_under_forced_growth() {
-    // The adaptive kind runs unpinned by construction (the active-prefix
-    // router deliberately spreads producers), so the oracle checks
-    // loss/duplication/invention while the prefix grows and shrinks across
-    // tiny 16-slot segments.
-    let mut plan = StressPlan::from_seed(QueueKind::WcqShardedAdaptive, 0x5AAD_ED03);
-    plan.ring_order = 4;
-    assert!(
-        !plan.pin_producers,
-        "adaptive plans are unpinned by construction"
-    );
-    plan.assert_holds();
-}
-
-#[test]
-fn stress_oracle_relaxed_variant_spreads_producers() {
-    // The unpinned plan variant: round-robin routing spreads each producer
-    // across shards; loss/duplication/invention still hold (FIFO is
-    // deliberately out of contract — see StressPlan::pin_producers).
-    let mut plan = StressPlan::from_seed(QueueKind::WcqSharded, 0x5AAD_ED02);
-    plan.pin_producers = false;
-    plan.ring_order = 4;
-    plan.assert_holds();
 }

@@ -5,14 +5,12 @@
 //! Each test prints nothing on success; on failure the panic message carries
 //! the seed, and `StressPlan::from_seed(kind, seed)` replays the exact run.
 
-use wcq_harness::{all_real_queues, AdaptivePatience, QueueKind, StressPlan, WcqConfig};
+use wcq_harness::{all_real_queues, QueueKind, StressPlan, WcqConfig};
 
 /// Two seeds per kind keeps the sweep broad but CI-fast; the seeds are
-/// arbitrary and fixed so runs are comparable.  The sweep now covers 13 real
-/// kinds, including the sharded wLSCQ pair (pinned producers, so the full
-/// per-producer-FIFO oracle applies — the relaxed unpinned variant lives in
-/// `tests/sharded.rs`) and the adaptive-routed sharded kind (unpinned by
-/// construction: the oracle checks loss/duplication/invention for it).
+/// arbitrary and fixed so runs are comparable.  The sweep covers 12 real
+/// kinds, including the sharded wLSCQ pair (a producer stays on its home
+/// shard, so the full per-producer-FIFO oracle applies to them too).
 const SEEDS: [u64; 2] = [0xC0FF_EE00, 0x5EED_0002];
 
 #[test]
@@ -36,7 +34,6 @@ fn stress_oracle_holds_with_forced_slow_path() {
         QueueKind::WcqUnboundedLlsc,
         QueueKind::WcqSharded,
         QueueKind::WcqShardedLlsc,
-        QueueKind::WcqShardedAdaptive,
     ] {
         let mut plan = StressPlan::from_seed(kind, 0xBAD_FA57);
         plan.wcq_config = WcqConfig {
@@ -44,7 +41,6 @@ fn stress_oracle_holds_with_forced_slow_path() {
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
-            ..WcqConfig::default()
         };
         plan.assert_holds();
     }
@@ -75,24 +71,6 @@ fn stress_oracle_holds_under_injected_llsc_spurious_failures() {
     let mut plan = StressPlan::from_seed(QueueKind::WcqLlsc, 0x115C_FA11);
     plan.spurious_rate = 0.25;
     plan.assert_holds();
-}
-
-#[test]
-fn stress_oracle_holds_with_adaptive_patience_under_llsc_spurious_failures() {
-    // Spurious store-conditional failures are extra fast-path attempts, i.e.
-    // exactly the signal the adaptive controller's EWMA feeds on — so this
-    // is the one deterministic way to drive patience raises on a single-core
-    // box while the full oracle watches for loss/duplication/FIFO breaks.
-    for kind in [QueueKind::WcqLlsc, QueueKind::WcqUnboundedLlsc] {
-        let mut plan = StressPlan::from_seed(kind, 0x115C_ADA7);
-        plan.spurious_rate = 0.25;
-        plan.wcq_config.adaptive_patience = Some(AdaptivePatience {
-            min: 1,
-            max: 256,
-            sample_every: 16,
-        });
-        plan.assert_holds();
-    }
 }
 
 #[test]

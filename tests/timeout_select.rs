@@ -45,9 +45,6 @@ fn channel_over(backend: ChannelBackend, slots: usize) -> (Sender<u64>, Receiver
         } else {
             1
         })
-        // Pinned keeps per-producer FIFO on the sharded backend, so the full
-        // oracle (including the FIFO clause) applies everywhere.
-        .shard_policy(wcq::ShardPolicy::Pinned)
         .backend(backend)
         .build_channel::<u64>()
 }
@@ -210,7 +207,6 @@ fn async_select_stress_matches_the_sync_oracle() {
                     } else {
                         1
                     })
-                    .shard_policy(wcq::ShardPolicy::Pinned)
                     .backend(backend)
                     .build_async::<u64>()
             })

@@ -79,7 +79,6 @@ fn concurrent_churn_with_forced_slow_path_returns_to_bound() {
         max_patience_dequeue: 1,
         help_delay: 1,
         catchup_bound: 8,
-        ..WcqConfig::default()
     };
     let q: UnboundedWcq<u64> = wcq::builder()
         .capacity_order(4)

@@ -21,7 +21,6 @@ fn paranoid_config() -> WcqConfig {
         max_patience_dequeue: 1,
         help_delay: 1,
         catchup_bound: 4,
-        ..WcqConfig::default()
     }
 }
 
