@@ -72,6 +72,24 @@ impl Backoff {
         }
     }
 
+    /// One pause of a wait that has its own time budget and its own way of
+    /// sleeping once that is spent (the channel layer's spin-then-park):
+    /// `2^step` spin hints, doubling up to `2^max_shift` and then holding
+    /// there — it never yields.  A checkpoint like
+    /// [`Backoff::snooze_or_yield`], for the same reason: the loop waits on
+    /// another thread's progress.
+    #[inline]
+    pub fn pause_capped(&mut self, max_shift: u32) {
+        #[cfg(feature = "checkpoint")]
+        crate::checkpoint::hit("backoff.snooze");
+        for _ in 0..1u32 << self.step.min(max_shift) {
+            core::hint::spin_loop();
+        }
+        if self.step < max_shift {
+            self.step += 1;
+        }
+    }
+
     /// Current step (exposed for tests and statistics).
     #[inline]
     pub fn step(&self) -> u32 {
@@ -102,6 +120,16 @@ mod tests {
         // Further snoozes stay capped.
         b.snooze();
         assert_eq!(b.step(), Backoff::MAX_SHIFT);
+    }
+
+    #[test]
+    fn a_capped_pause_doubles_to_its_own_cap_and_holds() {
+        let mut b = Backoff::new();
+        for expected in [1, 2, 3, 3, 3] {
+            b.pause_capped(3);
+            assert_eq!(b.step(), expected);
+        }
+        assert!(!b.is_completed(), "its cap is the caller's, not MAX_SHIFT");
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl<T: Send + 'static, I: Instrument> Future for SendIterFuture<'_, T, I> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let Self { wait, buf, total } = self.get_mut();
-        wait.poll_one(cx, |tx| tx.attempt_send_batch(buf, *total, || ()))
+        wait.poll_one(cx, |tx| tx.attempt_send_batch(buf, *total))
     }
 }
 

@@ -72,7 +72,7 @@ use std::time::Duration;
 use wcq_core::api::{QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, Instrument, NoopInstrument};
 
-use crate::wait::{self, Lane, Parked, WakeSide};
+use crate::wait::{Lane, Parked, WakeSide, NO_DEADLINE};
 
 pub use wcq_core::channel::{
     RecvError, RecvTimeoutError, SendError, SendTimeoutError, TryRecvError, TrySendError,
@@ -321,6 +321,11 @@ pub(crate) fn recv_answer<R>(result: Result<R, TryRecvError>) -> Option<Result<R
     }
 }
 
+/// The outcome of a wait under [`NO_DEADLINE`]: it ended, so it was answered.
+fn answered<O>(outcome: Option<O>) -> O {
+    outcome.expect("a wait with no deadline ends only with an answer")
+}
+
 /// The outcome of a deadline-bounded receive wait (`None` = timed out) in
 /// the timeout error vocabulary.
 pub(crate) fn timed<R>(outcome: Option<Result<R, RecvError>>) -> Result<R, RecvTimeoutError> {
@@ -483,14 +488,12 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
 
     /// The `try_send_batch` attempt: offers `buf` batch by batch — one
     /// credit + closed check, then the backend's `enqueue_many`, per batch —
-    /// while the backend accepts anything (`progressed` is told of every
-    /// batch that only partly fit); `None` means full.  On close the unsent
-    /// remainder comes back in order.
+    /// while the backend accepts anything; `None` means full.  On close the
+    /// unsent remainder comes back in order.
     pub(crate) fn attempt_send_batch(
         &mut self,
         buf: &mut Vec<T>,
         total: usize,
-        mut progressed: impl FnMut(),
     ) -> Option<Result<usize, SendError<Vec<T>>>> {
         loop {
             let Self { slot, core, .. } = self;
@@ -498,17 +501,19 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
                 Err(SendError(())) => return Some(Err(SendError(std::mem::take(buf)))),
                 Ok(_) if buf.is_empty() => return Some(Ok(total)),
                 Ok(0) => return None,
-                Ok(_) => progressed(), // offer the rest right away
+                Ok(_) => {} // a batch partly fit: offer the rest right away
             }
         }
     }
 
-    /// Sends `value`, waiting (bounded spin, then yielding) while a bounded
-    /// backend is full.  Fails only when the channel closes first; the value
-    /// comes back inside the error.
+    /// Sends `value`, waiting while a bounded backend is full: the wait
+    /// spins briefly, then parks (a receive or a close wakes it).  Fails only
+    /// when the channel closes first; the value comes back inside the error.
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
         let mut item = Some(value);
-        wait::spin(|_| self.attempt_send(&mut item))
+        answered(Parked::wait_one(self, NO_DEADLINE, |tx| {
+            tx.attempt_send(&mut item)
+        }))
     }
 
     /// Sends every element of `iter`, paying the handle bind, in-flight
@@ -519,8 +524,8 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
     /// channel closes first, the error carries the unsent remainder in order;
     /// everything *not* in the remainder was enqueued before the close and
     /// will be drained by receivers (the exact-drain guarantee is per
-    /// element, not per batch).  Like [`Sender::send`], this waits (bounded
-    /// spin, then yielding) while a bounded backend is full.
+    /// element, not per batch).  Like [`Sender::send`], this waits — spinning
+    /// briefly, then parked — while a bounded backend is full.
     pub fn send_iter<It>(&mut self, iter: It) -> Result<usize, SendError<Vec<T>>>
     where
         It: IntoIterator<Item = T>,
@@ -530,26 +535,27 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
         if total == 0 {
             return Ok(0);
         }
-        // Receivers are catching up once a batch partly fits: start the
-        // delay over rather than keep yielding at the cap.
-        wait::spin(|backoff| self.attempt_send_batch(&mut buf, total, || backoff.reset()))
+        answered(Parked::wait_one(self, NO_DEADLINE, |tx| {
+            tx.attempt_send_batch(&mut buf, total)
+        }))
     }
 
     /// Sends `value`, waiting at most `timeout` while a bounded backend is
     /// full.
     ///
-    /// Unlike [`Sender::send`]'s spin-then-yield loop, the wait here *parks*:
-    /// the sender deposits a thread-unparking waker in the same send-side
-    /// slot the async sender uses, so the receive path's existing wake hook
-    /// ends the wait with no polling.  The value always comes back inside the
-    /// error — a timed-out send has **not** enqueued it (there is no
-    /// accepted-but-also-returned state), so retrying cannot duplicate.
+    /// [`Sender::send`]'s wait with a deadline: it spins briefly, then
+    /// *parks* — the sender deposits a thread-unparking waker in the same
+    /// send-side slot the async sender uses, so the receive path's existing
+    /// wake hook ends the wait with no polling.  The spin counts against
+    /// `timeout`.  The value always comes back inside the error — a timed-out
+    /// send has **not** enqueued it (there is no accepted-but-also-returned
+    /// state), so retrying cannot duplicate.
     ///
     /// A zero `timeout` degrades to [`Sender::try_send`] with `Full` mapped
     /// to `Timeout`.
     pub fn send_timeout(&mut self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
         let mut item = Some(value);
-        match Parked::one(self).park_one(timeout, |tx| tx.attempt_send(&mut item)) {
+        match Parked::wait_one(self, timeout, |tx| tx.attempt_send(&mut item)) {
             Some(Ok(())) => Ok(()),
             Some(Err(SendError(v))) => Err(SendTimeoutError::Closed(v)),
             None => Err(SendTimeoutError::Timeout(
@@ -667,60 +673,24 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
         core.try_recv(handle)
     }
 
-    /// Receives a value, waiting (bounded spin, then yielding) while the
-    /// channel is empty.  Fails only once the channel is closed *and* fully
-    /// drained.
+    /// Receives a value, waiting while the channel is empty: the wait spins
+    /// briefly on a read-only hint, then parks (a send or a close wakes it),
+    /// so a receiver with nothing to do sleeps.  Fails only once the channel
+    /// is closed *and* fully drained.
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        self.spin_recv(Self::try_recv)
-    }
-
-    /// The spin driver over a receive attempt: after a first empty answer it
-    /// re-polls the ring only once [`Self::still_looks_empty`] says there may
-    /// be something to find.
-    fn spin_recv<R>(
-        &mut self,
-        mut attempt: impl FnMut(&mut Self) -> Result<R, TryRecvError>,
-    ) -> Result<R, RecvError> {
-        wait::spin(|backoff| {
-            if backoff.step() > 0 && self.still_looks_empty() {
-                return None;
-            }
-            recv_answer(attempt(self))
-        })
-    }
-
-    /// Whether a spinning receive that has already found the channel empty
-    /// can skip its next poll: the channel is still open and the backend's
-    /// length hint still says empty.
-    ///
-    /// An empty poll of an SCQ-style ring is not a read: it takes a head
-    /// ticket, advances the slot's cycle, catches the tail up and decrements
-    /// the threshold — four writes to cache lines the next `send` needs.  A
-    /// receiver that outpaces its sender and re-polls the ring at the pace of
-    /// the backoff's first steps slows that sender down (measured: 20 000
-    /// sends into a spinning `recv` on another core took 30–50 % longer once
-    /// the uncontended poll itself had become cheap).  Re-polling the hint —
-    /// one or a few read-only words — costs the sender at most one line.
-    ///
-    /// Liveness needs only what every workspace backend's hint provides: it
-    /// is exact once operations have quiesced, so a value nobody takes turns
-    /// it non-empty and the next spin polls for real; a backend without a
-    /// real hint ([`WaitFreeQueue::has_empty_hint`]) is always polled.  A
-    /// closed channel is always polled too, so the exact-drain verdict comes
-    /// from `try_recv` alone.
-    fn still_looks_empty(&self) -> bool {
-        let queue = self.core.queue();
-        !self.core.is_closed() && queue.has_empty_hint() && queue.is_empty_hint()
+        answered(Parked::wait_one(self, NO_DEADLINE, |rx| {
+            recv_answer(rx.try_recv())
+        }))
     }
 
     /// Receives a value, waiting at most `timeout` while the channel is
     /// empty.
     ///
-    /// Unlike [`Receiver::recv`]'s spin-then-yield loop, the wait here
-    /// *parks*: the receiver deposits a thread-unparking waker in the same
-    /// receive-side slot the async receiver uses, so the send path's existing
-    /// wake hook (and close's wake-all) ends the wait with no polling.  Three
-    /// outcomes:
+    /// [`Receiver::recv`]'s wait with a deadline: it spins briefly on a
+    /// read-only hint, then *parks* — the receiver deposits a thread-unparking
+    /// waker in the same receive-side slot the async receiver uses, so the
+    /// send path's existing wake hook (and close's wake-all) ends the wait
+    /// with no polling.  The spin counts against `timeout`.  Three outcomes:
     ///
     /// * `Ok(value)` — a value arrived within the deadline;
     /// * [`RecvTimeoutError::Timeout`] — the deadline passed with the channel
@@ -733,20 +703,24 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// A zero `timeout` degrades to [`Receiver::try_recv`] with `Empty`
     /// mapped to `Timeout`.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        timed(Parked::one(self).park_one(timeout, |rx| recv_answer(rx.try_recv())))
+        timed(Parked::wait_one(self, timeout, |rx| {
+            recv_answer(rx.try_recv())
+        }))
     }
 
     /// Receives up to `max` values into `out` with one handle bind and one
     /// closed/in-flight decision per batch — the channel face of
     /// [`QueueHandle::dequeue_into`].
     ///
-    /// Blocks like [`Receiver::recv`] until at least one value is available,
-    /// then returns however many the backend yielded in one batch (at most
+    /// Waits like [`Receiver::recv`] (a brief spin on a read-only hint, then
+    /// parked) until at least one value is available, then returns however many the backend yielded in one batch (at most
     /// `max`; fewer does **not** mean the channel is empty).  Fails only once
     /// the channel is closed *and* fully drained.  `max == 0` returns `Ok(0)`
     /// immediately.
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
-        self.spin_recv(|rx| rx.try_recv_many(out, max))
+        answered(Parked::wait_one(self, NO_DEADLINE, |rx| {
+            recv_answer(rx.try_recv_many(out, max))
+        }))
     }
 
     /// Closes the channel from the consuming side (e.g. a worker pool
@@ -822,6 +796,31 @@ impl<T: Send + 'static, I: Instrument> Lane for Receiver<T, I> {
     fn lane(&mut self) -> (&WakeSide<I>, u64) {
         let side = &self.core.recv_side;
         (side, *self.wait_slot.get_or_insert_with(|| side.attach()))
+    }
+
+    /// Whether a receive that has already found the channel empty can skip
+    /// its next poll: the channel is still open and the backend's length hint
+    /// still says empty.
+    ///
+    /// An empty poll of an SCQ-style ring is not a read: it takes a head
+    /// ticket, advances the slot's cycle, catches the tail up and decrements
+    /// the threshold — four writes to cache lines the next `send` needs.  A
+    /// receiver that outpaces its sender and re-polls the ring at the pace of
+    /// its first pauses slows that sender down (measured: 20 000 sends into a
+    /// spinning `recv` on another core took 30–50 % longer once the
+    /// uncontended poll itself had become cheap).  Re-polling the hint — one
+    /// or a few read-only words — costs the sender at most one line.
+    ///
+    /// Liveness needs only what every workspace backend's hint provides: it
+    /// is exact once operations have quiesced, so a value nobody takes turns
+    /// it non-empty and the next look polls for real — and the park phase's
+    /// re-check always polls, whatever the hint says.  A backend without a
+    /// real hint ([`WaitFreeQueue::has_empty_hint`]) is always polled.  A
+    /// closed channel is always polled too, so the exact-drain verdict comes
+    /// from `try_recv` alone.
+    fn still_nothing(&self) -> bool {
+        let queue = self.core.queue();
+        !self.core.is_closed() && queue.has_empty_hint() && queue.is_empty_hint()
     }
 }
 
@@ -1296,5 +1295,103 @@ mod tests {
         tx.send_timeout(3, Duration::from_secs(30)).unwrap();
         assert!(start.elapsed() < Duration::from_secs(10));
         receiver.join().unwrap();
+    }
+
+    // ----------------------------------------------------------------------
+    // Deadline edges of the thread driver (spin, then park)
+    // ----------------------------------------------------------------------
+
+    use wcq_core::metrics::CountingInstrument;
+
+    /// A counted channel (of capacity 2 when `Bounded`) and a reading of
+    /// `ChannelParks`: how often a wait reached the registry.
+    fn counted_pair(
+        backend: crate::ChannelBackend,
+    ) -> (
+        Sender<u64, CountingInstrument>,
+        Receiver<u64, CountingInstrument>,
+        impl Fn() -> u64 + Send,
+    ) {
+        let instr = CountingInstrument::new();
+        let (tx, rx) = crate::builder()
+            .capacity_order(1)
+            .threads(2)
+            .backend(backend)
+            .instrument(instr.clone())
+            .build_channel::<u64>();
+        (tx, rx, move || instr.counters().get(Counter::ChannelParks))
+    }
+
+    #[test]
+    fn a_zero_timeout_neither_spins_nor_parks() {
+        let (mut tx, mut rx, parks) = counted_pair(crate::ChannelBackend::Bounded);
+        let start = Instant::now();
+        assert_eq!(
+            rx.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+        tx.send_timeout(1, Duration::ZERO).unwrap();
+        tx.send_timeout(2, Duration::ZERO).unwrap();
+        assert_eq!(
+            tx.send_timeout(3, Duration::ZERO),
+            Err(SendTimeoutError::Timeout(3))
+        );
+        assert_eq!(parks(), 0, "a zero timeout is one attempt");
+        // Not a timing claim: only that nothing waited out a budget or a sleep.
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_timeout_shorter_than_the_spin_budget_never_reaches_the_registry() {
+        let (_tx, mut rx, parks) = counted_pair(crate::ChannelBackend::Unbounded);
+        let timeout = Duration::from_micros(10);
+        // The spin counts against the deadline: the best of a few waits ends
+        // inside the budget (one that was preempted may not).
+        let mut best = Duration::MAX;
+        for _ in 0..20 {
+            let start = Instant::now();
+            assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
+            let took = start.elapsed();
+            assert!(took >= timeout, "timed out early: {took:?}");
+            best = best.min(took);
+        }
+        assert_eq!(parks(), 0, "timed out from the spin phase");
+        assert!(
+            best < Duration::from_micros(50),
+            "a 10 µs wait took {best:?} at best: the spin budget was added to it"
+        );
+    }
+
+    /// The same deadline rule past the budget.  Only "no earlier" can be
+    /// asserted on a clock here: the sleep's own lateness (timer slack plus
+    /// the wake-up, 80–190 µs on the recording box) is larger than the budget
+    /// a late-computed deadline would add — which is why the test above
+    /// checks that rule where the budget is five times the timeout.
+    #[test]
+    fn a_timeout_longer_than_the_spin_budget_parks_and_is_not_cut_short() {
+        let (_tx, mut rx, parks) = counted_pair(crate::ChannelBackend::Unbounded);
+        let timeout = Duration::from_millis(5);
+        let start = Instant::now();
+        assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
+        let took = start.elapsed();
+        assert!(took >= timeout, "timed out early: {took:?}");
+        assert!(took < Duration::from_secs(5));
+        assert!(parks() >= 1, "past the budget the wait parks");
+    }
+
+    #[test]
+    fn a_wait_that_saturates_to_no_deadline_is_woken_by_close() {
+        let (tx, mut rx, parks) = counted_pair(crate::ChannelBackend::Unbounded);
+        let closer = std::thread::spawn(move || {
+            while parks() == 0 {
+                std::thread::yield_now();
+            }
+            drop(tx);
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::MAX),
+            Err(RecvTimeoutError::Closed)
+        );
+        closer.join().unwrap();
     }
 }

@@ -14,7 +14,8 @@
 //! * [`recv_any`] — an async future over a set of [`AsyncReceiver`]s (the
 //!   task driver);
 //! * [`recv_any_timeout`] — the sync, deadline-bounded counterpart over
-//!   [`Receiver`]s, parking the calling thread (the thread driver).
+//!   [`Receiver`]s: a brief spin on the lanes' read-only hints, then the
+//!   calling thread parks (the thread driver).
 //!
 //! Both scan channels in **slice order**, making the select a *priority*
 //! select: when several lanes hold values, the earliest one in the slice
@@ -117,15 +118,19 @@ impl<T: Send + 'static, I: Instrument> Future for RecvAny<'_, '_, T, I> {
 ///   drained (an empty `rxs` reports this immediately).  A single closed
 ///   lane never ends the wait while its peers are live.
 ///
-/// The wait parks the calling thread with one thread-unparking waker cloned
-/// into each channel's receive-side slot — the same park/re-check discipline
-/// as the async [`recv_any`], woken by whichever channel sends (or closes)
+/// The wait is [`Receiver::recv_timeout`]'s: it spins briefly while every
+/// open lane's read-only hint says empty (the spin counts against `timeout`),
+/// then parks the calling thread with one thread-unparking waker cloned into
+/// each channel's receive-side slot — the same park/re-check discipline as
+/// the async [`recv_any`], woken by whichever channel sends (or closes)
 /// first.
 pub fn recv_any_timeout<T: Send + 'static, I: Instrument>(
     rxs: &mut [&mut Receiver<T, I>],
     timeout: Duration,
 ) -> Result<(usize, T), RecvTimeoutError> {
-    timed(Parked::new(rxs).park_thread(timeout, |lanes| scan(lanes, |rx| rx.try_recv())))
+    timed(Parked::wait_thread(rxs, timeout, |lanes| {
+        scan(lanes, |rx| rx.try_recv())
+    }))
 }
 
 #[cfg(test)]

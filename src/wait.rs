@@ -2,17 +2,18 @@
 //!
 //! Every waiting operation of the channel layer is an *attempt × driver*
 //! composition built here (DESIGN.md, "Wait core: attempts × drivers", has
-//! the twelve-cell table and states the protocol's four invariants once):
+//! the table and states the protocol's four invariants once):
 //!
 //! * an **attempt** is one of the endpoints' non-blocking calls, answering
 //!   `Some(output)` when the operation is finished — with a value, with
 //!   `Closed`, or with the value handed back — and `None` when it would
 //!   have to wait;
-//! * a **driver** repeats an attempt until it answers: [`spin`] backs off
-//!   between tries, [`Parked::park_thread`] sleeps the calling thread until a
-//!   deadline, [`Parked::poll_task`] suspends the polling task.
+//! * a **driver** repeats an attempt until it answers:
+//!   [`Parked::wait_thread`] spins briefly on the lanes' read-only gate and
+//!   then sleeps the calling thread, until a deadline if there is one;
+//!   [`Parked::poll_task`] suspends the polling task.
 //!
-//! The two parking drivers share one protocol, kept by the [`Parked`] guard:
+//! The two drivers share one park protocol, kept by the [`Parked`] guard:
 //! park in every lane *before* the re-check, sleep only after a re-check with
 //! the wakers in place, clear our own slots on completion, and forward any
 //! notification that consumed our waker without being the one we acted on —
@@ -164,12 +165,23 @@ pub(crate) trait Lane {
     type I: Instrument;
     /// `(side, slot id)` of this endpoint.
     fn lane(&mut self) -> (&WakeSide<Self::I>, u64);
+    /// The spin phase's gate: a look that only *reads* shared state and says
+    /// the attempt would still find nothing on this lane, so the thread
+    /// driver pauses instead of running it.  `false` — "no such look: run the
+    /// attempt" — is always safe, and is what an endpoint without a gate
+    /// answers.
+    fn still_nothing(&self) -> bool {
+        false
+    }
 }
 
 impl<E: Lane> Lane for &mut E {
     type I = E::I;
     fn lane(&mut self) -> (&WakeSide<E::I>, u64) {
         (**self).lane()
+    }
+    fn still_nothing(&self) -> bool {
+        (**self).still_nothing()
     }
 }
 
@@ -260,21 +272,73 @@ impl<'a, E: Lane> Parked<'a, E> {
             .map_or(Poll::Pending, Poll::Ready)
     }
 
-    /// The thread driver: repeats `attempt` until it answers or `timeout`
-    /// passes (`None`; a zero timeout never sleeps), sleeping in between with
-    /// a [`thread_waker`] parked in every lane.  A notification racing the
-    /// park unparks this thread, so the sleep returns immediately.  Every
-    /// round re-parks before it re-checks, so no win here is `woken`.
-    pub(crate) fn park_thread<O>(
+    /// The thread driver: repeats `attempt` over `lanes` until it answers or
+    /// `timeout` passes (`None`); [`NO_DEADLINE`] waits for the answer
+    /// however long it takes.  The first attempt runs inline and before any
+    /// wait state exists — nothing is parked, so its answer has nothing to
+    /// settle — which makes an operation that does not have to wait that
+    /// attempt and nothing else; everything after a `None` is
+    /// [`Parked::spin_then_park`].
+    #[inline]
+    pub(crate) fn wait_thread<O>(
+        lanes: &'a mut [E],
+        timeout: Duration,
+        mut attempt: impl FnMut(&mut [E]) -> Answer<O>,
+    ) -> Option<O> {
+        match attempt(lanes) {
+            Some((_, output)) => Some(output),
+            None => Self::new(lanes).spin_then_park(timeout, attempt),
+        }
+    }
+
+    /// What the thread driver does once the attempt has answered `None`
+    /// (DESIGN.md, "Spin, then park", derives the two constants).
+    ///
+    /// *Spin*, for at most [`SPIN_BEFORE_PARK`]: pause, and run the attempt
+    /// again only once some lane's read-only gate ([`Lane::still_nothing`])
+    /// has opened, so an empty ring is never polled twice in a row and a
+    /// spinning receiver only reads the lines its sender writes.  Nothing is
+    /// parked yet: the matching notify is one load of `parked`.
+    ///
+    /// *Park*, after that: a [`thread_waker`] in every lane, the re-check,
+    /// then sleep.  A notification racing the park unparks this thread, so
+    /// the sleep returns immediately.  Every round re-parks before it
+    /// re-checks, so no win here is `woken`.
+    ///
+    /// The deadline is fixed once, on entry, and the spin counts against it:
+    /// a zero timeout does neither, and one shorter than the budget times out
+    /// from the spin phase without having touched the registry.
+    #[cold]
+    #[inline(never)]
+    fn spin_then_park<O>(
         mut self,
         timeout: Duration,
         mut attempt: impl FnMut(&mut [E]) -> Answer<O>,
     ) -> Option<O> {
-        if let Some(output) = self.once(&mut attempt, false) {
-            return Some(output);
+        if timeout.is_zero() {
+            return None;
         }
+        let entered = Instant::now();
         // Overflow saturates to "no deadline".
-        let deadline = Instant::now().checked_add(timeout);
+        let deadline = entered.checked_add(timeout);
+        let budget_end = entered + SPIN_BEFORE_PARK;
+        let spin_until = deadline.map_or(budget_end, |deadline| deadline.min(budget_end));
+        let mut pause = Backoff::new();
+        loop {
+            pause.pause_capped(PAUSE_CAP_SHIFT);
+            if Instant::now() >= spin_until {
+                break;
+            }
+            if self.lanes.iter().all(|lane| lane.still_nothing()) {
+                continue;
+            }
+            if let Some(output) = self.once(&mut attempt, false) {
+                return Some(output);
+            }
+        }
+        if deadline == Some(spin_until) {
+            return None; // the deadline fell inside the budget: nothing was parked
+        }
         let waker = thread_waker();
         loop {
             self.park(&waker);
@@ -295,13 +359,16 @@ impl<'a, E: Lane> Parked<'a, E> {
         self.poll_task(cx, |lanes| Some((Some(0), attempt(&mut lanes[0])?)))
     }
 
-    /// [`Parked::park_thread`] for a one-endpoint wait.
-    pub(crate) fn park_one<O>(
-        self,
+    /// [`Parked::wait_thread`] for a one-endpoint wait.
+    #[inline]
+    pub(crate) fn wait_one<O>(
+        lane: &'a mut E,
         timeout: Duration,
         mut attempt: impl FnMut(&mut E) -> Option<O>,
     ) -> Option<O> {
-        self.park_thread(timeout, |lanes| Some((Some(0), attempt(&mut lanes[0])?)))
+        Self::wait_thread(std::slice::from_mut(lane), timeout, |lanes| {
+            Some((Some(0), attempt(&mut lanes[0])?))
+        })
     }
 }
 
@@ -312,35 +379,45 @@ impl<E: Lane> Drop for Parked<'_, E> {
 }
 
 // --------------------------------------------------------------------------
-// The spin driver and the thread driver's helpers
+// The thread driver's constants and helpers
 // --------------------------------------------------------------------------
 
-/// The spin driver: repeats `attempt` until it answers, backing off (bounded
-/// spin, then yielding) between tries.  It parks nothing, so there is nothing
-/// to settle.  The attempt is handed the backoff so one that made partial
-/// progress before it had to wait can reset the delay.  (Inlined: with an
-/// attempt that answers first time — every uncontended `send`/`recv` — this
-/// is the attempt and nothing else.)
-#[inline]
-pub(crate) fn spin<O>(mut attempt: impl FnMut(&mut Backoff) -> Option<O>) -> O {
-    let mut backoff = Backoff::new();
-    loop {
-        if let Some(output) = attempt(&mut backoff) {
-            return output;
-        }
-        backoff.snooze_or_yield();
-    }
-}
+/// The timeout of a wait that has none: [`Parked::wait_thread`] then ends
+/// only with an answer.
+pub(crate) const NO_DEADLINE: Duration = Duration::MAX;
 
-/// A [`Waker`] that unparks the calling thread.
+/// How long the thread driver spins before it parks: what one park/wake
+/// hand-off costs the two threads (the ledger's `channel.park_wake_rtt_us`,
+/// 40–50 µs).  By the ski-rental rule a wait then never costs more than twice
+/// the better of "spin throughout" and "park at once".  Derived, not an
+/// option — DESIGN.md, "Spin, then park".
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
+
+/// The spin phase's pauses double from 1 to `2^5` spin hints and hold there
+/// (swept at the budget above; DESIGN.md has the row).
+const PAUSE_CAP_SHIFT: u32 = 5;
+
+/// A [`Waker`] that unparks the calling thread: one allocation per thread,
+/// clones of it per park.
 fn thread_waker() -> Waker {
     struct ThreadUnparker(std::thread::Thread);
     impl std::task::Wake for ThreadUnparker {
         fn wake(self: Arc<Self>) {
             self.0.unpark();
         }
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.unpark();
+        }
     }
-    Waker::from(Arc::new(ThreadUnparker(std::thread::current())))
+    fn new_waker() -> Waker {
+        Waker::from(Arc::new(ThreadUnparker(std::thread::current())))
+    }
+    thread_local! {
+        static WAKER: Waker = new_waker();
+    }
+    // A wait that runs while the thread's locals are being torn down (from
+    // another local's destructor) pays for a waker of its own.
+    WAKER.try_with(Waker::clone).unwrap_or_else(|_| new_waker())
 }
 
 /// Sleeps until `deadline` (or a wake), returning `false` once the deadline
@@ -381,11 +458,16 @@ mod tests {
     }
 
     /// A bare lane, so a test attempt can notify at an exact point of a wait.
+    /// Its gate never opens: the thread driver's spin phase runs no attempt,
+    /// so the second one is the re-check that follows the first park.
     struct TestLane<'s>(&'s WakeSide<NoopInstrument>, u64);
     impl Lane for TestLane<'_> {
         type I = NoopInstrument;
         fn lane(&mut self) -> (&WakeSide<NoopInstrument>, u64) {
             (self.0, self.1)
+        }
+        fn still_nothing(&self) -> bool {
+            true
         }
     }
 
@@ -408,7 +490,7 @@ mod tests {
 
         let (mut lane, sibling) = lane_with_parked_sibling(&side);
         let mut tries = 0;
-        let won = Parked::one(&mut lane).park_one(Duration::from_secs(5), |_| {
+        let won = Parked::wait_one(&mut lane, Duration::from_secs(5), |_| {
             tries += 1;
             // The re-check: by now our waker is parked.  A notification takes
             // it, and the attempt then wins what an earlier one announced.

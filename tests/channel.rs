@@ -174,7 +174,8 @@ fn a_spinning_recv_watches_the_length_hint_instead_of_polling_the_ring() {
     // An empty poll of the ring writes to four cache lines the next send
     // needs, so a blocked `recv` must not keep issuing them: after its first
     // empty answer it re-polls the backend's length hint and touches the
-    // ring again only when that turns non-empty (or the channel closes).
+    // ring again only when that turns non-empty (or the channel closes) —
+    // and once more for the re-check when, its spin budget spent, it parks.
     use wcq::{Counter, CountingInstrument};
     for backend in [ChannelBackend::Unbounded, ChannelBackend::Sharded] {
         let instr = CountingInstrument::new();

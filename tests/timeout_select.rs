@@ -19,13 +19,19 @@
 //! The hand-polled no-lost-wake proofs for the select live next to the
 //! implementation (`src/select.rs`); this suite is the systems-level
 //! complement on real threads and real clocks.
+//!
+//! The untimed waits are the same driver with no deadline (spin briefly, then
+//! park — DESIGN.md, "Spin, then park"), and two things about them can only
+//! be seen on real threads too: a waiter with nothing to do is *asleep* (the
+//! idle-CPU cases), and waits that end on either side of the spin→park
+//! switch deliver exactly once (the boundary stress).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wcq::channel::RecvTimeoutError;
-use wcq::{ChannelBackend, Receiver, Sender};
+use wcq::{ChannelBackend, Counter, CountingInstrument, Receiver, Sender};
 use wcq_harness::exec::block_on;
 use wcq_harness::stress::{encode, verify_observations};
 use wcq_harness::{all_channel_backends, DetRng};
@@ -308,4 +314,184 @@ fn send_timeout_backpressure_expires_then_recovers_without_loss() {
         consumer.join().unwrap()
     });
     assert_eq!(drained, expected_total, "exact drain through close");
+}
+
+// --------------------------------------------------------------------------
+// The untimed waits: asleep when idle, exact across the spin→park switch
+// --------------------------------------------------------------------------
+
+type CountedPair = (
+    Sender<u64, CountingInstrument>,
+    Receiver<u64, CountingInstrument>,
+);
+
+fn counted_channel(
+    backend: ChannelBackend,
+    capacity_order: u32,
+    slots: usize,
+) -> (CountedPair, CountingInstrument) {
+    let instr = CountingInstrument::new();
+    let pair = wcq::builder()
+        .capacity_order(capacity_order)
+        .threads(slots)
+        .backend(backend)
+        .instrument(instr.clone())
+        .build_channel::<u64>();
+    (pair, instr)
+}
+
+/// The idle-CPU cases read the kernel's per-thread accounting, which only
+/// Linux exposes this way.
+#[cfg(target_os = "linux")]
+mod idle_cpu {
+    use super::*;
+
+    /// Nanoseconds the calling thread has spent on a CPU so far (first field
+    /// of its `schedstat`); `None` where the kernel does not say.
+    fn on_cpu_ns() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        stat.split_whitespace().next()?.parse().ok()
+    }
+
+    /// How long the other side stays silent, and how much of that a blocked
+    /// waiter may spend on a CPU: the spin budget is 50 µs, so anything near
+    /// the interval is a waiter that never slept.
+    const IDLE: Duration = Duration::from_millis(300);
+    const IDLE_CPU_LIMIT: Duration = Duration::from_millis(30);
+
+    /// Runs `blocked` on a thread of its own with the CPU time it used, after
+    /// `release` ran here [`IDLE`] into it; checks the waiter slept, not spun.
+    fn assert_blocks_without_burning_cpu<R: Send>(
+        name: &str,
+        instr: &CountingInstrument,
+        blocked: impl FnOnce() -> R + Send,
+        release: impl FnOnce(),
+    ) -> R {
+        let (result, on_cpu) = std::thread::scope(|s| {
+            let waiter = s.spawn(move || {
+                let before = on_cpu_ns();
+                let result = blocked();
+                (result, before.zip(on_cpu_ns()).map(|(b, a)| a - b))
+            });
+            std::thread::sleep(IDLE);
+            release();
+            waiter.join().unwrap()
+        });
+        assert!(
+            instr.counters().get(Counter::ChannelParks) >= 1,
+            "{name}: a wait of {IDLE:?} never parked"
+        );
+        match on_cpu {
+            Some(ns) => assert!(
+                Duration::from_nanos(ns) < IDLE_CPU_LIMIT,
+                "{name}: blocked for {IDLE:?} and spent {:?} of it on a CPU",
+                Duration::from_nanos(ns)
+            ),
+            None => {
+                println!("{name}: /proc/thread-self/schedstat unreadable, CPU time not checked")
+            }
+        }
+        result
+    }
+
+    #[test]
+    fn a_blocked_wait_with_nothing_to_do_sleeps() {
+        let ((mut tx, mut rx), instr) = counted_channel(ChannelBackend::Unbounded, 4, 2);
+        let got =
+            assert_blocks_without_burning_cpu("recv", &instr, || rx.recv(), || tx.send(7).unwrap());
+        assert_eq!(got, Ok(7), "the late send's value is delivered");
+
+        let ((mut tx, mut rx), instr) = counted_channel(ChannelBackend::Unbounded, 4, 2);
+        let mut out = Vec::new();
+        let got = assert_blocks_without_burning_cpu(
+            "recv_many",
+            &instr,
+            || rx.recv_many(&mut out, 4),
+            || tx.send(8).unwrap(),
+        );
+        assert_eq!((got, out), (Ok(1), vec![8]));
+
+        // Capacity 2, full: the send waits for the late receive's free slot.
+        let ((mut tx, mut rx), instr) = counted_channel(ChannelBackend::Bounded, 1, 2);
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        let sent = assert_blocks_without_burning_cpu(
+            "send",
+            &instr,
+            || tx.send(3),
+            || assert_eq!(rx.try_recv(), Ok(1)),
+        );
+        assert_eq!(sent, Ok(()));
+        assert_eq!((rx.try_recv(), rx.try_recv()), (Ok(2), Ok(3)));
+    }
+}
+
+/// `src/wait.rs`'s private `SPIN_BEFORE_PARK`.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+const BOUNDARY_VALUES: u64 = 20_000;
+const BOUNDARY_WATCHDOG: Duration = Duration::from_secs(30);
+
+/// One producer whose gaps are uniform in [0, 2 × budget] — so its receivers'
+/// waits end in the spin phase, in the park phase and at the switch between
+/// them — into two receivers in blocking `recv`.
+fn boundary_stress(backend: ChannelBackend) {
+    let ((mut tx, rx), instr) = counted_channel(backend, 7, 4);
+    let (finished_tx, finished) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let observations: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let mut rx = rx.clone();
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        while let Ok(v) = rx.recv() {
+                            got.push(v);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            drop(rx);
+            let mut rng = DetRng::new(0xB0DA).stream(1);
+            for seq in 1..=BOUNDARY_VALUES {
+                let gap = Duration::from_nanos(rng.next_below(2 * SPIN_BUDGET.as_nanos() as u64));
+                let sent = Instant::now();
+                tx.send(encode(0, seq)).expect("receivers are alive");
+                while sent.elapsed() < gap {
+                    std::hint::spin_loop();
+                }
+            }
+            drop(tx); // closes: both receivers drain and return
+            consumers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        finished_tx.send(observations).ok();
+    });
+    let observations = finished
+        .recv_timeout(BOUNDARY_WATCHDOG)
+        .unwrap_or_else(|_| panic!("backend {backend:?}: not done in {BOUNDARY_WATCHDOG:?}"));
+    run.join().unwrap();
+
+    let total: u64 = observations.iter().map(|o| o.len() as u64).sum();
+    assert_eq!(total, BOUNDARY_VALUES, "backend {backend:?}: values lost");
+    let counts = HashMap::from([(0, BOUNDARY_VALUES)]);
+    verify_observations(&counts, &observations, true)
+        .unwrap_or_else(|e| panic!("backend {backend:?}: {e}"));
+    let (parks, wakes) = (
+        instr.counters().get(Counter::ChannelParks),
+        instr.counters().get(Counter::ChannelWakes),
+    );
+    assert!(
+        parks > 0,
+        "backend {backend:?}: no wait reached the park phase"
+    );
+    assert!(
+        wakes < BOUNDARY_VALUES,
+        "backend {backend:?}: {wakes} wakes for {BOUNDARY_VALUES} values — no wait ended in the spin phase"
+    );
+}
+
+#[test]
+fn waits_on_both_sides_of_the_spin_to_park_switch_deliver_exactly_once() {
+    boundary_stress(ChannelBackend::Unbounded);
+    boundary_stress(ChannelBackend::Bounded);
 }

@@ -1,11 +1,11 @@
 //! The attempts × drivers matrix of the wait core (`src/wait.rs`; DESIGN.md,
 //! "Wait core: attempts × drivers").
 //!
-//! Twelve waiting operations are five attempts under three drivers.  The
-//! four `spin` cells hold no parked state; the other eight share one
-//! protocol — the `Parked` guard's — and this suite checks it cell by cell,
-//! so a regression in the one copy shows up under the name of the operation
-//! it breaks:
+//! Twelve waiting operations are five attempts under two drivers — the task
+//! driver, and the thread driver with or without a deadline.  All twelve
+//! share one protocol — the `Parked` guard's — and this suite checks it cell
+//! by cell, so a regression in the one copy shows up under the name of the
+//! operation it breaks:
 //!
 //! * **`poll_task` × each of the five attempts** (`send`, `send_iter`,
 //!   `recv`, `recv_many`, `recv_any`), hand-polled with counting wakers so
@@ -13,18 +13,26 @@
 //!   after a wake and leaves no waker behind, (b) dropped after its waker
 //!   was consumed it forwards the notification to a parked sibling, (c)
 //!   dropped while still parked it leaves no stale waker.
-//! * **`park_thread` × its three attempts** (`recv_timeout`, `send_timeout`,
-//!   `recv_any_timeout`): a timeout that races a notification forwards it.
-//!   The racing window — after the wait's last re-park, before it settles —
-//!   cannot be forced from outside, so these cells race a zero-timeout wait
-//!   against one notification per round and assert what the forward
-//!   guarantees: a long-parked sibling is never left asleep next to the
-//!   value (or free slot) the notification announced.
-//! * **`park_thread`, the win after a re-park**: two notifications in a row
+//! * **`wait_thread(deadline)` × its three attempts** (`recv_timeout`,
+//!   `send_timeout`, `recv_any_timeout`): a timeout that races a notification
+//!   forwards it.  The racing window — after the wait's last re-park, before
+//!   it settles — cannot be forced from outside, so these cells race a wait
+//!   just long enough to park against one notification per round and assert
+//!   what the forward guarantees: a long-parked sibling is never left asleep next to
+//!   the value (or free slot) the notification announced.
+//! * **`wait_thread`, the win after a re-park**: two notifications in a row
 //!   against two long-parked waiters.  The second can pick the waiter the
 //!   first already woke, after its re-park and before its winning re-check;
 //!   that wait succeeds *and* must forward (`src/wait.rs`'s unit tests force
 //!   the same window deterministically, on a bare lane).
+//! * **`wait_thread(no deadline)` × its four attempts** (`recv`,
+//!   `recv_many`, `send`, `send_iter`): these cells held no parked state
+//!   while the blocking operations only spun; now they park once their spin
+//!   budget is spent, so they owe the same protocol.  *K* waiters blocked
+//!   until all are in the registry, then exactly *K* notifications: all *K*
+//!   return — nobody is stranded next to a value, which takes the
+//!   win-after-re-park forward whenever two of the notifications pick the
+//!   same waiter — and a close ends every parked waiter with `Closed`.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -34,7 +42,9 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use wcq::channel::{RecvTimeoutError, SendTimeoutError};
-use wcq::{AsyncReceiver, AsyncSender, ChannelBackend, Receiver, Sender};
+use wcq::{
+    AsyncReceiver, AsyncSender, ChannelBackend, Counter, CountingInstrument, Receiver, Sender,
+};
 
 // --------------------------------------------------------------------------
 // poll_task × five attempts
@@ -250,7 +260,7 @@ fn every_attempt_under_the_task_driver_keeps_the_park_protocol() {
 }
 
 // --------------------------------------------------------------------------
-// park_thread × three attempts
+// wait_thread(deadline) × three attempts
 // --------------------------------------------------------------------------
 
 /// How long the sibling parks: far beyond any scheduling hiccup, so only a
@@ -259,9 +269,24 @@ const SIBLING_WAIT: Duration = Duration::from_secs(20);
 /// How long the notifier waits for *someone* to act on a notification.
 const STRANDED_AFTER: Duration = Duration::from_secs(5);
 const ROUNDS: u64 = 1_000;
+/// Just past the thread driver's 50 µs spin budget (`src/wait.rs`): the
+/// shortest wait that reaches the registry.  A shorter one — a zero timeout
+/// above all — times out from its spin phase with nothing parked, and a wait
+/// that parked nothing has nothing to forward.
+const PARKS_BRIEFLY: Duration = Duration::from_micros(60);
 /// Upper bound of the per-round delay before the notification, in spin-loop
-/// iterations: about the length of one zero-timeout wait.
-const JITTER_SPINS: u64 = 512;
+/// iterations: about the length of one [`PARKS_BRIEFLY`] wait, sleep included.
+const JITTER_SPINS: u64 = 8_192;
+
+/// Spins for a pseudo-random number of spin-loop iterations below `bound`
+/// (an LCG stepped in `state`): the seeded gap that sweeps a notification
+/// across the window a cell is after.
+fn jittered_gap(state: &mut u64, bound: u64) {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+    for _ in 0..(*state >> 33) % bound {
+        std::hint::spin_loop();
+    }
+}
 
 /// What one timed wait came to.
 enum Waited {
@@ -270,9 +295,9 @@ enum Waited {
     Closed,
 }
 
-/// Races a zero-timeout wait (`racer`, on the first-attached endpoint) against
-/// one notification per round, with a sibling parked for [`SIBLING_WAIT`] on
-/// the same side.  Every notification must be acted on by one of the two,
+/// Races a [`PARKS_BRIEFLY`] wait (`racer`, on the first-attached endpoint)
+/// against one notification per round, with a sibling parked for
+/// [`SIBLING_WAIT`] on the same side.  Every notification must be acted on by one of the two,
 /// promptly: if the racer times out on a waker a notification already
 /// consumed and does not forward it, the sibling sleeps on next to the value.
 ///
@@ -302,7 +327,7 @@ fn race_timeouts_against_notifications(
                 if go.load(SeqCst) == u64::MAX {
                     return;
                 }
-                if let Waited::Done = racer(Duration::ZERO) {
+                if let Waited::Done = racer(PARKS_BRIEFLY) {
                     done.fetch_add(1, SeqCst);
                 }
             }
@@ -324,10 +349,7 @@ fn race_timeouts_against_notifications(
             go.store(rounds, SeqCst);
             // Sweep the notification across the racer's wait: anywhere from
             // before its first attempt to after it has settled.
-            jitter = jitter.wrapping_mul(6364136223846793005).wrapping_add(1);
-            for _ in 0..(jitter >> 33) % JITTER_SPINS {
-                std::hint::spin_loop();
-            }
+            jittered_gap(&mut jitter, JITTER_SPINS);
             notify();
             let sent = Instant::now();
             while done.load(SeqCst) < rounds && stranded.is_none() {
@@ -360,14 +382,14 @@ fn waited<T>(outcome: Result<T, RecvTimeoutError>) -> Waited {
 }
 
 /// A sync channel with two receivers whose wait slots are attached in a known
-/// order: `first`'s, then `sibling`'s (a zero-timeout wait attaches the
+/// order: `first`'s, then `sibling`'s (a wait that parks attaches the
 /// slot), so a wake-one picks `first` whenever both are parked.
 fn two_attached_receivers() -> (Sender<u64>, Receiver<u64>, Receiver<u64>) {
     let (tx, mut first) = wcq::builder().threads(6).build_channel::<u64>();
     let mut sibling = first.clone();
     for rx in [&mut first, &mut sibling] {
         assert_eq!(
-            rx.recv_timeout(Duration::ZERO),
+            rx.recv_timeout(PARKS_BRIEFLY),
             Err(RecvTimeoutError::Timeout)
         );
     }
@@ -378,7 +400,7 @@ fn recv_timeout_racing_a_send() {
     let (mut tx, mut first, mut sibling) = two_attached_receivers();
     let closer = tx.clone();
     race_timeouts_against_notifications(
-        "try_recv × park_thread",
+        "try_recv × wait_thread",
         |timeout| waited(first.recv_timeout(timeout)),
         |timeout| waited(sibling.recv_timeout(timeout)),
         || tx.try_send(7).unwrap(),
@@ -393,7 +415,7 @@ fn recv_any_timeout_racing_a_send() {
     let (_idle_tx, mut idle) = wcq::builder().threads(2).build_channel::<u64>();
     let closer = tx.clone();
     race_timeouts_against_notifications(
-        "lane scan × park_thread",
+        "lane scan × wait_thread",
         |timeout| waited(wcq::recv_any_timeout(&mut [&mut first, &mut idle], timeout)),
         |timeout| waited(sibling.recv_timeout(timeout)),
         || tx.try_send(7).unwrap(),
@@ -417,7 +439,7 @@ fn two_attached_senders() -> (Sender<u64>, Sender<u64>, Receiver<u64>) {
     let mut sibling = first.clone();
     for tx in [&mut first, &mut sibling] {
         assert_eq!(
-            tx.send_timeout(0, Duration::ZERO),
+            tx.send_timeout(0, PARKS_BRIEFLY),
             Err(SendTimeoutError::Timeout(0))
         );
     }
@@ -436,7 +458,7 @@ fn send_timeout_racing_a_receive() {
     let (mut first, mut sibling, mut rx) = two_attached_senders();
     let closer = first.clone();
     race_timeouts_against_notifications(
-        "try_send × park_thread",
+        "try_send × wait_thread",
         |timeout| send_waited(&mut first, timeout),
         |timeout| send_waited(&mut sibling, timeout),
         || {
@@ -509,10 +531,7 @@ fn race_two_notifications_against_two_parked_waiters(
             // Let both waiters park before the pair goes out.
             std::thread::sleep(Duration::from_micros(20));
             notify();
-            jitter = jitter.wrapping_mul(6364136223846793005).wrapping_add(1);
-            for _ in 0..(jitter >> 33) % PAIR_GAP_SPINS {
-                std::hint::spin_loop();
-            }
+            jittered_gap(&mut jitter, PAIR_GAP_SPINS);
             notify();
             let sent = Instant::now();
             while done.load(SeqCst) < 2 * round && stranded.is_none() {
@@ -540,7 +559,7 @@ fn a_win_after_a_re_park_forwards_the_next_notification() {
     let (mut tx, mut first, mut sibling) = two_attached_receivers();
     let closer = tx.clone();
     race_two_notifications_against_two_parked_waiters(
-        "try_recv × park_thread",
+        "try_recv × wait_thread",
         [
             Box::new(|timeout| waited(first.recv_timeout(timeout))),
             Box::new(|timeout| waited(sibling.recv_timeout(timeout))),
@@ -554,7 +573,7 @@ fn a_win_after_a_re_park_forwards_the_next_notification() {
     let (mut first, mut sibling, mut rx) = two_attached_senders();
     let closer = first.clone();
     race_two_notifications_against_two_parked_waiters(
-        "try_send × park_thread",
+        "try_send × wait_thread",
         [
             Box::new(|timeout| send_waited(&mut first, timeout)),
             Box::new(|timeout| send_waited(&mut sibling, timeout)),
@@ -571,7 +590,7 @@ fn a_win_after_a_re_park_forwards_the_next_notification() {
     let (idle_tx, mut idle) = wcq::builder().threads(2).build_channel::<u64>();
     let closer = tx.clone();
     race_two_notifications_against_two_parked_waiters(
-        "lane scan × park_thread",
+        "lane scan × wait_thread",
         [
             Box::new(|timeout| {
                 waited(wcq::recv_any_timeout(&mut [&mut first, &mut idle], timeout))
@@ -582,6 +601,193 @@ fn a_win_after_a_re_park_forwards_the_next_notification() {
         || {
             closer.close();
             idle_tx.close();
+        },
+    );
+}
+
+// --------------------------------------------------------------------------
+// wait_thread(no deadline) × four attempts
+// --------------------------------------------------------------------------
+
+const BLOCKED_WAITERS: usize = 3;
+const BLOCKED_ROUNDS: u64 = 1000;
+
+type Counted<E> = (E, CountingInstrument);
+type CountedSender = Sender<u64, CountingInstrument>;
+type CountedReceiver = Receiver<u64, CountingInstrument>;
+
+/// Per round: every waiter starts one blocking wait; once all of them are in
+/// the registry (`ChannelParks` moved by one per waiter — their spin phase is
+/// over), exactly one notification per waiter goes out, and every wait must
+/// return.  The notifications are spaced like the pair race above, so a
+/// later one can pick a waiter an earlier one already woke, between its
+/// re-park and its winning re-check.  After the last round they all park
+/// once more and a close must end each of them with `Closed`.
+///
+/// `wait` performs one blocking wait; `notify` lets exactly one waiter
+/// finish; `close` closes the channel.
+fn parked_blocking_waiters_each_take_one_notification<E: Send>(
+    name: &str,
+    (waiters, instr): Counted<Vec<E>>,
+    wait: impl Fn(&mut E) -> Waited + Sync,
+    mut notify: impl FnMut(),
+    close: impl FnOnce(),
+) {
+    let k = waiters.len() as u64;
+    let parks = || instr.counters().get(Counter::ChannelParks);
+    let done = AtomicU64::new(0);
+    let go = AtomicU64::new(0);
+    let within_limit = |reached: &dyn Fn() -> bool| {
+        let since = Instant::now();
+        while !reached() {
+            if since.elapsed() > STRANDED_AFTER {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    };
+    let mut stranded = None;
+    std::thread::scope(|s| {
+        for mut waiter in waiters {
+            let (done, go, wait) = (&done, &go, &wait);
+            s.spawn(move || {
+                for round in 1.. {
+                    while go.load(SeqCst) < round {
+                        std::thread::yield_now();
+                    }
+                    match wait(&mut waiter) {
+                        Waited::Done => done.fetch_add(1, SeqCst),
+                        Waited::TimedOut => unreachable!("{name}: the wait has no deadline"),
+                        Waited::Closed => return,
+                    };
+                }
+            });
+        }
+        let mut jitter = 0x9E37_79B9_7F4A_7C15_u64;
+        for round in 1..=BLOCKED_ROUNDS + 1 {
+            let parked_before = parks();
+            go.store(round, SeqCst);
+            if !within_limit(&|| parks() >= parked_before + k) {
+                stranded = Some(format!("round {round}: the waiters never parked"));
+                break;
+            }
+            if round > BLOCKED_ROUNDS {
+                break; // all parked: the close below ends them
+            }
+            for _ in 0..k {
+                notify();
+                jittered_gap(&mut jitter, PAIR_GAP_SPINS);
+            }
+            if !within_limit(&|| done.load(SeqCst) == k * round) {
+                stranded = Some(format!(
+                    "round {round}: {k} notifications, {} waits returned — a parked \
+                     waiter was left next to what one of them announced",
+                    done.load(SeqCst) - k * (round - 1)
+                ));
+                break;
+            }
+        }
+        // On a failure too, so the scope can join the waiters: whoever is not
+        // in a wait starts one and finds the channel closed.
+        go.store(u64::MAX, SeqCst);
+        close();
+    });
+    assert_eq!(stranded, None, "{name}");
+    assert_eq!(done.load(SeqCst), k * BLOCKED_ROUNDS, "{name}");
+}
+
+/// [`BLOCKED_WAITERS`] receivers on one empty counted channel, and its sender.
+fn blocked_receivers() -> (Counted<Vec<CountedReceiver>>, CountedSender) {
+    let instr = CountingInstrument::new();
+    let (tx, rx) = wcq::builder()
+        .threads(BLOCKED_WAITERS + 2)
+        .instrument(instr.clone())
+        .build_channel::<u64>();
+    let mut rxs: Vec<_> = (1..BLOCKED_WAITERS).map(|_| rx.clone()).collect();
+    rxs.push(rx);
+    ((rxs, instr), tx)
+}
+
+/// [`BLOCKED_WAITERS`] senders on one full bounded counted channel, and its
+/// receiver.
+fn blocked_senders() -> (Counted<Vec<CountedSender>>, CountedReceiver) {
+    let instr = CountingInstrument::new();
+    let (mut tx, rx) = wcq::builder()
+        .capacity_order(2) // capacity 4: room for the four endpoints' handles
+        .threads(BLOCKED_WAITERS + 1)
+        .backend(ChannelBackend::Bounded)
+        .instrument(instr.clone())
+        .build_channel::<u64>();
+    for v in 0..4 {
+        tx.try_send(v).unwrap();
+    }
+    let mut txs: Vec<_> = (1..BLOCKED_WAITERS).map(|_| tx.clone()).collect();
+    txs.push(tx);
+    ((txs, instr), rx)
+}
+
+fn blocked<T, E>(outcome: Result<T, E>) -> Waited {
+    match outcome {
+        Ok(_) => Waited::Done,
+        Err(_) => Waited::Closed,
+    }
+}
+
+/// One cell after the other, as above: each keeps its waiters and the
+/// notifier busy on a two-core box.
+#[test]
+fn parked_blocking_waits_each_take_one_notification_and_a_close_ends_them_all() {
+    let (receivers, mut tx) = blocked_receivers();
+    let closer = tx.clone();
+    parked_blocking_waiters_each_take_one_notification(
+        "try_recv × wait_thread (no deadline)",
+        receivers,
+        |rx| blocked(rx.recv()),
+        || tx.try_send(7).unwrap(),
+        || {
+            closer.close();
+        },
+    );
+
+    // One value per call, so one notification serves exactly one waiter.
+    let (receivers, mut tx) = blocked_receivers();
+    let closer = tx.clone();
+    parked_blocking_waiters_each_take_one_notification(
+        "try_recv_many × wait_thread (no deadline)",
+        receivers,
+        |rx| blocked(rx.recv_many(&mut Vec::new(), 1)),
+        || tx.try_send(7).unwrap(),
+        || {
+            closer.close();
+        },
+    );
+
+    let (senders, mut rx) = blocked_senders();
+    let closer = rx.clone();
+    parked_blocking_waiters_each_take_one_notification(
+        "try_send × wait_thread (no deadline)",
+        senders,
+        |tx| blocked(tx.send(9)),
+        || {
+            rx.try_recv().expect("the channel is full between rounds");
+        },
+        || {
+            closer.close();
+        },
+    );
+
+    let (senders, mut rx) = blocked_senders();
+    let closer = rx.clone();
+    parked_blocking_waiters_each_take_one_notification(
+        "try_send_batch × wait_thread (no deadline)",
+        senders,
+        |tx| blocked(tx.send_iter([9])),
+        || {
+            rx.try_recv().expect("the channel is full between rounds");
+        },
+        || {
+            closer.close();
         },
     );
 }
