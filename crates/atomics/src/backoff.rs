@@ -33,16 +33,27 @@ impl Backoff {
         self.step = 0;
     }
 
+    /// Cap of [`Backoff::pause`]: the latency/traffic trade of a waiter that
+    /// is about to be served, swept on the gated benchmark (the workspace's
+    /// DESIGN.md, "Spin, then park", has the row).
+    const PAUSE_SHIFT: u32 = 5;
+
+    /// The one pause loop: `2^step` spin hints, then doubles the step up to
+    /// `max_shift` and holds there.
+    #[inline]
+    fn spin(&mut self, max_shift: u32) {
+        for _ in 0..1u32 << self.step.min(max_shift) {
+            core::hint::spin_loop();
+        }
+        if self.step < max_shift {
+            self.step += 1;
+        }
+    }
+
     /// Spins briefly; the delay grows exponentially up to the cap.
     #[inline]
     pub fn snooze(&mut self) {
-        let spins = 1u32 << self.step.min(Self::MAX_SHIFT);
-        for _ in 0..spins {
-            core::hint::spin_loop();
-        }
-        if self.step < Self::MAX_SHIFT {
-            self.step += 1;
-        }
+        self.spin(Self::MAX_SHIFT);
     }
 
     /// Returns `true` once the exponential delay has reached its cap.
@@ -73,21 +84,17 @@ impl Backoff {
     }
 
     /// One pause of a wait that has its own time budget and its own way of
-    /// sleeping once that is spent (the channel layer's spin-then-park):
-    /// `2^step` spin hints, doubling up to `2^max_shift` and then holding
-    /// there — it never yields.  A checkpoint like
-    /// [`Backoff::snooze_or_yield`], for the same reason: the loop waits on
-    /// another thread's progress.
+    /// sleeping once that is spent — the channel layer's spin-then-park, its
+    /// only caller, which is why this is not part of the documented API: a
+    /// [`Backoff::snooze`] that holds at 32 spin hints and never yields.  A
+    /// checkpoint like [`Backoff::snooze_or_yield`], for the same reason: the
+    /// loop waits on another thread's progress.
+    #[doc(hidden)]
     #[inline]
-    pub fn pause_capped(&mut self, max_shift: u32) {
+    pub fn pause(&mut self) {
         #[cfg(feature = "checkpoint")]
         crate::checkpoint::hit("backoff.snooze");
-        for _ in 0..1u32 << self.step.min(max_shift) {
-            core::hint::spin_loop();
-        }
-        if self.step < max_shift {
-            self.step += 1;
-        }
+        self.spin(Self::PAUSE_SHIFT);
     }
 
     /// Current step (exposed for tests and statistics).
@@ -123,13 +130,16 @@ mod tests {
     }
 
     #[test]
-    fn a_capped_pause_doubles_to_its_own_cap_and_holds() {
+    fn a_pause_doubles_to_its_own_cap_and_holds() {
         let mut b = Backoff::new();
-        for expected in [1, 2, 3, 3, 3] {
-            b.pause_capped(3);
+        for expected in [1, 2, 3, 4, 5, 5, 5] {
+            b.pause();
             assert_eq!(b.step(), expected);
         }
-        assert!(!b.is_completed(), "its cap is the caller's, not MAX_SHIFT");
+        assert!(
+            !b.is_completed(),
+            "it holds below MAX_SHIFT: it never yields"
+        );
     }
 
     #[test]

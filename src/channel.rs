@@ -713,10 +713,10 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// [`QueueHandle::dequeue_into`].
     ///
     /// Waits like [`Receiver::recv`] (a brief spin on a read-only hint, then
-    /// parked) until at least one value is available, then returns however many the backend yielded in one batch (at most
-    /// `max`; fewer does **not** mean the channel is empty).  Fails only once
-    /// the channel is closed *and* fully drained.  `max == 0` returns `Ok(0)`
-    /// immediately.
+    /// parked) until at least one value is available, then returns however
+    /// many the backend yielded in one batch (at most `max`; fewer does
+    /// **not** mean the channel is empty).  Fails only once the channel is
+    /// closed *and* fully drained.  `max == 0` returns `Ok(0)` immediately.
     pub fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
         answered(Parked::wait_one(self, NO_DEADLINE, |rx| {
             recv_answer(rx.try_recv_many(out, max))

@@ -56,7 +56,7 @@ use wcq_core::metrics::{Instrument, NoopInstrument};
 
 use crate::async_channel::AsyncReceiver;
 use crate::channel::{timed, Receiver, RecvError, RecvTimeoutError, TryRecvError};
-use crate::wait::{Answer, Parked};
+use crate::wait::{Answer, Lane, Parked};
 
 /// The lane-scan attempt: one pass over the lanes in slice order.  The first
 /// value wins; `Closed` only once every lane reported closed-and-drained
@@ -118,18 +118,24 @@ impl<T: Send + 'static, I: Instrument> Future for RecvAny<'_, '_, T, I> {
 ///   drained (an empty `rxs` reports this immediately).  A single closed
 ///   lane never ends the wait while its peers are live.
 ///
-/// The wait is [`Receiver::recv_timeout`]'s: it spins briefly while every
-/// open lane's read-only hint says empty (the spin counts against `timeout`),
-/// then parks the calling thread with one thread-unparking waker cloned into
-/// each channel's receive-side slot — the same park/re-check discipline as
-/// the async [`recv_any`], woken by whichever channel sends (or closes)
-/// first.
+/// The wait is [`Receiver::recv_timeout`]'s: it spins briefly (the spin
+/// counts against `timeout`), polling an open lane again only once that
+/// lane's read-only hint stops saying empty, then parks the calling thread
+/// with one thread-unparking waker cloned into each channel's receive-side
+/// slot — the same park/re-check discipline as the async [`recv_any`], woken
+/// by whichever channel sends (or closes) first.
 pub fn recv_any_timeout<T: Send + 'static, I: Instrument>(
     rxs: &mut [&mut Receiver<T, I>],
     timeout: Duration,
 ) -> Result<(usize, T), RecvTimeoutError> {
-    timed(Parked::wait_thread(rxs, timeout, |lanes| {
-        scan(lanes, |rx| rx.try_recv())
+    timed(Parked::wait_thread(rxs, timeout, |lanes, gated| {
+        scan(lanes, |rx| {
+            if gated && rx.still_nothing() {
+                Err(TryRecvError::Empty) // open, and its hint says so
+            } else {
+                rx.try_recv()
+            }
+        })
     }))
 }
 

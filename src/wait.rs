@@ -279,13 +279,20 @@ impl<'a, E: Lane> Parked<'a, E> {
     /// settle — which makes an operation that does not have to wait that
     /// attempt and nothing else; everything after a `None` is
     /// [`Parked::spin_then_park`].
+    ///
+    /// The attempt's second argument is `true` for the spin phase's attempts
+    /// only: an attempt over several lanes then leaves out every lane whose
+    /// own gate ([`Lane::still_nothing`]) is shut, so a lane whose gate never
+    /// shuts — a closed one, one without a hint — does not make each pause
+    /// poll its live neighbours' rings.  A one-lane attempt can ignore it:
+    /// the driver does not run it while that lane's gate is shut.
     #[inline]
     pub(crate) fn wait_thread<O>(
         lanes: &'a mut [E],
         timeout: Duration,
-        mut attempt: impl FnMut(&mut [E]) -> Answer<O>,
+        mut attempt: impl FnMut(&mut [E], bool) -> Answer<O>,
     ) -> Option<O> {
-        match attempt(lanes) {
+        match attempt(lanes, false) {
             Some((_, output)) => Some(output),
             None => Self::new(lanes).spin_then_park(timeout, attempt),
         }
@@ -295,10 +302,11 @@ impl<'a, E: Lane> Parked<'a, E> {
     /// (DESIGN.md, "Spin, then park", derives the two constants).
     ///
     /// *Spin*, for at most [`SPIN_BEFORE_PARK`]: pause, and run the attempt
-    /// again only once some lane's read-only gate ([`Lane::still_nothing`])
-    /// has opened, so an empty ring is never polled twice in a row and a
-    /// spinning receiver only reads the lines its sender writes.  Nothing is
-    /// parked yet: the matching notify is one load of `parked`.
+    /// again — on the lanes whose gate is open — only once some lane's
+    /// read-only gate ([`Lane::still_nothing`]) has opened, so an empty ring
+    /// is never polled twice in a row and a spinning receiver only reads the
+    /// lines its sender writes.  Nothing is parked yet: the matching notify
+    /// is one load of `parked`.
     ///
     /// *Park*, after that: a [`thread_waker`] in every lane, the re-check,
     /// then sleep.  A notification racing the park unparks this thread, so
@@ -313,7 +321,7 @@ impl<'a, E: Lane> Parked<'a, E> {
     fn spin_then_park<O>(
         mut self,
         timeout: Duration,
-        mut attempt: impl FnMut(&mut [E]) -> Answer<O>,
+        mut attempt: impl FnMut(&mut [E], bool) -> Answer<O>,
     ) -> Option<O> {
         if timeout.is_zero() {
             return None;
@@ -325,14 +333,14 @@ impl<'a, E: Lane> Parked<'a, E> {
         let spin_until = deadline.map_or(budget_end, |deadline| deadline.min(budget_end));
         let mut pause = Backoff::new();
         loop {
-            pause.pause_capped(PAUSE_CAP_SHIFT);
+            pause.pause();
             if Instant::now() >= spin_until {
                 break;
             }
             if self.lanes.iter().all(|lane| lane.still_nothing()) {
                 continue;
             }
-            if let Some(output) = self.once(&mut attempt, false) {
+            if let Some(output) = self.once(&mut |lanes| attempt(lanes, true), false) {
                 return Some(output);
             }
         }
@@ -342,7 +350,7 @@ impl<'a, E: Lane> Parked<'a, E> {
         let waker = thread_waker();
         loop {
             self.park(&waker);
-            let answer = self.once(&mut attempt, false);
+            let answer = self.once(&mut |lanes| attempt(lanes, false), false);
             if answer.is_some() || !park_until(deadline) {
                 return answer; // timed out: dropping `self` settles the lanes
             }
@@ -366,7 +374,7 @@ impl<'a, E: Lane> Parked<'a, E> {
         timeout: Duration,
         mut attempt: impl FnMut(&mut E) -> Option<O>,
     ) -> Option<O> {
-        Self::wait_thread(std::slice::from_mut(lane), timeout, |lanes| {
+        Self::wait_thread(std::slice::from_mut(lane), timeout, |lanes, _| {
             Some((Some(0), attempt(&mut lanes[0])?))
         })
     }
@@ -392,10 +400,6 @@ pub(crate) const NO_DEADLINE: Duration = Duration::MAX;
 /// the better of "spin throughout" and "park at once".  Derived, not an
 /// option — DESIGN.md, "Spin, then park".
 const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
-
-/// The spin phase's pauses double from 1 to `2^5` spin hints and hold there
-/// (swept at the budget above; DESIGN.md has the row).
-const PAUSE_CAP_SHIFT: u32 = 5;
 
 /// A [`Waker`] that unparks the calling thread: one allocation per thread,
 /// clones of it per park.
@@ -509,6 +513,31 @@ mod tests {
         assert_eq!(poll, Poll::Ready(()));
         assert_eq!(count.0.load(SeqCst), 1, "the notification took our waker");
         assert_eq!(sibling.0.load(SeqCst), 1, "task driver: forwarded");
+    }
+
+    /// The same window on the way out: the notification takes the waiter's
+    /// waker after its last re-check, and the deadline passes before it can
+    /// sleep on it.  The wait times out and must hand the notification on.
+    #[test]
+    fn a_timeout_forwards_a_notification_that_came_after_its_last_re_check() {
+        let side = WakeSide::new(NoopInstrument);
+        let (mut lane, sibling) = lane_with_parked_sibling(&side);
+        let timeout = 2 * SPIN_BEFORE_PARK; // long enough to reach the registry
+        let mut tries = 0;
+        let timed_out = Parked::wait_one(&mut lane, timeout, |_| {
+            tries += 1;
+            if tries == 2 {
+                // The re-check: our waker is parked.  A notification takes it
+                // for something this attempt does not find, and the attempt
+                // returns after the deadline.
+                side.wake_one();
+                std::thread::sleep(timeout);
+            }
+            None::<()>
+        });
+        assert_eq!(timed_out, None);
+        assert_eq!(tries, 2, "the deadline had passed: no further round");
+        assert_eq!(sibling.0.load(SeqCst), 1, "thread driver: forwarded");
     }
 
     /// The other side of the rule: a re-poll that wins without re-parking

@@ -426,7 +426,38 @@ mod idle_cpu {
     }
 }
 
-/// `src/wait.rs`'s private `SPIN_BEFORE_PARK`.
+/// A closed-and-drained lane's gate never shuts (its `Closed` verdict can
+/// only come from a real poll), and a select lives with such lanes for as
+/// long as their peers are open.  That must not make each pause of the spin
+/// phase poll the live lanes' rings — four writes a poll to lines their
+/// senders need.
+#[test]
+fn a_dead_lane_does_not_make_a_spinning_select_poll_the_live_ones() {
+    for dead_first in [true, false] {
+        let ((dead_tx, mut dead), _) = counted_channel(ChannelBackend::Unbounded, 4, 2);
+        let ((_live_tx, mut live), live_instr) = counted_channel(ChannelBackend::Unbounded, 4, 2);
+        drop(dead_tx);
+        let mut lanes = [&mut dead, &mut live];
+        if !dead_first {
+            lanes.reverse();
+        }
+        assert_eq!(
+            wcq::recv_any_timeout(&mut lanes, Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        // The first attempt, and one re-check per park; ~100 had it polled at
+        // every pause of its spin phase.
+        let live_polls = live_instr.snapshot().get(Counter::RingDequeues);
+        assert!(
+            (1..=6).contains(&live_polls),
+            "dead lane first: {dead_first}: {live_polls} polls of the live lane's ring"
+        );
+    }
+}
+
+/// `src/wait.rs`'s private `SPIN_BEFORE_PARK`; it only sizes the producer's
+/// gaps — the two-phases assertions below fail if it drifts far from the
+/// real one.
 const SPIN_BUDGET: Duration = Duration::from_micros(50);
 const BOUNDARY_VALUES: u64 = 20_000;
 const BOUNDARY_WATCHDOG: Duration = Duration::from_secs(30);

@@ -16,10 +16,12 @@
 //! * **`wait_thread(deadline)` × its three attempts** (`recv_timeout`,
 //!   `send_timeout`, `recv_any_timeout`): a timeout that races a notification
 //!   forwards it.  The racing window — after the wait's last re-park, before
-//!   it settles — cannot be forced from outside, so these cells race a wait
-//!   just long enough to park against one notification per round and assert
-//!   what the forward guarantees: a long-parked sibling is never left asleep next to
-//!   the value (or free slot) the notification announced.
+//!   it settles — cannot be forced from outside (`src/wait.rs`'s unit tests
+//!   force it on a bare lane), so these cells race a wait just long enough to
+//!   park against one notification per round, aimed at the instant it times
+//!   out, and assert what the forward guarantees: a long-parked sibling is
+//!   never left asleep next to the value (or free slot) the notification
+//!   announced.
 //! * **`wait_thread`, the win after a re-park**: two notifications in a row
 //!   against two long-parked waiters.  The second can pick the waiter the
 //!   first already woke, after its re-park and before its winning re-check;
@@ -268,24 +270,61 @@ fn every_attempt_under_the_task_driver_keeps_the_park_protocol() {
 const SIBLING_WAIT: Duration = Duration::from_secs(20);
 /// How long the notifier waits for *someone* to act on a notification.
 const STRANDED_AFTER: Duration = Duration::from_secs(5);
-const ROUNDS: u64 = 1_000;
-/// Just past the thread driver's 50 µs spin budget (`src/wait.rs`): the
-/// shortest wait that reaches the registry.  A shorter one — a zero timeout
-/// above all — times out from its spin phase with nothing parked, and a wait
-/// that parked nothing has nothing to forward.
-const PARKS_BRIEFLY: Duration = Duration::from_micros(60);
-/// Upper bound of the per-round delay before the notification, in spin-loop
-/// iterations: about the length of one [`PARKS_BRIEFLY`] wait, sleep included.
-const JITTER_SPINS: u64 = 8_192;
+const ROUNDS: u64 = 2_000;
+/// `src/wait.rs`'s private `SPIN_BEFORE_PARK`, which times the racing cells
+/// ([`the_racing_cells_are_timed_by_the_real_spin_budget`] pins it).
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+/// The racer's timeout: the shortest wait that reaches the registry.  A
+/// shorter one — a zero timeout above all — times out from its spin phase
+/// with nothing parked, and a wait that parked nothing has nothing to
+/// forward.  This one leaves its spin phase with no time left to sleep: it
+/// parks, re-checks and times out, [`SPIN_BUDGET`] after it began — an instant
+/// the notifier can aim at.
+const PARKS_BRIEFLY: Duration = SPIN_BUDGET.saturating_add(Duration::from_nanos(100));
+/// The notification goes out this long, at most, after the racer's spin
+/// budget ran out: from before its park to after it has settled.
+const SWEEP_NANOS: u64 = 3_000;
 
-/// Spins for a pseudo-random number of spin-loop iterations below `bound`
-/// (an LCG stepped in `state`): the seeded gap that sweeps a notification
-/// across the window a cell is after.
-fn jittered_gap(state: &mut u64, bound: u64) {
+/// A pseudo-random number below `bound` (an LCG stepped in `state`).
+fn seeded_below(state: &mut u64, bound: u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-    for _ in 0..(*state >> 33) % bound {
+    (*state >> 33) % bound
+}
+
+/// Spins for a pseudo-random number of spin-loop iterations below `bound`:
+/// the seeded gap that sweeps a notification across the window a cell is
+/// after.
+fn jittered_gap(state: &mut u64, bound: u64) {
+    for _ in 0..seeded_below(state, bound) {
         std::hint::spin_loop();
     }
+}
+
+/// The racing cells below are blind if their racer never parks, which is
+/// what a spin budget other than the one they assume would make of them.
+#[test]
+fn the_racing_cells_are_timed_by_the_real_spin_budget() {
+    let instr = CountingInstrument::new();
+    let (_tx, mut rx) = wcq::builder()
+        .threads(2)
+        .instrument(instr.clone())
+        .build_channel::<u64>();
+    let parks = || instr.counters().get(Counter::ChannelParks);
+    let just_under = SPIN_BUDGET - Duration::from_micros(1);
+    assert_eq!(rx.recv_timeout(just_under), Err(RecvTimeoutError::Timeout));
+    assert_eq!(
+        parks(),
+        0,
+        "a {just_under:?} wait parked: the driver's budget is below SPIN_BUDGET"
+    );
+    assert_eq!(
+        rx.recv_timeout(PARKS_BRIEFLY),
+        Err(RecvTimeoutError::Timeout)
+    );
+    assert!(
+        parks() >= 1,
+        "a {PARKS_BRIEFLY:?} wait never parked: the driver's budget is above SPIN_BUDGET"
+    );
 }
 
 /// What one timed wait came to.
@@ -297,9 +336,11 @@ enum Waited {
 
 /// Races a [`PARKS_BRIEFLY`] wait (`racer`, on the first-attached endpoint)
 /// against one notification per round, with a sibling parked for
-/// [`SIBLING_WAIT`] on the same side.  Every notification must be acted on by one of the two,
-/// promptly: if the racer times out on a waker a notification already
-/// consumed and does not forward it, the sibling sleeps on next to the value.
+/// [`SIBLING_WAIT`] on the same side.  Every notification must be acted on by
+/// one of the two, promptly: if the racer times out on a waker a notification
+/// already consumed and does not forward it, the sibling sleeps on next to
+/// the value.  (With the forward in `Parked::settle` taken out, 5–10 rounds in
+/// a thousand strand.)
 ///
 /// `racer` and `sibling` perform one wait of the given timeout; `notify`
 /// lets exactly one waiter finish; `close` ends the sibling's last wait.
@@ -310,7 +351,9 @@ fn race_timeouts_against_notifications(
     mut notify: impl FnMut(),
     close: impl FnOnce(),
 ) {
-    let done = AtomicU64::new(0);
+    // Rounds completed by the racer and by the sibling.
+    let done = [AtomicU64::new(0), AtomicU64::new(0)];
+    let all_done = || done[0].load(SeqCst) + done[1].load(SeqCst);
     // Spin rendezvous (a `Barrier`'s futex wake would land the racer tens of
     // microseconds late): the racer announces it is ready for round `i`, the
     // notifier releases round `i`.  `u64::MAX` releases the racer for good.
@@ -328,13 +371,13 @@ fn race_timeouts_against_notifications(
                     return;
                 }
                 if let Waited::Done = racer(PARKS_BRIEFLY) {
-                    done.fetch_add(1, SeqCst);
+                    done[0].fetch_add(1, SeqCst);
                 }
             }
         });
         s.spawn(|| loop {
             match sibling(SIBLING_WAIT) {
-                Waited::Done => done.fetch_add(1, SeqCst),
+                Waited::Done => done[1].fetch_add(1, SeqCst),
                 Waited::TimedOut => panic!("{name}: the sibling slept through a notification"),
                 Waited::Closed => return,
             };
@@ -346,13 +389,17 @@ fn race_timeouts_against_notifications(
             while ready.load(SeqCst) < rounds {
                 std::hint::spin_loop();
             }
+            let released = Instant::now();
             go.store(rounds, SeqCst);
-            // Sweep the notification across the racer's wait: anywhere from
-            // before its first attempt to after it has settled.
-            jittered_gap(&mut jitter, JITTER_SPINS);
+            // Sweep the notification across the racer's time-out: anywhere
+            // from its last spin to after it has settled.
+            let sweep = Duration::from_nanos(seeded_below(&mut jitter, SWEEP_NANOS));
+            while released.elapsed() < SPIN_BUDGET + sweep {
+                std::hint::spin_loop();
+            }
             notify();
             let sent = Instant::now();
-            while done.load(SeqCst) < rounds && stranded.is_none() {
+            while all_done() < rounds && stranded.is_none() {
                 if sent.elapsed() > STRANDED_AFTER {
                     stranded = Some(rounds);
                 }
@@ -366,11 +413,12 @@ fn race_timeouts_against_notifications(
         stranded, None,
         "{name}: a notification was swallowed — nobody acted on it within {STRANDED_AFTER:?}"
     );
-    assert_eq!(
-        done.load(SeqCst),
-        ROUNDS,
-        "{name}: one completion per round"
-    );
+    assert_eq!(all_done(), ROUNDS, "{name}: one completion per round");
+    // The sweep straddled the racer's time-out: some notifications came early
+    // enough for the racer to take, others found only the sibling parked.
+    for (who, done) in ["racer", "sibling"].iter().zip(&done) {
+        assert_ne!(done.load(SeqCst), 0, "{name}: the {who} took no round");
+    }
 }
 
 fn waited<T>(outcome: Result<T, RecvTimeoutError>) -> Waited {
