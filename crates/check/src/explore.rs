@@ -369,10 +369,11 @@ fn run_bounded<F: CellFamily>(plan: &CheckPlan, schedule: Schedule) -> Result<u6
     // original panic, the double panic aborts the whole sweep process.
     // Leak the queue on every non-clean exit; the clean path below still
     // exercises `Drop`.
-    let queue: ManuallyDrop<WcqQueue<u64, F>> = ManuallyDrop::new(WcqQueue::with_config(
+    let queue: ManuallyDrop<WcqQueue<u64, F>> = ManuallyDrop::new(WcqQueue::with_config_counters(
         plan.ring_order,
         threads,
         plan.config(),
+        None,
     ));
     let expected = plan.producers as u64 * plan.ops_per_producer;
     let consumed = AtomicU64::new(0);
@@ -457,9 +458,14 @@ fn run_unbounded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     let sched = Scheduler::new(threads, schedule);
     // Leaked on non-clean exit for the same double-panic reason as
     // `run_bounded`.
-    let queue: ManuallyDrop<UnboundedWcq<u64, CheckedFamily>> = ManuallyDrop::new(
-        UnboundedWcq::with_config(plan.ring_order, threads, plan.config()),
-    );
+    let queue: ManuallyDrop<UnboundedWcq<u64, CheckedFamily>> =
+        ManuallyDrop::new(UnboundedWcq::with_config_cache_counters(
+            plan.ring_order,
+            threads,
+            plan.config(),
+            DEFAULT_SEGMENT_CACHE,
+            None,
+        ));
     let expected = plan.producers as u64 * plan.ops_per_producer;
     let consumed = AtomicU64::new(0);
 
@@ -611,7 +617,13 @@ fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String
     // `ManuallyDrop`: leaked on a non-clean exit for the same double-panic
     // reason as `run_bounded`.
     let w = Rc::new(Window {
-        queue: ManuallyDrop::new(UnboundedWcq::with_config(plan.ring_order, 2, plan.config())),
+        queue: ManuallyDrop::new(UnboundedWcq::with_config_cache_counters(
+            plan.ring_order,
+            2,
+            plan.config(),
+            DEFAULT_SEGMENT_CACHE,
+            None,
+        )),
         model: RefCell::new(VecDeque::new()),
         rng: RefCell::new(rng),
         armed: Cell::new(false),
@@ -686,12 +698,13 @@ fn run_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     // Leaked on non-clean exit for the same double-panic reason as
     // `run_bounded`.
     let queue: ManuallyDrop<ShardedWcq<u64, CheckedFamily>> =
-        ManuallyDrop::new(ShardedWcq::with_config_and_cache(
+        ManuallyDrop::new(ShardedWcq::with_config_cache_counters(
             SHARDS,
             plan.ring_order,
             threads,
             plan.config(),
             DEFAULT_SEGMENT_CACHE,
+            None,
         ));
     let expected = plan.producers as u64 * plan.ops_per_producer;
     let consumed = AtomicU64::new(0);

@@ -13,12 +13,12 @@
 //! preemption points only widen the explored space.)
 //!
 //! Under the `check-mutations` feature one documented site is deliberately
-//! broken — see [`GlobalCtr::fetch_add_cnt`] below — so the test-suite can
+//! broken — see [`TicketCtr::fetch_add_cnt`] below — so the test-suite can
 //! prove the explorer detects a real interleaving bug with a replayable
 //! seed.
 
 use wcq_atomics::AtomicDouble;
-use wcq_core::wcq::cells::{CellFamily, EntryCell, GlobalCtr};
+use wcq_core::wcq::cells::{EntryCell, GlobalCtr, RingFamily, TicketCtr, ValueCell};
 
 use crate::sched::maybe_yield;
 
@@ -29,14 +29,9 @@ pub struct CheckedFamily;
 /// Entry cell backed by [`AtomicDouble`] with a yield point per operation.
 pub struct CheckedEntry(AtomicDouble);
 
-impl EntryCell for CheckedEntry {
-    fn new(value: u64, note: u64) -> Self {
-        Self(AtomicDouble::new(value, note))
-    }
-    #[inline]
-    fn load(&self) -> (u64, u64) {
-        maybe_yield("entry.load");
-        self.0.load()
+impl ValueCell for CheckedEntry {
+    fn new(value: u64) -> Self {
+        Self(AtomicDouble::new(value, 0))
     }
     #[inline]
     fn load_value(&self) -> u64 {
@@ -52,6 +47,14 @@ impl EntryCell for CheckedEntry {
     fn or_value(&self, bits: u64) -> u64 {
         maybe_yield("entry.or_value");
         self.0.fetch_or_lo(bits)
+    }
+}
+
+impl EntryCell for CheckedEntry {
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        maybe_yield("entry.load");
+        self.0.load()
     }
     #[inline]
     fn cas2_value(&self, expected: (u64, u64), new_value: u64) -> bool {
@@ -70,14 +73,9 @@ impl EntryCell for CheckedEntry {
 /// F&A.
 pub struct CheckedCtr(AtomicDouble);
 
-impl GlobalCtr for CheckedCtr {
+impl TicketCtr for CheckedCtr {
     fn new(init: u64) -> Self {
         Self(AtomicDouble::new(init, 0))
-    }
-    #[inline]
-    fn load(&self) -> (u64, u64) {
-        maybe_yield("ctr.load");
-        self.0.load()
     }
     #[inline]
     fn load_cnt(&self) -> u64 {
@@ -112,18 +110,26 @@ impl GlobalCtr for CheckedCtr {
         self.0.fetch_add_lo(n)
     }
     #[inline]
-    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool {
-        maybe_yield("ctr.cas");
-        self.0.cas2(expected, new)
-    }
-    #[inline]
     fn cas_cnt_weak(&self, expected_cnt: u64, new_cnt: u64) -> bool {
         maybe_yield("ctr.cas_cnt");
         self.0.cas_lo(expected_cnt, new_cnt)
     }
 }
 
-impl CellFamily for CheckedFamily {
+impl GlobalCtr for CheckedCtr {
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        maybe_yield("ctr.load");
+        self.0.load()
+    }
+    #[inline]
+    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool {
+        maybe_yield("ctr.cas");
+        self.0.cas2(expected, new)
+    }
+}
+
+impl RingFamily for CheckedFamily {
     type Entry = CheckedEntry;
     type Ctr = CheckedCtr;
     const NAME: &'static str = "checked-cas2";
@@ -141,7 +147,7 @@ mod tests {
 
     #[test]
     fn entry_contract_matches_native() {
-        let c = CheckedEntry::new(5, 0);
+        let c = CheckedEntry::new(5);
         assert_eq!(c.load(), (5, 0));
         assert_eq!(c.load_value(), 5);
         assert!(c.cas_value(5, 6));

@@ -50,7 +50,7 @@
 //! constructor zoo; this module only defines the operational surface.
 
 use crate::scq::ScqQueue;
-use crate::wcq::{CellFamily, LlscFamily, WcqQueue, WcqQueueHandle};
+use crate::wcq::{CellFamily, LlscFamily, RingFamily, WcqQueue, WcqQueueHandle};
 
 /// A per-thread, RAII handle to a [`WaitFreeQueue`].
 ///

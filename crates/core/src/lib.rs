@@ -58,6 +58,7 @@ pub mod api;
 pub mod channel;
 pub mod metrics;
 pub mod pack;
+pub mod ring;
 pub mod scq;
 pub mod wcq;
 

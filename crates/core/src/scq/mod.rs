@@ -17,4 +17,4 @@ mod queue;
 mod ring;
 
 pub use queue::ScqQueue;
-pub use ring::{ScqDequeue, ScqRing};
+pub use ring::{ScqRing, WordFamily};

@@ -1,234 +1,107 @@
-//! The SCQ ring of indices (Figure 3 of the wCQ paper).
+//! The SCQ ring of indices: Figure 3 with nothing added.
 
-use core::sync::atomic::{AtomicI64, AtomicU64, Ordering::SeqCst};
+use core::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
-use wcq_atomics::CachePadded;
+use crate::ring::{Deq, Ring};
+use crate::wcq::cells::{RingFamily, TicketCtr, ValueCell};
 
-use crate::pack::Layout;
+/// Single-word cells: an entry is its `Value`, `Head`/`Tail` are bare
+/// counters.  All SCQ needs — there is no `Note` and no help reference.
+pub struct WordFamily;
 
-/// Result of a single dequeue attempt on the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScqDequeue {
-    /// An index was dequeued.
-    Value(u64),
-    /// The ring was observed empty (threshold exhausted or tail caught up).
-    Empty,
-    /// The attempt must be retried; the payload is the head ticket that
-    /// failed, which wCQ's slow path uses as its starting point.
-    Retry(u64),
+impl ValueCell for AtomicU64 {
+    fn new(value: u64) -> Self {
+        AtomicU64::new(value)
+    }
+    #[inline]
+    fn load_value(&self) -> u64 {
+        self.load(SeqCst)
+    }
+    #[inline]
+    fn cas_value(&self, expected: u64, new: u64) -> bool {
+        self.compare_exchange(expected, new, SeqCst, SeqCst).is_ok()
+    }
+    #[inline]
+    fn or_value(&self, bits: u64) -> u64 {
+        self.fetch_or(bits, SeqCst)
+    }
 }
 
-/// The lock-free SCQ circular ring of *indices*.
+impl TicketCtr for AtomicU64 {
+    fn new(init: u64) -> Self {
+        AtomicU64::new(init)
+    }
+    #[inline]
+    fn load_cnt(&self) -> u64 {
+        self.load(SeqCst)
+    }
+    #[inline]
+    fn fetch_add_cnt(&self) -> u64 {
+        self.fetch_add(1, SeqCst)
+    }
+    #[inline]
+    fn fetch_add_cnt_n(&self, n: u64) -> u64 {
+        self.fetch_add(n, SeqCst)
+    }
+    #[inline]
+    fn cas_cnt_weak(&self, expected_cnt: u64, new_cnt: u64) -> bool {
+        self.compare_exchange(expected_cnt, new_cnt, SeqCst, SeqCst)
+            .is_ok()
+    }
+}
+
+impl RingFamily for WordFamily {
+    type Entry = AtomicU64;
+    type Ctr = AtomicU64;
+    const NAME: &'static str = "native-word";
+}
+
+/// The lock-free SCQ circular ring of *indices*: [`Ring`] over single-word
+/// cells, with no slow-path state and no hooks.
 ///
 /// The ring stores `u64` values in `[0, capacity)`; storing arbitrary data is
 /// the job of [`super::ScqQueue`], which combines two rings (`aq`, `fq`) with
 /// a data array.  The ring is operation-wise lock-free: some enqueuer and some
 /// dequeuer always completes in a finite number of steps (the property wCQ's
 /// slow path relies on, Lemma 5.3).
-///
-/// # Capacity discipline
-///
-/// As in the paper, `Enqueue` never checks for a full ring: correctness
-/// requires that at most `capacity()` values circulate through the ring at a
-/// time (which the index-indirection scheme guarantees by construction).
-pub struct ScqRing {
-    layout: Layout,
-    threshold: CachePadded<AtomicI64>,
-    tail: CachePadded<AtomicU64>,
-    head: CachePadded<AtomicU64>,
-    entries: Box<[AtomicU64]>,
-}
-
-impl std::fmt::Debug for ScqRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScqRing")
-            .field("order", &self.layout.order())
-            .field("capacity", &self.layout.capacity())
-            .field("head", &self.head.load(SeqCst))
-            .field("tail", &self.tail.load(SeqCst))
-            .field("threshold", &self.threshold.load(SeqCst))
-            .finish()
-    }
-}
+pub type ScqRing = Ring<WordFamily, ()>;
 
 impl ScqRing {
-    /// Upper bound on `catchup` iterations.  `catchup` is purely a contention
-    /// optimization (paper §3.2 "Bounding catchup"), so bounding it does not
-    /// affect correctness and keeps every loop in the ring finite.
-    const CATCHUP_BOUND: usize = 64;
-
     /// Creates an empty ring with usable capacity `2^order`.
     pub fn new(order: u32) -> Self {
-        let layout = Layout::with_entry_size(order, 8);
-        let entries = (0..layout.ring_size())
-            .map(|_| AtomicU64::new(layout.init_entry()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            layout,
-            threshold: CachePadded::new(AtomicI64::new(-1)),
-            tail: CachePadded::new(AtomicU64::new(layout.init_counter())),
-            head: CachePadded::new(AtomicU64::new(layout.init_counter())),
-            entries,
-        }
+        Self::empty(order, ())
     }
 
     /// Creates a ring pre-filled with the indices `0..capacity` — the initial
     /// state of the `fq` free-index ring in the indirection scheme.
     pub fn new_full(order: u32) -> Self {
         let ring = Self::new(order);
-        for i in 0..ring.layout.capacity() {
+        for i in 0..ring.capacity() {
             ring.enqueue(i);
         }
         ring
     }
 
-    /// The ring's geometry.
-    #[inline]
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// Usable capacity (`2^order`).
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.layout.capacity()
-    }
-
-    /// Current threshold value (exposed for tests and the empty-dequeue
-    /// benchmark analysis).
-    #[inline]
-    pub fn threshold(&self) -> i64 {
-        self.threshold.load(SeqCst)
-    }
-
-    /// Approximate number of stored values (`tail − head`, clamped).  Only a
-    /// hint: concurrent operations may make it stale immediately.
-    pub fn len_hint(&self) -> u64 {
-        let t = self.tail.load(SeqCst);
-        let h = self.head.load(SeqCst);
-        t.saturating_sub(h)
-    }
-
-    /// `catchup` (Figure 3, lines 13–17): advance `Tail` to `Head` after a
-    /// dequeuer overshot an empty ring, bounded per §3.2.
-    fn catchup(&self, mut tail: u64, mut head: u64) {
-        for _ in 0..Self::CATCHUP_BOUND {
-            if self
-                .tail
-                .compare_exchange(tail, head, SeqCst, SeqCst)
-                .is_ok()
-            {
-                return;
-            }
-            head = self.head.load(SeqCst);
-            tail = self.tail.load(SeqCst);
-            if tail >= head {
-                return;
-            }
-        }
-    }
-
-    /// One enqueue attempt (`try_enq`, Figure 3 lines 18–29).  On failure
-    /// returns the tail ticket that was consumed, which the caller (or wCQ's
-    /// slow path) uses for the retry.
-    pub fn try_enqueue(&self, index: u64) -> Result<(), u64> {
-        let l = &self.layout;
-        debug_assert!(index < l.capacity(), "index out of range");
-        let t = self.tail.fetch_add(1, SeqCst);
-        let j = l.slot(t);
-        loop {
-            let raw = self.entries[j].load(SeqCst);
-            let e = l.unpack(raw);
-            if e.cycle < l.cycle(t)
-                && (e.is_safe || self.head.load(SeqCst) <= t)
-                && l.is_reserved(e.index)
-            {
-                let new = l.pack(l.cycle(t), true, true, index);
-                if self.entries[j]
-                    .compare_exchange(raw, new, SeqCst, SeqCst)
-                    .is_err()
-                {
-                    // The entry changed under us: re-evaluate (paper line 25).
-                    continue;
-                }
-                if self.threshold.load(SeqCst) != l.max_threshold() {
-                    self.threshold.store(l.max_threshold(), SeqCst);
-                }
-                return Ok(());
-            }
-            return Err(t);
-        }
-    }
-
     /// Enqueues `index`, retrying tickets until the insertion succeeds
     /// (`Enqueue_SCQ`).  The ring must not already hold `capacity()` values.
     pub fn enqueue(&self, index: u64) {
-        while self.try_enqueue(index).is_err() {}
-    }
-
-    /// One dequeue attempt (`try_deq`, Figure 3 lines 30–52).
-    pub fn try_dequeue(&self) -> ScqDequeue {
-        let l = &self.layout;
-        let h = self.head.fetch_add(1, SeqCst);
-        let j = l.slot(h);
-        loop {
-            let raw = self.entries[j].load(SeqCst);
-            let e = l.unpack(raw);
-            if e.cycle == l.cycle(h) {
-                // consume (Figure 3 lines 11–12): atomically mark ⊥c.
-                self.entries[j].fetch_or(l.consume_mask(), SeqCst);
-                return ScqDequeue::Value(e.index);
-            }
-            let new = if l.is_reserved(e.index) {
-                // Reserve the slot for our (newer) cycle so a late enqueuer of
-                // an older cycle cannot use it.
-                l.pack(l.cycle(h), e.is_safe, true, l.bottom())
-            } else {
-                // The slot still holds an unconsumed value of an older cycle:
-                // mark it unsafe rather than destroying it.
-                l.pack(e.cycle, false, true, e.index)
-            };
-            if e.cycle < l.cycle(h)
-                && self.entries[j]
-                    .compare_exchange(raw, new, SeqCst, SeqCst)
-                    .is_err()
-            {
-                continue;
-            }
-            // Empty detection.
-            let t = self.tail.load(SeqCst);
-            if t <= h + 1 {
-                self.catchup(t, h + 1);
-                self.threshold.fetch_sub(1, SeqCst);
-                return ScqDequeue::Empty;
-            }
-            if self.threshold.fetch_sub(1, SeqCst) <= 0 {
-                return ScqDequeue::Empty;
-            }
-            return ScqDequeue::Retry(h);
-        }
+        debug_assert!(index < self.capacity(), "index out of range");
+        while !self.try_enq(self.tail.fetch_add_cnt(), index, ()) {}
     }
 
     /// Dequeues an index (`Dequeue_SCQ`): returns `None` when the ring is
     /// empty.
     pub fn dequeue(&self) -> Option<u64> {
-        if self.threshold.load(SeqCst) < 0 {
+        if self.threshold() < 0 {
             return None; // Fast empty check.
         }
         loop {
-            match self.try_dequeue() {
-                ScqDequeue::Value(v) => return Some(v),
-                ScqDequeue::Empty => return None,
-                ScqDequeue::Retry(_) => continue,
+            match self.try_deq(self.head.fetch_add_cnt(), ()) {
+                Deq::Got(index) => return Some(index),
+                Deq::Empty => return None,
+                Deq::Retry => {}
             }
         }
-    }
-
-    /// Bytes of memory occupied by the ring (entries + control words), used by
-    /// the memory-usage benchmark (Figure 10a).
-    pub fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>() + self.entries.len() * std::mem::size_of::<AtomicU64>()
     }
 }
 

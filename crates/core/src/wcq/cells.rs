@@ -32,19 +32,24 @@ use core::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use wcq_atomics::llsc::Granule;
 use wcq_atomics::AtomicDouble;
 
-/// A 16-byte ring-entry cell holding the packed `Value` (low word) and the
-/// `Note` (high word).
-pub trait EntryCell: Send + Sync + Sized {
-    /// Creates a cell initialized to `(value, note)`.
-    fn new(value: u64, note: u64) -> Self;
-    /// Atomic double-width load of `(value, note)`.
-    fn load(&self) -> (u64, u64);
-    /// Atomic load of the `Value` word only (fast path).
+/// The `Value` word of a ring entry — everything Figure 3 asks of one.  An
+/// entry that also carries a `Note` ([`EntryCell`]) starts with it zeroed.
+pub trait ValueCell: Send + Sync + Sized {
+    /// Creates a cell whose `Value` word is `value`.
+    fn new(value: u64) -> Self;
+    /// Atomic load of the `Value` word.
     fn load_value(&self) -> u64;
     /// Single-word CAS on the `Value` word (fast path insertion).
     fn cas_value(&self, expected: u64, new: u64) -> bool;
     /// Atomic OR on the `Value` word (`consume`), returning the old value.
     fn or_value(&self, bits: u64) -> u64;
+}
+
+/// A 16-byte ring-entry cell holding the packed `Value` (low word) and the
+/// `Note` (high word): [`ValueCell`] plus what Figures 5–7 need.
+pub trait EntryCell: ValueCell {
+    /// Atomic double-width load of `(value, note)`.
+    fn load(&self) -> (u64, u64);
     /// Double-width CAS replacing the `Value` word while requiring the whole
     /// `(value, note)` pair to match (`CAS2` / `CAS2_Value`).
     fn cas2_value(&self, expected: (u64, u64), new_value: u64) -> bool;
@@ -53,39 +58,50 @@ pub trait EntryCell: Send + Sync + Sized {
     fn cas2_note(&self, expected: (u64, u64), new_note: u64) -> bool;
 }
 
-/// The global `Head` or `Tail` reference: a monotonically increasing counter
-/// plus a phase-2 help reference (`tid + 1`, `0` = none).
-pub trait GlobalCtr: Send + Sync + Sized {
-    /// Creates a counter initialized to `init` with no help reference.
+/// The ticket counter half of a global `Head` or `Tail` — everything
+/// Figure 3 asks of one.  A counter that also carries a help reference
+/// ([`GlobalCtr`]) starts with none, and these operations leave it untouched.
+pub trait TicketCtr: Send + Sync + Sized {
+    /// Creates a counter initialized to `init`.
     fn new(init: u64) -> Self;
-    /// Atomically loads `(counter, help_ref)`.
-    fn load(&self) -> (u64, u64);
-    /// Atomically loads the counter only.
+    /// Atomically loads the counter.
     fn load_cnt(&self) -> u64;
     /// Fast-path fetch-and-add on the counter, returning the previous value.
-    /// Leaves the help reference untouched.
     fn fetch_add_cnt(&self) -> u64;
     /// Fetch-and-add of `n` on the counter, returning the previous value —
     /// the batch-reservation primitive: one increment claims a run of `n`
-    /// consecutive tickets.  Leaves the help reference untouched.
+    /// consecutive tickets.
     fn fetch_add_cnt_n(&self, n: u64) -> u64;
-    /// Double-width CAS on `(counter, help_ref)`.
-    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool;
     /// Single attempt to move the counter from `expected_cnt` to `new_cnt`
-    /// while preserving the help reference (used by the bounded `catchup`).
+    /// (used by the bounded `catchup`).
     fn cas_cnt_weak(&self, expected_cnt: u64, new_cnt: u64) -> bool;
 }
 
-/// Groups an [`EntryCell`] and a [`GlobalCtr`] implementation into one
-/// hardware model.
-pub trait CellFamily: 'static {
+/// The global `Head` or `Tail` reference: a monotonically increasing counter
+/// ([`TicketCtr`]) plus a phase-2 help reference (`tid + 1`, `0` = none).
+pub trait GlobalCtr: TicketCtr {
+    /// Atomically loads `(counter, help_ref)`.
+    fn load(&self) -> (u64, u64);
+    /// Double-width CAS on `(counter, help_ref)`.
+    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool;
+}
+
+/// The cells Figure 3 runs on: what [`crate::ring::Ring`] is generic over,
+/// and all that SCQ needs.
+pub trait RingFamily: 'static {
     /// Ring-entry cell type.
-    type Entry: EntryCell;
+    type Entry: ValueCell;
     /// Head/Tail counter type.
-    type Ctr: GlobalCtr;
+    type Ctr: TicketCtr;
     /// Human-readable name used by benchmarks ("native-cas2", "llsc-emu").
     const NAME: &'static str;
 }
+
+/// A [`RingFamily`] whose cells carry the second word Figures 5–7 work on:
+/// one hardware model for wCQ.  Implemented for every such family.
+pub trait CellFamily: RingFamily<Entry: EntryCell, Ctr: GlobalCtr> {}
+
+impl<F: RingFamily<Entry: EntryCell, Ctr: GlobalCtr>> CellFamily for F {}
 
 // ---------------------------------------------------------------------------
 // Native double-width CAS family (§3).
@@ -98,13 +114,9 @@ pub struct NativeFamily;
 /// Entry cell backed by [`AtomicDouble`].
 pub struct NativeEntry(AtomicDouble);
 
-impl EntryCell for NativeEntry {
-    fn new(value: u64, note: u64) -> Self {
-        Self(AtomicDouble::new(value, note))
-    }
-    #[inline]
-    fn load(&self) -> (u64, u64) {
-        self.0.load()
+impl ValueCell for NativeEntry {
+    fn new(value: u64) -> Self {
+        Self(AtomicDouble::new(value, 0))
     }
     #[inline]
     fn load_value(&self) -> u64 {
@@ -117,6 +129,13 @@ impl EntryCell for NativeEntry {
     #[inline]
     fn or_value(&self, bits: u64) -> u64 {
         self.0.fetch_or_lo(bits)
+    }
+}
+
+impl EntryCell for NativeEntry {
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        self.0.load()
     }
     #[inline]
     fn cas2_value(&self, expected: (u64, u64), new_value: u64) -> bool {
@@ -132,13 +151,9 @@ impl EntryCell for NativeEntry {
 /// help reference in the high word.
 pub struct NativeCtr(AtomicDouble);
 
-impl GlobalCtr for NativeCtr {
+impl TicketCtr for NativeCtr {
     fn new(init: u64) -> Self {
         Self(AtomicDouble::new(init, 0))
-    }
-    #[inline]
-    fn load(&self) -> (u64, u64) {
-        self.0.load()
     }
     #[inline]
     fn load_cnt(&self) -> u64 {
@@ -153,16 +168,23 @@ impl GlobalCtr for NativeCtr {
         self.0.fetch_add_lo(n)
     }
     #[inline]
-    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool {
-        self.0.cas2(expected, new)
-    }
-    #[inline]
     fn cas_cnt_weak(&self, expected_cnt: u64, new_cnt: u64) -> bool {
         self.0.cas_lo(expected_cnt, new_cnt)
     }
 }
 
-impl CellFamily for NativeFamily {
+impl GlobalCtr for NativeCtr {
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        self.0.load()
+    }
+    #[inline]
+    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool {
+        self.0.cas2(expected, new)
+    }
+}
+
+impl RingFamily for NativeFamily {
     type Entry = NativeEntry;
     type Ctr = NativeCtr;
     const NAME: &'static str = "native-cas2";
@@ -181,13 +203,9 @@ pub struct LlscFamily;
 /// word 1 the `Note`.
 pub struct LlscEntry(Granule);
 
-impl EntryCell for LlscEntry {
-    fn new(value: u64, note: u64) -> Self {
-        Self(Granule::new(value, note))
-    }
-    #[inline]
-    fn load(&self) -> (u64, u64) {
-        self.0.snapshot()
+impl ValueCell for LlscEntry {
+    fn new(value: u64) -> Self {
+        Self(Granule::new(value, 0))
     }
     #[inline]
     fn load_value(&self) -> u64 {
@@ -200,6 +218,13 @@ impl EntryCell for LlscEntry {
     #[inline]
     fn or_value(&self, bits: u64) -> u64 {
         self.0.fetch_or_word(0, bits)
+    }
+}
+
+impl EntryCell for LlscEntry {
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        self.0.snapshot()
     }
     #[inline]
     fn cas2_value(&self, expected: (u64, u64), new_value: u64) -> bool {
@@ -236,13 +261,9 @@ impl LlscCtr {
     }
 }
 
-impl GlobalCtr for LlscCtr {
+impl TicketCtr for LlscCtr {
     fn new(init: u64) -> Self {
         Self(AtomicU64::new(Self::pack(init, 0)))
-    }
-    #[inline]
-    fn load(&self) -> (u64, u64) {
-        Self::unpack(self.0.load(SeqCst))
     }
     #[inline]
     fn load_cnt(&self) -> u64 {
@@ -268,17 +289,6 @@ impl GlobalCtr for LlscCtr {
         }
     }
     #[inline]
-    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool {
-        self.0
-            .compare_exchange(
-                Self::pack(expected.0, expected.1),
-                Self::pack(new.0, new.1),
-                SeqCst,
-                SeqCst,
-            )
-            .is_ok()
-    }
-    #[inline]
     fn cas_cnt_weak(&self, expected_cnt: u64, new_cnt: u64) -> bool {
         let cur = self.0.load(SeqCst);
         let (cnt, help) = Self::unpack(cur);
@@ -291,7 +301,25 @@ impl GlobalCtr for LlscCtr {
     }
 }
 
-impl CellFamily for LlscFamily {
+impl GlobalCtr for LlscCtr {
+    #[inline]
+    fn load(&self) -> (u64, u64) {
+        Self::unpack(self.0.load(SeqCst))
+    }
+    #[inline]
+    fn cas(&self, expected: (u64, u64), new: (u64, u64)) -> bool {
+        self.0
+            .compare_exchange(
+                Self::pack(expected.0, expected.1),
+                Self::pack(new.0, new.1),
+                SeqCst,
+                SeqCst,
+            )
+            .is_ok()
+    }
+}
+
+impl RingFamily for LlscFamily {
     type Entry = LlscEntry;
     type Ctr = LlscCtr;
     const NAME: &'static str = "llsc-emu";
@@ -302,7 +330,7 @@ mod tests {
     use super::*;
 
     fn entry_cell_contract<E: EntryCell>() {
-        let c = E::new(5, 0);
+        let c = E::new(5);
         assert_eq!(c.load(), (5, 0));
         assert_eq!(c.load_value(), 5);
         assert!(c.cas_value(5, 6));

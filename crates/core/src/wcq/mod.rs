@@ -16,6 +16,6 @@ mod queue;
 pub mod record;
 mod ring;
 
-pub use cells::{CellFamily, LlscFamily, NativeFamily};
+pub use cells::{CellFamily, LlscFamily, NativeFamily, RingFamily};
 pub use queue::{WcqQueue, WcqQueueHandle};
 pub use ring::{WcqConfig, WcqHandle, WcqRing};

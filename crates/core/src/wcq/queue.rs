@@ -43,14 +43,9 @@ unsafe impl<T: Send, F: CellFamily> Sync for WcqQueue<T, F> {}
 
 impl<T, F: CellFamily> WcqQueue<T, F> {
     /// Creates a queue with capacity `2^order` usable by up to `max_threads`
-    /// registered threads, with the default [`WcqConfig`].
+    /// registered threads, with the default [`WcqConfig`] and no telemetry.
     pub fn new(order: u32, max_threads: usize) -> Self {
-        Self::with_config(order, max_threads, WcqConfig::default())
-    }
-
-    /// Creates a queue with an explicit wait-freedom configuration.
-    pub fn with_config(order: u32, max_threads: usize, config: WcqConfig) -> Self {
-        Self::with_config_counters(order, max_threads, config, None)
+        Self::with_config_counters(order, max_threads, WcqConfig::default(), None)
     }
 
     /// Creates a queue with an explicit configuration and an optional shared
@@ -115,13 +110,6 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
             self.fq.threshold(),
             self.aq.layout().max_threshold(),
         )
-    }
-
-    /// Checker/debug introspection: full-state dumps of the allocated and
-    /// free rings (see [`WcqRing::debug_dump`]).  Not part of the stable API.
-    #[doc(hidden)]
-    pub fn debug_ring_state(&self) -> (String, String) {
-        (self.aq.debug_dump(), self.fq.debug_dump())
     }
 
     /// Registers the calling thread with both internal rings, or `None` when
@@ -641,7 +629,7 @@ mod tests {
             help_delay: 1,
             catchup_bound: 8,
         };
-        let q: WcqQueue<u64> = WcqQueue::with_config(4, 2, cfg);
+        let q: WcqQueue<u64> = WcqQueue::with_config_counters(4, 2, cfg, None);
         let mut h = q.register().unwrap();
         let mut expected = VecDeque::new();
         let mut next = 0u64;
@@ -750,7 +738,7 @@ mod tests {
             help_delay: 1,
             catchup_bound: 8,
         };
-        let q: WcqQueue<(u64, u64)> = WcqQueue::with_config(5, 3, cfg);
+        let q: WcqQueue<(u64, u64)> = WcqQueue::with_config_counters(5, 3, cfg, None);
 
         std::thread::scope(|s| {
             for p in 0..2u64 {

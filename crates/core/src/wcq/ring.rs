@@ -1,4 +1,11 @@
-//! The wCQ ring algorithm: SCQ fast path + wait-free slow path (Figures 5–7).
+//! The wCQ ring algorithm: what Figures 5–7 add to the shared Figure 3 ring.
+//!
+//! The fast path is [`crate::ring`]'s, run with the calling thread as its
+//! hook; this module holds the per-thread records, the helping scheme, the
+//! slow path, and the per-operation entry points that tie them together —
+//! *countdown → one inline attempt → a `#[cold]` remainder* (the rest of the
+//! patience loop, request publication, Figures 6–7), so the common case
+//! executes SCQ's instructions plus a counter decrement.
 //!
 //! The implementation follows the paper's pseudo-code line by line; comments
 //! reference the figure/line they reproduce.  Differences are limited to the
@@ -7,7 +14,7 @@
 //! documented in DESIGN.md.
 
 use core::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicU64,
+    AtomicBool, AtomicU64,
     Ordering::{Relaxed, SeqCst},
 };
 use std::sync::Arc;
@@ -15,9 +22,9 @@ use std::sync::Arc;
 use wcq_atomics::CachePadded;
 
 use crate::metrics::{Counter, CounterSet};
-use crate::pack::Layout;
+use crate::ring::{Deq, Hook, Ring, SlowState};
 
-use super::cells::{CellFamily, EntryCell, GlobalCtr, NativeFamily};
+use super::cells::{CellFamily, EntryCell, GlobalCtr, NativeFamily, TicketCtr, ValueCell};
 use super::record::{counter, ThreadRecord, FIN, INC};
 
 /// Tuning knobs of the wait-free machinery.
@@ -48,14 +55,26 @@ impl Default for WcqConfig {
     }
 }
 
-/// Result of one fast-path dequeue attempt.
-enum FastDeq {
-    Got(u64),
-    Empty,
-    Retry(u64),
+/// What wCQ keeps beside the Figure 3 core: the state of Figures 5–7.
+pub struct WcqState {
+    config: WcqConfig,
+    records: Box<[CachePadded<ThreadRecord>]>,
+    slots_taken: Box<[AtomicBool]>,
+    counters: Option<Arc<CounterSet>>,
 }
 
-/// The wait-free circular ring of *indices* (Figures 4–7).
+impl SlowState for WcqState {
+    fn catchup_bound(&self) -> u32 {
+        self.config.catchup_bound
+    }
+    fn heap_bytes(&self) -> usize {
+        self.records.len() * std::mem::size_of::<CachePadded<ThreadRecord>>()
+            + self.slots_taken.len()
+    }
+}
+
+/// The wait-free circular ring of *indices* (Figures 4–7): [`Ring`] over
+/// `(Value, Note)` cells, carrying one helping record per thread.
 ///
 /// Generic over the hardware model `F` ([`NativeFamily`] for machines with a
 /// double-width CAS, [`super::LlscFamily`] for the §4 LL/SC construction).
@@ -65,71 +84,48 @@ enum FastDeq {
 /// Threads must register (obtaining a [`WcqHandle`]) before operating on the
 /// ring; the number of simultaneously registered threads is bounded by
 /// `max_threads`, matching the paper's `k ≤ n` assumption.
-pub struct WcqRing<F: CellFamily = NativeFamily> {
-    layout: Layout,
-    config: WcqConfig,
-    threshold: CachePadded<AtomicI64>,
-    tail: CachePadded<F::Ctr>,
-    head: CachePadded<F::Ctr>,
-    entries: Box<[F::Entry]>,
-    records: Box<[CachePadded<ThreadRecord>]>,
-    slots_taken: Box<[AtomicBool]>,
-    counters: Option<Arc<CounterSet>>,
-}
+pub type WcqRing<F = NativeFamily> = Ring<F, WcqState>;
 
-impl<F: CellFamily> std::fmt::Debug for WcqRing<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WcqRing")
-            .field("family", &F::NAME)
-            .field("capacity", &self.layout.capacity())
-            .field("max_threads", &self.records.len())
-            .field("head", &self.head.load_cnt())
-            .field("tail", &self.tail.load_cnt())
-            .field("threshold", &self.threshold.load(SeqCst))
-            .finish()
+/// A ring and the record index of the thread running a fast-path attempt
+/// on it, as that attempt's [`Hook`].
+impl<F: CellFamily> Hook for (&WcqRing<F>, usize) {
+    #[inline]
+    fn cas_failed(self) {
+        self.0.count(Counter::CasFailures, 1);
+    }
+    #[inline]
+    fn finalize(self, h: u64) {
+        self.0.finalize_request(self.1, h);
     }
 }
 
 impl<F: CellFamily> WcqRing<F> {
     /// Creates an empty ring of capacity `2^order` usable by up to
-    /// `max_threads` registered threads, with the default [`WcqConfig`].
+    /// `max_threads` registered threads, with the default [`WcqConfig`] and
+    /// no telemetry.
     pub fn new(order: u32, max_threads: usize) -> Self {
-        Self::with_config(order, max_threads, WcqConfig::default())
-    }
-
-    /// Creates an empty ring with an explicit configuration.
-    pub fn with_config(order: u32, max_threads: usize, config: WcqConfig) -> Self {
-        Self::with_config_counters(order, max_threads, config, None)
+        Self::with_config_counters(order, max_threads, WcqConfig::default(), None)
     }
 
     /// Creates an empty ring with an explicit configuration and an optional
     /// shared [`CounterSet`] into which the ring records contention telemetry
     /// (ring ops, helping entries, patience exhaustion, CAS failures).  With
-    /// `None` — the default used by [`WcqRing::with_config`] — every recording
-    /// site is a single predictable branch on a field of the ring itself.
+    /// `None` every recording site is a single predictable branch on a field
+    /// of the ring itself.
     pub fn with_config_counters(
         order: u32,
         max_threads: usize,
         config: WcqConfig,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
-        let layout = Layout::with_entry_size(order, 16);
         assert!(
             max_threads >= 1,
             "at least one thread must be able to register"
         );
         assert!(
-            max_threads as u64 <= layout.capacity(),
-            "the paper assumes k <= n (threads <= capacity)"
-        );
-        assert!(
             max_threads < (1 << 16),
             "help references are encoded in 16 bits"
         );
-        let entries = (0..layout.ring_size())
-            .map(|_| F::Entry::new(layout.init_entry(), 0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         let records = (0..max_threads)
             .map(|tid| {
                 CachePadded::new(ThreadRecord::new(
@@ -137,129 +133,50 @@ impl<F: CellFamily> WcqRing<F> {
                     (tid + 1) % max_threads,
                 ))
             })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let slots_taken = (0..max_threads)
-            .map(|_| AtomicBool::new(false))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            layout,
+            .collect();
+        let slots_taken = (0..max_threads).map(|_| AtomicBool::new(false)).collect();
+        let state = WcqState {
             config,
-            threshold: CachePadded::new(AtomicI64::new(-1)),
-            tail: CachePadded::new(F::Ctr::new(layout.init_counter())),
-            head: CachePadded::new(F::Ctr::new(layout.init_counter())),
-            entries,
             records,
             slots_taken,
             counters,
-        }
+        };
+        let ring = Self::empty(order, state);
+        assert!(
+            max_threads as u64 <= ring.capacity(),
+            "the paper assumes k <= n (threads <= capacity)"
+        );
+        ring
     }
 
     /// Records `n` into `counter` when telemetry is attached; a no-op (one
     /// predictable branch) otherwise.
     #[inline]
     fn count(&self, counter: Counter, n: u64) {
-        if let Some(set) = &self.counters {
+        if let Some(set) = &self.slow.counters {
             set.add(counter, n);
         }
     }
 
     /// The attached telemetry counter set, if any.
     pub fn counter_set(&self) -> Option<&Arc<CounterSet>> {
-        self.counters.as_ref()
-    }
-
-    /// The ring's geometry.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
+        self.slow.counters.as_ref()
     }
 
     /// The active configuration.
     pub fn config(&self) -> &WcqConfig {
-        &self.config
-    }
-
-    /// Usable capacity (`2^order`).
-    pub fn capacity(&self) -> u64 {
-        self.layout.capacity()
+        &self.slow.config
     }
 
     /// Maximum number of simultaneously registered threads.
     pub fn max_threads(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Current threshold value (test/benchmark introspection).
-    pub fn threshold(&self) -> i64 {
-        self.threshold.load(SeqCst)
-    }
-
-    /// Checker/debug introspection: a multi-line snapshot of the full ring
-    /// state — head/tail tickets, threshold, every entry unpacked, and the
-    /// per-thread record flags.  Racy outside a serialized scheduler; meant
-    /// for `wcq-check` replay diagnostics, not production code.
-    #[doc(hidden)]
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let (h, hr) = self.head.load();
-        let (t, tr) = self.tail.load();
-        let _ = writeln!(
-            out,
-            "head={h} (ref {hr:#x}) tail={t} (ref {tr:#x}) threshold={} max={}",
-            self.threshold.load(SeqCst),
-            self.layout.max_threshold(),
-        );
-        for (j, cell) in self.entries.iter().enumerate() {
-            let e = self.layout.unpack(cell.load_value());
-            let _ = writeln!(
-                out,
-                "  entry[{j:2}] cycle={} safe={} enq={} index={}{}",
-                e.cycle,
-                e.is_safe,
-                e.enq,
-                e.index,
-                if self.layout.is_reserved(e.index) {
-                    " (bottom)"
-                } else {
-                    ""
-                },
-            );
-        }
-        for (tid, rec) in self.records.iter().enumerate() {
-            if rec.pending.load(SeqCst) {
-                let _ = writeln!(
-                    out,
-                    "  record[{tid}] pending enqueue={} local_tail={:#x} local_head={:#x} seq1={}",
-                    rec.enqueue.load(SeqCst),
-                    rec.local_tail.load(SeqCst),
-                    rec.local_head.load(SeqCst),
-                    rec.seq1.load(SeqCst),
-                );
-            }
-        }
-        out
-    }
-
-    /// Approximate number of stored values.
-    pub fn len_hint(&self) -> u64 {
-        self.tail.load_cnt().saturating_sub(self.head.load_cnt())
-    }
-
-    /// Bytes occupied by the ring, its entries and the thread records — the
-    /// quantity plotted in Figure 10a for wCQ/SCQ.
-    pub fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.entries.len() * std::mem::size_of::<F::Entry>()
-            + self.records.len() * std::mem::size_of::<CachePadded<ThreadRecord>>()
-            + self.slots_taken.len()
+        self.slow.records.len()
     }
 
     /// Registers the calling thread, returning a handle bound to a free
     /// thread-record slot, or `None` when `max_threads` handles are live.
     pub fn register(&self) -> Option<WcqHandle<'_, F>> {
-        (0..self.slots_taken.len()).find_map(|tid| self.register_at(tid))
+        (0..self.slow.slots_taken.len()).find_map(|tid| self.register_at(tid))
     }
 
     /// Registers the calling thread at a *specific* thread-record slot, or
@@ -281,7 +198,8 @@ impl<F: CellFamily> WcqRing<F> {
     /// [`super::WcqQueue`] builds its combined-slot acquisition (and the
     /// unbounded queue its memoized segment binding) on top of this.
     pub(crate) fn try_acquire_record(&self, tid: usize) -> bool {
-        self.slots_taken
+        self.slow
+            .slots_taken
             .get(tid)
             .is_some_and(|slot| slot.compare_exchange(false, true, SeqCst, SeqCst).is_ok())
     }
@@ -289,117 +207,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// Releases a record slot previously claimed by
     /// [`WcqRing::try_acquire_record`].  Callers must own the slot.
     pub(crate) fn release_record(&self, tid: usize) {
-        self.slots_taken[tid].store(false, SeqCst);
-    }
-
-    // ------------------------------------------------------------------
-    // Fast path (identical to SCQ, Figure 3, over the Value half of pairs)
-    // ------------------------------------------------------------------
-
-    /// `catchup`, bounded per §3.2.
-    fn catchup(&self, mut tail: u64, mut head: u64) {
-        for _ in 0..self.config.catchup_bound {
-            if self.tail.cas_cnt_weak(tail, head) {
-                return;
-            }
-            head = self.head.load_cnt();
-            tail = self.tail.load_cnt();
-            if tail >= head {
-                return;
-            }
-        }
-    }
-
-    /// Fast-path enqueue attempt (`try_enq`).  On failure returns the tail
-    /// ticket, which seeds the slow path.
-    fn try_enq_fast(&self, index: u64) -> Result<(), u64> {
-        let t = self.tail.fetch_add_cnt();
-        self.try_enq_at(t, index)
-    }
-
-    /// One insertion attempt at an already-reserved tail ticket `t` — the
-    /// body of `try_enq` after the F&A.  Batch enqueues reserve a run of
-    /// tickets with a single F&A and drive each through this.
-    fn try_enq_at(&self, t: u64, index: u64) -> Result<(), u64> {
-        let l = &self.layout;
-        let j = l.slot(t);
-        let cell = &self.entries[j];
-        loop {
-            let raw = cell.load_value();
-            let e = l.unpack(raw);
-            if e.cycle < l.cycle(t)
-                && (e.is_safe || self.head.load_cnt() <= t)
-                && l.is_reserved(e.index)
-            {
-                let new = l.pack(l.cycle(t), true, true, index);
-                if !cell.cas_value(raw, new) {
-                    self.count(Counter::CasFailures, 1);
-                    continue; // Figure 3, line 25: re-read and re-evaluate.
-                }
-                if self.threshold.load(SeqCst) != l.max_threshold() {
-                    self.threshold.store(l.max_threshold(), SeqCst);
-                }
-                return Ok(());
-            }
-            return Err(t);
-        }
-    }
-
-    /// Fast-path dequeue attempt (`try_deq`).
-    fn try_deq_fast(&self, my_tid: usize) -> FastDeq {
-        let h = self.head.fetch_add_cnt();
-        self.try_deq_at(my_tid, h)
-    }
-
-    /// One consume attempt at an already-reserved head ticket `h` — the body
-    /// of `try_deq` after the F&A.  Every reserved ticket MUST pass through
-    /// here: a missed ticket still advances the slot's cycle so a straggling
-    /// enqueuer with an older ticket cannot deposit into a slot no dequeuer
-    /// will ever visit again.
-    fn try_deq_at(&self, my_tid: usize, h: u64) -> FastDeq {
-        let l = &self.layout;
-        let j = l.slot(h);
-        let cell = &self.entries[j];
-        loop {
-            let raw = cell.load_value();
-            let e = l.unpack(raw);
-            if e.cycle == l.cycle(h) {
-                self.consume(my_tid, h, j, raw);
-                return FastDeq::Got(e.index);
-            }
-            let new = if l.is_reserved(e.index) {
-                l.pack(l.cycle(h), e.is_safe, true, l.bottom())
-            } else {
-                // Keep the Enq bit: the entry may be a not-yet-finalized
-                // slow-path insertion of an older cycle.
-                l.pack(e.cycle, false, e.enq, e.index)
-            };
-            if e.cycle < l.cycle(h) && !cell.cas_value(raw, new) {
-                self.count(Counter::CasFailures, 1);
-                continue;
-            }
-            let t = self.tail.load_cnt();
-            if t <= h + 1 {
-                self.catchup(t, h + 1);
-                self.threshold.fetch_sub(1, SeqCst);
-                return FastDeq::Empty;
-            }
-            if self.threshold.fetch_sub(1, SeqCst) <= 0 {
-                return FastDeq::Empty;
-            }
-            return FastDeq::Retry(h);
-        }
-    }
-
-    /// `consume` (Figure 5, lines 1–3): finalize a pending slow-path enqueue
-    /// if the entry still has `Enq = 0`, then mark the slot consumed with one
-    /// atomic OR.
-    fn consume(&self, my_tid: usize, h: u64, j: usize, raw_value: u64) {
-        let e = self.layout.unpack(raw_value);
-        if !e.enq {
-            self.finalize_request(my_tid, h);
-        }
-        self.entries[j].or_value(self.layout.consume_mask());
+        self.slow.slots_taken[tid].store(false, SeqCst);
     }
 
     /// `finalize_request` (Figure 5, lines 4–11): find the enqueuer whose
@@ -407,10 +215,10 @@ impl<F: CellFamily> WcqRing<F> {
     /// `FIN` flag so no helper re-inserts the element after the slot is
     /// recycled.
     fn finalize_request(&self, my_tid: usize, h: u64) {
-        let n = self.records.len();
+        let n = self.slow.records.len();
         let mut i = (my_tid + 1) % n;
         while i != my_tid {
-            let tail = &self.records[i].local_tail;
+            let tail = &self.slow.records[i].local_tail;
             if counter(tail.load(SeqCst)) == h {
                 let _ = tail.compare_exchange(h, h | FIN, SeqCst, SeqCst);
                 return;
@@ -423,11 +231,12 @@ impl<F: CellFamily> WcqRing<F> {
     // Helping (Figure 6)
     // ------------------------------------------------------------------
 
-    /// `help_threads`: every `help_delay` operations, check one other thread
-    /// (round robin) for a pending request and help it to completion.
-    /// Returns `true` if help was actually performed (statistics only).
-    fn help_threads(&self, my_tid: usize) -> bool {
-        let rec = &self.records[my_tid];
+    /// `help_threads`, the part every operation runs: count down to the next
+    /// helping check.  Only the due tick — once per `help_delay` operations —
+    /// leaves the caller's instruction stream.
+    #[inline]
+    fn help_threads(&self, my_tid: usize) {
+        let rec = &self.slow.records[my_tid];
         // relaxed: `next_check` / `next_tid` are the owner-private cursor of
         // Figure 4 — only the thread holding record `my_tid` ever reads or
         // writes them (helpers inspect the shared fields only), so there is
@@ -439,34 +248,42 @@ impl<F: CellFamily> WcqRing<F> {
         if remaining > 1 {
             // relaxed: owner-private cursor, see above.
             rec.next_check.store(remaining - 1, Relaxed);
-            return false;
+        } else {
+            self.help_due(my_tid);
         }
-        // relaxed: owner-private cursor, see above.
-        let target = rec.next_tid.load(Relaxed) % self.records.len();
-        let mut helped = false;
+    }
+
+    /// The due tick of `help_threads`: check one other thread (round robin)
+    /// for a pending request and help it to completion.
+    #[cold]
+    #[inline(never)]
+    fn help_due(&self, my_tid: usize) {
+        let rec = &self.slow.records[my_tid];
+        // relaxed: owner-private cursor, see `help_threads`.
+        let target = rec.next_tid.load(Relaxed) % self.slow.records.len();
         if target != my_tid {
-            let thr = &self.records[target];
+            let thr = &self.slow.records[target];
             if thr.pending.load(SeqCst) {
                 if thr.enqueue.load(SeqCst) {
                     self.help_enqueue(my_tid, target);
                 } else {
                     self.help_dequeue(my_tid, target);
                 }
-                helped = true;
+                self.count(Counter::HelpingEntries, 1);
             }
         }
-        // relaxed: owner-private cursor, see above.
-        rec.next_check.store(self.config.help_delay.max(1), Relaxed);
-        // relaxed: owner-private cursor, see above.
+        // relaxed: owner-private cursor, see `help_threads`.
+        rec.next_check
+            .store(self.slow.config.help_delay.max(1), Relaxed);
+        // relaxed: owner-private cursor, see `help_threads`.
         rec.next_tid
-            .store((target + 1) % self.records.len(), Relaxed);
-        helped
+            .store((target + 1) % self.slow.records.len(), Relaxed);
     }
 
     /// `help_enqueue`: atomically snapshot the request and run the slow path
     /// on the helpee's behalf.
     fn help_enqueue(&self, my_tid: usize, target: usize) {
-        let thr = &self.records[target];
+        let thr = &self.slow.records[target];
         let seq = thr.seq2.load(SeqCst);
         let enqueue = thr.enqueue.load(SeqCst);
         let idx = thr.index.load(SeqCst);
@@ -478,7 +295,7 @@ impl<F: CellFamily> WcqRing<F> {
 
     /// `help_dequeue`: dequeue-side counterpart of [`Self::help_enqueue`].
     fn help_dequeue(&self, my_tid: usize, target: usize) {
-        let thr = &self.records[target];
+        let thr = &self.slow.records[target];
         let seq = thr.seq2.load(SeqCst);
         let enqueue = thr.enqueue.load(SeqCst);
         let head = thr.init_head.load(SeqCst);
@@ -519,7 +336,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// request was finished (`FIN` observed) — the caller must stop.
     fn slow_faa(&self, my_tid: usize, helpee_tid: usize, is_tail: bool, v: &mut u64) -> bool {
         let global: &F::Ctr = if is_tail { &self.tail } else { &self.head };
-        let helpee = &self.records[helpee_tid];
+        let helpee = &self.slow.records[helpee_tid];
         let local: &AtomicU64 = if is_tail {
             &helpee.local_tail
         } else {
@@ -560,7 +377,9 @@ impl<F: CellFamily> WcqRing<F> {
             };
             // Lines 31–32: publish the phase-2 request and increment the
             // global counter together (CAS2).
-            self.records[my_tid].phase2.prepare(helpee_tid, is_tail, c);
+            self.slow.records[my_tid]
+                .phase2
+                .prepare(helpee_tid, is_tail, c);
             if global.cas((c, 0), (c + 1, my_tid as u64 + 1)) {
                 cnt = c;
                 break;
@@ -595,9 +414,11 @@ impl<F: CellFamily> WcqRing<F> {
                 return Some(cnt);
             }
             let owner = (help - 1) as usize;
-            if owner < self.records.len() {
-                if let Some((target_tid, is_tail, p2cnt)) = self.records[owner].phase2.snapshot() {
-                    let rec = &self.records[target_tid % self.records.len()];
+            if owner < self.slow.records.len() {
+                if let Some((target_tid, is_tail, p2cnt)) =
+                    self.slow.records[owner].phase2.snapshot()
+                {
+                    let rec = &self.slow.records[target_tid % self.slow.records.len()];
                     let target_local: &AtomicU64 = if is_tail {
                         &rec.local_tail
                     } else {
@@ -643,7 +464,7 @@ impl<F: CellFamily> WcqRing<F> {
                 }
                 // Lines 14–17: finalize the help request; the winner of the
                 // FIN CAS flips Enq to 1 (step two).
-                let local_tail = &self.records[helpee_tid].local_tail;
+                let local_tail = &self.slow.records[helpee_tid].local_tail;
                 if local_tail
                     .compare_exchange(t, t | FIN, SeqCst, SeqCst)
                     .is_ok()
@@ -652,9 +473,7 @@ impl<F: CellFamily> WcqRing<F> {
                     let _ = cell.cas2_value((produced, note), finalized);
                 }
                 // Line 18.
-                if self.threshold.load(SeqCst) != l.max_threshold() {
-                    self.threshold.store(l.max_threshold(), SeqCst);
-                }
+                self.rearm_threshold();
                 return true;
             } else if e.cycle != l.cycle(t) {
                 // Line 19: the slot moved to a different cycle and no
@@ -683,7 +502,7 @@ impl<F: CellFamily> WcqRing<F> {
         let l = &self.layout;
         let j = l.slot(h);
         let cell = &self.entries[j];
-        let local_head = &self.records[helpee_tid].local_head;
+        let local_head = &self.slow.records[helpee_tid].local_head;
         loop {
             let pair = cell.load();
             let e = l.unpack(pair.0);
@@ -745,25 +564,34 @@ impl<F: CellFamily> WcqRing<F> {
     // ------------------------------------------------------------------
 
     /// Full enqueue operation for the thread owning record `tid`
-    /// (`Enqueue_wCQ`).
+    /// (`Enqueue_wCQ`): the helping countdown and one fast-path attempt
+    /// inline, [`Self::enqueue_rest`] when that attempt fails.
+    #[inline]
     pub(crate) fn enqueue_index(&self, tid: usize, index: u64) {
         debug_assert!(index < self.layout.capacity());
         self.count(Counter::RingEnqueues, 1);
-        if self.help_threads(tid) {
-            self.count(Counter::HelpingEntries, 1);
+        self.help_threads(tid);
+        let tail = self.tail.fetch_add_cnt();
+        if !self.try_enq(tail, index, (self, tid)) {
+            self.enqueue_rest(tid, index, tail);
         }
-        // Fast path: at most MAX_PATIENCE attempts (Figure 5, lines 14–17).
-        let mut tail = 0;
-        for _ in 0..self.config.max_patience_enqueue.max(1) {
-            match self.try_enq_fast(index) {
-                Ok(()) => return,
-                Err(t) => tail = t,
+    }
+
+    /// `Enqueue_wCQ` after a failed first attempt at ticket `tail`: the rest
+    /// of the patience loop (Figure 5, lines 14–17), then the slow path.
+    #[cold]
+    #[inline(never)]
+    fn enqueue_rest(&self, tid: usize, index: u64, mut tail: u64) {
+        for _ in 1..self.slow.config.max_patience_enqueue.max(1) {
+            tail = self.tail.fetch_add_cnt();
+            if self.try_enq(tail, index, (self, tid)) {
+                return;
             }
         }
         self.count(Counter::PatienceExhaustedEnqueues, 1);
         // Slow path: publish the request, then run it; helpers may finish it
         // for us.
-        let rec = &self.records[tid];
+        let rec = &self.slow.records[tid];
         let seq = rec.seq1.load(SeqCst);
         rec.local_tail.store(tail, SeqCst);
         rec.init_tail.store(tail, SeqCst);
@@ -777,28 +605,41 @@ impl<F: CellFamily> WcqRing<F> {
     }
 
     /// Full dequeue operation for the thread owning record `tid`
-    /// (`Dequeue_wCQ`); `None` means the ring was empty.
+    /// (`Dequeue_wCQ`); `None` means the ring was empty.  Split like
+    /// [`Self::enqueue_index`]; an empty ring answers from the threshold
+    /// alone, before anything else runs.
+    #[inline]
     pub(crate) fn dequeue_index(&self, tid: usize) -> Option<u64> {
-        let l = &self.layout;
         self.count(Counter::RingDequeues, 1);
-        if self.threshold.load(SeqCst) < 0 {
+        if self.threshold() < 0 {
             return None; // Line 30: empty.
         }
-        if self.help_threads(tid) {
-            self.count(Counter::HelpingEntries, 1);
+        self.help_threads(tid);
+        let head = self.head.fetch_add_cnt();
+        match self.try_deq(head, (self, tid)) {
+            Deq::Got(index) => Some(index),
+            Deq::Empty => None,
+            Deq::Retry => self.dequeue_rest(tid, head),
         }
-        // Fast path: at most MAX_PATIENCE attempts (Figure 5, lines 33–41).
-        let mut head = 0;
-        for _ in 0..self.config.max_patience_dequeue.max(1) {
-            match self.try_deq_fast(tid) {
-                FastDeq::Got(idx) => return Some(idx),
-                FastDeq::Empty => return None,
-                FastDeq::Retry(h) => head = h,
+    }
+
+    /// `Dequeue_wCQ` after a first attempt at ticket `head` said retry: the
+    /// rest of the patience loop (Figure 5, lines 33–41), then the slow path.
+    #[cold]
+    #[inline(never)]
+    fn dequeue_rest(&self, tid: usize, mut head: u64) -> Option<u64> {
+        let l = &self.layout;
+        for _ in 1..self.slow.config.max_patience_dequeue.max(1) {
+            head = self.head.fetch_add_cnt();
+            match self.try_deq(head, (self, tid)) {
+                Deq::Got(index) => return Some(index),
+                Deq::Empty => return None,
+                Deq::Retry => {}
             }
         }
         self.count(Counter::PatienceExhaustedDequeues, 1);
         // Slow path.
-        let rec = &self.records[tid];
+        let rec = &self.slow.records[tid];
         let seq = rec.seq1.load(SeqCst);
         rec.local_head.store(head, SeqCst);
         rec.init_head.store(head, SeqCst);
@@ -814,7 +655,7 @@ impl<F: CellFamily> WcqRing<F> {
         let raw = self.entries[j].load_value();
         let e = l.unpack(raw);
         if e.cycle == l.cycle(h) && !l.is_reserved(e.index) {
-            self.consume(tid, h, j, raw);
+            self.consume(h, j, raw, (self, tid));
             return Some(e.index);
         }
         None
@@ -846,16 +687,14 @@ impl<F: CellFamily> WcqRing<F> {
     /// already leaves behind; the bound never counted on the tickets below an
     /// element being filled.  It is re-armed by each *successful* deposit, at
     /// that deposit's own ticket `T`, and bounds the head's distance to `T`
-    /// through the conditions `try_enq_at` checks on `T`'s slot alone (its
+    /// through the conditions `try_enq` checks on `T`'s slot alone (its
     /// cycle, its safe bit against the head) — and every fallback deposit
     /// goes through exactly that check on its fresh ticket.
     pub(crate) fn enqueue_many(&self, tid: usize, indices: &[u64]) {
         if indices.is_empty() {
             return;
         }
-        if self.help_threads(tid) {
-            self.count(Counter::HelpingEntries, 1);
-        }
+        self.help_threads(tid);
         let base = self.tail.fetch_add_cnt_n(indices.len() as u64);
         // Elements that used their batch ticket: a prefix of the run.
         let mut on_ticket = 0;
@@ -866,7 +705,7 @@ impl<F: CellFamily> WcqRing<F> {
             // so an element still riding its batch ticket would overtake it
             // and break the batch's FIFO order (pinned by
             // `batch_mpmc_keeps_each_producers_order`).
-            if on_ticket == k && self.try_enq_at(base + k as u64, index).is_ok() {
+            if on_ticket == k && self.try_enq(base + k as u64, index, (self, tid)) {
                 on_ticket += 1;
             } else {
                 // The fallback records its own RingEnqueues (and any further
@@ -892,17 +731,15 @@ impl<F: CellFamily> WcqRing<F> {
     /// emptiness verdict of a single dequeue returning `None` (patience,
     /// slow-path helping and the threshold check included).
     ///
-    /// Every reserved ticket is inspected via `try_deq_at` even after a miss;
+    /// Every reserved ticket is inspected via `try_deq` even after a miss;
     /// skipping one would let a straggling enqueuer deposit into a slot no
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
     pub(crate) fn dequeue_many(&self, tid: usize, out: &mut Vec<u64>, max: usize) -> usize {
-        if max == 0 || self.threshold.load(SeqCst) < 0 {
+        if max == 0 || self.threshold() < 0 {
             return 0;
         }
-        if self.help_threads(tid) {
-            self.count(Counter::HelpingEntries, 1);
-        }
+        self.help_threads(tid);
         // Clamp to the visible backlog so an oversized batch never burns a
         // run of guaranteed-empty tickets (each would cost a threshold
         // decrement and a catchup).
@@ -912,7 +749,7 @@ impl<F: CellFamily> WcqRing<F> {
         if run > 0 {
             let base = self.head.fetch_add_cnt_n(run);
             for k in 0..run {
-                if let FastDeq::Got(index) = self.try_deq_at(tid, base + k) {
+                if let Deq::Got(index) = self.try_deq(base + k, (self, tid)) {
                     out.push(index);
                     got += 1;
                 }
@@ -936,11 +773,6 @@ impl<F: CellFamily> WcqRing<F> {
         got
     }
 }
-
-// SAFETY: every shared field is an atomic (or an atomic-only struct); the
-// cell/counter types are Send + Sync by their trait bounds.
-unsafe impl<F: CellFamily> Send for WcqRing<F> {}
-unsafe impl<F: CellFamily> Sync for WcqRing<F> {}
 
 /// A per-thread handle to a [`WcqRing`].
 ///
@@ -1005,7 +837,7 @@ mod tests {
     use super::*;
 
     fn ring<F: CellFamily>(order: u32, threads: usize) -> WcqRing<F> {
-        WcqRing::<F>::with_config(order, threads, WcqConfig::default())
+        WcqRing::<F>::new(order, threads)
     }
 
     fn fifo_single_thread<F: CellFamily>() {
@@ -1065,7 +897,7 @@ mod tests {
             help_delay: 1,
             catchup_bound: 8,
         };
-        let r = WcqRing::<NativeFamily>::with_config(4, 2, cfg);
+        let r = WcqRing::<NativeFamily>::with_config_counters(4, 2, cfg, None);
         let mut h = r.register().unwrap();
         for i in 0..r.capacity() {
             h.enqueue(i);
@@ -1379,7 +1211,7 @@ mod tests {
             help_delay: 1,
             catchup_bound: 8,
         };
-        let r = WcqRing::<NativeFamily>::with_config(5, 4, cfg);
+        let r = WcqRing::<NativeFamily>::with_config_counters(5, 4, cfg, None);
         let capacity = r.capacity();
         let total = 8_000u64;
         let consumed = AtomicU64::new(0);

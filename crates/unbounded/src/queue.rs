@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wcq_atomics::{Backoff, CachePadded};
 use wcq_core::api::{tid_memo, QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, CounterSet};
-use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig};
+use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
 
 use crate::segment::{recycle_segment, Segment, SegmentCache};
@@ -103,32 +103,23 @@ unsafe impl<T: Send, F: CellFamily> Sync for UnboundedWcq<T, F> {}
 impl<T, F: CellFamily> UnboundedWcq<T, F> {
     /// Creates a queue whose segments hold `2^seg_order` elements, usable by
     /// up to `max_threads` registered threads, with the default [`WcqConfig`]
-    /// and segment-cache size.
+    /// and segment-cache size, and no telemetry.
     pub fn new(seg_order: u32, max_threads: usize) -> Self {
-        Self::with_config(seg_order, max_threads, WcqConfig::default())
+        Self::with_config_cache_counters(
+            seg_order,
+            max_threads,
+            WcqConfig::default(),
+            DEFAULT_SEGMENT_CACHE,
+            None,
+        )
     }
 
-    /// Like [`UnboundedWcq::new`] with an explicit wait-freedom
-    /// configuration for the inner rings.
-    pub fn with_config(seg_order: u32, max_threads: usize, config: WcqConfig) -> Self {
-        Self::with_config_and_cache(seg_order, max_threads, config, DEFAULT_SEGMENT_CACHE)
-    }
-
-    /// Fully explicit constructor: `cache_limit` bounds how many drained
-    /// segments are kept for reuse instead of being freed.
-    pub fn with_config_and_cache(
-        seg_order: u32,
-        max_threads: usize,
-        config: WcqConfig,
-        cache_limit: usize,
-    ) -> Self {
-        Self::with_config_cache_counters(seg_order, max_threads, config, cache_limit, None)
-    }
-
-    /// Like [`UnboundedWcq::with_config_and_cache`] with an optional shared
-    /// [`CounterSet`] receiving telemetry from every segment's inner rings
-    /// plus segment-lifecycle events (allocs, cache hits/misses, reuse,
-    /// retirement) and per-handle completion tallies.
+    /// Fully explicit constructor: `config` is the wait-freedom
+    /// configuration of the inner rings, `cache_limit` bounds how many
+    /// drained segments are kept for reuse instead of being freed, and the
+    /// optional shared [`CounterSet`] receives telemetry from every
+    /// segment's inner rings plus segment-lifecycle events (allocs, cache
+    /// hits/misses, reuse, retirement) and per-handle completion tallies.
     pub fn with_config_cache_counters(
         seg_order: u32,
         max_threads: usize,

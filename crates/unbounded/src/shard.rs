@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use wcq_core::api::{QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, CounterSet};
-use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig};
+use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 
 use crate::queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
@@ -50,32 +50,22 @@ pub struct ShardedWcq<T, F: CellFamily = NativeFamily> {
 impl<T, F: CellFamily> ShardedWcq<T, F> {
     /// Creates `shards` shards whose segments hold `2^seg_order` elements,
     /// each usable by up to `max_threads` registered threads, with the
-    /// default [`WcqConfig`] and segment-cache size.
+    /// default [`WcqConfig`] and segment-cache size, and no telemetry.
     pub fn new(shards: usize, seg_order: u32, max_threads: usize) -> Self {
-        Self::with_config_and_cache(
+        Self::with_config_cache_counters(
             shards,
             seg_order,
             max_threads,
             WcqConfig::default(),
             DEFAULT_SEGMENT_CACHE,
+            None,
         )
     }
 
     /// Fully explicit constructor; every shard shares the same geometry,
-    /// wait-freedom configuration and cache bound.
-    pub fn with_config_and_cache(
-        shards: usize,
-        seg_order: u32,
-        max_threads: usize,
-        config: WcqConfig,
-        cache_limit: usize,
-    ) -> Self {
-        Self::with_config_cache_counters(shards, seg_order, max_threads, config, cache_limit, None)
-    }
-
-    /// Like [`ShardedWcq::with_config_and_cache`] with an optional shared
-    /// [`CounterSet`]: every shard records into the same set, and steals are
-    /// tallied per handle and flushed on handle drop.
+    /// wait-freedom configuration and cache bound, and records into the same
+    /// optional [`CounterSet`] (steals are tallied per handle and flushed on
+    /// handle drop).
     pub fn with_config_cache_counters(
         shards: usize,
         seg_order: u32,
