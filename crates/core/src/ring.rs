@@ -112,6 +112,23 @@ impl<F: RingFamily, S> Ring<F, S> {
         }
     }
 
+    /// Turns a fresh [`Ring::empty`] into the initial `fq` of Figure 2, every
+    /// free index `0..capacity` already in it, by writing the state that
+    /// `capacity` uncontended enqueues leave behind: the slot of ticket
+    /// `2n + i` holds `{cycle 1, safe, Enq, i}`, `Tail` is `3n` and the
+    /// threshold is re-armed.  `Head` and every `Note` stay as built.
+    pub(crate) fn full(mut self) -> Self {
+        let l = self.layout;
+        let first = l.init_counter();
+        for i in 0..l.capacity() {
+            let t = first + i;
+            self.entries[l.slot(t)] = F::Entry::new(l.pack(l.cycle(t), true, true, i));
+        }
+        self.tail = CachePadded::new(F::Ctr::new(first + l.capacity()));
+        self.threshold = CachePadded::new(AtomicI64::new(l.max_threshold()));
+        self
+    }
+
     /// The ring's geometry.
     #[inline]
     pub fn layout(&self) -> &Layout {
@@ -244,12 +261,18 @@ impl<F: RingFamily, S: SlowState> Ring<F, S> {
         }
     }
 
-    /// Bytes the ring occupies: its header, the entries, and whatever the
-    /// instantiation's state owns — the quantity plotted in Figure 10a.
+    /// Heap bytes the ring owns: the entries plus whatever the
+    /// instantiation's state adds.  A struct that embeds the ring (the
+    /// `aq` + `fq` queues) adds this to its own `size_of`.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.len() * core::mem::size_of::<F::Entry>() + self.slow.heap_bytes()
+    }
+
+    /// Bytes the ring occupies, header included — the quantity plotted in
+    /// Figure 10a, and exactly what the allocator hands out for it
+    /// (`tests/bounded_memory.rs`).
     pub fn memory_footprint(&self) -> usize {
-        core::mem::size_of::<Self>()
-            + self.entries.len() * core::mem::size_of::<F::Entry>()
-            + self.slow.heap_bytes()
+        core::mem::size_of::<Self>() + self.heap_bytes()
     }
 }
 
@@ -258,7 +281,8 @@ mod tests {
     use super::*;
     use crate::scq::ScqRing;
     use crate::test_util::xorshift;
-    use crate::wcq::WcqRing;
+    use crate::wcq::cells::EntryCell;
+    use crate::wcq::{CellFamily, LlscFamily, NativeFamily, WcqRing};
 
     /// `(head, tail, threshold, Value words)`, the words listed by ticket
     /// position rather than physical slot: 8- and 16-byte entries remap
@@ -295,6 +319,35 @@ mod tests {
                 }
                 assert_eq!(state(&scq), state(&wcq), "seed {seed} order {order}");
             }
+        }
+    }
+
+    /// `full()` is not a second way to fill a ring, only a shorter one: it
+    /// leaves every word — `Note`s included — as `capacity` enqueues do.
+    #[test]
+    fn full_is_the_state_capacity_enqueues_leave_behind() {
+        fn wcq<F: CellFamily>() {
+            for order in 1..=4u32 {
+                let looped = WcqRing::<F>::new(order, 1);
+                let mut h = looped.register().unwrap();
+                (0..looped.capacity()).for_each(|i| h.enqueue(i));
+                let full = WcqRing::<F>::new(order, 1).full();
+                assert_eq!(state(&full), state(&looped), "{} order {order}", F::NAME);
+                let pairs = |r: &WcqRing<F>| r.entries.iter().map(|e| e.load()).collect::<Vec<_>>();
+                assert_eq!(pairs(&full), pairs(&looped), "{} order {order}", F::NAME);
+            }
+        }
+        wcq::<NativeFamily>();
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        wcq::<LlscFamily>();
+        for order in 1..=4u32 {
+            let looped = ScqRing::new(order);
+            (0..looped.capacity()).for_each(|i| looped.enqueue(i));
+            assert_eq!(
+                state(&ScqRing::new_full(order)),
+                state(&looped),
+                "order {order}"
+            );
         }
     }
 

@@ -82,8 +82,9 @@ impl<T> ScqQueue<T> {
     /// Bytes of memory occupied by the queue (rings + data array), used by the
     /// Figure 10a memory benchmark.
     pub fn memory_footprint(&self) -> usize {
-        self.aq.memory_footprint()
-            + self.fq.memory_footprint()
+        std::mem::size_of::<Self>()
+            + self.aq.heap_bytes()
+            + self.fq.heap_bytes()
             + self.data.len() * std::mem::size_of::<UnsafeCell<MaybeUninit<T>>>()
     }
 }

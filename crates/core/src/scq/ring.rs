@@ -75,11 +75,7 @@ impl ScqRing {
     /// Creates a ring pre-filled with the indices `0..capacity` — the initial
     /// state of the `fq` free-index ring in the indirection scheme.
     pub fn new_full(order: u32) -> Self {
-        let ring = Self::new(order);
-        for i in 0..ring.capacity() {
-            ring.enqueue(i);
-        }
-        ring
+        Self::new(order).full()
     }
 
     /// Enqueues `index`, retrying tickets until the insertion succeeds

@@ -57,15 +57,8 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         config: WcqConfig,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
-        // One extra registration slot is used transiently to pre-fill `fq`.
         let aq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters.clone());
-        let fq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters);
-        {
-            let mut init = fq.register().expect("fresh ring always has a free slot");
-            for i in 0..fq.capacity() {
-                init.enqueue(i);
-            }
-        }
+        let fq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters).full();
         let capacity = aq.capacity() as usize;
         let data = (0..capacity)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
@@ -290,8 +283,9 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// Bytes occupied by the queue: both rings, thread records and the data
     /// array.  This is the flat line wCQ shows in Figure 10a.
     pub fn memory_footprint(&self) -> usize {
-        self.aq.memory_footprint()
-            + self.fq.memory_footprint()
+        std::mem::size_of::<Self>()
+            + self.aq.heap_bytes()
+            + self.fq.heap_bytes()
             + self.data.len() * std::mem::size_of::<UnsafeCell<MaybeUninit<T>>>()
     }
 }

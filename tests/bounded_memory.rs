@@ -17,7 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use wcq::{Counter, CountingInstrument};
-use wcq_core::wcq::{WcqConfig, WcqQueue};
+use wcq_core::scq::{ScqQueue, ScqRing};
+use wcq_core::wcq::{NativeFamily, WcqConfig, WcqQueue, WcqRing};
 use wcq_harness::memtrack::{self, CountingAllocator};
 use wcq_unbounded::UnboundedWcq;
 
@@ -131,6 +132,47 @@ fn wcq_footprint_is_a_function_of_geometry_only() {
         a.memory_footprint(),
         b.memory_footprint(),
         "operation history must not change the footprint"
+    );
+}
+
+#[test]
+fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
+    let _serial = serial();
+    // The first two layers of the memory account (ROADMAP item 4a) are exact:
+    // `memory_footprint()` is the struct plus every heap byte it owns.
+    // `SERIAL` keeps sibling tests out of the window but not the harness'
+    // own thread, which prints a result and spawns the next test just as
+    // this body starts — so each layer gets three tries to read undisturbed.
+    fn exact<Q>(layer: &str, build: impl Fn() -> Q, footprint: impl Fn(&Q) -> usize) {
+        let tries: Vec<(usize, usize)> = (0..3)
+            .map(|_| {
+                let before = memtrack::snapshot().live_bytes;
+                let q = build();
+                let after = memtrack::snapshot().live_bytes;
+                let measured = (std::mem::size_of::<Q>() + after).wrapping_sub(before);
+                (footprint(&q), measured)
+            })
+            .collect();
+        assert!(
+            tries.iter().any(|(said, is)| said == is),
+            "{layer}: (memory_footprint, size_of + live-bytes delta) = {tries:?}"
+        );
+    }
+    exact("ScqRing", || ScqRing::new(10), ScqRing::memory_footprint);
+    exact(
+        "WcqRing",
+        || WcqRing::<NativeFamily>::new(10, 8),
+        WcqRing::memory_footprint,
+    );
+    exact(
+        "ScqQueue",
+        || ScqQueue::<u64>::new(10),
+        ScqQueue::memory_footprint,
+    );
+    exact(
+        "WcqQueue",
+        || WcqQueue::<u64>::new(10, 8),
+        WcqQueue::memory_footprint,
     );
 }
 

@@ -187,6 +187,38 @@ fn unbounded_kinds_report_segment_traffic() {
 }
 
 #[test]
+fn ring_op_counters_count_operations_not_segment_construction() {
+    // Order-4 segments and no segment cache: 160 values through one handle
+    // are carried by ten freshly built segments.  A value is two ring
+    // enqueues (`aq` on the way in, `fq` on the way out) and building a
+    // segment is none — `fq` starts full by construction, not by running
+    // `capacity` operations (which read 480 here, 16 phantoms a segment).
+    // Dequeues can exceed 2 N: the empty polls that find a segment full or
+    // drained, and each retired segment's drop, are ring operations too.
+    const N: u64 = 160;
+    let instr = CountingInstrument::new();
+    let q = wcq::builder()
+        .capacity_order(4)
+        .threads(1)
+        .segment_cache(0)
+        .instrument(instr.clone())
+        .build_unbounded::<u64>();
+    {
+        let mut h = q.register().expect("one slot free");
+        for i in 0..N {
+            h.enqueue(i);
+        }
+        for i in 0..N {
+            assert_eq!(h.dequeue(), Some(i));
+        }
+    }
+    assert_eq!(q.segments_allocated(), 10);
+    let snap = instr.snapshot();
+    assert_eq!(snap.get(Counter::RingEnqueues), 2 * N);
+    assert!(snap.get(Counter::RingDequeues) >= 2 * N);
+}
+
+#[test]
 fn sharded_kinds_report_routing() {
     const VALUES: u64 = 500;
     let (queue, instr) =
