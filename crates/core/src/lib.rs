@@ -7,10 +7,14 @@
 //!
 //! ## What is provided
 //!
+//! * [`ring::Ring`] — Figure 3's `try_enq` / `try_deq` / `catchup` /
+//!   `consume`, written once, generic over the cells it runs on and a slot
+//!   for slow-path state.
 //! * [`scq::ScqRing`] / [`scq::ScqQueue`] — the lock-free circular queue used
-//!   as wCQ's fast path and as a baseline in every figure of the paper.
+//!   as wCQ's fast path and as a baseline in every figure of the paper: that
+//!   ring over single-word cells, with nothing in the slot.
 //! * [`wcq::WcqRing`] / [`wcq::WcqQueue`] — the wait-free circular queue: the
-//!   SCQ fast path plus the paper's slow path (`slow_F&A`, phase-2 help
+//!   same ring plus the paper's slow path (`slow_F&A`, phase-2 help
 //!   requests, `Note` invalidation, `FIN`/`INC` bits) and the Kogan-Petrank
 //!   style helping scheme of Figure 6.
 //! * [`wcq::NativeFamily`] / [`wcq::LlscFamily`] — the two hardware models of

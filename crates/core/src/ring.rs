@@ -27,13 +27,13 @@ use crate::wcq::cells::{RingFamily, TicketCtr, ValueCell};
 /// field: nothing for SCQ (`()`), the helping records for wCQ.
 pub trait SlowState {
     /// Iteration bound of `catchup` (§3.2 "Bounding catchup").
-    fn catchup_bound(&self) -> u32;
+    fn max_catchup(&self) -> u32;
     /// Heap bytes this state owns, for [`Ring::memory_footprint`].
     fn heap_bytes(&self) -> usize;
 }
 
 impl SlowState for () {
-    fn catchup_bound(&self) -> u32 {
+    fn max_catchup(&self) -> u32 {
         64
     }
     fn heap_bytes(&self) -> usize {
@@ -169,6 +169,7 @@ impl<F: RingFamily, S> Ring<F, S> {
     #[inline]
     pub(crate) fn try_enq(&self, t: u64, index: u64, hook: impl Hook) -> bool {
         let l = &self.layout;
+        debug_assert!(index < l.capacity(), "index out of range");
         let cell = &self.entries[l.slot(t)];
         loop {
             let raw = cell.load_value();
@@ -204,7 +205,7 @@ impl<F: RingFamily, S: SlowState> Ring<F, S> {
     /// `catchup` (Figure 3, lines 13–17), bounded per §3.2: advance `Tail`
     /// to `Head` after a dequeuer overshot an empty ring.
     pub(crate) fn catchup(&self, mut tail: u64, mut head: u64) {
-        for _ in 0..self.slow.catchup_bound() {
+        for _ in 0..self.slow.max_catchup() {
             if self.tail.cas_cnt_weak(tail, head) {
                 return;
             }

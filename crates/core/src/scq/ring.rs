@@ -81,7 +81,6 @@ impl ScqRing {
     /// Enqueues `index`, retrying tickets until the insertion succeeds
     /// (`Enqueue_SCQ`).  The ring must not already hold `capacity()` values.
     pub fn enqueue(&self, index: u64) {
-        debug_assert!(index < self.capacity(), "index out of range");
         while !self.try_enq(self.tail.fetch_add_cnt(), index, ()) {}
     }
 
@@ -91,6 +90,14 @@ impl ScqRing {
         if self.threshold() < 0 {
             return None; // Fast empty check.
         }
+        self.dequeue_tickets()
+    }
+
+    /// The ticket loop of `Dequeue_SCQ`.  Out of line so that the empty
+    /// answer above stays one load and a branch: inlined, the attempt's
+    /// register saves would run before the threshold is even read.
+    #[inline(never)]
+    fn dequeue_tickets(&self) -> Option<u64> {
         loop {
             match self.try_deq(self.head.fetch_add_cnt(), ()) {
                 Deq::Got(index) => return Some(index),

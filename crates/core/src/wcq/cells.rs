@@ -14,6 +14,11 @@
 //!
 //! Both models are captured by the [`CellFamily`] trait so that a single
 //! implementation of the queue algorithm ([`super::WcqRing`]) covers both.
+//! The traits are split where Figure 3 stops: [`ValueCell`], [`TicketCtr`]
+//! and [`RingFamily`] are what the shared fast path ([`crate::ring`]) uses —
+//! and all SCQ's single-word cells implement — while [`EntryCell`],
+//! [`GlobalCtr`] and [`CellFamily`] add the double-width operations of
+//! Figures 5–7 on top.
 //! [`NativeFamily`] uses `wcq-atomics`' `lock cmpxchg16b` path;
 //! [`LlscFamily`] uses the software LL/SC emulation (see DESIGN.md for why
 //! this substitution preserves the Figure 12 experiment).

@@ -64,7 +64,7 @@ pub struct WcqState {
 }
 
 impl SlowState for WcqState {
-    fn catchup_bound(&self) -> u32 {
+    fn max_catchup(&self) -> u32 {
         self.config.catchup_bound
     }
     fn heap_bytes(&self) -> usize {
@@ -568,7 +568,6 @@ impl<F: CellFamily> WcqRing<F> {
     /// inline, [`Self::enqueue_rest`] when that attempt fails.
     #[inline]
     pub(crate) fn enqueue_index(&self, tid: usize, index: u64) {
-        debug_assert!(index < self.layout.capacity());
         self.count(Counter::RingEnqueues, 1);
         self.help_threads(tid);
         let tail = self.tail.fetch_add_cnt();
@@ -699,7 +698,6 @@ impl<F: CellFamily> WcqRing<F> {
         // Elements that used their batch ticket: a prefix of the run.
         let mut on_ticket = 0;
         for (k, &index) in indices.iter().enumerate() {
-            debug_assert!(index < self.layout.capacity());
             // Once one element lost its ticket, the rest of the run abandon
             // theirs too: the fallback below takes a *fresh* (later) ticket,
             // so an element still riding its batch ticket would overtake it

@@ -3,8 +3,8 @@
 //! One crate, one construction path, one queue abstraction:
 //!
 //! * [`builder`] / [`QueueBuilder`] — the single way applications construct
-//!   queues, replacing the per-crate `new` / `with_config` /
-//!   `with_config_and_cache` constructor zoo;
+//!   queues, in place of the per-crate `new` / `with_config_counters` /
+//!   `with_config_cache_counters` constructors;
 //! * [`WaitFreeQueue`] / [`QueueHandle`] — the object-safe trait pair every
 //!   queue in the workspace implements (wCQ, wLSCQ, SCQ and the six §6
 //!   baselines), re-exported from [`wcq_core::api`];
@@ -99,10 +99,10 @@
 //! | Before (≤ PR 2) | Now |
 //! |---|---|
 //! | `WcqQueue::new(order, threads)` | `wcq::builder().capacity_order(order).threads(threads).build_bounded()` |
-//! | `WcqQueue::with_config(order, threads, cfg)` | `…().config(cfg).build_bounded()` |
+//! | `WcqQueue::with_config(order, threads, cfg)` (removed; in-crate it is `with_config_counters(order, threads, cfg, None)`) | `…().config(cfg).build_bounded()` |
 //! | `WcqQueue::<_, LlscFamily>::new(order, threads)` | `…().llsc().build_bounded()` |
 //! | `UnboundedWcq::new(seg_order, threads)` | `…().build_unbounded()` |
-//! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` | `…().config(cfg).segment_cache(n).build_unbounded()` |
+//! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` (removed; in-crate it is `with_config_cache_counters(o, t, cfg, n, None)`) | `…().config(cfg).segment_cache(n).build_unbounded()` |
 //! | `WcqRing::new(order, threads)` | `…().build_ring()` |
 //! | `queue.register().expect(…)` | `queue.handle()` (RAII, memoized re-entry) |
 //! | hand-rolled closed-flag channel over `WcqQueue` | `…().backend(ChannelBackend::Bounded).build_channel()` |
@@ -111,8 +111,9 @@
 //! | deadline loops over `try_recv()` + `Instant` checks | [`Receiver::recv_timeout`] / [`Sender::send_timeout`] (parked, not polled) |
 //! | one thread (or task) per drained channel | [`select::recv_any`] / [`select::recv_any_timeout`] — one waker parked across all lanes |
 //!
-//! The per-crate constructors remain available inside `wcq-core` /
-//! `wcq-unbounded` for the algorithm-level tests, but application code —
+//! Each type keeps two constructors inside `wcq-core` / `wcq-unbounded` for
+//! the algorithm-level tests — `new(geometry)` with defaults, and the one
+//! full constructor the builder calls — but application code —
 //! including this repo's examples, harness and benchmarks — constructs
 //! exclusively through the builder.
 
