@@ -16,11 +16,13 @@
 //!   memory side needs the counting allocator and lives in the binary).
 //! * `wlscq_unbounded_pairs` / `wlscq_unbounded_mixed` — the unbounded
 //!   comparison set (wLSCQ vs. LCRQ/MSQueue; full sweep in `bench_unbounded`).
-//! * `wcq_ablation` — MAX_PATIENCE ablation.
+//! * `wcq_ablation` — MAX_PATIENCE ablation: throughput and the slow-path
+//!   fraction (§6: ≈ 0 at the paper's 16/64; asserted for one thread in
+//!   `tests/metrics.rs`).
 
 use std::time::Instant;
 
-use wcq::WcqConfig;
+use wcq::{CountingInstrument, WcqConfig};
 use wcq_harness::{make_queue, run_workload, QueueKind, Workload, WorkloadConfig};
 
 const RING_ORDER: u32 = 10;
@@ -86,26 +88,36 @@ fn ablation() {
             help_delay: 16,
             catchup_bound: 64,
         };
+        let instr = CountingInstrument::new();
         let queue = wcq::builder()
             .capacity_order(RING_ORDER)
-            .threads(2)
+            .threads(THREADS)
             .config(cfg)
+            .instrument(instr.clone())
             .build_bounded::<u64>();
         let mut samples = Vec::new();
         for _ in 0..REPEATS {
             let start = Instant::now();
-            let mut h = queue.register().unwrap();
-            for i in 0..2_000u64 {
-                while h.enqueue(i & 0xFF).is_err() {}
-                let _ = h.dequeue();
-            }
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        let mut h = queue.register().unwrap();
+                        for i in 0..OPS / 2 / THREADS as u64 {
+                            while h.enqueue(i & 0xFF).is_err() {}
+                            let _ = h.dequeue();
+                        }
+                    });
+                }
+            });
             let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-            samples.push(4_000.0 / elapsed / 1e6);
+            samples.push(OPS as f64 / elapsed / 1e6);
         }
         let summary = wcq_harness::stats::summarize(&samples);
         println!(
-            "  {label:<16} {:>10.3} Mops/s (cv {:.4})",
-            summary.mean, summary.cv
+            "  {label:<16} {:>10.3} Mops/s (cv {:.4})  slow-path fraction {:.6}",
+            summary.mean,
+            summary.cv,
+            instr.snapshot().slow_path_fraction()
         );
     }
 }

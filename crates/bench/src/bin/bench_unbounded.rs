@@ -21,9 +21,9 @@ use wcq_harness::report::FigureTable;
 use wcq_harness::{make_queue, run_workload, QueueKind, Workload, WorkloadConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workload_arg = args.first().filter(|a| !a.starts_with("--")).cloned();
-    let opts = BenchOpts::parse(args.into_iter());
+    let mut args = std::env::args().skip(1).peekable();
+    let workload_arg = args.next_if(|a| !a.starts_with("--"));
+    let opts = BenchOpts::parse_or_exit(args, "bench_unbounded [empty|pairs|mixed]");
     let kinds = QueueKind::unbounded_set();
 
     let mut tables = Vec::new();

@@ -22,7 +22,7 @@ use wcq_harness::{make_queue, run_workload, Workload, WorkloadConfig};
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn main() {
-    let opts = BenchOpts::parse(std::env::args().skip(1));
+    let opts = BenchOpts::parse_or_exit(std::env::args().skip(1), "fig10_memory");
     let kinds = queue_set(false);
     let mut mem_table = FigureTable::new("Figure 10a: memory usage (memory test)", "MB");
     let mut thr_table = FigureTable::new("Figure 10b: throughput (memory test)", "Mops/s");

@@ -11,9 +11,9 @@ use wcq_bench::sweep::{print_table, throughput_sweep, write_tables_json};
 use wcq_bench::{json_artifact_name, queue_set, select_workloads, BenchOpts};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workload_arg = args.first().filter(|a| !a.starts_with("--")).cloned();
-    let opts = BenchOpts::parse(args.into_iter());
+    let mut args = std::env::args().skip(1).peekable();
+    let workload_arg = args.next_if(|a| !a.starts_with("--"));
+    let opts = BenchOpts::parse_or_exit(args, "fig11_x86 [empty|pairs|mixed]");
     let kinds = queue_set(false);
     let mut tables = Vec::new();
     for workload in select_workloads(workload_arg.as_deref()) {

@@ -1,9 +1,10 @@
 //! # wcq-bench
 //!
-//! Figure-reproduction binaries and Criterion benchmarks for the wCQ paper.
-//!
-//! Every table/figure of the evaluation section has a regenerating target
-//! (see DESIGN.md §4 and EXPERIMENTS.md):
+//! Figure-reproduction binaries for the wCQ paper's evaluation (§6).  They
+//! reproduce the *shape* of each figure on whatever machine runs them and sit
+//! outside every gate: a number this repo argues from is a `benchmark/` row
+//! compared by `benchmark/run.sh --compare` (DESIGN.md, "One measurement
+//! system").
 //!
 //! * `fig10_memory` — Figure 10a/10b: memory usage and throughput of the
 //!   random-operations memory test.
@@ -11,32 +12,21 @@
 //!   throughput with the native-CAS2 wCQ.
 //! * `fig12_llsc` — Figures 12a/12b/12c: the same three workloads in the
 //!   LL/SC (PowerPC) hardware model; LCRQ is omitted as in the paper.
-//! * `ablation_patience` — the §6 claim that the slow path is taken rarely
-//!   with MAX_PATIENCE = 16/64, plus a patience/help-delay sweep.
 //! * `bench_unbounded` — beyond the paper: wLSCQ (`wcq-unbounded`, both
 //!   hardware models) against the unbounded baselines LCRQ and MSQueue,
-//!   throughput plus post-run footprint.
-//! * `bench_sharded` — beyond the paper: the `ShardedWcq` shard-count sweep
-//!   (1/2/4/8 shards) against plain wLSCQ and LCRQ; `--quick` reproduces the CI
-//!   smoke / committed-baseline shape.
-//! * `bench_channel` — beyond the paper: the typed `Sender`/`Receiver`
-//!   channel endpoints (sync and async, all three backends) against raw
-//!   facade handles on a producer→consumer pipeline, measuring what the
-//!   close/wake layer costs.
+//!   throughput plus post-run footprint — the one place wLSCQ meets the §6
+//!   baselines, which `benchmark/` excludes by design.
+//! * `benches/figures.rs` — one reduced-size row of every figure plus the
+//!   `MAX_PATIENCE` ablation (throughput and slow-path fraction), so
+//!   `cargo bench --workspace` proves each still runs.
 //!
-//! The binaries accept `--threads`, `--ops`, and `--repeats` overrides so the
-//! full paper-scale sweep and a quick smoke run use the same code.  The
-//! plain-runner benches in `benches/` mirror the same workloads at reduced
-//! sizes so `cargo bench --workspace` regenerates a row of every figure.
-//! Each figure binary additionally writes its tables as machine-readable
-//! `BENCH_*.json` (`{algorithm → threads → value}`) for cross-PR tracking.
+//! The binaries share `--threads`, `--ops`, `--repeats`, `--order` and
+//! `--paper`, so the paper-scale sweep and a smoke run are the same code, and
+//! each writes its tables as `BENCH_*.json` (`{algorithm → threads → value}`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod batch;
-pub mod diff;
-pub mod latency;
 pub mod sweep;
 
 use wcq_harness::{QueueKind, Workload};
@@ -47,8 +37,8 @@ pub const PAPER_X86_THREADS: &[usize] = &[1, 2, 4, 8, 18, 36, 72, 144];
 /// Thread counts used for the PowerPC sweep (Figure 12).
 pub const PAPER_PPC_THREADS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
 
-/// Thread counts suitable for a quick run on a small machine; the shape
-/// comparison in EXPERIMENTS.md uses these by default.
+/// Thread counts suitable for a quick run on a small machine: the default
+/// sweep.
 pub const QUICK_THREADS: &[usize] = &[1, 2, 4, 8];
 
 /// Command-line options shared by the figure binaries.
@@ -76,58 +66,59 @@ impl Default for BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parses `--threads a,b,c`, `--ops N`, `--repeats N`, `--order N`,
-    /// `--paper` (full paper-scale sweep) and `--quick` (the CI-smoke /
-    /// committed-baseline shape) from an argument iterator.  Presets apply
-    /// in argument order, so explicit flags *after* a preset override it.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Parses `--threads a,b,c`, `--ops N`, `--repeats N`, `--order N` and
+    /// `--paper` (full paper-scale sweep; explicit flags after it override
+    /// it).  Anything else — an unknown argument, a flag without its value, a
+    /// value that is not a number, a thread count of zero — is an error
+    /// naming the flag, never a silently different sweep.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Self::default();
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--threads" => {
-                    i += 1;
-                    opts.threads = args[i]
+                    opts.threads = value()?
                         .split(',')
-                        .filter_map(|s| s.trim().parse().ok())
-                        .collect();
+                        .map(|s| match s.trim().parse() {
+                            Ok(n) if n >= 1 => Ok(n),
+                            _ => Err(format!("--threads: `{s}` is not a thread count >= 1")),
+                        })
+                        .collect::<Result<_, _>>()?;
                 }
-                "--ops" => {
-                    i += 1;
-                    opts.ops = args[i].parse().unwrap_or(opts.ops);
-                }
-                "--repeats" => {
-                    i += 1;
-                    opts.repeats = args[i].parse().unwrap_or(opts.repeats);
-                }
-                "--order" => {
-                    i += 1;
-                    opts.ring_order = args[i].parse().unwrap_or(opts.ring_order);
-                }
+                "--ops" => opts.ops = number(&flag, &value()?)?,
+                "--repeats" => opts.repeats = number(&flag, &value()?)?,
+                "--order" => opts.ring_order = number(&flag, &value()?)?,
                 "--paper" => {
                     opts.threads = PAPER_X86_THREADS.to_vec();
                     opts.ops = 10_000_000;
                     opts.repeats = 10;
                     opts.ring_order = 16;
                 }
-                "--quick" => {
-                    // Small ops, but an 8-thread row so contention-scaling
-                    // claims (the sharded sweep) stay visible.
-                    opts.threads = vec![1, 2, 8];
-                    opts.ops = 60_000;
-                    opts.repeats = 1;
-                    opts.ring_order = 8;
-                }
-                _ => {}
+                _ => return Err(format!("unknown argument `{flag}`")),
             }
-            i += 1;
         }
-        if opts.threads.is_empty() {
-            opts.threads = QUICK_THREADS.to_vec();
-        }
-        opts
+        Ok(opts)
     }
+
+    /// [`parse`](Self::parse) for a binary's `main`: on error, prints it and
+    /// the usage line (`command` is the binary's name and positional
+    /// arguments) to stderr and exits with status 2, before anything is
+    /// measured or written.
+    pub fn parse_or_exit(args: impl Iterator<Item = String>, command: &str) -> Self {
+        Self::parse(args).unwrap_or_else(|e| {
+            eprintln!(
+                "error: {e}\nusage: {command} \
+                 [--threads 1,2,4,8] [--ops N] [--repeats N] [--order N] [--paper]"
+            );
+            std::process::exit(2)
+        })
+    }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: `{value}` is not a number"))
 }
 
 /// Maps a workload-selection argument (`empty`, `pairs`, `mixed`) to the
@@ -153,7 +144,7 @@ pub fn queue_set(ppc: bool) -> Vec<QueueKind> {
 /// Filename for a figure's JSON artifact: the canonical `BENCH_<figure>.json`
 /// only when the full workload set ran; a workload-filtered run gets
 /// `BENCH_<figure>_<workload>.json` instead, so a partial smoke run never
-/// overwrites the cross-PR tracking artifact with a subset of its series.
+/// overwrites the full figure's artifact with a subset of its series.
 pub fn json_artifact_name(figure: &str, workload_arg: Option<&str>) -> String {
     match workload_arg {
         Some(w @ ("empty" | "pairs" | "mixed")) => format!("BENCH_{figure}_{w}.json"),
@@ -165,55 +156,58 @@ pub fn json_artifact_name(figure: &str, workload_arg: Option<&str>) -> String {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<BenchOpts, String> {
+        BenchOpts::parse(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn parse_defaults_and_overrides() {
-        let o = BenchOpts::parse(std::iter::empty());
+        let o = parse(&[]).unwrap();
         assert_eq!(o.threads, QUICK_THREADS);
-        let o = BenchOpts::parse(
-            [
-                "--threads",
-                "1,3,5",
-                "--ops",
-                "1000",
-                "--repeats",
-                "2",
-                "--order",
-                "6",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+        let o = parse(&[
+            "--threads",
+            "1,3,5",
+            "--ops",
+            "1000",
+            "--repeats",
+            "2",
+            "--order",
+            "6",
+        ])
+        .unwrap();
         assert_eq!(o.threads, vec![1, 3, 5]);
         assert_eq!(o.ops, 1000);
         assert_eq!(o.repeats, 2);
         assert_eq!(o.ring_order, 6);
+        // Every malformed line is an error that names the offending flag —
+        // none panics, none falls back to the default sweep.
+        for (args, names) in [
+            (&["--threads", "1,2", "--ops"][..], "--ops"),
+            (&["--threads"][..], "--threads"),
+            (&["--threads", "0"][..], "--threads"),
+            (&["--threads", "1,,2"][..], "--threads"),
+            (&["--threads", "abc"][..], "--threads"),
+            (&["--ops", "abc"][..], "--ops"),
+            (&["--repeats", "-1"][..], "--repeats"),
+            (&["--order", "1e3"][..], "--order"),
+            (&["--bogus"][..], "--bogus"),
+            (&["--ops", "10", "stray"][..], "stray"),
+        ] {
+            let err = parse(args).expect_err(&format!("{args:?} must be rejected"));
+            assert!(
+                err.contains(names),
+                "{args:?}: `{err}` does not name {names}"
+            );
+        }
     }
 
     #[test]
     fn paper_flag_selects_paper_scale() {
-        let o = BenchOpts::parse(["--paper"].iter().map(|s| s.to_string()));
+        let o = parse(&["--paper"]).unwrap();
         assert_eq!(o.threads, PAPER_X86_THREADS);
         assert_eq!(o.ops, 10_000_000);
         assert_eq!(o.repeats, 10);
         assert_eq!(o.ring_order, 16);
-    }
-
-    #[test]
-    fn quick_flag_selects_the_smoke_shape_and_later_flags_override() {
-        let o = BenchOpts::parse(["--quick"].iter().map(|s| s.to_string()));
-        assert_eq!(o.threads, vec![1, 2, 8]);
-        assert_eq!(o.ops, 60_000);
-        assert_eq!(o.repeats, 1);
-        assert_eq!(o.ring_order, 8);
-        // Presets apply in argument order: an explicit flag after the preset
-        // wins, so one knob of the baseline shape can be varied.
-        let o = BenchOpts::parse(
-            ["--quick", "--threads", "1,2,4,8"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(o.threads, vec![1, 2, 4, 8]);
-        assert_eq!(o.ops, 60_000);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn print_table(table: &FigureTable) {
 }
 
 /// Writes several figure tables to `path` as one JSON array (the
-/// `BENCH_*.json` files tracked across PRs).  IO errors are logged, not
+/// figure's `BENCH_*.json` artifact).  IO errors are logged, not
 /// fatal, so the binaries still print their tables on read-only filesystems.
 pub fn write_tables_json(path: &str, tables: &[FigureTable]) {
     let parts: Vec<String> = tables

@@ -19,10 +19,8 @@
 //! * [`LatencyHistogram`] — log-bucketed (HDR-style: power-of-two octaves ×
 //!   32 linear sub-buckets, ≤ 3.2% relative error), lock-free per-thread
 //!   shards, mergeable [`HistogramSnapshot`]s with p50/p90/p99/p999.
-//! * [`MetricsSnapshot`] — a point-in-time copy of every counter with a JSON
-//!   exporter sharing the `FigureTable::render_json` schema
-//!   (`{"title", "unit", "series": {name: {"0": value}}}`), so snapshots ride
-//!   the same `BENCH_*.json` tooling as throughput tables.
+//! * [`MetricsSnapshot`] — a point-in-time copy of every counter, read
+//!   through [`MetricsSnapshot::get`] and a few derived accessors.
 //!
 //! ## Counting discipline (why the fast path stays fast)
 //!
@@ -59,8 +57,8 @@ pub const COUNTER_COUNT: usize = 24;
 
 /// Every event class the observability layer records, across all layers.
 ///
-/// The enum doubles as the index into a [`CounterSet`] and as the JSON series
-/// name (via [`Counter::name`]).
+/// The enum doubles as the index into a [`CounterSet`]; [`Counter::name`] is
+/// its stable snake_case label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
@@ -153,7 +151,7 @@ impl Counter {
         Counter::PatienceRaised,
     ];
 
-    /// Stable snake_case name, used as the JSON series key.
+    /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Counter::RingEnqueues => "ring_enqueues",
@@ -255,9 +253,10 @@ impl CounterSet {
 /// code**: its `record` body is empty and `#[inline]`, and its
 /// `counter_set()` returns `None`, so queues built with it never take the
 /// counting branch and channel endpoints monomorphize every `record` call
-/// away entirely.  An instrumented-vs-default row in `bench_channel` tracks
-/// this claim across PRs (series `channel/wLSCQ (counting)` next to the
-/// default rows).  Implementations other than [`CountingInstrument`] must
+/// away entirely.  `benchmark/` measures the claim on every run: its untraced
+/// pass builds with [`NoopInstrument`], its traced pass with
+/// [`CountingInstrument`], and `bench.trace_overhead_pct` is the difference.
+/// Implementations other than [`CountingInstrument`] must
 /// keep `record` wait-free and non-blocking: it is called from wait-free
 /// queue paths.
 pub trait Instrument: Clone + Send + Sync + 'static {
@@ -327,8 +326,8 @@ impl Instrument for CountingInstrument {
 // MetricsSnapshot
 // --------------------------------------------------------------------------
 
-/// A point-in-time copy of a [`CounterSet`], with derived accessors and a
-/// JSON exporter sharing the `FigureTable::render_json` schema.
+/// A point-in-time copy of a [`CounterSet`], with derived accessors.
+/// [`get`](MetricsSnapshot::get) (and `Debug`) is the one way to read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     values: [u64; COUNTER_COUNT],
@@ -379,32 +378,6 @@ impl MetricsSnapshot {
         for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
             *a += *b;
         }
-    }
-
-    /// Renders the snapshot as one JSON table in the `BENCH_*.json` schema:
-    /// `{"title", "unit": "count", "series": {counter_name: {"0": value}}}`
-    /// plus the derived `fast_ring_ops` series.  The `"0"` key fills the
-    /// schema's thread-count slot (a snapshot is not a thread sweep).
-    pub fn render_json(&self, title: &str) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"title\": \"{}\",\n", escape(title)));
-        out.push_str("  \"unit\": \"count\",\n");
-        out.push_str("  \"series\": {\n");
-        for c in Counter::ALL {
-            out.push_str(&format!(
-                "    \"{}\": {{\"0\": {}}},\n",
-                c.name(),
-                self.get(c)
-            ));
-        }
-        out.push_str(&format!(
-            "    \"fast_ring_ops\": {{\"0\": {}}}\n",
-            self.fast_ring_ops()
-        ));
-        out.push_str("  }\n}\n");
-        out
     }
 }
 
@@ -753,26 +726,5 @@ mod tests {
         clone.record(Counter::ChannelParks, 2);
         inst.counter_set().unwrap().add(Counter::ChannelParks, 1);
         assert_eq!(inst.snapshot().get(Counter::ChannelParks), 3);
-    }
-
-    #[test]
-    fn snapshot_json_follows_the_figure_table_schema() {
-        let set = CounterSet::new();
-        set.add(Counter::EnqueuesCompleted, 42);
-        let json = set.snapshot().render_json("metrics: \"smoke\"");
-        assert!(
-            json.contains("\"title\": \"metrics: \\\"smoke\\\"\""),
-            "{json}"
-        );
-        assert!(json.contains("\"unit\": \"count\""));
-        assert!(
-            json.contains("\"enqueues_completed\": {\"0\": 42}"),
-            "{json}"
-        );
-        assert!(json.contains("\"fast_ring_ops\""));
-        // Every counter appears as a series.
-        for c in Counter::ALL {
-            assert!(json.contains(c.name()), "missing {}", c.name());
-        }
     }
 }

@@ -69,8 +69,8 @@ impl FigureTable {
     /// Renders the table as machine-readable JSON:
     /// `{"title", "unit", "series": {algorithm: {threads: value}}}`.
     ///
-    /// This is the `BENCH_*.json` format the bench binaries emit so the perf
-    /// trajectory can be tracked across PRs without parsing tables.
+    /// This is the `BENCH_*.json` format the figure binaries emit, so a
+    /// figure can be re-plotted without parsing tables.
     pub fn render_json(&self) -> String {
         fn escape(s: &str) -> String {
             s.replace('\\', "\\\\").replace('"', "\\\"")

@@ -143,6 +143,13 @@ impl HazardDomain {
         self.hazards_per_thread
     }
 
+    /// Heap bytes of the domain's two fixed arrays (hazard slots and
+    /// participant flags), for an owner's `memory_footprint()`.  Retired
+    /// nodes are their owner's to count: the domain only holds pointers.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slots) + std::mem::size_of_val(&*self.in_use)
+    }
+
     /// Total nodes retired so far (statistics for the memory benchmark).
     pub fn retired_total(&self) -> usize {
         self.retired_count.load(Ordering::Relaxed)

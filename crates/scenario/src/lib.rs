@@ -6,8 +6,7 @@
 //! *open-loop* arrivals it does not control, where a measurement that only
 //! starts the clock when the send call runs quietly hides every stall
 //! (coordinated omission).  This crate is the load-generation half of that
-//! evaluation; `wcq_core::metrics::LatencyHistogram` and the
-//! `BENCH_*_latency.json` diffing landed earlier are the measurement half.
+//! evaluation; `wcq_core::metrics::LatencyHistogram` is the measurement half.
 //!
 //! Three pieces:
 //!

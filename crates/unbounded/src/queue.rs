@@ -279,10 +279,19 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         self.cache.recycled_total()
     }
 
-    /// Approximate bytes currently held: every resident segment (live,
-    /// cached or awaiting reclamation) plus the queue header.
+    /// Bytes currently held: the queue header, what it owns on the heap
+    /// beside the segments (hazard domain arrays, the boxed segment cache,
+    /// the length-hint words) and every resident segment (live, cached or
+    /// awaiting reclamation).  On a quiescent queue this is exactly what the
+    /// allocator handed out (`tests/bounded_memory.rs`); under traffic the
+    /// segment count is a racy read.
     pub fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>() + self.segment_stats().resident() * self.per_segment_bytes
+        std::mem::size_of::<Self>()
+            + self.domain.heap_bytes()
+            + std::mem::size_of::<SegmentCache<T, F>>()
+            + self.cache.heap_bytes()
+            + std::mem::size_of_val(&*self.net_counts)
+            + self.segment_stats().resident() * self.per_segment_bytes
     }
 
     /// Obtains a fresh tail segment — from the cache when possible — already

@@ -347,6 +347,12 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
         }
     }
 
+    /// Heap bytes of the slot array (cached segments are counted by the
+    /// queue, as resident segments).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slots)
+    }
+
     /// Takes a reopened segment from the cache, if any.  The reuse statistic
     /// is *not* bumped here: a taken segment only counts as reused once its
     /// append wins the link race (see [`SegmentCache::note_reused`]) —

@@ -16,11 +16,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use wcq::{Counter, CountingInstrument};
+use wcq::{Counter, CountingInstrument, WaitFreeQueue};
 use wcq_core::scq::{ScqQueue, ScqRing};
 use wcq_core::wcq::{NativeFamily, WcqConfig, WcqQueue, WcqRing};
 use wcq_harness::memtrack::{self, CountingAllocator};
-use wcq_unbounded::UnboundedWcq;
+use wcq_unbounded::{ShardedWcq, UnboundedWcq};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -138,7 +138,7 @@ fn wcq_footprint_is_a_function_of_geometry_only() {
 #[test]
 fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
     let _serial = serial();
-    // The first two layers of the memory account (ROADMAP item 4a) are exact:
+    // Every queue layer of the memory account (ROADMAP item 4a) is exact:
     // `memory_footprint()` is the struct plus every heap byte it owns.
     // `SERIAL` keeps sibling tests out of the window but not the harness'
     // own thread, which prints a result and spawns the next test just as
@@ -173,6 +173,16 @@ fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
         "WcqQueue",
         || WcqQueue::<u64>::new(10, 8),
         WcqQueue::memory_footprint,
+    );
+    exact(
+        "UnboundedWcq",
+        || UnboundedWcq::<u64>::new(10, 8),
+        UnboundedWcq::memory_footprint,
+    );
+    exact(
+        "ShardedWcq x4",
+        || ShardedWcq::<u64>::new(4, 10, 8),
+        WaitFreeQueue::memory_footprint,
     );
 }
 

@@ -3,8 +3,8 @@
 //! every counting queue kind, the helping/slow-path accounting must satisfy
 //! its structural invariants, injected LL/SC contention must show up in the
 //! telemetry, the channel park/wake/close counters must fire on a real
-//! park/wake round trip, and the JSON export must carry the rows the CI
-//! smoke greps for.
+//! park/wake round trip, and §6's claim — at the paper's patience an
+//! uncontended thread never leaves the fast path — must hold by count.
 //!
 //! Note on what is *not* asserted: organic patience exhaustion (and with it
 //! helping traffic) needs a thread to be preempted mid-operation, which a
@@ -18,6 +18,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use wcq::{ChannelBackend, Counter, CountingInstrument, MetricsSnapshot, WcqConfig};
 use wcq_harness::{block_on_instrumented, make_counting_queue, QueueKind};
@@ -303,27 +304,61 @@ fn channel_park_wake_close_counters_fire_on_a_real_round_trip() {
 }
 
 #[test]
-fn snapshot_json_carries_the_counter_rows() {
-    let snap = verified_drain(QueueKind::WcqUnbounded);
-    let json = snap.render_json("forced-slow stress snapshot");
-    // The FigureTable schema the bench artifacts share.
-    assert!(json.contains("\"unit\": \"count\""));
-    for series in [
-        "ring_enqueues",
-        "ring_dequeues",
-        "helping_entries",
-        "patience_exhausted_enqueues",
-        "patience_exhausted_dequeues",
-        "enqueues_completed",
-        "dequeues_completed",
-        "segment_allocs",
-        "fast_ring_ops",
-    ] {
-        assert!(json.contains(&format!("\"{series}\"")), "missing {series}");
+fn paper_default_patience_keeps_a_single_thread_on_the_fast_path() {
+    // §6: with MAX_PATIENCE = 16 (enqueue) / 64 (dequeue) the slow path is
+    // taken "relatively infrequently"; with nobody to contend with, never.
+    const PAIRS: u64 = 20_000;
+    let instr = CountingInstrument::new();
+    let q = wcq::builder()
+        .instrument(instr.clone())
+        .build_bounded::<u64>();
+    {
+        let mut h = q.register().expect("a free record");
+        for i in 0..PAIRS {
+            h.enqueue(i).expect("never more than one value queued");
+            assert_eq!(h.dequeue(), Some(i));
+        }
     }
-    // And it must parse under the same parser bench_diff uses.
-    let tables = wcq_bench::diff::parse_bench_json(&json).expect("snapshot JSON parses");
-    assert_eq!(tables.len(), 1);
-    assert_eq!(tables[0].series["enqueues_completed"][&0], TOTAL as f64);
-    assert!(tables[0].series["helping_entries"][&0] >= 0.0);
+    let snap = instr.snapshot();
+    // A value is one `fq` dequeue + one `aq` enqueue on the way in and the
+    // mirror pair on the way out.
+    assert_eq!(snap.get(Counter::RingEnqueues), 2 * PAIRS);
+    assert_eq!(snap.get(Counter::RingDequeues), 2 * PAIRS);
+    assert_eq!(
+        snap.get(Counter::PatienceExhaustedEnqueues) + snap.get(Counter::PatienceExhaustedDequeues),
+        0
+    );
+    assert_eq!(snap.get(Counter::HelpingEntries), 0);
+    assert_eq!(snap.slow_path_fraction(), 0.0);
+
+    // The mirror, so the zeros above are not vacuous: at patience 1 the same
+    // counters move as soon as one thread's ticket is overtaken by the
+    // other's.  That needs the two to interleave inside one operation — true
+    // parallelism, or a preemption at the right instruction on a single
+    // core — so run rounds until it has happened rather than a fixed count.
+    let instr = CountingInstrument::new();
+    let q = wcq::builder()
+        .capacity_order(4)
+        .threads(2)
+        .config(forced_slow())
+        .instrument(instr.clone())
+        .build_bounded::<u64>();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while instr.snapshot().slow_path_fraction() == 0.0 {
+        assert!(
+            Instant::now() < deadline,
+            "two threads at patience 1 never left the fast path"
+        );
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut h = q.register().expect("a free record");
+                    for i in 0..PAIRS {
+                        while h.enqueue(i).is_err() {}
+                        let _ = h.dequeue();
+                    }
+                });
+            }
+        });
+    }
 }
