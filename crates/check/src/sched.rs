@@ -167,6 +167,17 @@ impl Drop for Registration {
     }
 }
 
+/// Leaves a yield point of an aborted schedule by panicking with `why` —
+/// unless the thread is already unwinding, in which case it returns and the
+/// thread runs the rest of its destructors unscheduled.  A second panic from
+/// a `Drop` on the unwind path would abort the whole process instead of
+/// letting [`crate::run_one`] report the first.
+fn abandon(why: std::fmt::Arguments<'_>) {
+    if !std::thread::panicking() {
+        panic!("{why}");
+    }
+}
+
 /// Picks the next thread to run among runnable slots, excluding `exclude`
 /// when an alternative exists.  Consumes PRNG state only when there is a
 /// real choice, keeping replay stable across slot counts.
@@ -251,7 +262,9 @@ impl Scheduler {
         let mut st = self.state.lock().unwrap();
         if st.aborted {
             drop(st);
-            panic!("schedule aborted (step bound hit elsewhere) at {op}");
+            return abandon(format_args!(
+                "schedule aborted (step bound hit elsewhere) at {op}"
+            ));
         }
         debug_assert_eq!(
             st.current,
@@ -265,10 +278,10 @@ impl Scheduler {
             self.cv.notify_all();
             let steps = st.steps;
             drop(st);
-            panic!(
+            return abandon(format_args!(
                 "scheduler step bound exceeded ({steps} yields) at {op}: \
                  livelock under this schedule"
-            );
+            ));
         }
         let depth = st.depth;
         let switch = depth <= 1 || st.rng.next_below(depth) == 0;
@@ -282,7 +295,9 @@ impl Scheduler {
                     }
                     if st.aborted {
                         drop(st);
-                        panic!("schedule aborted while {op} waited for the token");
+                        abandon(format_args!(
+                            "schedule aborted while {op} waited for the token"
+                        ));
                     }
                 }
             }
@@ -402,6 +417,56 @@ mod tests {
         assert!(
             lost_somewhere,
             "no schedule interleaved the torn RMW window; the explorer lost its teeth"
+        );
+    }
+
+    /// A destructor that crosses a yield point while its thread unwinds from
+    /// an aborted schedule must not panic again: a panic in a destructor
+    /// during cleanup aborts the process, taking every other checked run (and
+    /// this test binary) down with it.
+    #[test]
+    fn an_aborted_schedule_lets_unwinding_destructors_yield() {
+        struct YieldsOnDrop;
+        impl Drop for YieldsOnDrop {
+            fn drop(&mut self) {
+                maybe_yield("test.drop");
+            }
+        }
+        let sched = Scheduler::new(2, Schedule { seed: 3, depth: 1 });
+        sched.state.lock().unwrap().max_steps = 20;
+        let payloads: Vec<String> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|id| {
+                    let sched = &sched;
+                    s.spawn(move || {
+                        let _reg = sched.register(id);
+                        // Declared after `_reg`, so it drops first: still
+                        // registered, on the unwind path.
+                        let _guard = YieldsOnDrop;
+                        loop {
+                            maybe_yield("test.spin");
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| {
+                    let payload = w.join().expect_err("both workers unwind");
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default()
+                })
+                .collect()
+        });
+        assert!(
+            payloads.iter().any(|p| p.contains("step bound exceeded")),
+            "the step-bound panic must be the one reported: {payloads:?}"
+        );
+        assert!(
+            payloads.iter().any(|p| p.contains("schedule aborted")),
+            "the other worker leaves through the abort: {payloads:?}"
         );
     }
 

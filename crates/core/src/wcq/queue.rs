@@ -312,6 +312,8 @@ impl<T, F: CellFamily> std::fmt::Debug for WcqQueue<T, F> {
             .field("family", &F::NAME)
             .field("capacity", &self.capacity())
             .field("max_threads", &self.max_threads())
+            .field("aq", &self.aq)
+            .field("fq", &self.fq)
             .finish()
     }
 }

@@ -19,9 +19,10 @@
 //!
 //! * Every segment is a bounded, wait-free [`wcq_core::wcq::WcqQueue`];
 //!   operations inside a segment inherit its wait-freedom and bounded memory.
-//! * When the tail segment fills up it is **closed** (a credit counter makes
-//!   full/closed one atomic decision) and a fresh segment — pre-loaded with
-//!   the element that triggered the append, as in LCRQ — is linked behind it.
+//! * When the tail segment fills up — its free-index ring says so — it is
+//!   **closed** (one bit on the segment's in-flight word, as LCRQ closes a
+//!   ring) and a fresh segment — pre-loaded with the element that triggered
+//!   the append, as in LCRQ — is linked behind it.
 //! * Drained segments are unlinked by dequeuers and **retired** through a
 //!   [`wcq_reclaim::HazardDomain`]; once unprotected they are **recycled**
 //!   into a bounded [`DEFAULT_SEGMENT_CACHE`]-sized free-list, so steady

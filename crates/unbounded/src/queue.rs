@@ -50,8 +50,8 @@ impl SegmentStats {
 /// * **Across segments** appending and retiring uses the MS-queue CAS
 ///   discipline (lock-free: some thread always makes progress, an individual
 ///   append can be delayed).  Additionally, a dequeuer advancing the head
-///   past a drained segment first waits for enqueuers that obtained a slot
-///   credit before the segment closed; that wait is bounded by one inner
+///   past a drained segment first waits for enqueuers that claimed the
+///   segment before it closed; that wait is bounded by one inner
 ///   *wait-free* enqueue per straggler, so it is finite whenever the
 ///   stragglers are scheduled, but it is not a lock-free step — the same
 ///   trade LSCQ makes when the ring cannot atomically reject late enqueuers.
@@ -634,7 +634,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                     return None;
                 }
                 // The segment is closed (it has a successor).  Before
-                // advancing, wait out enqueuers that hold a pre-close credit,
+                // advancing, wait out enqueuers that claimed it pre-close,
                 // then re-check emptiness: after that, the segment is
                 // permanently empty.
                 if seg.inflight() != 0 {

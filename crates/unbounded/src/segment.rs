@@ -3,62 +3,62 @@
 //! A [`Segment`] wraps one bounded [`WcqQueue`] together with the bookkeeping
 //! the outer linked list needs:
 //!
-//! * a **credit counter** (`state`) that makes "is there room?" and "has the
-//!   segment been closed?" one atomic decision — the LCRQ/LSCQ closing idea
-//!   lifted to the data-queue layer, since wCQ's own enqueue cannot be told
-//!   to fail permanently;
-//! * an **in-flight counter** so dequeuers can wait out enqueuers that
-//!   acquired a credit before the segment closed (those enqueues *will* land
-//!   and must not be lost when the outer head advances past the segment);
+//! * an **in-flight word** (`inflight`): the number of enqueuers between
+//!   their claim and the end of their inner enqueue, plus a [`CLOSED`] top
+//!   bit — LCRQ's closed tail bit lifted to the data-queue layer, since
+//!   wCQ's own enqueue cannot be told to fail permanently;
 //! * the outer `next` link;
 //! * a back-pointer to the owning queue's [`SegmentCache`] so the hazard
 //!   domain can *recycle* a drained segment instead of freeing it.
 //!
-//! ## Why credits make closing sound
+//! ## Why one bit makes closing sound
 //!
-//! `state` starts at the segment capacity.  An enqueuer first increments
-//! `inflight`, then does `state.fetch_sub(1)`: a positive pre-value is a
-//! credit guaranteeing the inner free-index ring holds a slot for it (the
-//! classic semaphore invariant — credits never exceed free slots, and free
-//! slots are only taken by credit holders).  Closing subtracts a huge
-//! constant, so every later claim observes a non-positive value and fails —
-//! no check-then-act race, exactly like LCRQ's tail `CLOSED` bit.
+//! 1. **`fq` already answers "full".**  A segment holds at most `capacity`
+//!    indices, and they circulate only between `fq` and `aq` (Figure 2).  So
+//!    the inner enqueue's `fq` dequeue returns ⊥ — a linearizable answer —
+//!    exactly when no index is free: the same decision a zero credit made,
+//!    read from the ring the enqueue has to touch anyway.  No second
+//!    semaphore is needed to refuse a full segment.
+//! 2. **The bit answers "closed".**  An enqueue claims with
+//!    `inflight.fetch_add(1)`, and [`Segment::close`] is one
+//!    `fetch_or(CLOSED)` on the same word, so the two are totally ordered.
+//!    A claim ordered after the `fetch_or` sees `CLOSED` in its pre-value,
+//!    undoes its increment and touches no ring.  A claim ordered before it
+//!    is counted until its `fetch_sub`, which follows its `aq` deposit.
+//! 3. **The dequeuer's advance sequence is unchanged.**  A dequeuer may
+//!    advance the outer head past a segment only after it observes, in
+//!    order: a non-null `next` (segments are closed before they are linked
+//!    past, so no claim succeeds any more), `inflight() == 0` (every claim
+//!    from before the close has deposited), and one more empty inner
+//!    dequeue.  At that point the segment is permanently empty.
 //!
-//! A dequeuer may advance the outer head past a segment only after it
-//! observes, in order: a non-null `next` (segments are closed before they are
-//! linked past), `inflight == 0` (every credit holder has finished its inner
-//! enqueue), and one more empty inner dequeue.  At that point the segment is
-//! permanently empty: no credit can be granted any more, and everything that
-//! was in flight is visible.
+//! A dequeue touches neither word — it is the inner `dequeue_at` and nothing
+//! else — so the dequeuer writes no line the enqueuers own.
 
 use std::collections::VecDeque;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wcq_atomics::CachePadded;
 use wcq_core::metrics::CounterSet;
 use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue};
 
-/// Subtracted from `state` when a segment closes.  Far larger than any
-/// capacity or thread count, so the counter stays negative against every
-/// transient `±1` from concurrent claims and credit returns.
-const CLOSE_DELTA: i64 = 1 << 40;
+/// The closed bit of a segment's `inflight` word.  Set once by
+/// [`Segment::close`] and cleared only by [`Segment::reopen`]; the count
+/// below it never exceeds the registered threads.
+const CLOSED: usize = 1 << (usize::BITS - 1);
 
 /// One ring segment of the unbounded queue.
 pub(crate) struct Segment<T, F: CellFamily> {
     queue: WcqQueue<T, F>,
     /// Outer list link; doubles as the cache free-list link via reset.
     pub(crate) next: AtomicPtr<Segment<T, F>>,
-    /// Free credits; `<= 0` means full or closed (see module docs).
-    state: CachePadded<AtomicI64>,
-    /// Close-once latch so `CLOSE_DELTA` is subtracted exactly once.
-    closed: AtomicBool,
-    /// Enqueuers currently between their `inflight` increment and decrement.
+    /// Enqueuers between their claim and the end of their inner enqueue, plus
+    /// the [`CLOSED`] bit (see module docs).
     inflight: CachePadded<AtomicUsize>,
     /// The owning queue's cache, for hazard-domain recycling.
     pub(crate) cache: *const SegmentCache<T, F>,
-    capacity: i64,
 }
 
 impl<T, F: CellFamily> Segment<T, F> {
@@ -69,16 +69,11 @@ impl<T, F: CellFamily> Segment<T, F> {
         cache: *const SegmentCache<T, F>,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
-        let queue = WcqQueue::with_config_counters(order, max_threads, config, counters);
-        let capacity = queue.capacity() as i64;
         Self {
-            queue,
+            queue: WcqQueue::with_config_counters(order, max_threads, config, counters),
             next: AtomicPtr::new(ptr::null_mut()),
-            state: CachePadded::new(AtomicI64::new(capacity)),
-            closed: AtomicBool::new(false),
             inflight: CachePadded::new(AtomicUsize::new(0)),
             cache,
-            capacity,
         }
     }
 
@@ -99,58 +94,50 @@ impl<T, F: CellFamily> Segment<T, F> {
         unsafe { self.queue.release_slot(tid) };
     }
 
-    /// Attempts to enqueue `value` under the credit discipline, assuming the
-    /// caller is already bound to this segment.  `Err` means the segment is
-    /// full or closed and will never accept this value.
+    /// Joins the in-flight enqueuers; `false`, with the claim undone, once
+    /// the segment is closed.  A `true` must be paired with
+    /// [`Segment::leave`] after the inner enqueue.
+    #[inline]
+    fn enter(&self) -> bool {
+        if self.inflight.fetch_add(1, SeqCst) & CLOSED != 0 {
+            self.leave();
+            return false;
+        }
+        true
+    }
+
+    /// Ends a claim taken by [`Segment::enter`].
+    #[inline]
+    fn leave(&self) {
+        self.inflight.fetch_sub(1, SeqCst);
+    }
+
+    /// Attempts to enqueue `value`, assuming the caller is already bound to
+    /// this segment.  `Err` means the segment is full or closed and will
+    /// never accept this value.
     ///
     /// # Safety
     /// The caller must hold a live [`Segment::bind`] on `tid`.
     pub(crate) unsafe fn try_enqueue_bound(&self, tid: usize, value: T) -> Result<(), T> {
-        self.inflight.fetch_add(1, SeqCst);
-        let credit = self.state.fetch_sub(1, SeqCst);
-        if credit <= 0 {
-            self.state.fetch_add(1, SeqCst);
-            self.inflight.fetch_sub(1, SeqCst);
+        if !self.enter() {
             return Err(value);
         }
         // SAFETY: bound per the function contract.
         let res = unsafe { self.queue.enqueue_at(tid, value) };
-        if res.is_err() {
-            self.credit_invariant_broken(1);
-        }
-        self.inflight.fetch_sub(1, SeqCst);
+        self.leave();
         res
     }
 
-    /// A credit guarantees a free inner slot, so a credit-holding enqueue
-    /// never finds the inner ring full.  Should the invariant ever break,
-    /// give the `unused` credits back rather than leak them — out of line, so
-    /// the enqueue path carries only the (never taken) branch.
-    #[cold]
-    #[inline(never)]
-    fn credit_invariant_broken(&self, unused: i64) {
-        debug_assert!(false, "credit-holding enqueue found the inner ring full");
-        self.state.fetch_add(unused, SeqCst);
-    }
-
-    /// Batch counterpart of [`Segment::try_enqueue_bound`]: claims up to
-    /// `values.len()` credits with **one** `fetch_sub`, feeds the granted
-    /// prefix to the inner batch enqueue, and returns the number accepted
-    /// (drained from the front of `values`).  Returning `0` means the segment
-    /// is full or closed and will never accept anything.
-    ///
-    /// Credits over-claimed by the single subtraction are returned before the
-    /// inner enqueue runs, so the semaphore invariant (credits never exceed
-    /// free inner slots) holds throughout.  The claim is clamped to the
-    /// segment capacity so an oversized batch cannot push `state` anywhere
-    /// near the [`CLOSE_DELTA`] sentinel range.
+    /// Batch counterpart of [`Segment::try_enqueue_bound`]: one claim covers
+    /// the inner batch enqueue, and the number accepted (drained from the
+    /// front of `values`) is returned.  Returning `0` means the segment is
+    /// full or closed and will never accept anything.
     ///
     /// The inner batch enqueue's free-slot claim is racily partial: under
-    /// contention its run of free-ring tickets can miss slots that the held
-    /// credits guarantee exist (holes in the claimed run).  The shortfall is
-    /// claimed element-by-element through [`WcqQueue::enqueue_at`], whose
-    /// free-ring dequeue is authoritative, so every granted credit is always
-    /// converted into an accepted element.
+    /// contention its run of free-ring tickets can miss free slots (holes in
+    /// the claimed run).  The remainder goes through [`WcqQueue::enqueue_at`]
+    /// one element at a time until its free-ring dequeue — the authoritative
+    /// "full" — refuses one.
     ///
     /// # Safety
     /// The caller must hold a live [`Segment::bind`] on `tid`.
@@ -159,52 +146,22 @@ impl<T, F: CellFamily> Segment<T, F> {
         tid: usize,
         values: &mut VecDeque<T>,
     ) -> usize {
-        if values.is_empty() {
+        if values.is_empty() || !self.enter() {
             return 0;
         }
-        let want = (values.len() as i64).min(self.capacity);
-        self.inflight.fetch_add(1, SeqCst);
-        let credit = self.state.fetch_sub(want, SeqCst);
-        let granted = credit.clamp(0, want);
-        if granted < want {
-            self.state.fetch_add(want - granted, SeqCst);
-        }
-        if granted == 0 {
-            self.inflight.fetch_sub(1, SeqCst);
-            return 0;
-        }
-        let mut accepted = if granted as usize == values.len() {
-            // SAFETY: bound per the function contract.
-            unsafe { self.queue.enqueue_many_at(tid, values) }
-        } else {
-            // Only the granted prefix may touch the inner ring: feeding the
-            // whole buffer would let the inner enqueue consume free slots
-            // that belong to other credit holders.
-            let mut run: VecDeque<T> = values.drain(..granted as usize).collect();
-            // SAFETY: bound per the function contract.
-            let accepted = unsafe { self.queue.enqueue_many_at(tid, &mut run) };
-            while let Some(value) = run.pop_back() {
-                values.push_front(value);
-            }
-            accepted
-        };
-        // Convert the racy batch shortfall into accepted elements one
-        // credit-guaranteed slot at a time (see the doc comment above).
-        while (accepted as i64) < granted {
-            let value = values.pop_front().expect("one element per granted credit");
+        // SAFETY: bound per the function contract.
+        let mut accepted = unsafe { self.queue.enqueue_many_at(tid, values) };
+        while let Some(value) = values.pop_front() {
             // SAFETY: bound per the function contract.
             match unsafe { self.queue.enqueue_at(tid, value) } {
                 Ok(()) => accepted += 1,
                 Err(value) => {
-                    // The credit invariant rules this out; restore the value
-                    // and the unused credits rather than losing either.
                     values.push_front(value);
-                    self.credit_invariant_broken(granted - accepted as i64);
                     break;
                 }
             }
         }
-        self.inflight.fetch_sub(1, SeqCst);
+        self.leave();
         accepted
     }
 
@@ -215,16 +172,11 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// The caller must hold a live [`Segment::bind`] on `tid`.
     pub(crate) unsafe fn try_dequeue_bound(&self, tid: usize) -> Option<T> {
         // SAFETY: bound per the function contract.
-        let v = unsafe { self.queue.dequeue_at(tid) };
-        if v.is_some() {
-            self.state.fetch_add(1, SeqCst);
-        }
-        v
+        unsafe { self.queue.dequeue_at(tid) }
     }
 
     /// Batch counterpart of [`Segment::try_dequeue_bound`]: pulls up to `max`
-    /// values with one inner batch dequeue and returns one credit per value
-    /// with a **single** `fetch_add`.
+    /// values with one inner batch dequeue.
     ///
     /// # Safety
     /// The caller must hold a live [`Segment::bind`] on `tid`.
@@ -235,11 +187,7 @@ impl<T, F: CellFamily> Segment<T, F> {
         max: usize,
     ) -> usize {
         // SAFETY: bound per the function contract.
-        let got = unsafe { self.queue.dequeue_many_at(tid, out, max) };
-        if got > 0 {
-            self.state.fetch_add(got as i64, SeqCst);
-        }
-        got
+        unsafe { self.queue.dequeue_many_at(tid, out, max) }
     }
 
     /// One-shot enqueue: bind, operate, unbind.  Used off the hot path (the
@@ -262,16 +210,15 @@ impl<T, F: CellFamily> Segment<T, F> {
         v
     }
 
-    /// Permanently rejects future enqueue credits (idempotent).
+    /// Permanently refuses future enqueue claims (idempotent).
     pub(crate) fn close(&self) {
-        if !self.closed.swap(true, SeqCst) {
-            self.state.fetch_sub(CLOSE_DELTA, SeqCst);
-        }
+        self.inflight.fetch_or(CLOSED, SeqCst);
     }
 
-    /// Number of enqueuers currently inside [`Segment::try_enqueue`].
+    /// Number of enqueuers currently inside [`Segment::try_enqueue_bound`] or
+    /// its batch counterpart.
     pub(crate) fn inflight(&self) -> usize {
-        self.inflight.load(SeqCst)
+        self.inflight.load(SeqCst) & !CLOSED
     }
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
@@ -280,8 +227,6 @@ impl<T, F: CellFamily> Segment<T, F> {
     pub(crate) fn reopen(&self) {
         self.next.store(ptr::null_mut(), SeqCst);
         self.inflight.store(0, SeqCst);
-        self.state.store(self.capacity, SeqCst);
-        self.closed.store(false, SeqCst);
     }
 
     /// Bytes occupied by this segment (struct + inner rings and data array).
@@ -424,6 +369,223 @@ impl<T, F: CellFamily> Drop for SegmentCache<T, F> {
                 // SAFETY: cached segments are exclusively owned by the cache.
                 drop(unsafe { Box::from_raw(seg) });
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+    use wcq_core::wcq::{LlscFamily, NativeFamily};
+
+    fn segment<F: CellFamily>(order: u32, threads: usize) -> Segment<u64, F> {
+        Segment::new(order, threads, WcqConfig::default(), ptr::null(), None)
+    }
+
+    /// Head, tail and threshold of `aq` and `fq`, as the inner queue's
+    /// `Debug` prints them.
+    fn rings<F: CellFamily>(seg: &Segment<u64, F>) -> String {
+        format!("{:?}", seg.queue)
+    }
+
+    /// Fills `seg` to exactly its capacity and sees the next value refused
+    /// (by `fq`'s ⊥: nothing closed the segment), twice — fresh, then drained
+    /// and reopened, as the cache hands it out again.
+    fn takes_exactly_capacity<F: CellFamily>(seg: &Segment<u64, F>) {
+        let cap = seg.queue.capacity() as u64;
+        for round in 0..2 {
+            for v in 0..cap {
+                assert_eq!(seg.try_enqueue(0, v), Ok(()), "round {round}: {v} of {cap}");
+            }
+            assert_eq!(
+                seg.try_enqueue(0, cap),
+                Err(cap),
+                "round {round}: one past full"
+            );
+            for v in 0..cap {
+                assert_eq!(seg.try_dequeue(0), Some(v));
+            }
+            assert_eq!(seg.try_dequeue(0), None);
+            seg.close();
+            seg.reopen();
+        }
+    }
+
+    #[test]
+    fn a_segment_takes_exactly_capacity_native() {
+        takes_exactly_capacity(&segment::<NativeFamily>(3, 1));
+    }
+
+    /// A spurious ⊥ from `fq` would now close a segment early, so the LL/SC
+    /// model runs with store-conditionals failing at random too.
+    #[test]
+    fn a_segment_takes_exactly_capacity_llsc_with_spurious_failures() {
+        struct ResetRate;
+        impl Drop for ResetRate {
+            fn drop(&mut self) {
+                wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+            }
+        }
+        let _reset = ResetRate;
+        for rate in [0.0, 0.3] {
+            wcq_atomics::llsc::set_spurious_failure_rate(rate);
+            for order in 1..=4 {
+                takes_exactly_capacity(&segment::<LlscFamily>(order, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_closed_segment_refuses_without_touching_a_ring() {
+        let seg = segment::<NativeFamily>(3, 1);
+        assert!(seg.bind(0));
+        // SAFETY: bound just above, unbound below; one thread.
+        unsafe {
+            assert_eq!(seg.try_enqueue_bound(0, 1), Ok(()));
+            seg.close();
+            let before = rings(&seg);
+            assert_eq!(seg.try_enqueue_bound(0, 2), Err(2));
+            let mut batch: VecDeque<u64> = (3..6).collect();
+            assert_eq!(seg.try_enqueue_many_bound(0, &mut batch), 0);
+            assert_eq!(batch, [3, 4, 5], "a refused batch keeps every value");
+            assert_eq!(rings(&seg), before, "a refused claim touched a ring");
+            assert_eq!(seg.try_dequeue_bound(0), Some(1), "pre-close values drain");
+            seg.unbind(0);
+        }
+        assert_eq!(seg.inflight(), 0);
+        assert_eq!(
+            seg.inflight.load(SeqCst),
+            CLOSED,
+            "the bit and nothing else"
+        );
+        seg.close();
+        assert_eq!(seg.inflight.load(SeqCst), CLOSED, "closing is idempotent");
+        seg.reopen();
+        assert_eq!(seg.inflight.load(SeqCst), 0);
+        assert_eq!(seg.try_enqueue(0, 7), Ok(()));
+    }
+
+    /// Values each enqueuer of the race below offers.
+    const PER: u64 = 96;
+
+    /// Lets the race below share one segment across threads.
+    struct Shared(Segment<u64, NativeFamily>);
+    // SAFETY: test-only.  Of `Segment<u64, _>`'s fields, the inner queue is
+    // `Sync` (and every thread binds its own record slot), `next` and
+    // `inflight` are atomics, and `cache` — the one raw pointer — is null
+    // here and never dereferenced (nothing is recycled).
+    unsafe impl Sync for Shared {}
+
+    /// One seeded race on a 4-slot segment: two single and one batch
+    /// enqueuer and a closer against one drainer that stops the way the
+    /// queue's head advance does — closed, then `inflight() == 0`, then one
+    /// more empty dequeue.  Returns `(accepted, refused, delivered)`, sorted.
+    fn closing_race(seed: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+        let shared = &Shared(segment(2, 4));
+        let delivered_count = &AtomicU64::new(0);
+        let finished = &AtomicU64::new(0);
+        let close_after = seed * 7 % PER;
+        std::thread::scope(|s| {
+            let enqueuers: Vec<_> = (0..3u64)
+                .map(|who| {
+                    s.spawn(move || {
+                        let (seg, tid) = (&shared.0, who as usize);
+                        let (mut accepted, mut refused) = (Vec::new(), Vec::new());
+                        assert!(seg.bind(tid));
+                        let mut seq = 0;
+                        while seq < PER {
+                            let len = if who == 2 { 1 + (seed + seq) % 5 } else { 1 };
+                            let offered: Vec<u64> =
+                                (seq..(seq + len).min(PER)).map(|i| who << 32 | i).collect();
+                            seq += offered.len() as u64;
+                            let mut run: VecDeque<u64> = offered.iter().copied().collect();
+                            let n = if who == 2 {
+                                // SAFETY: bound above, by this thread only.
+                                unsafe { seg.try_enqueue_many_bound(tid, &mut run) }
+                            } else {
+                                // SAFETY: as above.
+                                usize::from(
+                                    unsafe { seg.try_enqueue_bound(tid, offered[0]) }.is_ok(),
+                                )
+                            };
+                            accepted.extend_from_slice(&offered[..n]);
+                            refused.extend_from_slice(&offered[n..]);
+                            if seq % 8 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                        // SAFETY: pairs with the bind above.
+                        unsafe { seg.unbind(tid) };
+                        finished.fetch_add(1, SeqCst);
+                        (accepted, refused)
+                    })
+                })
+                .collect();
+            s.spawn(move || {
+                while delivered_count.load(SeqCst) < close_after && finished.load(SeqCst) < 3 {
+                    std::hint::spin_loop();
+                }
+                shared.0.close();
+            });
+            let drainer = s.spawn(move || {
+                let seg = &shared.0;
+                let mut got = Vec::new();
+                assert!(seg.bind(3));
+                loop {
+                    // SAFETY: bound above, by this thread only.
+                    if let Some(v) = unsafe { seg.try_dequeue_bound(3) } {
+                        got.push(v);
+                        delivered_count.fetch_add(1, SeqCst);
+                        continue;
+                    }
+                    if seg.inflight.load(SeqCst) & CLOSED == 0 || seg.inflight() != 0 {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    // SAFETY: as above.
+                    match unsafe { seg.try_dequeue_bound(3) } {
+                        Some(v) => got.push(v),
+                        None => break,
+                    }
+                }
+                // SAFETY: pairs with the bind above.
+                unsafe { seg.unbind(3) };
+                got
+            });
+            let (mut accepted, mut refused) = (Vec::new(), Vec::new());
+            for e in enqueuers {
+                let (a, r) = e.join().expect("enqueuer");
+                accepted.extend(a);
+                refused.extend(r);
+            }
+            let mut delivered = drainer.join().expect("drainer");
+            assert_eq!(
+                shared.0.try_dequeue(0),
+                None,
+                "a value landed after the drain"
+            );
+            accepted.sort_unstable();
+            refused.sort_unstable();
+            delivered.sort_unstable();
+            (accepted, refused, delivered)
+        })
+    }
+
+    #[test]
+    fn a_closing_race_delivers_every_accepted_value_exactly_once() {
+        for seed in 1..=12 {
+            let (accepted, refused, delivered) = closing_race(seed);
+            assert_eq!(delivered, accepted, "seed {seed}: lost or duplicated");
+            assert_eq!(
+                accepted.len() + refused.len(),
+                3 * PER as usize,
+                "seed {seed}"
+            );
+            assert!(
+                refused.iter().all(|v| delivered.binary_search(v).is_err()),
+                "seed {seed}: a refused value was delivered"
+            );
         }
     }
 }

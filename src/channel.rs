@@ -20,13 +20,17 @@
 //! * receivers **drain every value sent before the close**, then observe
 //!   [`TryRecvError::Closed`] / [`RecvError`].
 //!
-//! The drain guarantee is exact, not best-effort: a send takes an *in-flight
-//! credit* before checking the closed flag (mirroring the pre-close enqueue
-//! credit wLSCQ segments use), and a receiver only concludes `Closed` after
-//! it observes `closed && in-flight == 0` *and* one final empty dequeue — so
-//! every enqueue that passed the closed check is visible to some receiver's
-//! final drain, and bounded-memory reclamation (Theorem 5.8) keeps running
-//! unchanged underneath.
+//! The drain guarantee is exact, not best-effort.  The close state is one
+//! word: the number of sends in flight plus a closed top bit (the idiom wLSCQ
+//! segments close with).  A send takes its *in-flight credit* with a
+//! `fetch_add` whose pre-value also tells it whether the channel is closed;
+//! `close()` is a `fetch_or` of the bit, so every send is ordered either
+//! before the close (and counted until its enqueue has landed) or after it
+//! (and refused).  A receiver only concludes `Closed` after it reads the bit
+//! set with a zero count *and* one final empty dequeue — so every enqueue that
+//! passed the closed check is visible to some receiver's final drain, and
+//! bounded-memory reclamation (Theorem 5.8) keeps running unchanged
+//! underneath.
 //!
 //! # Threading model
 //!
@@ -65,7 +69,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,6 +86,10 @@ pub use wcq_core::channel::{
 // Shared channel state
 // --------------------------------------------------------------------------
 
+/// The closed bit of [`ChannelCore`]'s `inflight` word: set once by the first
+/// close, never cleared.  The count below it is bounded by the live sends.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
 /// State shared by every endpoint of one channel.
 ///
 /// The `I` parameter is the compile-time instrumentation strategy (see
@@ -92,16 +100,14 @@ pub(crate) struct ChannelCore<T: Send + 'static, I: Instrument = NoopInstrument>
     queue: Box<dyn WaitFreeQueue<T>>,
     /// Compile-time telemetry strategy shared by every endpoint.
     instrument: I,
-    /// Set once by the first close; never cleared.
-    closed: AtomicBool,
     /// Live `Sender` + `AsyncSender` endpoints; last drop closes the channel.
     senders: AtomicUsize,
     /// Live `Receiver` + `AsyncReceiver` endpoints; last drop closes too, so
     /// senders into an abandoned channel fail instead of filling it forever.
     receivers: AtomicUsize,
     /// Sends that have taken their pre-close credit but not yet completed
-    /// (see [`ChannelCore::try_send`]): a receiver only concludes `Closed`
-    /// once this is zero.
+    /// (see [`ChannelCore::try_send`]), plus the [`CLOSED`] bit: a receiver
+    /// only concludes `Closed` once it reads the bit with a zero count.
     inflight: AtomicUsize,
     /// Parked receivers: one is woken per successful send, all on close.
     recv_side: WakeSide<I>,
@@ -117,19 +123,19 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
     }
 
     pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(SeqCst)
+        self.inflight.load(SeqCst) & CLOSED != 0
     }
 
     /// Number of sends currently holding a pre-close in-flight credit (see
     /// [`ChannelCore::try_send`]).  Checker introspection only.
     pub(crate) fn inflight_credits(&self) -> usize {
-        self.inflight.load(SeqCst)
+        self.inflight.load(SeqCst) & !CLOSED
     }
 
-    /// Sets the closed flag and wakes everyone.  Returns `true` for the call
+    /// Sets the closed bit and wakes everyone.  Returns `true` for the call
     /// that actually performed the transition.
     pub(crate) fn close(&self) -> bool {
-        let transitioned = !self.closed.swap(true, SeqCst);
+        let transitioned = self.inflight.fetch_or(CLOSED, SeqCst) & CLOSED == 0;
         if transitioned {
             self.instrument.record(Counter::ChannelCloses, 1);
             self.recv_side.wake_all();
@@ -145,12 +151,11 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         handle: &mut dyn QueueHandle<T>,
         value: T,
     ) -> Result<(), TrySendError<T>> {
-        // Credit first, closed check second: a receiver reads the flags in
-        // the opposite order (`closed` then `inflight`), so under the SeqCst
-        // total order it either sees our credit and waits for us, or we see
-        // the closed flag and fail without enqueuing.
-        self.inflight.fetch_add(1, SeqCst);
-        if self.closed.load(SeqCst) {
+        // The credit and the closed check are one RMW on one word: ordered
+        // before the close's `fetch_or`, our credit is counted until the
+        // `fetch_sub` below (so a receiver waits for us); ordered after it,
+        // we see the bit and fail without enqueuing.
+        if self.inflight.fetch_add(1, SeqCst) & CLOSED != 0 {
             self.inflight.fetch_sub(1, SeqCst);
             // A parked receiver may be waiting for exactly this credit to
             // clear before it can conclude `Closed`.
@@ -158,14 +163,13 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
             return Err(TrySendError::Closed(value));
         }
         let outcome = handle.try_enqueue(value);
-        self.inflight.fetch_sub(1, SeqCst);
         // If a close raced in while our credit was held, every parked
         // receiver may be blocked on exactly this credit clearing (they
         // re-park on `closed && inflight != 0`), and no later send will come
         // to wake them — broadcast, whatever the enqueue outcome.  A lone
         // `notify_one` here would hand the last pre-close value to one
         // receiver and strand the rest on a closed, drained channel.
-        let closed_during = self.closed.load(SeqCst);
+        let closed_during = self.inflight.fetch_sub(1, SeqCst) & CLOSED != 0;
         match outcome {
             Ok(()) => {
                 if closed_during {
@@ -201,15 +205,13 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         handle: &mut dyn QueueHandle<T>,
         values: &mut Vec<T>,
     ) -> Result<usize, SendError<()>> {
-        self.inflight.fetch_add(1, SeqCst);
-        if self.closed.load(SeqCst) {
+        if self.inflight.fetch_add(1, SeqCst) & CLOSED != 0 {
             self.inflight.fetch_sub(1, SeqCst);
             self.recv_side.wake_all();
             return Err(SendError(()));
         }
         let accepted = handle.enqueue_many(values);
-        self.inflight.fetch_sub(1, SeqCst);
-        if self.closed.load(SeqCst) {
+        if self.inflight.fetch_sub(1, SeqCst) & CLOSED != 0 {
             // See `try_send`: parked receivers re-park on `closed &&
             // inflight != 0`, and no later send will wake them.
             self.recv_side.wake_all();
@@ -229,8 +231,9 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
             self.send_side.wake_one();
             return Ok(value);
         }
-        if self.closed.load(SeqCst) {
-            if self.inflight.load(SeqCst) != 0 {
+        let state = self.inflight.load(SeqCst);
+        if state & CLOSED != 0 {
+            if state != CLOSED {
                 // A pre-close send is still completing; its value must not be
                 // missed, so this is still `Empty`, not `Closed`.
                 return Err(TryRecvError::Empty);
@@ -269,8 +272,9 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
             }
             return Ok(got);
         }
-        if self.closed.load(SeqCst) {
-            if self.inflight.load(SeqCst) != 0 {
+        let state = self.inflight.load(SeqCst);
+        if state & CLOSED != 0 {
+            if state != CLOSED {
                 return Err(TryRecvError::Empty);
             }
             return match handle.dequeue_into(out, max) {
@@ -304,7 +308,7 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for ChannelCore<T, I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelCore")
             .field("backend", &self.queue.name())
-            .field("closed", &self.closed)
+            .field("closed", &self.is_closed())
             .field("senders", &self.senders)
             .field("receivers", &self.receivers)
             .finish()
@@ -877,7 +881,6 @@ pub(crate) fn channel_over_instrumented<T: Send + 'static, I: Instrument>(
 ) -> (Sender<T, I>, Receiver<T, I>) {
     let core = Arc::new(ChannelCore {
         queue,
-        closed: AtomicBool::new(false),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
         inflight: AtomicUsize::new(0),
@@ -968,6 +971,33 @@ mod tests {
         assert_eq!(tx.send(3), Err(SendError(3)));
         assert_eq!(rx.recv(), Ok(1), "pre-close value still drains");
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    /// `close` is one `fetch_or` on the in-flight word: among racing calls
+    /// exactly one sees the bit clear, and the credit count read beside it
+    /// never includes the bit.
+    #[test]
+    fn racing_closes_transition_once_and_never_show_the_bit() {
+        for _ in 0..32 {
+            let (tx, rx) = unbounded_pair();
+            let transitions = &AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    let (mut tx, mut rx) = (tx.clone(), rx.clone());
+                    s.spawn(move || {
+                        let _ = tx.try_send(1);
+                        let wins = usize::from(tx.close()) + usize::from(rx.close());
+                        transitions.fetch_add(wins, SeqCst);
+                        assert!(rx.debug_inflight_credits() <= 2, "the bit leaked");
+                        assert_eq!(tx.try_send(2), Err(TrySendError::Closed(2)));
+                        let _ = rx.try_recv();
+                    });
+                }
+            });
+            assert_eq!(transitions.load(SeqCst), 1, "exactly one close transitions");
+            assert!(tx.is_closed() && rx.is_closed());
+            assert_eq!(rx.debug_inflight_credits(), 0);
+        }
     }
 
     #[test]
