@@ -648,7 +648,7 @@ fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String
         let mut dequeues = 0;
         for _ in 0..OPS {
             // Enqueue-heavy, so the backlog soon spans segments and the
-            // handle's memoized binding keeps moving between tail and head.
+            // handle's segment memo keeps moving between tail and head.
             if w.rng.borrow_mut().chance(0.6) {
                 w.enqueue(&mut a, 0);
                 continue;

@@ -149,17 +149,17 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     }
 
     // ------------------------------------------------------------------
-    // Raw registration split: slot acquisition and tid-keyed operations
-    // without a borrowing handle.  `wcq-unbounded` builds its memoized
-    // per-segment binding on these (a handle would be self-referential
-    // through the hazard-protected segment pointer).
+    // Tid-keyed operations without a borrowing handle.  `wcq-unbounded`
+    // runs its segments on these under its hazard-domain participant id (a
+    // handle would be self-referential through the hazard-protected segment
+    // pointer).
     // ------------------------------------------------------------------
 
-    /// Claims record slot `tid` of *both* rings with one CAS each, without
-    /// constructing a handle.  Returns `false` when the slot is taken or out
-    /// of range.  A successful acquisition must be paired with
-    /// [`WcqQueue::release_slot`].
-    pub fn try_acquire_slot(&self, tid: usize) -> bool {
+    /// Claims record slot `tid` of *both* rings with one CAS each: the
+    /// registration a [`WcqQueueHandle`] holds.  Returns `false` when the
+    /// slot is taken or out of range.  A successful acquisition must be
+    /// paired with [`WcqQueue::release_slot`].
+    fn try_acquire_slot(&self, tid: usize) -> bool {
         if tid >= self.max_threads() || !self.aq.try_acquire_record(tid) {
             return false;
         }
@@ -176,7 +176,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// The caller must currently own slot `tid` (i.e. this release pairs with
     /// exactly one successful `try_acquire_slot`) and must not use the slot
     /// afterwards.
-    pub unsafe fn release_slot(&self, tid: usize) {
+    unsafe fn release_slot(&self, tid: usize) {
         self.aq.release_record(tid);
         self.fq.release_record(tid);
         // relaxed: probe-start hint only (see `register`); the record release
@@ -189,8 +189,16 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// Figure 2).
     ///
     /// # Safety
-    /// The caller must own slot `tid` via [`WcqQueue::try_acquire_slot`] and
-    /// no other thread may operate under the same `tid` concurrently.
+    /// `tid` must be exclusive to the caller: below `max_threads`, no other
+    /// thread operating on this queue as `tid` concurrently, and every
+    /// earlier user of `tid` ordered before this call (Figure 4's per-thread
+    /// cursor is owner-private).  There are two ways to own one:
+    /// * a registered [`WcqQueueHandle`], whose slot claim and release order
+    ///   successive owners;
+    /// * a registration kept outside this queue that never mixes with
+    ///   handles on it — `wcq-unbounded` keys a segment's records by its
+    ///   hazard-domain participant id, whose release/acquire orders
+    ///   successive owners.
     pub unsafe fn enqueue_at(&self, tid: usize, value: T) -> Result<(), T> {
         let Some(index) = self.fq.dequeue_index(tid) else {
             return Err(value);

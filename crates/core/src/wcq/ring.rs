@@ -182,21 +182,17 @@ impl<F: CellFamily> WcqRing<F> {
     /// Registers the calling thread at a *specific* thread-record slot, or
     /// `None` when `tid` is out of range or the slot is already taken.
     ///
-    /// Callers that already own a stable per-thread index (e.g. a hazard
-    /// domain participant id) can use this to acquire a record with a single
-    /// CAS instead of scanning.  The unbounded queue's segments build on the
-    /// same slot-acquisition mechanism (via `WcqQueue::try_acquire_slot`),
-    /// holding one persistent binding per handle and re-acquiring only when
-    /// the handle crosses to a different segment.
+    /// Callers that already own a stable per-thread index (e.g. a thread's
+    /// memoized tid) can use this to acquire a record with a single CAS
+    /// instead of scanning.
     pub fn register_at(&self, tid: usize) -> Option<WcqHandle<'_, F>> {
         self.try_acquire_record(tid)
             .then(|| WcqHandle { ring: self, tid })
     }
 
     /// Claims the thread-record slot `tid` with a single CAS, without
-    /// constructing a handle.  The raw half of the registration split:
-    /// [`super::WcqQueue`] builds its combined-slot acquisition (and the
-    /// unbounded queue its memoized segment binding) on top of this.
+    /// constructing a handle.  [`super::WcqQueue`] builds its combined-slot
+    /// acquisition on top of this.
     pub(crate) fn try_acquire_record(&self, tid: usize) -> bool {
         self.slow
             .slots_taken
@@ -240,10 +236,12 @@ impl<F: CellFamily> WcqRing<F> {
         // relaxed: `next_check` / `next_tid` are the owner-private cursor of
         // Figure 4 — only the thread holding record `my_tid` ever reads or
         // writes them (helpers inspect the shared fields only), so there is
-        // no second thread to order against.  A later owner of the slot is
-        // ordered after this one by the slot hand-off itself (the `SeqCst`
-        // store in `release_record`, the `SeqCst` CAS in
-        // `try_acquire_record`).
+        // no second thread to order against.  A later owner of the record is
+        // ordered after this one by its hand-off: for a handle, the slot's
+        // (the `SeqCst` store in `release_record`, the `SeqCst` CAS in
+        // `try_acquire_record`); for a segment of the unbounded queue, which
+        // claims no slot, the hazard domain's release/acquire of the
+        // participant id that keys the record.
         let remaining = rec.next_check.load(Relaxed);
         if remaining > 1 {
             // relaxed: owner-private cursor, see above.

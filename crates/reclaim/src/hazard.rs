@@ -95,6 +95,7 @@ impl std::fmt::Debug for HazardDomain {
         f.debug_struct("HazardDomain")
             .field("max_threads", &self.in_use.len())
             .field("hazards_per_thread", &self.hazards_per_thread)
+            // relaxed: statistics for display; the counts publish nothing.
             .field("retired", &self.retired_count.load(Ordering::Relaxed))
             .field("reclaimed", &self.reclaimed_count.load(Ordering::Relaxed))
             .finish()
@@ -152,11 +153,14 @@ impl HazardDomain {
 
     /// Total nodes retired so far (statistics for the memory benchmark).
     pub fn retired_total(&self) -> usize {
+        // relaxed: a statistic; the count publishes nothing (a retired node
+        // travels in its retirer's own buffer).
         self.retired_count.load(Ordering::Relaxed)
     }
 
     /// Total nodes reclaimed (freed) so far.
     pub fn reclaimed_total(&self) -> usize {
+        // relaxed: a statistic, as in `retired_total`.
         self.reclaimed_count.load(Ordering::Relaxed)
     }
 
@@ -170,10 +174,14 @@ impl HazardDomain {
     /// taken.
     pub fn register(&self) -> Option<HazardHandle<'_>> {
         let n = self.in_use.len();
+        // relaxed: probe-start hint only — a stale read starts the scan at
+        // another slot and walks the same full circle; the `in_use` claim
+        // carries the synchronization.
         let start = self.reg_hint.load(Ordering::Relaxed).min(n - 1);
         (0..n).find_map(|i| {
             let tid = (start + i) % n;
             let handle = self.register_at(tid)?;
+            // relaxed: hint update, ordering-free by the same argument.
             self.reg_hint.store((tid + 1) % n, Ordering::Relaxed);
             Some(handle)
         })
@@ -185,6 +193,12 @@ impl HazardDomain {
     /// thread-local tid memo) use this for O(1) re-registration.
     pub fn register_at(&self, tid: usize) -> Option<HazardHandle<'_>> {
         let flag = self.in_use.get(tid)?;
+        // Success acquires the previous owner's release in `Drop`, ordering
+        // this owner of the id after everything that one did under it:
+        // hazard slots, and the segment thread records the unbounded queue
+        // keys by the id.
+        // relaxed: the failure ordering — a failed claim creates no handle
+        // and reads nothing the owner wrote.
         flag.compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
             .ok()?;
         Some(HazardHandle {
@@ -222,6 +236,7 @@ impl HazardDomain {
                 kept.push(node);
             } else {
                 node.reclaim();
+                // relaxed: a statistic, as in `retired_total`.
                 self.reclaimed_count.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -236,6 +251,7 @@ impl Drop for HazardDomain {
         let mut orphans = self.orphans.lock().unwrap();
         for node in orphans.drain(..) {
             node.reclaim();
+            // relaxed: a statistic, as in `retired_total`.
             self.reclaimed_count.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -341,6 +357,7 @@ impl<'d> HazardHandle<'d> {
     }
 
     fn push_retired(&mut self, node: Retired) {
+        // relaxed: a statistic, as in `HazardDomain::retired_total`.
         self.domain.retired_count.fetch_add(1, Ordering::Relaxed);
         self.retired.push(node);
         if self.retired.len() >= self.domain.scan_threshold {
@@ -369,7 +386,9 @@ impl<'d> Drop for HazardHandle<'d> {
             let mut orphans = self.domain.orphans.lock().unwrap();
             orphans.append(&mut self.retired);
         }
+        // The release the next owner's claim in `register_at` acquires.
         self.domain.in_use[self.tid].store(false, Ordering::Release);
+        // relaxed: probe-start hint only (see `HazardDomain::register`).
         self.domain.reg_hint.store(self.tid, Ordering::Relaxed);
     }
 }

@@ -17,8 +17,12 @@
 //!            SegmentCache ────────────────────┘  (bounded reuse free-list)
 //! ```
 //!
-//! * Every segment is a bounded, wait-free [`wcq_core::wcq::WcqQueue`];
-//!   operations inside a segment inherit its wait-freedom and bounded memory.
+//! * Every segment is a bounded, wait-free [`wcq_core::wcq::WcqQueue`], and
+//!   inner operations inherit its wait-freedom and bounded memory.  The
+//!   queue as a whole does not: a dequeuer crossing to the next segment waits
+//!   (in `dequeue_crossing`) for enqueuers that claimed the drained one
+//!   before it closed, so one preempted enqueuer stalls every dequeuer there
+//!   — blocking, not lock-free (ROADMAP item 3 is the fix).
 //! * When the tail segment fills up — its free-index ring says so — it is
 //!   **closed** (one bit on the segment's in-flight word, as LCRQ closes a
 //!   ring) and a fresh segment — pre-loaded with the element that triggered

@@ -1,6 +1,7 @@
 //! The unbounded queue: a Michael–Scott-style outer list of wCQ segments.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::ptr;
 use std::sync::atomic::{
     AtomicPtr, AtomicU64, AtomicUsize,
@@ -46,15 +47,19 @@ impl SegmentStats {
 /// segments linked into a Michael–Scott-style outer list (the paper's LSCQ
 /// construction, §2.3, with wCQ rings — "wLSCQ").
 ///
-/// * **Within a segment** every operation is wait-free (the wCQ guarantee).
+/// * **Within a segment** every inner ring operation is wait-free (the wCQ
+///   guarantee).
 /// * **Across segments** appending and retiring uses the MS-queue CAS
 ///   discipline (lock-free: some thread always makes progress, an individual
-///   append can be delayed).  Additionally, a dequeuer advancing the head
-///   past a drained segment first waits for enqueuers that claimed the
-///   segment before it closed; that wait is bounded by one inner
-///   *wait-free* enqueue per straggler, so it is finite whenever the
-///   stragglers are scheduled, but it is not a lock-free step — the same
-///   trade LSCQ makes when the ring cannot atomically reject late enqueuers.
+///   append can be delayed).
+/// * **Advancing the head is blocking.**  A dequeuer that finds the head
+///   segment drained and closed first waits, in `dequeue_crossing`, for
+///   every enqueuer that claimed the segment before it closed to make its
+///   `aq` deposit.  So an enqueuer preempted between its in-flight claim and
+///   its deposit stalls every dequeuer at that boundary: not wait-free, not
+///   even lock-free.  LSCQ and LCRQ do not pay this: they close a ring on its
+///   tail, so a late enqueue fails inside its own F&A and nobody waits.
+///   ROADMAP item 3 is the fix.
 /// * **Memory usage** is bounded by the traffic's actual backlog: drained
 ///   segments are retired through a [`HazardDomain`] and recycled via a
 ///   bounded segment cache, so steady-state operation performs no
@@ -274,11 +279,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         self.segments_allocated.load(SeqCst)
     }
 
-    /// Segments recycled through the cache so far.
-    pub fn segments_recycled(&self) -> usize {
-        self.cache.recycled_total()
-    }
-
     /// Bytes currently held: the queue header, what it owns on the heap
     /// beside the segments (hazard domain arrays, the boxed segment cache,
     /// the length-hint words) and every resident segment (live, cached or
@@ -321,9 +321,9 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             )))
         });
         self.segments_live.fetch_add(1, SeqCst);
-        // SAFETY: unpublished, exclusively owned by this thread.
-        let seg_ref = unsafe { &*seg };
-        if seg_ref.try_enqueue(tid, value).is_err() {
+        // SAFETY: unpublished, exclusively owned by this thread, so it is
+        // the segment's only user under any `tid`.
+        if unsafe { (*seg).try_enqueue(tid, value) }.is_err() {
             unreachable!("a fresh segment must accept its first element");
         }
         (seg, from_cache)
@@ -332,10 +332,9 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
     /// Takes back the pre-loaded value from an unpublished segment (another
     /// thread won the append race) and parks the segment in the cache.
     fn abandon_fresh(&self, tid: usize, seg: *mut Segment<T, F>) -> T {
-        // SAFETY: unpublished, exclusively owned by this thread.
-        let seg_ref = unsafe { &*seg };
-        let value = seg_ref
-            .try_dequeue(tid)
+        // SAFETY: unpublished, exclusively owned by this thread, so it is
+        // the segment's only user under any `tid`.
+        let value = unsafe { (*seg).try_dequeue(tid) }
             .expect("unpublished segment holds exactly the pre-loaded element");
         self.segments_live.fetch_sub(1, SeqCst);
         // SAFETY: still exclusively owned; never linked, so no hazard can
@@ -400,21 +399,19 @@ impl NetCount {
 
 /// A per-thread handle to an [`UnboundedWcq`].
 ///
-/// The handle owns one hazard-domain participant slot; its participant id
-/// doubles as the thread-record index inside every segment, so binding to a
-/// segment is a single CAS per ring.
+/// The handle's one registration is its hazard-domain participant id, which
+/// doubles as the thread-record index it operates under inside every
+/// segment.  No record slot is claimed per segment: the id is already
+/// exclusive to this handle, and the domain's release/acquire of the id
+/// orders each owner of a record after the previous one.
 ///
-/// The handle additionally **memoizes the last segment it touched**: the
-/// segment stays bound (record slots held, hazard slot 1 pinning it) between
-/// operations, so the common stay-in-one-segment case skips the per-operation
-/// acquire/release round trip entirely — two CASes and two releases per ring
-/// amortize to zero (the ROADMAP's "cheaper per-operation segment binding")
-/// — and so does hazard protection: while `head`/`tail` still reads equal to
-/// the bound segment, an operation runs under slot 1 alone and writes no
+/// The handle additionally **memoizes the last segment it touched** in hazard
+/// slot 1, which pins it between operations: while `head`/`tail` still reads
+/// equal to the memo, an operation runs under slot 1 alone and writes no
 /// hazard slot at all (see `pin`).
-/// A bound segment cannot be recycled until the handle rebinds or drops, so
-/// at most one extra segment per registered handle can linger in the retired
-/// state — the memory bound stays O(backlog + threads).
+/// A memoized segment cannot be recycled until the handle moves on or drops,
+/// so at most one extra segment per registered handle can linger in the
+/// retired state — the memory bound stays O(backlog + threads).
 ///
 /// Handles are `!Send` (they hold the raw memoized segment pointer and the
 /// thread-local tid memo assumes thread affinity):
@@ -430,8 +427,8 @@ impl NetCount {
 pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q UnboundedWcq<T, F>,
     hp: HazardHandle<'q>,
-    /// The memoized segment this handle is currently bound to (null when
-    /// unbound).  Kept alive by hazard slot 1 for as long as it is set.
+    /// The memoized segment (null when there is none), kept alive by hazard
+    /// slot 1 for as long as it is set.
     bound: *mut Segment<T, F>,
     /// `true` while hazard slot 0 holds a segment for the operation in flight:
     /// set by [`Self::pin`] on a memo miss, cleared by [`Self::unpin`].
@@ -439,8 +436,8 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// How many times [`Self::pin`] missed the memo and took hazard slot 0
     /// (statistics; lets tests assert which path an operation ran).
     pins: u64,
-    /// How many times the memo missed and the binding moved to a different
-    /// segment (statistics; lets tests assert the memo actually hits).
+    /// How many times the memo moved to a different segment (statistics;
+    /// lets tests assert the memo actually hits).
     rebinds: u64,
     /// Plain per-handle completion/batch tallies, flushed into the queue's
     /// counter set (when attached) once, on drop — no shared-cache-line
@@ -450,6 +447,10 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     batch_values_requested: u64,
     batch_values_granted: u64,
 }
+
+/// A dequeue's head segment found drained with a successor: the segment and
+/// that successor.
+type Crossing<T, F> = (*mut Segment<T, F>, *mut Segment<T, F>);
 
 impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// The stable per-thread index of this handle.
@@ -465,13 +466,14 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// Returns the segment `src` (the outer `head` or `tail`) points at, safe
     /// to dereference until [`Self::unpin`].
     ///
-    /// **Memo hit** — `src` reads equal to the bound segment: hazard slot 1
-    /// has pinned that segment ever since [`Self::rebind`] moved onto it under
-    /// a validated slot-0 protection, so it cannot have been reclaimed (nor,
-    /// therefore, recycled and re-linked: the equality is not an ABA), and
-    /// the one load is the same "`src` pointed here at some instant during the
-    /// operation" a validated protect establishes.  No hazard slot is
-    /// written.  (`src` is never null, so an unbound handle always misses.)
+    /// **Memo hit** — `src` reads equal to the memoized segment: hazard slot
+    /// 1 has pinned that segment ever since [`Self::rebind`] moved onto it
+    /// under a validated slot-0 protection, so it cannot have been reclaimed
+    /// (nor, therefore, recycled and re-linked: the equality is not an ABA),
+    /// and the one load is the same "`src` pointed here at some instant
+    /// during the operation" a validated protect establishes.  No hazard slot
+    /// is written.  (`src` is never null, so a handle without a memo always
+    /// misses.)
     ///
     /// **Memo miss** — a segment crossing, a lagging tail, a head advance, a
     /// fresh handle: Michael's publish-and-revalidate on slot 0, as before.
@@ -507,12 +509,12 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         }
     }
 
-    /// Points the memoized binding at `seg`, releasing the previous one.
+    /// Moves the memo onto `seg`: hazard slot 1 now pins it.
     ///
     /// # Safety
     /// `seg` must come from [`Self::pin`] in the current operation: either it
-    /// is already the bound segment, or hazard slot 0 protects it (so it
-    /// cannot be reclaimed while hazard slot 1 moves onto it).
+    /// is already the memo, or hazard slot 0 protects it (so it cannot be
+    /// reclaimed while hazard slot 1 moves onto it).
     unsafe fn rebind(&mut self, seg: *mut Segment<T, F>) {
         if self.bound == seg {
             return;
@@ -521,23 +523,37 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             self.slot0_held,
             "a segment crossing must run under hazard slot 0"
         );
-        self.unbind();
         self.hp.protect_raw(1, seg);
-        // SAFETY: protected via slot 0 per the function contract.
-        let bound = unsafe { (*seg).bind(self.hp.tid()) };
-        debug_assert!(bound, "the outer tid is exclusive to this handle");
         self.bound = seg;
         self.rebinds += 1;
     }
 
-    /// Releases the memoized binding, if any.
+    /// Drops the memo, clearing hazard slot 1.
     fn unbind(&mut self) {
         if !self.bound.is_null() {
-            // SAFETY: hazard slot 1 kept the segment alive since `rebind`,
-            // and the bind it pairs with was taken there.
-            unsafe { (*self.bound).unbind(self.hp.tid()) };
             self.bound = ptr::null_mut();
             self.hp.clear_one(1);
+        }
+    }
+
+    /// Pins the tail segment and moves the memo onto it, first swinging a
+    /// lagging outer tail (one whose segment already has a successor)
+    /// forward, as in MSQueue.  The segment returned had no successor when
+    /// pinned, and is safe to dereference until [`Self::unpin`].
+    #[inline(always)]
+    fn pin_tail(&mut self) -> *mut Segment<T, F> {
+        let tail = &self.queue.tail;
+        loop {
+            let tailp = self.pin(tail);
+            // SAFETY: pinned; segments are retired only after becoming
+            // unreachable and unprotected.
+            let next = unsafe { (*tailp).next.load(SeqCst) };
+            if next.is_null() {
+                // SAFETY: `tailp` comes from `pin` in this operation.
+                unsafe { self.rebind(tailp) };
+                return tailp;
+            }
+            let _ = tail.compare_exchange(tailp, next, SeqCst, SeqCst);
         }
     }
 
@@ -549,28 +565,16 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     }
 
     /// [`Self::enqueue`] up to, not including, the closing [`Self::unpin`].
-    fn enqueue_pinned(&mut self, value: T) {
+    fn enqueue_pinned(&mut self, mut value: T) {
         let queue = self.queue;
         let tid = self.hp.tid();
-        let mut value = value;
         loop {
-            let tailp = self.pin(&queue.tail);
-            // SAFETY: pinned; segments are retired only after becoming
-            // unreachable and unprotected.
+            let tailp = self.pin_tail();
+            // SAFETY: pinned by `pin_tail`.
             let seg = unsafe { &*tailp };
-            let next = seg.next.load(SeqCst);
-            if !next.is_null() {
-                // Help swing the lagging outer tail, as in MSQueue.
-                let _ = queue.tail.compare_exchange(tailp, next, SeqCst, SeqCst);
-                continue;
-            }
-            // SAFETY: `tailp` comes from `pin` (rebind contract), and the
-            // bound op runs under the binding established here.
-            let attempt = unsafe {
-                self.rebind(tailp);
-                seg.try_enqueue_bound(tid, value)
-            };
-            match attempt {
+            // SAFETY: `tid` is this handle's participant id, which no other
+            // thread holds while the handle lives.
+            match unsafe { seg.try_enqueue(tid, value) } {
                 Ok(()) => break,
                 Err(back) => {
                     value = back;
@@ -606,56 +610,123 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
 
     /// Dequeues an element; `None` when the whole queue was observed empty.
     pub fn dequeue(&mut self) -> Option<T> {
-        let value = self.dequeue_pinned();
+        let tid = self.hp.tid();
+        // SAFETY: `tid` is this handle's participant id, which no other
+        // thread holds while the handle lives.
+        let value = self.dequeue_pinned(|seg| unsafe { seg.try_dequeue(tid) });
+        if value.is_some() {
+            self.queue.note_dequeued(tid, 1);
+            self.dequeues_completed += 1;
+        }
         self.unpin();
         value
     }
 
-    /// [`Self::dequeue`] up to, not including, the closing [`Self::unpin`].
-    fn dequeue_pinned(&mut self) -> Option<T> {
-        let queue = self.queue;
+    /// Dequeues up to `max` elements into `out` with one head protection,
+    /// memo check, and `len_hint` update per call.  Returns the number
+    /// appended; `0` means the whole queue was observed empty.
+    ///
+    /// A call never straddles a segment boundary: the first segment that
+    /// yields anything ends the call, so fewer than `max` elements returned
+    /// does **not** imply the queue is empty.
+    pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        self.batch_values_requested += max as u64;
         let tid = self.hp.tid();
+        let got = self
+            .dequeue_pinned(|seg| {
+                // SAFETY: as in `dequeue`.
+                NonZeroUsize::new(unsafe { seg.try_dequeue_many(tid, out, max) })
+            })
+            .map_or(0, NonZeroUsize::get);
+        if got > 0 {
+            self.queue.note_dequeued(tid, got as u64);
+            self.dequeues_completed += got as u64;
+            self.batch_values_granted += got as u64;
+        }
+        self.unpin();
+        got
+    }
+
+    /// [`Self::dequeue`] and [`Self::dequeue_many`] up to, not including,
+    /// the closing [`Self::unpin`]: `take` is one inner dequeue, `None` when
+    /// it finds the segment empty.  One attempt on the head segment is the
+    /// whole operation unless the head is drained and has a successor; that
+    /// crossing is [`Self::dequeue_crossing`]'s, out of line.
+    fn dequeue_pinned<R>(
+        &mut self,
+        mut take: impl FnMut(&Segment<T, F>) -> Option<R>,
+    ) -> Option<R> {
+        match self.head_attempt(&mut take) {
+            Ok(got) => got,
+            Err((headp, next)) => self.dequeue_crossing(headp, next, take),
+        }
+    }
+
+    /// Pins the head segment, moves the memo onto it and `take`s once.
+    /// `Ok` is the operation's answer — a `None` there means the head had no
+    /// successor, so the queue was empty at the inner dequeue's
+    /// linearization point.  `Err` is a drained head with a successor.
+    #[inline(always)]
+    fn head_attempt<R>(
+        &mut self,
+        take: &mut impl FnMut(&Segment<T, F>) -> Option<R>,
+    ) -> Result<Option<R>, Crossing<T, F>> {
+        let headp = self.pin(&self.queue.head);
+        // SAFETY: `headp` comes from `pin` in this operation.
+        let seg = unsafe {
+            self.rebind(headp);
+            &*headp
+        };
+        if let Some(got) = take(seg) {
+            return Ok(Some(got));
+        }
+        let next = seg.next.load(SeqCst);
+        if next.is_null() {
+            return Ok(None);
+        }
+        Err((headp, next))
+    }
+
+    /// The rest of a dequeue whose pinned head segment `headp` was found
+    /// drained with the successor `next`, so closed: wait out the enqueuers
+    /// that claimed it before the close, re-check that it is empty — after
+    /// that it is permanently empty — advance the head past it, and retry on
+    /// the new head.
+    ///
+    /// The wait is blocking, not lock-free: an enqueuer preempted between its
+    /// in-flight claim and its `aq` deposit stalls every dequeuer here
+    /// (ROADMAP item 3).
+    #[cold]
+    #[inline(never)]
+    fn dequeue_crossing<R>(
+        &mut self,
+        mut headp: *mut Segment<T, F>,
+        mut next: *mut Segment<T, F>,
+        mut take: impl FnMut(&Segment<T, F>) -> Option<R>,
+    ) -> Option<R> {
         let mut backoff = Backoff::new();
         loop {
-            let headp = self.pin(&queue.head);
-            // SAFETY: pinned; the bound ops below run under the binding
-            // established by `rebind`.
-            let seg = unsafe {
-                self.rebind(headp);
-                &*headp
-            };
-            // SAFETY: bound just above.
-            let mut got = unsafe { seg.try_dequeue_bound(tid) };
-            if got.is_none() {
-                let next = seg.next.load(SeqCst);
-                if next.is_null() {
-                    // Empty head segment with no successor: the queue was
-                    // empty at the inner dequeue's linearization point.
-                    return None;
-                }
-                // The segment is closed (it has a successor).  Before
-                // advancing, wait out enqueuers that claimed it pre-close,
-                // then re-check emptiness: after that, the segment is
-                // permanently empty.
-                if seg.inflight() != 0 {
-                    // Bounded exponential backoff, then yield: the straggler
-                    // completes a *wait-free* inner enqueue as soon as it
-                    // gets CPU, so giving it the core beats burning ours.
-                    backoff.snooze_or_yield();
-                    continue;
-                }
-                // SAFETY: still bound to `headp`.
-                got = unsafe { seg.try_dequeue_bound(tid) };
-                if got.is_none() {
-                    // SAFETY: `headp` is pinned, drained and closed, and
-                    // `next` is its successor.
-                    unsafe { self.advance_head(headp, next) };
-                    continue;
-                }
+            // SAFETY: pinned and memoized by the attempt that found it.
+            let seg = unsafe { &*headp };
+            if seg.inflight() != 0 {
+                // Bounded exponential backoff, then yield: the straggler
+                // completes a *wait-free* inner enqueue as soon as it gets
+                // CPU, so giving it the core beats burning ours.
+                backoff.snooze_or_yield();
+            } else if let Some(got) = take(seg) {
+                return Some(got);
+            } else {
+                // SAFETY: `headp` is pinned, drained and closed, and `next`
+                // is its successor.
+                unsafe { self.advance_head(headp, next) };
             }
-            queue.note_dequeued(tid, 1);
-            self.dequeues_completed += 1;
-            return got;
+            match self.head_attempt(&mut take) {
+                Ok(got) => return got,
+                Err(crossing) => (headp, next) = crossing,
+            }
         }
     }
 
@@ -663,9 +734,9 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// this thread wins the swing, retires `headp`.
     ///
     /// # Safety
-    /// `headp` must be the pinned, bound head segment, observed closed (it has
-    /// the successor `next`), free of in-flight enqueuers, and empty after
-    /// that.
+    /// `headp` must be the pinned, memoized head segment, observed closed (it
+    /// has the successor `next`), free of in-flight enqueuers, and empty
+    /// after that.
     unsafe fn advance_head(&mut self, headp: *mut Segment<T, F>, next: *mut Segment<T, F>) {
         let queue = self.queue;
         // Help a lagging tail past the segment we are about to retire
@@ -691,7 +762,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     }
 
     /// Enqueues every element of `values` (draining it), paying the tail
-    /// protection, memo rebind, close-check, and `len_hint` update **once per
+    /// protection, memo check, close-check, and `len_hint` update **once per
     /// segment run** instead of once per element.  Returns the number
     /// enqueued, which — the queue being unbounded — is always the original
     /// `values.len()`.
@@ -711,21 +782,11 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         let mut pending: VecDeque<T> = std::mem::take(values).into();
         let mut total = 0;
         while !pending.is_empty() {
-            let tailp = self.pin(&queue.tail);
-            // SAFETY: pinned; segments are retired only after becoming
-            // unreachable and unprotected.
-            let seg = unsafe { &*tailp };
-            let next = seg.next.load(SeqCst);
-            if !next.is_null() {
-                let _ = queue.tail.compare_exchange(tailp, next, SeqCst, SeqCst);
-                continue;
-            }
-            // SAFETY: `tailp` comes from `pin` (rebind contract), and the
-            // bound op runs under the binding established here.
-            let accepted = unsafe {
-                self.rebind(tailp);
-                seg.try_enqueue_many_bound(tid, &mut pending)
-            };
+            let tailp = self.pin_tail();
+            // SAFETY: pinned by `pin_tail`; `tid` is this handle's
+            // participant id, which no other thread holds while the handle
+            // lives.
+            let accepted = unsafe { (*tailp).try_enqueue_many(tid, &mut pending) };
             if accepted > 0 {
                 queue.note_enqueued(tid, accepted as u64);
                 self.enqueues_completed += accepted as u64;
@@ -745,65 +806,6 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         total
     }
 
-    /// Dequeues up to `max` elements into `out` with one head protection,
-    /// memo rebind, and `len_hint` update per call.  Returns the number
-    /// appended; `0` means the whole queue was observed empty.
-    ///
-    /// A call never straddles a segment boundary: the first segment that
-    /// yields anything ends the call, so fewer than `max` elements returned
-    /// does **not** imply the queue is empty.
-    pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        self.batch_values_requested += max as u64;
-        let got = self.dequeue_many_pinned(out, max);
-        self.unpin();
-        got
-    }
-
-    /// [`Self::dequeue_many`] up to, not including, the closing
-    /// [`Self::unpin`].
-    fn dequeue_many_pinned(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let queue = self.queue;
-        let tid = self.hp.tid();
-        let mut backoff = Backoff::new();
-        loop {
-            let headp = self.pin(&queue.head);
-            // SAFETY: pinned; the bound ops below run under the binding
-            // established by `rebind`.
-            let seg = unsafe {
-                self.rebind(headp);
-                &*headp
-            };
-            // SAFETY: bound just above.
-            let mut got = unsafe { seg.try_dequeue_many_bound(tid, out, max) };
-            if got == 0 {
-                // Same close / in-flight / re-check sequence as `dequeue`.
-                let next = seg.next.load(SeqCst);
-                if next.is_null() {
-                    return 0;
-                }
-                if seg.inflight() != 0 {
-                    backoff.snooze_or_yield();
-                    continue;
-                }
-                // SAFETY: still bound to `headp`.
-                got = unsafe { seg.try_dequeue_many_bound(tid, out, max) };
-                if got == 0 {
-                    // SAFETY: `headp` is pinned, drained and closed, and
-                    // `next` is its successor.
-                    unsafe { self.advance_head(headp, next) };
-                    continue;
-                }
-            }
-            queue.note_dequeued(tid, got as u64);
-            self.dequeues_completed += got as u64;
-            self.batch_values_granted += got as u64;
-            return got;
-        }
-    }
-
     /// Forces a hazard-pointer scan of this handle's retired segments right
     /// now (used by tests to make recycling deterministic).
     pub fn flush_reclamation(&mut self) {
@@ -820,9 +822,8 @@ impl<'q, T, F: CellFamily> Drop for UnboundedWcqHandle<'q, T, F> {
             set.add(Counter::BatchValuesGranted, self.batch_values_granted);
             set.add(Counter::SegmentRebinds, self.rebinds);
         }
-        // Release the memoized binding so the segment can be recycled; the
-        // hazard handle then releases the participant slot itself.
-        self.unbind();
+        // The hazard handle, dropped next, clears slot 1 (the memo) and then
+        // releases the participant id.
     }
 }
 

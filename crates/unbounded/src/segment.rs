@@ -34,6 +34,16 @@
 //!
 //! A dequeue touches neither word — it is the inner `dequeue_at` and nothing
 //! else — so the dequeuer writes no line the enqueuers own.
+//!
+//! ## Whose thread records
+//!
+//! A segment's operations take the caller's `tid` and claim no record slot
+//! of the inner rings.  The unbounded queue passes its hazard-domain
+//! participant id, which is already exclusive to one handle, and the domain's
+//! release/acquire of that id orders each owner of a record after the
+//! previous one — the hand-off Figure 4's owner-private cursor needs.  An
+//! unpublished segment (the fresh-segment preload, `abandon_fresh`) has a
+//! single user.
 
 use std::collections::VecDeque;
 use std::ptr;
@@ -77,23 +87,6 @@ impl<T, F: CellFamily> Segment<T, F> {
         }
     }
 
-    /// Claims record slot `tid` of the inner rings so bound operations can
-    /// skip the per-operation acquire/release round trip.  The outer `tid` is
-    /// exclusive to one handle, so this only fails if the caller violates the
-    /// bind/unbind pairing.
-    pub(crate) fn bind(&self, tid: usize) -> bool {
-        self.queue.try_acquire_slot(tid)
-    }
-
-    /// Releases a binding made by [`Segment::bind`].
-    ///
-    /// # Safety
-    /// Pairs with exactly one successful `bind(tid)` by this caller.
-    pub(crate) unsafe fn unbind(&self, tid: usize) {
-        // SAFETY: per the function contract.
-        unsafe { self.queue.release_slot(tid) };
-    }
-
     /// Joins the in-flight enqueuers; `false`, with the claim undone, once
     /// the segment is closed.  A `true` must be paired with
     /// [`Segment::leave`] after the inner enqueue.
@@ -112,26 +105,27 @@ impl<T, F: CellFamily> Segment<T, F> {
         self.inflight.fetch_sub(1, SeqCst);
     }
 
-    /// Attempts to enqueue `value`, assuming the caller is already bound to
-    /// this segment.  `Err` means the segment is full or closed and will
-    /// never accept this value.
+    /// Attempts to enqueue `value` as thread record `tid`.  `Err` means the
+    /// segment is full or closed and will never accept this value.
     ///
     /// # Safety
-    /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_enqueue_bound(&self, tid: usize, value: T) -> Result<(), T> {
+    /// No other thread operates on this segment as `tid` concurrently, and
+    /// an earlier one that did is ordered before this call (see
+    /// [`WcqQueue::enqueue_at`]).
+    pub(crate) unsafe fn try_enqueue(&self, tid: usize, value: T) -> Result<(), T> {
         if !self.enter() {
             return Err(value);
         }
-        // SAFETY: bound per the function contract.
+        // SAFETY: `tid` is exclusive per the function contract.
         let res = unsafe { self.queue.enqueue_at(tid, value) };
         self.leave();
         res
     }
 
-    /// Batch counterpart of [`Segment::try_enqueue_bound`]: one claim covers
-    /// the inner batch enqueue, and the number accepted (drained from the
-    /// front of `values`) is returned.  Returning `0` means the segment is
-    /// full or closed and will never accept anything.
+    /// Batch counterpart of [`Segment::try_enqueue`]: one claim covers the
+    /// inner batch enqueue, and the number accepted (drained from the front
+    /// of `values`) is returned.  Returning `0` means the segment is full or
+    /// closed and will never accept anything.
     ///
     /// The inner batch enqueue's free-slot claim is racily partial: under
     /// contention its run of free-ring tickets can miss free slots (holes in
@@ -140,19 +134,15 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// "full" — refuses one.
     ///
     /// # Safety
-    /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_enqueue_many_bound(
-        &self,
-        tid: usize,
-        values: &mut VecDeque<T>,
-    ) -> usize {
+    /// As for [`Segment::try_enqueue`].
+    pub(crate) unsafe fn try_enqueue_many(&self, tid: usize, values: &mut VecDeque<T>) -> usize {
         if values.is_empty() || !self.enter() {
             return 0;
         }
-        // SAFETY: bound per the function contract.
+        // SAFETY: `tid` is exclusive per the function contract.
         let mut accepted = unsafe { self.queue.enqueue_many_at(tid, values) };
         while let Some(value) = values.pop_front() {
-            // SAFETY: bound per the function contract.
+            // SAFETY: as above.
             match unsafe { self.queue.enqueue_at(tid, value) } {
                 Ok(()) => accepted += 1,
                 Err(value) => {
@@ -165,49 +155,29 @@ impl<T, F: CellFamily> Segment<T, F> {
         accepted
     }
 
-    /// Attempts to dequeue assuming the caller is already bound; `None` means
-    /// the inner ring was observed empty.
+    /// Attempts to dequeue as thread record `tid`; `None` means the inner
+    /// ring was observed empty.
     ///
     /// # Safety
-    /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_dequeue_bound(&self, tid: usize) -> Option<T> {
-        // SAFETY: bound per the function contract.
+    /// As for [`Segment::try_enqueue`].
+    pub(crate) unsafe fn try_dequeue(&self, tid: usize) -> Option<T> {
+        // SAFETY: `tid` is exclusive per the function contract.
         unsafe { self.queue.dequeue_at(tid) }
     }
 
-    /// Batch counterpart of [`Segment::try_dequeue_bound`]: pulls up to `max`
+    /// Batch counterpart of [`Segment::try_dequeue`]: pulls up to `max`
     /// values with one inner batch dequeue.
     ///
     /// # Safety
-    /// The caller must hold a live [`Segment::bind`] on `tid`.
-    pub(crate) unsafe fn try_dequeue_many_bound(
+    /// As for [`Segment::try_enqueue`].
+    pub(crate) unsafe fn try_dequeue_many(
         &self,
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
     ) -> usize {
-        // SAFETY: bound per the function contract.
+        // SAFETY: `tid` is exclusive per the function contract.
         unsafe { self.queue.dequeue_many_at(tid, out, max) }
-    }
-
-    /// One-shot enqueue: bind, operate, unbind.  Used off the hot path (the
-    /// fresh-segment preload), where binding churn does not matter.
-    pub(crate) fn try_enqueue(&self, tid: usize, value: T) -> Result<(), T> {
-        assert!(self.bind(tid), "outer tid is exclusive to one operation");
-        // SAFETY: bound above; unbound immediately after.
-        let res = unsafe { self.try_enqueue_bound(tid, value) };
-        unsafe { self.unbind(tid) };
-        res
-    }
-
-    /// One-shot dequeue counterpart of [`Segment::try_enqueue`] (used when a
-    /// lost link race takes the pre-loaded value back out).
-    pub(crate) fn try_dequeue(&self, tid: usize) -> Option<T> {
-        assert!(self.bind(tid), "outer tid is exclusive to one operation");
-        // SAFETY: bound above; unbound immediately after.
-        let v = unsafe { self.try_dequeue_bound(tid) };
-        unsafe { self.unbind(tid) };
-        v
     }
 
     /// Permanently refuses future enqueue claims (idempotent).
@@ -215,8 +185,8 @@ impl<T, F: CellFamily> Segment<T, F> {
         self.inflight.fetch_or(CLOSED, SeqCst);
     }
 
-    /// Number of enqueuers currently inside [`Segment::try_enqueue_bound`] or
-    /// its batch counterpart.
+    /// Number of enqueuers currently inside [`Segment::try_enqueue`] or its
+    /// batch counterpart.
     pub(crate) fn inflight(&self) -> usize {
         self.inflight.load(SeqCst) & !CLOSED
     }
@@ -266,8 +236,6 @@ pub(crate) unsafe fn recycle_segment<T, F: CellFamily>(p: *mut u8) {
 /// lint's `Mutex` ban satisfiable for the whole crate.
 pub(crate) struct SegmentCache<T, F: CellFamily> {
     slots: Box<[AtomicPtr<Segment<T, F>>]>,
-    /// Segments accepted back into the cache (statistics).
-    recycled: AtomicUsize,
     /// Appends served from the cache instead of the allocator (statistics).
     reused: AtomicUsize,
 }
@@ -287,7 +255,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
                 .map(|_| AtomicPtr::new(ptr::null_mut()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            recycled: AtomicUsize::new(0),
             reused: AtomicUsize::new(0),
         }
     }
@@ -335,7 +302,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
                 .compare_exchange(ptr::null_mut(), seg, SeqCst, SeqCst)
                 .is_ok()
             {
-                this.recycled.fetch_add(1, SeqCst);
                 return;
             }
         }
@@ -350,10 +316,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
             .iter()
             .filter(|slot| !slot.load(SeqCst).is_null())
             .count()
-    }
-
-    pub(crate) fn recycled_total(&self) -> usize {
-        self.recycled.load(SeqCst)
     }
 
     pub(crate) fn reused_total(&self) -> usize {
@@ -395,18 +357,21 @@ mod tests {
     fn takes_exactly_capacity<F: CellFamily>(seg: &Segment<u64, F>) {
         let cap = seg.queue.capacity() as u64;
         for round in 0..2 {
-            for v in 0..cap {
-                assert_eq!(seg.try_enqueue(0, v), Ok(()), "round {round}: {v} of {cap}");
+            // SAFETY: one thread, the only user of tid 0.
+            unsafe {
+                for v in 0..cap {
+                    assert_eq!(seg.try_enqueue(0, v), Ok(()), "round {round}: {v} of {cap}");
+                }
+                assert_eq!(
+                    seg.try_enqueue(0, cap),
+                    Err(cap),
+                    "round {round}: one past full"
+                );
+                for v in 0..cap {
+                    assert_eq!(seg.try_dequeue(0), Some(v));
+                }
+                assert_eq!(seg.try_dequeue(0), None);
             }
-            assert_eq!(
-                seg.try_enqueue(0, cap),
-                Err(cap),
-                "round {round}: one past full"
-            );
-            for v in 0..cap {
-                assert_eq!(seg.try_dequeue(0), Some(v));
-            }
-            assert_eq!(seg.try_dequeue(0), None);
             seg.close();
             seg.reopen();
         }
@@ -439,19 +404,17 @@ mod tests {
     #[test]
     fn a_closed_segment_refuses_without_touching_a_ring() {
         let seg = segment::<NativeFamily>(3, 1);
-        assert!(seg.bind(0));
-        // SAFETY: bound just above, unbound below; one thread.
+        // SAFETY: one thread, the only user of tid 0.
         unsafe {
-            assert_eq!(seg.try_enqueue_bound(0, 1), Ok(()));
+            assert_eq!(seg.try_enqueue(0, 1), Ok(()));
             seg.close();
             let before = rings(&seg);
-            assert_eq!(seg.try_enqueue_bound(0, 2), Err(2));
+            assert_eq!(seg.try_enqueue(0, 2), Err(2));
             let mut batch: VecDeque<u64> = (3..6).collect();
-            assert_eq!(seg.try_enqueue_many_bound(0, &mut batch), 0);
+            assert_eq!(seg.try_enqueue_many(0, &mut batch), 0);
             assert_eq!(batch, [3, 4, 5], "a refused batch keeps every value");
             assert_eq!(rings(&seg), before, "a refused claim touched a ring");
-            assert_eq!(seg.try_dequeue_bound(0), Some(1), "pre-close values drain");
-            seg.unbind(0);
+            assert_eq!(seg.try_dequeue(0), Some(1), "pre-close values drain");
         }
         assert_eq!(seg.inflight(), 0);
         assert_eq!(
@@ -463,7 +426,8 @@ mod tests {
         assert_eq!(seg.inflight.load(SeqCst), CLOSED, "closing is idempotent");
         seg.reopen();
         assert_eq!(seg.inflight.load(SeqCst), 0);
-        assert_eq!(seg.try_enqueue(0, 7), Ok(()));
+        // SAFETY: as above.
+        assert_eq!(unsafe { seg.try_enqueue(0, 7) }, Ok(()));
     }
 
     /// Values each enqueuer of the race below offers.
@@ -472,7 +436,7 @@ mod tests {
     /// Lets the race below share one segment across threads.
     struct Shared(Segment<u64, NativeFamily>);
     // SAFETY: test-only.  Of `Segment<u64, _>`'s fields, the inner queue is
-    // `Sync` (and every thread binds its own record slot), `next` and
+    // `Sync` (and every thread operates as its own tid), `next` and
     // `inflight` are atomics, and `cache` — the one raw pointer — is null
     // here and never dereferenced (nothing is recycled).
     unsafe impl Sync for Shared {}
@@ -492,7 +456,6 @@ mod tests {
                     s.spawn(move || {
                         let (seg, tid) = (&shared.0, who as usize);
                         let (mut accepted, mut refused) = (Vec::new(), Vec::new());
-                        assert!(seg.bind(tid));
                         let mut seq = 0;
                         while seq < PER {
                             let len = if who == 2 { 1 + (seed + seq) % 5 } else { 1 };
@@ -501,13 +464,11 @@ mod tests {
                             seq += offered.len() as u64;
                             let mut run: VecDeque<u64> = offered.iter().copied().collect();
                             let n = if who == 2 {
-                                // SAFETY: bound above, by this thread only.
-                                unsafe { seg.try_enqueue_many_bound(tid, &mut run) }
+                                // SAFETY: this thread is the only user of `tid`.
+                                unsafe { seg.try_enqueue_many(tid, &mut run) }
                             } else {
                                 // SAFETY: as above.
-                                usize::from(
-                                    unsafe { seg.try_enqueue_bound(tid, offered[0]) }.is_ok(),
-                                )
+                                usize::from(unsafe { seg.try_enqueue(tid, offered[0]) }.is_ok())
                             };
                             accepted.extend_from_slice(&offered[..n]);
                             refused.extend_from_slice(&offered[n..]);
@@ -515,8 +476,6 @@ mod tests {
                                 std::thread::yield_now();
                             }
                         }
-                        // SAFETY: pairs with the bind above.
-                        unsafe { seg.unbind(tid) };
                         finished.fetch_add(1, SeqCst);
                         (accepted, refused)
                     })
@@ -531,10 +490,9 @@ mod tests {
             let drainer = s.spawn(move || {
                 let seg = &shared.0;
                 let mut got = Vec::new();
-                assert!(seg.bind(3));
                 loop {
-                    // SAFETY: bound above, by this thread only.
-                    if let Some(v) = unsafe { seg.try_dequeue_bound(3) } {
+                    // SAFETY: this thread is the only user of tid 3.
+                    if let Some(v) = unsafe { seg.try_dequeue(3) } {
                         got.push(v);
                         delivered_count.fetch_add(1, SeqCst);
                         continue;
@@ -544,13 +502,11 @@ mod tests {
                         continue;
                     }
                     // SAFETY: as above.
-                    match unsafe { seg.try_dequeue_bound(3) } {
+                    match unsafe { seg.try_dequeue(3) } {
                         Some(v) => got.push(v),
                         None => break,
                     }
                 }
-                // SAFETY: pairs with the bind above.
-                unsafe { seg.unbind(3) };
                 got
             });
             let (mut accepted, mut refused) = (Vec::new(), Vec::new());
@@ -560,8 +516,9 @@ mod tests {
                 refused.extend(r);
             }
             let mut delivered = drainer.join().expect("drainer");
+            // SAFETY: every other thread has been joined.
             assert_eq!(
-                shared.0.try_dequeue(0),
+                unsafe { shared.0.try_dequeue(0) },
                 None,
                 "a value landed after the drain"
             );

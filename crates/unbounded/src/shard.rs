@@ -9,7 +9,7 @@
 //!   slot, so distinct live handles spread over the shards);
 //! * **dequeue** drains the handle's *home shard* first and falls back to
 //!   scanning the other shards (work stealing), so consumers stay on their
-//!   local shard — and its memoized segment binding — until it runs dry.
+//!   local shard — and its segment memo — until it runs dry.
 //!
 //! ## What sharding keeps, and what it trades
 //!
@@ -191,9 +191,9 @@ impl<T, F: CellFamily> std::fmt::Debug for ShardedWcq<T, F> {
 }
 
 /// A per-thread handle to a [`ShardedWcq`]: one [`UnboundedWcqHandle`] per
-/// shard, so each shard keeps its own memoized segment binding — a consumer
-/// that stays on its home shard touches exactly one binding, and a stolen-from
-/// shard's binding is memoized for the next steal.
+/// shard, so each shard keeps its own segment memo — a consumer that stays on
+/// its home shard touches exactly one memo, and a stolen-from shard's segment
+/// stays memoized for the next steal.
 ///
 /// Like the handles it is built from, a sharded handle is `!Send`:
 ///

@@ -431,8 +431,11 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     }
 
     /// Builds the unbounded wLSCQ queue (this repo's extension of §2.3's LSCQ
-    /// recipe): wait-free within each segment, segments linked and recycled
-    /// through hazard pointers.
+    /// recipe): wait-free ring operations inside each segment, segments
+    /// linked and recycled through hazard pointers.  The head advance between
+    /// segments is blocking: an enqueuer preempted between its in-flight
+    /// claim and its deposit stalls every dequeuer at that boundary
+    /// (`dequeue_crossing`; ROADMAP item 3 is the fix).
     pub fn build_unbounded<T>(&self) -> UnboundedWcq<T, F> {
         UnboundedWcq::with_config_cache_counters(
             self.capacity_order,

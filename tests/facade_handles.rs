@@ -3,7 +3,7 @@
 //! * RAII: dropping a handle releases its record slot, and the same thread
 //!   re-registers at the same tid in O(1) via the thread-local memo;
 //! * exhaustion surfaces through `try_handle`, recovery through drop;
-//! * the unbounded handle's memoized segment binding survives forced segment
+//! * the unbounded handle's segment memo survives forced segment
 //!   growth (tiny `ring_order = 4` segments) without losing values, both
 //!   through the concrete API and through the boxed facade trait;
 //! * all 13 `QueueKind`s hand out working handles through the public trait
@@ -85,7 +85,7 @@ fn every_kind_hands_out_working_trait_handles() {
 #[test]
 fn segment_memo_survives_forced_growth_without_missing_values() {
     // ring_order = 4: 16-slot segments, so 2_000 values cross ~125 segments
-    // while a consumer chases the producer.  The memoized binding must follow
+    // while a consumer chases the producer.  The segment memo must follow
     // head/tail across every transition without losing or reordering values.
     const ITEMS: u64 = 2_000;
     let instr = CountingInstrument::new();

@@ -7,10 +7,11 @@
 //! whose premature ring closes leak whole rings' worth of capacity
 //! (Figure 10a of the paper).
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig};
-use wcq_unbounded::{UnboundedWcq, DEFAULT_SEGMENT_CACHE};
+use wcq_unbounded::{UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
 /// Enqueue bursts far beyond one segment, drain completely, and require the
 /// live segment count to return to 1 (the steady-state bound) with total
@@ -149,4 +150,130 @@ fn concurrent_churn_with_forced_slow_path_returns_to_bound() {
         stats.allocated_total as u64 <= 2 * n / (1 << 4),
         "allocations bounded by segment churn: {stats:?}"
     );
+}
+
+/// A participant id — and the segment thread records it keys, slow-path
+/// state included — handed between threads mid-segment: 6 workers share 4
+/// ids, each registering for a few operations and dropping the handle, so a
+/// record's next owner is a different thread, ordered only by the hazard
+/// domain's release/acquire of the id.
+#[test]
+fn participant_ids_move_between_threads_mid_segment_under_forced_slow_path() {
+    const PRODUCERS: u64 = 3;
+    const CONSUMERS: u64 = 3;
+    const IDS: usize = 4;
+    const PER_PRODUCER: u64 = 2_000;
+    const TOTAL: u64 = PRODUCERS * PER_PRODUCER;
+    let cfg = WcqConfig {
+        max_patience_enqueue: 1,
+        max_patience_dequeue: 1,
+        help_delay: 1,
+        catchup_bound: 8,
+    };
+    let q: UnboundedWcq<u64> = wcq::builder()
+        .capacity_order(4)
+        .threads(IDS)
+        .config(cfg)
+        .build_unbounded();
+    let consumed = AtomicU64::new(0);
+    // Registers, yielding while all `IDS` ids are held by other workers.
+    fn register(q: &UnboundedWcq<u64>) -> UnboundedWcqHandle<'_, u64> {
+        loop {
+            match q.register() {
+                Some(h) => return h,
+                None => std::thread::yield_now(),
+            }
+        }
+    }
+    // Operations per registration: 1..=8, varying by worker and round.
+    let burst = |worker: u64, round: u64| 1 + (round * 5 + worker) % 8;
+
+    let (tids_by_worker, received) = std::thread::scope(|s| {
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = &q;
+                s.spawn(move || {
+                    let mut tids = BTreeSet::new();
+                    let (mut seq, mut round) = (0, 0);
+                    while seq < PER_PRODUCER {
+                        let mut h = register(q);
+                        tids.insert(h.tid());
+                        for _ in 0..burst(p, round).min(PER_PRODUCER - seq) {
+                            h.enqueue(p << 32 | seq);
+                            seq += 1;
+                        }
+                        drop(h);
+                        round += 1;
+                    }
+                    tids
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|c| {
+                let (q, consumed) = (&q, &consumed);
+                s.spawn(move || {
+                    let mut tids = BTreeSet::new();
+                    let mut got = Vec::new();
+                    let mut round = 0;
+                    while consumed.load(Ordering::SeqCst) < TOTAL {
+                        let mut h = register(q);
+                        tids.insert(h.tid());
+                        for _ in 0..burst(PRODUCERS + c, round) {
+                            if let Some(v) = h.dequeue() {
+                                got.push(v);
+                                consumed.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                        drop(h);
+                        std::thread::yield_now();
+                        round += 1;
+                    }
+                    (tids, got)
+                })
+            })
+            .collect();
+        let mut tids_by_worker: Vec<BTreeSet<usize>> = producers
+            .into_iter()
+            .map(|p| p.join().expect("producer"))
+            .collect();
+        let mut received = Vec::new();
+        for c in consumers {
+            let (tids, got) = c.join().expect("consumer");
+            tids_by_worker.push(tids);
+            received.push(got);
+        }
+        (tids_by_worker, received)
+    });
+
+    // 6 workers on 4 ids: some id must have served two threads, or the test
+    // exercised no hand-off at all.
+    assert!(
+        (0..IDS).any(|tid| tids_by_worker.iter().filter(|t| t.contains(&tid)).count() > 1),
+        "no participant id moved between threads: {tids_by_worker:?}"
+    );
+    for (c, got) in received.iter().enumerate() {
+        let mut last = [None; PRODUCERS as usize];
+        for &v in got {
+            let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
+            assert!(
+                last[p].is_none_or(|prev| prev < seq),
+                "consumer {c}: producer {p}'s {seq} after {last:?}"
+            );
+            last[p] = Some(seq);
+        }
+    }
+    let mut all: Vec<u64> = received.into_iter().flatten().collect();
+    all.sort_unstable();
+    let expected: Vec<u64> = (0..PRODUCERS)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |seq| p << 32 | seq))
+        .collect();
+    assert_eq!(all, expected, "no loss, no duplication");
+
+    let mut h = q.register().unwrap();
+    assert_eq!(h.dequeue(), None);
+    h.flush_reclamation();
+    drop(h);
+    let stats = q.segment_stats();
+    assert_eq!(stats.live, 1, "{stats:?}");
 }
