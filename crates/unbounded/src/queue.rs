@@ -28,7 +28,10 @@ pub struct SegmentStats {
     pub live: usize,
     /// Drained segments parked in the reuse cache.
     pub cached: usize,
-    /// Retired segments awaiting hazard-pointer reclamation.
+    /// Retired segments awaiting hazard-pointer reclamation: those another
+    /// handle still protected when they retired (a segment is scanned for
+    /// the moment it retires, and these are re-scanned at the retirer's next
+    /// retirement, [`UnboundedWcqHandle::flush_reclamation`] or drop).
     pub retired_pending: usize,
     /// Segments ever obtained from the allocator (not from the cache).
     pub allocated_total: usize,
@@ -60,11 +63,16 @@ impl SegmentStats {
 ///   even lock-free.  LSCQ and LCRQ do not pay this: they close a ring on its
 ///   tail, so a late enqueue fails inside its own F&A and nobody waits.
 ///   ROADMAP item 3 is the fix.
-/// * **Memory usage** is bounded by the traffic's actual backlog: drained
-///   segments are retired through a [`HazardDomain`] and recycled via a
-///   bounded segment cache, so steady-state operation performs no
-///   per-operation allocation (the bounded-memory property of the paper,
-///   amortized to O(segments in flight)).
+/// * **Memory usage** is bounded by the traffic's actual backlog: the
+///   dequeuer that advances the head past a drained segment retires it
+///   through a [`HazardDomain`] and scans at once, so an unprotected segment
+///   goes straight back to a bounded segment cache (or the allocator), and
+///   steady-state operation performs no per-operation allocation (the
+///   bounded-memory property of the paper, amortized to O(segments in
+///   flight)).  With one handle retiring, once it has retired a segment
+///   while every other handle was between operations, at most one
+///   retired-but-unreclaimed segment per *other* registered handle remains:
+///   the one its memo pins.
 ///
 /// Generic over the same hardware families as [`wcq_core::wcq::WcqQueue`]:
 /// [`NativeFamily`] (double-width CAS) and [`wcq_core::wcq::LlscFamily`].
@@ -731,7 +739,14 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     }
 
     /// Swings the outer head from `headp` to its successor `next` and, when
-    /// this thread wins the swing, retires `headp`.
+    /// this thread wins the swing, retires `headp` and scans at once.
+    ///
+    /// The scan keeps memory at the backlog: an unprotected segment reaches
+    /// the cache (or the allocator) before the next append asks for one,
+    /// instead of waiting for the domain's batch threshold.  A segment
+    /// another handle still pins (its memo in slot 1, or slot 0 mid-crossing)
+    /// waits for this handle's next retirement.  A segment retires once per
+    /// `capacity` messages, so the scan is on no per-message path.
     ///
     /// # Safety
     /// `headp` must be the pinned, memoized head segment, observed closed (it
@@ -758,6 +773,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // SAFETY: the CAS winner is the unique retirer of the now
             // unreachable segment; `recycle_segment` matches `T, F`.
             unsafe { self.hp.retire_with(headp, recycle_segment::<T, F>) };
+            self.hp.flush();
         }
     }
 
@@ -806,8 +822,10 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         total
     }
 
-    /// Forces a hazard-pointer scan of this handle's retired segments right
-    /// now (used by tests to make recycling deterministic).
+    /// Re-scans this handle's retired segments right now.  Every segment is
+    /// already scanned when it retires, so this only matters for one that
+    /// another handle protected at that moment and has since let go of
+    /// (otherwise it waits for this handle's next retirement or drop).
     pub fn flush_reclamation(&mut self) {
         self.hp.flush();
     }

@@ -205,7 +205,6 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
     for i in 0..BURST {
         assert_eq!(h.dequeue(), Some(i));
     }
-    h.flush_reclamation();
 
     let allocated_before = q.segments_allocated();
     let before = memtrack::snapshot();
@@ -217,7 +216,6 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
         for i in 0..BURST {
             assert_eq!(h.dequeue(), Some(round * BURST + i));
         }
-        h.flush_reclamation();
     }
     let after = memtrack::snapshot();
 
@@ -229,7 +227,7 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
     );
     // 50 rounds * 128 ops with per-op allocation would show up as >= 6400
     // allocations; the only heap traffic allowed is the hazard scan's small
-    // bookkeeping on each explicit flush.
+    // bookkeeping on each segment retirement.
     let allocs = after.total_allocs - before.total_allocs;
     assert!(
         allocs < 1_500,
@@ -273,9 +271,6 @@ fn sharded_wcq_steady_state_allocates_nothing_on_any_shard() {
             handles[i as usize % SHARDS].enqueue(base + i);
         }
         while handles[0].dequeue().is_some() {}
-        for h in &mut handles {
-            h.flush_reclamation();
-        }
     };
 
     // Warm-up: populate every shard's segment cache through one full cycle.

@@ -15,7 +15,10 @@ use wcq_unbounded::{UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
 /// Enqueue bursts far beyond one segment, drain completely, and require the
 /// live segment count to return to 1 (the steady-state bound) with total
-/// residency capped by the segment cache.
+/// residency capped by the segment cache.  A lone handle reclaims each
+/// drained segment the moment it retires: at every point of the drain
+/// nothing waits in the retire buffer, and every resident segment is either
+/// linked or cached.
 fn burst_drain_returns_to_steady_state<F: CellFamily>() {
     const SEG_ORDER: u32 = 4; // 16-slot segments
     const BURST: u64 = 200; // >> segment capacity: forces many appends
@@ -33,9 +36,11 @@ fn burst_drain_returns_to_steady_state<F: CellFamily>() {
         );
         for i in 0..BURST {
             assert_eq!(h.dequeue(), Some(round * BURST + i), "FIFO across segments");
+            let stats = q.segment_stats();
+            assert_eq!(stats.retired_pending, 0, "round {round}, {i}: {stats:?}");
+            assert_eq!(stats.resident(), stats.live + stats.cached, "{stats:?}");
         }
         assert_eq!(h.dequeue(), None);
-        h.flush_reclamation();
 
         let stats = q.segment_stats();
         assert_eq!(
@@ -44,7 +49,7 @@ fn burst_drain_returns_to_steady_state<F: CellFamily>() {
         );
         assert_eq!(
             stats.retired_pending, 0,
-            "flush reclaims every retired segment: {stats:?}"
+            "retirement reclaims every retired segment: {stats:?}"
         );
         assert!(
             stats.resident() <= 1 + DEFAULT_SEGMENT_CACHE,
@@ -66,6 +71,120 @@ fn burst_drain_returns_to_steady_state_native() {
 fn burst_drain_returns_to_steady_state_llsc() {
     wcq_atomics::llsc::set_spurious_failure_rate(0.0);
     burst_drain_returns_to_steady_state::<LlscFamily>();
+}
+
+/// A segment another handle's memo pins when it retires is deferred — that
+/// segment and no other — and the retirer's next retirement reclaims it once
+/// the pin has moved on.
+#[test]
+fn a_pinned_segment_waits_for_the_retirers_next_retirement() {
+    let q: UnboundedWcq<u64> = UnboundedWcq::new(4, 2); // 16-slot segments
+    let mut retirer = q.register().unwrap();
+    let mut pinner = q.register().unwrap();
+    // Segments S0 and S1 full, S2 half full.
+    for i in 0..40 {
+        retirer.enqueue(i);
+    }
+    // The pinner's memo moves onto the head segment S0.
+    assert_eq!(pinner.dequeue(), Some(0));
+    // The retirer drains past S0 (deferred: pinned) and S1 (reclaimed).
+    for i in 1..40 {
+        assert_eq!(retirer.dequeue(), Some(i));
+    }
+    assert_eq!(retirer.dequeue(), None);
+    let stats = q.segment_stats();
+    assert_eq!(stats.live, 1, "{stats:?}");
+    assert_eq!(
+        stats.retired_pending, 1,
+        "exactly S0 is deferred: {stats:?}"
+    );
+
+    // Fill S2 and open S3; the pinner's memo moves onto the tail, S3.
+    for i in 40..64 {
+        retirer.enqueue(i);
+    }
+    pinner.enqueue(64);
+    assert_eq!(
+        q.segment_stats().retired_pending,
+        1,
+        "nothing re-scans before the next retirement"
+    );
+    // Retiring S2 reclaims S2 and the now unpinned S0.
+    for i in 40..65 {
+        assert_eq!(retirer.dequeue(), Some(i));
+    }
+    let stats = q.segment_stats();
+    assert_eq!(stats.retired_pending, 0, "{stats:?}");
+    assert_eq!(stats.resident(), stats.live + stats.cached, "{stats:?}");
+}
+
+/// The bound the unbounded queue states: with one handle retiring, once it
+/// has retired a segment while every other handle is between operations, at
+/// most one retired segment per other handle is still unreclaimed — the one
+/// that handle's memo pins.  Three producers in seeded bursts against one
+/// consumer over 16-slot segments; the consumer keeps four segments behind
+/// until the producers are done, so its last retirements run at quiescence.
+#[test]
+fn retired_but_unreclaimed_segments_are_bounded_by_the_other_handles() {
+    const PRODUCERS: u64 = 3;
+    const PER_PRODUCER: u64 = 1_500;
+    const TOTAL: u64 = PRODUCERS * PER_PRODUCER;
+    const LAG: u64 = 4 * 16;
+    /// Releases the producers however the consumer's checks end, so a
+    /// failed assertion fails the test instead of hanging it.
+    struct Release<'a>(&'a AtomicU64);
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.store(1, Ordering::SeqCst);
+        }
+    }
+    for seed in 1..=4u64 {
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(4, PRODUCERS as usize + 1);
+        let done = AtomicU64::new(0);
+        let checked = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (q, done, checked) = (&q, &done, &checked);
+                s.spawn(move || {
+                    let mut rng = wcq_harness::rng::DetRng::new(seed).stream(p);
+                    let mut h = q.register().unwrap();
+                    let mut seq = 0;
+                    while seq < PER_PRODUCER {
+                        let burst = rng.range_inclusive(1, 40).min(PER_PRODUCER - seq);
+                        for _ in 0..burst {
+                            h.enqueue(p << 32 | seq);
+                            seq += 1;
+                        }
+                        std::thread::yield_now();
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                    // Hold the handle, and with it the memo, until the
+                    // consumer has checked the bound.
+                    while checked.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            let _release = Release(&checked);
+            let mut h = q.register().unwrap();
+            let mut taken = 0;
+            while taken < TOTAL {
+                let held_back = taken >= TOTAL - LAG && done.load(Ordering::SeqCst) < PRODUCERS;
+                if !held_back && h.dequeue().is_some() {
+                    taken += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            assert_eq!(h.dequeue(), None);
+            let stats = q.segment_stats();
+            assert!(
+                stats.retired_pending <= PRODUCERS as usize,
+                "seed {seed}: {stats:?}"
+            );
+            assert_eq!(stats.live, 1, "seed {seed}: {stats:?}");
+        });
+    }
 }
 
 /// Concurrent producers/consumers over tiny segments: constant segment churn
