@@ -30,7 +30,6 @@ use std::sync::Mutex;
 use wcq::channel::{Receiver, SendError, Sender, TrySendError};
 use wcq::ChannelBackend;
 
-use crate::queues::HARNESS_SHARDS;
 use crate::rng::DetRng;
 use crate::stress::encode;
 
@@ -106,16 +105,13 @@ impl ChannelStressPlan {
 
     /// Builds the channel pair this plan runs over.
     fn make_channel(&self) -> (Sender<u64>, Receiver<u64>) {
-        let mut builder = wcq::builder()
+        wcq::builder()
             .capacity_order(self.capacity_order)
             // Endpoints register lazily, one slot each: producers + consumers
             // + the coordinator's sender + a drained-state probe receiver.
             .threads(self.producers + self.consumers + 2)
-            .backend(self.backend);
-        if self.backend == ChannelBackend::Sharded {
-            builder = builder.shards(HARNESS_SHARDS);
-        }
-        builder.build_channel::<u64>()
+            .backend(self.backend)
+            .build_channel::<u64>()
     }
 
     /// Executes the plan and gathers every observation.
@@ -256,7 +252,7 @@ impl ChannelStressPlan {
             // drain oracle, so the post-drain equality is only asserted for
             // the unbounded kinds' maintained counters.
             ChannelBackend::Bounded => None,
-            ChannelBackend::Unbounded | ChannelBackend::Sharded => Some(hint_probe.is_empty_hint()),
+            ChannelBackend::Unbounded => Some(hint_probe.is_empty_hint()),
         };
 
         ChannelStressReport {
@@ -340,11 +336,7 @@ impl ChannelStressReport {
 /// Every channel backend, in a stable order — the set the close-semantics
 /// integration tests sweep.
 pub fn all_channel_backends() -> Vec<ChannelBackend> {
-    vec![
-        ChannelBackend::Bounded,
-        ChannelBackend::Unbounded,
-        ChannelBackend::Sharded,
-    ]
+    vec![ChannelBackend::Bounded, ChannelBackend::Unbounded]
 }
 
 #[cfg(test)]
@@ -401,7 +393,7 @@ mod tests {
 
     #[test]
     fn oracle_catches_a_drifted_empty_hint() {
-        let plan = ChannelStressPlan::from_seed(ChannelBackend::Sharded, 3);
+        let plan = ChannelStressPlan::from_seed(ChannelBackend::Unbounded, 3);
         let report = ChannelStressReport {
             plan,
             sent_per_producer: HashMap::from([(0, 1)]),

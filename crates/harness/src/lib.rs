@@ -42,7 +42,6 @@ pub use channel_stress::{all_channel_backends, ChannelStressPlan, ChannelStressR
 pub use exec::{block_on, block_on_instrumented};
 pub use queues::{
     make_counting_queue, make_queue, make_queue_configured, QueueHandle, QueueKind, WaitFreeQueue,
-    HARNESS_SHARDS,
 };
 pub use rng::DetRng;
 pub use stress::{all_real_queues, decode, encode, verify_observations, StressPlan, StressReport};

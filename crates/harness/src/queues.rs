@@ -2,7 +2,7 @@
 //!
 //! The paper benchmarks eight algorithms side by side.  [`QueueKind`]
 //! enumerates them (plus the LL/SC-emulated wCQ/SCQ variants used for the
-//! PowerPC figures and the wLSCQ / sharded-wLSCQ extensions) and
+//! PowerPC figures and the wLSCQ extension) and
 //! [`make_queue`] builds a fresh
 //! instance behind the *public* [`WaitFreeQueue`] trait — the same facade
 //! applications use — so the workload driver, the memory benchmark and the
@@ -20,11 +20,6 @@ use wcq_core::wcq::WcqConfig;
 use wcq_core::ScqQueue;
 
 pub use wcq_core::api::{QueueHandle, WaitFreeQueue};
-
-/// Shard count the harness uses for the sharded kinds: enough to split the
-/// hot spots, small enough that every stress plan's thread mix still crosses
-/// shard boundaries constantly.
-pub const HARNESS_SHARDS: usize = 4;
 
 /// Which queue algorithm to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,15 +46,10 @@ pub enum QueueKind {
     WcqUnbounded,
     /// wLSCQ over the emulated LL/SC construction.
     WcqUnboundedLlsc,
-    /// Sharded wLSCQ: [`HARNESS_SHARDS`] independent unbounded shards behind
-    /// one facade (`ShardedWcq`).
-    WcqSharded,
-    /// Sharded wLSCQ over the emulated LL/SC construction.
-    WcqShardedLlsc,
 }
 
 impl QueueKind {
-    /// Every kind the harness knows (all 13), in a stable order.
+    /// Every kind the harness knows (all 11), in a stable order.
     pub fn all() -> Vec<QueueKind> {
         vec![
             QueueKind::Wcq,
@@ -73,8 +63,6 @@ impl QueueKind {
             QueueKind::Faa,
             QueueKind::WcqUnbounded,
             QueueKind::WcqUnboundedLlsc,
-            QueueKind::WcqSharded,
-            QueueKind::WcqShardedLlsc,
         ]
     }
 
@@ -120,23 +108,14 @@ impl QueueKind {
     /// `true` for the kinds that run over the emulated LL/SC hardware model
     /// (and therefore react to the injected spurious-failure rate).
     pub fn is_llsc(&self) -> bool {
-        matches!(
-            self,
-            QueueKind::WcqLlsc | QueueKind::WcqUnboundedLlsc | QueueKind::WcqShardedLlsc
-        )
+        matches!(self, QueueKind::WcqLlsc | QueueKind::WcqUnboundedLlsc)
     }
 
     /// `true` for the kinds that maintain an approximate length counter, i.e.
     /// whose `WaitFreeQueue::is_empty_hint` is meaningful rather than the
     /// conservative `false` default.
     pub fn has_len_hint(&self) -> bool {
-        matches!(
-            self,
-            QueueKind::WcqUnbounded
-                | QueueKind::WcqUnboundedLlsc
-                | QueueKind::WcqSharded
-                | QueueKind::WcqShardedLlsc
-        )
+        matches!(self, QueueKind::WcqUnbounded | QueueKind::WcqUnboundedLlsc)
     }
 
     /// Display name matching the paper's legends.
@@ -153,8 +132,6 @@ impl QueueKind {
             QueueKind::Faa => "FAA",
             QueueKind::WcqUnbounded => "wLSCQ",
             QueueKind::WcqUnboundedLlsc => "wLSCQ (LL/SC)",
-            QueueKind::WcqSharded => "Sharded wLSCQ",
-            QueueKind::WcqShardedLlsc => "Sharded wLSCQ (LL/SC)",
         }
     }
 }
@@ -173,8 +150,7 @@ pub fn make_queue(
 
 /// Like [`make_queue`], but with an explicit wait-freedom configuration for
 /// the wCQ kinds.  Stress plans use this to force the slow path with
-/// `max_patience = 1`; other kinds ignore the configuration.  Sharded kinds
-/// get [`HARNESS_SHARDS`] shards.
+/// `max_patience = 1`; other kinds ignore the configuration.
 pub fn make_queue_configured(
     kind: QueueKind,
     max_threads: usize,
@@ -190,14 +166,11 @@ pub fn make_queue_configured(
     // `--order 16` should size their segments, not one giant ring — and the
     // shared cap keeps the wLSCQ-vs-LCRQ comparison like for like.
     let segmented = wcq_builder.clone().capacity_order(ring_order.min(12));
-    let sharded = segmented.clone().shards(HARNESS_SHARDS);
     match kind {
         QueueKind::Wcq => Box::new(wcq_builder.build_bounded::<u64>()),
         QueueKind::WcqLlsc => Box::new(wcq_builder.llsc().build_bounded::<u64>()),
         QueueKind::WcqUnbounded => Box::new(segmented.build_unbounded::<u64>()),
         QueueKind::WcqUnboundedLlsc => Box::new(segmented.llsc().build_unbounded::<u64>()),
-        QueueKind::WcqSharded => Box::new(sharded.build_sharded::<u64>()),
-        QueueKind::WcqShardedLlsc => Box::new(sharded.llsc().build_sharded::<u64>()),
         QueueKind::Scq => Box::new(ScqQueue::new(ring_order)),
         QueueKind::MsQueue => Box::new(MsQueue::new(max_threads)),
         QueueKind::Lcrq => Box::new(Lcrq::new(ring_order.min(12), max_threads)),
@@ -210,10 +183,10 @@ pub fn make_queue_configured(
 
 /// Like [`make_queue_configured`], but attaches a live
 /// [`CountingInstrument`] to the queue so every layer — ring fast/slow paths,
-/// helping entries, CAS failures, segment lifecycle, shard steals — records
-/// into its shared counter set.  Returns `None` for the baseline kinds, which
-/// have no instrumentation hooks; only the wCQ family (bounded, unbounded,
-/// sharded, both hardware models) is observable.
+/// helping entries, CAS failures, segment lifecycle — records into its shared
+/// counter set.  Returns `None` for the baseline kinds, which have no
+/// instrumentation hooks; only the wCQ family (bounded and unbounded, both
+/// hardware models) is observable.
 ///
 /// Keep the returned instrument and call
 /// [`snapshot`](CountingInstrument::snapshot) *after* worker handles have
@@ -230,17 +203,14 @@ pub fn make_counting_queue(
         .threads(max_threads)
         .config(wcq_config.unwrap_or_default())
         .instrument(instr.clone());
-    // Segment-order cap and shard geometry: same reasoning as
-    // `make_queue_configured`, so counting runs measure the same shapes.
+    // Segment-order cap: same reasoning as `make_queue_configured`, so
+    // counting runs measure the same shapes.
     let segmented = wcq_builder.clone().capacity_order(ring_order.min(12));
-    let sharded = segmented.clone().shards(HARNESS_SHARDS);
     let queue: Box<dyn WaitFreeQueue<u64>> = match kind {
         QueueKind::Wcq => Box::new(wcq_builder.build_bounded::<u64>()),
         QueueKind::WcqLlsc => Box::new(wcq_builder.llsc().build_bounded::<u64>()),
         QueueKind::WcqUnbounded => Box::new(segmented.build_unbounded::<u64>()),
         QueueKind::WcqUnboundedLlsc => Box::new(segmented.llsc().build_unbounded::<u64>()),
-        QueueKind::WcqSharded => Box::new(sharded.build_sharded::<u64>()),
-        QueueKind::WcqShardedLlsc => Box::new(sharded.llsc().build_sharded::<u64>()),
         _ => return None,
     };
     Some((queue, instr))
@@ -252,7 +222,7 @@ mod tests {
 
     #[test]
     fn every_kind_constructs_and_round_trips_through_the_facade() {
-        // All 13 QueueKinds flow through the public WaitFreeQueue trait.
+        // All 11 QueueKinds flow through the public WaitFreeQueue trait.
         for kind in QueueKind::all() {
             let q = make_queue(kind, 2, 8);
             let mut h = q.handle();
@@ -297,7 +267,7 @@ mod tests {
             QueueKind::Wcq,
             QueueKind::MsQueue,
             QueueKind::CcQueue,
-            QueueKind::WcqSharded,
+            QueueKind::WcqUnbounded,
         ] {
             let q = make_queue(kind, 2, 8);
             let a = q.try_handle().expect("slot 1");
@@ -319,6 +289,6 @@ mod tests {
             "LCRQ needs CAS2 and is absent on PowerPC"
         );
         assert!(ppc.contains(&"wCQ (LL/SC)"));
-        assert_eq!(QueueKind::all().len(), 13);
+        assert_eq!(QueueKind::all().len(), 11);
     }
 }

@@ -484,9 +484,7 @@ pub fn verify_observations(
 
 /// The real queue algorithms (everything except FAA), in a stable order —
 /// the set the cross-queue semantic tests sweep.  The eight paper algorithms
-/// come first, then the unbounded and sharded wLSCQ kinds this repo adds on
-/// top (a sharded producer stays on its home shard, so the full oracle
-/// applies to them too).
+/// come first, then the unbounded wLSCQ kinds this repo adds on top.
 pub fn all_real_queues() -> Vec<QueueKind> {
     vec![
         QueueKind::Wcq,
@@ -499,8 +497,6 @@ pub fn all_real_queues() -> Vec<QueueKind> {
         QueueKind::CrTurn,
         QueueKind::WcqUnbounded,
         QueueKind::WcqUnboundedLlsc,
-        QueueKind::WcqSharded,
-        QueueKind::WcqShardedLlsc,
     ]
 }
 
@@ -580,19 +576,6 @@ mod tests {
         let plan = StressPlan::from_seed(QueueKind::Scq, 3);
         let report = StressReport {
             plan,
-            enqueue_counts: HashMap::from([(0, 2)]),
-            observations: vec![vec![encode(0, 2), encode(0, 1)]],
-            empty_hint_after_drain: None,
-        };
-        assert!(report.verify().unwrap_err().contains("FIFO"));
-    }
-
-    #[test]
-    fn sharded_plans_get_the_fifo_clause_too() {
-        // Cross-shard reordering of one producer's values is a violation:
-        // a producer's values never leave its home shard.
-        let report = StressReport {
-            plan: StressPlan::from_seed(QueueKind::WcqSharded, 3),
             enqueue_counts: HashMap::from([(0, 2)]),
             observations: vec![vec![encode(0, 2), encode(0, 1)]],
             empty_hint_after_drain: None,

@@ -16,8 +16,8 @@
 //! * [`ChurnPlan`] — a seeded endpoint clone/drop storm raced against the
 //!   run, leftovers dropping at shutdown to race the close.
 //! * [`Scenario`] — the N-frontend / M-worker pipeline that replays both
-//!   over real channels (any backend / shard count),
-//!   records intended-start-relative latencies per stage, and verifies
+//!   over real channels (either backend), records intended-start-relative
+//!   latencies per stage, and verifies
 //!   exactly-once delivery and exact post-close drains as it goes.
 //!
 //! ## Quickstart

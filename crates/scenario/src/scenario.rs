@@ -70,8 +70,6 @@ pub struct ScenarioConfig {
     pub pattern: ArrivalPattern,
     /// Which queue shape backs the request lanes and the completion channel.
     pub backend: ChannelBackend,
-    /// Shard count for [`ChannelBackend::Sharded`] (ignored otherwise).
-    pub shards: usize,
     /// Simulated service time per request, in nanoseconds of spinning.
     pub work_ns: u64,
     /// Number of churn events raced against the run (0 disables churn).
@@ -96,7 +94,6 @@ impl Default for ScenarioConfig {
                 rate_per_sec: 200_000.0,
             },
             backend: ChannelBackend::Unbounded,
-            shards: 1,
             work_ns: 500,
             churn_events: 64,
             worker_timeout: Duration::from_millis(1),
@@ -210,7 +207,6 @@ impl Scenario {
             wcq::builder()
                 .capacity_order(10)
                 .threads(request_slots)
-                .shards(cfg.shards.max(1))
                 .backend(cfg.backend)
         };
         let (hi_tx, hi_rx) = lane_builder().build_channel::<Request>();
@@ -219,7 +215,6 @@ impl Scenario {
             .capacity_order(10)
             .threads(workers + 2)
             .backend(cfg.backend)
-            .shards(cfg.shards.max(1))
             .build_channel::<Request>();
 
         let queue_wait = LatencyHistogram::new();
@@ -465,20 +460,14 @@ mod tests {
 
     #[test]
     fn run_delivers_exactly_once_across_backends() {
-        for backend in [ChannelBackend::Unbounded, ChannelBackend::Sharded] {
-            let report = Scenario::new(ScenarioConfig {
-                backend,
-                shards: 4,
-                ..quick_config()
-            })
-            .run();
-            assert_eq!(report.completed, 400, "{backend:?}");
-            assert_eq!(report.queue_wait.count(), 400, "{backend:?}");
-            assert_eq!(report.end_to_end.count(), 400, "{backend:?}");
-            assert_eq!(report.send_op.count(), 400, "{backend:?}");
-            assert_eq!(report.churn_executed, 32, "{backend:?}");
-            assert!(report.hi_lane > 0, "{backend:?}: hi lane never exercised");
-        }
+        // The default unbounded backend; the bounded one has its own test.
+        let report = Scenario::new(quick_config()).run();
+        assert_eq!(report.completed, 400);
+        assert_eq!(report.queue_wait.count(), 400);
+        assert_eq!(report.end_to_end.count(), 400);
+        assert_eq!(report.send_op.count(), 400);
+        assert_eq!(report.churn_executed, 32);
+        assert!(report.hi_lane > 0, "hi lane never exercised");
     }
 
     #[test]

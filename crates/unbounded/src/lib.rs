@@ -33,12 +33,10 @@
 //!   traffic performs no per-operation allocation.
 //! * The whole queue is generic over the paper's two hardware models
 //!   ([`wcq_core::wcq::NativeFamily`], [`wcq_core::wcq::LlscFamily`]).
-//! * For high thread counts, [`ShardedWcq`] puts `N` independent wLSCQ
-//!   shards behind the same facade: an enqueue goes to the handle's home
-//!   shard, a dequeue scans home-first and steals — breaking the single
-//!   head/tail hot spots while keeping every per-shard guarantee and
-//!   per-producer FIFO (see [`shard`'s module docs](ShardedWcq) for what is
-//!   traded).
+//! * [`ShardedWcq`] puts `N` independent wLSCQ shards behind one handle: an
+//!   enqueue goes to the handle's home shard, a dequeue scans home-first and
+//!   steals.  It keeps only per-producer FIFO, so it is no facade queue; the
+//!   `benchmark/` ledger's sharded rungs are its only users.
 //!
 //! ## Example
 //!

@@ -1,4 +1,8 @@
-//! The sharded unbounded queue: N independent wLSCQ shards behind one facade.
+//! The sharded unbounded queue: N independent wLSCQ shards behind one handle.
+//!
+//! It is no channel backend and implements no `WaitFreeQueue`: its `None` is
+//! a racy scan and it keeps only per-producer FIFO, so nothing but the
+//! `benchmark/` ledger's sharded rungs builds it (ROADMAP item 4 deletes it).
 //!
 //! A single [`UnboundedWcq`] funnels every thread through one head/tail pair;
 //! past a handful of cores those two cache lines are the whole bottleneck.
@@ -19,8 +23,8 @@
 //! argument of the memory-bounds literature: bounded queues compose without
 //! losing the bound).  What is traded is the *global* FIFO order: elements
 //! of different producers can sit on different shards and be dequeued in
-//! either order.  Per-producer FIFO — the order the stress oracle checks —
-//! survives, because each producer's values all land on one shard for the
+//! either order.  Per-producer FIFO — the order `tests/sharded.rs` and the
+//! `sharded` explorer target check — survives, because each producer's values all land on one shard for the
 //! lifetime of its handle.
 //!
 //! Emptiness is also per-shard: a dequeue returns `None` after every shard
@@ -29,14 +33,12 @@
 
 use std::sync::Arc;
 
-use wcq_core::api::{QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, CounterSet};
-use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
+use wcq_core::wcq::{CellFamily, NativeFamily, WcqConfig};
 
 use crate::queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
-/// An unbounded MPMC queue of `N` independent [`UnboundedWcq`] shards behind
-/// the one [`WaitFreeQueue`] facade.
+/// An unbounded MPMC queue of `N` independent [`UnboundedWcq`] shards.
 ///
 /// Construct through `wcq::builder().shards(n).build_sharded()`; threads
 /// operate through [`ShardedWcqHandle`]s, which register on *every* shard
@@ -304,61 +306,12 @@ impl<'q, T, F: CellFamily> std::fmt::Debug for ShardedWcqHandle<'q, T, F> {
     }
 }
 
-impl<T: Send, F: CellFamily> QueueHandle<T> for ShardedWcqHandle<'_, T, F> {
-    fn try_enqueue(&mut self, value: T) -> Result<(), T> {
-        ShardedWcqHandle::enqueue(self, value);
-        Ok(())
-    }
-    fn dequeue(&mut self) -> Option<T> {
-        ShardedWcqHandle::dequeue(self)
-    }
-    fn enqueue(&mut self, value: T) {
-        // Unbounded: no full state to retry around.
-        ShardedWcqHandle::enqueue(self, value);
-    }
-    fn enqueue_many(&mut self, values: &mut Vec<T>) -> usize {
-        ShardedWcqHandle::enqueue_many(self, values)
-    }
-    fn dequeue_into(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        ShardedWcqHandle::dequeue_many(self, out, max)
-    }
-}
-
-impl<T: Send, F: CellFamily> WaitFreeQueue<T> for ShardedWcq<T, F> {
-    fn name(&self) -> &'static str {
-        if F::NAME == LlscFamily::NAME {
-            "Sharded wLSCQ (LL/SC)"
-        } else {
-            "Sharded wLSCQ"
-        }
-    }
-    fn try_handle(&self) -> Option<Box<dyn QueueHandle<T> + '_>> {
-        self.register().map(|h| Box::new(h) as _)
-    }
-    fn max_threads(&self) -> usize {
-        ShardedWcq::max_threads(self)
-    }
-    fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.memory_footprint())
-                .sum::<usize>()
-    }
-    fn is_empty_hint(&self) -> bool {
-        self.shards.iter().all(|s| s.len_hint() == 0)
-    }
-    fn has_empty_hint(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use wcq_core::wcq::{LlscFamily, RingFamily};
 
     /// One live handle per shard: handles held at once own distinct record
     /// slots, hence distinct home shards — the way to put traffic on every
@@ -443,29 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn trait_facade_round_trips() {
-        let q: ShardedWcq<u64> = ShardedWcq::new(4, 4, 2);
-        let dynq: &dyn WaitFreeQueue<u64> = &q;
-        assert_eq!(dynq.name(), "Sharded wLSCQ");
-        assert!(dynq.is_empty_hint());
-        let mut h = dynq.handle();
-        for i in 0..200 {
-            h.enqueue(i);
-        }
-        assert!(!dynq.is_empty_hint());
-        for i in 0..200 {
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        assert_eq!(h.dequeue(), None);
-        assert!(dynq.memory_footprint() > 0);
-        assert_eq!(dynq.max_threads(), 2);
-    }
-
-    #[test]
     fn llsc_family_round_trips_and_reports_its_name() {
         wcq_atomics::llsc::set_spurious_failure_rate(0.0);
         let q: ShardedWcq<u64, LlscFamily> = ShardedWcq::new(2, 4, 2);
-        assert_eq!(WaitFreeQueue::<u64>::name(&q), "Sharded wLSCQ (LL/SC)");
+        let debug = format!("{q:?}");
+        assert!(debug.contains(LlscFamily::NAME), "{debug}");
         let mut h = q.handle();
         for i in 0..50 {
             h.enqueue(i);
@@ -559,19 +494,6 @@ mod tests {
         }
         assert_eq!(out, (100..105).collect::<Vec<_>>());
         assert_eq!(h.dequeue_many(&mut out, 8), 0);
-    }
-
-    #[test]
-    fn batch_trait_impls_delegate_and_hint_is_advertised() {
-        let q: ShardedWcq<u64> = ShardedWcq::new(2, 4, 2);
-        let dynq: &dyn WaitFreeQueue<u64> = &q;
-        assert!(dynq.has_empty_hint());
-        let mut h = dynq.handle();
-        let mut batch: Vec<u64> = (0..30).collect();
-        assert_eq!(h.enqueue_many(&mut batch), 30);
-        let mut out = Vec::new();
-        while h.dequeue_into(&mut out, 7) > 0 {}
-        assert_eq!(out, (0..30).collect::<Vec<_>>());
     }
 
     #[test]

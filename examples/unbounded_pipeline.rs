@@ -32,11 +32,11 @@ const WARM_UP: u64 = 1_024; // four segments
 
 fn main() {
     // 2^8-element segments; 1 producer + 2 consumers + 1 main registration;
-    // 8 drained segments kept warm for the next burst.
+    // up to `DEFAULT_SEGMENT_CACHE` drained segments kept warm for the next
+    // burst.
     let q: UnboundedWcq<u64> = wcq::builder()
         .capacity_order(8)
         .threads(4)
-        .segment_cache(8)
         .build_unbounded();
     let consumed = AtomicU64::new(0);
     let peak_live = AtomicU64::new(0);

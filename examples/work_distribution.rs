@@ -1,5 +1,5 @@
-//! Work distribution under open-loop load: the scenario driver on a
-//! sharded task pool.
+//! Work distribution under open-loop load: the scenario driver on a task
+//! pool of unbounded channels.
 //!
 //! The paper's introduction motivates fast wait-free queues with "user-space
 //! message passing and scheduling".  Earlier revisions of this example
@@ -20,7 +20,7 @@
 //!
 //! The same workload is run twice — steady arrivals, then the same average
 //! rate delivered in bursts — to show what burstiness alone does to the
-//! tail percentiles of a sharded pool.
+//! tail percentiles of the pool.
 //!
 //! Run with:
 //! ```text
@@ -34,7 +34,6 @@ use wcq_scenario::{ArrivalPattern, Scenario, ScenarioConfig, ScenarioReport};
 
 const FRONTENDS: usize = 2;
 const WORKERS: usize = 3;
-const SHARDS: usize = 4;
 const REQUESTS: usize = 40_000;
 
 /// Average offered load for both runs (requests per second) — chosen under
@@ -49,10 +48,9 @@ fn run(label: &str, pattern: ArrivalPattern) -> ScenarioReport {
         workers: WORKERS,
         requests: REQUESTS,
         pattern,
-        // The task pool of the old example: unbounded wLSCQ shards, each
-        // frontend feeding its home shard, workers stealing across shards.
-        backend: ChannelBackend::Sharded,
-        shards: SHARDS,
+        // The task pool: every frontend sends into one unbounded wLSCQ
+        // channel per priority lane, and every worker receives from both.
+        backend: ChannelBackend::Unbounded,
         // Simulated service time per request (the old trial-factoring).
         work_ns: 400,
         churn_events: 128,

@@ -18,8 +18,9 @@
 //! The park decision is gated by
 //! [`is_empty_hint`](crate::WaitFreeQueue::is_empty_hint) (the counting
 //! backends' approximate length): while the hint says values are present —
-//! they may sit in another shard moments from being stolen — the receiver
-//! retries the dequeue instead of paying the park/re-check round trip.
+//! an enqueue may have counted its value moments before depositing it — the
+//! receiver retries the dequeue instead of paying the park/re-check round
+//! trip.
 //!
 //! No executor is required or shipped: the futures are ordinary
 //! [`std::future::Future`]s driven by any runtime; this repo's tests and
@@ -57,8 +58,8 @@ use crate::wait::{Lane, Parked, WakeSide};
 /// Wraps a [`Sender`] (same close semantics, same typed errors, same
 /// send-side wait slot) so [`send`](AsyncSender::send) on a full *bounded*
 /// backend suspends the task instead of spinning; a receive or a close wakes
-/// it.  Unbounded and sharded backends never report full, so their send
-/// futures complete on first poll.
+/// it.  The unbounded backend never reports full, so its send futures
+/// complete on first poll.
 pub struct AsyncSender<T: Send + 'static, I: Instrument = NoopInstrument> {
     inner: Sender<T, I>,
 }
@@ -300,8 +301,8 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for AsyncReceiver<T, I> {
 
 /// The receive futures' poll: `try_recv` under the task driver, with up to
 /// two more tries before parking, gated by the backend's length hint.  While
-/// the hint says values exist (they may be headed to another shard or
-/// segment), a retry is cheaper than the park/re-check round trip; the bound
+/// the hint says values exist (they may be headed to the next segment), a
+/// retry is cheaper than the park/re-check round trip; the bound
 /// keeps one poll finite even if the hint stays stubbornly non-empty.  A
 /// backend without a real hint reports a constant `false` — "no information",
 /// not "non-empty" — so retrying on it is never informed: it parks after the

@@ -8,8 +8,8 @@
 //! `Result<(), T>` / `Option<T>`, and graceful shutdown.  This module layers
 //! exactly that on top of the [`WaitFreeQueue`] trait, so every backend the
 //! builder produces — the bounded wCQ (where [`TrySendError::Full`] is a real
-//! error), the unbounded wLSCQ and the sharded wLSCQ — serves as a channel
-//! without touching algorithm code.
+//! error) and the unbounded wLSCQ — serves as a channel without touching
+//! algorithm code.
 //!
 //! # Close protocol
 //!
@@ -452,8 +452,8 @@ pub struct Sender<T: Send + 'static, I: Instrument = NoopInstrument> {
 }
 
 // SAFETY: the slot's type-erased handle only ever wraps handles of the
-// workspace's queues (the safe constructors guarantee it; `from_queue`
-// forwards the obligation to its caller), whose entire state is tid-keyed
+// workspace's queues (the builder's channel finishers are the only way to
+// make a channel, and they pass only those), whose entire state is tid-keyed
 // shared atomics — the thread-locals involved (tid memo, LL/SC reservation)
 // are per-operation hints that tolerate migration.  `&mut self` on every
 // operation serializes use, and `bind` re-registers after a migration.
@@ -464,7 +464,7 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
     /// Attempts to send without waiting.
     ///
     /// Fails with [`TrySendError::Full`] when a *bounded* backend is at
-    /// capacity (the unbounded and sharded backends never report it) and with
+    /// capacity (the unbounded backend never reports it) and with
     /// [`TrySendError::Closed`] once the channel is closed.
     pub fn try_send(&mut self, value: T) -> Result<(), TrySendError<T>> {
         let Self { slot, core, .. } = self;
@@ -864,17 +864,10 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for Receiver<T, I> {
 // Construction
 // --------------------------------------------------------------------------
 
-/// Internal safe constructor: the builder finishers call this with the
-/// workspace's own queues, whose handles satisfy the migration contract.
-pub(crate) fn channel_over<T: Send + 'static>(
-    queue: Box<dyn WaitFreeQueue<T>>,
-) -> (Sender<T>, Receiver<T>) {
-    channel_over_instrumented(queue, NoopInstrument)
-}
-
-/// [`channel_over`] with an explicit instrumentation strategy: the
-/// instrumented builder finisher calls this so the channel layer records
-/// park/wake/close events into the same counter set as the queue underneath.
+/// The one constructor: the builder finishers call this with the workspace's
+/// own queues, whose handles satisfy the migration contract, and with their
+/// instrumentation strategy, so the channel layer records park/wake/close
+/// events into the same counter set as the queue underneath.
 pub(crate) fn channel_over_instrumented<T: Send + 'static, I: Instrument>(
     queue: Box<dyn WaitFreeQueue<T>>,
     instrument: I,
@@ -900,26 +893,6 @@ pub(crate) fn channel_over_instrumented<T: Send + 'static, I: Instrument>(
             core,
         },
     )
-}
-
-/// Builds a channel over an arbitrary [`WaitFreeQueue`] implementation.
-///
-/// Prefer [`build_channel`](crate::QueueBuilder::build_channel), which covers
-/// every queue this workspace ships.  This is the extension point for
-/// third-party implementors of the trait.
-///
-/// # Safety
-/// The endpoints are [`Send`], so the caller must guarantee that every handle
-/// `queue` hands out remains valid when *moved* between threads — used by at
-/// most one thread at a time, possibly dropped on a thread other than the
-/// registering one.  Handles whose state lives in tid-keyed shared memory
-/// (every queue in this workspace) qualify; handles relying on genuinely
-/// thread-bound state (e.g. `Rc` internals or OS TLS keyed by the registering
-/// thread) do not.
-pub unsafe fn from_queue<T: Send + 'static>(
-    queue: Box<dyn WaitFreeQueue<T>>,
-) -> (Sender<T>, Receiver<T>) {
-    channel_over(queue)
 }
 
 #[cfg(test)]

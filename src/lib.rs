@@ -48,26 +48,15 @@
 //! ```
 //!
 //! The same builder produces the unbounded wLSCQ queue (linked wCQ segments
-//! with hazard-pointer recycling), its sharded high-thread-count variant and
-//! the LL/SC hardware model:
+//! with hazard-pointer recycling) and the LL/SC hardware model:
 //!
 //! ```
 //! let unbounded = wcq::builder()
 //!     .capacity_order(8)   // per-segment capacity
 //!     .threads(8)
-//!     .segment_cache(8)    // drained segments kept for reuse
 //!     .build_unbounded::<String>();
 //! let mut h = unbounded.handle();
 //! h.enqueue("never blocks, never fails".to_string());
-//!
-//! // Four independent wLSCQ shards behind one facade: an enqueue goes to the
-//! // handle's home shard, a dequeue scans home-first and steals.
-//! let sharded = wcq::builder()
-//!     .capacity_order(8)
-//!     .threads(8)
-//!     .shards(4)
-//!     .build_sharded::<u64>();
-//! # drop(sharded);
 //!
 //! let ppc = wcq::builder().capacity_order(6).threads(2).llsc().build_bounded::<u64>();
 //! # drop(ppc);
@@ -102,7 +91,7 @@
 //! | `WcqQueue::with_config(order, threads, cfg)` (removed; in-crate it is `with_config_counters(order, threads, cfg, None)`) | `…().config(cfg).build_bounded()` |
 //! | `WcqQueue::<_, LlscFamily>::new(order, threads)` | `…().llsc().build_bounded()` |
 //! | `UnboundedWcq::new(seg_order, threads)` | `…().build_unbounded()` |
-//! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` (removed; in-crate it is `with_config_cache_counters(o, t, cfg, n, None)`) | `…().config(cfg).segment_cache(n).build_unbounded()` |
+//! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` (removed; in-crate it is `with_config_cache_counters(o, t, cfg, n, None)`) | `…().config(cfg).build_unbounded()` (the cache holds [`DEFAULT_SEGMENT_CACHE`] segments) |
 //! | `WcqRing::new(order, threads)` | `…().build_ring()` |
 //! | `queue.register().expect(…)` | `queue.handle()` (RAII, memoized re-entry) |
 //! | hand-rolled closed-flag channel over `WcqQueue` | `…().backend(ChannelBackend::Bounded).build_channel()` |
@@ -146,10 +135,7 @@ pub use wcq_core::scq::ScqQueue;
 pub use wcq_core::wcq::{
     CellFamily, LlscFamily, NativeFamily, WcqConfig, WcqQueue, WcqQueueHandle, WcqRing,
 };
-pub use wcq_unbounded::{
-    SegmentStats, ShardedWcq, ShardedWcqHandle, UnboundedWcq, UnboundedWcqHandle,
-    DEFAULT_SEGMENT_CACHE,
-};
+pub use wcq_unbounded::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
 use core::marker::PhantomData;
 
@@ -167,9 +153,8 @@ pub fn builder() -> QueueBuilder<NativeFamily> {
         capacity_order: 10,
         threads: 8,
         config: WcqConfig::default(),
-        segment_cache: DEFAULT_SEGMENT_CACHE,
         shards: 1,
-        backend: None,
+        backend: ChannelBackend::Unbounded,
         instr: NoopInstrument,
         _family: PhantomData,
     }
@@ -185,10 +170,6 @@ pub enum ChannelBackend {
     Bounded,
     /// The unbounded wLSCQ (the default): sends never report full.
     Unbounded,
-    /// The sharded wLSCQ (the default when
-    /// [`shards`](QueueBuilder::shards)` > 1`): unbounded, with the builder's
-    /// shard count.
-    Sharded,
 }
 
 /// The one construction path for every wCQ-family queue.
@@ -197,9 +178,7 @@ pub enum ChannelBackend {
 /// [`build_bounded`](QueueBuilder::build_bounded) (a fixed-capacity
 /// [`WcqQueue`], Theorem 5.8's bounded-memory queue),
 /// [`build_unbounded`](QueueBuilder::build_unbounded) (the wLSCQ
-/// [`UnboundedWcq`] of linked segments),
-/// [`build_sharded`](QueueBuilder::build_sharded) (a [`ShardedWcq`] of
-/// [`shards`](QueueBuilder::shards) independent wLSCQ shards) or
+/// [`UnboundedWcq`] of linked segments) or
 /// [`build_ring`](QueueBuilder::build_ring) (a raw index ring, the Figure 2
 /// indirection building block).
 ///
@@ -211,16 +190,15 @@ pub enum ChannelBackend {
 /// [`instrument`](QueueBuilder::instrument) switches from the default
 /// [`NoopInstrument`] (telemetry compiled out entirely) to a live
 /// [`CountingInstrument`] whose shared [`CounterSet`] every layer built by
-/// the finishers — ring, queue, segments, shards, channel endpoints —
-/// records into.  Snapshot it with [`CountingInstrument::snapshot`].
+/// the finishers — ring, queue, segments, channel endpoints — records into.
+/// Snapshot it with [`CountingInstrument::snapshot`].
 #[derive(Debug)]
 pub struct QueueBuilder<F: CellFamily = NativeFamily, I: Instrument = NoopInstrument> {
     capacity_order: u32,
     threads: usize,
     config: WcqConfig,
-    segment_cache: usize,
     shards: usize,
-    backend: Option<ChannelBackend>,
+    backend: ChannelBackend,
     instr: I,
     _family: PhantomData<F>,
 }
@@ -233,7 +211,6 @@ impl<F: CellFamily, I: Instrument> Clone for QueueBuilder<F, I> {
             capacity_order: self.capacity_order,
             threads: self.threads,
             config: self.config,
-            segment_cache: self.segment_cache,
             shards: self.shards,
             backend: self.backend,
             instr: self.instr.clone(),
@@ -250,7 +227,6 @@ impl<I: Instrument> QueueBuilder<NativeFamily, I> {
             capacity_order: self.capacity_order,
             threads: self.threads,
             config: self.config,
-            segment_cache: self.segment_cache,
             shards: self.shards,
             backend: self.backend,
             instr: self.instr,
@@ -262,10 +238,10 @@ impl<I: Instrument> QueueBuilder<NativeFamily, I> {
 impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// Selects the observability strategy, like [`llsc`](QueueBuilder::llsc)
     /// selects the hardware model: pass a [`CountingInstrument`] (keep a
-    /// clone!) and every queue, segment, shard and channel endpoint the
-    /// finishers build records contention telemetry — fast/slow-path ops,
-    /// helping entries, CAS failures, segment lifecycle, shard steals,
-    /// channel park/wake — into its shared [`CounterSet`].  The default
+    /// clone!) and every queue, segment and channel endpoint the finishers
+    /// build records contention telemetry — fast/slow-path ops, helping
+    /// entries, CAS failures, segment lifecycle, channel park/wake — into its
+    /// shared [`CounterSet`].  The default
     /// [`NoopInstrument`] compiles all of it out (see the [`Instrument`]
     /// zero-overhead contract).
     ///
@@ -292,7 +268,6 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
             capacity_order: self.capacity_order,
             threads: self.threads,
             config: self.config,
-            segment_cache: self.segment_cache,
             shards: self.shards,
             backend: self.backend,
             instr,
@@ -329,18 +304,9 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
         self
     }
 
-    /// How many drained segments an unbounded queue keeps for reuse instead
-    /// of freeing (ignored by [`build_bounded`](QueueBuilder::build_bounded)).
-    pub fn segment_cache(mut self, segments: usize) -> Self {
-        self.segment_cache = segments;
-        self
-    }
-
     /// Number of independent shards for
-    /// [`build_sharded`](QueueBuilder::build_sharded) (default 1; ignored by
-    /// the other finishers).  Each shard is a full unbounded wLSCQ with the
-    /// builder's geometry, so total steady-state memory scales with
-    /// `shards × (live segments + segment cache)`.
+    /// [`build_sharded`](QueueBuilder::build_sharded) (default 1); no other
+    /// finisher reads it.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -348,35 +314,22 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
 
     /// Selects the queue shape backing [`build_channel`](QueueBuilder::build_channel)
     /// / [`build_async`](QueueBuilder::build_async) (ignored by the queue
-    /// finishers, which each name their shape).  Without this, channels are
-    /// backed by the sharded wLSCQ when [`shards`](QueueBuilder::shards)` > 1`
-    /// and by the plain unbounded wLSCQ otherwise; `Bounded` must be opted
-    /// into, because it changes semantics ([`TrySendError::Full`] appears and
-    /// `send` blocks on a full queue).
+    /// finishers, which each name their shape).  The default is
+    /// [`ChannelBackend::Unbounded`]; `Bounded` must be opted into, because
+    /// it changes semantics ([`TrySendError::Full`] appears and `send` blocks
+    /// on a full queue).
     pub fn backend(mut self, backend: ChannelBackend) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
-    }
-
-    /// The channel backend in effect: the explicit
-    /// [`backend`](QueueBuilder::backend) choice, or the shard-count-derived
-    /// default.
-    fn effective_backend(&self) -> ChannelBackend {
-        self.backend.unwrap_or(if self.shards > 1 {
-            ChannelBackend::Sharded
-        } else {
-            ChannelBackend::Unbounded
-        })
     }
 
     /// Builds the queue shape selected by [`backend`](QueueBuilder::backend)
     /// behind the type-erased facade — the construction path shared by both
     /// channel finishers.
     fn build_backend<T: Send + 'static>(&self) -> Box<dyn WaitFreeQueue<T>> {
-        match self.effective_backend() {
+        match self.backend {
             ChannelBackend::Bounded => Box::new(self.build_bounded::<T>()),
             ChannelBackend::Unbounded => Box::new(self.build_unbounded::<T>()),
-            ChannelBackend::Sharded => Box::new(self.build_sharded::<T>()),
         }
     }
 
@@ -387,9 +340,8 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// [`threads`](QueueBuilder::threads) for the peak number of live
     /// endpoints.
     ///
-    /// Per-sender FIFO order holds on all three backends, for the lifetime of
-    /// a sender's bound handle (a sender that migrates to another thread
-    /// re-registers, and on the sharded backend may land on another shard).
+    /// Both backends are one FIFO queue, so per-sender order holds across a
+    /// sender's migrations and re-registrations too.
     ///
     /// ```
     /// let (tx, mut rx) = wcq::builder().threads(2).build_channel::<u64>();
@@ -441,7 +393,7 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
             self.capacity_order,
             self.threads,
             self.config,
-            self.segment_cache,
+            DEFAULT_SEGMENT_CACHE,
             self.instr.counter_set(),
         )
     }
@@ -458,17 +410,18 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     }
 
     /// Builds the sharded unbounded queue: [`shards`](QueueBuilder::shards)
-    /// independent wLSCQ shards behind one [`WaitFreeQueue`] facade; an
-    /// enqueue goes to the handle's home shard, a dequeue scans home-first and
-    /// steals — the high-thread-count shape that breaks the single head/tail
-    /// hot spots while keeping per-producer FIFO.
-    pub fn build_sharded<T>(&self) -> ShardedWcq<T, F> {
-        ShardedWcq::with_config_cache_counters(
+    /// independent wLSCQ shards; an enqueue goes to the handle's home shard,
+    /// a dequeue scans home-first and steals.  It keeps only per-producer
+    /// FIFO and its empty answer is a racy scan, so it is no channel backend
+    /// and no [`WaitFreeQueue`]: only the `benchmark/` ledger's sharded rungs
+    /// build it, through the handle's own methods (ROADMAP item 4 deletes it).
+    pub fn build_sharded<T>(&self) -> wcq_unbounded::ShardedWcq<T, F> {
+        wcq_unbounded::ShardedWcq::with_config_cache_counters(
             self.shards,
             self.capacity_order,
             self.threads,
             self.config,
-            self.segment_cache,
+            DEFAULT_SEGMENT_CACHE,
             self.instr.counter_set(),
         )
     }
@@ -486,29 +439,6 @@ mod tests {
             .build_bounded::<u64>();
         assert_eq!(q.capacity(), 32);
         assert_eq!(WcqQueue::max_threads(&q), 3);
-    }
-
-    #[test]
-    fn builder_builds_unbounded_with_cache_hook() {
-        let q = builder()
-            .capacity_order(4)
-            .threads(2)
-            .segment_cache(2)
-            .build_unbounded::<u64>();
-        assert_eq!(q.segment_capacity(), 16);
-        let mut h = q.handle();
-        for i in 0..100 {
-            h.enqueue(i);
-        }
-        for i in 0..100 {
-            assert_eq!(h.dequeue(), Some(i));
-        }
-        h.flush_reclamation();
-        let stats = q.segment_stats();
-        assert!(
-            stats.cached <= 2,
-            "segment_cache(2) must bound the reuse cache: {stats:?}"
-        );
     }
 
     #[test]
@@ -559,7 +489,7 @@ mod tests {
             .shards(4)
             .build_sharded::<u64>();
         assert_eq!(q.shard_count(), 4);
-        assert_eq!(ShardedWcq::max_threads(&q), 2);
+        assert_eq!(q.max_threads(), 2);
         assert_eq!(q.shards()[0].segment_capacity(), 16);
         let mut h = q.handle();
         for i in 0..100 {

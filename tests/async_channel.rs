@@ -43,22 +43,13 @@ fn async_pair(backend: ChannelBackend) -> (wcq::AsyncSender<u64>, wcq::AsyncRece
     wcq::builder()
         .capacity_order(6)
         .threads(6)
-        .shards(if backend == ChannelBackend::Sharded {
-            4
-        } else {
-            1
-        })
         .backend(backend)
         .build_async::<u64>()
 }
 
 #[test]
 fn parked_receiver_is_woken_by_exactly_one_enqueue() {
-    for backend in [
-        ChannelBackend::Bounded,
-        ChannelBackend::Unbounded,
-        ChannelBackend::Sharded,
-    ] {
+    for backend in [ChannelBackend::Bounded, ChannelBackend::Unbounded] {
         let (mut tx, mut rx) = async_pair(backend);
         let (count, waker) = counting_waker();
         let mut cx = Context::from_waker(&waker);
@@ -262,11 +253,7 @@ fn cancelled_future_forwards_a_consumed_notification() {
 
 #[test]
 fn async_round_trip_works_on_every_backend() {
-    for backend in [
-        ChannelBackend::Bounded,
-        ChannelBackend::Unbounded,
-        ChannelBackend::Sharded,
-    ] {
+    for backend in [ChannelBackend::Bounded, ChannelBackend::Unbounded] {
         let (tx, rx) = async_pair(backend);
         let (mut tx, mut rx) = (tx, rx);
         block_on(async {
@@ -333,11 +320,7 @@ fn cross_thread_pipeline_has_bounded_poll_and_wake_counts() {
 
 #[test]
 fn async_batch_round_trip_works_on_every_backend() {
-    for backend in [
-        ChannelBackend::Bounded,
-        ChannelBackend::Unbounded,
-        ChannelBackend::Sharded,
-    ] {
+    for backend in [ChannelBackend::Bounded, ChannelBackend::Unbounded] {
         let (tx, rx) = async_pair(backend);
         let (mut tx, mut rx) = (tx, rx);
         block_on(async {

@@ -1,8 +1,8 @@
 //! Close-semantics integration suite for the channel endpoints (ISSUE 5).
 //!
-//! The acceptance claim: `build_channel::<u64>()` works over the bounded,
-//! unbounded and sharded backends, every pre-close send is drained exactly
-//! once, and post-close sends fail with `Closed`.  The seeded
+//! The acceptance claim: `build_channel::<u64>()` works over the bounded and
+//! unbounded backends, every pre-close send is drained exactly once, and
+//! post-close sends fail with `Closed`.  The seeded
 //! [`ChannelStressPlan`] packages the concurrent version of that claim (the
 //! close racing live consumers); the direct tests below pin down the
 //! single-threaded corners and the cross-thread endpoint ergonomics the
@@ -16,11 +16,6 @@ fn pair_over(backend: ChannelBackend) -> (wcq::Sender<u64>, wcq::Receiver<u64>) 
     wcq::builder()
         .capacity_order(6)
         .threads(6)
-        .shards(if backend == ChannelBackend::Sharded {
-            4
-        } else {
-            1
-        })
         .backend(backend)
         .build_channel::<u64>()
 }
@@ -127,9 +122,8 @@ fn endpoints_migrate_through_a_chain_of_short_lived_threads() {
     // is typically handed the dead thread's stack and TLS block: an endpoint
     // that told threads apart by a TLS address would take every hop for the
     // thread it is already registered on.  Whatever the registrations do,
-    // the values must come out exactly once — and in order wherever the
-    // backend promises order across a re-registration (the sharded backend
-    // keeps it per home shard, and a migrated endpoint may be given another).
+    // the values must come out exactly once and in order: both backends are
+    // one FIFO queue, so order survives every re-registration.
     const HOPS: u64 = 16;
     const SENT_PER_HOP: u64 = 4;
     const TAKEN_PER_HOP: u64 = 3;
@@ -158,9 +152,6 @@ fn endpoints_migrate_through_a_chain_of_short_lived_threads() {
             seen.push(v);
         }
         assert_eq!(rx.recv(), Err(RecvError), "backend {backend:?}");
-        if backend == ChannelBackend::Sharded {
-            seen.sort_unstable();
-        }
         assert_eq!(
             seen,
             (0..HOPS * SENT_PER_HOP).collect::<Vec<_>>(),
@@ -177,29 +168,27 @@ fn a_spinning_recv_watches_the_length_hint_instead_of_polling_the_ring() {
     // ring again only when that turns non-empty (or the channel closes) —
     // and once more for the re-check when, its spin budget spent, it parks.
     use wcq::{Counter, CountingInstrument};
-    for backend in [ChannelBackend::Unbounded, ChannelBackend::Sharded] {
-        let instr = CountingInstrument::new();
-        let (mut tx, mut rx) = wcq::builder()
-            .threads(4)
-            .backend(backend)
-            .instrument(instr.clone())
-            .build_channel::<u64>();
-        let ring_polls = || instr.snapshot().get(Counter::RingDequeues);
-        let receiver = std::thread::spawn(move || (rx.recv(), rx.recv()));
-        while ring_polls() == 0 {
-            std::thread::yield_now(); // until the receiver's first (empty) poll
-        }
-        // Time enough for thousands of polls, had it kept polling.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let while_empty = ring_polls();
-        assert!(
-            while_empty <= 8,
-            "backend {backend:?}: {while_empty} ring polls while provably empty"
-        );
-        tx.send(7).unwrap();
-        drop(tx); // the second `recv` must still see the close through the gate
-        assert_eq!(receiver.join().unwrap(), (Ok(7), Err(RecvError)));
+    let instr = CountingInstrument::new();
+    let (mut tx, mut rx) = wcq::builder()
+        .threads(4)
+        .backend(ChannelBackend::Unbounded)
+        .instrument(instr.clone())
+        .build_channel::<u64>();
+    let ring_polls = || instr.snapshot().get(Counter::RingDequeues);
+    let receiver = std::thread::spawn(move || (rx.recv(), rx.recv()));
+    while ring_polls() == 0 {
+        std::thread::yield_now(); // until the receiver's first (empty) poll
     }
+    // Time enough for thousands of polls, had it kept polling.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let while_empty = ring_polls();
+    assert!(
+        while_empty <= 8,
+        "{while_empty} ring polls while provably empty"
+    );
+    tx.send(7).unwrap();
+    drop(tx); // the second `recv` must still see the close through the gate
+    assert_eq!(receiver.join().unwrap(), (Ok(7), Err(RecvError)));
 }
 
 #[test]
@@ -257,30 +246,29 @@ fn llsc_hardware_model_channels_work_end_to_end() {
 
 #[test]
 fn counting_backends_hint_empty_after_a_drain() {
-    for backend in [ChannelBackend::Unbounded, ChannelBackend::Sharded] {
-        let (mut tx, mut rx) = pair_over(backend);
-        for i in 0..100 {
-            tx.send(i).unwrap();
-        }
-        assert!(!rx.is_empty_hint(), "backend {backend:?}: holds 100 values");
-        for _ in 0..100 {
-            rx.recv().unwrap();
-        }
-        assert!(rx.is_empty_hint(), "backend {backend:?}: drained");
+    let (mut tx, mut rx) = pair_over(ChannelBackend::Unbounded);
+    for i in 0..100 {
+        tx.send(i).unwrap();
     }
+    assert!(!rx.is_empty_hint(), "holds 100 values");
+    for _ in 0..100 {
+        rx.recv().unwrap();
+    }
+    assert!(rx.is_empty_hint(), "drained");
 }
 
-/// Regression: a sharded channel built with `.shards(4)` and *no other call*
-/// keeps per-sender FIFO, like every other backend.  Under the old default
-/// (round-robin enqueue routing) one sender's values were spread over the
-/// four shards and came back as `[1, 5, 9, 13, 2, 6, …]`.
+/// Regression: `.shards(n)` no longer selects a channel backend.  A channel
+/// built with `.shards(4)` and *no other call* is the default unbounded wLSCQ
+/// and keeps per-sender FIFO, on sync and async endpoints, singles and
+/// batches alike.
 #[test]
-fn default_sharded_channel_keeps_per_sender_fifo() {
+fn a_shard_count_leaves_the_channel_on_the_unbounded_backend() {
     const N: usize = 1_000;
     let expected: Vec<u64> = (0..N as u64).collect();
 
     // Sync endpoints, one value at a time.
     let (mut tx, mut rx) = wcq::builder().shards(4).build_channel::<u64>();
+    assert_eq!(tx.backend_name(), "wLSCQ");
     for &v in &expected {
         tx.send(v).unwrap();
     }

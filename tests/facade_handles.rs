@@ -6,8 +6,7 @@
 //! * the unbounded handle's segment memo survives forced segment
 //!   growth (tiny `ring_order = 4` segments) without losing values, both
 //!   through the concrete API and through the boxed facade trait;
-//! * all 13 `QueueKind`s hand out working handles through the public trait
-//!   (the deeper sharded-handle lifecycle lives in `tests/sharded.rs`).
+//! * all 11 `QueueKind`s hand out working handles through the public trait.
 //!
 //! (`!Send`-ness of the handles is enforced at compile time by the
 //! `compile_fail` doctests on `WcqQueueHandle` and `UnboundedWcqHandle`.)
@@ -59,8 +58,6 @@ fn facade_handles_are_raii_for_every_registration_limited_kind() {
         QueueKind::CrTurn,
         QueueKind::WcqUnbounded,
         QueueKind::WcqUnboundedLlsc,
-        QueueKind::WcqSharded,
-        QueueKind::WcqShardedLlsc,
     ] {
         let q = make_queue(kind, 1, 8);
         let h = q.try_handle().expect("one slot free");
@@ -73,7 +70,7 @@ fn facade_handles_are_raii_for_every_registration_limited_kind() {
 #[test]
 fn every_kind_hands_out_working_trait_handles() {
     let kinds = QueueKind::all();
-    assert_eq!(kinds.len(), 13);
+    assert_eq!(kinds.len(), 11);
     for kind in kinds {
         let q = make_queue(kind, 2, 8);
         let mut h = q.handle();
@@ -182,7 +179,7 @@ fn empty_hint_is_meaningful_for_counting_kinds_and_conservative_elsewhere() {
 
 #[test]
 fn registration_slot_exhaustion_is_uniform_across_all_kinds() {
-    // Satellite (ISSUE 5): for every one of the 13 kinds — `try_handle()`
+    // For every one of the 11 kinds — `try_handle()`
     // returns `None` at `max_threads`, a dropped handle frees the slot, and
     // the panicking `handle()` names the queue and the limit.  Kinds without
     // registration (`max_threads == usize::MAX`) hand out handles without

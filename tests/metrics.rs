@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use wcq::{ChannelBackend, Counter, CountingInstrument, MetricsSnapshot, WcqConfig};
+use wcq::{ChannelBackend, Counter, CountingInstrument, MetricsSnapshot, UnboundedWcq, WcqConfig};
 use wcq_harness::{block_on_instrumented, make_counting_queue, QueueKind};
 
 /// The queue kinds `make_counting_queue` can instrument — the whole wCQ
@@ -30,8 +30,6 @@ const COUNTING_KINDS: &[QueueKind] = &[
     QueueKind::WcqLlsc,
     QueueKind::WcqUnbounded,
     QueueKind::WcqUnboundedLlsc,
-    QueueKind::WcqSharded,
-    QueueKind::WcqShardedLlsc,
 ];
 
 const PRODUCERS: usize = 2;
@@ -198,12 +196,13 @@ fn ring_op_counters_count_operations_not_segment_construction() {
     // drained, and each retired segment's drop, are ring operations too.
     const N: u64 = 160;
     let instr = CountingInstrument::new();
-    let q = wcq::builder()
-        .capacity_order(4)
-        .threads(1)
-        .segment_cache(0)
-        .instrument(instr.clone())
-        .build_unbounded::<u64>();
+    let q: UnboundedWcq<u64> = UnboundedWcq::with_config_cache_counters(
+        4,
+        1,
+        WcqConfig::default(),
+        0,
+        Some(instr.counters().clone()),
+    );
     {
         let mut h = q.register().expect("one slot free");
         for i in 0..N {
@@ -217,30 +216,6 @@ fn ring_op_counters_count_operations_not_segment_construction() {
     let snap = instr.snapshot();
     assert_eq!(snap.get(Counter::RingEnqueues), 2 * N);
     assert!(snap.get(Counter::RingDequeues) >= 2 * N);
-}
-
-#[test]
-fn sharded_kinds_report_routing() {
-    const VALUES: u64 = 500;
-    let (queue, instr) =
-        make_counting_queue(QueueKind::WcqSharded, 2, 6, None).expect("sharded kind counts");
-    {
-        // Two live handles own distinct record slots, hence distinct home
-        // shards: everything the consumer gets, it steals from the
-        // producer's shard.
-        let mut producer = queue.handle();
-        let mut consumer = queue.handle();
-        for i in 0..VALUES {
-            producer.enqueue(i);
-        }
-        for i in 0..VALUES {
-            assert_eq!(consumer.dequeue(), Some(i));
-        }
-        // The producer's own dequeues start at home: no steal.
-        producer.enqueue(VALUES);
-        assert_eq!(producer.dequeue(), Some(VALUES));
-    }
-    assert_eq!(instr.snapshot().get(Counter::ShardSteals), VALUES);
 }
 
 #[test]

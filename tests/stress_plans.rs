@@ -8,9 +8,8 @@
 use wcq_harness::{all_real_queues, QueueKind, StressPlan, WcqConfig};
 
 /// Two seeds per kind keeps the sweep broad but CI-fast; the seeds are
-/// arbitrary and fixed so runs are comparable.  The sweep covers 12 real
-/// kinds, including the sharded wLSCQ pair (a producer stays on its home
-/// shard, so the full per-producer-FIFO oracle applies to them too).
+/// arbitrary and fixed so runs are comparable.  The sweep covers 10 real
+/// kinds.
 const SEEDS: [u64; 2] = [0xC0FF_EE00, 0x5EED_0002];
 
 #[test]
@@ -25,15 +24,13 @@ fn stress_oracle_holds_for_all_real_queues() {
 #[test]
 fn stress_oracle_holds_with_forced_slow_path() {
     // Override the derived patience so every operation of both wCQ hardware
-    // models (bounded, unbounded and sharded) runs the Figure 5-7 slow-path
+    // models (bounded and unbounded) runs the Figure 5-7 slow-path
     // machinery.
     for kind in [
         QueueKind::Wcq,
         QueueKind::WcqLlsc,
         QueueKind::WcqUnbounded,
         QueueKind::WcqUnboundedLlsc,
-        QueueKind::WcqSharded,
-        QueueKind::WcqShardedLlsc,
     ] {
         let mut plan = StressPlan::from_seed(kind, 0xBAD_FA57);
         plan.wcq_config = WcqConfig {

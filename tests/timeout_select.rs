@@ -42,15 +42,10 @@ const SENDS_PER_PRODUCER: u64 = 400;
 /// Short enough that the producers' injected gaps expire many parked waits.
 const WAIT: Duration = Duration::from_micros(200);
 
-fn channel_over(backend: ChannelBackend, slots: usize) -> (Sender<u64>, Receiver<u64>) {
+fn pair_over(backend: ChannelBackend, slots: usize) -> (Sender<u64>, Receiver<u64>) {
     wcq::builder()
         .capacity_order(7)
         .threads(slots)
-        .shards(if backend == ChannelBackend::Sharded {
-            4
-        } else {
-            1
-        })
         .backend(backend)
         .build_channel::<u64>()
 }
@@ -74,7 +69,7 @@ fn jittery_produce(tx: &mut Sender<u64>, worker: usize, seed: u64) {
 #[test]
 fn recv_timeout_under_jittery_load_times_out_but_never_drops() {
     for backend in all_channel_backends() {
-        let (tx, rx) = channel_over(backend, PRODUCERS + CONSUMERS + 2);
+        let (tx, rx) = pair_over(backend, PRODUCERS + CONSUMERS + 2);
         let timeouts = AtomicU64::new(0);
         let observations: Vec<Vec<u64>> = std::thread::scope(|s| {
             for worker in 0..PRODUCERS {
@@ -130,7 +125,7 @@ fn select_stress_drains_every_lane_exactly_once_through_close() {
     const LANES: usize = 3;
     for backend in all_channel_backends() {
         let lanes: Vec<_> = (0..LANES)
-            .map(|_| channel_over(backend, PRODUCERS + CONSUMERS + 2))
+            .map(|_| pair_over(backend, PRODUCERS + CONSUMERS + 2))
             .collect();
         let (txs, rxs): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
         let timeouts = AtomicU64::new(0);
@@ -202,74 +197,65 @@ fn async_select_stress_matches_the_sync_oracle() {
     // producers on plain threads.  `Err(RecvError)` is the close-aware
     // terminal: all lanes closed and drained.
     const LANES: usize = 2;
-    for backend in [ChannelBackend::Unbounded, ChannelBackend::Sharded] {
-        let mut pairs: Vec<_> = (0..LANES)
-            .map(|_| {
-                wcq::builder()
-                    .capacity_order(7)
-                    .threads(PRODUCERS + CONSUMERS + 2)
-                    .shards(if backend == ChannelBackend::Sharded {
-                        4
-                    } else {
-                        1
-                    })
-                    .backend(backend)
-                    .build_async::<u64>()
-            })
-            .collect();
-        let txs: Vec<_> = pairs.iter().map(|(tx, _)| tx.clone()).collect();
-        let observations: Vec<Vec<u64>> = std::thread::scope(|s| {
-            for worker in 0..PRODUCERS {
-                let mut txs = txs.to_vec();
-                s.spawn(move || {
-                    let mut rng = DetRng::new(0xF00D).stream(worker as u64 + 1);
-                    for seq in 1..=SENDS_PER_PRODUCER {
-                        let lane = rng.next_below(LANES as u64) as usize;
-                        block_on(txs[lane].send(encode(worker, seq))).expect("receivers are alive");
-                        if seq % 89 == 0 {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
+    let mut pairs: Vec<_> = (0..LANES)
+        .map(|_| {
+            wcq::builder()
+                .capacity_order(7)
+                .threads(PRODUCERS + CONSUMERS + 2)
+                .build_async::<u64>()
+        })
+        .collect();
+    let txs: Vec<_> = pairs.iter().map(|(tx, _)| tx.clone()).collect();
+    let observations: Vec<Vec<u64>> = std::thread::scope(|s| {
+        for worker in 0..PRODUCERS {
+            let mut txs = txs.to_vec();
+            s.spawn(move || {
+                let mut rng = DetRng::new(0xF00D).stream(worker as u64 + 1);
+                for seq in 1..=SENDS_PER_PRODUCER {
+                    let lane = rng.next_below(LANES as u64) as usize;
+                    block_on(txs[lane].send(encode(worker, seq))).expect("receivers are alive");
+                    if seq % 89 == 0 {
+                        std::thread::sleep(Duration::from_millis(1));
                     }
-                });
-            }
-            drop(txs);
-            let consumers: Vec<_> = (0..CONSUMERS)
-                .map(|_| {
-                    let mut rxs: Vec<_> = pairs.iter().map(|(_, rx)| rx.clone()).collect();
-                    s.spawn(move || {
-                        block_on(async move {
-                            let mut got = Vec::new();
-                            loop {
-                                let mut lanes: Vec<_> = rxs.iter_mut().collect();
-                                match wcq::recv_any(&mut lanes).await {
-                                    Ok((lane, v)) => {
-                                        assert!(lane < LANES);
-                                        got.push(v);
-                                    }
-                                    Err(_) => break, // all closed and drained
+                }
+            });
+        }
+        drop(txs);
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                let mut rxs: Vec<_> = pairs.iter().map(|(_, rx)| rx.clone()).collect();
+                s.spawn(move || {
+                    block_on(async move {
+                        let mut got = Vec::new();
+                        loop {
+                            let mut lanes: Vec<_> = rxs.iter_mut().collect();
+                            match wcq::recv_any(&mut lanes).await {
+                                Ok((lane, v)) => {
+                                    assert!(lane < LANES);
+                                    got.push(v);
                                 }
+                                Err(_) => break, // all closed and drained
                             }
-                            got
-                        })
+                        }
+                        got
                     })
                 })
-                .collect();
-            // Drop the original endpoints: the producers' clones (senders)
-            // and the consumers' clones (receivers) now own the channels.
-            pairs.clear();
-            consumers.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+            })
+            .collect();
+        // Drop the original endpoints: the producers' clones (senders)
+        // and the consumers' clones (receivers) now own the channels.
+        pairs.clear();
+        consumers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-        let total: u64 = observations.iter().map(|o| o.len() as u64).sum();
-        assert_eq!(
-            total,
-            (PRODUCERS as u64) * SENDS_PER_PRODUCER,
-            "backend {backend:?}: async select must drain exactly once"
-        );
-        let counts: HashMap<usize, u64> = (0..PRODUCERS).map(|w| (w, SENDS_PER_PRODUCER)).collect();
-        verify_observations(&counts, &observations, false)
-            .unwrap_or_else(|e| panic!("backend {backend:?}: {e}"));
-    }
+    let total: u64 = observations.iter().map(|o| o.len() as u64).sum();
+    assert_eq!(
+        total,
+        (PRODUCERS as u64) * SENDS_PER_PRODUCER,
+        "async select must drain exactly once"
+    );
+    let counts: HashMap<usize, u64> = (0..PRODUCERS).map(|w| (w, SENDS_PER_PRODUCER)).collect();
+    verify_observations(&counts, &observations, false).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
