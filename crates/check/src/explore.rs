@@ -18,8 +18,9 @@
 //!
 //! * **threshold monotonicity bound** — both ring thresholds never exceed
 //!   the §5 `3n - 1` bound, sampled by every consumer on every poll;
-//! * **close-credit balance** — after a channel run quiesces, zero senders
-//!   still hold a pre-close in-flight credit;
+//! * **close balance** — after a channel run quiesces, no send is still in
+//!   flight on the backend's gate, and no send that started after a
+//!   completed close was accepted;
 //! * **segment residency** — after a drained unbounded run flushes
 //!   reclamation, resident segments stay within the Theorem 5.8-style
 //!   `live + cache + hazard` bound.
@@ -33,7 +34,7 @@ use std::collections::{HashMap, VecDeque};
 use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wcq::{builder, ChannelBackend, TryRecvError, TrySendError};
@@ -60,8 +61,10 @@ pub enum Target {
     /// Unbounded wLSCQ over [`CheckedFamily`] segments, plus the segment
     /// residency probe.
     Unbounded,
-    /// The channel close protocol over an LL/SC bounded backend, plus the
-    /// in-flight close-credit probe.
+    /// The channel close protocol over an LL/SC backend the plan picks —
+    /// the bounded wCQ, or the unbounded wLSCQ on the smallest segments the
+    /// plan's threads admit, so closes race appends and crossings — plus the
+    /// close-balance probe.
     Channel,
     /// Two-shard [`ShardedWcq`] over [`CheckedFamily`] segments: producers
     /// on distinct home shards, consumers draining their own home and
@@ -135,6 +138,9 @@ pub struct CheckPlan {
     /// For the channel target: close the receiver after this many values
     /// (`None` = close by dropping all senders).
     pub close_after: Option<u64>,
+    /// For the channel target: the unbounded backend instead of the bounded
+    /// one.
+    pub unbounded_channel: bool,
 }
 
 impl CheckPlan {
@@ -149,6 +155,7 @@ impl CheckPlan {
         let close_after = rng
             .chance(0.5)
             .then(|| (producers as u64 * ops_per_producer) / 2);
+        let unbounded_channel = rng.chance(0.5);
         Self {
             seed,
             producers,
@@ -157,6 +164,7 @@ impl CheckPlan {
             ring_order,
             force_slow_path,
             close_after,
+            unbounded_channel,
         }
     }
 
@@ -795,16 +803,28 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     let threads = plan.producers + 1;
     let sched = Scheduler::new(threads, schedule);
     // LL/SC cells so the Granule checkpoint seam supplies in-algorithm
-    // preemption points; bounded backend so Full and the close-credit
-    // hand-off both happen.
+    // preemption points.  The bounded backend makes Full and the gate
+    // hand-off happen; the unbounded one, on segments as small as the
+    // plan's threads admit (k ≤ n: two slots for one producer, four for
+    // two), makes nearly every send an append or a crossing for a close to
+    // race.
+    let (backend, order) = if plan.unbounded_channel {
+        let order = usize::BITS - (threads - 1).leading_zeros();
+        (ChannelBackend::Unbounded, order)
+    } else {
+        (ChannelBackend::Bounded, plan.ring_order)
+    };
     let (tx, mut rx) = builder()
         .llsc()
         .threads(threads)
-        .capacity_order(plan.ring_order)
+        .capacity_order(order)
         .config(plan.config())
-        .backend(ChannelBackend::Bounded)
+        .backend(backend)
         .build_channel::<u64>();
     let close_after = plan.close_after;
+    // Set once the receiver's `close()` has returned: a send that starts
+    // after that must be refused.
+    let closed = AtomicBool::new(false);
 
     // Clone every producer's sender up front and drop the original *before*
     // any scheduled thread runs.  The driver thread is not registered with
@@ -823,16 +843,22 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
             let sched = Arc::clone(&sched);
             let mut tx = handles.pop().expect("one sender clone per producer");
             let ops = plan.ops_per_producer;
+            let closed = &closed;
             producers.push(s.spawn(move || {
                 let _reg = sched.register(wid);
                 let mut accepted = 0u64;
+                let mut late = None;
                 'send: for seq in 1..=ops {
                     let mut v = encode(wid, seq);
                     loop {
                         maybe_yield("driver.send");
+                        let after_close = closed.load(SeqCst);
                         match tx.try_send(v) {
                             Ok(()) => {
                                 accepted += 1;
+                                if after_close {
+                                    late.get_or_insert(seq);
+                                }
                                 break;
                             }
                             Err(TrySendError::Full(back)) => v = back,
@@ -846,11 +872,18 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
                 // close signal the consumer spins on — outside the scheduler
                 // again.
                 drop(tx);
-                (wid, accepted)
+                match late {
+                    Some(seq) => Err(format!(
+                        "worker {wid} seq {seq} was accepted by a send that started \
+                         after the channel's close had returned"
+                    )),
+                    None => Ok((wid, accepted)),
+                }
             }));
         }
         let consumer = {
             let sched = Arc::clone(&sched);
+            let closed = &closed;
             s.spawn(move || {
                 let _reg = sched.register(plan.producers);
                 let mut local = Vec::new();
@@ -861,6 +894,7 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
                             local.push(v);
                             if close_after == Some(local.len() as u64) {
                                 rx.close();
+                                closed.store(true, SeqCst);
                             }
                         }
                         Err(TryRecvError::Empty) => {}
@@ -870,29 +904,27 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
                 (local, rx)
             })
         };
-        let accepted: Vec<(usize, u64)> = producers
+        let accepted: Result<Vec<(usize, u64)>, String> = producers
             .into_iter()
             .map(|h| {
                 h.join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
             })
             .collect();
-        (
-            accepted,
-            consumer
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-        )
+        (accepted, consumer.join())
     });
-    let (observed, rx) = consumer;
+    // A send accepted after the close is the cause whenever the receiver
+    // then never saw the channel settle, so it is reported first.
+    let accepted_counts = accepted_counts?;
+    let (observed, mut rx) = consumer.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
-    // Close-credit balance: with every endpoint quiesced, no send may still
-    // hold a pre-close in-flight credit — a leaked credit means the close
-    // protocol lost track of a straggling send.
-    let credits = rx.debug_inflight_credits();
-    if credits != 0 {
+    // Close balance: with every endpoint quiesced, no send may still be in
+    // flight on the backend's gate — a leaked claim means the close protocol
+    // lost track of a straggling send.
+    let inflight = rx.debug_gate_inflight();
+    if inflight != 0 {
         return Err(format!(
-            "close-credit balance violated: {credits} in-flight credits after quiescence"
+            "close balance violated: {inflight} sends in flight on the gate after quiescence"
         ));
     }
 
@@ -922,6 +954,8 @@ mod tests {
         assert!(plans.iter().any(|p| p.force_slow_path));
         assert!(plans.iter().any(|p| !p.force_slow_path));
         assert!(plans.iter().any(|p| p.close_after.is_some()));
+        assert!(plans.iter().any(|p| p.unbounded_channel));
+        assert!(plans.iter().any(|p| !p.unbounded_channel));
         for p in &plans {
             assert!(p.producers >= 1 && p.producers <= 2);
             assert!(p.consumers >= 1 && p.consumers <= 2);

@@ -6,7 +6,7 @@
 //! model ([`family::CheckedFamily`]) whose every cell operation is a
 //! preemption point, an **explorer** ([`explore()`]) that runs shrunken
 //! stress plans under thousands of schedules against the no-loss/no-dup/FIFO
-//! oracle plus invariant probes (threshold bound, close-credit balance,
+//! oracle plus invariant probes (threshold bound, close balance,
 //! segment residency), and a hand-rolled source **lint** ([`lint`]) enforcing
 //! `// relaxed:` / `// SAFETY:` justification comments and the hot-path
 //! `Mutex` / `static mut` ban.

@@ -1,6 +1,6 @@
 //! Integration tests for the checker itself: the sweep is clean on the real
 //! tree, deterministic run-for-run, and — with the `check-mutations` feature
-//! — reliably detects both documented injected bugs.
+//! — reliably detects all three documented injected bugs.
 //!
 //! The clean-sweep and mutation-detection tests are feature-complementary:
 //! `cargo test -p wcq-check` runs the former, `cargo test -p wcq-check
@@ -42,11 +42,13 @@ fn mutation_is_detected_and_coordinates_are_stable() {
     // Each mutant must be caught by the fixed-seed sweep on a target only
     // it can trip: the torn Head/Tail F&A on the bounded ring (which has no
     // hazards), the skipped hazard protection on the directed window (whose
-    // single thread a torn F&A cannot hurt)...
+    // single thread a torn F&A cannot hurt), the close that never links
+    // `SHUT` on the channel (the only target that closes a queue)...
     let first = mini_sweep();
     for (target, mutant) in [
         (Target::Bounded, "torn-F&A"),
         (Target::HazardWindow, "skipped-hazard"),
+        (Target::Channel, "skipped-SHUT"),
     ] {
         assert!(
             first.violations.iter().any(|v| v.target == target),

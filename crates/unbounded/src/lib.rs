@@ -24,9 +24,14 @@
 //!   before it closed, so one preempted enqueuer stalls every dequeuer there
 //!   — blocking, not lock-free (ROADMAP item 3 is the fix).
 //! * When the tail segment fills up — its free-index ring says so — it is
-//!   **closed** (one bit on the segment's in-flight word, as LCRQ closes a
-//!   ring) and a fresh segment — pre-loaded with the element that triggered
-//!   the append, as in LCRQ — is linked behind it.
+//!   **closed** (one bit on the segment's [`Gate`], as LCRQ closes a ring)
+//!   and a fresh segment — pre-loaded with the element that triggered the
+//!   append, as in LCRQ — is linked behind it.
+//! * The queue itself closes the same way:
+//!   [`UnboundedWcqHandle::close`] closes the tail segment's gate and links
+//!   a `SHUT` sentinel after it, so no append can follow.  Enqueues are
+//!   refused from then on, and [`UnboundedWcqHandle::settled`] tells a
+//!   dequeuer when the last accepted value has landed.
 //! * Drained segments are unlinked by dequeuers and **retired** through a
 //!   [`wcq_reclaim::HazardDomain`]; once unprotected they are **recycled**
 //!   into a bounded [`DEFAULT_SEGMENT_CACHE`]-sized free-list, so steady
@@ -68,9 +73,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod gate;
 mod queue;
 mod segment;
 mod shard;
 
+pub use gate::Gate;
 pub use queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 pub use shard::{ShardedWcq, ShardedWcqHandle};

@@ -15,7 +15,7 @@ use wcq_core::metrics::{Counter, CounterSet};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
 
-use crate::segment::{recycle_segment, Segment, SegmentCache};
+use crate::segment::{recycle_segment, shut, Segment, SegmentCache};
 
 /// Default number of drained segments kept for reuse.
 pub const DEFAULT_SEGMENT_CACHE: usize = 4;
@@ -63,6 +63,11 @@ impl SegmentStats {
 ///   even lock-free.  LSCQ and LCRQ do not pay this: they close a ring on its
 ///   tail, so a late enqueue fails inside its own F&A and nobody waits.
 ///   ROADMAP item 3 is the fix.
+/// * **Closing** ([`UnboundedWcqHandle::close`]) closes the tail segment's
+///   gate and links a `SHUT` sentinel after it; the loop retries only when an
+///   appender linked a segment first, so it is lock-free.  From then on every
+///   enqueue is refused ([`UnboundedWcqHandle::try_enqueue`] hands the value
+///   back) and allocates nothing.
 /// * **Memory usage** is bounded by the traffic's actual backlog: the
 ///   dequeuer that advances the head past a drained segment retires it
 ///   through a [`HazardDomain`] and scans at once, so an unprotected segment
@@ -358,11 +363,11 @@ impl<T, F: CellFamily> Drop for UnboundedWcq<T, F> {
         // remaining elements.  Retired-but-unreclaimed segments are owned by
         // `domain` (dropped next), which recycles them into `cache` (dropped
         // last) — field order in the struct enforces this.
-        let mut cur = self.head.load(SeqCst);
-        while !cur.is_null() {
+        let mut cur = Some(self.head.load(SeqCst));
+        while let Some(seg) = cur {
             // SAFETY: `&mut self` means no handles are live; the list is ours.
-            let boxed = unsafe { Box::from_raw(cur) };
-            cur = boxed.next.load(SeqCst);
+            let boxed = unsafe { Box::from_raw(seg) };
+            cur = boxed.successor();
         }
     }
 }
@@ -547,7 +552,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// Pins the tail segment and moves the memo onto it, first swinging a
     /// lagging outer tail (one whose segment already has a successor)
     /// forward, as in MSQueue.  The segment returned had no successor when
-    /// pinned, and is safe to dereference until [`Self::unpin`].
+    /// pinned (its `next` was null or `SHUT`), and is safe to dereference
+    /// until [`Self::unpin`].
     #[inline(always)]
     fn pin_tail(&mut self) -> *mut Segment<T, F> {
         let tail = &self.queue.tail;
@@ -555,25 +561,43 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             let tailp = self.pin(tail);
             // SAFETY: pinned; segments are retired only after becoming
             // unreachable and unprotected.
-            let next = unsafe { (*tailp).next.load(SeqCst) };
-            if next.is_null() {
-                // SAFETY: `tailp` comes from `pin` in this operation.
-                unsafe { self.rebind(tailp) };
-                return tailp;
+            match unsafe { (*tailp).successor() } {
+                None => {
+                    // SAFETY: `tailp` comes from `pin` in this operation.
+                    unsafe { self.rebind(tailp) };
+                    return tailp;
+                }
+                Some(next) => {
+                    let _ = tail.compare_exchange(tailp, next, SeqCst, SeqCst);
+                }
             }
-            let _ = tail.compare_exchange(tailp, next, SeqCst, SeqCst);
         }
     }
 
-    /// Enqueues `value`.  Never fails: when the tail segment is full it is
-    /// closed and a new segment (pre-loaded with `value`) is appended.
+    /// Enqueues `value`: when the tail segment is full it is closed and a
+    /// new segment (pre-loaded with `value`) is appended.
+    ///
+    /// # Panics
+    /// Panics if the queue is closed; [`Self::try_enqueue`] hands the value
+    /// back instead.
     pub fn enqueue(&mut self, value: T) {
-        self.enqueue_pinned(value);
-        self.unpin();
+        if self.try_enqueue(value).is_err() {
+            enqueue_on_closed_queue();
+        }
     }
 
-    /// [`Self::enqueue`] up to, not including, the closing [`Self::unpin`].
-    fn enqueue_pinned(&mut self, mut value: T) {
+    /// Enqueues `value` like [`Self::enqueue`], or hands it back once the
+    /// queue is closed ([`Self::close`]).  The queue is unbounded, so that is
+    /// the only refusal.
+    pub fn try_enqueue(&mut self, value: T) -> Result<(), T> {
+        let result = self.enqueue_pinned(value);
+        self.unpin();
+        result
+    }
+
+    /// [`Self::try_enqueue`] up to, not including, the closing
+    /// [`Self::unpin`].
+    fn enqueue_pinned(&mut self, mut value: T) -> Result<(), T> {
         let queue = self.queue;
         let tid = self.hp.tid();
         loop {
@@ -586,6 +610,11 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                 Ok(()) => break,
                 Err(back) => {
                     value = back;
+                    // The queue's close linked `SHUT` here: refused for good,
+                    // and before anything is allocated.
+                    if seg.is_shut() {
+                        return Err(value);
+                    }
                     // Full: close so no later enqueue can land (the LSCQ
                     // discipline — a segment is closed before it gains a
                     // successor), then append a fresh segment carrying the
@@ -614,6 +643,74 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         }
         queue.note_enqueued(tid, 1);
         self.enqueues_completed += 1;
+        Ok(())
+    }
+
+    /// Closes the queue: every enqueue that starts after this returns is
+    /// refused, and everything accepted before stays dequeueable.
+    ///
+    /// The loop pins the tail, closes its segment's gate (so no claim
+    /// succeeds there any more) and links `SHUT` after it (so no append can
+    /// follow).  If an appender linked a real successor first, the tail is
+    /// swung to it and the loop repeats on the new tail: it retries only when
+    /// some appender made progress, so it is lock-free.  Idempotent.
+    pub fn close(&mut self) {
+        let tail = &self.queue.tail;
+        loop {
+            let tailp = self.pin(tail);
+            // SAFETY: pinned; segments are retired only after becoming
+            // unreachable and unprotected.
+            let seg = unsafe { &*tailp };
+            seg.close();
+            if cfg!(feature = "check-mutations") {
+                // MUTATION (check-mutations): the gate closes but `SHUT` is
+                // never linked, so an enqueue refused by the closed gate
+                // appends a fresh, open segment after the close — and no
+                // dequeuer ever sees the queue settle.
+                break;
+            }
+            match seg
+                .next
+                .compare_exchange(ptr::null_mut(), shut(), SeqCst, SeqCst)
+            {
+                Ok(_) => break,
+                Err(next) if next == shut() => break,
+                Err(next) => {
+                    let _ = tail.compare_exchange(tailp, next, SeqCst, SeqCst);
+                }
+            }
+        }
+        self.unpin();
+    }
+
+    /// Whether the queue is closed with nothing left in flight: the head
+    /// segment is the closed queue's last (its `next` is `SHUT`) and no
+    /// enqueue that claimed it before the close is still depositing.
+    ///
+    /// After a `true`, a [`Self::dequeue`] that returns `None` is final: the
+    /// queue is closed and drained for good.  It is the head crossing's own
+    /// argument — closed, `inflight() == 0`, then one empty inner dequeue —
+    /// with `SHUT` in place of the successor.  The head cannot move past a
+    /// segment whose `next` is `SHUT`, so the dequeue examines this one.
+    pub fn settled(&mut self) -> bool {
+        let headp = self.pin(&self.queue.head);
+        // SAFETY: pinned by `pin`.  `SHUT` is linked only after the gate
+        // closed, so once it is seen the in-flight count can only fall.
+        let settled = unsafe { (*headp).is_shut() && (*headp).inflight() == 0 };
+        self.unpin();
+        settled
+    }
+
+    /// Enqueues in flight on the head segment: after a close has drained the
+    /// queue, the head is its only segment, and once every enqueuer has
+    /// returned this reads 0 (a checker probe).
+    #[doc(hidden)]
+    pub fn head_inflight(&mut self) -> usize {
+        let headp = self.pin(&self.queue.head);
+        // SAFETY: pinned by `pin`.
+        let inflight = unsafe { (*headp).inflight() };
+        self.unpin();
+        inflight
     }
 
     /// Dequeues an element; `None` when the whole queue was observed empty.
@@ -691,11 +788,10 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         if let Some(got) = take(seg) {
             return Ok(Some(got));
         }
-        let next = seg.next.load(SeqCst);
-        if next.is_null() {
-            return Ok(None);
+        match seg.successor() {
+            None => Ok(None),
+            Some(next) => Err((headp, next)),
         }
-        Err((headp, next))
     }
 
     /// The rest of a dequeue whose pinned head segment `headp` was found
@@ -780,20 +876,22 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// Enqueues every element of `values` (draining it), paying the tail
     /// protection, memo check, close-check, and `len_hint` update **once per
     /// segment run** instead of once per element.  Returns the number
-    /// enqueued, which — the queue being unbounded — is always the original
-    /// `values.len()`.
+    /// enqueued: the original `values.len()`, unless the queue is closed
+    /// ([`Self::close`]) part-way, in which case the refused remainder is
+    /// left in `values`, in order.
     ///
     /// Elements that straddle a segment boundary fall back to the single-op
     /// close-and-append path for one element, then resume batching into the
     /// fresh tail, so the wait-freedom and exact-close arguments of
-    /// [`UnboundedWcqHandle::enqueue`] carry over unchanged.
+    /// [`UnboundedWcqHandle::try_enqueue`] carry over unchanged.  A close can
+    /// therefore split a batch only at a segment boundary.
     pub fn enqueue_many(&mut self, values: &mut Vec<T>) -> usize {
         let queue = self.queue;
         let tid = self.hp.tid();
         // A `VecDeque` makes every front removal along the segment walk O(1)
         // (a batch crossing many full segments would otherwise pay a front
-        // shift of the whole remainder per segment); the queue is unbounded,
-        // so the buffer always drains and nothing is moved back at the end.
+        // shift of the whole remainder per segment).  Only a close leaves a
+        // remainder to move back at the end.
         self.batch_values_requested += values.len() as u64;
         let mut pending: VecDeque<T> = std::mem::take(values).into();
         let mut total = 0;
@@ -814,7 +912,11 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // segment), then resume batching into the new tail.
             let value = pending.pop_front().expect("loop guard: non-empty");
             // `enqueue_pinned` tallies its own completion.
-            self.enqueue_pinned(value);
+            if let Err(value) = self.enqueue_pinned(value) {
+                pending.push_front(value);
+                *values = pending.into();
+                break;
+            }
             total += 1;
         }
         self.unpin();
@@ -855,16 +957,24 @@ impl<'q, T, F: CellFamily> std::fmt::Debug for UnboundedWcqHandle<'q, T, F> {
     }
 }
 
+/// The panic of [`UnboundedWcqHandle::enqueue`] on a closed queue, out of
+/// line.
+#[cold]
+#[inline(never)]
+fn enqueue_on_closed_queue() -> ! {
+    panic!("enqueue on a closed wLSCQ queue (use `try_enqueue`)")
+}
+
 impl<T: Send, F: CellFamily> QueueHandle<T> for UnboundedWcqHandle<'_, T, F> {
     fn try_enqueue(&mut self, value: T) -> Result<(), T> {
-        UnboundedWcqHandle::enqueue(self, value);
-        Ok(())
+        UnboundedWcqHandle::try_enqueue(self, value)
     }
     fn dequeue(&mut self) -> Option<T> {
         UnboundedWcqHandle::dequeue(self)
     }
     fn enqueue(&mut self, value: T) {
-        // Unbounded: no full state to retry around.
+        // Unbounded: no full state to retry around, and a closed queue
+        // panics rather than spinning on a refusal that never ends.
         UnboundedWcqHandle::enqueue(self, value);
     }
     fn enqueue_many(&mut self, values: &mut Vec<T>) -> usize {
@@ -903,7 +1013,7 @@ impl<T: Send, F: CellFamily> WaitFreeQueue<T> for UnboundedWcq<T, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use wcq_core::wcq::LlscFamily;
 
@@ -1332,5 +1442,195 @@ mod tests {
             stats.resident() <= 1 + DEFAULT_SEGMENT_CACHE,
             "resident segments bounded by live + cache: {stats:?}"
         );
+    }
+
+    /// Live heap bytes allocated minus freed by the calling thread, counted
+    /// by this test binary's allocator: per thread, so tests running in
+    /// parallel do not disturb each other's readings.
+    mod thread_heap {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            // `const` and `Drop`-free: usable from inside the allocator.
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+        }
+
+        struct PerThread;
+
+        // SAFETY: defers every allocation to `System` and only adds a
+        // thread-local tally around it.
+        unsafe impl GlobalAlloc for PerThread {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                // SAFETY: forwarded verbatim.
+                let ptr = unsafe { System.alloc(layout) };
+                if !ptr.is_null() {
+                    LIVE.with(|live| live.set(live.get() + layout.size() as isize));
+                }
+                ptr
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                LIVE.with(|live| live.set(live.get() - layout.size() as isize));
+                // SAFETY: forwarded verbatim.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+        }
+
+        #[global_allocator]
+        static ALLOCATOR: PerThread = PerThread;
+
+        pub(super) fn live() -> isize {
+            LIVE.with(Cell::get)
+        }
+    }
+
+    /// A seeded xorshift step (tests only).
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn a_closed_queue_refuses_without_allocating() {
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(1, 1);
+        let mut h = q.register().unwrap();
+        h.enqueue(1);
+        h.enqueue(2); // the two-slot segment is full
+        h.close();
+        h.close(); // idempotent
+        let mut batch = vec![4, 5, 6];
+        let (allocated, heap) = (q.segments_allocated(), thread_heap::live());
+        assert_eq!(h.try_enqueue(3), Err(3));
+        assert_eq!(h.enqueue_many(&mut batch), 0);
+        assert_eq!(batch, [4, 5, 6], "a refused batch keeps every value");
+        assert_eq!(q.segments_allocated(), allocated, "a refusal allocated");
+        assert_eq!(thread_heap::live(), heap, "a refusal touched the heap");
+        assert_eq!(q.segments_live(), 1);
+        assert!(h.settled(), "closed with nothing in flight");
+        assert_eq!(h.dequeue(), Some(1), "pre-close values drain");
+        assert_eq!(h.dequeue(), Some(2));
+        assert_eq!(h.dequeue(), None);
+        assert!(h.settled());
+        assert_eq!(h.head_inflight(), 0);
+    }
+
+    #[test]
+    fn close_racing_full_tails_loses_nothing_and_admits_nothing_after() {
+        const OFFERS: u64 = 200;
+        for seed in 1..=12u64 {
+            // Two-slot segments: nearly every enqueue is an append or lands
+            // next to one, so the close races appends and crossings.
+            let q: UnboundedWcq<u64> = UnboundedWcq::new(1, 2);
+            let closed = AtomicBool::new(false);
+            let close_at = 20 + seed * 13 % 150;
+            let run = |who: u64| {
+                let mut h = q.register().unwrap();
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) + who;
+                let (mut accepted, mut refused, mut got) = (Vec::new(), Vec::new(), Vec::new());
+                let mut i = 0;
+                while i < OFFERS {
+                    if who == 0 && i == close_at {
+                        h.close();
+                        closed.store(true, Ordering::SeqCst);
+                    }
+                    let after_close = closed.load(Ordering::SeqCst);
+                    let roll = next(&mut rng) % 8;
+                    if roll == 0 {
+                        got.extend(h.dequeue());
+                        continue;
+                    }
+                    // Thread 1 offers batches, so a close can split one.
+                    let len = if who == 1 { 1 + roll % 5 } else { 1 };
+                    let mut batch: Vec<u64> =
+                        (i..(i + len).min(OFFERS)).map(|i| who << 32 | i).collect();
+                    i += batch.len() as u64;
+                    let offered = batch.clone();
+                    let n = if batch.len() == 1 {
+                        usize::from(h.try_enqueue(batch[0]).is_ok())
+                    } else {
+                        h.enqueue_many(&mut batch)
+                    };
+                    if n < offered.len() && batch.len() > 1 {
+                        assert_eq!(batch, offered[n..], "seed {seed}: remainder out of order");
+                    }
+                    assert!(
+                        !after_close || n == 0,
+                        "seed {seed}: an enqueue that started after the close was accepted"
+                    );
+                    accepted.extend_from_slice(&offered[..n]);
+                    refused.extend_from_slice(&offered[n..]);
+                    if i % 16 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                (accepted, refused, got)
+            };
+            let (mut accepted, mut refused, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
+            std::thread::scope(|s| {
+                let threads: Vec<_> = (0..2).map(|who| s.spawn(move || run(who))).collect();
+                for t in threads {
+                    let (a, r, g) = t.join().expect("worker");
+                    accepted.extend(a);
+                    refused.extend(r);
+                    delivered.extend(g);
+                }
+            });
+            let mut h = q.register().unwrap();
+            while let Some(v) = h.dequeue() {
+                delivered.push(v);
+            }
+            assert!(h.settled(), "seed {seed}: drained but not settled");
+            assert_eq!(h.try_enqueue(u64::MAX), Err(u64::MAX), "seed {seed}");
+            accepted.sort_unstable();
+            refused.sort_unstable();
+            delivered.sort_unstable();
+            assert_eq!(delivered, accepted, "seed {seed}: lost or duplicated");
+            assert_eq!(
+                accepted.len() + refused.len(),
+                2 * OFFERS as usize,
+                "seed {seed}"
+            );
+            assert!(
+                !refused.is_empty(),
+                "seed {seed}: the close refused nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_a_closed_queue_drops_every_value_and_segment() {
+        struct Counted<'a>(&'a AtomicU64);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let dropped = AtomicU64::new(0);
+        let heap = thread_heap::live();
+        {
+            let q: UnboundedWcq<Counted<'_>> = UnboundedWcq::new(1, 2);
+            let mut h = q.register().unwrap();
+            for _ in 0..9 {
+                h.enqueue(Counted(&dropped));
+            }
+            drop(h.dequeue()); // one dequeued: a drained slot at the head
+            h.close();
+            assert!(h.try_enqueue(Counted(&dropped)).is_err());
+            assert_eq!(
+                dropped.load(Ordering::SeqCst),
+                2,
+                "the dequeued and the refused"
+            );
+            assert!(q.segments_live() > 1, "the values span several segments");
+        }
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            10,
+            "every value dropped once"
+        );
+        assert_eq!(thread_heap::live(), heap, "every segment and buffer freed");
     }
 }

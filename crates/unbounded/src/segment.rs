@@ -3,11 +3,12 @@
 //! A [`Segment`] wraps one bounded [`WcqQueue`] together with the bookkeeping
 //! the outer linked list needs:
 //!
-//! * an **in-flight word** (`inflight`): the number of enqueuers between
-//!   their claim and the end of their inner enqueue, plus a [`CLOSED`] top
-//!   bit — LCRQ's closed tail bit lifted to the data-queue layer, since
-//!   wCQ's own enqueue cannot be told to fail permanently;
-//! * the outer `next` link;
+//! * a [`Gate`]: the number of enqueuers between their claim and the end of
+//!   their inner enqueue, plus a closed top bit — LCRQ's closed tail bit
+//!   lifted to the data-queue layer, since wCQ's own enqueue cannot be told
+//!   to fail permanently;
+//! * the outer `next` link, which is null, a successor, or [`shut`]: the
+//!   queue's close, meaning "closed for good, and no successor will come";
 //! * a back-pointer to the owning queue's [`SegmentCache`] so the hazard
 //!   domain can *recycle* a drained segment instead of freeing it.
 //!
@@ -19,18 +20,19 @@
 //!    exactly when no index is free: the same decision a zero credit made,
 //!    read from the ring the enqueue has to touch anyway.  No second
 //!    semaphore is needed to refuse a full segment.
-//! 2. **The bit answers "closed".**  An enqueue claims with
-//!    `inflight.fetch_add(1)`, and [`Segment::close`] is one
-//!    `fetch_or(CLOSED)` on the same word, so the two are totally ordered.
-//!    A claim ordered after the `fetch_or` sees `CLOSED` in its pre-value,
-//!    undoes its increment and touches no ring.  A claim ordered before it
-//!    is counted until its `fetch_sub`, which follows its `aq` deposit.
+//! 2. **The bit answers "closed".**  An enqueue claims with [`Gate::enter`],
+//!    and [`Segment::close`] is [`Gate::close`] on the same word, so the two
+//!    are totally ordered.  A claim ordered after the close is refused and
+//!    touches no ring.  A claim ordered before it is counted until its
+//!    [`Gate::leave`], which follows its `aq` deposit.
 //! 3. **The dequeuer's advance sequence is unchanged.**  A dequeuer may
 //!    advance the outer head past a segment only after it observes, in
-//!    order: a non-null `next` (segments are closed before they are linked
-//!    past, so no claim succeeds any more), `inflight() == 0` (every claim
-//!    from before the close has deposited), and one more empty inner
-//!    dequeue.  At that point the segment is permanently empty.
+//!    order: a successor (segments are closed before they are linked past,
+//!    so no claim succeeds any more), `inflight() == 0` (every claim from
+//!    before the close has deposited), and one more empty inner dequeue.  At
+//!    that point the segment is permanently empty.  A `next` of [`shut`]
+//!    follows a close too, so the same three observations — with `shut` in
+//!    place of the successor — prove the queue closed and drained.
 //!
 //! A dequeue touches neither word — it is the inner `dequeue_at` and nothing
 //! else — so the dequeuer writes no line the enqueuers own.
@@ -50,23 +52,27 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use wcq_atomics::CachePadded;
 use wcq_core::metrics::CounterSet;
 use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue};
 
-/// The closed bit of a segment's `inflight` word.  Set once by
-/// [`Segment::close`] and cleared only by [`Segment::reopen`]; the count
-/// below it never exceeds the registered threads.
-const CLOSED: usize = 1 << (usize::BITS - 1);
+use crate::gate::Gate;
+
+/// The `next` of the last segment of a closed queue: no append can link
+/// after it.  Never dereferenced, and never a segment's address (it is the
+/// type's alignment, which no allocation returns).
+pub(crate) fn shut<T, F: CellFamily>() -> *mut Segment<T, F> {
+    ptr::dangling_mut()
+}
 
 /// One ring segment of the unbounded queue.
 pub(crate) struct Segment<T, F: CellFamily> {
     queue: WcqQueue<T, F>,
-    /// Outer list link; doubles as the cache free-list link via reset.
+    /// Outer list link: null, a successor, or [`shut`].  Readers go through
+    /// [`Segment::successor`], which treats `shut` as "none".
     pub(crate) next: AtomicPtr<Segment<T, F>>,
     /// Enqueuers between their claim and the end of their inner enqueue, plus
-    /// the [`CLOSED`] bit (see module docs).
-    inflight: CachePadded<AtomicUsize>,
+    /// the closed bit (see module docs).
+    gate: Gate,
     /// The owning queue's cache, for hazard-domain recycling.
     pub(crate) cache: *const SegmentCache<T, F>,
 }
@@ -82,27 +88,23 @@ impl<T, F: CellFamily> Segment<T, F> {
         Self {
             queue: WcqQueue::with_config_counters(order, max_threads, config, counters),
             next: AtomicPtr::new(ptr::null_mut()),
-            inflight: CachePadded::new(AtomicUsize::new(0)),
+            gate: Gate::new(),
             cache,
         }
     }
 
-    /// Joins the in-flight enqueuers; `false`, with the claim undone, once
-    /// the segment is closed.  A `true` must be paired with
-    /// [`Segment::leave`] after the inner enqueue.
+    /// The segment linked after this one, if any: `None` for the tail, and
+    /// for a closed queue's last segment (`next` is [`shut`]).
     #[inline]
-    fn enter(&self) -> bool {
-        if self.inflight.fetch_add(1, SeqCst) & CLOSED != 0 {
-            self.leave();
-            return false;
-        }
-        true
+    pub(crate) fn successor(&self) -> Option<*mut Segment<T, F>> {
+        let next = self.next.load(SeqCst);
+        (!next.is_null() && next != shut()).then_some(next)
     }
 
-    /// Ends a claim taken by [`Segment::enter`].
-    #[inline]
-    fn leave(&self) {
-        self.inflight.fetch_sub(1, SeqCst);
+    /// Whether the queue closed on this segment: it is the last one, for
+    /// good.
+    pub(crate) fn is_shut(&self) -> bool {
+        self.next.load(SeqCst) == shut()
     }
 
     /// Attempts to enqueue `value` as thread record `tid`.  `Err` means the
@@ -113,12 +115,12 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// an earlier one that did is ordered before this call (see
     /// [`WcqQueue::enqueue_at`]).
     pub(crate) unsafe fn try_enqueue(&self, tid: usize, value: T) -> Result<(), T> {
-        if !self.enter() {
+        if !self.gate.enter() {
             return Err(value);
         }
         // SAFETY: `tid` is exclusive per the function contract.
         let res = unsafe { self.queue.enqueue_at(tid, value) };
-        self.leave();
+        self.gate.leave();
         res
     }
 
@@ -136,7 +138,7 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// # Safety
     /// As for [`Segment::try_enqueue`].
     pub(crate) unsafe fn try_enqueue_many(&self, tid: usize, values: &mut VecDeque<T>) -> usize {
-        if values.is_empty() || !self.enter() {
+        if values.is_empty() || !self.gate.enter() {
             return 0;
         }
         // SAFETY: `tid` is exclusive per the function contract.
@@ -151,7 +153,7 @@ impl<T, F: CellFamily> Segment<T, F> {
                 }
             }
         }
-        self.leave();
+        self.gate.leave();
         accepted
     }
 
@@ -182,13 +184,13 @@ impl<T, F: CellFamily> Segment<T, F> {
 
     /// Permanently refuses future enqueue claims (idempotent).
     pub(crate) fn close(&self) {
-        self.inflight.fetch_or(CLOSED, SeqCst);
+        self.gate.close();
     }
 
     /// Number of enqueuers currently inside [`Segment::try_enqueue`] or its
     /// batch counterpart.
     pub(crate) fn inflight(&self) -> usize {
-        self.inflight.load(SeqCst) & !CLOSED
+        self.gate.inflight()
     }
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
@@ -196,7 +198,7 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// wCQ is simply an empty wCQ whose cycle counters have advanced.
     pub(crate) fn reopen(&self) {
         self.next.store(ptr::null_mut(), SeqCst);
-        self.inflight.store(0, SeqCst);
+        self.gate.reopen();
     }
 
     /// Bytes occupied by this segment (struct + inner rings and data array).
@@ -417,15 +419,11 @@ mod tests {
             assert_eq!(seg.try_dequeue(0), Some(1), "pre-close values drain");
         }
         assert_eq!(seg.inflight(), 0);
-        assert_eq!(
-            seg.inflight.load(SeqCst),
-            CLOSED,
-            "the bit and nothing else"
-        );
+        assert_eq!(seg.gate.word(), Gate::CLOSED, "the bit and nothing else");
         seg.close();
-        assert_eq!(seg.inflight.load(SeqCst), CLOSED, "closing is idempotent");
+        assert_eq!(seg.gate.word(), Gate::CLOSED, "closing is idempotent");
         seg.reopen();
-        assert_eq!(seg.inflight.load(SeqCst), 0);
+        assert_eq!(seg.gate.word(), 0);
         // SAFETY: as above.
         assert_eq!(unsafe { seg.try_enqueue(0, 7) }, Ok(()));
     }
@@ -436,8 +434,8 @@ mod tests {
     /// Lets the race below share one segment across threads.
     struct Shared(Segment<u64, NativeFamily>);
     // SAFETY: test-only.  Of `Segment<u64, _>`'s fields, the inner queue is
-    // `Sync` (and every thread operates as its own tid), `next` and
-    // `inflight` are atomics, and `cache` — the one raw pointer — is null
+    // `Sync` (and every thread operates as its own tid), `next` and the
+    // gate are atomics, and `cache` — the one raw pointer — is null
     // here and never dereferenced (nothing is recycled).
     unsafe impl Sync for Shared {}
 
@@ -497,7 +495,7 @@ mod tests {
                         delivered_count.fetch_add(1, SeqCst);
                         continue;
                     }
-                    if seg.inflight.load(SeqCst) & CLOSED == 0 || seg.inflight() != 0 {
+                    if seg.gate.word() & Gate::CLOSED == 0 || seg.inflight() != 0 {
                         std::thread::yield_now();
                         continue;
                     }

@@ -1,15 +1,15 @@
-//! Channel-grade endpoints over any [`WaitFreeQueue`]: typed
+//! Channel-grade endpoints over the workspace's queues: typed
 //! [`Sender`]/[`Receiver`] pairs with close semantics.
 //!
-//! The queue facade ends at "register, operate through a handle, drop to
-//! release" — the shape the paper's evaluation needs.  Applications consume
-//! an MPMC queue as a *channel*: distinct producer/consumer endpoints that
-//! can be moved into threads, typed full/empty/closed errors instead of
-//! `Result<(), T>` / `Option<T>`, and graceful shutdown.  This module layers
-//! exactly that on top of the [`WaitFreeQueue`] trait, so every backend the
-//! builder produces — the bounded wCQ (where [`TrySendError::Full`] is a real
-//! error) and the unbounded wLSCQ — serves as a channel without touching
-//! algorithm code.
+//! The queue facade ([`WaitFreeQueue`]) ends at "register, operate through a
+//! handle, drop to release" — the shape the paper's evaluation needs.
+//! Applications consume an MPMC queue as a *channel*: distinct
+//! producer/consumer endpoints that can be moved into threads, typed
+//! full/empty/closed errors instead of `Result<(), T>` / `Option<T>`, and
+//! graceful shutdown.  This module layers exactly that on the two backends
+//! the builder produces — the bounded wCQ (where [`TrySendError::Full`] is a
+//! real error) and the unbounded wLSCQ — through one crate-private closing
+//! trait, without touching ring code.
 //!
 //! # Close protocol
 //!
@@ -20,17 +20,30 @@
 //! * receivers **drain every value sent before the close**, then observe
 //!   [`TryRecvError::Closed`] / [`RecvError`].
 //!
-//! The drain guarantee is exact, not best-effort.  The close state is one
-//! word: the number of sends in flight plus a closed top bit (the idiom wLSCQ
-//! segments close with).  A send takes its *in-flight credit* with a
-//! `fetch_add` whose pre-value also tells it whether the channel is closed;
-//! `close()` is a `fetch_or` of the bit, so every send is ordered either
-//! before the close (and counted until its enqueue has landed) or after it
-//! (and refused).  A receiver only concludes `Closed` after it reads the bit
-//! set with a zero count *and* one final empty dequeue — so every enqueue that
-//! passed the closed check is visible to some receiver's final drain, and
-//! bounded-memory reclamation (Theorem 5.8) keeps running unchanged
-//! underneath.
+//! The drain guarantee is exact, not best-effort, and the channel keeps no
+//! close word of its own: it closes its backend, whose enqueue already brackets
+//! itself in a [`Gate`] — the number of enqueues in flight plus a closed top
+//! bit.  The unbounded wLSCQ has one per segment, and its close also links a
+//! `SHUT` sentinel after the tail segment so no append can follow
+//! ([`UnboundedWcqHandle::close`]); the bounded wCQ gets one beside it.  An
+//! enqueue's claim is one `fetch_add` on the gate and the close one
+//! `fetch_or`, so every send is ordered either before the close (and counted
+//! until its value has landed) or after it (and refused).
+//!
+//! Once the backend's close has returned, the channel sets a write-once
+//! `closed` flag and wakes everyone.  A receiver that finds the queue empty
+//! reads that flag — one load of a line no send writes — and only when it is
+//! set asks the backend whether it has *settled* (closed, nothing in flight;
+//! [`UnboundedWcqHandle::settled`]) before one final empty dequeue lets it
+//! conclude `Closed`.  So every enqueue that got past a gate is visible to
+//! some receiver's final drain, and bounded-memory reclamation (Theorem 5.8)
+//! keeps running unchanged underneath.
+//!
+//! The wake rule follows from where a receiver can wait: a receiver that saw
+//! the flag and an unsettled backend waits for the sends still in flight.  So
+//! a successful send reads the flag after leaving its gate and wakes every
+//! receiver if it is set (one otherwise), and a send refused after a
+//! transient claim wakes them all.
 //!
 //! # Threading model
 //!
@@ -69,12 +82,14 @@
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wcq_core::api::{QueueHandle, WaitFreeQueue};
+use wcq_core::api::WaitFreeQueue;
 use wcq_core::metrics::{Counter, Instrument, NoopInstrument};
+use wcq_core::wcq::{CellFamily, WcqQueue, WcqQueueHandle};
+use wcq_unbounded::{Gate, UnboundedWcq, UnboundedWcqHandle};
 
 use crate::wait::{Lane, Parked, WakeSide, NO_DEADLINE};
 
@@ -83,12 +98,186 @@ pub use wcq_core::channel::{
 };
 
 // --------------------------------------------------------------------------
-// Shared channel state
+// Backends: a queue that closes
 // --------------------------------------------------------------------------
 
-/// The closed bit of [`ChannelCore`]'s `inflight` word: set once by the first
-/// close, never cleared.  The count below it is bounded by the live sends.
-const CLOSED: usize = 1 << (usize::BITS - 1);
+/// A queue the channel can close: the two builder shapes, reached only here.
+pub(crate) trait Backend<T>: Send + Sync {
+    /// The queue itself, for its name and hints.
+    fn queue(&self) -> &dyn WaitFreeQueue<T>;
+
+    /// Registers the calling thread, or `None` when every slot is taken.
+    fn try_handle(&self) -> Option<Box<dyn BackendHandle<T> + '_>>;
+
+    /// Closes the backend without a handle if it can (`false`: it needs
+    /// one, [`BackendHandle::close`]).
+    fn close_unregistered(&self) -> bool {
+        false
+    }
+}
+
+/// A registered handle of a [`Backend`]: the channel's every operation on
+/// the queue, close included.
+pub(crate) trait BackendHandle<T> {
+    /// Enqueues `value`; `Full` only from a bounded backend, `Closed` once
+    /// the backend is closed.
+    fn send(&mut self, value: T) -> Result<(), TrySendError<T>>;
+
+    /// Enqueues a prefix of `values` (drained from the front) and returns
+    /// its length; `Ok(0)` with `values` non-empty means full.  `Err` means
+    /// closed before anything in this call was enqueued (`values` untouched).
+    fn send_many(&mut self, values: &mut Vec<T>) -> Result<usize, SendError<()>>;
+
+    fn recv(&mut self) -> Option<T>;
+
+    fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> usize;
+
+    /// Closes the backend; every enqueue that starts after this returns is
+    /// refused.
+    fn close(&mut self);
+
+    /// On a closed backend: `true` once no enqueue admitted before the close
+    /// is still depositing, after which an empty [`BackendHandle::recv`] is
+    /// final.
+    fn settled(&mut self) -> bool;
+
+    /// Enqueues in flight on the gate that decides [`BackendHandle::settled`]
+    /// (a checker probe).
+    fn inflight(&mut self) -> usize;
+}
+
+/// The unbounded backend closes itself: each segment has a gate, and the
+/// close links `SHUT` after the last one.
+impl<T: Send, F: CellFamily> Backend<T> for UnboundedWcq<T, F> {
+    fn queue(&self) -> &dyn WaitFreeQueue<T> {
+        self
+    }
+
+    fn try_handle(&self) -> Option<Box<dyn BackendHandle<T> + '_>> {
+        self.register().map(|h| Box::new(h) as _)
+    }
+}
+
+impl<T: Send, F: CellFamily> BackendHandle<T> for UnboundedWcqHandle<'_, T, F> {
+    #[inline]
+    fn send(&mut self, value: T) -> Result<(), TrySendError<T>> {
+        self.try_enqueue(value).map_err(TrySendError::Closed)
+    }
+
+    fn send_many(&mut self, values: &mut Vec<T>) -> Result<usize, SendError<()>> {
+        match self.enqueue_many(values) {
+            0 if !values.is_empty() => Err(SendError(())),
+            accepted => Ok(accepted),
+        }
+    }
+
+    #[inline]
+    fn recv(&mut self) -> Option<T> {
+        self.dequeue()
+    }
+
+    fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        self.dequeue_many(out, max)
+    }
+
+    fn close(&mut self) {
+        UnboundedWcqHandle::close(self);
+    }
+
+    fn settled(&mut self) -> bool {
+        UnboundedWcqHandle::settled(self)
+    }
+
+    fn inflight(&mut self) -> usize {
+        self.head_inflight()
+    }
+}
+
+/// The bounded backend: a wCQ with a [`Gate`] beside it, since the ring's
+/// own enqueue cannot be told to fail permanently.
+pub(crate) struct Gated<T, F: CellFamily> {
+    queue: WcqQueue<T, F>,
+    gate: Gate,
+}
+
+impl<T, F: CellFamily> Gated<T, F> {
+    pub(crate) fn new(queue: WcqQueue<T, F>) -> Self {
+        Self {
+            queue,
+            gate: Gate::new(),
+        }
+    }
+}
+
+impl<T: Send, F: CellFamily> Backend<T> for Gated<T, F> {
+    fn queue(&self) -> &dyn WaitFreeQueue<T> {
+        &self.queue
+    }
+
+    fn try_handle(&self) -> Option<Box<dyn BackendHandle<T> + '_>> {
+        let inner = self.queue.register()?;
+        Some(Box::new(GatedHandle {
+            inner,
+            gate: &self.gate,
+        }))
+    }
+
+    fn close_unregistered(&self) -> bool {
+        self.gate.close();
+        true
+    }
+}
+
+struct GatedHandle<'q, T, F: CellFamily> {
+    inner: WcqQueueHandle<'q, T, F>,
+    gate: &'q Gate,
+}
+
+impl<T: Send, F: CellFamily> BackendHandle<T> for GatedHandle<'_, T, F> {
+    #[inline]
+    fn send(&mut self, value: T) -> Result<(), TrySendError<T>> {
+        if !self.gate.enter() {
+            return Err(TrySendError::Closed(value));
+        }
+        let outcome = self.inner.enqueue(value);
+        self.gate.leave();
+        outcome.map_err(TrySendError::Full)
+    }
+
+    fn send_many(&mut self, values: &mut Vec<T>) -> Result<usize, SendError<()>> {
+        if !self.gate.enter() {
+            return Err(SendError(()));
+        }
+        let accepted = self.inner.enqueue_many(values);
+        self.gate.leave();
+        Ok(accepted)
+    }
+
+    #[inline]
+    fn recv(&mut self) -> Option<T> {
+        self.inner.dequeue()
+    }
+
+    fn recv_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        self.inner.dequeue_many(out, max)
+    }
+
+    fn close(&mut self) {
+        self.gate.close();
+    }
+
+    fn settled(&mut self) -> bool {
+        self.gate.inflight() == 0
+    }
+
+    fn inflight(&mut self) -> usize {
+        self.gate.inflight()
+    }
+}
+
+// --------------------------------------------------------------------------
+// Shared channel state
+// --------------------------------------------------------------------------
 
 /// State shared by every endpoint of one channel.
 ///
@@ -97,7 +286,7 @@ const CLOSED: usize = 1 << (usize::BITS - 1);
 /// below monomorphizes to nothing, so the uninstrumented channel pays zero
 /// cost for the park/wake/close counters.
 pub(crate) struct ChannelCore<T: Send + 'static, I: Instrument = NoopInstrument> {
-    queue: Box<dyn WaitFreeQueue<T>>,
+    backend: Box<dyn Backend<T>>,
     /// Compile-time telemetry strategy shared by every endpoint.
     instrument: I,
     /// Live `Sender` + `AsyncSender` endpoints; last drop closes the channel.
@@ -105,10 +294,9 @@ pub(crate) struct ChannelCore<T: Send + 'static, I: Instrument = NoopInstrument>
     /// Live `Receiver` + `AsyncReceiver` endpoints; last drop closes too, so
     /// senders into an abandoned channel fail instead of filling it forever.
     receivers: AtomicUsize,
-    /// Sends that have taken their pre-close credit but not yet completed
-    /// (see [`ChannelCore::try_send`]), plus the [`CLOSED`] bit: a receiver
-    /// only concludes `Closed` once it reads the bit with a zero count.
-    inflight: AtomicUsize,
+    /// Set once, after the backend's close has returned: every send that
+    /// starts later is refused.  No send writes it.
+    closed: AtomicBool,
     /// Parked receivers: one is woken per successful send, all on close.
     recv_side: WakeSide<I>,
     /// Parked senders (bounded backend, full): one is woken per successful
@@ -119,23 +307,33 @@ pub(crate) struct ChannelCore<T: Send + 'static, I: Instrument = NoopInstrument>
 impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
     /// The backend queue (for hints and diagnostics).
     pub(crate) fn queue(&self) -> &dyn WaitFreeQueue<T> {
-        &*self.queue
+        self.backend.queue()
     }
 
     pub(crate) fn is_closed(&self) -> bool {
-        self.inflight.load(SeqCst) & CLOSED != 0
+        self.closed.load(SeqCst)
     }
 
-    /// Number of sends currently holding a pre-close in-flight credit (see
-    /// [`ChannelCore::try_send`]).  Checker introspection only.
-    pub(crate) fn inflight_credits(&self) -> usize {
-        self.inflight.load(SeqCst) & !CLOSED
+    /// Registers a handle on the backend.
+    ///
+    /// # Panics
+    /// Panics when every registration slot is taken, naming the backend.
+    fn register(&self) -> Box<dyn BackendHandle<T> + '_> {
+        self.backend.try_handle().unwrap_or_else(|| {
+            let queue = self.queue();
+            panic!(
+                "all {} registration slots of this {} queue are in use",
+                queue.max_threads(),
+                queue.name()
+            )
+        })
     }
 
-    /// Sets the closed bit and wakes everyone.  Returns `true` for the call
-    /// that actually performed the transition.
-    pub(crate) fn close(&self) -> bool {
-        let transitioned = self.inflight.fetch_or(CLOSED, SeqCst) & CLOSED == 0;
+    /// The second half of a close, once the backend's close has returned:
+    /// sets the flag and wakes everyone.  Returns `true` for the call that
+    /// set the flag.
+    fn finish_close(&self) -> bool {
+        let transitioned = !self.closed.swap(true, SeqCst);
         if transitioned {
             self.instrument.record(Counter::ChannelCloses, 1);
             self.recv_side.wake_all();
@@ -144,126 +342,115 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         transitioned
     }
 
-    /// The closed-aware non-blocking send (see the module docs for why the
-    /// in-flight credit brackets the closed check *and* the enqueue).
-    pub(crate) fn try_send(
-        &self,
-        handle: &mut dyn QueueHandle<T>,
-        value: T,
-    ) -> Result<(), TrySendError<T>> {
-        // The credit and the closed check are one RMW on one word: ordered
-        // before the close's `fetch_or`, our credit is counted until the
-        // `fetch_sub` below (so a receiver waits for us); ordered after it,
-        // we see the bit and fail without enqueuing.
-        if self.inflight.fetch_add(1, SeqCst) & CLOSED != 0 {
-            self.inflight.fetch_sub(1, SeqCst);
-            // A parked receiver may be waiting for exactly this credit to
-            // clear before it can conclude `Closed`.
+    /// Wakes receivers after a send that enqueued: every one if the channel
+    /// is closed (they may be waiting for this send to leave its gate), one
+    /// otherwise.  The flag is read after the gate was left.
+    #[inline]
+    fn wake_after_send(&self) {
+        if self.closed.load(SeqCst) {
             self.recv_side.wake_all();
-            return Err(TrySendError::Closed(value));
-        }
-        let outcome = handle.try_enqueue(value);
-        // If a close raced in while our credit was held, every parked
-        // receiver may be blocked on exactly this credit clearing (they
-        // re-park on `closed && inflight != 0`), and no later send will come
-        // to wake them — broadcast, whatever the enqueue outcome.  A lone
-        // `notify_one` here would hand the last pre-close value to one
-        // receiver and strand the rest on a closed, drained channel.
-        let closed_during = self.inflight.fetch_sub(1, SeqCst) & CLOSED != 0;
-        match outcome {
-            Ok(()) => {
-                if closed_during {
-                    self.recv_side.wake_all();
-                } else {
-                    self.recv_side.wake_one();
-                }
-                Ok(())
-            }
-            Err(back) => {
-                if closed_during {
-                    self.recv_side.wake_all();
-                }
-                Err(TrySendError::Full(back))
-            }
+        } else {
+            self.recv_side.wake_one();
         }
     }
 
-    /// Batch counterpart of [`ChannelCore::try_send`]: one in-flight credit
-    /// and one closed check cover the whole batch, and the backend's
-    /// specialized [`QueueHandle::enqueue_many`] runs under that bracket.
-    /// Accepted elements are drained from the front of `values`; `Ok(0)` with
-    /// a non-empty `values` means a bounded backend is full.  `Err` means the
-    /// channel was closed before anything in this call was enqueued, so
-    /// `values` is untouched.
+    /// The closed-aware non-blocking send (see the module docs for the wake
+    /// rule).
+    pub(crate) fn try_send(
+        &self,
+        handle: &mut dyn BackendHandle<T>,
+        value: T,
+    ) -> Result<(), TrySendError<T>> {
+        let outcome = handle.send(value);
+        match &outcome {
+            Ok(()) => self.wake_after_send(),
+            // Refused after a transient claim: a receiver may have seen it
+            // and be waiting for it to clear.
+            Err(TrySendError::Closed(_)) => self.recv_side.wake_all(),
+            Err(TrySendError::Full(_)) => {
+                if self.closed.load(SeqCst) {
+                    self.recv_side.wake_all();
+                }
+            }
+        }
+        outcome
+    }
+
+    /// Batch counterpart of [`ChannelCore::try_send`]: the backend's batch
+    /// enqueue takes one gate claim per segment run (one per call on the
+    /// bounded backend).  Accepted elements are drained from the front of
+    /// `values`; `Ok(0)` with a non-empty `values` means a bounded backend
+    /// is full.  `Err` means the channel was closed before anything in this
+    /// call was enqueued, so `values` is untouched.
     ///
     /// The exact-drain close guarantee carries over per element: everything
-    /// accepted here was enqueued while the credit was held, so a receiver
-    /// that observed `closed` waits for the credit to clear before its final
-    /// look and cannot miss any of the batch.
+    /// accepted here got past a gate before the close, so a receiver's final
+    /// look cannot miss any of the batch.
     pub(crate) fn try_send_many(
         &self,
-        handle: &mut dyn QueueHandle<T>,
+        handle: &mut dyn BackendHandle<T>,
         values: &mut Vec<T>,
     ) -> Result<usize, SendError<()>> {
-        if self.inflight.fetch_add(1, SeqCst) & CLOSED != 0 {
-            self.inflight.fetch_sub(1, SeqCst);
-            self.recv_side.wake_all();
-            return Err(SendError(()));
-        }
-        let accepted = handle.enqueue_many(values);
-        if self.inflight.fetch_sub(1, SeqCst) & CLOSED != 0 {
-            // See `try_send`: parked receivers re-park on `closed &&
-            // inflight != 0`, and no later send will wake them.
-            self.recv_side.wake_all();
-        } else if accepted == 1 {
-            self.recv_side.wake_one();
-        } else if accepted > 1 {
+        let outcome = handle.send_many(values);
+        match outcome {
+            Err(_) => self.recv_side.wake_all(),
+            Ok(1) => self.wake_after_send(),
+            // Full: wake everyone only if a close raced the transient claim.
+            Ok(0) => {
+                if self.closed.load(SeqCst) {
+                    self.recv_side.wake_all();
+                }
+            }
             // Several values landed: every parked receiver may have one to
             // take, so a lone wake would strand the rest.
-            self.recv_side.wake_all();
+            Ok(_) => self.recv_side.wake_all(),
         }
-        Ok(accepted)
+        outcome
     }
 
     /// The closed-aware non-blocking receive.
-    pub(crate) fn try_recv(&self, handle: &mut dyn QueueHandle<T>) -> Result<T, TryRecvError> {
-        if let Some(value) = handle.dequeue() {
+    pub(crate) fn try_recv(&self, handle: &mut dyn BackendHandle<T>) -> Result<T, TryRecvError> {
+        if let Some(value) = handle.recv() {
             self.send_side.wake_one();
             return Ok(value);
         }
-        let state = self.inflight.load(SeqCst);
-        if state & CLOSED != 0 {
-            if state != CLOSED {
-                // A pre-close send is still completing; its value must not be
-                // missed, so this is still `Empty`, not `Closed`.
-                return Err(TryRecvError::Empty);
-            }
-            // Final look: every send that passed the closed check finished
-            // before the in-flight count we just read hit zero.
-            return match handle.dequeue() {
-                Some(value) => {
-                    self.send_side.wake_one();
-                    Ok(value)
-                }
-                None => Err(TryRecvError::Closed),
-            };
+        if !self.closed.load(SeqCst) {
+            return Err(TryRecvError::Empty);
         }
-        Err(TryRecvError::Empty)
+        self.final_look(handle)
+    }
+
+    /// The closed channel's drain verdict: `Closed` only once the backend has
+    /// settled (no send admitted before the close is still depositing) *and*
+    /// one more dequeue finds it empty.
+    fn final_look(&self, handle: &mut dyn BackendHandle<T>) -> Result<T, TryRecvError> {
+        if !handle.settled() {
+            // A pre-close send is still completing; its value must not be
+            // missed, so this is still `Empty`, not `Closed`.
+            return Err(TryRecvError::Empty);
+        }
+        match handle.recv() {
+            Some(value) => {
+                self.send_side.wake_one();
+                Ok(value)
+            }
+            None => Err(TryRecvError::Closed),
+        }
     }
 
     /// Batch counterpart of [`ChannelCore::try_recv`]: pulls up to `max`
-    /// values through the backend's specialized [`QueueHandle::dequeue_into`]
-    /// with one closed/in-flight decision for the whole batch.  Returns the
-    /// number appended to `out`; the `Empty`/`Closed` distinction is exactly
-    /// the single-op one (`Closed` only after `closed && inflight == 0` and
-    /// one final empty look).
+    /// values through the backend's batch dequeue.  Returns the number
+    /// appended to `out`; the `Empty`/`Closed` distinction is exactly the
+    /// single-op one.  A batch `0` may be a racy observation on some backends
+    /// (a run of abandoned tickets can all miss while elements remain), so
+    /// only the single-op final look may upgrade `Empty` to `Closed`.
     pub(crate) fn try_recv_many(
         &self,
-        handle: &mut dyn QueueHandle<T>,
+        handle: &mut dyn BackendHandle<T>,
         out: &mut Vec<T>,
         max: usize,
     ) -> Result<usize, TryRecvError> {
-        let got = handle.dequeue_into(out, max);
+        let got = handle.recv_many(out, max);
         if got > 0 {
             if got == 1 {
                 self.send_side.wake_one();
@@ -272,42 +459,19 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
             }
             return Ok(got);
         }
-        let state = self.inflight.load(SeqCst);
-        if state & CLOSED != 0 {
-            if state != CLOSED {
-                return Err(TryRecvError::Empty);
-            }
-            return match handle.dequeue_into(out, max) {
-                0 => {
-                    // A batch `0` may be a racy observation on some backends
-                    // (a run of abandoned tickets can all miss while elements
-                    // remain); only the single-op `dequeue`'s `None` — the
-                    // authoritative emptiness verdict the exact-drain close
-                    // guarantee is built on — may upgrade `Empty` to
-                    // `Closed`.
-                    match handle.dequeue() {
-                        Some(value) => {
-                            out.push(value);
-                            self.send_side.wake_one();
-                            Ok(1)
-                        }
-                        None => Err(TryRecvError::Closed),
-                    }
-                }
-                got => {
-                    self.send_side.wake_all();
-                    Ok(got)
-                }
-            };
+        if !self.closed.load(SeqCst) {
+            return Err(TryRecvError::Empty);
         }
-        Err(TryRecvError::Empty)
+        let value = self.final_look(handle)?;
+        out.push(value);
+        Ok(1)
     }
 }
 
 impl<T: Send + 'static, I: Instrument> std::fmt::Debug for ChannelCore<T, I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelCore")
-            .field("backend", &self.queue.name())
+            .field("backend", &self.queue().name())
             .field("closed", &self.is_closed())
             .field("senders", &self.senders)
             .field("receivers", &self.receivers)
@@ -379,14 +543,56 @@ fn thread_token() -> u64 {
 /// * the slot is private and never leaves the endpoint, so the handle cannot
 ///   outlive the `Arc` through any other path (`mem::forget` leaks both
 ///   together, which is safe).
+///
+/// The `Cell` lets `close(&self)` borrow the handle too (closing the
+/// unbounded backend needs a registration, like any operation on it); every
+/// other operation reaches it through `&mut self` at no cost.
 struct HandleSlot<T: Send + 'static> {
     /// The owning thread's [`thread_token`] and its handle.
-    bound: Option<(u64, Box<dyn QueueHandle<T> + 'static>)>,
+    bound: Cell<Option<Bound<T>>>,
 }
+
+/// A bound handle and the [`thread_token`] of the thread it was bound on.
+type Bound<T> = (u64, Box<dyn BackendHandle<T> + 'static>);
 
 impl<T: Send + 'static> HandleSlot<T> {
     const fn new() -> Self {
-        Self { bound: None }
+        Self {
+            bound: Cell::new(None),
+        }
+    }
+
+    /// Registers a handle for `core`'s backend, its lifetime erased.
+    ///
+    /// # Panics
+    /// As [`ChannelCore::register`].
+    fn register<I: Instrument>(core: &Arc<ChannelCore<T, I>>) -> Box<dyn BackendHandle<T>> {
+        let handle: Box<dyn BackendHandle<T> + '_> = core.register();
+        // SAFETY: lifetime erasure only — see the type-level comment.  The
+        // handle borrows `core.backend`, which the endpoint's `Arc` keeps
+        // alive strictly longer than this slot.
+        unsafe { std::mem::transmute(handle) }
+    }
+
+    /// Closes the channel: the backend first — without a handle if it needs
+    /// none, else through this slot's handle, registering one only if none
+    /// is bound — then the flag.
+    ///
+    /// A handle bound on another thread serves as it is: its state is
+    /// shared atomics (see the endpoints' `Send` impls), and not
+    /// re-registering means a close never needs a second slot.
+    ///
+    /// # Panics
+    /// As [`ChannelCore::register`], for an endpoint that never operated
+    /// closing the unbounded backend while every slot is taken.
+    fn close<I: Instrument>(&self, core: &Arc<ChannelCore<T, I>>) -> bool {
+        let mut bound = self.bound.take();
+        if bound.is_some() || !core.backend.close_unregistered() {
+            let (_, handle) = bound.get_or_insert_with(|| (thread_token(), Self::register(core)));
+            handle.close();
+        }
+        self.bound.set(bound);
+        core.finish_close()
     }
 
     /// Returns the handle bound to the current thread, (re-)registering if
@@ -399,25 +605,19 @@ impl<T: Send + 'static> HandleSlot<T> {
     fn bind<'s, I: Instrument>(
         &'s mut self,
         core: &Arc<ChannelCore<T, I>>,
-    ) -> &'s mut (dyn QueueHandle<T> + 'static) {
+    ) -> &'s mut (dyn BackendHandle<T> + 'static) {
         let me = thread_token();
-        if let Some((owner, _)) = &self.bound {
+        let bound = self.bound.get_mut();
+        if let Some((owner, _)) = bound {
             if *owner != me {
                 // The endpoint migrated: release the old registration (all
                 // handle state is tid-keyed shared atomics, so a cross-thread
                 // drop is fine) and re-register on this thread.
-                self.bound = None;
+                *bound = None;
             }
         }
-        if self.bound.is_none() {
-            let handle: Box<dyn QueueHandle<T> + '_> = core.queue.handle();
-            // SAFETY: lifetime erasure only — see the type-level comment.
-            // The handle borrows `core.queue`, which the endpoint's `Arc`
-            // keeps alive strictly longer than this slot.
-            let handle: Box<dyn QueueHandle<T> + 'static> = unsafe { std::mem::transmute(handle) };
-            self.bound = Some((me, handle));
-        }
-        &mut **self.bound.as_mut().map(|(_, h)| h).expect("just bound")
+        let (_, handle) = bound.get_or_insert_with(|| (me, Self::register(core)));
+        &mut **handle
     }
 }
 
@@ -490,9 +690,8 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
         }
     }
 
-    /// The `try_send_batch` attempt: offers `buf` batch by batch — one
-    /// credit + closed check, then the backend's `enqueue_many`, per batch —
-    /// while the backend accepts anything; `None` means full.  On close the
+    /// The `try_send_batch` attempt: offers `buf` to the backend's batch
+    /// enqueue while it accepts anything; `None` means full.  On close the
     /// unsent remainder comes back in order.
     pub(crate) fn attempt_send_batch(
         &mut self,
@@ -520,15 +719,17 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
         }))
     }
 
-    /// Sends every element of `iter`, paying the handle bind, in-flight
-    /// credit, and closed check **once per batch** instead of once per
-    /// element — the channel face of [`QueueHandle::enqueue_many`].
+    /// Sends every element of `iter`, paying the handle bind **once per
+    /// batch** and the gate claim once per segment run instead of once per
+    /// element — the channel face of
+    /// [`QueueHandle::enqueue_many`](wcq_core::api::QueueHandle::enqueue_many).
     ///
     /// Returns the number sent (the whole iterator on success).  When the
     /// channel closes first, the error carries the unsent remainder in order;
     /// everything *not* in the remainder was enqueued before the close and
     /// will be drained by receivers (the exact-drain guarantee is per
-    /// element, not per batch).  Like [`Sender::send`], this waits — spinning
+    /// element, not per batch: on the unbounded backend a close can split a
+    /// batch at a segment boundary).  Like [`Sender::send`], this waits — spinning
     /// briefly, then parked — while a bounded backend is full.
     pub fn send_iter<It>(&mut self, iter: It) -> Result<usize, SendError<Vec<T>>>
     where
@@ -572,7 +773,7 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
     /// what was sent before the close and then observe `Closed`.  Returns
     /// `true` for the call that actually closed (idempotent otherwise).
     pub fn close(&self) -> bool {
-        self.core.close()
+        self.slot.close(&self.core)
     }
 
     /// `true` once the channel is closed (by any endpoint, or by the last
@@ -619,7 +820,7 @@ impl<T: Send + 'static, I: Instrument> Drop for Sender<T, I> {
             self.core.send_side.detach(id);
         }
         if self.core.senders.fetch_sub(1, SeqCst) == 1 {
-            self.core.close();
+            self.slot.close(&self.core);
         }
     }
 }
@@ -627,7 +828,7 @@ impl<T: Send + 'static, I: Instrument> Drop for Sender<T, I> {
 impl<T: Send + 'static, I: Instrument> std::fmt::Debug for Sender<T, I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sender")
-            .field("backend", &self.core.queue.name())
+            .field("backend", &self.core.queue().name())
             .field("closed", &self.core.is_closed())
             .finish()
     }
@@ -714,7 +915,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
 
     /// Receives up to `max` values into `out` with one handle bind and one
     /// closed/in-flight decision per batch — the channel face of
-    /// [`QueueHandle::dequeue_into`].
+    /// [`QueueHandle::dequeue_into`](wcq_core::api::QueueHandle::dequeue_into).
     ///
     /// Waits like [`Receiver::recv`] (a brief spin on a read-only hint, then
     /// parked) until at least one value is available, then returns however
@@ -731,7 +932,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// shutting down): senders fail fast, and the remaining pre-close values
     /// stay drainable.  Returns `true` for the transitioning call.
     pub fn close(&self) -> bool {
-        self.core.close()
+        self.slot.close(&self.core)
     }
 
     /// `true` once the channel is closed.
@@ -773,14 +974,16 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
         self.core.queue().name()
     }
 
-    /// Checker/test introspection: the number of sends currently holding a
-    /// pre-close in-flight credit.  The close protocol's balance invariant
-    /// says this must be zero once every send call has returned — the
-    /// `wcq-check` explorer asserts it after quiescence.  Not part of the
+    /// Checker/test introspection: the enqueues in flight on the backend's
+    /// gate that decides the drain (the bounded backend's gate, or the
+    /// unbounded queue's head segment's).  The close protocol's balance
+    /// invariant says this must be zero once every send call has returned —
+    /// the `wcq-check` explorer asserts it after quiescence.  Not part of the
     /// stable API.
     #[doc(hidden)]
-    pub fn debug_inflight_credits(&self) -> usize {
-        self.core.inflight_credits()
+    pub fn debug_gate_inflight(&mut self) -> usize {
+        let Self { slot, core, .. } = self;
+        slot.bind(core).inflight()
     }
 }
 
@@ -837,7 +1040,7 @@ impl<T: Send + 'static, I: Instrument> Drop for Receiver<T, I> {
         if self.core.receivers.fetch_sub(1, SeqCst) == 1 {
             // No receiver can ever drain the channel again: close it so
             // senders fail fast instead of filling an abandoned queue.
-            self.core.close();
+            self.slot.close(&self.core);
         }
     }
 }
@@ -854,7 +1057,7 @@ impl<T: Send + 'static, I: Instrument> Iterator for &mut Receiver<T, I> {
 impl<T: Send + 'static, I: Instrument> std::fmt::Debug for Receiver<T, I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Receiver")
-            .field("backend", &self.core.queue.name())
+            .field("backend", &self.core.queue().name())
             .field("closed", &self.core.is_closed())
             .finish()
     }
@@ -869,14 +1072,14 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for Receiver<T, I> {
 /// instrumentation strategy, so the channel layer records park/wake/close
 /// events into the same counter set as the queue underneath.
 pub(crate) fn channel_over_instrumented<T: Send + 'static, I: Instrument>(
-    queue: Box<dyn WaitFreeQueue<T>>,
+    backend: Box<dyn Backend<T>>,
     instrument: I,
 ) -> (Sender<T, I>, Receiver<T, I>) {
     let core = Arc::new(ChannelCore {
-        queue,
+        backend,
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
-        inflight: AtomicUsize::new(0),
+        closed: AtomicBool::new(false),
         recv_side: WakeSide::new(instrument.clone()),
         send_side: WakeSide::new(instrument.clone()),
         instrument,
@@ -946,13 +1149,13 @@ mod tests {
         assert_eq!(rx.recv(), Err(RecvError));
     }
 
-    /// `close` is one `fetch_or` on the in-flight word: among racing calls
-    /// exactly one sees the bit clear, and the credit count read beside it
-    /// never includes the bit.
+    /// Racing closes all close the backend, and exactly one sets the flag;
+    /// the gate's in-flight count read beside them never includes its
+    /// closed bit.
     #[test]
     fn racing_closes_transition_once_and_never_show_the_bit() {
         for _ in 0..32 {
-            let (tx, rx) = unbounded_pair();
+            let (tx, mut rx) = unbounded_pair();
             let transitions = &AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for _ in 0..2 {
@@ -961,7 +1164,7 @@ mod tests {
                         let _ = tx.try_send(1);
                         let wins = usize::from(tx.close()) + usize::from(rx.close());
                         transitions.fetch_add(wins, SeqCst);
-                        assert!(rx.debug_inflight_credits() <= 2, "the bit leaked");
+                        assert!(rx.debug_gate_inflight() <= 2, "the bit leaked");
                         assert_eq!(tx.try_send(2), Err(TrySendError::Closed(2)));
                         let _ = rx.try_recv();
                     });
@@ -969,7 +1172,7 @@ mod tests {
             });
             assert_eq!(transitions.load(SeqCst), 1, "exactly one close transitions");
             assert!(tx.is_closed() && rx.is_closed());
-            assert_eq!(rx.debug_inflight_credits(), 0);
+            assert_eq!(rx.debug_gate_inflight(), 0);
         }
     }
 
@@ -1051,19 +1254,20 @@ mod tests {
 
     #[test]
     fn a_moved_endpoint_rebinds_under_the_new_threads_token() {
-        let bound_to = |slot: &HandleSlot<u64>| slot.bound.as_ref().map(|(token, _)| *token);
+        let bound_to =
+            |slot: &mut HandleSlot<u64>| slot.bound.get_mut().as_ref().map(|(token, _)| *token);
         let (mut tx, mut rx) = unbounded_pair();
-        assert_eq!(bound_to(&tx.slot), None, "binding is lazy");
+        assert_eq!(bound_to(&mut tx.slot), None, "binding is lazy");
         tx.send(0).unwrap();
-        assert_eq!(bound_to(&tx.slot), Some(thread_token()));
+        assert_eq!(bound_to(&mut tx.slot), Some(thread_token()));
         // Thread A uses both endpoints and exits; thread B is spawned after.
         let mut owners = vec![thread_token()];
         for hop in 1..=2u64 {
             (tx, rx, owners) = std::thread::spawn(move || {
                 tx.send(hop).unwrap();
                 assert_eq!(rx.recv(), Ok(hop - 1), "FIFO across the migration");
-                assert_eq!(bound_to(&tx.slot), Some(thread_token()));
-                assert_eq!(bound_to(&rx.slot), Some(thread_token()));
+                assert_eq!(bound_to(&mut tx.slot), Some(thread_token()));
+                assert_eq!(bound_to(&mut rx.slot), Some(thread_token()));
                 owners.push(thread_token());
                 (tx, rx, owners)
             })
@@ -1071,14 +1275,14 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            bound_to(&tx.slot),
+            bound_to(&mut tx.slot),
             Some(owners[2]),
             "still registered by the last thread that used it"
         );
         assert!(owners[0] != owners[1] && owners[1] != owners[2] && owners[0] != owners[2]);
         // Back here: re-registers once more, and the drain is exact.
         tx.send(3).unwrap();
-        assert_eq!(bound_to(&tx.slot), Some(owners[0]));
+        assert_eq!(bound_to(&mut tx.slot), Some(owners[0]));
         tx.close();
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
@@ -1162,9 +1366,9 @@ mod tests {
         let (mut tx, mut rx) = (AsyncSender::from(tx), AsyncReceiver::from(rx));
         tx.try_send(1).unwrap();
         assert_eq!(rx.try_recv(), Ok(1)); // both endpoints now hold a queue handle
-        let (tx, rx) = (tx.into_sync(), rx.into_sync());
+        let (mut tx, mut rx) = (tx.into_sync(), rx.into_sync());
         assert!(
-            tx.slot.bound.is_some() && rx.slot.bound.is_some(),
+            tx.slot.bound.get_mut().is_some() && rx.slot.bound.get_mut().is_some(),
             "the registrations are kept, not re-acquired lazily"
         );
         // The slots the conversions to async attached (the first of each side).

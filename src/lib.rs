@@ -324,11 +324,12 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     }
 
     /// Builds the queue shape selected by [`backend`](QueueBuilder::backend)
-    /// behind the type-erased facade — the construction path shared by both
-    /// channel finishers.
-    fn build_backend<T: Send + 'static>(&self) -> Box<dyn WaitFreeQueue<T>> {
+    /// as a channel backend — the construction path shared by both channel
+    /// finishers.  The bounded wCQ gets a close gate beside it; the
+    /// unbounded wLSCQ closes through its segments' own.
+    fn build_backend<T: Send + 'static>(&self) -> Box<dyn channel::Backend<T>> {
         match self.backend {
-            ChannelBackend::Bounded => Box::new(self.build_bounded::<T>()),
+            ChannelBackend::Bounded => Box::new(channel::Gated::new(self.build_bounded::<T>())),
             ChannelBackend::Unbounded => Box::new(self.build_unbounded::<T>()),
         }
     }

@@ -203,6 +203,53 @@ fn receiver_side_close_fails_producers_fast() {
     assert_eq!(rx.recv(), Err(RecvError));
 }
 
+/// `send_iter`'s per-element close contract where a close can split a batch:
+/// on two-slot unbounded segments the batch crosses a segment boundary every
+/// second element, and the receiver closes after a seeded number of values.
+/// Whatever it received plus the remainder the send hands back must be the
+/// whole batch, in order — nothing lost, nothing twice, nothing accepted
+/// behind a refusal.
+#[test]
+fn send_iter_racing_close_splits_the_batch_at_a_segment_boundary() {
+    const BATCH: u64 = 10_000;
+    let mut splits = 0;
+    for seed in 0..12u64 {
+        let (mut tx, mut rx) = wcq::builder()
+            .capacity_order(1)
+            .threads(2)
+            .build_channel::<u64>();
+        let close_after = 1 + seed * 37 % 200;
+        let receiver = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            loop {
+                match rx.recv() {
+                    Ok(v) => {
+                        got.push(v);
+                        if got.len() as u64 == close_after {
+                            rx.close();
+                        }
+                    }
+                    Err(RecvError) => return got,
+                }
+            }
+        });
+        let remainder = match tx.send_iter(0..BATCH) {
+            Ok(n) => {
+                assert_eq!(n as u64, BATCH, "seed {seed}");
+                Vec::new()
+            }
+            Err(wcq::SendError(rest)) => rest,
+        };
+        drop(tx);
+        let mut got = receiver.join().unwrap();
+        assert!(got.len() as u64 >= close_after, "seed {seed}");
+        splits += usize::from(!remainder.is_empty());
+        got.extend(remainder);
+        assert_eq!(got, (0..BATCH).collect::<Vec<_>>(), "seed {seed}");
+    }
+    assert!(splits > 0, "no seed closed the channel mid-batch");
+}
+
 #[test]
 fn bounded_backend_backpressure_resolves_through_a_consumer() {
     let (mut tx, mut rx) = wcq::builder()

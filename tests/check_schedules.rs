@@ -128,6 +128,21 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         1,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
+    // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
+    // two producers on the unbounded backend's 4-slot segments, and the
+    // receiver closes after 10 values.  The `check-mutations` mutant whose
+    // close shuts the tail segment's gate but never links `SHUT` after it
+    // fails exactly here ("worker 1 seq 9 was accepted by a send that
+    // started after the channel's close had returned"): the refused enqueue
+    // appends a fresh, open segment.  If an append can ever link after a
+    // completed close, so does the real tree.
+    (
+        2,
+        Target::Channel,
+        0x3C6E_F372_FE94_F82B,
+        1,
+        "an enqueue that starts after the close must not append a segment",
+    ),
 ];
 
 #[test]
