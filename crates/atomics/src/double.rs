@@ -292,7 +292,7 @@ impl AtomicDouble {
 /// Returns `(success, observed_lo, observed_hi)`.  `rbx` is reserved by LLVM
 /// for internal use, so the new-low operand is exchanged into `rbx` around the
 /// instruction — the standard stable-Rust workaround for the missing
-/// `AtomicU128`.
+/// 128-bit atomic.
 ///
 /// # Safety
 /// `ptr` must be valid for reads and writes of 16 bytes and 16-byte aligned.
@@ -501,5 +501,40 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(d.load(), (THREADS as u64 * OPS, THREADS as u64 * OPS));
+    }
+
+    #[test]
+    fn concurrent_increments_are_not_lost() {
+        // A 128-bit counter `(lo, hi)` incremented by CAS2 from a start just
+        // below the word boundary: every thread's increments carry across it,
+        // so a torn or lost CAS2 shows up in either half.
+        const THREADS: u64 = 4;
+        const OPS: u64 = 10_000;
+        let start = u64::MAX - 2 * OPS;
+        let d = Arc::new(AtomicDouble::new(start, 0));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    for _ in 0..OPS {
+                        let mut cur = d.load();
+                        loop {
+                            let (lo, carry) = cur.0.overflowing_add(1);
+                            match d.compare_exchange(cur, (lo, cur.1 + u64::from(carry))) {
+                                Ok(_) => break,
+                                Err(seen) => cur = seen,
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let (lo, hi) = d.load();
+        let total = (u128::from(hi) << 64) | u128::from(lo);
+        assert_eq!(total, u128::from(start) + u128::from(THREADS * OPS));
+        assert_eq!(hi, 1, "the count carried into the high word once");
     }
 }

@@ -16,8 +16,6 @@
 //!   other targets a striped spin-lock fallback keeps the crate portable (the
 //!   fallback preserves linearizability but not wait-freedom, and is intended
 //!   for running the test-suite only).
-//! * [`AtomicU128`] — a thin `u128`-flavoured convenience wrapper over
-//!   [`AtomicDouble`].
 //! * [`llsc`] — a software emulation of weak LL/SC reservation granules used to
 //!   reproduce the paper's §4 PowerPC/MIPS construction (`CAS2_Value` /
 //!   `CAS2_Note`, Figure 9) on commodity hardware.
@@ -40,12 +38,10 @@ mod cache_pad;
 pub mod checkpoint;
 mod double;
 pub mod llsc;
-mod u128_atomic;
 
 pub use backoff::Backoff;
 pub use cache_pad::CachePadded;
 pub use double::AtomicDouble;
-pub use u128_atomic::AtomicU128;
 
 /// Returns `true` when the double-width operations use the native
 /// `lock cmpxchg16b` instruction rather than the portable lock-based fallback.

@@ -46,9 +46,6 @@ impl<T: Send> WaitFreeQueue<T> for MsQueue<T> {
     fn is_empty_hint(&self) -> bool {
         MsQueue::is_empty_hint(self)
     }
-    fn has_empty_hint(&self) -> bool {
-        true
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -80,9 +77,6 @@ impl<T: Send> WaitFreeQueue<T> for CcQueue<T> {
     }
     fn is_empty_hint(&self) -> bool {
         self.len_hint() == 0
-    }
-    fn has_empty_hint(&self) -> bool {
-        true
     }
 }
 
@@ -116,8 +110,7 @@ impl WaitFreeQueue<u64> for Lcrq {
     // No emptiness hint: deciding emptiness needs the head ring's counters,
     // and reading them from an unregistered `&self` would dereference a ring
     // that a concurrent dequeuer may retire at any moment.  The default
-    // `has_empty_hint() == false` tells the async park path "no information"
-    // — it parks after one empty answer instead of spinning on retries.
+    // `is_empty_hint() == false` means "not known empty", never "empty".
 }
 
 // --------------------------------------------------------------------------
@@ -149,9 +142,6 @@ impl WaitFreeQueue<u64> for CrTurnQueue {
     }
     fn is_empty_hint(&self) -> bool {
         CrTurnQueue::is_empty_hint(self)
-    }
-    fn has_empty_hint(&self) -> bool {
-        true
     }
 }
 
@@ -185,9 +175,6 @@ impl WaitFreeQueue<u64> for YmcQueue {
     fn is_empty_hint(&self) -> bool {
         YmcQueue::is_empty_hint(self)
     }
-    fn has_empty_hint(&self) -> bool {
-        true
-    }
 }
 
 impl QueueHandle<u64> for &FaaQueue {
@@ -215,9 +202,6 @@ impl WaitFreeQueue<u64> for FaaQueue {
     }
     fn is_empty_hint(&self) -> bool {
         FaaQueue::is_empty_hint(self)
-    }
-    fn has_empty_hint(&self) -> bool {
-        true
     }
 }
 
@@ -247,8 +231,11 @@ mod tests {
     #[test]
     fn emptiness_hints_are_truthful_when_advertised() {
         fn check(queue: &dyn WaitFreeQueue<u64>) {
-            if !queue.has_empty_hint() {
-                return; // constant-false hint; nothing to verify
+            if queue.name() == "LCRQ" {
+                // LCRQ keeps the constant-false default: emptiness would
+                // need a hazard-protected ring dereference.
+                assert!(!queue.is_empty_hint());
+                return;
             }
             assert!(
                 queue.is_empty_hint(),
@@ -274,9 +261,7 @@ mod tests {
         check(&CrTurnQueue::new(2));
         check(&YmcQueue::new());
         check(&FaaQueue::new(6));
-        // LCRQ deliberately reports "no hint" — emptiness would need a
-        // hazard-protected ring dereference.
-        assert!(!WaitFreeQueue::<u64>::has_empty_hint(&Lcrq::new(6, 2)));
+        check(&Lcrq::new(6, 2));
     }
 
     #[test]

@@ -56,10 +56,10 @@ use crate::wcq::{CellFamily, LlscFamily, RingFamily, WcqQueue, WcqQueueHandle};
 ///
 /// A handle is obtained from [`WaitFreeQueue::handle`] /
 /// [`WaitFreeQueue::try_handle`]; for registration-based queues it owns one
-/// thread-record slot for its lifetime and releases it on drop.  Handles are
-/// intentionally **not** [`Send`] for the registration-based queues: the
-/// facade memoizes the thread → record-slot binding thread-locally, and the
-/// unbounded queue's handle additionally pins its last-touched segment.
+/// thread-record slot for its lifetime and releases it on drop.  The slot
+/// belongs to the handle, not to a thread: the record index only has to be
+/// exclusive (Figure 4), so the wCQ and wLSCQ handles are [`Send`] and may
+/// be registered on one thread, operated on another and dropped on a third.
 pub trait QueueHandle<T> {
     /// Attempts to enqueue `value` without waiting; a bounded queue that is
     /// full returns the value back in `Err`.  Unbounded implementations never
@@ -187,122 +187,17 @@ pub trait WaitFreeQueue<T>: Send + Sync {
     fn memory_footprint(&self) -> usize;
 
     /// Cheap, racy emptiness hint: `true` when the queue *looked* empty at
-    /// some recent instant, `false` when it held elements or the
-    /// implementation keeps no counter to tell (the conservative default).
+    /// some recent instant, `false` when it was **not known empty** — it held
+    /// elements, or the implementation keeps no counter to tell (the
+    /// conservative default, which LCRQ keeps).
     ///
     /// The hint is advisory only — schedulers and routers use it to order
     /// their polling, never to decide correctness: a `true` can race with a
     /// concurrent enqueue, and a `false` with the final dequeue.  The only
     /// authoritative emptiness observation remains a [`QueueHandle::dequeue`]
     /// that returns `None`.
-    ///
-    /// Callers that change behaviour on the hint (e.g. an async receiver
-    /// deciding whether to spin before parking) must first check
-    /// [`WaitFreeQueue::has_empty_hint`]: for a backend without a real hint,
-    /// the constant `false` here means "don't know", **not** "non-empty".
     fn is_empty_hint(&self) -> bool {
         false
-    }
-
-    /// Whether [`WaitFreeQueue::is_empty_hint`] is backed by a real
-    /// observation of this queue's state.  The default is `false`: a backend
-    /// that does not override the hint returns a constant `false` from it,
-    /// and treating that constant as "non-empty" would make pollers spin
-    /// forever (see the async receiver's park path).  Every queue in this
-    /// workspace overrides both methods; the default exists for third-party
-    /// implementors.
-    fn has_empty_hint(&self) -> bool {
-        false
-    }
-}
-
-// --------------------------------------------------------------------------
-// Thread-local tid memo
-// --------------------------------------------------------------------------
-
-/// The facade's thread → record-slot memo.
-///
-/// Registration-based queues probe for a free record slot; under handle churn
-/// (register, drop, register again — the common pattern when short-lived
-/// workers attach to a long-lived queue) a plain scan is O(`max_threads`) per
-/// registration.  The memo remembers, per *thread*, the slot index it last
-/// held on a given queue; `register` retries that exact slot first with a
-/// single CAS, making re-entry O(1).  Entries are hints only: a stale entry
-/// (slot since taken by another thread, or the queue freed and its address
-/// reused) simply misses and the caller falls back to the hinted scan.
-pub mod tid_memo {
-    use core::cell::RefCell;
-
-    /// Remembered `(queue address, tid)` pairs per thread, most recent first.
-    const MEMO_SLOTS: usize = 16;
-
-    thread_local! {
-        static MEMO: RefCell<[(usize, usize); MEMO_SLOTS]> =
-            const { RefCell::new([(0, 0); MEMO_SLOTS]) };
-    }
-
-    /// Returns the record slot this thread last held on the queue identified
-    /// by `queue_addr` (use the queue's address: `queue as *const _ as usize`).
-    pub fn recall(queue_addr: usize) -> Option<usize> {
-        if queue_addr == 0 {
-            return None;
-        }
-        MEMO.with(|memo| {
-            let memo = memo.borrow();
-            memo.iter()
-                .find(|(addr, _)| *addr == queue_addr)
-                .map(|&(_, tid)| tid)
-        })
-    }
-
-    /// Records that this thread holds record slot `tid` on the queue at
-    /// `queue_addr`, displacing the least recently used entry when full.
-    pub fn remember(queue_addr: usize, tid: usize) {
-        if queue_addr == 0 {
-            return;
-        }
-        MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            // Move-to-front update; the array is tiny, so a rotate is cheap.
-            let upto = memo
-                .iter()
-                .position(|(addr, _)| *addr == queue_addr)
-                .unwrap_or(MEMO_SLOTS - 1);
-            memo[..=upto].rotate_right(1);
-            memo[0] = (queue_addr, tid);
-        })
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn recall_returns_last_remembered_tid() {
-            remember(0x1000, 3);
-            remember(0x2000, 5);
-            assert_eq!(recall(0x1000), Some(3));
-            assert_eq!(recall(0x2000), Some(5));
-            remember(0x1000, 7);
-            assert_eq!(recall(0x1000), Some(7));
-            assert_eq!(recall(0x3000), None);
-        }
-
-        #[test]
-        fn memo_is_bounded_and_evicts_lru() {
-            for i in 0..MEMO_SLOTS + 4 {
-                remember(0x9000 + i, i);
-            }
-            // The oldest entries fell out; the newest survive.
-            assert_eq!(recall(0x9000), None);
-            assert_eq!(recall(0x9000 + MEMO_SLOTS + 3), Some(MEMO_SLOTS + 3));
-        }
-
-        #[test]
-        fn zero_address_is_ignored() {
-            remember(0, 9);
-            assert_eq!(recall(0), None);
-        }
     }
 }
 
@@ -349,9 +244,6 @@ impl<T: Send, F: CellFamily> WaitFreeQueue<T> for WcqQueue<T, F> {
         // unbounded kinds' maintained counters.
         WcqQueue::is_empty_hint(self)
     }
-    fn has_empty_hint(&self) -> bool {
-        true
-    }
 }
 
 impl<T: Send> QueueHandle<T> for &ScqQueue<T> {
@@ -381,9 +273,6 @@ impl<T: Send> WaitFreeQueue<T> for ScqQueue<T> {
         // Same caveat as wCQ's: retries inflate tail−head, so `false` can be
         // stale but `true` means a recent genuinely-empty observation.
         ScqQueue::is_empty_hint(self)
-    }
-    fn has_empty_hint(&self) -> bool {
-        true
     }
 }
 
@@ -432,10 +321,9 @@ mod tests {
     fn hint_presence_is_reported_per_backend() {
         let q: WcqQueue<u64> = WcqQueue::new(4, 2);
         let dynq: &dyn WaitFreeQueue<u64> = &q;
-        assert!(dynq.has_empty_hint());
         assert!(dynq.is_empty_hint());
         let scq: ScqQueue<u64> = ScqQueue::new(4);
-        assert!((&scq as &dyn WaitFreeQueue<u64>).has_empty_hint());
+        assert!((&scq as &dyn WaitFreeQueue<u64>).is_empty_hint());
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! array (the indirection scheme of Figure 2 applied to wCQ).
 
 use core::cell::UnsafeCell;
-use core::marker::PhantomData;
 use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::api::tid_memo;
 use crate::metrics::{Counter, CounterSet};
 
 use super::cells::{CellFamily, NativeFamily};
@@ -108,20 +106,10 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// Registers the calling thread with both internal rings, or `None` when
     /// `max_threads` handles are already live.
     ///
-    /// Registration is O(1) amortized under handle churn: the slot this
-    /// thread last held on this queue is memoized thread-locally
-    /// ([`tid_memo`]) and retried first with a single CAS per ring; on a miss
-    /// the probe starts from a shared free-slot hint instead of slot 0.
+    /// The probe starts from a shared free-slot hint instead of slot 0, and
+    /// a dropped handle points the hint at the slot it released, so
+    /// re-registering after a drop is one CAS per ring.
     pub fn register(&self) -> Option<WcqQueueHandle<'_, T, F>> {
-        let key = self as *const Self as usize;
-        if let Some(tid) = tid_memo::recall(key) {
-            if let Some(handle) = self.register_at(tid) {
-                // Re-front the LRU entry so a hot queue is not evicted by
-                // colder registrations elsewhere.
-                tid_memo::remember(key, tid);
-                return Some(handle);
-            }
-        }
         let n = self.max_threads();
         // relaxed: pure probe-start hint — a stale read just means the scan
         // starts at a different slot and walks the same full circle.
@@ -131,20 +119,17 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
             let handle = self.register_at(tid)?;
             // relaxed: hint update; ordering-free by the same argument.
             self.reg_hint.store((tid + 1) % n, Relaxed);
-            tid_memo::remember(key, tid);
             Some(handle)
         })
     }
 
-    /// Registers the calling thread at a *specific* record slot of both
-    /// internal rings (see [`WcqRing::register_at`]).  Returns `None` when the
-    /// slot is taken or out of range.
-    pub fn register_at(&self, tid: usize) -> Option<WcqQueueHandle<'_, T, F>> {
+    /// Registers a handle at a *specific* record slot of both internal
+    /// rings, or `None` when the slot is taken or out of range.
+    fn register_at(&self, tid: usize) -> Option<WcqQueueHandle<'_, T, F>> {
         self.try_acquire_slot(tid).then(|| WcqQueueHandle {
             queue: self,
             tid,
             tallies: OpTallies::default(),
-            _not_send: PhantomData,
         })
     }
 
@@ -329,25 +314,15 @@ impl<T, F: CellFamily> std::fmt::Debug for WcqQueue<T, F> {
 /// A per-thread, RAII handle to a [`WcqQueue`].
 ///
 /// The handle owns one record slot of both internal rings for its lifetime;
-/// dropping it releases the slot for another thread.  Handles are `!Send`:
-/// the registration facade memoizes the thread → slot binding thread-locally
-/// (see [`tid_memo`]), so a handle is meaningful only on the thread that
-/// acquired it.
-///
-/// ```compile_fail,E0277
-/// use wcq_core::wcq::WcqQueue;
-/// let q: WcqQueue<u64> = WcqQueue::new(4, 2);
-/// std::thread::scope(|s| {
-///     let h = q.register().unwrap();
-///     s.spawn(move || drop(h)); // ERROR: `WcqQueueHandle` is `!Send`
-/// });
-/// ```
+/// dropping it releases the slot for another handle.  The slot belongs to the
+/// handle, not to a thread, so the handle is `Send` (for `T: Send`): it may
+/// be registered on one thread, operated on another and dropped on a third.
+/// `&mut self` serialises its operations, and the slot's claim and release
+/// order successive owners.
 pub struct WcqQueueHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q WcqQueue<T, F>,
     tid: usize,
     tallies: OpTallies,
-    /// Pins the handle to its registering thread (`!Send`/`!Sync`).
-    _not_send: PhantomData<*const ()>,
 }
 
 /// Plain per-handle operation tallies, accumulated without atomics on the hot
@@ -379,8 +354,8 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Attempts to enqueue `value`; returns it back inside `Err` when the
     /// queue is full.
     pub fn enqueue(&mut self, value: T) -> Result<(), T> {
-        // SAFETY: the handle's existence proves ownership of slot `tid` on
-        // the registering thread (`!Send`).
+        // SAFETY: the handle's existence proves ownership of slot `tid`, and
+        // `&mut self` keeps its operations from overlapping.
         unsafe { self.queue.enqueue_at(self.tid, value) }?;
         self.tallies.enqueues_completed += 1;
         Ok(())
@@ -531,8 +506,8 @@ mod tests {
         let first = q.register().unwrap();
         let tid = first.tid();
         drop(first);
-        // Churn on the same thread must come back to the same record slot
-        // (O(1) re-entry through the thread-local memo).
+        // Churn must come back to the same record slot: the drop hints it,
+        // so re-entry is one CAS per ring.
         for _ in 0..4 {
             let again = q.register().unwrap();
             assert_eq!(again.tid(), tid);

@@ -179,13 +179,9 @@ impl<F: CellFamily> WcqRing<F> {
         (0..self.slow.slots_taken.len()).find_map(|tid| self.register_at(tid))
     }
 
-    /// Registers the calling thread at a *specific* thread-record slot, or
-    /// `None` when `tid` is out of range or the slot is already taken.
-    ///
-    /// Callers that already own a stable per-thread index (e.g. a thread's
-    /// memoized tid) can use this to acquire a record with a single CAS
-    /// instead of scanning.
-    pub fn register_at(&self, tid: usize) -> Option<WcqHandle<'_, F>> {
+    /// Registers a handle at a *specific* thread-record slot, or `None` when
+    /// `tid` is out of range or the slot is already taken.
+    fn register_at(&self, tid: usize) -> Option<WcqHandle<'_, F>> {
         self.try_acquire_record(tid)
             .then(|| WcqHandle { ring: self, tid })
     }

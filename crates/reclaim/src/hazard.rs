@@ -169,9 +169,11 @@ impl HazardDomain {
         self.retired_total().saturating_sub(self.reclaimed_total())
     }
 
-    /// Registers the calling thread, returning a handle with exclusive use of
-    /// one participant slot.  Returns `None` when all participant slots are
-    /// taken.
+    /// Registers a participant, returning a handle with exclusive use of one
+    /// participant slot.  Returns `None` when all participant slots are
+    /// taken.  The probe starts at a free-slot hint that a dropped handle
+    /// points at the slot it released, so re-registering after a drop is one
+    /// CAS.
     pub fn register(&self) -> Option<HazardHandle<'_>> {
         let n = self.in_use.len();
         // relaxed: probe-start hint only — a stale read starts the scan at
@@ -187,11 +189,10 @@ impl HazardDomain {
         })
     }
 
-    /// Registers the calling thread at a *specific* participant slot with a
-    /// single CAS, or `None` when `tid` is out of range or the slot is taken.
-    /// Callers that memoize their participant id (e.g. the facade's
-    /// thread-local tid memo) use this for O(1) re-registration.
-    pub fn register_at(&self, tid: usize) -> Option<HazardHandle<'_>> {
+    /// Claims the participant slot `tid` with a single CAS, or `None` when
+    /// `tid` is out of range or the slot is taken: the one claim
+    /// [`HazardDomain::register`]'s hinted probe makes per slot.
+    fn register_at(&self, tid: usize) -> Option<HazardHandle<'_>> {
         let flag = self.in_use.get(tid)?;
         // Success acquires the previous owner's release in `Drop`, ordering
         // this owner of the id after everything that one did under it:

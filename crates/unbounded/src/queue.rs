@@ -10,7 +10,7 @@ use std::sync::atomic::{
 use std::sync::Arc;
 
 use wcq_atomics::{Backoff, CachePadded};
-use wcq_core::api::{tid_memo, QueueHandle, WaitFreeQueue};
+use wcq_core::api::{QueueHandle, WaitFreeQueue};
 use wcq_core::metrics::{Counter, CounterSet};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
@@ -215,21 +215,13 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         self.max_threads
     }
 
-    /// Registers the calling thread, or `None` when `max_threads` handles
-    /// are already live.
-    ///
-    /// Like [`wcq_core::wcq::WcqQueue::register`], re-registration by a
-    /// thread that held a handle before is O(1) through the facade's
-    /// thread-local tid memo.
+    /// Registers a handle, or `None` when `max_threads` handles are already
+    /// live.  The registration is one hazard-domain participant id, claimed
+    /// from the domain's free-slot hint (see [`HazardDomain::register`]).
     pub fn register(&self) -> Option<UnboundedWcqHandle<'_, T, F>> {
-        let key = self as *const Self as usize;
-        let hp = tid_memo::recall(key)
-            .and_then(|tid| self.domain.register_at(tid))
-            .or_else(|| self.domain.register())?;
-        tid_memo::remember(key, hp.tid());
         Some(UnboundedWcqHandle {
             queue: self,
-            hp,
+            hp: self.domain.register()?,
             bound: ptr::null_mut(),
             slot0_held: false,
             pins: 0,
@@ -426,17 +418,9 @@ impl NetCount {
 /// so at most one extra segment per registered handle can linger in the
 /// retired state — the memory bound stays O(backlog + threads).
 ///
-/// Handles are `!Send` (they hold the raw memoized segment pointer and the
-/// thread-local tid memo assumes thread affinity):
-///
-/// ```compile_fail,E0277
-/// use wcq_unbounded::UnboundedWcq;
-/// let q: UnboundedWcq<u64> = UnboundedWcq::new(4, 2);
-/// std::thread::scope(|s| {
-///     let h = q.register().unwrap();
-///     s.spawn(move || drop(h)); // ERROR: `UnboundedWcqHandle` is `!Send`
-/// });
-/// ```
+/// The registration belongs to the handle, not to a thread, so the handle is
+/// `Send` (for `T: Send`): it may be registered on one thread, operated on
+/// another and dropped on a third.
 pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q UnboundedWcq<T, F>,
     hp: HazardHandle<'q>,
@@ -461,12 +445,24 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     batch_values_granted: u64,
 }
 
+// SAFETY: the one field that is not `Send` on its own is the memo pointer
+// `bound`, and the segment it names is pinned by hazard slot 1 of this
+// handle's participant id wherever the handle runs.  Every other field is the
+// handle's own — `hp` with its retire buffer, `slot0_held`, and the plain
+// `pins`/`rebinds`/completion tallies — or `queue`, a shared reference whose
+// segment records and length-hint words are shared atomics keyed by that
+// same id (`UnboundedWcq` is `Sync` for `T: Send`, and `T` values cross
+// threads only through it).  Nothing is per-thread, and `&mut self`
+// serialises every operation.
+unsafe impl<T: Send, F: CellFamily> Send for UnboundedWcqHandle<'_, T, F> {}
+
 /// A dequeue's head segment found drained with a successor: the segment and
 /// that successor.
 type Crossing<T, F> = (*mut Segment<T, F>, *mut Segment<T, F>);
 
 impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
-    /// The stable per-thread index of this handle.
+    /// This handle's participant id: its record index in every segment,
+    /// stable for the handle's lifetime.
     pub fn tid(&self) -> usize {
         self.hp.tid()
     }
@@ -1005,9 +1001,6 @@ impl<T: Send, F: CellFamily> WaitFreeQueue<T> for UnboundedWcq<T, F> {
     fn is_empty_hint(&self) -> bool {
         self.len_hint() == 0
     }
-    fn has_empty_hint(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -1280,8 +1273,8 @@ mod tests {
         use wcq_core::api::WaitFreeQueue;
         let q: UnboundedWcq<u64> = UnboundedWcq::new(3, 2);
         assert!(
-            (&q as &dyn WaitFreeQueue<u64>).has_empty_hint(),
-            "wLSCQ advertises its truthful emptiness hint"
+            (&q as &dyn WaitFreeQueue<u64>).is_empty_hint(),
+            "wLSCQ's emptiness hint is truthful at quiescence"
         );
         let mut h = q.register().unwrap();
         let mut batch: Vec<u64> = (0..40).collect();

@@ -144,8 +144,8 @@ impl<T, F: CellFamily> ShardedWcq<T, F> {
 
     /// Registers the calling thread on every shard, or `None` when any shard
     /// has all `max_threads` slots taken (partially acquired slots are
-    /// released again).  Re-registration is O(shards) single-CAS re-entries
-    /// through the per-shard tid memo.
+    /// released again).  Re-registration after a drop is one CAS per shard:
+    /// each shard's free-slot hint points at the slot the drop released.
     pub fn register(&self) -> Option<ShardedWcqHandle<'_, T, F>> {
         let mut handles = Vec::with_capacity(self.shards.len());
         for shard in self.shards.iter() {
@@ -156,10 +156,10 @@ impl<T, F: CellFamily> ShardedWcq<T, F> {
             }
         }
         // The home shard is derived from the shard-0 tid: fixed for the
-        // handle's lifetime (one FIFO stream per handle), and usually stable
-        // across re-registration too because the tid memo hands the same
-        // slot back — but the memo is best-effort, so the per-producer order
-        // guarantee is scoped to one handle's lifetime.
+        // handle's lifetime (one FIFO stream per handle).  A re-registration
+        // usually gets the same slot back through the free-slot hint, but the
+        // hint is best-effort, so the per-producer order guarantee is scoped
+        // to one handle's lifetime.
         let home = handles[0].tid() % self.shards.len();
         Some(ShardedWcqHandle {
             queue: self,
@@ -195,18 +195,8 @@ impl<T, F: CellFamily> std::fmt::Debug for ShardedWcq<T, F> {
 /// A per-thread handle to a [`ShardedWcq`]: one [`UnboundedWcqHandle`] per
 /// shard, so each shard keeps its own segment memo — a consumer that stays on
 /// its home shard touches exactly one memo, and a stolen-from shard's segment
-/// stays memoized for the next steal.
-///
-/// Like the handles it is built from, a sharded handle is `!Send`:
-///
-/// ```compile_fail,E0277
-/// use wcq_unbounded::ShardedWcq;
-/// let q: ShardedWcq<u64> = ShardedWcq::new(2, 4, 2);
-/// std::thread::scope(|s| {
-///     let h = q.register().unwrap();
-///     s.spawn(move || drop(h)); // ERROR: `ShardedWcqHandle` is `!Send`
-/// });
-/// ```
+/// stays memoized for the next steal.  Like the handles it is built from, a
+/// sharded handle is `Send`.
 pub struct ShardedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q ShardedWcq<T, F>,
     handles: Vec<UnboundedWcqHandle<'q, T, F>>,

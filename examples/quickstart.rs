@@ -1,9 +1,9 @@
 //! Quickstart: the smallest useful wCQ program, through the `wcq` facade.
 //!
-//! One builder call constructs the queue; `handle()` registers the calling
-//! thread (RAII — the record slot is released when the handle drops, and
-//! re-registration by the same thread is O(1) through the thread-local tid
-//! memo).  The example moves a million integers producer → consumer and
+//! One builder call constructs the queue; `handle()` registers a handle
+//! (RAII — the record slot is released when the handle drops, and the next
+//! registration reclaims it with one CAS through the registry's free-slot
+//! hint).  The example moves a million integers producer → consumer and
 //! prints the fast-path/slow-path split from the metrics snapshot at the end.
 //!
 //! Run with:

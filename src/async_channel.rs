@@ -249,13 +249,6 @@ impl<T: Send + 'static, I: Instrument> AsyncReceiver<T, I> {
         self.inner.is_empty_hint()
     }
 
-    /// Whether the backend implements the emptiness hint at all (see
-    /// [`Receiver::has_empty_hint`]); without one, the receive futures park
-    /// after a single empty answer instead of hint-gated retries.
-    pub fn has_empty_hint(&self) -> bool {
-        self.inner.has_empty_hint()
-    }
-
     /// Display name of the backend queue.
     pub fn backend_name(&self) -> &'static str {
         self.inner.backend_name()
@@ -303,10 +296,8 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for AsyncReceiver<T, I> {
 /// two more tries before parking, gated by the backend's length hint.  While
 /// the hint says values exist (they may be headed to the next segment), a
 /// retry is cheaper than the park/re-check round trip; the bound
-/// keeps one poll finite even if the hint stays stubbornly non-empty.  A
-/// backend without a real hint reports a constant `false` — "no information",
-/// not "non-empty" — so retrying on it is never informed: it parks after the
-/// first empty try.  The re-check with the waker in place is always one try.
+/// keeps one poll finite even if the hint stays stubbornly non-empty.  The
+/// re-check with the waker in place is always one try.
 fn poll_hinted<T: Send + 'static, I: Instrument, R>(
     wait: &mut Parked<'_, Receiver<T, I>>,
     cx: &mut Context<'_>,
@@ -316,10 +307,10 @@ fn poll_hinted<T: Send + 'static, I: Instrument, R>(
     wait.poll_one(cx, |rx| {
         let mut answer = recv_answer(try_recv(rx));
         let retry = std::mem::take(&mut pre_park) && answer.is_none();
-        if retry && rx.has_empty_hint() && !rx.is_empty_hint() {
+        if retry && !rx.is_empty_hint() {
             answer = recv_answer(try_recv(rx)).or_else(|| recv_answer(try_recv(rx)));
         }
-        answer // `None`: genuinely empty (or no hint to consult), go park
+        answer // `None`: genuinely empty, go park
     })
 }
 

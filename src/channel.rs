@@ -48,12 +48,13 @@
 //! # Threading model
 //!
 //! Endpoints are [`Send`] but not [`Sync`]: move one into a thread (or task)
-//! and operate through `&mut self`; clone it to fan out.  Each endpoint lazily
-//! registers its own queue handle on the thread that first uses it — and
-//! transparently re-registers if the endpoint migrates — so the per-thread
-//! record slots the algorithm needs (Figure 4) follow the endpoints around.
-//! Size [`crate::QueueBuilder::threads`] for the peak number of endpoints
-//! alive at once.
+//! and operate through `&mut self`; clone it to fan out.  Each endpoint
+//! registers its own queue handle on first use and keeps it for life,
+//! wherever the endpoint moves: the record slot the algorithm needs
+//! (Figure 4) only has to be exclusive, and the handle's is, so a send or
+//! receive asks nothing about the thread it runs on.  Size
+//! [`crate::QueueBuilder::threads`] for the peak number of endpoints alive
+//! at once.
 //!
 //! ```
 //! use wcq::channel::TryRecvError;
@@ -82,7 +83,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering::SeqCst;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,8 +118,8 @@ pub(crate) trait Backend<T>: Send + Sync {
 }
 
 /// A registered handle of a [`Backend`]: the channel's every operation on
-/// the queue, close included.
-pub(crate) trait BackendHandle<T> {
+/// the queue, close included.  `Send`, so the endpoints that own one are.
+pub(crate) trait BackendHandle<T>: Send {
     /// Enqueues `value`; `Full` only from a bounded backend, `Closed` once
     /// the backend is closed.
     fn send(&mut self, value: T) -> Result<(), TrySendError<T>>;
@@ -508,31 +509,8 @@ pub(crate) fn timed<R>(outcome: Option<Result<R, RecvError>>) -> Result<R, RecvT
 // Lazily-bound per-endpoint queue handle
 // --------------------------------------------------------------------------
 
-/// A process-unique, never-zero id of the calling thread: one thread-local
-/// read per call, assigned from a global counter on the thread's first call.
-///
-/// [`HandleSlot::bind`] runs on every `send` and `recv`, and
-/// `std::thread::current().id()` clones and drops an `Arc<Thread>` each time
-/// (two locked instructions).  The address of a thread-local would be as
-/// cheap but is *not* an identity: a thread spawned after another exited can
-/// be handed the same TLS block, so an endpoint moved to it would look
-/// unmoved and skip the re-registration `bind` promises.  A counter value is
-/// never handed out twice.
-fn thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: Cell<u64> = const { Cell::new(0) };
-    }
-    TOKEN.with(|token| {
-        if token.get() == 0 {
-            token.set(NEXT.fetch_add(1, SeqCst));
-        }
-        token.get()
-    })
-}
-
-/// An endpoint's registered queue handle, bound to the thread that last used
-/// the endpoint.
+/// An endpoint's registered queue handle, registered on first use and kept
+/// for the endpoint's life, on whatever thread it runs.
 ///
 /// The boxed handle borrows the queue inside the endpoint's
 /// `Arc<ChannelCore>`; the lifetime is erased to `'static` so the endpoint
@@ -548,12 +526,8 @@ fn thread_token() -> u64 {
 /// unbounded backend needs a registration, like any operation on it); every
 /// other operation reaches it through `&mut self` at no cost.
 struct HandleSlot<T: Send + 'static> {
-    /// The owning thread's [`thread_token`] and its handle.
-    bound: Cell<Option<Bound<T>>>,
+    bound: Cell<Option<Box<dyn BackendHandle<T> + 'static>>>,
 }
-
-/// A bound handle and the [`thread_token`] of the thread it was bound on.
-type Bound<T> = (u64, Box<dyn BackendHandle<T> + 'static>);
 
 impl<T: Send + 'static> HandleSlot<T> {
     const fn new() -> Self {
@@ -578,25 +552,19 @@ impl<T: Send + 'static> HandleSlot<T> {
     /// none, else through this slot's handle, registering one only if none
     /// is bound — then the flag.
     ///
-    /// A handle bound on another thread serves as it is: its state is
-    /// shared atomics (see the endpoints' `Send` impls), and not
-    /// re-registering means a close never needs a second slot.
-    ///
     /// # Panics
     /// As [`ChannelCore::register`], for an endpoint that never operated
     /// closing the unbounded backend while every slot is taken.
     fn close<I: Instrument>(&self, core: &Arc<ChannelCore<T, I>>) -> bool {
         let mut bound = self.bound.take();
         if bound.is_some() || !core.backend.close_unregistered() {
-            let (_, handle) = bound.get_or_insert_with(|| (thread_token(), Self::register(core)));
-            handle.close();
+            bound.get_or_insert_with(|| Self::register(core)).close();
         }
         self.bound.set(bound);
         core.finish_close()
     }
 
-    /// Returns the handle bound to the current thread, (re-)registering if
-    /// the endpoint is fresh or migrated here from another thread.
+    /// Returns the endpoint's handle, registering one on first use.
     ///
     /// # Panics
     /// Panics when every registration slot of the backend is taken (size
@@ -606,18 +574,10 @@ impl<T: Send + 'static> HandleSlot<T> {
         &'s mut self,
         core: &Arc<ChannelCore<T, I>>,
     ) -> &'s mut (dyn BackendHandle<T> + 'static) {
-        let me = thread_token();
-        let bound = self.bound.get_mut();
-        if let Some((owner, _)) = bound {
-            if *owner != me {
-                // The endpoint migrated: release the old registration (all
-                // handle state is tid-keyed shared atomics, so a cross-thread
-                // drop is fine) and re-register on this thread.
-                *bound = None;
-            }
-        }
-        let (_, handle) = bound.get_or_insert_with(|| (me, Self::register(core)));
-        &mut **handle
+        &mut **self
+            .bound
+            .get_mut()
+            .get_or_insert_with(|| Self::register(core))
     }
 }
 
@@ -628,7 +588,7 @@ impl<T: Send + 'static> HandleSlot<T> {
 /// The producing endpoint of a channel built by
 /// [`build_channel`](crate::QueueBuilder::build_channel).
 ///
-/// Cloning re-acquires a registration slot lazily, so every clone can run on
+/// A clone registers its own slot on first use, so every clone can run on
 /// its own thread.  Dropping the last sender closes the channel: receivers
 /// drain the remaining values, then observe
 /// [`Closed`](TryRecvError::Closed).
@@ -650,15 +610,6 @@ pub struct Sender<T: Send + 'static, I: Instrument = NoopInstrument> {
     wait_slot: Option<u64>,
     core: Arc<ChannelCore<T, I>>,
 }
-
-// SAFETY: the slot's type-erased handle only ever wraps handles of the
-// workspace's queues (the builder's channel finishers are the only way to
-// make a channel, and they pass only those), whose entire state is tid-keyed
-// shared atomics — the thread-locals involved (tid memo, LL/SC reservation)
-// are per-operation hints that tolerate migration.  `&mut self` on every
-// operation serializes use, and `bind` re-registers after a migration.
-// The instrument is `Send + Sync` by the `Instrument` trait bound.
-unsafe impl<T: Send + 'static, I: Instrument> Send for Sender<T, I> {}
 
 impl<T: Send + 'static, I: Instrument> Sender<T, I> {
     /// Attempts to send without waiting.
@@ -866,9 +817,6 @@ pub struct Receiver<T: Send + 'static, I: Instrument = NoopInstrument> {
     core: Arc<ChannelCore<T, I>>,
 }
 
-// SAFETY: identical argument to `Sender`'s impl.
-unsafe impl<T: Send + 'static, I: Instrument> Send for Receiver<T, I> {}
-
 impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// Attempts to receive without waiting.  [`TryRecvError::Empty`] means a
     /// later attempt can succeed; [`TryRecvError::Closed`] is final.
@@ -960,15 +908,6 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
         self.core.queue().is_empty_hint()
     }
 
-    /// Whether the backend actually implements the emptiness hint (see
-    /// [`WaitFreeQueue::has_empty_hint`]).  When `false`,
-    /// [`Receiver::is_empty_hint`] is a constant conservative `false` — "no
-    /// information", not "non-empty" — and the async receiver parks without
-    /// hint-gated retries.
-    pub fn has_empty_hint(&self) -> bool {
-        self.core.queue().has_empty_hint()
-    }
-
     /// Display name of the backend queue (e.g. `"wLSCQ"`).
     pub fn backend_name(&self) -> &'static str {
         self.core.queue().name()
@@ -1021,13 +960,10 @@ impl<T: Send + 'static, I: Instrument> Lane for Receiver<T, I> {
     /// Liveness needs only what every workspace backend's hint provides: it
     /// is exact once operations have quiesced, so a value nobody takes turns
     /// it non-empty and the next look polls for real — and the park phase's
-    /// re-check always polls, whatever the hint says.  A backend without a
-    /// real hint ([`WaitFreeQueue::has_empty_hint`]) is always polled.  A
-    /// closed channel is always polled too, so the exact-drain verdict comes
-    /// from `try_recv` alone.
+    /// re-check always polls, whatever the hint says.  A closed channel is
+    /// always polled, so the exact-drain verdict comes from `try_recv` alone.
     fn still_nothing(&self) -> bool {
-        let queue = self.core.queue();
-        !self.core.is_closed() && queue.has_empty_hint() && queue.is_empty_hint()
+        !self.core.is_closed() && self.core.queue().is_empty_hint()
     }
 }
 
@@ -1068,9 +1004,9 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for Receiver<T, I> {
 // --------------------------------------------------------------------------
 
 /// The one constructor: the builder finishers call this with the workspace's
-/// own queues, whose handles satisfy the migration contract, and with their
-/// instrumentation strategy, so the channel layer records park/wake/close
-/// events into the same counter set as the queue underneath.
+/// own queues and with their instrumentation strategy, so the channel layer
+/// records park/wake/close events into the same counter set as the queue
+/// underneath.
 pub(crate) fn channel_over_instrumented<T: Send + 'static, I: Instrument>(
     backend: Box<dyn Backend<T>>,
     instrument: I,
@@ -1216,77 +1152,48 @@ mod tests {
         });
         let mut tx = handle.join().unwrap();
         assert_eq!(rx.recv(), Ok(7));
-        tx.send(8).unwrap(); // re-binds on this thread after the migration
+        tx.send(8).unwrap(); // the handle registered on the other thread
         assert_eq!(rx.recv(), Ok(8));
     }
 
     #[test]
-    fn thread_tokens_are_nonzero_stable_and_never_reused() {
-        let mine = thread_token();
-        assert_ne!(mine, 0);
-        assert_eq!(thread_token(), mine, "stable within a thread");
-        // Sequential threads, each spawned after the previous one exited: the
-        // runtime typically hands every one of them the same stack and TLS
-        // block, which is exactly why the address of a thread-local cannot
-        // serve as the identity.  The tokens must all differ regardless.
-        thread_local! {
-            static PROBE: Cell<u8> = const { Cell::new(0) };
-        }
-        let mut tokens = vec![mine];
-        let mut tls_blocks = std::collections::HashSet::new();
-        for _ in 0..32 {
-            let (token, block) =
-                std::thread::spawn(|| (thread_token(), PROBE.with(|p| p.as_ptr() as usize)))
-                    .join()
-                    .unwrap();
-            assert_ne!(token, 0);
-            tokens.push(token);
-            tls_blocks.insert(block);
-        }
-        let distinct: std::collections::HashSet<u64> = tokens.iter().copied().collect();
-        assert_eq!(
-            distinct.len(),
-            tokens.len(),
-            "33 threads over {} distinct TLS blocks must hold 33 distinct tokens",
-            tls_blocks.len()
-        );
-    }
-
-    #[test]
-    fn a_moved_endpoint_rebinds_under_the_new_threads_token() {
-        let bound_to =
-            |slot: &mut HandleSlot<u64>| slot.bound.get_mut().as_ref().map(|(token, _)| *token);
+    fn a_moved_endpoint_keeps_its_registration() {
+        let handle_at = |slot: &mut HandleSlot<u64>| {
+            slot.bound
+                .get_mut()
+                .as_deref()
+                .map(|h| h as *const dyn BackendHandle<u64> as *const () as usize)
+        };
         let (mut tx, mut rx) = unbounded_pair();
-        assert_eq!(bound_to(&mut tx.slot), None, "binding is lazy");
+        assert_eq!(handle_at(&mut tx.slot), None, "registration is lazy");
         tx.send(0).unwrap();
-        assert_eq!(bound_to(&mut tx.slot), Some(thread_token()));
-        // Thread A uses both endpoints and exits; thread B is spawned after.
-        let mut owners = vec![thread_token()];
-        for hop in 1..=2u64 {
-            (tx, rx, owners) = std::thread::spawn(move || {
+        assert_eq!(rx.try_recv(), Ok(0));
+        let (tx_at, rx_at) = (handle_at(&mut tx.slot), handle_at(&mut rx.slot));
+        assert!(tx_at.is_some() && rx_at.is_some());
+        // Three hops, each onto a thread spawned after the previous one
+        // exited: the endpoints operate there under the handles they
+        // registered here.
+        for hop in 1..=3u64 {
+            (tx, rx) = std::thread::spawn(move || {
                 tx.send(hop).unwrap();
-                assert_eq!(rx.recv(), Ok(hop - 1), "FIFO across the migration");
-                assert_eq!(bound_to(&mut tx.slot), Some(thread_token()));
-                assert_eq!(bound_to(&mut rx.slot), Some(thread_token()));
-                owners.push(thread_token());
-                (tx, rx, owners)
+                if hop > 1 {
+                    assert_eq!(rx.recv(), Ok(hop - 1), "FIFO across the move");
+                }
+                assert_eq!(handle_at(&mut tx.slot), tx_at, "hop {hop}");
+                assert_eq!(handle_at(&mut rx.slot), rx_at, "hop {hop}");
+                (tx, rx)
             })
             .join()
             .unwrap();
         }
-        assert_eq!(
-            bound_to(&mut tx.slot),
-            Some(owners[2]),
-            "still registered by the last thread that used it"
-        );
-        assert!(owners[0] != owners[1] && owners[1] != owners[2] && owners[0] != owners[2]);
-        // Back here: re-registers once more, and the drain is exact.
-        tx.send(3).unwrap();
-        assert_eq!(bound_to(&mut tx.slot), Some(owners[0]));
+        // Back here: the same handles, and the drain is exact.
+        tx.send(4).unwrap();
+        assert_eq!(handle_at(&mut tx.slot), tx_at);
         tx.close();
-        assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
+        assert_eq!(rx.recv(), Ok(4));
         assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(handle_at(&mut rx.slot), rx_at);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! * [`WaitFreeQueue`] / [`QueueHandle`] — the object-safe trait pair every
 //!   queue in the workspace implements (wCQ, wLSCQ, SCQ and the six §6
 //!   baselines), re-exported from [`wcq_core::api`];
-//! * RAII registration — handles acquired via `queue.handle()` auto-register
-//!   the calling thread (O(1) re-entry through a thread-local tid memo) and
-//!   release their record slot on drop;
+//! * RAII registration — `queue.handle()` claims a record slot for the
+//!   handle (re-entry after a drop is one CAS through the registry's
+//!   free-slot hint) and the handle releases it on drop, on whatever thread
+//!   it has moved to;
 //! * [`channel`] / [`async_channel`] — typed [`Sender`]/[`Receiver`] (and
 //!   [`AsyncSender`]/[`AsyncReceiver`]) endpoints with close semantics over
 //!   any backend, built by the
@@ -93,7 +94,7 @@
 //! | `UnboundedWcq::new(seg_order, threads)` | `…().build_unbounded()` |
 //! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` (removed; in-crate it is `with_config_cache_counters(o, t, cfg, n, None)`) | `…().config(cfg).build_unbounded()` (the cache holds [`DEFAULT_SEGMENT_CACHE`] segments) |
 //! | `WcqRing::new(order, threads)` | `…().build_ring()` |
-//! | `queue.register().expect(…)` | `queue.handle()` (RAII, memoized re-entry) |
+//! | `queue.register().expect(…)` | `queue.handle()` (RAII, hinted re-entry) |
 //! | hand-rolled closed-flag channel over `WcqQueue` | `…().backend(ChannelBackend::Bounded).build_channel()` |
 //! | `h.try_enqueue(v) == Err(v)` / `h.dequeue() == None` | `TrySendError::{Full, Closed}` / `TryRecvError::{Empty, Closed}` |
 //! | spin-wait for consumers (`Backoff` loops) | `build_async()` + `AsyncReceiver::recv().await` (park/wake) |
@@ -126,7 +127,7 @@ pub use channel::{
     TrySendError,
 };
 pub use select::{recv_any, recv_any_timeout, RecvAny};
-pub use wcq_core::api::{tid_memo, QueueHandle, WaitFreeQueue};
+pub use wcq_core::api::{QueueHandle, WaitFreeQueue};
 pub use wcq_core::metrics::{
     Counter, CounterSet, CountingInstrument, HistogramSnapshot, Instrument, LatencyHistogram,
     MetricsSnapshot, NoopInstrument,
@@ -296,14 +297,6 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
         self
     }
 
-    /// Sets just the fast-path patience bounds (`MAX_PATIENCE`, §6: 16 for
-    /// enqueue, 64 for dequeue by default).
-    pub fn patience(mut self, enqueue: u32, dequeue: u32) -> Self {
-        self.config.max_patience_enqueue = enqueue;
-        self.config.max_patience_dequeue = dequeue;
-        self
-    }
-
     /// Number of independent shards for
     /// [`build_sharded`](QueueBuilder::build_sharded) (default 1); no other
     /// finisher reads it.
@@ -337,12 +330,12 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// Builds a channel: typed [`Sender`]/[`Receiver`] endpoints with close
     /// semantics over the backend selected by
     /// [`backend`](QueueBuilder::backend).  Endpoints are `Send`, clonable
-    /// (MPMC) and lazily register on the thread using them; size
-    /// [`threads`](QueueBuilder::threads) for the peak number of live
-    /// endpoints.
+    /// (MPMC), and each registers once, on first use, keeping its handle
+    /// wherever it moves; size [`threads`](QueueBuilder::threads) for the
+    /// peak number of live endpoints.
     ///
     /// Both backends are one FIFO queue, so per-sender order holds across a
-    /// sender's migrations and re-registrations too.
+    /// sender's moves between threads too.
     ///
     /// ```
     /// let (tx, mut rx) = wcq::builder().threads(2).build_channel::<u64>();
@@ -462,10 +455,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_patience_shorthand_sets_the_bounds() {
-        let q = builder().patience(2, 3).build_bounded::<u64>();
+    fn builder_config_sets_just_the_patience_bounds() {
+        let q = builder()
+            .config(WcqConfig {
+                max_patience_enqueue: 2,
+                max_patience_dequeue: 3,
+                ..Default::default()
+            })
+            .build_bounded::<u64>();
         assert_eq!(q.config().max_patience_enqueue, 2);
         assert_eq!(q.config().max_patience_dequeue, 3);
+        assert_eq!(q.config().help_delay, WcqConfig::default().help_delay);
     }
 
     #[test]

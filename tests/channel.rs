@@ -118,12 +118,10 @@ fn endpoints_fan_out_across_plain_spawned_threads() {
 
 #[test]
 fn endpoints_migrate_through_a_chain_of_short_lived_threads() {
-    // Each hop's thread is spawned only after the previous one exited, so it
-    // is typically handed the dead thread's stack and TLS block: an endpoint
-    // that told threads apart by a TLS address would take every hop for the
-    // thread it is already registered on.  Whatever the registrations do,
-    // the values must come out exactly once and in order: both backends are
-    // one FIFO queue, so order survives every re-registration.
+    // Each hop's thread is spawned only after the previous one exited, and
+    // each endpoint operates there under the handle it registered on first
+    // use.  The values must come out exactly once and in order: both
+    // backends are one FIFO queue, so order survives every move.
     const HOPS: u64 = 16;
     const SENT_PER_HOP: u64 = 4;
     const TAKEN_PER_HOP: u64 = 3;

@@ -1,17 +1,19 @@
-//! Handle-lifecycle coverage for the `wcq` facade (ISSUE 3):
+//! Handle-lifecycle coverage for the `wcq` facade:
 //!
-//! * RAII: dropping a handle releases its record slot, and the same thread
-//!   re-registers at the same tid in O(1) via the thread-local memo;
+//! * RAII: dropping a handle releases its record slot, and the next
+//!   registration gets the same tid with one CAS via the registry's hint;
+//! * a registration belongs to its handle, not its thread: a handle
+//!   registered on one thread runs and drops on another under the forced
+//!   slow path, and its slot comes back;
 //! * exhaustion surfaces through `try_handle`, recovery through drop;
 //! * the unbounded handle's segment memo survives forced segment
 //!   growth (tiny `ring_order = 4` segments) without losing values, both
 //!   through the concrete API and through the boxed facade trait;
 //! * all 11 `QueueKind`s hand out working handles through the public trait.
-//!
-//! (`!Send`-ness of the handles is enforced at compile time by the
-//! `compile_fail` doctests on `WcqQueueHandle` and `UnboundedWcqHandle`.)
 
-use wcq::{Counter, CountingInstrument, UnboundedWcq, WcqQueue};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+
+use wcq::{Counter, CountingInstrument, QueueHandle, UnboundedWcq, WcqConfig, WcqQueue};
 use wcq_harness::{make_queue, QueueKind};
 
 #[test]
@@ -24,7 +26,7 @@ fn bounded_handle_drop_releases_the_record_slot() {
     assert!(q.register().is_none(), "both slots taken");
     drop(h1);
     let h3 = q.register().expect("drop must release the slot");
-    assert_eq!(h3.tid(), t1, "same thread re-enters at its memoized tid");
+    assert_eq!(h3.tid(), t1, "re-entry lands on the hinted tid");
     drop(h2);
     drop(h3);
 }
@@ -251,7 +253,14 @@ fn registration_slot_exhaustion_is_uniform_across_all_kinds() {
 fn builder_is_the_single_construction_path_for_both_shapes() {
     // The same builder (with the same knobs) produces both queue shapes, so
     // a config cannot drift between the bounded and the unbounded variant.
-    let b = wcq::builder().capacity_order(5).threads(4).patience(8, 32);
+    let b = wcq::builder()
+        .capacity_order(5)
+        .threads(4)
+        .config(WcqConfig {
+            max_patience_enqueue: 8,
+            max_patience_dequeue: 32,
+            ..Default::default()
+        });
     let bounded = b.clone().build_bounded::<u64>();
     let unbounded = b.build_unbounded::<u64>();
     assert_eq!(bounded.capacity(), 32);
@@ -264,4 +273,136 @@ fn builder_is_the_single_construction_path_for_both_shapes() {
     hu.enqueue(1);
     assert_eq!(hb.dequeue(), Some(1));
     assert_eq!(hu.dequeue(), Some(1));
+}
+
+/// Values each of the two producers in [`a_moved_handle_keeps_its_slot`]
+/// sends.
+const PER_PRODUCER: u64 = 2_000;
+
+/// Enqueues `producer`'s stream of `(producer, i)` and dequeues whatever is
+/// there, until this stream is sent and both streams are consumed (or the
+/// other side is gone).  Returns what this handle dequeued, in order.
+fn exchange<H: QueueHandle<(u64, u64)>>(
+    h: &mut H,
+    producer: u64,
+    consumed: &AtomicU64,
+    other_gone: &AtomicBool,
+) -> Vec<(u64, u64)> {
+    let mut got = Vec::new();
+    let mut next = 0;
+    while next < PER_PRODUCER
+        || (consumed.load(SeqCst) < 2 * PER_PRODUCER && !other_gone.load(SeqCst))
+    {
+        if next < PER_PRODUCER && h.try_enqueue((producer, next)).is_ok() {
+            next += 1;
+        }
+        match h.dequeue() {
+            Some(v) => {
+                got.push(v);
+                consumed.fetch_add(1, SeqCst);
+            }
+            None => std::thread::yield_now(),
+        }
+    }
+    got
+}
+
+/// Sets its flag when dropped, on a normal return and on a panic alike.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, SeqCst);
+    }
+}
+
+/// The contract `Send` stands for, on a two-slot queue under the forced slow
+/// path: a handle registered on thread A is moved to thread B, operated and
+/// dropped there, while thread C holds the other slot and operates
+/// throughout.  Nothing is lost or duplicated, each producer's values reach
+/// each consumer in order, and the slot comes back: A's next registration —
+/// made while C still holds its slot — gets the moved handle's tid.
+fn a_moved_handle_keeps_its_slot<H: QueueHandle<(u64, u64)> + Send>(
+    register: impl Fn() -> Option<H> + Sync,
+    tid: impl Fn(&H) -> usize,
+) {
+    let moved = register().expect("thread A registers first");
+    let home = tid(&moved);
+    let consumed = &AtomicU64::new(0);
+    let (b_gone, c_gone, rechecked) = (
+        &AtomicBool::new(false),
+        &AtomicBool::new(false),
+        &AtomicBool::new(false),
+    );
+    let register = &register;
+    let (again, from_b, from_c) = std::thread::scope(|s| {
+        let b = s.spawn(move || {
+            let _gone = SetOnDrop(b_gone);
+            let mut h = moved;
+            let got = exchange(&mut h, 0, consumed, c_gone);
+            drop(h); // released on B
+            got
+        });
+        let c = s.spawn(move || {
+            let _gone = SetOnDrop(c_gone);
+            let mut h = register().expect("thread C takes the other slot");
+            let mut got = exchange(&mut h, 1, consumed, b_gone);
+            // Keep the slot, and keep polling, until A has re-registered.
+            while !rechecked.load(SeqCst) {
+                got.extend(h.dequeue());
+                std::thread::yield_now();
+            }
+            got
+        });
+        let from_b = b.join();
+        let again = register().map(|h| tid(&h));
+        rechecked.store(true, SeqCst);
+        (
+            again,
+            from_b.expect("thread B"),
+            c.join().expect("thread C"),
+        )
+    });
+    assert_eq!(again, Some(home), "the moved handle's slot came back to A");
+    for (side, got) in [("B", &from_b), ("C", &from_c)] {
+        let mut last = [None; 2];
+        for &(p, i) in got.iter() {
+            assert!(
+                last[p as usize].is_none_or(|prev| prev < i),
+                "{side}: producer {p}'s values out of order at {i}"
+            );
+            last[p as usize] = Some(i);
+        }
+    }
+    let mut all: Vec<(u64, u64)> = from_b.into_iter().chain(from_c).collect();
+    all.sort_unstable();
+    let expected: Vec<(u64, u64)> = (0..2)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |i| (p, i)))
+        .collect();
+    assert_eq!(all, expected, "every value exactly once");
+}
+
+/// Every operation down the slow path: patience 1, helping on every op.
+fn forced_slow_path() -> wcq::QueueBuilder {
+    wcq::builder()
+        .capacity_order(4)
+        .threads(2)
+        .config(WcqConfig {
+            max_patience_enqueue: 1,
+            max_patience_dequeue: 1,
+            help_delay: 1,
+            ..Default::default()
+        })
+}
+
+#[test]
+fn a_bounded_handle_registered_on_one_thread_runs_and_drops_on_another() {
+    let q: WcqQueue<(u64, u64)> = forced_slow_path().build_bounded();
+    a_moved_handle_keeps_its_slot(|| q.register(), |h| h.tid());
+}
+
+#[test]
+fn an_unbounded_handle_registered_on_one_thread_runs_and_drops_on_another() {
+    let q: UnboundedWcq<(u64, u64)> = forced_slow_path().build_unbounded();
+    a_moved_handle_keeps_its_slot(|| q.register(), |h| h.tid());
 }

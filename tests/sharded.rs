@@ -9,9 +9,6 @@
 //! * per-producer FIFO, no loss and no duplication hold for pinned producers
 //!   on both hardware models under the forced slow path — this file is the
 //!   `cargo test -q --test sharded` CI smoke.
-//!
-//! (`!Send`-ness of `ShardedWcqHandle` is enforced at compile time by its
-//! `compile_fail` doctest in `wcq-unbounded`.)
 
 use std::collections::HashSet;
 
