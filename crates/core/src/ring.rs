@@ -154,6 +154,18 @@ impl<F: RingFamily, S> Ring<F, S> {
         self.tail.load_cnt().saturating_sub(self.head.load_cnt())
     }
 
+    /// The indices the ring holds, read off its entries rather than
+    /// dequeued: the ticket window `[head, tail)`, less the tickets whose
+    /// slot holds no value of their own cycle.  Exact only while no operation
+    /// runs; a quiescent check that changes no state and runs no operation.
+    pub(crate) fn quiescent_indices(&self) -> impl Iterator<Item = u64> + '_ {
+        let l = &self.layout;
+        (self.head.load_cnt()..self.tail.load_cnt()).filter_map(move |t| {
+            let e = l.unpack(self.entries[l.slot(t)].load_value());
+            (e.cycle == l.cycle(t) && !l.is_reserved(e.index)).then_some(e.index)
+        })
+    }
+
     /// Re-arms the threshold after a deposit (Figure 3, lines 27–28).
     #[inline]
     pub(crate) fn rearm_threshold(&self) {

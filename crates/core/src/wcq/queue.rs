@@ -188,11 +188,65 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         let Some(index) = self.fq.dequeue_index(tid) else {
             return Err(value);
         };
-        // SAFETY: the free index came from `fq`; we own the slot until we
-        // publish the index through `aq`.
-        unsafe { (*self.data[index as usize].get()).write(value) };
-        self.aq.enqueue_index(tid, index);
+        // SAFETY: `tid` is exclusive per the function contract, and the
+        // index just came from `fq`.
+        unsafe { self.deposit(tid, index as u32, value) };
         Ok(())
+    }
+
+    /// The first half of [`WcqQueue::enqueue_at`] for a run of values:
+    /// claims up to `free.len()` free slot indices with one `fq` batch
+    /// dequeue (one head F&A for the run), writes them to the front of
+    /// `free` and returns how many.  `0` is `fq`'s ⊥: no index was free.
+    /// Each claimed index is the caller's until it deposits a value there
+    /// ([`WcqQueue::deposit`]) or hands it back ([`WcqQueue::return_free`]);
+    /// until then no other enqueuer can claim it.
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::enqueue_at`].
+    pub unsafe fn claim_free(&self, tid: usize, free: &mut [u32]) -> usize {
+        let mut claimed = 0;
+        self.fq.dequeue_many(tid, free.len(), |index| {
+            free[claimed] = index as u32;
+            claimed += 1;
+        });
+        claimed
+    }
+
+    /// The second half of [`WcqQueue::enqueue_at`]: writes `value` to the
+    /// slot of the claimed free `index` and publishes the index through `aq`.
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::enqueue_at`]; and `index` came from `fq`
+    /// through [`WcqQueue::claim_free`] on this queue (or `enqueue_at`'s own
+    /// claim), and has not been deposited at or returned since.
+    #[inline]
+    pub unsafe fn deposit(&self, tid: usize, index: u32, value: T) {
+        // SAFETY: the caller owns the slot until the index is published
+        // through `aq`.
+        unsafe { (*self.data[index as usize].get()).write(value) };
+        self.aq.enqueue_index(tid, index.into());
+    }
+
+    /// Hands claimed, unused free indices back to `fq` with one batch
+    /// enqueue (one tail F&A).
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::deposit`], for every index in `free`.
+    pub unsafe fn return_free(&self, tid: usize, free: &[u32]) {
+        self.fq.enqueue_many(tid, free);
+    }
+
+    /// Whether `fq` holds exactly the free indices `0..capacity`, by count
+    /// and by sum, read off its entries.  Exact only while no operation runs:
+    /// a check that a queue about to be reused got back every index a caller
+    /// claimed.  It runs no ring operation, so no counter moves.  Not part of
+    /// the stable API.
+    #[doc(hidden)]
+    pub fn holds_every_free_index(&self) -> bool {
+        let (count, sum) = (self.fq.quiescent_indices()).fold((0, 0), |(c, s), i| (c + 1, s + i));
+        let n = self.capacity() as u64;
+        count == n && sum == n * (n - 1) / 2
     }
 
     /// Attempts to dequeue an element as the thread owning record slot `tid`;
@@ -231,7 +285,8 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
             return 0;
         }
         let mut free = Vec::with_capacity(values.len().min(self.capacity()));
-        self.fq.dequeue_many(tid, &mut free, values.len());
+        self.fq
+            .dequeue_many(tid, values.len(), |index| free.push(index));
         let accepted = free.len();
         for (&index, value) in free.iter().zip(values.drain(..accepted)) {
             // SAFETY: each free index came from `fq`; we own its slot until
@@ -256,7 +311,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
             return 0;
         }
         let mut indices = Vec::with_capacity(max.min(self.capacity()));
-        let got = self.aq.dequeue_many(tid, &mut indices, max);
+        let got = self.aq.dequeue_many(tid, max, |index| indices.push(index));
         for &index in &indices {
             // SAFETY: each index came from `aq`; the matching enqueue fully
             // initialized the slot and nobody else touches it until the run

@@ -5,7 +5,9 @@
 //! slow path, and the per-operation entry points that tie them together —
 //! *countdown → one inline attempt → a `#[cold]` remainder* (the rest of the
 //! patience loop, request publication, Figures 6–7), so the common case
-//! executes SCQ's instructions plus a counter decrement.
+//! executes SCQ's instructions plus a counter decrement.  A dequeue keeps only
+//! its threshold check inline and makes the countdown and attempt one
+//! out-of-line call, so an empty poll costs its caller no call at all.
 //!
 //! The implementation follows the paper's pseudo-code line by line; comments
 //! reference the figure/line they reproduce.  Differences are limited to the
@@ -598,15 +600,24 @@ impl<F: CellFamily> WcqRing<F> {
     }
 
     /// Full dequeue operation for the thread owning record `tid`
-    /// (`Dequeue_wCQ`); `None` means the ring was empty.  Split like
-    /// [`Self::enqueue_index`]; an empty ring answers from the threshold
-    /// alone, before anything else runs.
-    #[inline]
+    /// (`Dequeue_wCQ`); `None` means the ring was empty.  An empty ring
+    /// answers from the threshold alone, and only that check is inline: an
+    /// empty poll is a load and a compare in its caller's instruction stream,
+    /// with no call.  Everything after it is [`Self::dequeue_attempt`].
+    #[inline(always)]
     pub(crate) fn dequeue_index(&self, tid: usize) -> Option<u64> {
         self.count(Counter::RingDequeues, 1);
         if self.threshold() < 0 {
             return None; // Line 30: empty.
         }
+        self.dequeue_attempt(tid)
+    }
+
+    /// [`Self::dequeue_index`] past its threshold check, out of line: the
+    /// helping countdown and one attempt, [`Self::dequeue_rest`] when that
+    /// attempt says retry.
+    #[inline(never)]
+    fn dequeue_attempt(&self, tid: usize) -> Option<u64> {
         self.help_threads(tid);
         let head = self.head.fetch_add_cnt();
         match self.try_deq(head, (self, tid)) {
@@ -683,7 +694,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// through the conditions `try_enq` checks on `T`'s slot alone (its
     /// cycle, its safe bit against the head) — and every fallback deposit
     /// goes through exactly that check on its fresh ticket.
-    pub(crate) fn enqueue_many(&self, tid: usize, indices: &[u64]) {
+    pub(crate) fn enqueue_many<I: Copy + Into<u64>>(&self, tid: usize, indices: &[I]) {
         if indices.is_empty() {
             return;
         }
@@ -691,7 +702,7 @@ impl<F: CellFamily> WcqRing<F> {
         let base = self.tail.fetch_add_cnt_n(indices.len() as u64);
         // Elements that used their batch ticket: a prefix of the run.
         let mut on_ticket = 0;
-        for (k, &index) in indices.iter().enumerate() {
+        for (k, index) in indices.iter().map(|&i| i.into()).enumerate() {
             // Once one element lost its ticket, the rest of the run abandon
             // theirs too: the fallback below takes a *fresh* (later) ticket,
             // so an element still riding its batch ticket would overtake it
@@ -709,9 +720,9 @@ impl<F: CellFamily> WcqRing<F> {
         self.count(Counter::RingEnqueues, on_ticket as u64);
     }
 
-    /// Dequeues up to `max` indices into `out`, reserving the whole run of
-    /// head tickets with a single F&A.  Returns the number of indices
-    /// appended — possibly fewer than `max` (partial success): the run is
+    /// Dequeues up to `max` indices, handing each to `push`, reserving the
+    /// whole run of head tickets with a single F&A.  Returns the number of
+    /// indices pushed — possibly fewer than `max` (partial success): the run is
     /// clamped to the visible backlog, and a ticket raced by a concurrent
     /// consumer or a not-yet-visible slow-path insertion counts as a miss
     /// rather than being retried.
@@ -727,7 +738,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// skipping one would let a straggling enqueuer deposit into a slot no
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
-    pub(crate) fn dequeue_many(&self, tid: usize, out: &mut Vec<u64>, max: usize) -> usize {
+    pub(crate) fn dequeue_many(&self, tid: usize, max: usize, mut push: impl FnMut(u64)) -> usize {
         if max == 0 || self.threshold() < 0 {
             return 0;
         }
@@ -742,7 +753,7 @@ impl<F: CellFamily> WcqRing<F> {
             let base = self.head.fetch_add_cnt_n(run);
             for k in 0..run {
                 if let Deq::Got(index) = self.try_deq(base + k, (self, tid)) {
-                    out.push(index);
+                    push(index);
                     got += 1;
                 }
             }
@@ -756,7 +767,7 @@ impl<F: CellFamily> WcqRing<F> {
             // delivers the authoritative verdict.
             return match self.dequeue_index(tid) {
                 Some(index) => {
-                    out.push(index);
+                    push(index);
                     1
                 }
                 None => 0,
@@ -807,7 +818,8 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
     /// whole run; returns the number appended (see
     /// `WcqRing::dequeue_many` for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-        self.ring.dequeue_many(self.tid, out, max)
+        self.ring
+            .dequeue_many(self.tid, max, |index| out.push(index))
     }
 }
 

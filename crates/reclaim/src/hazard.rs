@@ -60,15 +60,22 @@ impl Retired {
     }
 }
 
+/// Most hazard slots a participant can own: CRTurn's count, the most any
+/// user needs.
+pub const MAX_HAZARDS: usize = 3;
+
 /// A hazard-pointer domain shared by all threads operating on one (or more)
 /// data structures.
 ///
 /// `max_threads` participants may be registered simultaneously; each gets
 /// `hazards_per_thread` hazard slots (LCRQ needs 1, MSQueue 2, CRTurn 3 — the
-/// baselines ask for what they need).
+/// baselines ask for what they need, up to [`MAX_HAZARDS`]).
 pub struct HazardDomain {
-    /// Flat `max_threads × hazards_per_thread` array of published pointers.
-    slots: Box<[CachePadded<AtomicPtr<u8>>]>,
+    /// One padded block of published pointers per participant.  A
+    /// participant's slots have one writer, the participant itself, so they
+    /// share a line pair and only participants are kept apart; slots past
+    /// `hazards_per_thread` stay null.
+    slots: Box<[CachePadded<[AtomicPtr<u8>; MAX_HAZARDS]>]>,
     /// Which participant slots are currently taken.
     in_use: Box<[AtomicBool]>,
     hazards_per_thread: usize,
@@ -108,12 +115,12 @@ impl HazardDomain {
     pub fn new(max_threads: usize, hazards_per_thread: usize) -> Self {
         assert!(max_threads > 0, "need at least one participant");
         assert!(
-            hazards_per_thread > 0,
-            "need at least one hazard per thread"
+            (1..=MAX_HAZARDS).contains(&hazards_per_thread),
+            "need between one and {MAX_HAZARDS} hazards per thread"
         );
         let total = max_threads * hazards_per_thread;
-        let slots = (0..total)
-            .map(|_| CachePadded::new(AtomicPtr::new(std::ptr::null_mut())))
+        let slots = (0..max_threads)
+            .map(|_| CachePadded::new(Default::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let in_use = (0..max_threads)
@@ -211,13 +218,15 @@ impl HazardDomain {
 
     #[inline]
     fn slot(&self, tid: usize, idx: usize) -> &AtomicPtr<u8> {
-        &self.slots[tid * self.hazards_per_thread + idx]
+        debug_assert!(idx < self.hazards_per_thread, "hazard slot out of range");
+        &self.slots[tid][idx]
     }
 
     /// Collects the set of currently protected raw pointers.
     fn protected_set(&self) -> HashSet<*mut u8> {
         self.slots
             .iter()
+            .flat_map(|block| &block[..self.hazards_per_thread])
             .map(|s| s.load(Ordering::SeqCst))
             .filter(|p| !p.is_null())
             .collect()

@@ -15,7 +15,7 @@ use wcq_core::metrics::{Counter, CounterSet};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
 
-use crate::segment::{recycle_segment, shut, Segment, SegmentCache};
+use crate::segment::{recycle_segment, shut, Segment, SegmentCache, Stash};
 
 /// Default number of drained segments kept for reuse.
 pub const DEFAULT_SEGMENT_CACHE: usize = 4;
@@ -93,6 +93,9 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     cache: Box<SegmentCache<T, F>>,
     seg_order: u32,
     max_threads: usize,
+    /// Free indices a producer claims per `fq` batch dequeue
+    /// ([`Stash::run`]).
+    run: usize,
     config: WcqConfig,
     per_segment_bytes: usize,
     segments_live: AtomicUsize,
@@ -171,6 +174,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             cache,
             seg_order,
             max_threads,
+            run: Stash::run(1 << seg_order, max_threads),
             config,
             per_segment_bytes,
             segments_live: AtomicUsize::new(1),
@@ -223,6 +227,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             queue: self,
             hp: self.domain.register()?,
             bound: ptr::null_mut(),
+            stash: Stash::new(),
             slot0_held: false,
             pins: 0,
             rebinds: 0,
@@ -326,11 +331,8 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             )))
         });
         self.segments_live.fetch_add(1, SeqCst);
-        // SAFETY: unpublished, exclusively owned by this thread, so it is
-        // the segment's only user under any `tid`.
-        if unsafe { (*seg).try_enqueue(tid, value) }.is_err() {
-            unreachable!("a fresh segment must accept its first element");
-        }
+        // SAFETY: unpublished and exclusively owned by this thread.
+        unsafe { (*seg).preload(tid, value) };
         (seg, from_cache)
     }
 
@@ -427,6 +429,9 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// The memoized segment (null when there is none), kept alive by hazard
     /// slot 1 for as long as it is set.
     bound: *mut Segment<T, F>,
+    /// Free slot indices of `bound`, claimed from its `fq` in runs and given
+    /// back before hazard slot 1 lets go of it (empty while `bound` is null).
+    stash: Stash,
     /// `true` while hazard slot 0 holds a segment for the operation in flight:
     /// set by [`Self::pin`] on a memo miss, cleared by [`Self::unpin`].
     slot0_held: bool,
@@ -485,12 +490,26 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// misses.)
     ///
     /// **Memo miss** — a segment crossing, a lagging tail, a head advance, a
-    /// fresh handle: Michael's publish-and-revalidate on slot 0, as before.
+    /// fresh handle: Michael's publish-and-revalidate on slot 0, out of line
+    /// in [`Self::pin_miss`], so a hit is a load, a compare and a
+    /// fall-through.
+    #[inline(always)]
     fn pin(&mut self, src: &AtomicPtr<Segment<T, F>>) -> *mut Segment<T, F> {
         let seen = src.load(SeqCst);
         if seen == self.bound {
             return seen;
         }
+        self.pin_miss(src, seen)
+    }
+
+    /// [`Self::pin`] on a memo miss, out of line.
+    #[cold]
+    #[inline(never)]
+    fn pin_miss(
+        &mut self,
+        src: &AtomicPtr<Segment<T, F>>,
+        seen: *mut Segment<T, F>,
+    ) -> *mut Segment<T, F> {
         #[cfg(feature = "check-mutations")]
         {
             // MUTATION (check-mutations): treats every miss as a hit — the
@@ -498,11 +517,13 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // no hazard published.  The schedule point marks the window the
             // missing protection leaves open: whatever runs here can drain,
             // retire and recycle `seen` before this operation touches it.
+            let _ = src;
             wcq_atomics::checkpoint::hit("hazard.unpinned");
             seen
         }
         #[cfg(not(feature = "check-mutations"))]
         {
+            let _ = seen;
             self.slot0_held = true;
             self.pins += 1;
             self.hp.protect(0, src)
@@ -511,6 +532,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
 
     /// Ends the protection [`Self::pin`] took: clears hazard slot 0 iff this
     /// operation published it.  The one place slot 0 is cleared.
+    #[inline(always)]
     fn unpin(&mut self) {
         if self.slot0_held {
             self.slot0_held = false;
@@ -518,30 +540,56 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         }
     }
 
-    /// Moves the memo onto `seg`: hazard slot 1 now pins it.
+    /// Moves the memo onto `seg`: hazard slot 1 now pins it.  A no-op when
+    /// `seg` is the memo already, which is the only inline part.
     ///
     /// # Safety
     /// `seg` must come from [`Self::pin`] in the current operation: either it
     /// is already the memo, or hazard slot 0 protects it (so it cannot be
     /// reclaimed while hazard slot 1 moves onto it).
+    #[inline(always)]
     unsafe fn rebind(&mut self, seg: *mut Segment<T, F>) {
-        if self.bound == seg {
-            return;
+        if self.bound != seg {
+            // SAFETY: per the function contract.
+            unsafe { self.move_memo(seg) };
         }
+    }
+
+    /// [`Self::rebind`]'s memo move, out of line: the stash goes back to the
+    /// segment being left while slot 1 still pins it, then slot 1 moves.
+    ///
+    /// # Safety
+    /// As for [`Self::rebind`].
+    #[cold]
+    #[inline(never)]
+    unsafe fn move_memo(&mut self, seg: *mut Segment<T, F>) {
         debug_assert!(
             self.slot0_held,
             "a segment crossing must run under hazard slot 0"
         );
+        self.return_stash();
         self.hp.protect_raw(1, seg);
         self.bound = seg;
         self.rebinds += 1;
     }
 
-    /// Drops the memo, clearing hazard slot 1.
+    /// Drops the memo, clearing hazard slot 1 after the stash goes back.
     fn unbind(&mut self) {
         if !self.bound.is_null() {
+            self.return_stash();
             self.bound = ptr::null_mut();
             self.hp.clear_one(1);
+        }
+    }
+
+    /// Hands the stash back to the memo segment's `fq`.  Every place the
+    /// memo moves or ends calls this before hazard slot 1 lets go, so a
+    /// segment is reclaimed with all its indices in `fq`.
+    fn return_stash(&mut self) {
+        if self.stash.len() > 0 {
+            // SAFETY: a non-empty stash holds indices of `bound`, which
+            // hazard slot 1 pins; `tid` is this handle's participant id.
+            unsafe { (*self.bound).return_stash(self.hp.tid(), &mut self.stash) };
         }
     }
 
@@ -601,8 +649,9 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // SAFETY: pinned by `pin_tail`.
             let seg = unsafe { &*tailp };
             // SAFETY: `tid` is this handle's participant id, which no other
-            // thread holds while the handle lives.
-            match unsafe { seg.try_enqueue(tid, value) } {
+            // thread holds while the handle lives, and `pin_tail` made `seg`
+            // the memo, whose indices are the only ones the stash holds.
+            match unsafe { seg.try_enqueue(tid, value, &mut self.stash, queue.run) } {
                 Ok(()) => break,
                 Err(back) => {
                     value = back;
@@ -893,10 +942,10 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         let mut total = 0;
         while !pending.is_empty() {
             let tailp = self.pin_tail();
-            // SAFETY: pinned by `pin_tail`; `tid` is this handle's
-            // participant id, which no other thread holds while the handle
-            // lives.
-            let accepted = unsafe { (*tailp).try_enqueue_many(tid, &mut pending) };
+            // SAFETY: pinned and made the memo by `pin_tail`, as in
+            // `enqueue_pinned`.
+            let accepted =
+                unsafe { (*tailp).try_enqueue_many(tid, &mut pending, &mut self.stash, queue.run) };
             if accepted > 0 {
                 queue.note_enqueued(tid, accepted as u64);
                 self.enqueues_completed += accepted as u64;
@@ -931,6 +980,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
 
 impl<'q, T, F: CellFamily> Drop for UnboundedWcqHandle<'q, T, F> {
     fn drop(&mut self) {
+        self.return_stash();
         if let Some(set) = self.queue.counter_set() {
             set.add(Counter::EnqueuesCompleted, self.enqueues_completed);
             set.add(Counter::DequeuesCompleted, self.dequeues_completed);
@@ -1625,5 +1675,202 @@ mod tests {
             "every value dropped once"
         );
         assert_eq!(thread_heap::live(), heap, "every segment and buffer freed");
+    }
+
+    // ------------------------------------------------------------------
+    // Free slots in runs: every stash goes back before its segment is
+    // reused.  (In debug builds `SegmentCache::give_back` also checks that a
+    // recycled segment's `fq` holds every index.)
+    // ------------------------------------------------------------------
+
+    /// Appends so far on a queue only one thread appends to: every segment
+    /// beyond the first came from the allocator or the cache.
+    fn appends<F: CellFamily>(q: &UnboundedWcq<u64, F>) -> usize {
+        let stats = q.segment_stats();
+        stats.allocated_total - 1 + stats.reused_total
+    }
+
+    #[test]
+    fn a_dropped_producer_gives_its_stash_back() {
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(6, 2); // 64 slots
+        let cap = q.segment_capacity() as u64;
+        assert_eq!(q.run, 8);
+        let mut first = q.register().unwrap();
+        for v in 0..3 {
+            first.enqueue(v);
+        }
+        assert_eq!(first.stash.len(), 5, "part of a run left");
+        drop(first);
+        let mut second = q.register().unwrap();
+        for v in 3..cap {
+            second.enqueue(v);
+        }
+        assert_eq!(
+            (q.segments_allocated(), q.segments_live()),
+            (1, 1),
+            "one segment took all {cap} values"
+        );
+        second.enqueue(cap);
+        assert_eq!(q.segments_live(), 2, "the next value opened a segment");
+        for v in 0..=cap {
+            assert_eq!(second.dequeue(), Some(v));
+        }
+    }
+
+    #[test]
+    fn a_moving_memo_returns_the_stash_to_the_segment_it_leaves() {
+        for order in 2..=4 {
+            let q: UnboundedWcq<u64> = UnboundedWcq::new(order, 1);
+            let cap = q.segment_capacity() as u64;
+            let mut h = q.register().unwrap();
+            // Past a backlog of two segments, each enqueue moves the memo to
+            // the tail segment and claims a run there, and each dequeue moves
+            // it to the head, which must give the rest of that run back.
+            let (mut next_out, mut in_segment) = (0, 0);
+            for v in 0..12 * cap {
+                let before = appends(&q);
+                h.enqueue(v);
+                if appends(&q) > before {
+                    assert_eq!(
+                        in_segment, cap,
+                        "order {order}: a segment took {in_segment} values before value {v} opened the next"
+                    );
+                    in_segment = 0;
+                }
+                in_segment += 1;
+                if v >= 2 * cap {
+                    assert_eq!(h.dequeue(), Some(next_out));
+                    next_out += 1;
+                }
+            }
+            let stats = q.segment_stats();
+            assert!(stats.reused_total > 2, "order {order}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_closed_segment_leaves_at_most_one_run_per_other_producer_unused() {
+        const THREADS: usize = 4;
+        for seed in 1..=8u64 {
+            let q: UnboundedWcq<u64> = UnboundedWcq::new(7, THREADS); // 128 slots
+            let (cap, run) = (q.segment_capacity(), q.run);
+            assert_eq!(run, 8);
+            let mut producers: Vec<_> = (0..THREADS).map(|_| q.register().unwrap()).collect();
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut taken = 0;
+            loop {
+                let who = next(&mut rng) as usize % THREADS;
+                producers[who].enqueue(taken as u64);
+                if q.segments_live() > 1 {
+                    // `who` met `fq`'s ⊥ with its own stash empty, closed
+                    // the segment and put this value in the next one.
+                    break;
+                }
+                taken += 1;
+            }
+            let stashed: usize = producers.iter().map(|p| p.stash.len()).sum();
+            assert_eq!(
+                taken + stashed,
+                cap,
+                "seed {seed}: an index is neither used nor stashed"
+            );
+            assert!(
+                stashed <= (THREADS - 1) * run,
+                "seed {seed}: {stashed} slots unused"
+            );
+        }
+    }
+
+    /// Two producers, both stashing, a closer and a drainer, with every
+    /// operation forced onto the slow path.
+    fn stashing_producers_race_a_close<F: CellFamily>() {
+        const PER: u64 = 400;
+        let config = WcqConfig {
+            max_patience_enqueue: 1,
+            max_patience_dequeue: 1,
+            help_delay: 1,
+            catchup_bound: 8,
+        };
+        for seed in 1..=12u64 {
+            // 64-slot segments and 4 handles: runs of 4.
+            let q: UnboundedWcq<u64, F> =
+                UnboundedWcq::with_config_cache_counters(6, 4, config, DEFAULT_SEGMENT_CACHE, None);
+            assert_eq!(q.run, 4);
+            let (q, closed, delivered) = (&q, &AtomicBool::new(false), &AtomicU64::new(0));
+            let close_after = seed * 53 % (2 * PER);
+            let (mut accepted, mut got) = std::thread::scope(|s| {
+                let producers: Vec<_> = (0..2u64)
+                    .map(|p| {
+                        s.spawn(move || {
+                            let mut h = q.register().unwrap();
+                            let mut accepted = Vec::new();
+                            for seq in 0..PER {
+                                let after_close = closed.load(Ordering::SeqCst);
+                                if h.try_enqueue(p << 32 | seq).is_ok() {
+                                    assert!(!after_close, "seed {seed}: accepted after the close");
+                                    accepted.push(p << 32 | seq);
+                                }
+                                if seq % 16 == 0 {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            accepted
+                        })
+                    })
+                    .collect();
+                s.spawn(move || {
+                    while delivered.load(Ordering::SeqCst) < close_after {
+                        std::thread::yield_now();
+                    }
+                    q.register().unwrap().close();
+                    closed.store(true, Ordering::SeqCst);
+                });
+                let drainer = s.spawn(move || {
+                    let mut h = q.register().unwrap();
+                    let (mut got, mut last) = (Vec::new(), [None; 2]);
+                    loop {
+                        // After `settled`, an empty answer is final.
+                        let settled = h.settled();
+                        let Some(v) = h.dequeue() else {
+                            if settled {
+                                break;
+                            }
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
+                        assert!(
+                            last[p] < Some(seq),
+                            "seed {seed}: producer {p}'s {seq} after {:?}",
+                            last[p]
+                        );
+                        last[p] = Some(seq);
+                        got.push(v);
+                        delivered.fetch_add(1, Ordering::SeqCst);
+                    }
+                    got
+                });
+                let accepted: Vec<u64> = (producers.into_iter())
+                    .flat_map(|p| p.join().expect("producer"))
+                    .collect();
+                (accepted, drainer.join().expect("drainer"))
+            });
+            accepted.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, accepted, "seed {seed}: lost or duplicated");
+            let mut late = q.register().unwrap();
+            assert_eq!(late.try_enqueue(u64::MAX), Err(u64::MAX), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn stashing_producers_race_a_close_native() {
+        stashing_producers_race_a_close::<NativeFamily>();
+    }
+
+    #[test]
+    fn stashing_producers_race_a_close_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        stashing_producers_race_a_close::<LlscFamily>();
     }
 }

@@ -14,12 +14,20 @@
 //!
 //! ## Why one bit makes closing sound
 //!
-//! 1. **`fq` already answers "full".**  A segment holds at most `capacity`
-//!    indices, and they circulate only between `fq` and `aq` (Figure 2).  So
-//!    the inner enqueue's `fq` dequeue returns ⊥ — a linearizable answer —
-//!    exactly when no index is free: the same decision a zero credit made,
-//!    read from the ring the enqueue has to touch anyway.  No second
-//!    semaphore is needed to refuse a full segment.
+//! 1. **`fq` already answers "full", or early.**  A segment holds at most
+//!    `capacity` indices, and they circulate only between `fq`, `aq` and the
+//!    producers' [`Stash`]es (Figure 2, with free slots claimed in runs).  So
+//!    the inner enqueue's `fq` claim returns ⊥ — a linearizable answer —
+//!    exactly when no index is free *outside the stashes*, read from the ring
+//!    the enqueue has to touch anyway; no second semaphore is needed to
+//!    refuse a full segment.  A producer closes on that ⊥ only with its own
+//!    stash empty, even while other producers' stashes still hold some of
+//!    the segment's indices.  Closing early is always safe: the close comes
+//!    before the link (point 3), and nothing is ever deposited through a
+//!    stash without a gate claim (point 2), so the stashed indices are
+//!    simply never used here again and go back to `fq` when their holders
+//!    move on.  It wastes at most `(max_threads − 1) × run` slots of the
+//!    segment, one run per other producer.
 //! 2. **The bit answers "closed".**  An enqueue claims with [`Gate::enter`],
 //!    and [`Segment::close`] is [`Gate::close`] on the same word, so the two
 //!    are totally ordered.  A claim ordered after the close is refused and
@@ -36,6 +44,20 @@
 //!
 //! A dequeue touches neither word — it is the inner `dequeue_at` and nothing
 //! else — so the dequeuer writes no line the enqueuers own.
+//!
+//! ## Free slots in runs
+//!
+//! Figure 2 makes every enqueue fetch a free index with a full `fq` dequeue
+//! (head F&A, consume `OR`, threshold check), though no caller observes the
+//! order of free indices.  So a producer claims them in runs instead: one
+//! `fq` batch dequeue fills its [`Stash`] with up to `run` indices, and its
+//! next `run` enqueues into the segment deposit at them with no `fq`
+//! operation at all.  A stash belongs to one segment, the unbounded handle's
+//! memo, is refilled only inside a gate claim (so a refused claim still
+//! touches no ring), and goes back to `fq` before the handle's hazard slot 1
+//! lets go of the segment — so a segment reaches the cache with all
+//! `capacity` indices in `fq` again, which [`SegmentCache::give_back`]
+//! checks in debug builds.  A dequeue returns each freed index at once.
 //!
 //! ## Whose thread records
 //!
@@ -107,19 +129,29 @@ impl<T, F: CellFamily> Segment<T, F> {
         self.next.load(SeqCst) == shut()
     }
 
-    /// Attempts to enqueue `value` as thread record `tid`.  `Err` means the
-    /// segment is full or closed and will never accept this value.
+    /// Attempts to enqueue `value` as thread record `tid`, at a free index
+    /// from `stash`, which is refilled from `fq` with up to `run` indices
+    /// when it is empty.  `Err` means the segment is closed, or has no free
+    /// index outside the stashes, and will never accept this value.
     ///
     /// # Safety
     /// No other thread operates on this segment as `tid` concurrently, and
     /// an earlier one that did is ordered before this call (see
-    /// [`WcqQueue::enqueue_at`]).
-    pub(crate) unsafe fn try_enqueue(&self, tid: usize, value: T) -> Result<(), T> {
+    /// [`WcqQueue::enqueue_at`]).  `stash` holds only this segment's
+    /// indices, and `run` is at most [`Stash::MAX`].
+    #[inline]
+    pub(crate) unsafe fn try_enqueue(
+        &self,
+        tid: usize,
+        value: T,
+        stash: &mut Stash,
+        run: usize,
+    ) -> Result<(), T> {
         if !self.gate.enter() {
             return Err(value);
         }
-        // SAFETY: `tid` is exclusive per the function contract.
-        let res = unsafe { self.queue.enqueue_at(tid, value) };
+        // SAFETY: per the function contract, inside a gate claim.
+        let res = unsafe { self.enqueue_claimed(tid, value, stash, run) };
         self.gate.leave();
         res
     }
@@ -131,21 +163,27 @@ impl<T, F: CellFamily> Segment<T, F> {
     ///
     /// The inner batch enqueue's free-slot claim is racily partial: under
     /// contention its run of free-ring tickets can miss free slots (holes in
-    /// the claimed run).  The remainder goes through [`WcqQueue::enqueue_at`]
-    /// one element at a time until its free-ring dequeue — the authoritative
-    /// "full" — refuses one.
+    /// the claimed run).  The remainder goes through the stash one element
+    /// at a time until the free-ring claim — the authoritative "full" —
+    /// refuses one.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`].
-    pub(crate) unsafe fn try_enqueue_many(&self, tid: usize, values: &mut VecDeque<T>) -> usize {
+    pub(crate) unsafe fn try_enqueue_many(
+        &self,
+        tid: usize,
+        values: &mut VecDeque<T>,
+        stash: &mut Stash,
+        run: usize,
+    ) -> usize {
         if values.is_empty() || !self.gate.enter() {
             return 0;
         }
         // SAFETY: `tid` is exclusive per the function contract.
         let mut accepted = unsafe { self.queue.enqueue_many_at(tid, values) };
         while let Some(value) = values.pop_front() {
-            // SAFETY: as above.
-            match unsafe { self.queue.enqueue_at(tid, value) } {
+            // SAFETY: per the function contract, inside the gate claim.
+            match unsafe { self.enqueue_claimed(tid, value, stash, run) } {
                 Ok(()) => accepted += 1,
                 Err(value) => {
                     values.push_front(value);
@@ -155,6 +193,70 @@ impl<T, F: CellFamily> Segment<T, F> {
         }
         self.gate.leave();
         accepted
+    }
+
+    /// The inner enqueue of a gate claim: a deposit at a stashed index,
+    /// refilling the stash first when it is empty.
+    ///
+    /// # Safety
+    /// As for [`Segment::try_enqueue`], and the caller holds a gate claim.
+    #[inline(always)]
+    unsafe fn enqueue_claimed(
+        &self,
+        tid: usize,
+        value: T,
+        stash: &mut Stash,
+        run: usize,
+    ) -> Result<(), T> {
+        let claimed = match stash.pop() {
+            Some(index) => Some(index),
+            // SAFETY: per the function contract.
+            None => unsafe { self.refill(tid, stash, run) },
+        };
+        let Some(index) = claimed else {
+            return Err(value);
+        };
+        // SAFETY: the index is this segment's (function contract), and
+        // popping it made it ours alone.
+        unsafe { self.queue.deposit(tid, index, value) };
+        Ok(())
+    }
+
+    /// Claims a run of up to `run` free indices into the empty `stash` with
+    /// one `fq` batch dequeue, and pops one.  Once per run, so out of line.
+    /// `None` is `fq`'s ⊥.
+    ///
+    /// # Safety
+    /// As for [`Segment::try_enqueue`].
+    #[cold]
+    #[inline(never)]
+    unsafe fn refill(&self, tid: usize, stash: &mut Stash, run: usize) -> Option<u32> {
+        // SAFETY: `tid` is exclusive per the function contract.
+        stash.len = unsafe { self.queue.claim_free(tid, &mut stash.free[..run]) } as u32;
+        stash.pop()
+    }
+
+    /// Hands every index in `stash` back to `fq` and empties it.
+    ///
+    /// # Safety
+    /// As for [`Segment::try_enqueue`].
+    pub(crate) unsafe fn return_stash(&self, tid: usize, stash: &mut Stash) {
+        let len = std::mem::take(&mut stash.len) as usize;
+        // SAFETY: the indices are this segment's, claimed and not deposited
+        // at (function contract).
+        unsafe { self.queue.return_free(tid, &stash.free[..len]) };
+    }
+
+    /// Enqueues the first value of an unpublished segment (the fresh-segment
+    /// preload).  One free index, claimed alone: nothing is left stashed.
+    ///
+    /// # Safety
+    /// The segment is unpublished and owned by the caller.
+    pub(crate) unsafe fn preload(&self, tid: usize, value: T) {
+        // SAFETY: an unpublished segment has a single user under any `tid`.
+        if unsafe { self.queue.enqueue_at(tid, value) }.is_err() {
+            unreachable!("a fresh segment must accept its first element");
+        }
     }
 
     /// Attempts to dequeue as thread record `tid`; `None` means the inner
@@ -205,6 +307,45 @@ impl<T, F: CellFamily> Segment<T, F> {
     pub(crate) fn footprint(&self) -> usize {
         std::mem::size_of::<Self>() - std::mem::size_of::<WcqQueue<T, F>>()
             + self.queue.memory_footprint()
+    }
+}
+
+/// Free slot indices a producer claimed from one segment's `fq` and has not
+/// deposited at yet (module docs, "Free slots in runs"): inline, no heap of
+/// its own.
+pub(crate) struct Stash {
+    free: [u32; Stash::MAX],
+    len: u32,
+}
+
+impl Stash {
+    /// The longest run a stash holds.
+    pub(crate) const MAX: usize = 16;
+
+    pub(crate) const fn new() -> Self {
+        Self {
+            free: [0; Self::MAX],
+            len: 0,
+        }
+    }
+
+    /// The run a queue claims, derived from its geometry rather than set:
+    /// `capacity / (4 × max_threads)`, clamped to `1..=MAX` (16 at the
+    /// defaults).  Whenever `capacity ≥ 4 × max_threads`, at most a quarter
+    /// of a segment can sit idle in stashes.
+    pub(crate) fn run(capacity: usize, max_threads: usize) -> usize {
+        (capacity / (4 * max_threads)).clamp(1, Self::MAX)
+    }
+
+    /// Indices held.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> Option<u32> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.free[self.len as usize])
     }
 }
 
@@ -297,8 +438,15 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     pub(crate) unsafe fn give_back(cache: *const Self, seg: *mut Segment<T, F>) {
         // SAFETY: per the function contract.
         let this = unsafe { &*cache };
-        // SAFETY: exclusive ownership allows the (atomic-only) reset.
-        unsafe { (*seg).reopen() };
+        // SAFETY: exclusive ownership allows the (atomic-only) reset, and
+        // makes the debug check's read of `fq` exact.
+        unsafe {
+            debug_assert!(
+                (*seg).queue.holds_every_free_index(),
+                "a segment reached the cache with free indices still stashed"
+            );
+            (*seg).reopen();
+        }
         for slot in this.slots.iter() {
             if slot
                 .compare_exchange(ptr::null_mut(), seg, SeqCst, SeqCst)
@@ -358,14 +506,20 @@ mod tests {
     /// and reopened, as the cache hands it out again.
     fn takes_exactly_capacity<F: CellFamily>(seg: &Segment<u64, F>) {
         let cap = seg.queue.capacity() as u64;
+        let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
         for round in 0..2 {
-            // SAFETY: one thread, the only user of tid 0.
+            // SAFETY: one thread, the only user of tid 0; the stash is this
+            // segment's.
             unsafe {
                 for v in 0..cap {
-                    assert_eq!(seg.try_enqueue(0, v), Ok(()), "round {round}: {v} of {cap}");
+                    assert_eq!(
+                        seg.try_enqueue(0, v, stash, run),
+                        Ok(()),
+                        "round {round}: {v} of {cap}"
+                    );
                 }
                 assert_eq!(
-                    seg.try_enqueue(0, cap),
+                    seg.try_enqueue(0, cap, stash, run),
                     Err(cap),
                     "round {round}: one past full"
                 );
@@ -374,6 +528,7 @@ mod tests {
                 }
                 assert_eq!(seg.try_dequeue(0), None);
             }
+            assert!(seg.queue.holds_every_free_index(), "round {round}");
             seg.close();
             seg.reopen();
         }
@@ -406,14 +561,17 @@ mod tests {
     #[test]
     fn a_closed_segment_refuses_without_touching_a_ring() {
         let seg = segment::<NativeFamily>(3, 1);
-        // SAFETY: one thread, the only user of tid 0.
+        let (stash, run) = (&mut Stash::new(), 2);
+        // SAFETY: one thread, the only user of tid 0; the stash is this
+        // segment's.
         unsafe {
-            assert_eq!(seg.try_enqueue(0, 1), Ok(()));
+            assert_eq!(seg.try_enqueue(0, 1, stash, run), Ok(()));
+            assert_eq!(stash.len(), 1, "the run's other index stays stashed");
             seg.close();
             let before = rings(&seg);
-            assert_eq!(seg.try_enqueue(0, 2), Err(2));
+            assert_eq!(seg.try_enqueue(0, 2, stash, run), Err(2));
             let mut batch: VecDeque<u64> = (3..6).collect();
-            assert_eq!(seg.try_enqueue_many(0, &mut batch), 0);
+            assert_eq!(seg.try_enqueue_many(0, &mut batch, stash, run), 0);
             assert_eq!(batch, [3, 4, 5], "a refused batch keeps every value");
             assert_eq!(rings(&seg), before, "a refused claim touched a ring");
             assert_eq!(seg.try_dequeue(0), Some(1), "pre-close values drain");
@@ -425,7 +583,7 @@ mod tests {
         seg.reopen();
         assert_eq!(seg.gate.word(), 0);
         // SAFETY: as above.
-        assert_eq!(unsafe { seg.try_enqueue(0, 7) }, Ok(()));
+        assert_eq!(unsafe { seg.try_enqueue(0, 7, stash, run) }, Ok(()));
     }
 
     /// Values each enqueuer of the race below offers.
@@ -453,6 +611,7 @@ mod tests {
                 .map(|who| {
                     s.spawn(move || {
                         let (seg, tid) = (&shared.0, who as usize);
+                        let (stash, run) = (&mut Stash::new(), 2);
                         let (mut accepted, mut refused) = (Vec::new(), Vec::new());
                         let mut seq = 0;
                         while seq < PER {
@@ -460,13 +619,16 @@ mod tests {
                             let offered: Vec<u64> =
                                 (seq..(seq + len).min(PER)).map(|i| who << 32 | i).collect();
                             seq += offered.len() as u64;
-                            let mut run: VecDeque<u64> = offered.iter().copied().collect();
+                            let mut batch: VecDeque<u64> = offered.iter().copied().collect();
                             let n = if who == 2 {
-                                // SAFETY: this thread is the only user of `tid`.
-                                unsafe { seg.try_enqueue_many(tid, &mut run) }
+                                // SAFETY: this thread is the only user of
+                                // `tid`, and of its stash of this segment.
+                                unsafe { seg.try_enqueue_many(tid, &mut batch, stash, run) }
                             } else {
                                 // SAFETY: as above.
-                                usize::from(unsafe { seg.try_enqueue(tid, offered[0]) }.is_ok())
+                                usize::from(
+                                    unsafe { seg.try_enqueue(tid, offered[0], stash, run) }.is_ok(),
+                                )
                             };
                             accepted.extend_from_slice(&offered[..n]);
                             refused.extend_from_slice(&offered[n..]);

@@ -183,6 +183,18 @@ fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
         || UnboundedWcq::<u64>::new(10, 8),
         UnboundedWcq::memory_footprint,
     );
+    // DESIGN.md "The memory account", at the default geometry: one 77 200 B
+    // segment, the 512 B header, the hazard arrays (8 participants × one
+    // 128 B block + 8 flags = 1 032 B), the cache and the length hint.  And
+    // an endpoint's handle, with its 68 B stash inline.
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 78_864);
+        assert_eq!(
+            std::mem::size_of::<wcq_unbounded::UnboundedWcqHandle<'_, u64>>(),
+            176
+        );
+    }
 }
 
 #[test]
