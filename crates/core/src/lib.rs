@@ -69,8 +69,7 @@ pub mod wcq;
 pub use api::{QueueHandle, WaitFreeQueue};
 pub use channel::{RecvError, SendError, TryRecvError, TrySendError};
 pub use metrics::{
-    Counter, CounterSet, CountingInstrument, HistogramSnapshot, Instrument, LatencyHistogram,
-    MetricsSnapshot, NoopInstrument,
+    Counter, CounterSet, CountingInstrument, Instrument, MetricsSnapshot, NoopInstrument,
 };
 pub use pack::Layout;
 pub use scq::{ScqQueue, ScqRing};

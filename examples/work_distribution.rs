@@ -1,26 +1,11 @@
-//! Work distribution under open-loop load: the scenario driver on a task
-//! pool of unbounded channels.
+//! Work distribution over a task pool of unbounded channels.
 //!
-//! The paper's introduction motivates fast wait-free queues with "user-space
-//! message passing and scheduling".  Earlier revisions of this example
-//! hand-rolled that pipeline (producers, stealing workers, a collector,
-//! ad-hoc idle-spin shutdown); all of that machinery now lives in the
-//! `wcq-scenario` driver, which adds what the hand-rolled loop could not
-//! measure honestly:
-//!
-//! * **open-loop arrivals** — requests are released on a seeded schedule
-//!   whether or not the pool keeps up, so overload shows up as queueing
-//!   delay instead of silently slowing the producers (no coordinated
-//!   omission: latency is measured from each request's *intended* start);
-//! * **connection churn** — a seeded endpoint clone/drop storm races the
-//!   close, exercising the exact-drain shutdown instead of an idle-spin
-//!   heuristic;
-//! * **a built-in oracle** — the run panics unless every request completes
-//!   exactly once through the close.
-//!
-//! The same workload is run twice — steady arrivals, then the same average
-//! rate delivered in bursts — to show what burstiness alone does to the
-//! tail percentiles of the pool.
+//! Two frontends send request ids into a hi- and a lo-priority lane; three
+//! workers drain both lanes through one parked `wcq::recv_any_timeout` wait
+//! (hi first, in slice order), do a little work per request and forward the
+//! id to a collector.  Dropping the endpoints closes everything: a worker
+//! sees `Closed` only once both lanes are closed *and* drained, and the
+//! collector asserts that every id arrived exactly once.
 //!
 //! Run with:
 //! ```text
@@ -29,85 +14,57 @@
 
 use std::time::Duration;
 
-use wcq::ChannelBackend;
-use wcq_scenario::{ArrivalPattern, Scenario, ScenarioConfig, ScenarioReport};
+use wcq::RecvTimeoutError;
 
 const FRONTENDS: usize = 2;
 const WORKERS: usize = 3;
-const REQUESTS: usize = 40_000;
-
-/// Average offered load for both runs (requests per second) — chosen under
-/// the pool's drain capacity so the *steady* run keeps up and the bursty
-/// run's tail comes from its bursts, not from plain overload.
-const AVG_RATE: f64 = 200_000.0;
-
-fn run(label: &str, pattern: ArrivalPattern) -> ScenarioReport {
-    let report = Scenario::new(ScenarioConfig {
-        seed: 0x5EED_D157,
-        frontends: FRONTENDS,
-        workers: WORKERS,
-        requests: REQUESTS,
-        pattern,
-        // The task pool: every frontend sends into one unbounded wLSCQ
-        // channel per priority lane, and every worker receives from both.
-        backend: ChannelBackend::Unbounded,
-        // Simulated service time per request (the old trial-factoring).
-        work_ns: 400,
-        churn_events: 128,
-        worker_timeout: Duration::from_millis(1),
-        worker_stall: Duration::ZERO,
-    })
-    .run();
-
-    // `run` returning at all means the oracle passed: every request was
-    // delivered exactly once and the post-close drain was exact.
-    assert_eq!(report.completed, REQUESTS as u64);
-    println!("{label}:");
-    println!(
-        "  completed {} requests ({} via the hi-priority lane), {} churn events raced the run",
-        report.completed, report.hi_lane, report.churn_executed
-    );
-    println!(
-        "  queue wait (intended start -> worker dequeue): p50 {:>7} ns  p99 {:>9} ns  p999 {:>9} ns",
-        report.queue_wait.p50(),
-        report.queue_wait.p99(),
-        report.queue_wait.p999()
-    );
-    println!(
-        "  end to end (intended start -> collected):      p50 {:>7} ns  p99 {:>9} ns  p999 {:>9} ns",
-        report.end_to_end.p50(),
-        report.end_to_end.p99(),
-        report.end_to_end.p999()
-    );
-    println!(
-        "  send-call time p99: {} ns, expired parked waits: {}",
-        report.send_op.p99(),
-        report.timeouts
-    );
-    report
-}
+const REQUESTS: u64 = 40_000;
 
 fn main() {
-    let steady = run(
-        "steady arrivals",
-        ArrivalPattern::Steady {
-            rate_per_sec: AVG_RATE,
-        },
-    );
+    // Each endpoint registers on first use: frontends plus workers per lane.
+    let lanes = wcq::builder().threads(FRONTENDS + WORKERS);
+    let (hi_tx, hi_rx) = lanes.clone().build_channel::<u64>();
+    let (lo_tx, lo_rx) = lanes.build_channel::<u64>();
+    let (done_tx, mut done_rx) = wcq::builder().threads(WORKERS + 1).build_channel();
 
-    // Same average rate, delivered as 4x bursts with matching silences.
-    let bursty = run(
-        "bursty arrivals (same average rate)",
-        ArrivalPattern::Bursty {
-            burst_per_sec: 4.0 * AVG_RATE,
-            on_ns: 250_000,
-            off_ns: 750_000,
-        },
-    );
+    // Every thread returns how many of its waits timed out.
+    let mut threads = Vec::new();
+    for f in 0..FRONTENDS as u64 {
+        let (mut hi, mut lo) = (hi_tx.clone(), lo_tx.clone());
+        threads.push(std::thread::spawn(move || {
+            for id in (f..REQUESTS).step_by(FRONTENDS) {
+                let lane = if id % 8 == 0 { &mut hi } else { &mut lo }; // every 8th is urgent
+                lane.send(id).expect("the workers outlive the frontends");
+            }
+            0
+        }));
+    }
+    for _ in 0..WORKERS {
+        let (mut hi, mut lo, mut done) = (hi_rx.clone(), lo_rx.clone(), done_tx.clone());
+        threads.push(std::thread::spawn(move || {
+            let mut timeouts = 0u64;
+            loop {
+                match wcq::recv_any_timeout(&mut [&mut hi, &mut lo], Duration::from_millis(1)) {
+                    Ok((lane, id)) => {
+                        std::hint::black_box((0..id % 256).sum::<u64>()); // the "work"
+                        done.send((lane, id)).expect("the collector is alive");
+                    }
+                    Err(RecvTimeoutError::Timeout) => timeouts += 1,
+                    Err(RecvTimeoutError::Closed) => return timeouts,
+                }
+            }
+        }));
+    }
+    // Only the threads' clones are left, so their drops close every channel.
+    drop((hi_tx, lo_tx, hi_rx, lo_rx, done_tx));
 
-    println!(
-        "burstiness alone moved queue-wait p99 from {} ns to {} ns",
-        steady.queue_wait.p99(),
-        bursty.queue_wait.p99()
-    );
+    let (mut seen, mut via_hi) = (vec![false; REQUESTS as usize], 0);
+    for (lane, id) in &mut done_rx {
+        let twice = std::mem::replace(&mut seen[id as usize], true);
+        assert!(!twice, "request {id} arrived twice");
+        via_hi += u64::from(lane == 0);
+    }
+    assert!(seen.iter().all(|&s| s), "a request was lost");
+    let timeouts: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+    println!("{REQUESTS} requests exactly once, {via_hi} via hi; {timeouts} waits timed out");
 }

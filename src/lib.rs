@@ -129,8 +129,7 @@ pub use channel::{
 pub use select::{recv_any, recv_any_timeout, RecvAny};
 pub use wcq_core::api::{QueueHandle, WaitFreeQueue};
 pub use wcq_core::metrics::{
-    Counter, CounterSet, CountingInstrument, HistogramSnapshot, Instrument, LatencyHistogram,
-    MetricsSnapshot, NoopInstrument,
+    Counter, CounterSet, CountingInstrument, Instrument, MetricsSnapshot, NoopInstrument,
 };
 pub use wcq_core::scq::ScqQueue;
 pub use wcq_core::wcq::{

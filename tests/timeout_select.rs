@@ -2,8 +2,8 @@
 //! multi-channel selects (`wcq::recv_any_timeout`, async `wcq::recv_any`)
 //! against the close-aware oracle.
 //!
-//! The claim under test is the one the scenario subsystem leans on: a timed
-//! wait that expires is *purely* a retry signal.  Across seeded runs with
+//! The claim under test is the one a worker draining several lanes through
+//! one select leans on: a timed wait that expires is *purely* a retry signal.  Across seeded runs with
 //! jittery producers (silent gaps long enough to expire many parked waits),
 //! racing sender disconnects and multi-lane consumers, the oracle must hold
 //! exactly as it does for the untimed paths:
