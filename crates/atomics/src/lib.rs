@@ -22,8 +22,11 @@
 //! * [`Backoff`] — bounded exponential backoff used by the baseline queues.
 //! * [`CachePadded`] — cache-line padding (dependency-free local
 //!   implementation; the build environment is offline).
+//! * [`Registry`] — the one way an owner claims an exclusive id (a ring's
+//!   thread record, a hazard-domain participant, a baseline's slot).
 //!
-//! All operations in this crate use sequentially-consistent ordering, matching
+//! All operations in this crate but the registry's (an `AcqRel` claim read
+//! from a `Release` hand-off) use sequentially-consistent ordering, matching
 //! the paper's presentation ("we assume a sequentially consistent memory
 //! model"); on x86-64 the extra cost relative to acquire/release is limited to
 //! plain stores, and every hot-path operation here is a read-modify-write that
@@ -38,10 +41,12 @@ mod cache_pad;
 pub mod checkpoint;
 mod double;
 pub mod llsc;
+mod registry;
 
 pub use backoff::Backoff;
 pub use cache_pad::CachePadded;
 pub use double::AtomicDouble;
+pub use registry::Registry;
 
 /// Returns `true` when the double-width operations use the native
 /// `lock cmpxchg16b` instruction rather than the portable lock-based fallback.

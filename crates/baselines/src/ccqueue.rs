@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering::SeqCst};
 use std::sync::Mutex;
 
-use wcq_atomics::CachePadded;
+use wcq_atomics::{CachePadded, Registry};
 
 /// No operation published.
 const IDLE: u8 = 0;
@@ -49,7 +49,7 @@ impl<T> Default for Slot<T> {
 /// one announcement slot.
 pub struct CcQueue<T> {
     slots: Box<[CachePadded<Slot<T>>]>,
-    taken: Box<[AtomicU8]>,
+    registry: Registry,
     inner: Mutex<VecDeque<T>>,
 }
 
@@ -68,27 +68,20 @@ impl<T> CcQueue<T> {
                 .map(|_| CachePadded::new(Slot::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            taken: (0..max_threads)
-                .map(|_| AtomicU8::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            registry: Registry::new(max_threads),
             inner: Mutex::new(VecDeque::new()),
         }
     }
 
     /// Maximum number of simultaneously registered threads.
     pub fn max_threads(&self) -> usize {
-        self.taken.len()
+        self.registry.capacity()
     }
 
     /// Registers the calling thread.
     pub fn register(&self) -> Option<CcQueueHandle<'_, T>> {
-        for (tid, flag) in self.taken.iter().enumerate() {
-            if flag.compare_exchange(0, 1, SeqCst, SeqCst).is_ok() {
-                return Some(CcQueueHandle { queue: self, tid });
-            }
-        }
-        None
+        let tid = self.registry.claim()?;
+        Some(CcQueueHandle { queue: self, tid })
     }
 
     /// Current number of stored elements (approximate under concurrency).
@@ -174,7 +167,8 @@ impl<'q, T> CcQueueHandle<'q, T> {
 
 impl<'q, T> Drop for CcQueueHandle<'q, T> {
     fn drop(&mut self) {
-        self.queue.taken[self.tid].store(0, SeqCst);
+        // SAFETY: the handle holds `tid` from `register` until here.
+        unsafe { self.queue.registry.release(self.tid) };
     }
 }
 

@@ -66,8 +66,8 @@ pub struct CrTurnQueue {
     /// twice).
     deqself: Box<[AtomicPtr<Node>]>,
     deqhelp: Box<[AtomicPtr<Node>]>,
+    /// Also the registry: a handle's hazard participant id is its tid.
     domain: HazardDomain,
-    taken: Box<[AtomicUsize]>,
     /// The very first sentinel, freed on drop (it is never retired).
     initial: *mut Node,
 }
@@ -98,31 +98,26 @@ impl CrTurnQueue {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             domain: HazardDomain::new(max_threads, 3),
-            taken: (0..max_threads)
-                .map(|_| AtomicUsize::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
             initial: sentinel,
         }
     }
 
     /// Maximum number of simultaneously registered threads.
     pub fn max_threads(&self) -> usize {
-        self.taken.len()
+        self.domain.max_threads()
     }
 
-    /// Registers the calling thread.
+    /// Registers the calling thread: one hazard-domain participant, whose id
+    /// is the handle's tid.  The request slots (and the nodes in them) belong
+    /// to the tid, not the handle: the next handle on this tid picks them up,
+    /// ordered after the last one by the domain's release and claim of the id.
     pub fn register(&self) -> Option<CrTurnHandle<'_>> {
-        for (tid, flag) in self.taken.iter().enumerate() {
-            if flag.compare_exchange(0, 1, SeqCst, SeqCst).is_ok() {
-                return Some(CrTurnHandle {
-                    queue: self,
-                    hp: self.domain.register()?,
-                    tid,
-                });
-            }
-        }
-        None
+        let hp = self.domain.register()?;
+        Some(CrTurnHandle {
+            queue: self,
+            tid: hp.tid(),
+            hp,
+        })
     }
 
     /// Nodes retired but not yet reclaimed (memory statistics).
@@ -364,14 +359,6 @@ impl<'q> CrTurnHandle<'q> {
     }
 }
 
-impl<'q> Drop for CrTurnHandle<'q> {
-    fn drop(&mut self) {
-        // The request slots (and the nodes in them) belong to the tid, not
-        // the handle: the next handle on this tid picks them up.
-        self.queue.taken[self.tid].store(0, SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +396,44 @@ mod tests {
         assert!(q.register().is_none());
         drop(h);
         assert!(q.register().is_some());
+    }
+
+    /// Regression: a handle used to free its tid flag before its hazard
+    /// participant, so a registration in between claimed the flag, found
+    /// every participant taken, and stranded the flag for good.  Three
+    /// threads churning on two ids must leave both ids free.
+    #[test]
+    fn registration_churn_leaks_no_id() {
+        const ROUNDS: u64 = 20_000;
+        /// Failed registrations in a row that mean no id will come free.
+        const STARVED: u64 = 1_000_000;
+        let q = CrTurnQueue::new(2);
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let q = &q;
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let mut failed = 0;
+                        let mut h = loop {
+                            match q.register() {
+                                Some(h) => break h,
+                                None => {
+                                    failed += 1;
+                                    assert!(failed < STARVED, "no id came free: one leaked");
+                                    std::thread::yield_now();
+                                }
+                            }
+                        };
+                        h.enqueue(t * ROUNDS + round);
+                        h.dequeue();
+                    }
+                });
+            }
+        });
+        let a = q.register().expect("first id free");
+        let b = q.register().expect("second id free");
+        assert!(q.register().is_none(), "only two ids");
+        drop((a, b));
     }
 
     #[test]

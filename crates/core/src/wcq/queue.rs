@@ -3,7 +3,6 @@
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
-use core::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -27,10 +26,6 @@ pub struct WcqQueue<T, F: CellFamily = NativeFamily> {
     aq: WcqRing<F>,
     fq: WcqRing<F>,
     data: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Registration free-slot hint: the next record index worth probing.
-    /// Updated on registration and release so [`WcqQueue::register`] is O(1)
-    /// amortized under handle churn instead of scanning from slot 0.
-    reg_hint: AtomicUsize,
 }
 
 // SAFETY: slot indices are handed between threads through the rings; the slot
@@ -62,12 +57,7 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        Self {
-            aq,
-            fq,
-            data,
-            reg_hint: AtomicUsize::new(0),
-        }
+        Self { aq, fq, data }
     }
 
     /// Maximum number of elements the queue can hold.
@@ -103,30 +93,17 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         )
     }
 
-    /// Registers the calling thread with both internal rings, or `None` when
-    /// `max_threads` handles are already live.
+    /// Registers the calling thread, or `None` when `max_threads` handles
+    /// are already live.
     ///
-    /// The probe starts from a shared free-slot hint instead of slot 0, and
-    /// a dropped handle points the hint at the slot it released, so
-    /// re-registering after a drop is one CAS per ring.
+    /// A handle claims one id from `aq`'s registry and runs `fq` under the
+    /// same id: an id exclusive on `aq` is exclusive on `fq` too, as a
+    /// segment's participant id is on both its rings, so `fq`'s records are
+    /// never claimed on their own.  A dropped handle's id is the next one
+    /// claimed, so re-registering after a drop is one CAS.
     pub fn register(&self) -> Option<WcqQueueHandle<'_, T, F>> {
-        let n = self.max_threads();
-        // relaxed: pure probe-start hint — a stale read just means the scan
-        // starts at a different slot and walks the same full circle.
-        let start = self.reg_hint.load(Relaxed).min(n - 1);
-        (0..n).find_map(|i| {
-            let tid = (start + i) % n;
-            let handle = self.register_at(tid)?;
-            // relaxed: hint update; ordering-free by the same argument.
-            self.reg_hint.store((tid + 1) % n, Relaxed);
-            Some(handle)
-        })
-    }
-
-    /// Registers a handle at a *specific* record slot of both internal
-    /// rings, or `None` when the slot is taken or out of range.
-    fn register_at(&self, tid: usize) -> Option<WcqQueueHandle<'_, T, F>> {
-        self.try_acquire_slot(tid).then(|| WcqQueueHandle {
+        let tid = self.aq.registry().claim()?;
+        Some(WcqQueueHandle {
             queue: self,
             tid,
             tallies: OpTallies::default(),
@@ -140,35 +117,6 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     // pointer).
     // ------------------------------------------------------------------
 
-    /// Claims record slot `tid` of *both* rings with one CAS each: the
-    /// registration a [`WcqQueueHandle`] holds.  Returns `false` when the
-    /// slot is taken or out of range.  A successful acquisition must be
-    /// paired with [`WcqQueue::release_slot`].
-    fn try_acquire_slot(&self, tid: usize) -> bool {
-        if tid >= self.max_threads() || !self.aq.try_acquire_record(tid) {
-            return false;
-        }
-        if !self.fq.try_acquire_record(tid) {
-            self.aq.release_record(tid);
-            return false;
-        }
-        true
-    }
-
-    /// Releases a record slot claimed by [`WcqQueue::try_acquire_slot`].
-    ///
-    /// # Safety
-    /// The caller must currently own slot `tid` (i.e. this release pairs with
-    /// exactly one successful `try_acquire_slot`) and must not use the slot
-    /// afterwards.
-    unsafe fn release_slot(&self, tid: usize) {
-        self.aq.release_record(tid);
-        self.fq.release_record(tid);
-        // relaxed: probe-start hint only (see `register`); the record release
-        // above carries the real synchronization.
-        self.reg_hint.store(tid, Relaxed);
-    }
-
     /// Attempts to enqueue `value` as the thread owning record slot `tid`;
     /// returns it back inside `Err` when the queue is full (`Enqueue_Ptr`,
     /// Figure 2).
@@ -178,8 +126,8 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// thread operating on this queue as `tid` concurrently, and every
     /// earlier user of `tid` ordered before this call (Figure 4's per-thread
     /// cursor is owner-private).  There are two ways to own one:
-    /// * a registered [`WcqQueueHandle`], whose slot claim and release order
-    ///   successive owners;
+    /// * a registered [`WcqQueueHandle`], whose claim and release of its id
+    ///   on `aq`'s registry order successive owners;
     /// * a registration kept outside this queue that never mixes with
     ///   handles on it — `wcq-unbounded` keys a segment's records by its
     ///   hazard-domain participant id, whose release/acquire orders
@@ -368,12 +316,12 @@ impl<T, F: CellFamily> std::fmt::Debug for WcqQueue<T, F> {
 
 /// A per-thread, RAII handle to a [`WcqQueue`].
 ///
-/// The handle owns one record slot of both internal rings for its lifetime;
-/// dropping it releases the slot for another handle.  The slot belongs to the
-/// handle, not to a thread, so the handle is `Send` (for `T: Send`): it may
-/// be registered on one thread, operated on another and dropped on a third.
-/// `&mut self` serialises its operations, and the slot's claim and release
-/// order successive owners.
+/// The handle owns one id, the index of its record in both internal rings,
+/// for its lifetime; dropping it releases the id for another handle.  The id
+/// belongs to the handle, not to a thread, so the handle is `Send` (for
+/// `T: Send`): it may be registered on one thread, operated on another and
+/// dropped on a third.  `&mut self` serialises its operations, and the id's
+/// claim and release order successive owners.
 pub struct WcqQueueHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q WcqQueue<T, F>,
     tid: usize,
@@ -471,9 +419,9 @@ impl<'q, T, F: CellFamily> Drop for WcqQueueHandle<'q, T, F> {
         if let Some(set) = self.queue.counter_set() {
             self.tallies.flush(set);
         }
-        // SAFETY: the handle's existence proves slot ownership; this is the
-        // unique release paired with the acquisition in `register_at`.
-        unsafe { self.queue.release_slot(self.tid) };
+        // SAFETY: the handle holds `tid` on `aq`'s registry from `register`
+        // until here.
+        unsafe { self.queue.aq.registry().release(self.tid) };
     }
 }
 
@@ -562,41 +510,11 @@ mod tests {
         let tid = first.tid();
         drop(first);
         // Churn must come back to the same record slot: the drop hints it,
-        // so re-entry is one CAS per ring.
+        // so re-entry is one CAS.
         for _ in 0..4 {
             let again = q.register().unwrap();
             assert_eq!(again.tid(), tid);
         }
-    }
-
-    #[test]
-    fn register_at_targets_an_exact_slot() {
-        let q: WcqQueue<u8> = WcqQueue::new(3, 4);
-        let h = q.register_at(2).unwrap();
-        assert_eq!(h.tid(), 2);
-        assert!(q.register_at(2).is_none(), "slot 2 is taken");
-        assert!(q.register_at(99).is_none(), "out of range");
-        drop(h);
-        assert!(q.register_at(2).is_some());
-    }
-
-    #[test]
-    fn raw_slot_api_round_trips_without_a_handle() {
-        let q: WcqQueue<u64> = WcqQueue::new(3, 2);
-        assert!(q.try_acquire_slot(0));
-        assert!(!q.try_acquire_slot(0), "double acquisition must fail");
-        // SAFETY: slot 0 acquired above; single-threaded use.
-        unsafe {
-            assert_eq!(q.enqueue_at(0, 41), Ok(()));
-            assert_eq!(q.enqueue_at(0, 42), Ok(()));
-            assert_eq!(q.dequeue_at(0), Some(41));
-            assert_eq!(q.dequeue_at(0), Some(42));
-            assert_eq!(q.dequeue_at(0), None);
-            q.release_slot(0);
-        }
-        assert!(q.try_acquire_slot(0), "release frees the slot");
-        // SAFETY: re-acquired just above.
-        unsafe { q.release_slot(0) };
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! documented in DESIGN.md.
 
 use core::sync::atomic::{
-    AtomicBool, AtomicU64,
+    AtomicU64,
     Ordering::{Relaxed, SeqCst},
 };
 use std::sync::Arc;
 
-use wcq_atomics::CachePadded;
+use wcq_atomics::{CachePadded, Registry};
 
 use crate::metrics::{Counter, CounterSet};
 use crate::ring::{Deq, Hook, Ring, SlowState};
@@ -61,7 +61,8 @@ impl Default for WcqConfig {
 pub struct WcqState {
     config: WcqConfig,
     records: Box<[CachePadded<ThreadRecord>]>,
-    slots_taken: Box<[AtomicBool]>,
+    /// Which records are held.
+    registry: Registry,
     counters: Option<Arc<CounterSet>>,
 }
 
@@ -71,7 +72,7 @@ impl SlowState for WcqState {
     }
     fn heap_bytes(&self) -> usize {
         self.records.len() * std::mem::size_of::<CachePadded<ThreadRecord>>()
-            + self.slots_taken.len()
+            + self.registry.heap_bytes()
     }
 }
 
@@ -136,11 +137,10 @@ impl<F: CellFamily> WcqRing<F> {
                 ))
             })
             .collect();
-        let slots_taken = (0..max_threads).map(|_| AtomicBool::new(false)).collect();
         let state = WcqState {
             config,
             records,
-            slots_taken,
+            registry: Registry::new(max_threads),
             counters,
         };
         let ring = Self::empty(order, state);
@@ -178,30 +178,14 @@ impl<F: CellFamily> WcqRing<F> {
     /// Registers the calling thread, returning a handle bound to a free
     /// thread-record slot, or `None` when `max_threads` handles are live.
     pub fn register(&self) -> Option<WcqHandle<'_, F>> {
-        (0..self.slow.slots_taken.len()).find_map(|tid| self.register_at(tid))
+        let tid = self.slow.registry.claim()?;
+        Some(WcqHandle { ring: self, tid })
     }
 
-    /// Registers a handle at a *specific* thread-record slot, or `None` when
-    /// `tid` is out of range or the slot is already taken.
-    fn register_at(&self, tid: usize) -> Option<WcqHandle<'_, F>> {
-        self.try_acquire_record(tid)
-            .then(|| WcqHandle { ring: self, tid })
-    }
-
-    /// Claims the thread-record slot `tid` with a single CAS, without
-    /// constructing a handle.  [`super::WcqQueue`] builds its combined-slot
-    /// acquisition on top of this.
-    pub(crate) fn try_acquire_record(&self, tid: usize) -> bool {
-        self.slow
-            .slots_taken
-            .get(tid)
-            .is_some_and(|slot| slot.compare_exchange(false, true, SeqCst, SeqCst).is_ok())
-    }
-
-    /// Releases a record slot previously claimed by
-    /// [`WcqRing::try_acquire_record`].  Callers must own the slot.
-    pub(crate) fn release_record(&self, tid: usize) {
-        self.slow.slots_taken[tid].store(false, SeqCst);
+    /// The registry of this ring's thread records.  [`super::WcqQueue`]
+    /// claims its handles' ids from `aq`'s and runs `fq` under the same id.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.slow.registry
     }
 
     /// `finalize_request` (Figure 5, lines 4–11): find the enqueuer whose
@@ -235,11 +219,11 @@ impl<F: CellFamily> WcqRing<F> {
         // Figure 4 — only the thread holding record `my_tid` ever reads or
         // writes them (helpers inspect the shared fields only), so there is
         // no second thread to order against.  A later owner of the record is
-        // ordered after this one by its hand-off: for a handle, the slot's
-        // (the `SeqCst` store in `release_record`, the `SeqCst` CAS in
-        // `try_acquire_record`); for a segment of the unbounded queue, which
-        // claims no slot, the hazard domain's release/acquire of the
-        // participant id that keys the record.
+        // ordered after this one by the hand-off of the id that keys it: the
+        // `Release` store in `Registry::release` and the `AcqRel` CAS in
+        // `Registry::claim` — the ring's own registry for a handle, `aq`'s
+        // for a `WcqQueue` handle (whose `fq` records ride on that claim),
+        // and the hazard domain's for a segment of the unbounded queue.
         let remaining = rec.next_check.load(Relaxed);
         if remaining > 1 {
             // relaxed: owner-private cursor, see above.
@@ -831,7 +815,8 @@ impl<'q, F: CellFamily> std::fmt::Debug for WcqHandle<'q, F> {
 
 impl<'q, F: CellFamily> Drop for WcqHandle<'q, F> {
     fn drop(&mut self) {
-        self.ring.release_record(self.tid);
+        // SAFETY: the handle holds `tid` from `register` until here.
+        unsafe { self.ring.slow.registry.release(self.tid) };
     }
 }
 

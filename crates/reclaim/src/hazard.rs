@@ -16,10 +16,10 @@
 //! the queue (LCRQ is not — that is Figure 10a of the paper).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use wcq_atomics::CachePadded;
+use wcq_atomics::{CachePadded, Registry};
 
 /// A retired allocation awaiting reclamation.
 struct Retired {
@@ -76,14 +76,11 @@ pub struct HazardDomain {
     /// share a line pair and only participants are kept apart; slots past
     /// `hazards_per_thread` stay null.
     slots: Box<[CachePadded<[AtomicPtr<u8>; MAX_HAZARDS]>]>,
-    /// Which participant slots are currently taken.
-    in_use: Box<[AtomicBool]>,
+    /// Which participant ids are held.
+    participants: Registry,
     hazards_per_thread: usize,
     /// Retire-buffer length that triggers a scan.
     scan_threshold: usize,
-    /// Registration free-slot hint: next participant index worth probing.
-    /// Keeps [`HazardDomain::register`] O(1) amortized under handle churn.
-    reg_hint: AtomicUsize,
     /// Nodes abandoned by de-registered threads; freed by later scans or on
     /// domain drop.
     orphans: Mutex<Vec<Retired>>,
@@ -100,7 +97,7 @@ unsafe impl Sync for HazardDomain {}
 impl std::fmt::Debug for HazardDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HazardDomain")
-            .field("max_threads", &self.in_use.len())
+            .field("max_threads", &self.max_threads())
             .field("hazards_per_thread", &self.hazards_per_thread)
             // relaxed: statistics for display; the counts publish nothing.
             .field("retired", &self.retired_count.load(Ordering::Relaxed))
@@ -123,18 +120,13 @@ impl HazardDomain {
             .map(|_| CachePadded::new(Default::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let in_use = (0..max_threads)
-            .map(|_| AtomicBool::new(false))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
             slots,
-            in_use,
+            participants: Registry::new(max_threads),
             hazards_per_thread,
             // Classical choice: scan when the retire buffer is ~2× the number
             // of hazard slots in the whole domain.
             scan_threshold: (2 * total).max(8),
-            reg_hint: AtomicUsize::new(0),
             orphans: Mutex::new(Vec::new()),
             retired_count: AtomicUsize::new(0),
             reclaimed_count: AtomicUsize::new(0),
@@ -143,7 +135,7 @@ impl HazardDomain {
 
     /// Maximum number of simultaneously registered participants.
     pub fn max_threads(&self) -> usize {
-        self.in_use.len()
+        self.participants.capacity()
     }
 
     /// Number of hazard slots owned by each participant.
@@ -155,7 +147,7 @@ impl HazardDomain {
     /// participant flags), for an owner's `memory_footprint()`.  Retired
     /// nodes are their owner's to count: the domain only holds pointers.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.slots) + std::mem::size_of_val(&*self.in_use)
+        std::mem::size_of_val(&*self.slots) + self.participants.heap_bytes()
     }
 
     /// Total nodes retired so far (statistics for the memory benchmark).
@@ -178,37 +170,14 @@ impl HazardDomain {
 
     /// Registers a participant, returning a handle with exclusive use of one
     /// participant slot.  Returns `None` when all participant slots are
-    /// taken.  The probe starts at a free-slot hint that a dropped handle
-    /// points at the slot it released, so re-registering after a drop is one
-    /// CAS.
+    /// taken.  A dropped handle's id is the next one claimed, so
+    /// re-registering after a drop is one CAS.
     pub fn register(&self) -> Option<HazardHandle<'_>> {
-        let n = self.in_use.len();
-        // relaxed: probe-start hint only — a stale read starts the scan at
-        // another slot and walks the same full circle; the `in_use` claim
-        // carries the synchronization.
-        let start = self.reg_hint.load(Ordering::Relaxed).min(n - 1);
-        (0..n).find_map(|i| {
-            let tid = (start + i) % n;
-            let handle = self.register_at(tid)?;
-            // relaxed: hint update, ordering-free by the same argument.
-            self.reg_hint.store((tid + 1) % n, Ordering::Relaxed);
-            Some(handle)
-        })
-    }
-
-    /// Claims the participant slot `tid` with a single CAS, or `None` when
-    /// `tid` is out of range or the slot is taken: the one claim
-    /// [`HazardDomain::register`]'s hinted probe makes per slot.
-    fn register_at(&self, tid: usize) -> Option<HazardHandle<'_>> {
-        let flag = self.in_use.get(tid)?;
-        // Success acquires the previous owner's release in `Drop`, ordering
+        // The claim acquires the previous owner's release in `Drop`, ordering
         // this owner of the id after everything that one did under it:
         // hazard slots, and the segment thread records the unbounded queue
         // keys by the id.
-        // relaxed: the failure ordering — a failed claim creates no handle
-        // and reads nothing the owner wrote.
-        flag.compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
-            .ok()?;
+        let tid = self.participants.claim()?;
         Some(HazardHandle {
             domain: self,
             tid,
@@ -396,10 +365,8 @@ impl<'d> Drop for HazardHandle<'d> {
             let mut orphans = self.domain.orphans.lock().unwrap();
             orphans.append(&mut self.retired);
         }
-        // The release the next owner's claim in `register_at` acquires.
-        self.domain.in_use[self.tid].store(false, Ordering::Release);
-        // relaxed: probe-start hint only (see `HazardDomain::register`).
-        self.domain.reg_hint.store(self.tid, Ordering::Relaxed);
+        // SAFETY: the handle holds `tid` from `register` until here.
+        unsafe { self.domain.participants.release(self.tid) };
     }
 }
 
@@ -443,18 +410,6 @@ mod tests {
         // Slot becomes reusable after the handle drops.
         let h3 = dom.register().unwrap();
         assert_ne!(h3.tid(), h2.tid());
-    }
-
-    #[test]
-    fn register_at_targets_an_exact_participant_slot() {
-        let dom = HazardDomain::new(3, 1);
-        let h = dom.register_at(1).unwrap();
-        assert_eq!(h.tid(), 1);
-        assert!(dom.register_at(1).is_none(), "slot 1 is taken");
-        assert!(dom.register_at(5).is_none(), "out of range");
-        drop(h);
-        // The drop hint points registration back at the freed slot.
-        assert_eq!(dom.register().unwrap().tid(), 1);
     }
 
     #[test]

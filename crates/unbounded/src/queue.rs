@@ -1679,8 +1679,8 @@ mod tests {
 
     // ------------------------------------------------------------------
     // Free slots in runs: every stash goes back before its segment is
-    // reused.  (In debug builds `SegmentCache::give_back` also checks that a
-    // recycled segment's `fq` holds every index.)
+    // reused.  (In debug builds `SegmentCache::take` also checks that a
+    // reused segment's `fq` holds every index.)
     // ------------------------------------------------------------------
 
     /// Appends so far on a queue only one thread appends to: every segment

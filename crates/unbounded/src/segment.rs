@@ -56,8 +56,9 @@
 //! memo, is refilled only inside a gate claim (so a refused claim still
 //! touches no ring), and goes back to `fq` before the handle's hazard slot 1
 //! lets go of the segment — so a segment reaches the cache with all
-//! `capacity` indices in `fq` again, which [`SegmentCache::give_back`]
-//! checks in debug builds.  A dequeue returns each freed index at once.
+//! `capacity` indices in `fq` again, which [`SegmentCache::take`] checks in
+//! debug builds before it reuses one.  A dequeue returns each freed index at
+//! once.
 //!
 //! ## Whose thread records
 //!
@@ -415,10 +416,22 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     /// overstate cache effectiveness.  (Hits and misses — how often the
     /// cache could answer at all — are recorded by the caller into the
     /// queue's counter set.)
+    ///
+    /// In debug builds a taken segment must hold every free index in its
+    /// `fq`: a stash that was never given back would cost the reused segment
+    /// capacity.  The check is here, not in `give_back`, because a segment
+    /// the hazard domain's drop hands back (one a leaked handle's memo
+    /// pinned, its stash lost with it) is only ever freed.
     pub(crate) fn take(&self) -> Option<*mut Segment<T, F>> {
         for slot in self.slots.iter() {
             let seg = slot.swap(ptr::null_mut(), SeqCst);
             if !seg.is_null() {
+                // SAFETY: the swap made the segment exclusively ours, which
+                // makes the debug check's read of `fq` exact.
+                debug_assert!(
+                    unsafe { (*seg).queue.holds_every_free_index() },
+                    "a cached segment is missing free indices still stashed"
+                );
                 return Some(seg);
             }
         }
@@ -438,15 +451,8 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     pub(crate) unsafe fn give_back(cache: *const Self, seg: *mut Segment<T, F>) {
         // SAFETY: per the function contract.
         let this = unsafe { &*cache };
-        // SAFETY: exclusive ownership allows the (atomic-only) reset, and
-        // makes the debug check's read of `fq` exact.
-        unsafe {
-            debug_assert!(
-                (*seg).queue.holds_every_free_index(),
-                "a segment reached the cache with free indices still stashed"
-            );
-            (*seg).reopen();
-        }
+        // SAFETY: exclusive ownership allows the (atomic-only) reset.
+        unsafe { (*seg).reopen() };
         for slot in this.slots.iter() {
             if slot
                 .compare_exchange(ptr::null_mut(), seg, SeqCst, SeqCst)

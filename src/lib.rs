@@ -9,8 +9,8 @@
 //!   queue in the workspace implements (wCQ, wLSCQ, SCQ and the six §6
 //!   baselines), re-exported from [`wcq_core::api`];
 //! * RAII registration — `queue.handle()` claims a record slot for the
-//!   handle (re-entry after a drop is one CAS through the registry's
-//!   free-slot hint) and the handle releases it on drop, on whatever thread
+//!   handle (re-entry after a drop is one CAS through
+//!   `wcq_atomics::Registry`'s free-slot hint) and the handle releases it on drop, on whatever thread
 //!   it has moved to;
 //! * [`channel`] / [`async_channel`] — typed [`Sender`]/[`Receiver`] (and
 //!   [`AsyncSender`]/[`AsyncReceiver`]) endpoints with close semantics over

@@ -7,7 +7,8 @@
 //!   slow path, and its slot comes back;
 //! * exhaustion surfaces through `try_handle`, recovery through drop;
 //! * a handle leaked with `mem::forget` costs its one slot, and an unbounded
-//!   producer leaked with a stashed free index pins at most two segments;
+//!   producer leaked with a stashed free index pins at most two segments,
+//!   and its queue still drops cleanly;
 //! * the unbounded handle's segment memo survives forced segment
 //!   growth (tiny `ring_order = 4` segments) without losing values, both
 //!   through the concrete API and through the boxed facade trait;
@@ -534,17 +535,15 @@ fn a_leaked_producer_costs_one_slot_and_at_most_two_segments() {
         "leaked {leaked} vs clean {clean}: {:?}",
         q.segment_stats()
     );
-    // Dropping this queue is the ignored test below.
-    std::mem::forget(q);
 }
 
-/// Dropping a queue after a producer leaked with indices in its stash must
-/// pass the segment cache's debug check.  It does not: the head segment the leaked
-/// handle pinned is an orphan of the hazard domain, whose drop hands it to
-/// `SegmentCache::give_back` with the leaked stash's index still missing from
-/// its `fq`.  (Release builds skip the check and free the segment.)
+/// Dropping a queue after a producer leaked with indices in its stash frees
+/// everything without tripping the segment cache's debug check.  The head
+/// segment the leaked handle pinned is an orphan of the hazard domain, whose
+/// drop hands it back with the leaked stash's index still missing from its
+/// `fq`; the cache checks a segment when it is taken for reuse, and this one
+/// is only ever freed.
 #[test]
-#[ignore = "debug builds: give_back asserts `a segment reached the cache with free indices still stashed`"]
 fn a_queue_drops_cleanly_after_a_producer_leaked_its_stash() {
     let q = leaked_producer_queue();
     leaked_producer_traffic(&q, true);
