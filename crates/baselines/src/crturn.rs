@@ -120,11 +120,6 @@ impl CrTurnQueue {
         })
     }
 
-    /// Nodes retired but not yet reclaimed (memory statistics).
-    pub fn reclamation_backlog(&self) -> usize {
-        self.domain.pending()
-    }
-
     /// Racy emptiness hint: `head == tail` holds exactly when both point at
     /// the sentinel (empty queue) or while an enqueue's tail swing is still
     /// in flight — a pointer compare, never a dereference, so it needs no

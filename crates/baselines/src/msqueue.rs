@@ -70,11 +70,6 @@ impl<T> MsQueue<T> {
         })
     }
 
-    /// Number of nodes retired but not yet freed (memory benchmark).
-    pub fn reclamation_backlog(&self) -> usize {
-        self.domain.pending()
-    }
-
     /// Racy emptiness hint: `head == tail` holds exactly when both point at
     /// the sentinel (empty queue) or while an enqueue's tail swing is still
     /// in flight — a pointer compare, never a dereference, so it needs no

@@ -7,23 +7,24 @@
 //! scheduler each run explores one interleaving, so coverage comes from
 //! running *thousands of schedules*, not thousands of operations.
 //!
-//! Every run drives one [`Target`] — the bounded queue under the
-//! [`CheckedFamily`] native-CAS2 model or the instrumented LL/SC model, the
-//! unbounded wLSCQ, the channel close protocol, the two-shard sharded queue,
-//! or the directed hazard-window probe — under one
-//! [`Schedule`], then feeds the observations to the shared
-//! no-loss/no-duplication/per-producer-FIFO oracle
-//! ([`verify_observations`]) plus the
-//! invariant probes the big stress suite cannot sample deterministically:
+//! Every run drives one [`Target`] under one [`Schedule`].  The four
+//! *sampled* targets — the bounded queue under the [`CheckedFamily`]
+//! native-CAS2 model or the instrumented LL/SC model, the unbounded wLSCQ and
+//! the two-shard sharded queue — share one producer/consumer driver
+//! (`run_sampled`).  The channel close protocol and the directed
+//! hazard-window probe keep their own loops.  Every run feeds its
+//! observations to the shared no-loss/no-duplication/per-producer-FIFO oracle
+//! ([`verify_observations`]) plus the invariant probes the big stress suite
+//! cannot sample deterministically:
 //!
 //! * **threshold monotonicity bound** — both ring thresholds never exceed
 //!   the §5 `3n - 1` bound, sampled by every consumer on every poll;
 //! * **close balance** — after a channel run quiesces, no send is still in
 //!   flight on the backend's gate, and no send that started after a
 //!   completed close was accepted;
-//! * **segment residency** — after a drained unbounded run flushes
-//!   reclamation, resident segments stay within the Theorem 5.8-style
-//!   `live + cache + hazard` bound.
+//! * **segment residency** — after a drained unbounded, sharded or
+//!   hazard-window run flushes reclamation, resident segments stay within
+//!   the Theorem 5.8-style `live + cache + hazard` bound (per shard).
 //!
 //! A failing run becomes a [`Violation`] carrying its full replay
 //! coordinates; [`replay`] re-executes exactly that run, which is how the
@@ -39,9 +40,12 @@ use std::sync::Arc;
 
 use wcq::{builder, ChannelBackend, TryRecvError, TrySendError};
 use wcq_core::wcq::cells::CellFamily;
-use wcq_core::wcq::{LlscFamily, WcqConfig, WcqQueue};
+use wcq_core::wcq::{LlscFamily, WcqConfig, WcqQueue, WcqQueueHandle};
 use wcq_harness::{decode, encode, verify_observations, DetRng};
-use wcq_unbounded::{ShardedWcq, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
+use wcq_unbounded::{
+    SegmentStats, ShardedWcq, ShardedWcqHandle, UnboundedWcq, UnboundedWcqHandle,
+    DEFAULT_SEGMENT_CACHE,
+};
 
 use crate::family::CheckedFamily;
 use crate::sched::{maybe_yield, with_intruder, Schedule, Scheduler};
@@ -177,6 +181,18 @@ impl CheckPlan {
         }
     }
 
+    /// An unbounded wLSCQ over [`CheckedFamily`] segments for `handles`
+    /// registered handles.
+    fn unbounded(&self, handles: usize) -> UnboundedWcq<u64, CheckedFamily> {
+        UnboundedWcq::with_config_cache_counters(
+            self.ring_order,
+            handles,
+            self.config(),
+            DEFAULT_SEGMENT_CACHE,
+            None,
+        )
+    }
+
     fn config(&self) -> WcqConfig {
         if self.force_slow_path {
             WcqConfig {
@@ -235,11 +251,11 @@ pub struct ExploreOutcome {
 /// too — a checked run must never take the test process down with it.
 pub fn run_one(plan: &CheckPlan, target: Target, schedule: Schedule) -> Result<u64, Violation> {
     let result = catch_unwind(AssertUnwindSafe(|| match target {
-        Target::Bounded => run_bounded::<CheckedFamily>(plan, schedule),
-        Target::BoundedLlsc => run_bounded::<LlscFamily>(plan, schedule),
-        Target::Unbounded => run_unbounded(plan, schedule),
+        Target::Bounded => sample_bounded::<CheckedFamily>(plan, target, schedule),
+        Target::BoundedLlsc => sample_bounded::<LlscFamily>(plan, target, schedule),
+        Target::Unbounded => sample_unbounded(plan, schedule),
         Target::Channel => run_channel(plan, schedule),
-        Target::Sharded => run_sharded(plan, schedule),
+        Target::Sharded => sample_sharded(plan, schedule),
         Target::HazardWindow => run_hazard_window(plan, schedule),
     }));
     let violation = |message: String| Violation {
@@ -368,82 +384,144 @@ fn verify_counts(
     verify_observations(enqueue_counts, observations, true)
 }
 
-fn run_bounded<F: CellFamily>(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
-    let threads = plan.producers + plan.consumers;
+/// A joined worker's result.  A worker panic is re-raised with its original
+/// payload, so the `catch_unwind` in [`run_one`] reports the real message
+/// (e.g. the scheduler's livelock diagnosis), not a generic one.
+fn joined<T>(worker: std::thread::Result<T>) -> T {
+    worker.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// Theorem 5.8-style residency probe: after a verified full drain with
+/// reclamation flushed, memory must have collapsed back to each shard's live
+/// segment, its bounded reuse cache, and at most one hazard-pinned straggler
+/// per handle.
+fn residency(stats: SegmentStats, shards: usize, handles: usize) -> Result<(), String> {
+    let bound = shards * (1 + DEFAULT_SEGMENT_CACHE + handles);
+    if stats.resident() <= bound {
+        return Ok(());
+    }
+    Err(format!(
+        "segment residency bound violated after drain: {resident} resident \
+         (live {live} + cached {cached} + retired {retired}) > {bound}",
+        resident = stats.resident(),
+        live = stats.live,
+        cached = stats.cached,
+        retired = stats.retired_pending,
+    ))
+}
+
+/// One worker's handle on a sampled target: all [`run_sampled`] calls.
+trait Worker {
+    /// One enqueue attempt; hands `v` back when the ring is full.
+    fn try_enqueue(&mut self, v: u64) -> Result<(), u64>;
+    /// One dequeue attempt.
+    fn try_dequeue(&mut self) -> Option<u64>;
+    /// Runs when the worker's loop ends, while it still holds the token.
+    fn finish(&mut self) {}
+}
+
+impl<F: CellFamily> Worker for WcqQueueHandle<'_, u64, F> {
+    fn try_enqueue(&mut self, v: u64) -> Result<(), u64> {
+        self.enqueue(v)
+    }
+    fn try_dequeue(&mut self) -> Option<u64> {
+        self.dequeue()
+    }
+}
+
+/// The segmented handles: an enqueue never refuses, and a worker flushes
+/// its reclamation before it lets go of the token.
+macro_rules! segmented_worker {
+    ($($handle:ident),*) => {$(
+        impl Worker for $handle<'_, u64, CheckedFamily> {
+            fn try_enqueue(&mut self, v: u64) -> Result<(), u64> {
+                self.enqueue(v);
+                Ok(())
+            }
+            fn try_dequeue(&mut self) -> Option<u64> {
+                self.dequeue()
+            }
+            fn finish(&mut self) {
+                self.flush_reclamation();
+            }
+        }
+    )*};
+}
+segmented_worker!(UnboundedWcqHandle, ShardedWcqHandle);
+
+/// The one driver of the sampled targets.  Workers `0..plan.producers` each
+/// enqueue their `ops_per_producer` values, retrying while the ring is full;
+/// the rest poll until every value is out.  Then the oracle runs, then the
+/// target's post-drain probe.  A target supplies:
+///
+/// * `build` — the queue, given the plan's thread count;
+/// * `register` — worker `id`'s handle, taken on the worker's own thread
+///   while it holds the token;
+/// * `poll` — a probe every consumer runs on every poll;
+/// * `drained` — the probe of the drained queue, given the thread count.
+fn run_sampled<Q: Sync>(
+    plan: &CheckPlan,
+    target: Target,
+    schedule: Schedule,
+    build: impl FnOnce(usize) -> Q,
+    register: impl Fn(&Q, usize) -> Box<dyn Worker + '_> + Sync,
+    poll: impl Fn(&Q) -> Result<(), String> + Sync,
+    drained: impl FnOnce(&Q, usize) -> Result<(), String>,
+) -> Result<u64, String> {
+    let threads = plan.threads(target);
     let sched = Scheduler::new(threads, schedule);
     // `ManuallyDrop`: a violating run (especially under `check-mutations`)
-    // can leave the ring corrupt enough that the queue's draining `Drop`
-    // panics — and when that happens during the unwind of the worker's
-    // original panic, the double panic aborts the whole sweep process.
-    // Leak the queue on every non-clean exit; the clean path below still
-    // exercises `Drop`.
-    let queue: ManuallyDrop<WcqQueue<u64, F>> = ManuallyDrop::new(WcqQueue::with_config_counters(
-        plan.ring_order,
-        threads,
-        plan.config(),
-        None,
-    ));
+    // can leave the queue corrupt enough that its draining `Drop` panics —
+    // and when that happens during the unwind of the worker's original
+    // panic, the double panic aborts the whole sweep process.  Every runner
+    // leaks its queue on a non-clean exit; the clean path still exercises
+    // `Drop`.
+    let queue = ManuallyDrop::new(build(threads));
     let expected = plan.producers as u64 * plan.ops_per_producer;
     let consumed = AtomicU64::new(0);
 
     let observations = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for wid in 0..plan.producers {
-            let sched = Arc::clone(&sched);
-            let queue = &queue;
-            let ops = plan.ops_per_producer;
-            handles.push(s.spawn(move || {
-                let _reg = sched.register(wid);
-                let mut h = queue.register().expect("producer slot");
-                for seq in 1..=ops {
-                    let mut v = encode(wid, seq);
-                    loop {
-                        maybe_yield("driver.enqueue");
-                        match h.enqueue(v) {
-                            Ok(()) => break,
-                            Err(back) => v = back, // ring full: retry
+        let workers: Vec<_> = (0..threads)
+            .map(|id| {
+                let sched = Arc::clone(&sched);
+                let (queue, consumed, register, poll) = (&*queue, &consumed, &register, &poll);
+                s.spawn(move || -> Result<Vec<u64>, String> {
+                    let _reg = sched.register(id);
+                    let mut h = register(queue, id);
+                    let mut local = Vec::new();
+                    if id < plan.producers {
+                        for seq in 1..=plan.ops_per_producer {
+                            let mut v = encode(id, seq);
+                            loop {
+                                maybe_yield("driver.enqueue");
+                                match h.try_enqueue(v) {
+                                    Ok(()) => break,
+                                    Err(back) => v = back, // ring full: retry
+                                }
+                            }
+                        }
+                    } else {
+                        while consumed.load(SeqCst) < expected {
+                            // The threshold<0 empty fast-exit touches no
+                            // cell, so the driver loop itself must be a
+                            // preemption point or a polling consumer would
+                            // hold the token forever.
+                            maybe_yield("driver.poll");
+                            poll(queue)?;
+                            if let Some(v) = h.try_dequeue() {
+                                local.push(v);
+                                consumed.fetch_add(1, SeqCst);
+                            }
                         }
                     }
-                }
-                Ok(Vec::new())
-            }));
-        }
-        for c in 0..plan.consumers {
-            let sched = Arc::clone(&sched);
-            let queue = &queue;
-            let consumed = &consumed;
-            handles.push(s.spawn(move || -> Result<Vec<u64>, String> {
-                let _reg = sched.register(plan.producers + c);
-                let mut h = queue.register().expect("consumer slot");
-                let mut local = Vec::new();
-                while consumed.load(SeqCst) < expected {
-                    // The threshold<0 empty fast-exit touches no cell, so the
-                    // driver loop itself must be a preemption point or a
-                    // polling consumer would hold the token forever.
-                    maybe_yield("driver.poll");
-                    let (aq, fq, max) = queue.ring_thresholds();
-                    if aq > max || fq > max {
-                        return Err(format!(
-                            "threshold bound violated: aq={aq} fq={fq} exceeds 3n-1={max}"
-                        ));
-                    }
-                    if let Some(v) = h.dequeue() {
-                        local.push(v);
-                        consumed.fetch_add(1, SeqCst);
-                    }
-                }
-                Ok(local)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise a worker panic with its original payload so the
-                // `catch_unwind` in `run_one` reports the real message (e.g.
-                // the scheduler's livelock diagnosis), not a generic one.
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    h.finish();
+                    Ok(local)
+                })
             })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| joined(w.join()))
             .collect::<Result<Vec<_>, String>>()
     })?;
 
@@ -451,103 +529,90 @@ fn run_bounded<F: CellFamily>(plan: &CheckPlan, schedule: Schedule) -> Result<u6
         .map(|wid| (wid, plan.ops_per_producer))
         .collect();
     verify_counts(&enqueue_counts, &observations)?;
-    if let Some(v) = queue.register().and_then(|mut h| h.dequeue()) {
-        let (w, s) = decode(v);
-        return Err(format!(
-            "value left behind after verified drain: worker {w} seq {s}"
-        ));
-    }
+    drained(&queue, threads)?;
     drop(ManuallyDrop::into_inner(queue));
     Ok(sched.steps())
 }
 
-fn run_unbounded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
-    let threads = plan.producers + plan.consumers;
-    let sched = Scheduler::new(threads, schedule);
-    // Leaked on non-clean exit for the same double-panic reason as
-    // `run_bounded`.
-    let queue: ManuallyDrop<UnboundedWcq<u64, CheckedFamily>> =
-        ManuallyDrop::new(UnboundedWcq::with_config_cache_counters(
-            plan.ring_order,
-            threads,
-            plan.config(),
-            DEFAULT_SEGMENT_CACHE,
-            None,
-        ));
-    let expected = plan.producers as u64 * plan.ops_per_producer;
-    let consumed = AtomicU64::new(0);
+/// [`Target::Bounded`] and [`Target::BoundedLlsc`]: the threshold bound on
+/// every poll, and no value left once the drain verified.
+fn sample_bounded<F: CellFamily>(
+    plan: &CheckPlan,
+    target: Target,
+    schedule: Schedule,
+) -> Result<u64, String> {
+    run_sampled(
+        plan,
+        target,
+        schedule,
+        |threads| {
+            WcqQueue::<u64, F>::with_config_counters(plan.ring_order, threads, plan.config(), None)
+        },
+        |q, _| Box::new(q.register().expect("one record slot per worker")),
+        |q| match q.ring_thresholds() {
+            (aq, fq, max) if aq > max || fq > max => Err(format!(
+                "threshold bound violated: aq={aq} fq={fq} exceeds 3n-1={max}"
+            )),
+            _ => Ok(()),
+        },
+        |q, _| match q.register().and_then(|mut h| h.dequeue()).map(decode) {
+            Some((w, s)) => Err(format!(
+                "value left behind after verified drain: worker {w} seq {s}"
+            )),
+            None => Ok(()),
+        },
+    )
+}
 
-    let observations = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for wid in 0..plan.producers {
-            let sched = Arc::clone(&sched);
-            let queue = &queue;
-            let ops = plan.ops_per_producer;
-            handles.push(s.spawn(move || {
-                let _reg = sched.register(wid);
-                let mut h = queue.register().expect("producer slot");
-                for seq in 1..=ops {
-                    maybe_yield("driver.enqueue");
-                    h.enqueue(encode(wid, seq));
-                }
-                h.flush_reclamation();
-                Ok(Vec::new())
-            }));
-        }
-        for c in 0..plan.consumers {
-            let sched = Arc::clone(&sched);
-            let queue = &queue;
-            let consumed = &consumed;
-            handles.push(s.spawn(move || -> Result<Vec<u64>, String> {
-                let _reg = sched.register(plan.producers + c);
-                let mut h = queue.register().expect("consumer slot");
-                let mut local = Vec::new();
-                while consumed.load(SeqCst) < expected {
-                    maybe_yield("driver.poll");
-                    if let Some(v) = h.dequeue() {
-                        local.push(v);
-                        consumed.fetch_add(1, SeqCst);
-                    }
-                }
-                h.flush_reclamation();
-                Ok(local)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                // Re-raise a worker panic with its original payload so the
-                // `catch_unwind` in `run_one` reports the real message (e.g.
-                // the scheduler's livelock diagnosis), not a generic one.
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect::<Result<Vec<_>, String>>()
-    })?;
+/// [`Target::Unbounded`]: segment residency once drained.
+fn sample_unbounded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
+    run_sampled(
+        plan,
+        Target::Unbounded,
+        schedule,
+        |threads| plan.unbounded(threads),
+        |q, _| Box::new(q.register().expect("one record slot per worker")),
+        |_| Ok(()),
+        |q, threads| residency(q.segment_stats(), 1, threads),
+    )
+}
 
-    let enqueue_counts: HashMap<usize, u64> = (0..plan.producers)
-        .map(|wid| (wid, plan.ops_per_producer))
-        .collect();
-    verify_counts(&enqueue_counts, &observations)?;
-
-    // Theorem 5.8-style residency probe: after a verified full drain with
-    // reclamation flushed, memory must have collapsed back to the live
-    // segment, the bounded reuse cache, and at most one hazard-pinned
-    // straggler per thread.
-    let stats = queue.segment_stats();
-    let bound = 1 + DEFAULT_SEGMENT_CACHE + threads;
-    if stats.resident() > bound {
-        return Err(format!(
-            "segment residency bound violated after drain: {resident} resident \
-             (live {live} + cached {cached} + retired {retired}) > {bound}",
-            resident = stats.resident(),
-            live = stats.live,
-            cached = stats.cached,
-            retired = stats.retired_pending,
-        ));
-    }
-    drop(ManuallyDrop::into_inner(queue));
-    Ok(sched.steps())
+/// [`Target::Sharded`]: workers register in logical-id order, and segment
+/// residency, composed over the shard set, once drained.
+fn sample_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
+    const SHARDS: usize = 2;
+    // Registering in logical-id order makes record slots — and with them
+    // home shards — a function of the plan, not of the schedule: worker `id`
+    // lives on shard `id % SHARDS`.  Two producers sit on distinct shards; a
+    // lone producer's shard is drained by a consumer whose home is the
+    // *other* one, so each of its dequeues is a steal.
+    let turn = AtomicU64::new(0);
+    run_sampled(
+        plan,
+        Target::Sharded,
+        schedule,
+        |threads| {
+            ShardedWcq::<u64, CheckedFamily>::with_config_cache_counters(
+                SHARDS,
+                plan.ring_order,
+                threads,
+                plan.config(),
+                DEFAULT_SEGMENT_CACHE,
+                None,
+            )
+        },
+        |q, id| {
+            while turn.load(SeqCst) != id as u64 {
+                maybe_yield("driver.register");
+            }
+            let h = q.register().expect("one record slot per worker");
+            assert_eq!(h.home_shard(), id % SHARDS);
+            turn.fetch_add(1, SeqCst);
+            Box::new(h)
+        },
+        |_| Ok(()),
+        |q, threads| residency(q.segment_stats(), SHARDS, threads),
+    )
 }
 
 /// State the stalled handle's script and the intruder share in a
@@ -622,16 +687,9 @@ fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String
         schedule.seed ^ u64::from(schedule.depth).rotate_left(32) ^ 0x4A2A_12D0_57A1_1ED0,
     );
     let stall_at = rng.next_below(OPS / 2);
-    // `ManuallyDrop`: leaked on a non-clean exit for the same double-panic
-    // reason as `run_bounded`.
+    // `ManuallyDrop`: leaked on a non-clean exit, as in `run_sampled`.
     let w = Rc::new(Window {
-        queue: ManuallyDrop::new(UnboundedWcq::with_config_cache_counters(
-            plan.ring_order,
-            2,
-            plan.config(),
-            DEFAULT_SEGMENT_CACHE,
-            None,
-        )),
+        queue: ManuallyDrop::new(plan.unbounded(2)),
         model: RefCell::new(VecDeque::new()),
         rng: RefCell::new(rng),
         armed: Cell::new(false),
@@ -683,15 +741,7 @@ fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String
         return Err(violation);
     }
 
-    // Same residency probe as `run_unbounded`, for the two handles here.
-    let stats = w.queue.segment_stats();
-    let bound = 1 + DEFAULT_SEGMENT_CACHE + 2;
-    if stats.resident() > bound {
-        return Err(format!(
-            "segment residency bound violated after drain: {} resident > {bound}",
-            stats.resident()
-        ));
-    }
+    residency(w.queue.segment_stats(), 1, 2)?;
     let steps = w.yields.get();
     if let Ok(w) = Rc::try_unwrap(w) {
         drop(ManuallyDrop::into_inner(w.queue));
@@ -699,108 +749,8 @@ fn run_hazard_window(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String
     Ok(steps)
 }
 
-fn run_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
-    const SHARDS: usize = 2;
-    let threads = plan.producers + plan.consumers;
-    let sched = Scheduler::new(threads, schedule);
-    // Leaked on non-clean exit for the same double-panic reason as
-    // `run_bounded`.
-    let queue: ManuallyDrop<ShardedWcq<u64, CheckedFamily>> =
-        ManuallyDrop::new(ShardedWcq::with_config_cache_counters(
-            SHARDS,
-            plan.ring_order,
-            threads,
-            plan.config(),
-            DEFAULT_SEGMENT_CACHE,
-            None,
-        ));
-    let expected = plan.producers as u64 * plan.ops_per_producer;
-    let consumed = AtomicU64::new(0);
-    // Workers register on the queue in logical-id order, so record slots —
-    // and with them home shards — are a function of the plan, not of the
-    // schedule: worker `id` lives on shard `id % SHARDS`.  Two producers sit
-    // on distinct shards; a lone producer's shard is drained by a consumer
-    // whose home is the *other* one, so each of its dequeues is a steal.
-    let turn = AtomicU64::new(0);
-    let register_in_turn = |id: usize| {
-        while turn.load(SeqCst) != id as u64 {
-            maybe_yield("driver.register");
-        }
-        let h = queue.register().expect("one slot per worker");
-        assert_eq!(h.home_shard(), id % SHARDS);
-        turn.fetch_add(1, SeqCst);
-        h
-    };
-
-    let observations = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for wid in 0..plan.producers {
-            let sched = Arc::clone(&sched);
-            let register_in_turn = &register_in_turn;
-            let ops = plan.ops_per_producer;
-            handles.push(s.spawn(move || {
-                let _reg = sched.register(wid);
-                let mut h = register_in_turn(wid);
-                for seq in 1..=ops {
-                    maybe_yield("driver.enqueue");
-                    h.enqueue(encode(wid, seq));
-                }
-                h.flush_reclamation();
-                Vec::new()
-            }));
-        }
-        for c in 0..plan.consumers {
-            let sched = Arc::clone(&sched);
-            let register_in_turn = &register_in_turn;
-            let consumed = &consumed;
-            handles.push(s.spawn(move || {
-                let _reg = sched.register(plan.producers + c);
-                let mut h = register_in_turn(plan.producers + c);
-                let mut local = Vec::new();
-                while consumed.load(SeqCst) < expected {
-                    maybe_yield("driver.poll");
-                    if let Some(v) = h.dequeue() {
-                        local.push(v);
-                        consumed.fetch_add(1, SeqCst);
-                    }
-                }
-                h.flush_reclamation();
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect::<Vec<_>>()
-    });
-
-    let enqueue_counts: HashMap<usize, u64> = (0..plan.producers)
-        .map(|wid| (wid, plan.ops_per_producer))
-        .collect();
-    verify_counts(&enqueue_counts, &observations)?;
-
-    // Per-shard residency probe, composed over the shard set.
-    let stats = queue.segment_stats();
-    let bound = SHARDS * (1 + DEFAULT_SEGMENT_CACHE + threads);
-    if stats.resident() > bound {
-        return Err(format!(
-            "sharded segment residency bound violated after drain: {resident} \
-             resident (live {live} + cached {cached} + retired {retired}) > {bound}",
-            resident = stats.resident(),
-            live = stats.live,
-            cached = stats.cached,
-            retired = stats.retired_pending,
-        ));
-    }
-    drop(ManuallyDrop::into_inner(queue));
-    Ok(sched.steps())
-}
-
 fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
-    let threads = plan.producers + 1;
+    let threads = plan.threads(Target::Channel);
     let sched = Scheduler::new(threads, schedule);
     // LL/SC cells so the Granule checkpoint seam supplies in-algorithm
     // preemption points.  The bounded backend makes Full and the gate
@@ -904,19 +854,14 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
                 (local, rx)
             })
         };
-        let accepted: Result<Vec<(usize, u64)>, String> = producers
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect();
+        let accepted: Result<Vec<(usize, u64)>, String> =
+            producers.into_iter().map(|h| joined(h.join())).collect();
         (accepted, consumer.join())
     });
     // A send accepted after the close is the cause whenever the receiver
     // then never saw the channel settle, so it is reported first.
     let accepted_counts = accepted_counts?;
-    let (observed, mut rx) = consumer.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    let (observed, mut rx) = joined(consumer);
 
     // Close balance: with every endpoint quiesced, no send may still be in
     // flight on the backend's gate — a leaked claim means the close protocol

@@ -7,7 +7,10 @@
 //! preemption point, an **explorer** ([`explore()`]) that runs shrunken
 //! stress plans under thousands of schedules against the no-loss/no-dup/FIFO
 //! oracle plus invariant probes (threshold bound, close balance,
-//! segment residency), and a hand-rolled source **lint** ([`lint`]) enforcing
+//! segment residency) — its four sampled targets through one
+//! producer/consumer driver, the channel close protocol and the directed
+//! hazard-window probe through their own — and a hand-rolled source
+//! **lint** ([`lint`]) enforcing
 //! `// relaxed:` / `// SAFETY:` justification comments and the hot-path
 //! `Mutex` / `static mut` ban.
 //!
@@ -15,6 +18,8 @@
 //! `(plan_seed, target, sched_seed, depth)` coordinates, and
 //! [`explore::replay`] re-runs exactly that execution as a one-line
 //! regression test (see `tests/check_schedules.rs` at the workspace root).
+//! A replay is the same schedule in every build profile: a debug-only check
+//! reads cells through their `peek_*` loads, which pass no yield point.
 //!
 //! No external dependencies; the scheduler reuses the workspace's
 //! [`DetRng`](wcq_harness::DetRng) and the oracle reuses

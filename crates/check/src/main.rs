@@ -24,12 +24,14 @@ use wcq_harness::memtrack;
 static ALLOC: memtrack::CountingAllocator = memtrack::CountingAllocator;
 
 fn usage() -> ExitCode {
+    let targets: Vec<&str> = Target::all().iter().map(Target::name).collect();
     eprintln!(
         "usage: wcq-check --lint [root]\n\
          \x20      wcq-check --smoke\n\
          \x20      wcq-check --explore [plan_count] [sched_seeds_per]\n\
          \x20      wcq-check --replay <plan_seed> <target> <sched_seed> <depth>\n\
-         targets: bounded bounded-llsc unbounded channel sharded hazard-window"
+         targets: {}",
+        targets.join(" ")
     );
     ExitCode::from(2)
 }

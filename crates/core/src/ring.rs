@@ -157,11 +157,12 @@ impl<F: RingFamily, S> Ring<F, S> {
     /// The indices the ring holds, read off its entries rather than
     /// dequeued: the ticket window `[head, tail)`, less the tickets whose
     /// slot holds no value of their own cycle.  Exact only while no operation
-    /// runs; a quiescent check that changes no state and runs no operation.
+    /// runs; a quiescent check that changes no state, runs no operation and,
+    /// through the `peek_*` reads, passes no yield point of a checked run.
     pub(crate) fn quiescent_indices(&self) -> impl Iterator<Item = u64> + '_ {
         let l = &self.layout;
-        (self.head.load_cnt()..self.tail.load_cnt()).filter_map(move |t| {
-            let e = l.unpack(self.entries[l.slot(t)].load_value());
+        (self.head.peek_cnt()..self.tail.peek_cnt()).filter_map(move |t| {
+            let e = l.unpack(self.entries[l.slot(t)].peek_value());
             (e.cycle == l.cycle(t) && !l.is_reserved(e.index)).then_some(e.index)
         })
     }

@@ -8,12 +8,16 @@
 //!
 //! To add an entry: take the coordinates a violation prints, confirm the fix
 //! with `wcq-check --replay <plan> <target> <seed> <depth>`, then append the
-//! tuple with a comment naming the bug it pins down.
+//! tuple with the yield-point count that replay prints (`pass (N yield
+//! points)`) and a comment naming the bug it pins down.  The count is the
+//! same in every build profile; if a change moves it, the entry now replays
+//! a different interleaving, so re-check that it still reaches the bug's
+//! window before updating it.
 
 use wcq_check::{replay, Target};
 
-/// `(plan_seed, target, sched_seed, depth, what it caught)`
-const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
+/// `(plan_seed, target, sched_seed, depth, yield points, what it caught)`
+const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // Slow-path enqueue treated a dequeuer's `⊥` burn marker on the agreed
     // ticket as "already inserted" and lost the element (missing
     // `Index != ⊥` guard on try_enq_slow's cycle-match branch).  Three
@@ -23,6 +27,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Bounded,
         0x7,
         4,
+        1287,
         "slow-path enqueue lost element on burned ticket",
     ),
     (
@@ -30,6 +35,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::BoundedLlsc,
         0x7,
         4,
+        255,
         "slow-path enqueue lost element (LL/SC model)",
     ),
     (
@@ -37,6 +43,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Unbounded,
         0x7,
         4,
+        1811,
         "slow-path enqueue lost element (segmented queue)",
     ),
     // Register-allocation hazard in the cmpxchg16b inline asm: LLVM could
@@ -49,6 +56,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Bounded,
         0x3C6E_F372_FE94_F82C,
         1,
+        639,
         "cmpxchg16b asm operand clobbered by rbx save/restore",
     ),
     // `try_deq_slow` reported a slow dequeue request finished when its FIN
@@ -64,6 +72,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::BoundedLlsc,
         0x3C6E_F372_FE94_F836,
         4,
+        749,
         "owner abandoned live dequeue request on failed FIN CAS",
     ),
     (
@@ -71,6 +80,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::BoundedLlsc,
         0x3C6E_F372_FE94_F83E,
         16,
+        892,
         "owner abandoned live dequeue request (secondary schedule)",
     ),
     (
@@ -78,6 +88,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Channel,
         0x9E37_79B9_7F4A_7C1B,
         16,
+        524,
         "stranded element surfaced as channel recv livelock",
     ),
     (
@@ -85,6 +96,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Channel,
         0x78DD_E6E5_FD29_F06F,
         4,
+        1085,
         "stranded element surfaced as channel recv livelock (2 producers)",
     ),
     // `Backoff::snooze_or_yield` was not a checkpoint: the segmented queue's
@@ -97,6 +109,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Unbounded,
         0xB54C_DA58_FBBE_E880,
         16,
+        2165,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
     // Pins the sharded queue's ordering contract rather than a fixed bug.
@@ -112,6 +125,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Sharded,
         0xDAA6_6D2C_7DDF_7443,
         4,
+        1299,
         "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
@@ -126,6 +140,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
+        776,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
@@ -141,6 +156,7 @@ const CORPUS: &[(u64, Target, u64, u32, &str)] = &[
         Target::Channel,
         0x3C6E_F372_FE94_F82B,
         1,
+        403,
         "an enqueue that starts after the close must not append a segment",
     ),
 ];
@@ -154,13 +170,23 @@ fn regression_schedules_replay_clean() {
     if cfg!(miri) {
         return;
     }
-    for &(plan_seed, target, sched_seed, depth, what) in CORPUS {
-        if let Err(v) = replay(plan_seed, target, sched_seed, depth) {
-            panic!(
-                "regression schedule (plan {plan_seed}, {}, seed {sched_seed:#x}, \
-                 depth {depth}) failed again — `{what}` has resurfaced:\n{v}",
-                target.name()
-            );
+    // A replay is one exact schedule only if every build profile passes the
+    // same yield points: a different count means this build explores some
+    // other interleaving than the one pinned.
+    let mut failures = Vec::new();
+    for &(plan_seed, target, sched_seed, depth, yields, what) in CORPUS {
+        let at = format!(
+            "regression schedule (plan {plan_seed}, {}, seed {sched_seed:#x}, depth {depth})",
+            target.name()
+        );
+        match replay(plan_seed, target, sched_seed, depth) {
+            Err(v) => failures.push(format!("{at} failed again — `{what}` has resurfaced:\n{v}")),
+            Ok(steps) if steps != yields => failures.push(format!(
+                "{at} passed {steps} yield points, not {yields}: it ran another \
+                 schedule than the one that pins `{what}`"
+            )),
+            Ok(_) => {}
         }
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
