@@ -160,14 +160,6 @@ impl AtomicDouble {
     #[inline]
     pub fn load_lo(&self) -> u64 {
         checkpoint("double.load_lo");
-        self.peek_lo()
-    }
-
-    /// [`load_lo`](Self::load_lo) without its checkpoint: a read that is no
-    /// yield point of the schedule explorer, for checks that must not change
-    /// the schedule they run under.
-    #[inline]
-    pub fn peek_lo(&self) -> u64 {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
             self.lo.load(Ordering::SeqCst)

@@ -172,14 +172,6 @@ impl Granule {
     #[inline]
     pub fn load(&self, idx: usize) -> u64 {
         checkpoint("granule.load");
-        self.peek(idx)
-    }
-
-    /// [`load`](Self::load) without its checkpoint: a read that is no yield
-    /// point of the schedule explorer, for checks that must not change the
-    /// schedule they run under.
-    #[inline]
-    pub fn peek(&self, idx: usize) -> u64 {
         self.words[idx].load(Ordering::SeqCst)
     }
 

@@ -10,9 +10,7 @@
 //! runs the exact §3 algorithm while the explorer enumerates interleavings
 //! of its atomic steps.  (The instrumented `AtomicDouble` itself adds a
 //! second yield per operation via the `wcq-atomics` checkpoint seam; more
-//! preemption points only widen the explored space.)  The quiescent reads
-//! (`peek_value`, `peek_cnt`) skip both, so a debug-only check of a ring
-//! adds no step to a checked run.
+//! preemption points only widen the explored space.)
 //!
 //! Under the `check-mutations` feature one documented site is deliberately
 //! broken — see [`TicketCtr::fetch_add_cnt`] below — so the test-suite can
@@ -39,10 +37,6 @@ impl ValueCell for CheckedEntry {
     fn load_value(&self) -> u64 {
         maybe_yield("entry.load_value");
         self.0.load_lo()
-    }
-    #[inline]
-    fn peek_value(&self) -> u64 {
-        self.0.peek_lo()
     }
     #[inline]
     fn cas_value(&self, expected: u64, new: u64) -> bool {
@@ -87,10 +81,6 @@ impl TicketCtr for CheckedCtr {
     fn load_cnt(&self) -> u64 {
         maybe_yield("ctr.load_cnt");
         self.0.load_lo()
-    }
-    #[inline]
-    fn peek_cnt(&self) -> u64 {
-        self.0.peek_lo()
     }
     #[inline]
     fn fetch_add_cnt(&self) -> u64 {

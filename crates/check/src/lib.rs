@@ -18,8 +18,8 @@
 //! `(plan_seed, target, sched_seed, depth)` coordinates, and
 //! [`explore::replay`] re-runs exactly that execution as a one-line
 //! regression test (see `tests/check_schedules.rs` at the workspace root).
-//! A replay is the same schedule in every build profile: a debug-only check
-//! reads cells through their `peek_*` loads, which pass no yield point.
+//! A replay is the same schedule in every build profile: no debug-only check
+//! reads a cell.
 //!
 //! No external dependencies; the scheduler reuses the workspace's
 //! [`DetRng`](wcq_harness::DetRng) and the oracle reuses

@@ -6,8 +6,9 @@
 //! single-word cells with no slow-path state, [`crate::wcq::WcqRing`] over
 //! `(Value, Note)` pairs with its thread records in the `slow` field.  This
 //! module holds the only copies of `try_enq`, `try_deq`, `catchup`, `consume`,
-//! the threshold re-arm and the pre-filled `fq` state — the only code that
-//! calls `cas_value` or `or_value` on an entry (CI greps for a second one).
+//! the threshold re-arm and the pre-filled `fq` state, built fresh or rebuilt
+//! in place — the only code that calls `cas_value` or `or_value` on an entry,
+//! or builds an entry or a counter (CI greps for a second one).
 //!
 //! The two places where wCQ's fast path says more than SCQ's are `Hook`
 //! methods, empty for SCQ: a failed entry CAS is counted, and `consume`
@@ -113,20 +114,37 @@ impl<F: RingFamily, S> Ring<F, S> {
     }
 
     /// Turns a fresh [`Ring::empty`] into the initial `fq` of Figure 2, every
-    /// free index `0..capacity` already in it, by writing the state that
-    /// `capacity` uncontended enqueues leave behind: the slot of ticket
-    /// `2n + i` holds `{cycle 1, safe, Enq, i}`, `Tail` is `3n` and the
-    /// threshold is re-armed.  `Head` and every `Note` stay as built.
+    /// free index `0..capacity` already in it: [`Ring::fill`] on a ring
+    /// nobody else can see yet.
     pub(crate) fn full(mut self) -> Self {
+        self.fill();
+        self
+    }
+
+    /// Rewrites the ring, in place, into the state [`Ring::empty`]`.full()`
+    /// builds: the state `capacity` uncontended enqueues into a fresh ring
+    /// leave behind.  The slot of ticket `2n + i` holds `{cycle 1, safe, Enq,
+    /// i}` for `i < n` and the initial entry otherwise, every `Note` is zero,
+    /// `Head` is `2n` and `Tail` `3n` with no help reference, and the
+    /// threshold is re-armed.  `&mut self` makes each write a plain store:
+    /// no ring operation runs, so no counter moves and no checked run passes
+    /// a yield point.  The slow-path state (wCQ's thread records) is left as
+    /// it is.
+    pub(crate) fn fill(&mut self) {
         let l = self.layout;
         let first = l.init_counter();
-        for i in 0..l.capacity() {
-            let t = first + i;
-            self.entries[l.slot(t)] = F::Entry::new(l.pack(l.cycle(t), true, true, i));
+        for p in 0..l.ring_size() {
+            let t = first + p;
+            let value = if p < l.capacity() {
+                l.pack(l.cycle(t), true, true, p)
+            } else {
+                l.init_entry()
+            };
+            self.entries[l.slot(t)] = F::Entry::new(value);
         }
+        self.head = CachePadded::new(F::Ctr::new(first));
         self.tail = CachePadded::new(F::Ctr::new(first + l.capacity()));
         self.threshold = CachePadded::new(AtomicI64::new(l.max_threshold()));
-        self
     }
 
     /// The ring's geometry.
@@ -152,19 +170,6 @@ impl<F: RingFamily, S> Ring<F, S> {
     /// hint: concurrent operations may make it stale immediately.
     pub fn len_hint(&self) -> u64 {
         self.tail.load_cnt().saturating_sub(self.head.load_cnt())
-    }
-
-    /// The indices the ring holds, read off its entries rather than
-    /// dequeued: the ticket window `[head, tail)`, less the tickets whose
-    /// slot holds no value of their own cycle.  Exact only while no operation
-    /// runs; a quiescent check that changes no state, runs no operation and,
-    /// through the `peek_*` reads, passes no yield point of a checked run.
-    pub(crate) fn quiescent_indices(&self) -> impl Iterator<Item = u64> + '_ {
-        let l = &self.layout;
-        (self.head.peek_cnt()..self.tail.peek_cnt()).filter_map(move |t| {
-            let e = l.unpack(self.entries[l.slot(t)].peek_value());
-            (e.cycle == l.cycle(t) && !l.is_reserved(e.index)).then_some(e.index)
-        })
     }
 
     /// Re-arms the threshold after a deposit (Figure 3, lines 27–28).

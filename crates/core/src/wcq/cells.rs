@@ -44,12 +44,6 @@ pub trait ValueCell: Send + Sync + Sized {
     fn new(value: u64) -> Self;
     /// Atomic load of the `Value` word.
     fn load_value(&self) -> u64;
-    /// [`load_value`](Self::load_value) for a quiescent check: no yield
-    /// point of an instrumented model, so a debug-only check cannot change
-    /// the schedule a checked run explores.
-    fn peek_value(&self) -> u64 {
-        self.load_value()
-    }
     /// Single-word CAS on the `Value` word (fast path insertion).
     fn cas_value(&self, expected: u64, new: u64) -> bool;
     /// Atomic OR on the `Value` word (`consume`), returning the old value.
@@ -77,11 +71,6 @@ pub trait TicketCtr: Send + Sync + Sized {
     fn new(init: u64) -> Self;
     /// Atomically loads the counter.
     fn load_cnt(&self) -> u64;
-    /// [`load_cnt`](Self::load_cnt) for a quiescent check: no yield point of
-    /// an instrumented model.
-    fn peek_cnt(&self) -> u64 {
-        self.load_cnt()
-    }
     /// Fast-path fetch-and-add on the counter, returning the previous value.
     fn fetch_add_cnt(&self) -> u64;
     /// Fetch-and-add of `n` on the counter, returning the previous value —
@@ -139,10 +128,6 @@ impl ValueCell for NativeEntry {
         self.0.load_lo()
     }
     #[inline]
-    fn peek_value(&self) -> u64 {
-        self.0.peek_lo()
-    }
-    #[inline]
     fn cas_value(&self, expected: u64, new: u64) -> bool {
         self.0.cas_lo(expected, new)
     }
@@ -178,10 +163,6 @@ impl TicketCtr for NativeCtr {
     #[inline]
     fn load_cnt(&self) -> u64 {
         self.0.load_lo()
-    }
-    #[inline]
-    fn peek_cnt(&self) -> u64 {
-        self.0.peek_lo()
     }
     #[inline]
     fn fetch_add_cnt(&self) -> u64 {
@@ -234,10 +215,6 @@ impl ValueCell for LlscEntry {
     #[inline]
     fn load_value(&self) -> u64 {
         self.0.load(0)
-    }
-    #[inline]
-    fn peek_value(&self) -> u64 {
-        self.0.peek(0)
     }
     #[inline]
     fn cas_value(&self, expected: u64, new: u64) -> bool {

@@ -22,6 +22,15 @@ use super::ring::{WcqConfig, WcqRing};
 ///
 /// Threads operate through [`WcqQueueHandle`]s obtained from
 /// [`WcqQueue::register`].
+///
+/// A layer above may run the two halves of each operation itself: an
+/// enqueue is [`WcqQueue::claim_free`] then [`WcqQueue::deposit`], a dequeue
+/// [`WcqQueue::take_at`] then [`WcqQueue::return_index`].  A dequeuer that
+/// knows no enqueue will claim a free index here again may keep the index
+/// instead of returning it, and [`WcqQueue::rebuild_free`] puts every index
+/// back once the queue is drained: `wcq-unbounded` skips the `fq` return on a
+/// segment that has a successor, and rebuilds the segment's `fq` when it
+/// reuses it.
 pub struct WcqQueue<T, F: CellFamily = NativeFamily> {
     aq: WcqRing<F>,
     fq: WcqRing<F>,
@@ -176,25 +185,17 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         self.aq.enqueue_index(tid, index.into());
     }
 
-    /// Hands claimed, unused free indices back to `fq` with one batch
-    /// enqueue (one tail F&A).
+    /// Hands free indices back to `fq` with one batch enqueue (one tail
+    /// F&A): claimed ones left unused, or ones freed by
+    /// [`WcqQueue::take_many_at`].
     ///
     /// # Safety
-    /// Same contract as [`WcqQueue::deposit`], for every index in `free`.
+    /// Same contract as [`WcqQueue::enqueue_at`]; and every index in `free`
+    /// is the caller's, claimed and not deposited at (as for
+    /// [`WcqQueue::deposit`]) or taken and not returned (as for
+    /// [`WcqQueue::return_index`]).
     pub unsafe fn return_free(&self, tid: usize, free: &[u32]) {
         self.fq.enqueue_many(tid, free);
-    }
-
-    /// Whether `fq` holds exactly the free indices `0..capacity`, by count
-    /// and by sum, read off its entries.  Exact only while no operation runs:
-    /// a check that a queue about to be reused got back every index a caller
-    /// claimed.  It runs no ring operation, so no counter moves.  Not part of
-    /// the stable API.
-    #[doc(hidden)]
-    pub fn holds_every_free_index(&self) -> bool {
-        let (count, sum) = (self.fq.quiescent_indices()).fold((0, 0), |(c, s), i| (c + 1, s + i));
-        let n = self.capacity() as u64;
-        count == n && sum == n * (n - 1) / 2
     }
 
     /// Attempts to dequeue an element as the thread owning record slot `tid`;
@@ -203,13 +204,41 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
     pub unsafe fn dequeue_at(&self, tid: usize) -> Option<T> {
+        // SAFETY: per the function contract.
+        let (value, index) = unsafe { self.take_at(tid) }?;
+        // SAFETY: as above; the index is the one just taken.
+        unsafe { self.return_index(tid, index) };
+        Some(value)
+    }
+
+    /// The first half of [`WcqQueue::dequeue_at`]: takes an index from `aq`
+    /// and moves its value out.  The slot is then free, and its index the
+    /// caller's: it hands it back to `fq` ([`WcqQueue::return_index`]), or
+    /// keeps it, which is safe and takes one slot out of circulation until
+    /// [`WcqQueue::rebuild_free`].
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::enqueue_at`].
+    #[inline]
+    pub unsafe fn take_at(&self, tid: usize) -> Option<(T, u32)> {
         let index = self.aq.dequeue_index(tid)?;
         // SAFETY: the index came from `aq`; the matching enqueue fully
-        // initialized the slot and nobody else touches it until we hand the
-        // index back to `fq`.
+        // initialized the slot and nobody else touches it until the index is
+        // handed back to `fq`.
         let value = unsafe { (*self.data[index as usize].get()).assume_init_read() };
-        self.fq.enqueue_index(tid, index);
-        Some(value)
+        Some((value, index as u32))
+    }
+
+    /// The second half of [`WcqQueue::dequeue_at`]: hands one free index
+    /// back to `fq` (one `fq` enqueue).
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::enqueue_at`]; and `index` came from
+    /// [`WcqQueue::take_at`] or [`WcqQueue::take_many_at`] on this queue and
+    /// has not been returned since.
+    #[inline]
+    pub unsafe fn return_index(&self, tid: usize, index: u32) {
+        self.fq.enqueue_index(tid, index.into());
     }
 
     /// Attempts to enqueue a prefix of `values` as the thread owning record
@@ -258,16 +287,52 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         if max == 0 {
             return 0;
         }
-        let mut indices = Vec::with_capacity(max.min(self.capacity()));
-        let got = self.aq.dequeue_many(tid, max, |index| indices.push(index));
-        for &index in &indices {
-            // SAFETY: each index came from `aq`; the matching enqueue fully
-            // initialized the slot and nobody else touches it until the run
-            // is handed back to `fq`.
-            out.push(unsafe { (*self.data[index as usize].get()).assume_init_read() });
-        }
-        self.fq.enqueue_many(tid, &indices);
+        let mut free = Vec::with_capacity(max.min(self.capacity()));
+        // SAFETY: per the function contract.
+        let got = unsafe { self.take_many_at(tid, out, max, &mut free) };
+        // SAFETY: as above; `free` holds the indices just taken.
+        unsafe { self.return_free(tid, &free) };
         got
+    }
+
+    /// The first half of [`WcqQueue::dequeue_many_at`]: takes up to `max`
+    /// indices from `aq` with one batch dequeue, moves their values to `out`
+    /// and appends the freed indices to `free`, which become the caller's as
+    /// in [`WcqQueue::take_at`] (hand them back with
+    /// [`WcqQueue::return_free`]).  Returns the number taken, with the
+    /// partial-success contract of `dequeue_many_at`.
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::enqueue_at`].
+    pub unsafe fn take_many_at(
+        &self,
+        tid: usize,
+        out: &mut Vec<T>,
+        max: usize,
+        free: &mut Vec<u32>,
+    ) -> usize {
+        self.aq.dequeue_many(tid, max, |index| {
+            // SAFETY: each index came from `aq`; the matching enqueue fully
+            // initialized the slot and nobody else touches it until the
+            // index is handed back to `fq`.
+            out.push(unsafe { (*self.data[index as usize].get()).assume_init_read() });
+            free.push(index as u32);
+        })
+    }
+
+    /// Puts every slot index back into `fq`, in place: `fq` becomes the ring
+    /// [`WcqQueue::new`] builds, written with plain stores (no ring
+    /// operation, no allocation).  `aq`, the data array and both rings'
+    /// thread records are left as they are.  Indices that callers of
+    /// [`WcqQueue::take_at`] kept instead of returning are free again.
+    ///
+    /// # Safety
+    /// `aq` holds no index (every value enqueued has been dequeued), and no
+    /// index claimed with [`WcqQueue::claim_free`] is still held to be
+    /// deposited at or returned.  Such an index would be free twice over,
+    /// and two dequeues could read its slot's value.
+    pub unsafe fn rebuild_free(&mut self) {
+        self.fq.fill();
     }
 
     /// Returns `true` if a dequeue would currently observe an empty queue

@@ -824,6 +824,7 @@ impl<'q, F: CellFamily> Drop for WcqHandle<'q, F> {
 mod tests {
     use super::super::cells::LlscFamily;
     use super::*;
+    use crate::test_util::xorshift;
 
     fn ring<F: CellFamily>(order: u32, threads: usize) -> WcqRing<F> {
         WcqRing::<F>::new(order, threads)
@@ -1189,6 +1190,102 @@ mod tests {
     fn mpmc_stress_llsc() {
         wcq_atomics::llsc::set_spurious_failure_rate(0.0);
         mpmc_stress::<LlscFamily>(2, 2, 2_000);
+    }
+
+    /// Every word of a ring, by ticket position: `Head` and `Tail` as
+    /// `(counter, help reference)`, the threshold, and each entry's
+    /// `(Value, Note)`.
+    type Words = ((u64, u64), (u64, u64), i64, Vec<(u64, u64)>);
+
+    fn words<F: CellFamily>(r: &WcqRing<F>) -> Words {
+        let l = r.layout();
+        let entries = (0..l.ring_size())
+            .map(|p| r.entries[l.slot(p)].load())
+            .collect();
+        (r.head.load(), r.tail.load(), r.threshold(), entries)
+    }
+
+    /// `fill` rebuilds, in place, the ring `empty(..).full()` builds, word
+    /// for word: after many fast-path laps, and after a history in which
+    /// every enqueue and many dequeues ran the slow path past a stalled
+    /// dequeuer.
+    fn fill_rebuilds_a_fresh_full_ring<F: CellFamily>() {
+        let slow = WcqConfig {
+            max_patience_enqueue: 1,
+            max_patience_dequeue: 1,
+            help_delay: 1,
+            catchup_bound: 8,
+        };
+        for order in 1..=4u32 {
+            let fresh = words(&ring::<F>(order, 1).full());
+
+            let mut laps = ring::<F>(order, 1).full();
+            let n = laps.capacity();
+            {
+                let mut h = laps.register().unwrap();
+                for _ in 0..40 * n {
+                    let index = h.dequeue().expect("every index circulates");
+                    h.enqueue(index);
+                }
+                for _ in 0..n / 2 {
+                    h.dequeue().expect("half of them are taken out");
+                }
+            }
+            assert_ne!(words(&laps), fresh, "{} order {order}", F::NAME);
+            laps.fill();
+            assert_eq!(words(&laps), fresh, "{} order {order}: laps", F::NAME);
+
+            let counters = Arc::new(CounterSet::new());
+            let mut forced =
+                WcqRing::<F>::with_config_counters(order, 1, slow, Some(Arc::clone(&counters)))
+                    .full();
+            {
+                let tid = forced.register().unwrap().tid();
+                // A dequeuer stalled for good right after its F&A: the index
+                // at its ticket stays unconsumed, so later cycles find its
+                // slot unusable and the slow path notes that in the slot.
+                forced.head.fetch_add_cnt();
+                let mut rng = u64::from(order).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for _ in 0..16 * n {
+                    let index = forced.dequeue_index(tid).expect("every index circulates");
+                    if xorshift(&mut rng).is_multiple_of(3) {
+                        forced.enqueue_index(tid, index);
+                        continue;
+                    }
+                    // Spend a tail ticket as a failed first attempt does: the
+                    // enqueue runs the slow path, and the hole it leaves sends
+                    // a later dequeue there too.
+                    let tail = forced.tail.fetch_add_cnt();
+                    forced.enqueue_rest(tid, index, tail);
+                }
+            }
+            let snap = counters.snapshot();
+            assert!(snap.get(Counter::PatienceExhaustedEnqueues) > 0);
+            assert!(snap.get(Counter::PatienceExhaustedDequeues) > 0);
+            assert!(
+                words(&forced).3.iter().any(|&(_, note)| note != 0),
+                "{} order {order}: the slow path wrote no Note",
+                F::NAME
+            );
+            forced.fill();
+            assert_eq!(
+                words(&forced),
+                fresh,
+                "{} order {order}: slow path",
+                F::NAME
+            );
+        }
+    }
+
+    #[test]
+    fn fill_rebuilds_a_fresh_full_ring_native() {
+        fill_rebuilds_a_fresh_full_ring::<NativeFamily>();
+    }
+
+    #[test]
+    fn fill_rebuilds_a_fresh_full_ring_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        fill_rebuilds_a_fresh_full_ring::<LlscFamily>();
     }
 
     #[test]

@@ -655,10 +655,17 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                 Ok(()) => break,
                 Err(back) => {
                     value = back;
+                    let next = seg.next.load(SeqCst);
                     // The queue's close linked `SHUT` here: refused for good,
                     // and before anything is allocated.
-                    if seg.is_shut() {
+                    if next == shut() {
                         return Err(value);
+                    }
+                    // Refused by a segment that already has a successor (it
+                    // was closed and linked past since `pin_tail`): retry
+                    // there, without building a segment to abandon.
+                    if !next.is_null() {
+                        continue;
                     }
                     // Full: close so no later enqueue can land (the LSCQ
                     // discipline — a segment is closed before it gains a
@@ -1678,9 +1685,9 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Free slots in runs: every stash goes back before its segment is
-    // reused.  (In debug builds `SegmentCache::take` also checks that a
-    // reused segment's `fq` holds every index.)
+    // Free slots in runs: every stash goes back to its segment before the
+    // handle lets go of it, so an open segment takes exactly `capacity`
+    // values.  (A reused segment's `fq` is rebuilt by `SegmentCache::take`.)
     // ------------------------------------------------------------------
 
     /// Appends so far on a queue only one thread appends to: every segment

@@ -15,19 +15,23 @@
 //! ## Why one bit makes closing sound
 //!
 //! 1. **`fq` already answers "full", or early.**  A segment holds at most
-//!    `capacity` indices, and they circulate only between `fq`, `aq` and the
-//!    producers' [`Stash`]es (Figure 2, with free slots claimed in runs).  So
-//!    the inner enqueue's `fq` claim returns ⊥ — a linearizable answer —
-//!    exactly when no index is free *outside the stashes*, read from the ring
-//!    the enqueue has to touch anyway; no second semaphore is needed to
-//!    refuse a full segment.  A producer closes on that ⊥ only with its own
-//!    stash empty, even while other producers' stashes still hold some of
-//!    the segment's indices.  Closing early is always safe: the close comes
-//!    before the link (point 3), and nothing is ever deposited through a
-//!    stash without a gate claim (point 2), so the stashed indices are
-//!    simply never used here again and go back to `fq` when their holders
-//!    move on.  It wastes at most `(max_threads − 1) × run` slots of the
-//!    segment, one run per other producer.
+//!    `capacity` indices, and while it has no successor they circulate only
+//!    between `fq`, `aq` and the producers' [`Stash`]es (Figure 2, with free
+//!    slots claimed in runs).  So the inner enqueue's `fq` claim returns ⊥ —
+//!    a linearizable answer — exactly when no index is free *outside the
+//!    stashes*, read from the ring the enqueue has to touch anyway; no
+//!    second semaphore is needed to refuse a full segment.  (Once the
+//!    segment has a successor, dequeues keep the indices they free — see
+//!    "Free slots in runs" — and a ⊥ there tells a producer that claimed
+//!    before the close what the closed gate tells every later one.)  A
+//!    producer closes on that ⊥ only with its own stash empty, even while
+//!    other producers' stashes still hold some of the segment's indices.
+//!    Closing early is always safe: the close comes before the link (point
+//!    3), and nothing is ever deposited through a stash without a gate
+//!    claim (point 2), so the stashed indices are simply never used here
+//!    again and go back to `fq` when their holders move on.  It wastes at
+//!    most `(max_threads − 1) × run` slots of the segment, one run per other
+//!    producer.
 //! 2. **The bit answers "closed".**  An enqueue claims with [`Gate::enter`],
 //!    and [`Segment::close`] is [`Gate::close`] on the same word, so the two
 //!    are totally ordered.  A claim ordered after the close is refused and
@@ -42,8 +46,9 @@
 //!    follows a close too, so the same three observations — with `shut` in
 //!    place of the successor — prove the queue closed and drained.
 //!
-//! A dequeue touches neither word — it is the inner `dequeue_at` and nothing
-//! else — so the dequeuer writes no line the enqueuers own.
+//! A dequeue touches neither word — it is the inner `aq` take and, after a
+//! successful one, a load of `next` and maybe the `fq` return — so the
+//! dequeuer writes no line the enqueuers own.
 //!
 //! ## Free slots in runs
 //!
@@ -55,10 +60,20 @@
 //! operation at all.  A stash belongs to one segment, the unbounded handle's
 //! memo, is refilled only inside a gate claim (so a refused claim still
 //! touches no ring), and goes back to `fq` before the handle's hazard slot 1
-//! lets go of the segment — so a segment reaches the cache with all
-//! `capacity` indices in `fq` again, which [`SegmentCache::take`] checks in
-//! debug builds before it reuses one.  A dequeue returns each freed index at
-//! once.
+//! lets go of the segment.
+//!
+//! A dequeue returns each freed index at once, but only while the segment's
+//! `next` is null.  Once it is not, the segment is closed for good (the
+//! close comes before the link, point 3): no claim succeeds there again, and
+//! only a producer that claimed before the close can still ask `fq` for an
+//! index.  So a dequeue there keeps the index it freed and skips a whole
+//! `fq` enqueue (tail F&A, entry CAS, threshold re-arm, helping countdown);
+//! such a straggler may then get ⊥ sooner and move on to the successor.
+//! `next` is read only after a successful `aq` take, so an empty poll is
+//! exactly what it was.  A drained segment therefore reaches the cache with
+//! indices missing from `fq`, and [`SegmentCache::take`] rebuilds `fq` in
+//! place, every index free, before it reuses one.  The rebuild also makes a
+//! lost stash harmless to the reused segment.
 //!
 //! ## Whose thread records
 //!
@@ -263,15 +278,25 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// Attempts to dequeue as thread record `tid`; `None` means the inner
     /// ring was observed empty.
     ///
+    /// The freed index goes back to `fq` only while `next` is null (module
+    /// docs, "Free slots in runs").  `next` is read after the `aq` take
+    /// succeeded, so an empty poll runs the take and nothing else.
+    ///
     /// # Safety
     /// As for [`Segment::try_enqueue`].
     pub(crate) unsafe fn try_dequeue(&self, tid: usize) -> Option<T> {
         // SAFETY: `tid` is exclusive per the function contract.
-        unsafe { self.queue.dequeue_at(tid) }
+        let (value, index) = unsafe { self.queue.take_at(tid) }?;
+        if self.next.load(SeqCst).is_null() {
+            // SAFETY: as above; the index was just taken.
+            unsafe { self.queue.return_index(tid, index) };
+        }
+        Some(value)
     }
 
     /// Batch counterpart of [`Segment::try_dequeue`]: pulls up to `max`
-    /// values with one inner batch dequeue.
+    /// values with one inner batch dequeue, and returns their indices with
+    /// one batch enqueue under the same rule.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`].
@@ -281,8 +306,14 @@ impl<T, F: CellFamily> Segment<T, F> {
         out: &mut Vec<T>,
         max: usize,
     ) -> usize {
+        let mut free = Vec::with_capacity(max.min(self.queue.capacity()));
         // SAFETY: `tid` is exclusive per the function contract.
-        unsafe { self.queue.dequeue_many_at(tid, out, max) }
+        let got = unsafe { self.queue.take_many_at(tid, out, max, &mut free) };
+        if got > 0 && self.next.load(SeqCst).is_null() {
+            // SAFETY: as above; `free` holds the indices just taken.
+            unsafe { self.queue.return_free(tid, &free) };
+        }
+        got
     }
 
     /// Permanently refuses future enqueue claims (idempotent).
@@ -297,8 +328,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
-    /// can serve as a fresh tail.  The inner rings need no reset: a drained
-    /// wCQ is simply an empty wCQ whose cycle counters have advanced.
+    /// can serve as a fresh tail.  `aq` needs no reset: a drained wCQ is
+    /// simply an empty wCQ whose cycle counters have advanced.  `fq` is
+    /// rebuilt when the cache hands the segment out ([`SegmentCache::take`]).
     pub(crate) fn reopen(&self) {
         self.next.store(ptr::null_mut(), SeqCst);
         self.gate.reopen();
@@ -371,9 +403,10 @@ pub(crate) unsafe fn recycle_segment<T, F: CellFamily>(p: *mut u8) {
 ///
 /// Steady-state traffic that repeatedly grows and shrinks by a few segments
 /// allocates nothing: retired segments come back through
-/// [`recycle_segment`] and are reused by the next append.  The store is a
-/// fixed array of `AtomicPtr` slots (null = empty): `take` swaps slots to
-/// null, `give_back` CASes null to the segment pointer.  Each segment lives
+/// [`recycle_segment`] and are reused by the next append, `fq` rebuilt on the
+/// way out ([`SegmentCache::take`]).  The store is a fixed array of
+/// `AtomicPtr` slots (null = empty): `take` swaps slots to null,
+/// `give_back` CASes null to the segment pointer.  Each segment lives
 /// in at most one slot and every insertion/removal is one successful atomic
 /// exchange on that slot, so there is no ABA hazard to protect against —
 /// unlike a Treiber stack — and no lock, which keeps the (blocking-freedom)
@@ -417,21 +450,21 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     /// cache could answer at all — are recorded by the caller into the
     /// queue's counter set.)
     ///
-    /// In debug builds a taken segment must hold every free index in its
-    /// `fq`: a stash that was never given back would cost the reused segment
-    /// capacity.  The check is here, not in `give_back`, because a segment
-    /// the hazard domain's drop hands back (one a leaked handle's memo
-    /// pinned, its stash lost with it) is only ever freed.
+    /// The taken segment's `fq` is rebuilt in place with every index free
+    /// ([`WcqQueue::rebuild_free`]): the dequeues that drained it after it
+    /// gained a successor kept their indices.  The rebuild is here, not in
+    /// `give_back`, so a segment that is only ever freed (one the hazard
+    /// domain's drop hands back) never pays it.
     pub(crate) fn take(&self) -> Option<*mut Segment<T, F>> {
         for slot in self.slots.iter() {
             let seg = slot.swap(ptr::null_mut(), SeqCst);
             if !seg.is_null() {
-                // SAFETY: the swap made the segment exclusively ours, which
-                // makes the debug check's read of `fq` exact.
-                debug_assert!(
-                    unsafe { (*seg).queue.holds_every_free_index() },
-                    "a cached segment is missing free indices still stashed"
-                );
+                // SAFETY: the swap made the segment exclusively ours.  A
+                // cached segment was drained before it retired (or, fresh and
+                // abandoned, gave its one value back), so `aq` holds no
+                // index, and every stash of it went back before its holder's
+                // hazard slot let go.
+                unsafe { (*seg).queue.rebuild_free() };
                 return Some(seg);
             }
         }
@@ -534,9 +567,114 @@ mod tests {
                 }
                 assert_eq!(seg.try_dequeue(0), None);
             }
-            assert!(seg.queue.holds_every_free_index(), "round {round}");
             seg.close();
             seg.reopen();
+        }
+    }
+
+    /// `fq`'s head, tail and threshold, as the inner queue's `Debug` prints
+    /// them.
+    fn fq<F: CellFamily>(seg: &Segment<u64, F>) -> String {
+        let rings = rings(seg);
+        rings[rings.find("fq:").expect("fq in the Debug output")..].to_owned()
+    }
+
+    /// A dequeue, single or batch, returns its index to `fq` on the open
+    /// tail and keeps it once the segment has a successor; an empty poll
+    /// moves no `fq` counter either way.
+    fn a_dequeue_returns_its_index_only_without_a_successor<F: CellFamily>() {
+        let seg = segment::<F>(3, 1);
+        let successor = segment::<F>(3, 1);
+        let (stash, run, out) = (&mut Stash::new(), 2, &mut Vec::new());
+        // SAFETY: one thread, the only user of tid 0; the stash is `seg`'s.
+        unsafe {
+            for v in 0..4 {
+                assert_eq!(seg.try_enqueue(0, v, stash, run), Ok(()));
+            }
+            let before = fq(&seg);
+            assert_eq!(seg.try_dequeue(0), Some(0));
+            let after = fq(&seg);
+            assert_ne!(after, before, "the open tail returns its index");
+            assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
+            assert_ne!(fq(&seg), after, "the open tail returns the run");
+
+            seg.close();
+            seg.next.store(ptr::from_ref(&successor).cast_mut(), SeqCst);
+            let linked = fq(&seg);
+            assert_eq!(seg.try_dequeue(0), Some(2));
+            assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
+            assert_eq!(*out, [1, 3]);
+            assert_eq!(seg.try_dequeue(0), None);
+            assert_eq!(seg.try_dequeue_many(0, out, 4), 0);
+            assert_eq!(
+                fq(&seg),
+                linked,
+                "a segment with a successor kept its indices"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dequeue_returns_its_index_only_without_a_successor_native() {
+        a_dequeue_returns_its_index_only_without_a_successor::<NativeFamily>();
+    }
+
+    #[test]
+    fn a_dequeue_returns_its_index_only_without_a_successor_llsc() {
+        a_dequeue_returns_its_index_only_without_a_successor::<LlscFamily>();
+    }
+
+    /// A segment drained after it gained a successor reaches the cache with
+    /// no index in `fq`; the one the cache hands out again takes exactly
+    /// `capacity` values, fresh and after a reopen.
+    fn a_reused_segment_takes_exactly_capacity<F: CellFamily>(order: u32) {
+        let cache = SegmentCache::<u64, F>::new(1);
+        let seg = Box::into_raw(Box::new(Segment::new(
+            order,
+            1,
+            WcqConfig::default(),
+            &cache,
+            None,
+        )));
+        let successor = segment::<F>(order, 1);
+        // SAFETY: one thread, the only user of tid 0 and of `seg`, which
+        // came from `Box::into_raw` and is freed once, at the end.
+        unsafe {
+            let cap = (*seg).queue.capacity() as u64;
+            let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
+            for v in 0..cap {
+                assert_eq!((*seg).try_enqueue(0, v, stash, run), Ok(()));
+            }
+            assert_eq!((*seg).try_enqueue(0, cap, stash, run), Err(cap));
+            (*seg).close();
+            (*seg)
+                .next
+                .store(ptr::from_ref(&successor).cast_mut(), SeqCst);
+            let full = fq(&*seg);
+            for v in 0..cap {
+                assert_eq!((*seg).try_dequeue(0), Some(v));
+            }
+            assert_eq!((*seg).try_dequeue(0), None);
+            assert_eq!(fq(&*seg), full, "every return was skipped");
+            SegmentCache::give_back(&cache, seg);
+            let again = cache.take().expect("the segment just given back");
+            assert_eq!(again, seg);
+            takes_exactly_capacity(&*again);
+            drop(Box::from_raw(again));
+        }
+    }
+
+    #[test]
+    fn a_reused_segment_takes_exactly_capacity_native() {
+        for order in 1..=4 {
+            a_reused_segment_takes_exactly_capacity::<NativeFamily>(order);
+        }
+    }
+
+    #[test]
+    fn a_reused_segment_takes_exactly_capacity_llsc() {
+        for order in 1..=4 {
+            a_reused_segment_takes_exactly_capacity::<LlscFamily>(order);
         }
     }
 

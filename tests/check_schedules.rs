@@ -88,7 +88,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Channel,
         0x9E37_79B9_7F4A_7C1B,
         16,
-        524,
+        464,
         "stranded element surfaced as channel recv livelock",
     ),
     (
@@ -103,13 +103,15 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // dequeue spin-waits on a peer's in-flight enqueue credit, and under the
     // token scheduler the waiter span forever without ever yielding — a hang
     // the step bound could not even see.  The backoff now passes through the
-    // checkpoint seam.
+    // checkpoint seam.  Under this schedule the consumer's wait for an
+    // in-flight enqueue passes no other yield point: with the checkpoint
+    // removed from `snooze_or_yield`, this replay hangs.
     (
-        6,
+        4,
         Target::Unbounded,
-        0xB54C_DA58_FBBE_E880,
+        0x71BB_CDCB_FA53_E0A8,
         16,
-        2165,
+        2536,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
     // Pins the sharded queue's ordering contract rather than a fixed bug.
@@ -140,14 +142,14 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        776,
+        758,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
     // two producers on the unbounded backend's 4-slot segments, and the
     // receiver closes after 10 values.  The `check-mutations` mutant whose
     // close shuts the tail segment's gate but never links `SHUT` after it
-    // fails exactly here ("worker 1 seq 9 was accepted by a send that
+    // fails exactly here ("worker 0 seq 10 was accepted by a send that
     // started after the channel's close had returned"): the refused enqueue
     // appends a fresh, open segment.  If an append can ever link after a
     // completed close, so does the real tree.
@@ -156,7 +158,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Channel,
         0x3C6E_F372_FE94_F82B,
         1,
-        403,
+        378,
         "an enqueue that starts after the close must not append a segment",
     ),
 ];

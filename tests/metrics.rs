@@ -188,12 +188,18 @@ fn unbounded_kinds_report_segment_traffic() {
 #[test]
 fn ring_op_counters_count_operations_not_segment_construction() {
     // Order-4 segments and no segment cache: 160 values through one handle
-    // are carried by ten freshly built segments.  A value is two ring
-    // enqueues (`aq` on the way in, `fq` on the way out) and building a
-    // segment is none — `fq` starts full by construction, not by running
-    // `capacity` operations (which read 480 here, 16 phantoms a segment).
-    // Dequeues can exceed 2 N: the empty polls that find a segment full or
-    // drained, and each retired segment's drop, are ring operations too.
+    // are carried by ten freshly built segments, all enqueued before the
+    // first dequeue.  Every value is one `aq` enqueue on the way in: N.  On
+    // the way out its index goes back to `fq` only if its segment has no
+    // successor, which is the last segment alone: its 16 values, so 16 more
+    // (the first nine had successors, and their 144 returns are skipped).
+    // No stash goes back either: every segment's runs of 4 end empty (the
+    // first takes 4 runs, each appended one a preload and 4 + 4 + 4 + 3),
+    // and building a segment is no operation —
+    // `fq` starts full by construction, not by running `capacity`
+    // operations (which would add 16 phantoms a segment).  Dequeues can
+    // exceed 2 N: the empty polls that find a segment full or drained, and
+    // each retired segment's drop, are ring operations too.
     const N: u64 = 160;
     let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = UnboundedWcq::with_config_cache_counters(
@@ -214,7 +220,7 @@ fn ring_op_counters_count_operations_not_segment_construction() {
     }
     assert_eq!(q.segments_allocated(), 10);
     let snap = instr.snapshot();
-    assert_eq!(snap.get(Counter::RingEnqueues), 2 * N);
+    assert_eq!(snap.get(Counter::RingEnqueues), N + 16);
     assert!(snap.get(Counter::RingDequeues) >= 2 * N);
 }
 
