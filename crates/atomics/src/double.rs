@@ -28,16 +28,9 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// Yield point for the `wcq-check` schedule explorer (no-op unless the
-/// `checkpoint` feature is enabled and a hook is installed).  Sits at the
-/// entry of each atomic operation, before the hardware instruction runs.
-#[inline(always)]
-fn checkpoint(op: &'static str) {
-    #[cfg(feature = "checkpoint")]
-    crate::checkpoint::hit(op);
-    #[cfg(not(feature = "checkpoint"))]
-    let _ = op;
-}
+// Each atomic operation yields at its entry, before the hardware
+// instruction runs.
+use crate::yield_point as checkpoint;
 
 /// A 16-byte aligned pair of `u64` words with atomic single-word operations on
 /// each half and a double-width compare-and-exchange over the whole pair.

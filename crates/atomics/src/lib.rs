@@ -48,6 +48,20 @@ pub use cache_pad::CachePadded;
 pub use double::AtomicDouble;
 pub use registry::Registry;
 
+/// A labelled yield point for the `wcq-check` schedule explorer: calls the
+/// installed hook under the `checkpoint` feature (a no-op until a checker
+/// installs one), and compiles to nothing without it.  The LL/SC granule and
+/// the double-width cell pass one before each operation; a layer above puts
+/// one in a window between two plain atomics that no cell operation
+/// separates, so a schedule can stop a thread there.
+#[inline(always)]
+pub fn yield_point(label: &'static str) {
+    #[cfg(feature = "checkpoint")]
+    checkpoint::hit(label);
+    #[cfg(not(feature = "checkpoint"))]
+    let _ = label;
+}
+
 /// Returns `true` when the double-width operations use the native
 /// `lock cmpxchg16b` instruction rather than the portable lock-based fallback.
 ///

@@ -29,17 +29,10 @@
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::cell::Cell;
 
-/// Yield point for the `wcq-check` schedule explorer (no-op unless the
-/// `checkpoint` feature is enabled *and* a hook is installed).  Placed at the
-/// *entry* of each granule operation, never inside the version-odd window, so
-/// a suspended thread can never wedge the granule for others.
-#[inline(always)]
-fn checkpoint(op: &'static str) {
-    #[cfg(feature = "checkpoint")]
-    crate::checkpoint::hit(op);
-    #[cfg(not(feature = "checkpoint"))]
-    let _ = op;
-}
+// Each granule operation yields at its *entry*, never inside the
+// version-odd window, so a suspended thread can never wedge the granule for
+// others.
+use crate::yield_point as checkpoint;
 
 /// Global spurious-failure rate for `store_conditional`, expressed as
 /// failures per 2^32 attempts (0 = never fail spuriously).

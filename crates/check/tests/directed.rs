@@ -10,10 +10,14 @@ use wcq_check::sched::with_intruder;
 use wcq_check::CheckedFamily;
 use wcq_unbounded::UnboundedWcq;
 
-/// A producer inside its gate claim is refused by `fq` because, while it
-/// was stopped there, another producer filled the segment, closed it and
-/// linked a successor.  It retries on that successor; it builds no segment
-/// of its own only to lose the link race and abandon it.
+/// The yield point between an enqueue's announcement and its check of
+/// `next`.
+const ANNOUNCE: &str = "segment.announce";
+
+/// A producer admitted to a segment is refused by `fq` because, while it
+/// was stopped there, another producer filled the segment and linked a
+/// successor.  It retries on that successor; it builds no segment of its
+/// own only to lose the link race and abandon it.
 #[test]
 fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
     // Two-slot segments for two handles: a run of one free slot.
@@ -22,8 +26,9 @@ fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
     let armed = Rc::new(Cell::new(true));
     let intruder = {
         let (q, armed) = (Rc::clone(&q), Rc::clone(&armed));
-        move |_op: &'static str| {
-            if armed.replace(false) {
+        move |op: &'static str| {
+            // Past the announcement, at the first ring step after it.
+            if op != ANNOUNCE && armed.replace(false) {
                 let mut b = q.register().expect("the intruder's slot");
                 // `cap` values fill the segment; the next one closes it and
                 // appends a successor.
@@ -35,8 +40,8 @@ fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
     };
     with_intruder(intruder, || {
         let mut a = q.register().expect("the stopped producer's slot");
-        // A's first yield point is in its first stash refill, inside its
-        // gate claim on the first segment.
+        // A's first ring step is in its first stash refill, once its
+        // announcement on the first segment was admitted.
         a.enqueue(0);
     });
     assert!(!armed.get(), "the intruder never ran");
@@ -49,4 +54,90 @@ fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
     let mut h = q.register().expect("a slot");
     let drained: Vec<_> = std::iter::from_fn(|| h.dequeue()).collect();
     assert_eq!(drained, [10, 11, 12, 0]);
+}
+
+/// A producer stopped between publishing its announcement and reading
+/// `next` is visible to every dequeuer: while it is stopped there, an
+/// intruder fills the segment and links a successor, and then counts one
+/// enqueue announced on the head segment.  Resumed, the producer reads the
+/// link, is refused, and retries on the successor; nothing is lost.  With
+/// the announcement published after the check (the `check-mutations`
+/// mutant), the intruder counts nobody.
+#[test]
+fn a_producer_stopped_in_its_announcement_is_counted_by_the_crossing() {
+    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(1, 2));
+    let cap = q.segment_capacity() as u64;
+    let seen = Rc::new(Cell::new(None));
+    let intruder = {
+        let (q, seen) = (Rc::clone(&q), Rc::clone(&seen));
+        move |op: &'static str| {
+            if op == ANNOUNCE && seen.get().is_none() {
+                let mut b = q.register().expect("the intruder's slot");
+                // `cap` values fill the segment; the next one links a
+                // successor after it.
+                for v in 0..=cap {
+                    b.enqueue(10 + v);
+                }
+                seen.set(Some((b.head_inflight(), b.settled())));
+            }
+        }
+    };
+    with_intruder(intruder, || {
+        let mut a = q.register().expect("the stopped producer's slot");
+        a.enqueue(0);
+    });
+    assert_eq!(
+        seen.get(),
+        Some((1, false)),
+        "(announced on the head segment, settled) while the producer was stopped \
+         in its announcement: an enqueue that has yet to read `next` was not counted"
+    );
+    let stats = q.segment_stats();
+    assert_eq!(
+        (stats.allocated_total, stats.cached),
+        (2, 0),
+        "the refused producer built a segment: {stats:?}"
+    );
+    let mut h = q.register().expect("a slot");
+    let drained: Vec<_> = std::iter::from_fn(|| h.dequeue()).collect();
+    assert_eq!(drained, [10, 11, 12, 0]);
+    assert_eq!(h.head_inflight(), 0);
+}
+
+/// The same window against the queue's close: a producer stopped in its
+/// announcement keeps the closed queue from settling, and, resumed, is
+/// refused by `SHUT`.  An announcement published after its check would come
+/// too late: the closed queue would settle while the producer went on to
+/// deposit into it.  (The `check-mutations` build also closes without
+/// linking `SHUT`, so there this test fails on the count alone.)
+#[test]
+fn a_producer_stopped_in_its_announcement_keeps_a_closed_queue_unsettled() {
+    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(2, 2));
+    let seen = Rc::new(Cell::new(None));
+    let intruder = {
+        let (q, seen) = (Rc::clone(&q), Rc::clone(&seen));
+        move |op: &'static str| {
+            if op == ANNOUNCE && seen.get().is_none() {
+                let mut b = q.register().expect("the intruder's slot");
+                b.enqueue(10);
+                b.close();
+                seen.set(Some((b.head_inflight(), b.settled())));
+            }
+        }
+    };
+    let refused = with_intruder(intruder, || {
+        let mut a = q.register().expect("the stopped producer's slot");
+        a.try_enqueue(0)
+    });
+    assert_eq!(
+        seen.get(),
+        Some((1, false)),
+        "(announced on the head segment, settled) while the producer was stopped \
+         in its announcement: the closed queue settled around it"
+    );
+    assert_eq!(refused, Err(0), "an enqueue that read `SHUT` was accepted");
+    let mut h = q.register().expect("a slot");
+    assert_eq!(h.dequeue(), Some(10));
+    assert_eq!(h.dequeue(), None);
+    assert!(h.settled());
 }

@@ -11,6 +11,11 @@ use crate::metrics::{Counter, CounterSet};
 use super::cells::{CellFamily, NativeFamily};
 use super::ring::{WcqConfig, WcqRing};
 
+/// The longest run of slot indices one batch operation claims with a single
+/// ring F&A: batch calls hold the run's indices in a buffer of this many on
+/// the stack instead of allocating one, and a longer request goes in runs.
+pub const BATCH: usize = 64;
+
 /// A bounded, wait-free MPMC FIFO queue of `T` with capacity `2^order`.
 ///
 /// Values live in a data array; a `fq` ring circulates free slot indices and
@@ -242,9 +247,10 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     }
 
     /// Attempts to enqueue a prefix of `values` as the thread owning record
-    /// slot `tid`, with one free-ring F&A claiming the whole run of free
-    /// slots and one data-ring F&A publishing it (instead of one pair per
-    /// element).  Accepted elements are removed from the *front* of `values`
+    /// slot `tid`, with one free-ring F&A claiming a run of up to [`BATCH`]
+    /// free slots and one data-ring F&A publishing it (instead of one pair
+    /// per element); a longer batch goes in runs, each once the last was
+    /// claimed whole.  Accepted elements are removed from the *front* of `values`
     /// in order, so the batch preserves per-producer FIFO; the remainder is
     /// left in `values` (partial success — the queue was full, or a
     /// concurrent producer raced the free-slot claim).  Returns the number
@@ -258,65 +264,71 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
     pub unsafe fn enqueue_many_at(&self, tid: usize, values: &mut VecDeque<T>) -> usize {
-        if values.is_empty() {
-            return 0;
+        let mut free = [0u32; BATCH];
+        let mut accepted = 0;
+        while !values.is_empty() {
+            let want = values.len().min(BATCH);
+            // SAFETY: per the function contract.
+            let claimed = unsafe { self.claim_free(tid, &mut free[..want]) };
+            for (&index, value) in free[..claimed].iter().zip(values.drain(..claimed)) {
+                // SAFETY: each free index came from `fq`; we own its slot
+                // until the run is published through `aq`.
+                unsafe { (*self.data[index as usize].get()).write(value) };
+            }
+            self.aq.enqueue_many(tid, &free[..claimed]);
+            accepted += claimed;
+            if claimed < want {
+                break;
+            }
         }
-        let mut free = Vec::with_capacity(values.len().min(self.capacity()));
-        self.fq
-            .dequeue_many(tid, values.len(), |index| free.push(index));
-        let accepted = free.len();
-        for (&index, value) in free.iter().zip(values.drain(..accepted)) {
-            // SAFETY: each free index came from `fq`; we own its slot until
-            // the run is published through `aq`.
-            unsafe { (*self.data[index as usize].get()).write(value) };
-        }
-        self.aq.enqueue_many(tid, &free);
         accepted
     }
 
     /// Dequeues up to `max` elements into `out` as the thread owning record
-    /// slot `tid`, with one data-ring F&A claiming the run and one free-ring
-    /// F&A recycling the slot indices.  Returns the number appended —
-    /// possibly fewer than `max` even while elements remain, but a `0` is
-    /// authoritative (see `WcqRing::dequeue_many` for both halves of that
-    /// contract).
+    /// slot `tid`, with one data-ring F&A claiming a run of up to [`BATCH`]
+    /// and one free-ring F&A recycling its slot indices; a longer request
+    /// goes in runs, until one comes back short.  Returns the number
+    /// appended — possibly fewer than `max` even while elements remain, but
+    /// a `0` is authoritative (see `WcqRing::dequeue_many` for both halves
+    /// of that contract).
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
     pub unsafe fn dequeue_many_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
+        let mut free = [0u32; BATCH];
+        let mut got = 0;
+        while got < max {
+            let want = (max - got).min(BATCH);
+            // SAFETY: per the function contract.
+            let took = unsafe { self.take_many_at(tid, out, &mut free[..want]) };
+            // SAFETY: as above; `free` holds the indices just taken.
+            unsafe { self.return_free(tid, &free[..took]) };
+            got += took;
+            if took < want {
+                break;
+            }
         }
-        let mut free = Vec::with_capacity(max.min(self.capacity()));
-        // SAFETY: per the function contract.
-        let got = unsafe { self.take_many_at(tid, out, max, &mut free) };
-        // SAFETY: as above; `free` holds the indices just taken.
-        unsafe { self.return_free(tid, &free) };
         got
     }
 
-    /// The first half of [`WcqQueue::dequeue_many_at`]: takes up to `max`
-    /// indices from `aq` with one batch dequeue, moves their values to `out`
-    /// and appends the freed indices to `free`, which become the caller's as
-    /// in [`WcqQueue::take_at`] (hand them back with
-    /// [`WcqQueue::return_free`]).  Returns the number taken, with the
-    /// partial-success contract of `dequeue_many_at`.
+    /// The first half of [`WcqQueue::dequeue_many_at`]: takes up to
+    /// `free.len()` indices from `aq` with one batch dequeue, moves their
+    /// values to `out` and writes the freed indices to the front of `free`,
+    /// where they become the caller's as in [`WcqQueue::take_at`] (hand them
+    /// back with [`WcqQueue::return_free`]).  Returns the number taken, with
+    /// the partial-success contract of `dequeue_many_at`.
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn take_many_at(
-        &self,
-        tid: usize,
-        out: &mut Vec<T>,
-        max: usize,
-        free: &mut Vec<u32>,
-    ) -> usize {
-        self.aq.dequeue_many(tid, max, |index| {
+    pub unsafe fn take_many_at(&self, tid: usize, out: &mut Vec<T>, free: &mut [u32]) -> usize {
+        let mut took = 0;
+        self.aq.dequeue_many(tid, free.len(), |index| {
             // SAFETY: each index came from `aq`; the matching enqueue fully
             // initialized the slot and nobody else touches it until the
             // index is handed back to `fq`.
             out.push(unsafe { (*self.data[index as usize].get()).assume_init_read() });
-            free.push(index as u32);
+            free[took] = index as u32;
+            took += 1;
         })
     }
 

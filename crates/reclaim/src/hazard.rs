@@ -16,6 +16,7 @@
 //! the queue (LCRQ is not — that is Figure 10a of the paper).
 
 use std::collections::HashSet;
+use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -191,6 +192,20 @@ impl HazardDomain {
         &self.slots[tid][idx]
     }
 
+    /// Number of participants whose hazard slot `idx` holds `ptr` — read with
+    /// `SeqCst` loads, so a publication ([`HazardHandle::protect_raw`]) that
+    /// precedes the caller's own `SeqCst` operations in the total order is
+    /// counted, unless its owner has cleared the slot since.  A slot used as
+    /// an announcement ("I am working inside `ptr`") makes this the count of
+    /// participants still at work there.
+    pub fn count_publishing(&self, idx: usize, ptr: *const u8) -> usize {
+        debug_assert!(idx < self.hazards_per_thread, "hazard slot out of range");
+        self.slots
+            .iter()
+            .filter(|block| ptr::eq(block[idx].load(Ordering::SeqCst), ptr))
+            .count()
+    }
+
     /// Collects the set of currently protected raw pointers.
     fn protected_set(&self) -> HashSet<*mut u8> {
         self.slots
@@ -301,6 +316,18 @@ impl<'d> HazardHandle<'d> {
         self.domain
             .slot(self.tid, idx)
             .store(std::ptr::null_mut(), Ordering::SeqCst);
+    }
+
+    /// Clears hazard slot `idx` with a `Release` store, not `SeqCst`: a plain
+    /// store on x86, not a locked one.  Enough for a slot used as an
+    /// announcement: a reader of [`HazardDomain::count_publishing`] that sees
+    /// the slot clear also sees everything its owner did before clearing it.
+    /// A protecting slot must keep [`HazardHandle::clear_one`].
+    #[inline]
+    pub fn clear_release(&self, idx: usize) {
+        self.domain
+            .slot(self.tid, idx)
+            .store(std::ptr::null_mut(), Ordering::Release);
     }
 
     /// Clears all hazard slots owned by this handle (the paper's `hp.clear()`).

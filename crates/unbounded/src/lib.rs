@@ -20,16 +20,17 @@
 //! * Every segment is a bounded, wait-free [`wcq_core::wcq::WcqQueue`], and
 //!   inner operations inherit its wait-freedom and bounded memory.  The
 //!   queue as a whole does not: a dequeuer crossing to the next segment waits
-//!   (in `dequeue_crossing`) for enqueuers that claimed the drained one
-//!   before it closed, so one preempted enqueuer stalls every dequeuer there
-//!   — blocking, not lock-free (ROADMAP item 3 is the fix).
-//! * When the tail segment fills up — its free-index ring says so — it is
-//!   **closed** (one bit on the segment's [`Gate`], as LCRQ closes a ring)
-//!   and a fresh segment — pre-loaded with the element that triggered the
-//!   append, as in LCRQ — is linked behind it.
+//!   (in `dequeue_crossing`) for enqueuers still announced on the drained
+//!   one, so one preempted enqueuer stalls every dequeuer there — blocking,
+//!   not lock-free (ROADMAP item 5(b) is the fix).
+//! * When the tail segment fills up — its free-index ring says so — a fresh
+//!   segment, pre-loaded with the element that triggered the append as in
+//!   LCRQ, is linked behind it, and the link is the full segment's close:
+//!   an enqueue announces the segment in one of its own hazard slots, then
+//!   reads `next`, and is refused once `next` is set.
 //! * The queue itself closes the same way:
-//!   [`UnboundedWcqHandle::close`] closes the tail segment's gate and links
-//!   a `SHUT` sentinel after it, so no append can follow.  Enqueues are
+//!   [`UnboundedWcqHandle::close`] links a `SHUT` sentinel after the tail
+//!   segment, so neither an enqueue nor an append can follow.  Enqueues are
 //!   refused from then on, and [`UnboundedWcqHandle::settled`] tells a
 //!   dequeuer when the last accepted value has landed.
 //! * Drained segments are unlinked by dequeuers and **retired** through a
@@ -73,11 +74,9 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod gate;
 mod queue;
 mod segment;
 mod shard;
 
-pub use gate::Gate;
 pub use queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 pub use shard::{ShardedWcq, ShardedWcqHandle};

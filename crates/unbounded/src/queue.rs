@@ -15,7 +15,7 @@ use wcq_core::metrics::{Counter, CounterSet};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
 
-use crate::segment::{recycle_segment, shut, Segment, SegmentCache, Stash};
+use crate::segment::{recycle_segment, shut, Segment, SegmentCache, Stash, ANNOUNCE};
 
 /// Default number of drained segments kept for reuse.
 pub const DEFAULT_SEGMENT_CACHE: usize = 4;
@@ -56,18 +56,18 @@ impl SegmentStats {
 ///   discipline (lock-free: some thread always makes progress, an individual
 ///   append can be delayed).
 /// * **Advancing the head is blocking.**  A dequeuer that finds the head
-///   segment drained and closed first waits, in `dequeue_crossing`, for
-///   every enqueuer that claimed the segment before it closed to make its
-///   `aq` deposit.  So an enqueuer preempted between its in-flight claim and
-///   its deposit stalls every dequeuer at that boundary: not wait-free, not
+///   segment drained and linked past first waits, in `dequeue_crossing`,
+///   for every enqueuer still announced on the segment to make its `aq`
+///   deposit.  So an enqueuer preempted between its announcement and its
+///   deposit stalls every dequeuer at that boundary: not wait-free, not
 ///   even lock-free.  LSCQ and LCRQ do not pay this: they close a ring on its
 ///   tail, so a late enqueue fails inside its own F&A and nobody waits.
-///   ROADMAP item 3 is the fix.
-/// * **Closing** ([`UnboundedWcqHandle::close`]) closes the tail segment's
-///   gate and links a `SHUT` sentinel after it; the loop retries only when an
-///   appender linked a segment first, so it is lock-free.  From then on every
-///   enqueue is refused ([`UnboundedWcqHandle::try_enqueue`] hands the value
-///   back) and allocates nothing.
+///   ROADMAP item 5(b) is the fix.
+/// * **Closing** ([`UnboundedWcqHandle::close`]) links a `SHUT` sentinel
+///   after the tail segment; the loop retries only when an appender linked
+///   a segment first, so it is lock-free.  From then on every enqueue is
+///   refused ([`UnboundedWcqHandle::try_enqueue`] hands the value back) and
+///   allocates nothing.
 /// * **Memory usage** is bounded by the traffic's actual backlog: the
 ///   dequeuer that advances the head past a drained segment retires it
 ///   through a [`HazardDomain`] and scans at once, so an unprotected segment
@@ -169,8 +169,11 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             tail: CachePadded::new(AtomicPtr::new(first)),
             // Slot 1 pins the handle's memoized segment binding, between and
             // during operations; slot 0 protects the segment of an operation
-            // that finds the memo pointing elsewhere (see `pin`).
-            domain: HazardDomain::new(max_threads, 2),
+            // that finds the memo pointing elsewhere (see `pin`).  Slot 2
+            // protects nothing the memo does not: an enqueue announces its
+            // segment there (`segment::ANNOUNCE`).  The three fit the
+            // participant's one padded block, so it costs no byte.
+            domain: HazardDomain::new(max_threads, 3),
             cache,
             seg_order,
             max_threads,
@@ -334,6 +337,13 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         // SAFETY: unpublished and exclusively owned by this thread.
         unsafe { (*seg).preload(tid, value) };
         (seg, from_cache)
+    }
+
+    /// Number of handles announced on `seg`: enqueuers admitted there that
+    /// have not finished depositing, once its `next` has been seen non-null
+    /// (segment module docs, "The link is the close").
+    fn announced(&self, seg: *mut Segment<T, F>) -> usize {
+        self.domain.count_publishing(ANNOUNCE, seg.cast())
     }
 
     /// Takes back the pre-loaded value from an unpublished segment (another
@@ -650,8 +660,9 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             let seg = unsafe { &*tailp };
             // SAFETY: `tid` is this handle's participant id, which no other
             // thread holds while the handle lives, and `pin_tail` made `seg`
-            // the memo, whose indices are the only ones the stash holds.
-            match unsafe { seg.try_enqueue(tid, value, &mut self.stash, queue.run) } {
+            // the memo, which slot 1 protects and whose indices are the only
+            // ones the stash holds.
+            match unsafe { seg.try_enqueue(&self.hp, value, &mut self.stash, queue.run) } {
                 Ok(()) => break,
                 Err(back) => {
                     value = back;
@@ -662,16 +673,14 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                         return Err(value);
                     }
                     // Refused by a segment that already has a successor (it
-                    // was closed and linked past since `pin_tail`): retry
-                    // there, without building a segment to abandon.
+                    // was linked past since `pin_tail`): retry there,
+                    // without building a segment to abandon.
                     if !next.is_null() {
                         continue;
                     }
-                    // Full: close so no later enqueue can land (the LSCQ
-                    // discipline — a segment is closed before it gains a
-                    // successor), then append a fresh segment carrying the
-                    // value, so winning the link race completes the enqueue.
-                    seg.close();
+                    // Full: append a fresh segment carrying the value, so
+                    // winning the link race completes the enqueue.  The link
+                    // closes the full one: no later enqueue lands there.
                     let (fresh, from_cache) = queue.fresh_segment_with(tid, value);
                     if seg
                         .next
@@ -701,11 +710,12 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// Closes the queue: every enqueue that starts after this returns is
     /// refused, and everything accepted before stays dequeueable.
     ///
-    /// The loop pins the tail, closes its segment's gate (so no claim
-    /// succeeds there any more) and links `SHUT` after it (so no append can
-    /// follow).  If an appender linked a real successor first, the tail is
-    /// swung to it and the loop repeats on the new tail: it retries only when
-    /// some appender made progress, so it is lock-free.  Idempotent.
+    /// The loop pins the tail and links `SHUT` after it, which closes the
+    /// segment (no enqueue is admitted there any more) and the list (no
+    /// append can follow).  If an appender linked a real successor first,
+    /// the tail is swung to it and the loop repeats on the new tail: it
+    /// retries only when some appender made progress, so it is lock-free.
+    /// Idempotent.
     pub fn close(&mut self) {
         let tail = &self.queue.tail;
         loop {
@@ -713,12 +723,11 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // SAFETY: pinned; segments are retired only after becoming
             // unreachable and unprotected.
             let seg = unsafe { &*tailp };
-            seg.close();
             if cfg!(feature = "check-mutations") {
-                // MUTATION (check-mutations): the gate closes but `SHUT` is
-                // never linked, so an enqueue refused by the closed gate
-                // appends a fresh, open segment after the close — and no
-                // dequeuer ever sees the queue settle.
+                // MUTATION (check-mutations): returns without linking
+                // `SHUT`, so the queue stays open: an enqueue that starts
+                // after the close is accepted, and no dequeuer ever sees
+                // the queue settle.
                 break;
             }
             match seg
@@ -737,30 +746,30 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
 
     /// Whether the queue is closed with nothing left in flight: the head
     /// segment is the closed queue's last (its `next` is `SHUT`) and no
-    /// enqueue that claimed it before the close is still depositing.
+    /// handle admitted there before the close is still depositing.
     ///
     /// After a `true`, a [`Self::dequeue`] that returns `None` is final: the
     /// queue is closed and drained for good.  It is the head crossing's own
-    /// argument — closed, `inflight() == 0`, then one empty inner dequeue —
-    /// with `SHUT` in place of the successor.  The head cannot move past a
-    /// segment whose `next` is `SHUT`, so the dequeue examines this one.
+    /// argument — linked past, no announcement, then one empty inner
+    /// dequeue — with `SHUT` in place of the successor.  The head cannot
+    /// move past a segment whose `next` is `SHUT`, so the dequeue examines
+    /// this one.
     pub fn settled(&mut self) -> bool {
         let headp = self.pin(&self.queue.head);
-        // SAFETY: pinned by `pin`.  `SHUT` is linked only after the gate
-        // closed, so once it is seen the in-flight count can only fall.
-        let settled = unsafe { (*headp).is_shut() && (*headp).inflight() == 0 };
+        // SAFETY: pinned by `pin`.  Once `SHUT` is seen no announcement is
+        // admitted there, so the count read after it can only fall.
+        let settled = unsafe { (*headp).is_shut() } && self.queue.announced(headp) == 0;
         self.unpin();
         settled
     }
 
-    /// Enqueues in flight on the head segment: after a close has drained the
+    /// Handles announced on the head segment: after a close has drained the
     /// queue, the head is its only segment, and once every enqueuer has
     /// returned this reads 0 (a checker probe).
     #[doc(hidden)]
     pub fn head_inflight(&mut self) -> usize {
         let headp = self.pin(&self.queue.head);
-        // SAFETY: pinned by `pin`.
-        let inflight = unsafe { (*headp).inflight() };
+        let inflight = self.queue.announced(headp);
         self.unpin();
         inflight
     }
@@ -848,13 +857,13 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
 
     /// The rest of a dequeue whose pinned head segment `headp` was found
     /// drained with the successor `next`, so closed: wait out the enqueuers
-    /// that claimed it before the close, re-check that it is empty — after
-    /// that it is permanently empty — advance the head past it, and retry on
-    /// the new head.
+    /// still announced on it, re-check that it is empty — after that it is
+    /// permanently empty — advance the head past it, and retry on the new
+    /// head.
     ///
     /// The wait is blocking, not lock-free: an enqueuer preempted between its
-    /// in-flight claim and its `aq` deposit stalls every dequeuer here
-    /// (ROADMAP item 3).
+    /// announcement and its `aq` deposit stalls every dequeuer here (ROADMAP
+    /// item 5(b) is the fix).
     #[cold]
     #[inline(never)]
     fn dequeue_crossing<R>(
@@ -867,7 +876,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         loop {
             // SAFETY: pinned and memoized by the attempt that found it.
             let seg = unsafe { &*headp };
-            if seg.inflight() != 0 {
+            if self.queue.announced(headp) != 0 {
                 // Bounded exponential backoff, then yield: the straggler
                 // completes a *wait-free* inner enqueue as soon as it gets
                 // CPU, so giving it the core beats burning ours.
@@ -898,8 +907,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     ///
     /// # Safety
     /// `headp` must be the pinned, memoized head segment, observed closed (it
-    /// has the successor `next`), free of in-flight enqueuers, and empty
-    /// after that.
+    /// has the successor `next`), announced by no handle, and empty after
+    /// that.
     unsafe fn advance_head(&mut self, headp: *mut Segment<T, F>, next: *mut Segment<T, F>) {
         let queue = self.queue;
         // Help a lagging tail past the segment we are about to retire
@@ -951,8 +960,9 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             let tailp = self.pin_tail();
             // SAFETY: pinned and made the memo by `pin_tail`, as in
             // `enqueue_pinned`.
-            let accepted =
-                unsafe { (*tailp).try_enqueue_many(tid, &mut pending, &mut self.stash, queue.run) };
+            let accepted = unsafe {
+                (*tailp).try_enqueue_many(&self.hp, &mut pending, &mut self.stash, queue.run)
+            };
             if accepted > 0 {
                 queue.note_enqueued(tid, accepted as u64);
                 self.enqueues_completed += accepted as u64;
@@ -1250,6 +1260,32 @@ mod tests {
         }
         assert!(crossings > 20, "growth must move the binding: {crossings}");
         assert!(h.pins >= h.rebinds);
+    }
+
+    #[test]
+    fn every_completed_enqueue_leaves_hazard_slot_two_clear() {
+        // 8-slot segments: single and batch enqueues cross many segment
+        // boundaries, each through a refusal and an append.
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(3, 2);
+        let mut h = q.register().unwrap();
+        let mut next = 0u64;
+        for round in 0..20u64 {
+            h.enqueue(next);
+            next += 1;
+            assert!(h.hp.protected(ANNOUNCE).is_null(), "after enqueue {next}");
+            let mut batch: Vec<u64> = (next..next + round % 7 + 1).collect();
+            next += h.enqueue_many(&mut batch) as u64;
+            assert!(
+                h.hp.protected(ANNOUNCE).is_null(),
+                "after a batch to {next}"
+            );
+            if round % 3 == 0 {
+                assert!(h.dequeue().is_some());
+                assert!(h.hp.protected(ANNOUNCE).is_null(), "a dequeue announced");
+            }
+        }
+        assert!(q.segments_live() > 2, "the batches crossed segments");
+        assert_eq!(h.head_inflight(), 0);
     }
 
     #[test]

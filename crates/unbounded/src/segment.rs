@@ -3,16 +3,17 @@
 //! A [`Segment`] wraps one bounded [`WcqQueue`] together with the bookkeeping
 //! the outer linked list needs:
 //!
-//! * a [`Gate`]: the number of enqueuers between their claim and the end of
-//!   their inner enqueue, plus a closed top bit — LCRQ's closed tail bit
-//!   lifted to the data-queue layer, since wCQ's own enqueue cannot be told
-//!   to fail permanently;
-//! * the outer `next` link, which is null, a successor, or [`shut`]: the
-//!   queue's close, meaning "closed for good, and no successor will come";
+//! * the outer `next` link, which is null, a successor, or [`shut`] (the
+//!   queue's close: "closed for good, and no successor will come").  Either
+//!   non-null value is also the segment's own close;
 //! * a back-pointer to the owning queue's [`SegmentCache`] so the hazard
 //!   domain can *recycle* a drained segment instead of freeing it.
 //!
-//! ## Why one bit makes closing sound
+//! ## The link is the close
+//!
+//! LSCQ closes a ring on its own tail, so a late enqueue fails inside its
+//! F&A.  wCQ's enqueue cannot be told to fail permanently, so a segment
+//! closes one layer up, and the word that closes it is `next`:
 //!
 //! 1. **`fq` already answers "full", or early.**  A segment holds at most
 //!    `capacity` indices, and while it has no successor they circulate only
@@ -22,33 +23,44 @@
 //!    stashes*, read from the ring the enqueue has to touch anyway; no
 //!    second semaphore is needed to refuse a full segment.  (Once the
 //!    segment has a successor, dequeues keep the indices they free — see
-//!    "Free slots in runs" — and a ⊥ there tells a producer that claimed
-//!    before the close what the closed gate tells every later one.)  A
-//!    producer closes on that ⊥ only with its own stash empty, even while
-//!    other producers' stashes still hold some of the segment's indices.
-//!    Closing early is always safe: the close comes before the link (point
-//!    3), and nothing is ever deposited through a stash without a gate
-//!    claim (point 2), so the stashed indices are simply never used here
-//!    again and go back to `fq` when their holders move on.  It wastes at
-//!    most `(max_threads − 1) × run` slots of the segment, one run per other
-//!    producer.
-//! 2. **The bit answers "closed".**  An enqueue claims with [`Gate::enter`],
-//!    and [`Segment::close`] is [`Gate::close`] on the same word, so the two
-//!    are totally ordered.  A claim ordered after the close is refused and
-//!    touches no ring.  A claim ordered before it is counted until its
-//!    [`Gate::leave`], which follows its `aq` deposit.
-//! 3. **The dequeuer's advance sequence is unchanged.**  A dequeuer may
+//!    "Free slots in runs" — and a ⊥ there tells a producer admitted before
+//!    the link what the link tells every later one.)  A producer links on
+//!    that ⊥ only with its own stash empty, even while other producers'
+//!    stashes still hold some of the segment's indices.  Linking early is
+//!    always safe: nothing is ever deposited through a stash without an
+//!    admitted announcement (point 2), so the stashed indices are simply
+//!    never used here again and go back to `fq` when their holders move on.
+//!    It wastes at most `(max_threads − 1) × run` slots of the segment, one
+//!    run per other producer.
+//! 2. **`next` answers "closed".**  An enqueue announces the segment in its
+//!    handle's hazard slot [`ANNOUNCE`] with a `SeqCst` store, then loads
+//!    `next` (`SeqCst`).  A non-null `next` refuses it: it clears the slot
+//!    and touches no ring.  A null one admits it: it pops or refills its
+//!    stash, deposits, and clears the slot with a `Release` store.  A batch
+//!    announces once for its whole run on the segment.
+//! 3. **The dequeuer counts announcements.**  Before it trusts an empty
+//!    segment whose `next` it has read non-null, a dequeuer counts the
+//!    handles whose slot [`ANNOUNCE`] names the segment
+//!    ([`wcq_reclaim::HazardDomain::count_publishing`]).  This is a Dekker
+//!    pair: an admitted enqueue's store and load both precede the CAS that
+//!    set `next` in the `SeqCst` total order, and the count's loads follow
+//!    it, so the count sees the announcement — or the `Release` clear after
+//!    the deposit, and with it the deposit.  The order comes from that
+//!    store and load alone, not from a locked instruction near them
+//!    (DESIGN.md, "The link is the close", has the argument in full).
+//! 4. **The dequeuer's advance sequence is unchanged.**  A dequeuer may
 //!    advance the outer head past a segment only after it observes, in
-//!    order: a successor (segments are closed before they are linked past,
-//!    so no claim succeeds any more), `inflight() == 0` (every claim from
-//!    before the close has deposited), and one more empty inner dequeue.  At
-//!    that point the segment is permanently empty.  A `next` of [`shut`]
-//!    follows a close too, so the same three observations — with `shut` in
-//!    place of the successor — prove the queue closed and drained.
+//!    order: a successor (so no announcement is admitted any more), no
+//!    handle announcing the segment (every admitted enqueue has deposited),
+//!    and one more empty inner dequeue.  At that point the segment is
+//!    permanently empty.  A `next` of [`shut`] closes the segment the same
+//!    way, so the same three observations — with `shut` in place of the
+//!    successor — prove the queue closed and drained.
 //!
-//! A dequeue touches neither word — it is the inner `aq` take and, after a
+//! A dequeue writes no announcement — it is the inner `aq` take and, after a
 //! successful one, a load of `next` and maybe the `fq` return — so the
-//! dequeuer writes no line the enqueuers own.
+//! dequeuer writes no line the enqueuers own, and no enqueue writes a word
+//! another enqueue writes outside the rings.
 //!
 //! ## Free slots in runs
 //!
@@ -58,15 +70,14 @@
 //! `fq` batch dequeue fills its [`Stash`] with up to `run` indices, and its
 //! next `run` enqueues into the segment deposit at them with no `fq`
 //! operation at all.  A stash belongs to one segment, the unbounded handle's
-//! memo, is refilled only inside a gate claim (so a refused claim still
-//! touches no ring), and goes back to `fq` before the handle's hazard slot 1
-//! lets go of the segment.
+//! memo, is refilled only inside an admitted announcement (so a refused
+//! enqueue still touches no ring), and goes back to `fq` before the handle's
+//! hazard slot 1 lets go of the segment.
 //!
 //! A dequeue returns each freed index at once, but only while the segment's
-//! `next` is null.  Once it is not, the segment is closed for good (the
-//! close comes before the link, point 3): no claim succeeds there again, and
-//! only a producer that claimed before the close can still ask `fq` for an
-//! index.  So a dequeue there keeps the index it freed and skips a whole
+//! `next` is null.  Once it is not, the segment is closed for good (point
+//! 2): no announcement is admitted there again, and only a producer admitted
+//! before the link can still ask `fq` for an index.  So a dequeue there keeps the index it freed and skips a whole
 //! `fq` enqueue (tail F&A, entry CAS, threshold re-arm, helping countdown);
 //! such a straggler may then get ⊥ sooner and move on to the successor.
 //! `next` is read only after a successful `aq` take, so an empty poll is
@@ -91,9 +102,13 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wcq_core::metrics::CounterSet;
-use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue};
+use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue, BATCH};
+use wcq_reclaim::HazardHandle;
 
-use crate::gate::Gate;
+/// The hazard slot in which an enqueue announces the segment it works in
+/// (module docs, point 2).  The queue's handles use slots 0 and 1 to
+/// protect segments (`UnboundedWcqHandle::pin` and the memo).
+pub(crate) const ANNOUNCE: usize = 2;
 
 /// The `next` of the last segment of a closed queue: no append can link
 /// after it.  Never dereferenced, and never a segment's address (it is the
@@ -105,12 +120,10 @@ pub(crate) fn shut<T, F: CellFamily>() -> *mut Segment<T, F> {
 /// One ring segment of the unbounded queue.
 pub(crate) struct Segment<T, F: CellFamily> {
     queue: WcqQueue<T, F>,
-    /// Outer list link: null, a successor, or [`shut`].  Readers go through
-    /// [`Segment::successor`], which treats `shut` as "none".
+    /// Outer list link and the segment's close: null, a successor, or
+    /// [`shut`] (module docs).  Readers go through [`Segment::successor`],
+    /// which treats `shut` as "none".
     pub(crate) next: AtomicPtr<Segment<T, F>>,
-    /// Enqueuers between their claim and the end of their inner enqueue, plus
-    /// the closed bit (see module docs).
-    gate: Gate,
     /// The owning queue's cache, for hazard-domain recycling.
     pub(crate) cache: *const SegmentCache<T, F>,
 }
@@ -126,7 +139,6 @@ impl<T, F: CellFamily> Segment<T, F> {
         Self {
             queue: WcqQueue::with_config_counters(order, max_threads, config, counters),
             next: AtomicPtr::new(ptr::null_mut()),
-            gate: Gate::new(),
             cache,
         }
     }
@@ -145,37 +157,75 @@ impl<T, F: CellFamily> Segment<T, F> {
         self.next.load(SeqCst) == shut()
     }
 
-    /// Attempts to enqueue `value` as thread record `tid`, at a free index
+    /// Announces this segment in `hp`'s slot [`ANNOUNCE`], then reads `next`
+    /// (module docs, point 2).  `true` admits the caller, who clears the
+    /// slot with [`Segment::retract`] once its deposits are done; `false`
+    /// has cleared it already: the segment is closed.
+    #[inline(always)]
+    fn announce(&self, hp: &HazardHandle<'_>) -> bool {
+        let this = ptr::from_ref(self).cast_mut();
+        #[cfg(not(feature = "check-mutations"))]
+        let open = {
+            hp.protect_raw(ANNOUNCE, this);
+            wcq_atomics::yield_point("segment.announce");
+            self.next.load(SeqCst).is_null()
+        };
+        #[cfg(feature = "check-mutations")]
+        let open = {
+            // MUTATION (check-mutations): reads `next` before publishing
+            // the announcement, so a link and a dequeuer's count can both
+            // fall between the two: the dequeuer counts nobody while this
+            // enqueue, admitted on a stale null, goes on to deposit.
+            let open = self.next.load(SeqCst).is_null();
+            wcq_atomics::yield_point("segment.announce");
+            hp.protect_raw(ANNOUNCE, this);
+            open
+        };
+        if !open {
+            Self::retract(hp);
+        }
+        open
+    }
+
+    /// Clears the announcement [`Segment::announce`] made: a `Release`
+    /// store, so a dequeuer that counts the slot clear sees the deposits.
+    #[inline(always)]
+    fn retract(hp: &HazardHandle<'_>) {
+        hp.clear_release(ANNOUNCE);
+    }
+
+    /// Attempts to enqueue `value` as `hp`'s participant, at a free index
     /// from `stash`, which is refilled from `fq` with up to `run` indices
     /// when it is empty.  `Err` means the segment is closed, or has no free
     /// index outside the stashes, and will never accept this value.
     ///
     /// # Safety
-    /// No other thread operates on this segment as `tid` concurrently, and
-    /// an earlier one that did is ordered before this call (see
+    /// No other thread operates on this segment as `hp.tid()` concurrently,
+    /// and an earlier one that did is ordered before this call (see
     /// [`WcqQueue::enqueue_at`]).  `stash` holds only this segment's
-    /// indices, and `run` is at most [`Stash::MAX`].
+    /// indices, and `run` is at most [`Stash::MAX`].  `hp` protects this
+    /// segment in another slot for the whole call.
     #[inline]
     pub(crate) unsafe fn try_enqueue(
         &self,
-        tid: usize,
+        hp: &HazardHandle<'_>,
         value: T,
         stash: &mut Stash,
         run: usize,
     ) -> Result<(), T> {
-        if !self.gate.enter() {
+        if !self.announce(hp) {
             return Err(value);
         }
-        // SAFETY: per the function contract, inside a gate claim.
-        let res = unsafe { self.enqueue_claimed(tid, value, stash, run) };
-        self.gate.leave();
+        // SAFETY: per the function contract, admitted by the announcement.
+        let res = unsafe { self.enqueue_admitted(hp.tid(), value, stash, run) };
+        Self::retract(hp);
         res
     }
 
-    /// Batch counterpart of [`Segment::try_enqueue`]: one claim covers the
-    /// inner batch enqueue, and the number accepted (drained from the front
-    /// of `values`) is returned.  Returning `0` means the segment is full or
-    /// closed and will never accept anything.
+    /// Batch counterpart of [`Segment::try_enqueue`]: one announcement covers
+    /// the inner batch enqueue, and the number accepted (drained from the
+    /// front of `values`) is returned.  Returning `0` means the segment is
+    /// full or closed and will never accept anything.
     ///
     /// The inner batch enqueue's free-slot claim is racily partial: under
     /// contention its run of free-ring tickets can miss free slots (holes in
@@ -187,19 +237,21 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// As for [`Segment::try_enqueue`].
     pub(crate) unsafe fn try_enqueue_many(
         &self,
-        tid: usize,
+        hp: &HazardHandle<'_>,
         values: &mut VecDeque<T>,
         stash: &mut Stash,
         run: usize,
     ) -> usize {
-        if values.is_empty() || !self.gate.enter() {
+        if values.is_empty() || !self.announce(hp) {
             return 0;
         }
+        let tid = hp.tid();
         // SAFETY: `tid` is exclusive per the function contract.
         let mut accepted = unsafe { self.queue.enqueue_many_at(tid, values) };
         while let Some(value) = values.pop_front() {
-            // SAFETY: per the function contract, inside the gate claim.
-            match unsafe { self.enqueue_claimed(tid, value, stash, run) } {
+            // SAFETY: per the function contract, admitted by the
+            // announcement.
+            match unsafe { self.enqueue_admitted(tid, value, stash, run) } {
                 Ok(()) => accepted += 1,
                 Err(value) => {
                     values.push_front(value);
@@ -207,17 +259,18 @@ impl<T, F: CellFamily> Segment<T, F> {
                 }
             }
         }
-        self.gate.leave();
+        Self::retract(hp);
         accepted
     }
 
-    /// The inner enqueue of a gate claim: a deposit at a stashed index,
-    /// refilling the stash first when it is empty.
+    /// The inner enqueue of an admitted announcement: a deposit at a stashed
+    /// index, refilling the stash first when it is empty.
     ///
     /// # Safety
-    /// As for [`Segment::try_enqueue`], and the caller holds a gate claim.
+    /// As for [`Segment::try_enqueue`], and the caller's announcement of
+    /// this segment was admitted and is still published.
     #[inline(always)]
-    unsafe fn enqueue_claimed(
+    unsafe fn enqueue_admitted(
         &self,
         tid: usize,
         value: T,
@@ -243,7 +296,8 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// `None` is `fq`'s ⊥.
     ///
     /// # Safety
-    /// As for [`Segment::try_enqueue`].
+    /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
+    /// id.
     #[cold]
     #[inline(never)]
     unsafe fn refill(&self, tid: usize, stash: &mut Stash, run: usize) -> Option<u32> {
@@ -255,7 +309,8 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// Hands every index in `stash` back to `fq` and empties it.
     ///
     /// # Safety
-    /// As for [`Segment::try_enqueue`].
+    /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
+    /// id.
     pub(crate) unsafe fn return_stash(&self, tid: usize, stash: &mut Stash) {
         let len = std::mem::take(&mut stash.len) as usize;
         // SAFETY: the indices are this segment's, claimed and not deposited
@@ -283,7 +338,8 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// succeeded, so an empty poll runs the take and nothing else.
     ///
     /// # Safety
-    /// As for [`Segment::try_enqueue`].
+    /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
+    /// id.
     pub(crate) unsafe fn try_dequeue(&self, tid: usize) -> Option<T> {
         // SAFETY: `tid` is exclusive per the function contract.
         let (value, index) = unsafe { self.queue.take_at(tid) }?;
@@ -295,36 +351,35 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// Batch counterpart of [`Segment::try_dequeue`]: pulls up to `max`
-    /// values with one inner batch dequeue, and returns their indices with
-    /// one batch enqueue under the same rule.
+    /// values in runs of up to [`BATCH`], each one inner batch dequeue into
+    /// an index buffer on the stack, and returns each run's indices with one
+    /// batch enqueue under the same rule.  A run that comes back short ends
+    /// the call.
     ///
     /// # Safety
-    /// As for [`Segment::try_enqueue`].
+    /// As for [`Segment::try_dequeue`].
     pub(crate) unsafe fn try_dequeue_many(
         &self,
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
     ) -> usize {
-        let mut free = Vec::with_capacity(max.min(self.queue.capacity()));
-        // SAFETY: `tid` is exclusive per the function contract.
-        let got = unsafe { self.queue.take_many_at(tid, out, max, &mut free) };
-        if got > 0 && self.next.load(SeqCst).is_null() {
-            // SAFETY: as above; `free` holds the indices just taken.
-            unsafe { self.queue.return_free(tid, &free) };
+        let mut free = [0u32; BATCH];
+        let mut got = 0;
+        while got < max {
+            let want = (max - got).min(BATCH);
+            // SAFETY: `tid` is exclusive per the function contract.
+            let took = unsafe { self.queue.take_many_at(tid, out, &mut free[..want]) };
+            if took > 0 && self.next.load(SeqCst).is_null() {
+                // SAFETY: as above; `free` holds the indices just taken.
+                unsafe { self.queue.return_free(tid, &free[..took]) };
+            }
+            got += took;
+            if took < want {
+                break;
+            }
         }
         got
-    }
-
-    /// Permanently refuses future enqueue claims (idempotent).
-    pub(crate) fn close(&self) {
-        self.gate.close();
-    }
-
-    /// Number of enqueuers currently inside [`Segment::try_enqueue`] or its
-    /// batch counterpart.
-    pub(crate) fn inflight(&self) -> usize {
-        self.gate.inflight()
     }
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
@@ -333,7 +388,6 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// rebuilt when the cache hands the segment out ([`SegmentCache::take`]).
     pub(crate) fn reopen(&self) {
         self.next.store(ptr::null_mut(), SeqCst);
-        self.gate.reopen();
     }
 
     /// Bytes occupied by this segment (struct + inner rings and data array).
@@ -529,9 +583,16 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use wcq_core::wcq::{LlscFamily, NativeFamily};
+    use wcq_reclaim::HazardDomain;
 
     fn segment<F: CellFamily>(order: u32, threads: usize) -> Segment<u64, F> {
         Segment::new(order, threads, WcqConfig::default(), ptr::null(), None)
+    }
+
+    /// A hazard domain shaped like the queue's: `threads` participants, with
+    /// the announcement slot.
+    fn domain(threads: usize) -> HazardDomain {
+        HazardDomain::new(threads, ANNOUNCE + 1)
     }
 
     /// Head, tail and threshold of `aq` and `fq`, as the inner queue's
@@ -540,34 +601,48 @@ mod tests {
         format!("{:?}", seg.queue)
     }
 
+    /// Links `next` after `seg` the way an append or a close does: from then
+    /// on the segment admits no announcement.
+    fn link<F: CellFamily>(seg: &Segment<u64, F>, next: *mut Segment<u64, F>) {
+        assert!(seg
+            .next
+            .compare_exchange(ptr::null_mut(), next, SeqCst, SeqCst)
+            .is_ok());
+    }
+
     /// Fills `seg` to exactly its capacity and sees the next value refused
-    /// (by `fq`'s ⊥: nothing closed the segment), twice — fresh, then drained
-    /// and reopened, as the cache hands it out again.
+    /// (by `fq`'s ⊥: nothing linked the segment), twice — fresh, then drained
+    /// and reopened, as the cache hands it out again.  Every enqueue,
+    /// accepted or refused, leaves the announcement slot clear.
     fn takes_exactly_capacity<F: CellFamily>(seg: &Segment<u64, F>) {
         let cap = seg.queue.capacity() as u64;
         let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
+        let domain = domain(1);
+        let hp = domain.register().unwrap();
         for round in 0..2 {
-            // SAFETY: one thread, the only user of tid 0; the stash is this
-            // segment's.
+            // SAFETY: one thread, the only user of `hp`'s id; the stash is
+            // this segment's.
             unsafe {
                 for v in 0..cap {
                     assert_eq!(
-                        seg.try_enqueue(0, v, stash, run),
+                        seg.try_enqueue(&hp, v, stash, run),
                         Ok(()),
                         "round {round}: {v} of {cap}"
                     );
+                    assert!(hp.protected(ANNOUNCE).is_null());
                 }
                 assert_eq!(
-                    seg.try_enqueue(0, cap, stash, run),
+                    seg.try_enqueue(&hp, cap, stash, run),
                     Err(cap),
                     "round {round}: one past full"
                 );
+                assert!(hp.protected(ANNOUNCE).is_null());
                 for v in 0..cap {
-                    assert_eq!(seg.try_dequeue(0), Some(v));
+                    assert_eq!(seg.try_dequeue(hp.tid()), Some(v));
                 }
-                assert_eq!(seg.try_dequeue(0), None);
+                assert_eq!(seg.try_dequeue(hp.tid()), None);
             }
-            seg.close();
+            link(seg, shut());
             seg.reopen();
         }
     }
@@ -586,10 +661,12 @@ mod tests {
         let seg = segment::<F>(3, 1);
         let successor = segment::<F>(3, 1);
         let (stash, run, out) = (&mut Stash::new(), 2, &mut Vec::new());
+        let domain = domain(1);
+        let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0; the stash is `seg`'s.
         unsafe {
             for v in 0..4 {
-                assert_eq!(seg.try_enqueue(0, v, stash, run), Ok(()));
+                assert_eq!(seg.try_enqueue(&hp, v, stash, run), Ok(()));
             }
             let before = fq(&seg);
             assert_eq!(seg.try_dequeue(0), Some(0));
@@ -598,8 +675,7 @@ mod tests {
             assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
             assert_ne!(fq(&seg), after, "the open tail returns the run");
 
-            seg.close();
-            seg.next.store(ptr::from_ref(&successor).cast_mut(), SeqCst);
+            link(&seg, ptr::from_ref(&successor).cast_mut());
             let linked = fq(&seg);
             assert_eq!(seg.try_dequeue(0), Some(2));
             assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
@@ -637,19 +713,18 @@ mod tests {
             None,
         )));
         let successor = segment::<F>(order, 1);
+        let domain = domain(1);
+        let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0 and of `seg`, which
         // came from `Box::into_raw` and is freed once, at the end.
         unsafe {
             let cap = (*seg).queue.capacity() as u64;
             let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
             for v in 0..cap {
-                assert_eq!((*seg).try_enqueue(0, v, stash, run), Ok(()));
+                assert_eq!((*seg).try_enqueue(&hp, v, stash, run), Ok(()));
             }
-            assert_eq!((*seg).try_enqueue(0, cap, stash, run), Err(cap));
-            (*seg).close();
-            (*seg)
-                .next
-                .store(ptr::from_ref(&successor).cast_mut(), SeqCst);
+            assert_eq!((*seg).try_enqueue(&hp, cap, stash, run), Err(cap));
+            link(&*seg, ptr::from_ref(&successor).cast_mut());
             let full = fq(&*seg);
             for v in 0..cap {
                 assert_eq!((*seg).try_dequeue(0), Some(v));
@@ -702,32 +777,45 @@ mod tests {
         }
     }
 
+    /// A segment linked to a successor, or to `SHUT`, refuses a single and
+    /// a batch enqueue without moving a ring counter, and each refusal
+    /// leaves the announcement slot clear; pre-link values still drain.
     #[test]
     fn a_closed_segment_refuses_without_touching_a_ring() {
-        let seg = segment::<NativeFamily>(3, 1);
-        let (stash, run) = (&mut Stash::new(), 2);
-        // SAFETY: one thread, the only user of tid 0; the stash is this
-        // segment's.
-        unsafe {
-            assert_eq!(seg.try_enqueue(0, 1, stash, run), Ok(()));
-            assert_eq!(stash.len(), 1, "the run's other index stays stashed");
-            seg.close();
-            let before = rings(&seg);
-            assert_eq!(seg.try_enqueue(0, 2, stash, run), Err(2));
-            let mut batch: VecDeque<u64> = (3..6).collect();
-            assert_eq!(seg.try_enqueue_many(0, &mut batch, stash, run), 0);
-            assert_eq!(batch, [3, 4, 5], "a refused batch keeps every value");
-            assert_eq!(rings(&seg), before, "a refused claim touched a ring");
-            assert_eq!(seg.try_dequeue(0), Some(1), "pre-close values drain");
+        let successor = segment::<NativeFamily>(3, 1);
+        for next in [ptr::from_ref(&successor).cast_mut(), shut()] {
+            let seg = segment::<NativeFamily>(3, 1);
+            let (stash, run) = (&mut Stash::new(), 2);
+            let domain = domain(1);
+            let hp = domain.register().unwrap();
+            // SAFETY: one thread, the only user of `hp`'s id; the stash is
+            // this segment's.
+            unsafe {
+                assert_eq!(seg.try_enqueue(&hp, 1, stash, run), Ok(()));
+                assert_eq!(stash.len(), 1, "the run's other index stays stashed");
+                link(&seg, next);
+                let before = rings(&seg);
+                assert_eq!(seg.try_enqueue(&hp, 2, stash, run), Err(2));
+                assert!(
+                    hp.protected(ANNOUNCE).is_null(),
+                    "a refusal left its announcement"
+                );
+                let mut batch: VecDeque<u64> = (3..6).collect();
+                assert_eq!(seg.try_enqueue_many(&hp, &mut batch, stash, run), 0);
+                assert!(
+                    hp.protected(ANNOUNCE).is_null(),
+                    "a refused batch left its announcement"
+                );
+                assert_eq!(batch, [3, 4, 5], "a refused batch keeps every value");
+                assert_eq!(rings(&seg), before, "a refused enqueue touched a ring");
+                assert_eq!(seg.try_dequeue(0), Some(1), "pre-link values drain");
+            }
+            let me = ptr::from_ref(&seg).cast::<u8>();
+            assert_eq!(domain.count_publishing(ANNOUNCE, me), 0);
+            seg.reopen();
+            // SAFETY: as above.
+            assert_eq!(unsafe { seg.try_enqueue(&hp, 7, stash, run) }, Ok(()));
         }
-        assert_eq!(seg.inflight(), 0);
-        assert_eq!(seg.gate.word(), Gate::CLOSED, "the bit and nothing else");
-        seg.close();
-        assert_eq!(seg.gate.word(), Gate::CLOSED, "closing is idempotent");
-        seg.reopen();
-        assert_eq!(seg.gate.word(), 0);
-        // SAFETY: as above.
-        assert_eq!(unsafe { seg.try_enqueue(0, 7, stash, run) }, Ok(()));
     }
 
     /// Values each enqueuer of the race below offers.
@@ -736,17 +824,19 @@ mod tests {
     /// Lets the race below share one segment across threads.
     struct Shared(Segment<u64, NativeFamily>);
     // SAFETY: test-only.  Of `Segment<u64, _>`'s fields, the inner queue is
-    // `Sync` (and every thread operates as its own tid), `next` and the
-    // gate are atomics, and `cache` — the one raw pointer — is null
-    // here and never dereferenced (nothing is recycled).
+    // `Sync` (and every thread operates as its own tid) and `next` is an
+    // atomic, and `cache` — the one raw pointer — is null here and never
+    // dereferenced (nothing is recycled).
     unsafe impl Sync for Shared {}
 
     /// One seeded race on a 4-slot segment: two single and one batch
-    /// enqueuer and a closer against one drainer that stops the way the
-    /// queue's head advance does — closed, then `inflight() == 0`, then one
-    /// more empty dequeue.  Returns `(accepted, refused, delivered)`, sorted.
+    /// enqueuer and a closer that links `SHUT`, against one drainer that
+    /// stops the way the queue's head advance does — linked, then nobody
+    /// announced, then one more empty dequeue.  Returns `(accepted, refused,
+    /// delivered)`, sorted.
     fn closing_race(seed: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
         let shared = &Shared(segment(2, 4));
+        let domain = &domain(4);
         let delivered_count = &AtomicU64::new(0);
         let finished = &AtomicU64::new(0);
         let close_after = seed * 7 % PER;
@@ -754,7 +844,8 @@ mod tests {
             let enqueuers: Vec<_> = (0..3u64)
                 .map(|who| {
                     s.spawn(move || {
-                        let (seg, tid) = (&shared.0, who as usize);
+                        let seg = &shared.0;
+                        let hp = domain.register().unwrap();
                         let (stash, run) = (&mut Stash::new(), 2);
                         let (mut accepted, mut refused) = (Vec::new(), Vec::new());
                         let mut seq = 0;
@@ -766,12 +857,12 @@ mod tests {
                             let mut batch: VecDeque<u64> = offered.iter().copied().collect();
                             let n = if who == 2 {
                                 // SAFETY: this thread is the only user of
-                                // `tid`, and of its stash of this segment.
-                                unsafe { seg.try_enqueue_many(tid, &mut batch, stash, run) }
+                                // `hp`'s id, and of its stash of this segment.
+                                unsafe { seg.try_enqueue_many(&hp, &mut batch, stash, run) }
                             } else {
                                 // SAFETY: as above.
                                 usize::from(
-                                    unsafe { seg.try_enqueue(tid, offered[0], stash, run) }.is_ok(),
+                                    unsafe { seg.try_enqueue(&hp, offered[0], stash, run) }.is_ok(),
                                 )
                             };
                             accepted.extend_from_slice(&offered[..n]);
@@ -789,24 +880,26 @@ mod tests {
                 while delivered_count.load(SeqCst) < close_after && finished.load(SeqCst) < 3 {
                     std::hint::spin_loop();
                 }
-                shared.0.close();
+                link(&shared.0, shut());
             });
             let drainer = s.spawn(move || {
                 let seg = &shared.0;
+                let hp = domain.register().unwrap();
+                let me = ptr::from_ref(seg).cast::<u8>();
                 let mut got = Vec::new();
                 loop {
-                    // SAFETY: this thread is the only user of tid 3.
-                    if let Some(v) = unsafe { seg.try_dequeue(3) } {
+                    // SAFETY: this thread is the only user of `hp`'s id.
+                    if let Some(v) = unsafe { seg.try_dequeue(hp.tid()) } {
                         got.push(v);
                         delivered_count.fetch_add(1, SeqCst);
                         continue;
                     }
-                    if seg.gate.word() & Gate::CLOSED == 0 || seg.inflight() != 0 {
+                    if !seg.is_shut() || domain.count_publishing(ANNOUNCE, me) != 0 {
                         std::thread::yield_now();
                         continue;
                     }
                     // SAFETY: as above.
-                    match unsafe { seg.try_dequeue(3) } {
+                    match unsafe { seg.try_dequeue(hp.tid()) } {
                         Some(v) => got.push(v),
                         None => break,
                     }

@@ -81,7 +81,7 @@ impl<T: Send + 'static, I: Instrument> AsyncSender<T, I> {
 
     /// Sends every element of `iter`, suspending (rather than spinning) while
     /// a bounded backend is full — the async face of [`Sender::send_iter`],
-    /// with the same batch-amortized gate claims and the same error
+    /// with the same batch-amortized announcements and the same error
     /// contract: on close the unsent remainder comes back in order inside the
     /// error, and everything else was enqueued pre-close and will drain.
     pub fn send_iter<It>(&mut self, iter: It) -> SendIterFuture<'_, T, I>

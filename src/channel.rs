@@ -21,29 +21,32 @@
 //!   [`TryRecvError::Closed`] / [`RecvError`].
 //!
 //! The drain guarantee is exact, not best-effort, and the channel keeps no
-//! close word of its own: it closes its backend, whose enqueue already brackets
-//! itself in a [`Gate`] — the number of enqueues in flight plus a closed top
-//! bit.  The unbounded wLSCQ has one per segment, and its close also links a
-//! `SHUT` sentinel after the tail segment so no append can follow
-//! ([`UnboundedWcqHandle::close`]); the bounded wCQ gets one beside it.  An
-//! enqueue's claim is one `fetch_add` on the gate and the close one
-//! `fetch_or`, so every send is ordered either before the close (and counted
-//! until its value has landed) or after it (and refused).
+//! close word of its own: it closes its backend, whose enqueue already
+//! *announces* itself, then checks a closed word, and withdraws the
+//! announcement once its value has landed.  The unbounded wLSCQ announces
+//! in the handle's own hazard slot, and its closed word is the tail
+//! segment's `next`, to which the close links a `SHUT` sentinel
+//! ([`UnboundedWcqHandle::close`]); the bounded wCQ gets a closed flag and
+//! one announce flag per handle beside it.  The announcement is a `SeqCst`
+//! store and the check and the close `SeqCst` too, so every send either read
+//! the word open with its announcement already visible to whoever sees the
+//! close (and is counted until its value has landed), or read it closed
+//! (and is refused).
 //!
 //! Once the backend's close has returned, the channel sets a write-once
 //! `closed` flag and wakes everyone.  A receiver that finds the queue empty
 //! reads that flag — one load of a line no send writes — and only when it is
 //! set asks the backend whether it has *settled* (closed, nothing in flight;
 //! [`UnboundedWcqHandle::settled`]) before one final empty dequeue lets it
-//! conclude `Closed`.  So every enqueue that got past a gate is visible to
+//! conclude `Closed`.  So every enqueue the backend admitted is visible to
 //! some receiver's final drain, and bounded-memory reclamation (Theorem 5.8)
 //! keeps running unchanged underneath.
 //!
 //! The wake rule follows from where a receiver can wait: a receiver that saw
 //! the flag and an unsettled backend waits for the sends still in flight.  So
-//! a successful send reads the flag after leaving its gate and wakes every
-//! receiver if it is set (one otherwise), and a send refused after a
-//! transient claim wakes them all.
+//! a successful send reads the flag after withdrawing its announcement and
+//! wakes every receiver if it is set (one otherwise), and a send refused
+//! after a transient announcement wakes them all.
 //!
 //! # Threading model
 //!
@@ -82,15 +85,16 @@
 //! ```
 
 use std::cell::Cell;
-use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::Ordering::{Release, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
+use wcq_atomics::CachePadded;
 use wcq_core::api::WaitFreeQueue;
 use wcq_core::metrics::{Counter, Instrument, NoopInstrument};
 use wcq_core::wcq::{CellFamily, WcqQueue, WcqQueueHandle};
-use wcq_unbounded::{Gate, UnboundedWcq, UnboundedWcqHandle};
+use wcq_unbounded::{UnboundedWcq, UnboundedWcqHandle};
 
 use crate::wait::{Lane, Parked, WakeSide, NO_DEADLINE};
 
@@ -142,13 +146,13 @@ pub(crate) trait BackendHandle<T>: Send {
     /// final.
     fn settled(&mut self) -> bool;
 
-    /// Enqueues in flight on the gate that decides [`BackendHandle::settled`]
-    /// (a checker probe).
+    /// Enqueues still announced where [`BackendHandle::settled`] looks (a
+    /// checker probe).
     fn inflight(&mut self) -> usize;
 }
 
-/// The unbounded backend closes itself: each segment has a gate, and the
-/// close links `SHUT` after the last one.
+/// The unbounded backend closes itself: an enqueue announces its segment
+/// and checks its `next`, and the close links `SHUT` after the last one.
 impl<T: Send, F: CellFamily> Backend<T> for UnboundedWcq<T, F> {
     fn queue(&self) -> &dyn WaitFreeQueue<T> {
         self
@@ -194,19 +198,40 @@ impl<T: Send, F: CellFamily> BackendHandle<T> for UnboundedWcqHandle<'_, T, F> {
     }
 }
 
-/// The bounded backend: a wCQ with a [`Gate`] beside it, since the ring's
-/// own enqueue cannot be told to fail permanently.
+/// The bounded backend: a wCQ with a closed flag and one announce flag per
+/// handle id beside it, since the ring's own enqueue cannot be told to fail
+/// permanently.  A send announces itself on its handle's flag (`SeqCst`),
+/// then reads `closed` (`SeqCst`): the Dekker pair of the unbounded
+/// backend's segment announcement, with `closed` in place of `next`.
 pub(crate) struct Gated<T, F: CellFamily> {
     queue: WcqQueue<T, F>,
-    gate: Gate,
+    closed: AtomicBool,
+    /// Indexed by [`WcqQueueHandle::tid`], so each has one writer; padded so
+    /// producers write no line another producer writes.
+    announced: Box<[CachePadded<AtomicBool>]>,
 }
 
 impl<T, F: CellFamily> Gated<T, F> {
     pub(crate) fn new(queue: WcqQueue<T, F>) -> Self {
+        let announced = (0..queue.max_threads())
+            .map(|_| CachePadded::new(AtomicBool::new(false)))
+            .collect();
         Self {
             queue,
-            gate: Gate::new(),
+            closed: AtomicBool::new(false),
+            announced,
         }
+    }
+
+    /// Refuses every send that reads `closed` from now on.
+    fn close(&self) {
+        self.closed.store(true, SeqCst);
+    }
+
+    /// Handles announced right now: once `closed` has been seen set, the
+    /// sends still depositing.
+    fn inflight(&self) -> usize {
+        self.announced.iter().filter(|a| a.load(SeqCst)).count()
     }
 }
 
@@ -218,39 +243,64 @@ impl<T: Send, F: CellFamily> Backend<T> for Gated<T, F> {
     fn try_handle(&self) -> Option<Box<dyn BackendHandle<T> + '_>> {
         let inner = self.queue.register()?;
         Some(Box::new(GatedHandle {
+            announced: &self.announced[inner.tid()],
             inner,
-            gate: &self.gate,
+            gated: self,
         }))
     }
 
     fn close_unregistered(&self) -> bool {
-        self.gate.close();
+        self.close();
         true
     }
 }
 
 struct GatedHandle<'q, T, F: CellFamily> {
     inner: WcqQueueHandle<'q, T, F>,
-    gate: &'q Gate,
+    /// This handle's announce flag.
+    announced: &'q AtomicBool,
+    gated: &'q Gated<T, F>,
+}
+
+impl<T, F: CellFamily> GatedHandle<'_, T, F> {
+    /// Announces a send and checks `closed`: `true` admits it, and the
+    /// caller withdraws with [`GatedHandle::withdraw`] after its enqueue;
+    /// `false` has withdrawn already.
+    #[inline]
+    fn announce(&self) -> bool {
+        self.announced.store(true, SeqCst);
+        if self.gated.closed.load(SeqCst) {
+            self.withdraw();
+            return false;
+        }
+        true
+    }
+
+    /// Clears the announcement: a `Release` store, so a receiver that reads
+    /// the flag clear sees the enqueue before it.
+    #[inline]
+    fn withdraw(&self) {
+        self.announced.store(false, Release);
+    }
 }
 
 impl<T: Send, F: CellFamily> BackendHandle<T> for GatedHandle<'_, T, F> {
     #[inline]
     fn send(&mut self, value: T) -> Result<(), TrySendError<T>> {
-        if !self.gate.enter() {
+        if !self.announce() {
             return Err(TrySendError::Closed(value));
         }
         let outcome = self.inner.enqueue(value);
-        self.gate.leave();
+        self.withdraw();
         outcome.map_err(TrySendError::Full)
     }
 
     fn send_many(&mut self, values: &mut Vec<T>) -> Result<usize, SendError<()>> {
-        if !self.gate.enter() {
+        if !self.announce() {
             return Err(SendError(()));
         }
         let accepted = self.inner.enqueue_many(values);
-        self.gate.leave();
+        self.withdraw();
         Ok(accepted)
     }
 
@@ -264,15 +314,15 @@ impl<T: Send, F: CellFamily> BackendHandle<T> for GatedHandle<'_, T, F> {
     }
 
     fn close(&mut self) {
-        self.gate.close();
+        self.gated.close();
     }
 
     fn settled(&mut self) -> bool {
-        self.gate.inflight() == 0
+        self.gated.inflight() == 0
     }
 
     fn inflight(&mut self) -> usize {
-        self.gate.inflight()
+        self.gated.inflight()
     }
 }
 
@@ -344,8 +394,8 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
     }
 
     /// Wakes receivers after a send that enqueued: every one if the channel
-    /// is closed (they may be waiting for this send to leave its gate), one
-    /// otherwise.  The flag is read after the gate was left.
+    /// is closed (they may be waiting for this send's announcement to
+    /// clear), one otherwise.  The flag is read after it cleared.
     #[inline]
     fn wake_after_send(&self) {
         if self.closed.load(SeqCst) {
@@ -365,8 +415,8 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
         let outcome = handle.send(value);
         match &outcome {
             Ok(()) => self.wake_after_send(),
-            // Refused after a transient claim: a receiver may have seen it
-            // and be waiting for it to clear.
+            // Refused after a transient announcement: a receiver may have
+            // seen it and be waiting for it to clear.
             Err(TrySendError::Closed(_)) => self.recv_side.wake_all(),
             Err(TrySendError::Full(_)) => {
                 if self.closed.load(SeqCst) {
@@ -378,14 +428,14 @@ impl<T: Send + 'static, I: Instrument> ChannelCore<T, I> {
     }
 
     /// Batch counterpart of [`ChannelCore::try_send`]: the backend's batch
-    /// enqueue takes one gate claim per segment run (one per call on the
+    /// enqueue announces itself once per segment run (once per call on the
     /// bounded backend).  Accepted elements are drained from the front of
     /// `values`; `Ok(0)` with a non-empty `values` means a bounded backend
     /// is full.  `Err` means the channel was closed before anything in this
     /// call was enqueued, so `values` is untouched.
     ///
     /// The exact-drain close guarantee carries over per element: everything
-    /// accepted here got past a gate before the close, so a receiver's final
+    /// accepted here was admitted before the close, so a receiver's final
     /// look cannot miss any of the batch.
     pub(crate) fn try_send_many(
         &self,
@@ -671,8 +721,8 @@ impl<T: Send + 'static, I: Instrument> Sender<T, I> {
     }
 
     /// Sends every element of `iter`, paying the handle bind **once per
-    /// batch** and the gate claim once per segment run instead of once per
-    /// element — the channel face of
+    /// batch** and the backend's announcement once per segment run instead
+    /// of once per element — the channel face of
     /// [`QueueHandle::enqueue_many`](wcq_core::api::QueueHandle::enqueue_many).
     ///
     /// Returns the number sent (the whole iterator on success).  When the
@@ -913,9 +963,9 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
         self.core.queue().name()
     }
 
-    /// Checker/test introspection: the enqueues in flight on the backend's
-    /// gate that decides the drain (the bounded backend's gate, or the
-    /// unbounded queue's head segment's).  The close protocol's balance
+    /// Checker/test introspection: the enqueues still announced where the
+    /// backend decides the drain (the bounded backend's flags, or the
+    /// unbounded queue's head segment).  The close protocol's balance
     /// invariant says this must be zero once every send call has returned —
     /// the `wcq-check` explorer asserts it after quiescence.  Not part of the
     /// stable API.
@@ -1086,8 +1136,8 @@ mod tests {
     }
 
     /// Racing closes all close the backend, and exactly one sets the flag;
-    /// the gate's in-flight count read beside them never includes its
-    /// closed bit.
+    /// the in-flight count read beside them never counts more than the two
+    /// senders.
     #[test]
     fn racing_closes_transition_once_and_never_show_the_bit() {
         for _ in 0..32 {
@@ -1100,7 +1150,7 @@ mod tests {
                         let _ = tx.try_send(1);
                         let wins = usize::from(tx.close()) + usize::from(rx.close());
                         transitions.fetch_add(wins, SeqCst);
-                        assert!(rx.debug_gate_inflight() <= 2, "the bit leaked");
+                        assert!(rx.debug_gate_inflight() <= 2, "more than the senders");
                         assert_eq!(tx.try_send(2), Err(TrySendError::Closed(2)));
                         let _ = rx.try_recv();
                     });

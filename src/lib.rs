@@ -317,8 +317,9 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
 
     /// Builds the queue shape selected by [`backend`](QueueBuilder::backend)
     /// as a channel backend — the construction path shared by both channel
-    /// finishers.  The bounded wCQ gets a close gate beside it; the
-    /// unbounded wLSCQ closes through its segments' own.
+    /// finishers.  The bounded wCQ gets a closed flag and announce flags
+    /// beside it; the unbounded wLSCQ closes through its segments' `next`
+    /// links.
     fn build_backend<T: Send + 'static>(&self) -> Box<dyn channel::Backend<T>> {
         match self.backend {
             ChannelBackend::Bounded => Box::new(channel::Gated::new(self.build_bounded::<T>())),
@@ -378,9 +379,9 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// Builds the unbounded wLSCQ queue (this repo's extension of §2.3's LSCQ
     /// recipe): wait-free ring operations inside each segment, segments
     /// linked and recycled through hazard pointers.  The head advance between
-    /// segments is blocking: an enqueuer preempted between its in-flight
-    /// claim and its deposit stalls every dequeuer at that boundary
-    /// (`dequeue_crossing`; ROADMAP item 3 is the fix).
+    /// segments is blocking: an enqueuer preempted between its announcement
+    /// and its deposit stalls every dequeuer at that boundary
+    /// (`dequeue_crossing`; ROADMAP item 5(b) is the fix).
     pub fn build_unbounded<T>(&self) -> UnboundedWcq<T, F> {
         UnboundedWcq::with_config_cache_counters(
             self.capacity_order,

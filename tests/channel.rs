@@ -353,3 +353,114 @@ fn a_shard_count_leaves_the_channel_on_the_unbounded_backend() {
         assert_eq!(got, expected, "async send_iter/recv_many");
     });
 }
+
+/// Two senders race a receiver's close on each backend with every ring
+/// operation forced down the wait-free slow path, on the smallest ring or
+/// segments the senders admit, so a close lands between an announcement
+/// and its check, and between a check and its deposit.  Every value offered
+/// is either refused or delivered, exactly once, and none whose send
+/// started after the close returned is accepted.
+#[test]
+fn sends_racing_close_under_the_slow_path_are_refused_or_delivered_once() {
+    const OFFERS: u64 = 300;
+    let forced = wcq_core::wcq::WcqConfig {
+        max_patience_enqueue: 1,
+        max_patience_dequeue: 1,
+        help_delay: 1,
+        catchup_bound: 8,
+    };
+    for backend in all_channel_backends() {
+        for seed in 1..=8u64 {
+            let (tx, mut rx) = wcq::builder()
+                .capacity_order(2)
+                .threads(3)
+                .config(forced)
+                .backend(backend)
+                .build_channel::<u64>();
+            let closed = &std::sync::atomic::AtomicBool::new(false);
+            let close_at = 1 + seed * 41 % 250;
+            let at = format!("{backend:?}, seed {seed}");
+            let at = at.as_str();
+            let (mut accepted, mut refused, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
+            std::thread::scope(|s| {
+                let senders: Vec<_> = (0..2u64)
+                    .map(|who| {
+                        let mut tx = tx.clone();
+                        s.spawn(move || {
+                            let (mut accepted, mut refused) = (Vec::new(), Vec::new());
+                            let mut i = 0;
+                            while i < OFFERS {
+                                let after_close = closed.load(std::sync::atomic::Ordering::SeqCst);
+                                // Sender 1 offers batches, so a close can
+                                // split one.
+                                let len = if who == 1 { 1 + (seed + i) % 4 } else { 1 };
+                                let offered: Vec<u64> =
+                                    (i..(i + len).min(OFFERS)).map(|i| who << 32 | i).collect();
+                                i += offered.len() as u64;
+                                let n = if who == 1 {
+                                    match tx.send_iter(offered.iter().copied()) {
+                                        Ok(n) => n,
+                                        Err(wcq::SendError(rest)) => {
+                                            assert_eq!(
+                                                rest,
+                                                offered[offered.len() - rest.len()..],
+                                                "{at}: remainder out of order"
+                                            );
+                                            offered.len() - rest.len()
+                                        }
+                                    }
+                                } else {
+                                    let mut v = offered[0];
+                                    loop {
+                                        match tx.try_send(v) {
+                                            Ok(()) => break 1,
+                                            Err(TrySendError::Full(back)) => {
+                                                v = back;
+                                                std::thread::yield_now();
+                                            }
+                                            Err(TrySendError::Closed(_)) => break 0,
+                                        }
+                                    }
+                                };
+                                assert!(
+                                    !after_close || n == 0,
+                                    "{at}: a send that started after the close was accepted"
+                                );
+                                accepted.extend_from_slice(&offered[..n]);
+                                refused.extend_from_slice(&offered[n..]);
+                            }
+                            (accepted, refused)
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                let receiver = s.spawn(move || {
+                    let mut got = Vec::new();
+                    while let Ok(v) = rx.recv() {
+                        got.push(v);
+                        if got.len() as u64 == close_at {
+                            rx.close();
+                            closed.store(true, std::sync::atomic::Ordering::SeqCst);
+                        }
+                    }
+                    got
+                });
+                for t in senders {
+                    let (a, r) = t.join().expect("sender");
+                    accepted.extend(a);
+                    refused.extend(r);
+                }
+                delivered = receiver.join().expect("receiver");
+            });
+            accepted.sort_unstable();
+            refused.sort_unstable();
+            delivered.sort_unstable();
+            assert_eq!(delivered, accepted, "{at}: lost or duplicated");
+            assert_eq!(accepted.len() + refused.len(), 2 * OFFERS as usize, "{at}");
+            assert!(
+                refused.iter().all(|v| delivered.binary_search(v).is_err()),
+                "{at}: a refused value was delivered"
+            );
+        }
+    }
+}

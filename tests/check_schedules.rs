@@ -43,7 +43,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Unbounded,
         0x7,
         4,
-        1811,
+        1942,
         "slow-path enqueue lost element (segmented queue)",
     ),
     // Register-allocation hazard in the cmpxchg16b inline asm: LLVM could
@@ -83,12 +83,17 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         892,
         "owner abandoned live dequeue request (secondary schedule)",
     ),
+    // Since half the channel plans run the unbounded backend, plan 1's does,
+    // without the forced slow path, and this replay no longer reaches the
+    // FIN CAS window: it passes with that bug put back, as it did before
+    // the segment announcement moved its count.  The two `BoundedLlsc`
+    // entries above still fail with it.  Kept as a channel regression.
     (
         1,
         Target::Channel,
         0x9E37_79B9_7F4A_7C1B,
         16,
-        464,
+        512,
         "stranded element surfaced as channel recv livelock",
     ),
     (
@@ -111,23 +116,21 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Unbounded,
         0x71BB_CDCB_FA53_E0A8,
         16,
-        2536,
+        2573,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
     // Pins the sharded queue's ordering contract rather than a fixed bug.
     // Plan 3 is one producer (home shard 0) forced down the slow path across
     // a segment boundary, and two consumers: one whose home is shard 0, one
     // whose home is the empty shard 1, so all it ever gets it steals.  Under
-    // this schedule four of the eleven values are stolen while the producer
-    // is still enqueueing on that shard, and the oracle asserts per-producer
-    // FIFO on both consumers' views.  If an enqueue ever leaves its handle's
-    // home shard, this replay is the first to see a producer reordered.
+    // this schedule five of the eleven values are stolen, and the oracle
+    // asserts per-producer FIFO on both consumers' views.
     (
         3,
         Target::Sharded,
         0xDAA6_6D2C_7DDF_7443,
         4,
-        1299,
+        982,
         "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
@@ -142,23 +145,22 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        758,
+        791,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
     // two producers on the unbounded backend's 4-slot segments, and the
     // receiver closes after 10 values.  The `check-mutations` mutant whose
-    // close shuts the tail segment's gate but never links `SHUT` after it
-    // fails exactly here ("worker 0 seq 10 was accepted by a send that
-    // started after the channel's close had returned"): the refused enqueue
-    // appends a fresh, open segment.  If an append can ever link after a
-    // completed close, so does the real tree.
+    // close returns without linking `SHUT` fails exactly here ("worker 0
+    // seq 8 was accepted by a send that started after the channel's close
+    // had returned"): the queue stays open.  If an enqueue can ever be
+    // admitted after a completed close, so does the real tree.
     (
         2,
         Target::Channel,
         0x3C6E_F372_FE94_F82B,
         1,
-        378,
+        233,
         "an enqueue that starts after the close must not append a segment",
     ),
 ];
