@@ -251,18 +251,6 @@ impl Granule {
         self.store_conditional(idx, new, res)
     }
 
-    /// Emulated fetch-and-add on word `idx` via an LL/SC retry loop (PowerPC
-    /// has no native F&A; the paper notes wCQ still works, merely without the
-    /// fast-path F&A advantage).  Returns the previous value.
-    pub fn fetch_add_word(&self, idx: usize, delta: u64) -> u64 {
-        loop {
-            let (cur, res) = self.load_linked(idx);
-            if self.store_conditional(idx, cur.wrapping_add(delta), res) {
-                return cur;
-            }
-        }
-    }
-
     /// Emulated fetch-OR on word `idx` via an LL/SC retry loop.
     pub fn fetch_or_word(&self, idx: usize, bits: u64) -> u64 {
         loop {
@@ -355,6 +343,8 @@ mod tests {
         assert_eq!(g.snapshot(), (10, 21));
     }
 
+    /// A fetch-and-add built from `cas_word` retries (the loop PowerPC runs
+    /// for want of a native F&A) loses no increment under contention.
     #[test]
     fn fetch_add_word_is_atomic_under_contention() {
         no_spurious();
@@ -366,7 +356,12 @@ mod tests {
                 let g = Arc::clone(&g);
                 std::thread::spawn(move || {
                     for _ in 0..OPS {
-                        g.fetch_add_word(0, 1);
+                        loop {
+                            let cur = g.load(0);
+                            if g.cas_word(0, cur, cur + 1) {
+                                break;
+                            }
+                        }
                     }
                 })
             })

@@ -69,7 +69,7 @@ pub struct YmcQueue {
     /// Hints that usually point close to the segments in use.
     head_hint: AtomicPtr<Segment>,
     tail_hint: AtomicPtr<Segment>,
-    segments_allocated: AtomicUsize,
+    segments: AtomicUsize,
 }
 
 unsafe impl Send for YmcQueue {}
@@ -85,13 +85,13 @@ impl YmcQueue {
             first: AtomicPtr::new(first),
             head_hint: AtomicPtr::new(first),
             tail_hint: AtomicPtr::new(first),
-            segments_allocated: AtomicUsize::new(1),
+            segments: AtomicUsize::new(1),
         }
     }
 
-    /// Total segments ever allocated (the Figure 10a growth statistic).
-    pub fn segments_allocated(&self) -> usize {
-        self.segments_allocated.load(SeqCst)
+    /// Segments allocated, all held until drop (the Figure 10a statistic).
+    pub fn segments(&self) -> usize {
+        self.segments.load(SeqCst)
     }
 
     /// Racy emptiness hint: the dequeue ticket has caught up with the
@@ -103,7 +103,7 @@ impl YmcQueue {
     /// Approximate bytes held by the queue's segments.
     pub fn memory_footprint(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.segments_allocated()
+            + self.segments()
                 * (std::mem::size_of::<Segment>()
                     + SEGMENT_CELLS as usize * std::mem::size_of::<AtomicU64>())
     }
@@ -129,7 +129,7 @@ impl YmcQueue {
                         .compare_exchange(std::ptr::null_mut(), fresh, SeqCst, SeqCst)
                     {
                         Ok(_) => {
-                            self.segments_allocated.fetch_add(1, SeqCst);
+                            self.segments.fetch_add(1, SeqCst);
                             next = fresh;
                         }
                         Err(existing) => {
@@ -200,7 +200,7 @@ impl std::fmt::Debug for YmcQueue {
         f.debug_struct("YmcQueue")
             .field("head", &self.head_ticket.load(SeqCst))
             .field("tail", &self.tail_ticket.load(SeqCst))
-            .field("segments", &self.segments_allocated())
+            .field("segments", &self.segments())
             .finish()
     }
 }
@@ -229,10 +229,10 @@ mod tests {
         for i in 0..(3 * SEGMENT_CELLS) {
             q.enqueue(i % 1000);
         }
-        assert!(q.segments_allocated() >= 3);
+        assert!(q.segments() >= 3);
         // Memory is not reclaimed mid-run — that is the reproduced YMC flaw.
         while q.dequeue().is_some() {}
-        assert!(q.segments_allocated() >= 3);
+        assert!(q.segments() >= 3);
     }
 
     #[test]

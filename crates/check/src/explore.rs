@@ -19,9 +19,10 @@
 //!
 //! * **threshold monotonicity bound** — both ring thresholds never exceed
 //!   the §5 `3n - 1` bound, sampled by every consumer on every poll;
-//! * **close balance** — after a channel run quiesces, no send is still in
-//!   flight on the backend's gate, and no send that started after a
-//!   completed close was accepted;
+//! * **close balance** — after a channel run quiesces, no send is still
+//!   announced where the backend decides the drain (the bounded backend's
+//!   announce flags, the unbounded head segment), and no send that started
+//!   after a completed close was accepted;
 //! * **segment residency** — after a drained unbounded, sharded or
 //!   hazard-window run flushes reclamation, resident segments stay within
 //!   the Theorem 5.8-style `live + cache + hazard` bound (per shard).
@@ -184,13 +185,7 @@ impl CheckPlan {
     /// An unbounded wLSCQ over [`CheckedFamily`] segments for `handles`
     /// registered handles.
     fn unbounded(&self, handles: usize) -> UnboundedWcq<u64, CheckedFamily> {
-        UnboundedWcq::with_config_cache_counters(
-            self.ring_order,
-            handles,
-            self.config(),
-            DEFAULT_SEGMENT_CACHE,
-            None,
-        )
+        UnboundedWcq::with_config_counters(self.ring_order, handles, self.config(), None)
     }
 
     fn config(&self) -> WcqConfig {
@@ -592,12 +587,11 @@ fn sample_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
         Target::Sharded,
         schedule,
         |threads| {
-            ShardedWcq::<u64, CheckedFamily>::with_config_cache_counters(
+            ShardedWcq::<u64, CheckedFamily>::with_config_counters(
                 SHARDS,
                 plan.ring_order,
                 threads,
                 plan.config(),
-                DEFAULT_SEGMENT_CACHE,
                 None,
             )
         },
@@ -753,8 +747,8 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     let threads = plan.threads(Target::Channel);
     let sched = Scheduler::new(threads, schedule);
     // LL/SC cells so the Granule checkpoint seam supplies in-algorithm
-    // preemption points.  The bounded backend makes Full and the gate
-    // hand-off happen; the unbounded one, on segments as small as the
+    // preemption points.  The bounded backend makes Full and the close
+    // flag's hand-off happen; the unbounded one, on segments as small as the
     // plan's threads admit (k ≤ n: two slots for one producer, four for
     // two), makes nearly every send an append or a crossing for a close to
     // race.
@@ -863,13 +857,13 @@ fn run_channel(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     let accepted_counts = accepted_counts?;
     let (observed, mut rx) = joined(consumer);
 
-    // Close balance: with every endpoint quiesced, no send may still be in
-    // flight on the backend's gate — a leaked claim means the close protocol
-    // lost track of a straggling send.
-    let inflight = rx.debug_gate_inflight();
+    // Close balance: with every endpoint quiesced, no send may still be
+    // announced — a leaked announcement means the close protocol lost track
+    // of a straggling send.
+    let inflight = rx.debug_inflight();
     if inflight != 0 {
         return Err(format!(
-            "close balance violated: {inflight} sends in flight on the gate after quiescence"
+            "close balance violated: {inflight} sends still announced after quiescence"
         ));
     }
 

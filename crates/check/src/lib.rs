@@ -11,8 +11,9 @@
 //! producer/consumer driver, the channel close protocol and the directed
 //! hazard-window probe through their own — and a hand-rolled source
 //! **lint** ([`lint`]) enforcing
-//! `// relaxed:` / `// SAFETY:` justification comments and the hot-path
-//! `Mutex` / `static mut` ban.
+//! `// relaxed:` / `// SAFETY:` justification comments, the hot-path
+//! `Mutex` / `static mut` ban and four structural guards (one fast path, one
+//! ring constructor, one registry, no per-thread registration state).
 //!
 //! Everything is deterministic and replayable: a failing schedule prints its
 //! `(plan_seed, target, sched_seed, depth)` coordinates, and

@@ -1,4 +1,5 @@
-//! Hand-rolled source lint for the hot-path crates.
+//! Hand-rolled source lint for the hot-path crates, plus four structural
+//! guards.
 //!
 //! Three rules, enforced over `crates/{atomics,core,reclaim,unbounded}/src`
 //! (the crates whose code runs inside enqueue/dequeue) and the umbrella's
@@ -38,6 +39,20 @@
 //! crude but dependency-free, fast, and — because it runs in CI over a tree
 //! that must stay clean — false positives surface immediately as a red build
 //! with a file:line to either justify or fix.
+//!
+//! Four structural guards keep one construct in the files that own it, so a
+//! second hand-kept copy cannot grow back.  A guard matches raw lines,
+//! comments included, up to a `#[cfg(test)]` that starts a line (`GUARDS`
+//! holds each one's pattern, trees and owners):
+//!
+//! 4. **`one-fast-path`** — `.cas_value(` / `.or_value(` only in
+//!    `crates/core/src/ring.rs` (Figure 3 lives once);
+//! 5. **`one-ring-constructor`** — `F::Entry::new(` / `F::Ctr::new(` only
+//!    there too;
+//! 6. **`one-registry`** — a claim-flag `compare_exchange` only in
+//!    `crates/atomics/src/registry.rs`, over every `crates/*/src` and `src`;
+//! 7. **`no-per-thread-registration`** — `thread_local!` in the hot-path
+//!    trees only in `crates/atomics/src/llsc.rs` and `src/wait.rs`.
 
 use std::fmt;
 use std::fs;
@@ -232,6 +247,81 @@ pub const HOT_PATH_CRATES: [&str; 5] = [
     "src",
 ];
 
+/// A structural guard: a line holding one of the `patterns` may appear in
+/// the `trees` (a `*` component matches any one directory) only in the
+/// `allowed` files.
+struct Guard {
+    rule: &'static str,
+    trees: &'static [&'static str],
+    allowed: &'static [&'static str],
+    patterns: &'static [&'static str],
+}
+
+const CORE_TREES: &[&str] = &["crates/core/src", "crates/unbounded/src", "src"];
+
+/// Rules 4–7 of the module docs.
+const GUARDS: [Guard; 4] = [
+    Guard {
+        rule: "one-fast-path",
+        trees: CORE_TREES,
+        allowed: &["crates/core/src/ring.rs"],
+        patterns: &[".cas_value(", ".or_value("],
+    },
+    Guard {
+        rule: "one-ring-constructor",
+        trees: CORE_TREES,
+        allowed: &["crates/core/src/ring.rs"],
+        patterns: &["F::Entry::new(", "F::Ctr::new("],
+    },
+    Guard {
+        rule: "one-registry",
+        trees: &["crates/*/src", "src"],
+        allowed: &["crates/atomics/src/registry.rs"],
+        // Split so that this file does not match its own guard.
+        patterns: &[
+            concat!("compare_exchange(", "false, true,"),
+            concat!("compare_exchange(", "0, 1,"),
+        ],
+    },
+    Guard {
+        rule: "no-per-thread-registration",
+        trees: &HOT_PATH_CRATES,
+        allowed: &["crates/atomics/src/llsc.rs", "src/wait.rs"],
+        patterns: &["thread_local!"],
+    },
+];
+
+/// True if the file labelled `file` lies under `tree`.
+fn under(file: &str, tree: &str) -> bool {
+    let mut parts = file.split('/');
+    (tree.split('/')).all(|dir| parts.next().is_some_and(|part| dir == "*" || dir == part))
+}
+
+/// Applies every guard whose trees hold `file` to one source file's text.
+fn guard_source(file: &str, source: &str) -> Vec<Finding> {
+    let guards: Vec<&Guard> = (GUARDS.iter())
+        .filter(|g| g.trees.iter().any(|tree| under(file, tree)) && !g.allowed.contains(&file))
+        .collect();
+    let lines = source
+        .lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"));
+    let mut findings = Vec::new();
+    for (i, line) in lines.enumerate() {
+        for guard in guards
+            .iter()
+            .filter(|g| g.patterns.iter().any(|p| line.contains(p)))
+        {
+            findings.push(Finding {
+                file: file.into(),
+                line: i + 1,
+                rule: guard.rule,
+                message: format!("allowed only in {}", guard.allowed.join(" and ")),
+            });
+        }
+    }
+    findings
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<Result<_, _>>()?;
     entries.sort_by_key(|e| e.path());
@@ -246,29 +336,33 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints every `.rs` file under the hot-path crates of the repo at `root`.
-/// Returns an error string if a directory is missing (wrong root) rather
-/// than silently passing an empty scan.
+/// Lints every `.rs` file under the hot-path crates of the repo at `root`
+/// with rules 1–3, and every one under `src` and `crates/*/src` with the
+/// guards whose trees hold it.  Returns an error string if a hot-path
+/// directory is missing (wrong root) rather than silently passing an empty
+/// scan.
 pub fn lint_tree(root: &Path) -> Result<Vec<Finding>, String> {
+    if let Some(rel) = HOT_PATH_CRATES.iter().find(|rel| !root.join(rel).is_dir()) {
+        return Err(format!(
+            "lint root {root:?} has no {rel}/ — not the repository root?"
+        ));
+    }
+    let mut files = Vec::new();
+    for rel in ["crates", "src"] {
+        collect_rs_files(&root.join(rel), &mut files).map_err(|e| format!("walking {rel}: {e}"))?;
+    }
     let mut findings = Vec::new();
-    for rel in HOT_PATH_CRATES {
-        let dir = root.join(rel);
-        if !dir.is_dir() {
-            return Err(format!(
-                "lint root {root:?} has no {rel}/ — not the repository root?"
-            ));
-        }
-        let mut files = Vec::new();
-        collect_rs_files(&dir, &mut files).map_err(|e| format!("walking {rel}: {e}"))?;
-        for file in files {
-            let source = fs::read_to_string(&file).map_err(|e| format!("reading {file:?}: {e}"))?;
-            let label = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .display()
-                .to_string();
+    for file in files {
+        let source = fs::read_to_string(&file).map_err(|e| format!("reading {file:?}: {e}"))?;
+        let label = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .display()
+            .to_string();
+        if HOT_PATH_CRATES.iter().any(|rel| under(&label, rel)) {
             findings.extend(lint_source(&label, &source));
         }
+        findings.extend(guard_source(&label, &source));
     }
     Ok(findings)
 }
@@ -420,6 +514,75 @@ let y = unsafe { &*p };
         assert!(rules("// a Mutex would be wrong here").is_empty());
         let test_mod = "#[cfg(test)]\nmod tests {\n    use super::*;\n    fn f() { let m = Mutex::new(0); let _ = unsafe { x() }; }\n}";
         assert!(rules(test_mod).is_empty());
+    }
+
+    /// Each guard flags its construct in a file of its trees, and not in
+    /// the files that own it, outside its trees, or in a test module.
+    #[test]
+    fn each_guard_flags_its_construct_outside_its_owner() {
+        let cases = [
+            (
+                "one-fast-path",
+                "let _ = entry.cas_value(old, new);\nlet _ = entry.or_value(bit);",
+                "crates/unbounded/src/segment.rs",
+                "crates/atomics/src/cell.rs",
+            ),
+            (
+                "one-ring-constructor",
+                "let e = F::Entry::new(0);\nlet c = F::Ctr::new(0);",
+                "crates/core/src/wcq/queue.rs",
+                "crates/baselines/src/lcrq.rs",
+            ),
+            (
+                "one-registry",
+                "flag.compare_exchange(false, true, SeqCst, SeqCst)\n\
+                 word.compare_exchange(0, 1, SeqCst, Relaxed)",
+                "crates/baselines/src/ymc.rs",
+                "tests/registry.rs",
+            ),
+            (
+                "no-per-thread-registration",
+                "thread_local! { static ID: usize = 0; }\nthread_local!(static N: u8 = 0);",
+                "crates/reclaim/src/hazard.rs",
+                "crates/harness/src/exec.rs",
+            ),
+        ];
+        for (rule, src, in_tree, out_of_tree) in cases {
+            let guard = GUARDS.iter().find(|g| g.rule == rule).expect(rule);
+            let found: Vec<_> = guard_source(in_tree, src)
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect();
+            assert_eq!(found, [(rule, 1), (rule, 2)], "{rule} in {in_tree}");
+            for owner in guard.allowed {
+                assert!(guard_source(owner, src).is_empty(), "{rule} in {owner}");
+            }
+            assert!(
+                guard_source(out_of_tree, src).is_empty(),
+                "{rule} in {out_of_tree}"
+            );
+            // A test module at the end of the file is skipped, and only one
+            // that starts a line ends the scan.
+            let tail = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}");
+            assert!(guard_source(in_tree, &tail).is_empty(), "{rule}");
+            let nested = format!("    #[cfg(test)]\n{src}");
+            assert_eq!(guard_source(in_tree, &nested).len(), 2, "{rule}");
+        }
+        // A near miss is no claim: the claim CAS goes from false to true.
+        assert!(guard_source(
+            "crates/core/src/ring.rs",
+            "x.compare_exchange(true, false, SeqCst, SeqCst)"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn a_wildcard_tree_matches_any_one_directory() {
+        assert!(under("crates/baselines/src/ymc.rs", "crates/*/src"));
+        assert!(under("src/wait.rs", "src"));
+        assert!(!under("crates/core/src/ring.rs", "src"));
+        assert!(!under("crates/core/tests/ring.rs", "crates/*/src"));
+        assert!(!under("crates", "crates/*/src"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `wcq-check` — the analysis CLI.
 //!
 //! ```text
-//! wcq-check --lint [ROOT]                  source lint over the hot-path crates
+//! wcq-check --lint [ROOT]                  source lint and structural guards
 //! wcq-check --smoke                        fixed-seed bounded exploration (CI, <60s)
 //! wcq-check --explore [PLANS] [SCHEDS]     wider sweep (default 16 plans x 100 schedules)
 //! wcq-check --replay PLAN TARGET SEED DEPTH   re-run one schedule from a violation

@@ -5,10 +5,23 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use wcq_check::sched::with_intruder;
 use wcq_check::CheckedFamily;
+use wcq_core::metrics::{Counter, CounterSet};
+use wcq_core::wcq::WcqConfig;
 use wcq_unbounded::UnboundedWcq;
+
+/// A queue of two-slot segments for two handles, recording into `set`.
+fn counted(set: &Arc<CounterSet>) -> Rc<UnboundedWcq<u64, CheckedFamily>> {
+    Rc::new(UnboundedWcq::with_config_counters(
+        1,
+        2,
+        WcqConfig::default(),
+        Some(Arc::clone(set)),
+    ))
+}
 
 /// The yield point between an enqueue's announcement and its check of
 /// `next`.
@@ -21,7 +34,8 @@ const ANNOUNCE: &str = "segment.announce";
 #[test]
 fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
     // Two-slot segments for two handles: a run of one free slot.
-    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(1, 2));
+    let set = Arc::new(CounterSet::new());
+    let q = counted(&set);
     let cap = q.segment_capacity() as u64;
     let armed = Rc::new(Cell::new(true));
     let intruder = {
@@ -45,11 +59,16 @@ fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
         a.enqueue(0);
     });
     assert!(!armed.get(), "the intruder never ran");
-    let stats = q.segment_stats();
+    // One append allocated (the constructor's first segment is no event).
+    let snap = set.snapshot();
     assert_eq!(
-        (stats.allocated_total, stats.reused_total, stats.cached),
-        (2, 0, 0),
-        "the refused producer built a segment it then abandoned: {stats:?}"
+        (
+            snap.get(Counter::SegmentAllocs),
+            snap.get(Counter::SegmentsReused),
+            q.segment_stats().cached
+        ),
+        (1, 0, 0),
+        "the refused producer built a segment it then abandoned: {snap:?}"
     );
     let mut h = q.register().expect("a slot");
     let drained: Vec<_> = std::iter::from_fn(|| h.dequeue()).collect();
@@ -65,7 +84,8 @@ fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {
 /// mutant), the intruder counts nobody.
 #[test]
 fn a_producer_stopped_in_its_announcement_is_counted_by_the_crossing() {
-    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(1, 2));
+    let set = Arc::new(CounterSet::new());
+    let q = counted(&set);
     let cap = q.segment_capacity() as u64;
     let seen = Rc::new(Cell::new(None));
     let intruder = {
@@ -92,11 +112,11 @@ fn a_producer_stopped_in_its_announcement_is_counted_by_the_crossing() {
         "(announced on the head segment, settled) while the producer was stopped \
          in its announcement: an enqueue that has yet to read `next` was not counted"
     );
-    let stats = q.segment_stats();
+    let snap = set.snapshot();
     assert_eq!(
-        (stats.allocated_total, stats.cached),
-        (2, 0),
-        "the refused producer built a segment: {stats:?}"
+        (snap.get(Counter::SegmentAllocs), q.segment_stats().cached),
+        (1, 0),
+        "the refused producer built a segment: {snap:?}"
     );
     let mut h = q.register().expect("a slot");
     let drained: Vec<_> = std::iter::from_fn(|| h.dequeue()).collect();

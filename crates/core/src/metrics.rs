@@ -236,6 +236,32 @@ impl CounterSet {
     }
 }
 
+/// The per-operation totals of one bounded or unbounded queue handle (module
+/// docs, "Counting discipline"): plain fields on the hot path, flushed into
+/// the queue's [`CounterSet`] (when one is attached) once, on handle drop.
+#[derive(Debug, Default)]
+pub struct OpTallies {
+    /// Feeds [`Counter::EnqueuesCompleted`].
+    pub enqueues_completed: u64,
+    /// Feeds [`Counter::DequeuesCompleted`].
+    pub dequeues_completed: u64,
+    /// Feeds [`Counter::BatchValuesRequested`].
+    pub batch_values_requested: u64,
+    /// Feeds [`Counter::BatchValuesGranted`].
+    pub batch_values_granted: u64,
+}
+
+impl OpTallies {
+    /// Flushes the tallies into `set` and resets them to zero.
+    pub fn flush(&mut self, set: &CounterSet) {
+        set.add(Counter::EnqueuesCompleted, self.enqueues_completed);
+        set.add(Counter::DequeuesCompleted, self.dequeues_completed);
+        set.add(Counter::BatchValuesRequested, self.batch_values_requested);
+        set.add(Counter::BatchValuesGranted, self.batch_values_granted);
+        *self = Self::default();
+    }
+}
+
 // --------------------------------------------------------------------------
 // The compile-time instrumentation strategy
 // --------------------------------------------------------------------------

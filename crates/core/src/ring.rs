@@ -8,7 +8,7 @@
 //! module holds the only copies of `try_enq`, `try_deq`, `catchup`, `consume`,
 //! the threshold re-arm and the pre-filled `fq` state, built fresh or rebuilt
 //! in place — the only code that calls `cas_value` or `or_value` on an entry,
-//! or builds an entry or a counter (CI greps for a second one).
+//! or builds an entry or a counter (`wcq-check --lint` fails on a second one).
 //!
 //! The two places where wCQ's fast path says more than SCQ's are `Hook`
 //! methods, empty for SCQ: a failed entry CAS is counted, and `consume`

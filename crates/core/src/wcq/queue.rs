@@ -6,7 +6,7 @@ use core::mem::MaybeUninit;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::metrics::{Counter, CounterSet};
+use crate::metrics::{CounterSet, OpTallies};
 
 use super::cells::{CellFamily, NativeFamily};
 use super::ring::{WcqConfig, WcqRing};
@@ -403,31 +403,6 @@ pub struct WcqQueueHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q WcqQueue<T, F>,
     tid: usize,
     tallies: OpTallies,
-}
-
-/// Plain per-handle operation tallies, accumulated without atomics on the hot
-/// path and flushed into the queue's [`CounterSet`] (when one is attached)
-/// exactly once, on handle drop.  Keeping these handle-local means the
-/// instrumented build adds no shared-cache-line traffic per completed value —
-/// only the rare events (helping, patience exhaustion, CAS failures) are
-/// recorded immediately, inside the rings.
-#[derive(Default)]
-pub(crate) struct OpTallies {
-    pub(crate) enqueues_completed: u64,
-    pub(crate) dequeues_completed: u64,
-    pub(crate) batch_values_requested: u64,
-    pub(crate) batch_values_granted: u64,
-}
-
-impl OpTallies {
-    /// Flushes the tallies into `set` and resets them to zero.
-    pub(crate) fn flush(&mut self, set: &CounterSet) {
-        set.add(Counter::EnqueuesCompleted, self.enqueues_completed);
-        set.add(Counter::DequeuesCompleted, self.dequeues_completed);
-        set.add(Counter::BatchValuesRequested, self.batch_values_requested);
-        set.add(Counter::BatchValuesGranted, self.batch_values_granted);
-        *self = Self::default();
-    }
 }
 
 impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {

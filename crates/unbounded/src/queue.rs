@@ -11,18 +11,22 @@ use std::sync::Arc;
 
 use wcq_atomics::{Backoff, CachePadded};
 use wcq_core::api::{QueueHandle, WaitFreeQueue};
-use wcq_core::metrics::{Counter, CounterSet};
+use wcq_core::metrics::{Counter, CounterSet, OpTallies};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
 
 use crate::segment::{recycle_segment, shut, Segment, SegmentCache, Stash, ANNOUNCE};
 
-/// Default number of drained segments kept for reuse.
+/// Number of drained segments every queue keeps for reuse: a constant, not a
+/// knob (the cache's slots are an inline array of this length).
 pub const DEFAULT_SEGMENT_CACHE: usize = 4;
 
-/// Live/allocated/cached segment counts of an [`UnboundedWcq`] (statistics
-/// for the memory tests and the bench JSON output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where the segments of an [`UnboundedWcq`] are right now: linked, cached or
+/// awaiting reclamation (the memory tests, the explorer's residency probe and
+/// the bench JSON read it).  Segment *events* — allocations, cache hits and
+/// misses, reuses, retirements — are counted only in the queue's
+/// [`CounterSet`] ([`Counter::SegmentAllocs`] and its neighbours).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Segments currently linked into the queue (always >= 1).
     pub live: usize,
@@ -33,10 +37,6 @@ pub struct SegmentStats {
     /// the moment it retires, and these are re-scanned at the retirer's next
     /// retirement, [`UnboundedWcqHandle::flush_reclamation`] or drop).
     pub retired_pending: usize,
-    /// Segments ever obtained from the allocator (not from the cache).
-    pub allocated_total: usize,
-    /// Appends served from the cache instead of the allocator.
-    pub reused_total: usize,
 }
 
 impl SegmentStats {
@@ -99,7 +99,6 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     config: WcqConfig,
     per_segment_bytes: usize,
     segments_live: AtomicUsize,
-    segments_allocated: AtomicUsize,
     /// The length hint, kept as one single-writer net count (enqueues minus
     /// dequeues) per handle slot and summed on read (see
     /// [`UnboundedWcq::len_hint`]).  Deliberately decoupled from the queue's
@@ -126,26 +125,19 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
     /// up to `max_threads` registered threads, with the default [`WcqConfig`]
     /// and segment-cache size, and no telemetry.
     pub fn new(seg_order: u32, max_threads: usize) -> Self {
-        Self::with_config_cache_counters(
-            seg_order,
-            max_threads,
-            WcqConfig::default(),
-            DEFAULT_SEGMENT_CACHE,
-            None,
-        )
+        Self::with_config_counters(seg_order, max_threads, WcqConfig::default(), None)
     }
 
     /// Fully explicit constructor: `config` is the wait-freedom
-    /// configuration of the inner rings, `cache_limit` bounds how many
-    /// drained segments are kept for reuse instead of being freed, and the
-    /// optional shared [`CounterSet`] receives telemetry from every
-    /// segment's inner rings plus segment-lifecycle events (allocs, cache
-    /// hits/misses, reuse, retirement) and per-handle completion tallies.
-    pub fn with_config_cache_counters(
+    /// configuration of the inner rings, and the optional shared
+    /// [`CounterSet`] receives telemetry from every segment's inner rings
+    /// plus segment-lifecycle events (allocs, cache hits/misses, reuse,
+    /// retirement) and per-handle completion tallies.  The cache keeps up to
+    /// [`DEFAULT_SEGMENT_CACHE`] drained segments.
+    pub fn with_config_counters(
         seg_order: u32,
         max_threads: usize,
         config: WcqConfig,
-        cache_limit: usize,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
         assert!(max_threads >= 1, "at least one thread must register");
@@ -153,7 +145,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             max_threads as u64 <= (1u64 << seg_order),
             "segment capacity must be >= max_threads (the paper's k <= n)"
         );
-        let cache = Box::new(SegmentCache::new(cache_limit));
+        let cache = Box::new(SegmentCache::new());
         let cache_ptr: *const SegmentCache<T, F> = &*cache;
         let first = Box::into_raw(Box::new(Segment::new(
             seg_order,
@@ -181,7 +173,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             config,
             per_segment_bytes,
             segments_live: AtomicUsize::new(1),
-            segments_allocated: AtomicUsize::new(1),
             net_counts: (0..max_threads).map(|_| NetCount::default()).collect(),
             counters,
         }
@@ -234,10 +225,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             slot0_held: false,
             pins: 0,
             rebinds: 0,
-            enqueues_completed: 0,
-            dequeues_completed: 0,
-            batch_values_requested: 0,
-            batch_values_granted: 0,
+            tallies: OpTallies::default(),
         })
     }
 
@@ -259,8 +247,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             live: self.segments_live.load(SeqCst),
             cached: self.cache.len(),
             retired_pending: self.domain.pending(),
-            allocated_total: self.segments_allocated.load(SeqCst),
-            reused_total: self.cache.reused_total(),
         }
     }
 
@@ -287,11 +273,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         self.segments_live.load(SeqCst)
     }
 
-    /// Segments ever obtained from the allocator.
-    pub fn segments_allocated(&self) -> usize {
-        self.segments_allocated.load(SeqCst)
-    }
-
     /// Bytes currently held: the queue header, what it owns on the heap
     /// beside the segments (hazard domain arrays, the boxed segment cache,
     /// the length-hint words) and every resident segment (live, cached or
@@ -302,7 +283,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         std::mem::size_of::<Self>()
             + self.domain.heap_bytes()
             + std::mem::size_of::<SegmentCache<T, F>>()
-            + self.cache.heap_bytes()
             + std::mem::size_of_val(&*self.net_counts)
             + self.segment_stats().resident() * self.per_segment_bytes
     }
@@ -323,7 +303,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             1,
         );
         let seg = cached.unwrap_or_else(|| {
-            self.segments_allocated.fetch_add(1, SeqCst);
             self.count(Counter::SegmentAllocs, 1);
             Box::into_raw(Box::new(Segment::new(
                 self.seg_order,
@@ -451,13 +430,9 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// How many times the memo moved to a different segment (statistics;
     /// lets tests assert the memo actually hits).
     rebinds: u64,
-    /// Plain per-handle completion/batch tallies, flushed into the queue's
-    /// counter set (when attached) once, on drop — no shared-cache-line
-    /// traffic per completed value.
-    enqueues_completed: u64,
-    dequeues_completed: u64,
-    batch_values_requested: u64,
-    batch_values_granted: u64,
+    /// Completion/batch tallies, flushed into the queue's counter set (when
+    /// attached) once, on drop.
+    tallies: OpTallies,
 }
 
 // SAFETY: the one field that is not `Send` on its own is the memo pointer
@@ -688,7 +663,6 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                         .is_ok()
                     {
                         if from_cache {
-                            queue.cache.note_reused();
                             queue.count(Counter::SegmentsReused, 1);
                         }
                         let _ = queue.tail.compare_exchange(tailp, fresh, SeqCst, SeqCst);
@@ -703,7 +677,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             }
         }
         queue.note_enqueued(tid, 1);
-        self.enqueues_completed += 1;
+        self.tallies.enqueues_completed += 1;
         Ok(())
     }
 
@@ -782,7 +756,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         let value = self.dequeue_pinned(|seg| unsafe { seg.try_dequeue(tid) });
         if value.is_some() {
             self.queue.note_dequeued(tid, 1);
-            self.dequeues_completed += 1;
+            self.tallies.dequeues_completed += 1;
         }
         self.unpin();
         value
@@ -799,7 +773,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         if max == 0 {
             return 0;
         }
-        self.batch_values_requested += max as u64;
+        self.tallies.batch_values_requested += max as u64;
         let tid = self.hp.tid();
         let got = self
             .dequeue_pinned(|seg| {
@@ -809,8 +783,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             .map_or(0, NonZeroUsize::get);
         if got > 0 {
             self.queue.note_dequeued(tid, got as u64);
-            self.dequeues_completed += got as u64;
-            self.batch_values_granted += got as u64;
+            self.tallies.dequeues_completed += got as u64;
+            self.tallies.batch_values_granted += got as u64;
         }
         self.unpin();
         got
@@ -953,7 +927,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         // (a batch crossing many full segments would otherwise pay a front
         // shift of the whole remainder per segment).  Only a close leaves a
         // remainder to move back at the end.
-        self.batch_values_requested += values.len() as u64;
+        self.tallies.batch_values_requested += values.len() as u64;
         let mut pending: VecDeque<T> = std::mem::take(values).into();
         let mut total = 0;
         while !pending.is_empty() {
@@ -965,7 +939,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             };
             if accepted > 0 {
                 queue.note_enqueued(tid, accepted as u64);
-                self.enqueues_completed += accepted as u64;
+                self.tallies.enqueues_completed += accepted as u64;
                 total += accepted;
                 continue;
             }
@@ -982,7 +956,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             total += 1;
         }
         self.unpin();
-        self.batch_values_granted += total as u64;
+        self.tallies.batch_values_granted += total as u64;
         total
     }
 
@@ -999,10 +973,7 @@ impl<'q, T, F: CellFamily> Drop for UnboundedWcqHandle<'q, T, F> {
     fn drop(&mut self) {
         self.return_stash();
         if let Some(set) = self.queue.counter_set() {
-            set.add(Counter::EnqueuesCompleted, self.enqueues_completed);
-            set.add(Counter::DequeuesCompleted, self.dequeues_completed);
-            set.add(Counter::BatchValuesRequested, self.batch_values_requested);
-            set.add(Counter::BatchValuesGranted, self.batch_values_granted);
+            self.tallies.flush(set);
             set.add(Counter::SegmentRebinds, self.rebinds);
         }
         // The hazard handle, dropped next, clears slot 1 (the memo) and then
@@ -1081,11 +1052,10 @@ mod tests {
     /// rebind and cache statistics.
     fn counted(seg_order: u32, max_threads: usize) -> (UnboundedWcq<u64>, Arc<CounterSet>) {
         let set = Arc::new(CounterSet::new());
-        let q = UnboundedWcq::with_config_cache_counters(
+        let q = UnboundedWcq::with_config_counters(
             seg_order,
             max_threads,
             WcqConfig::default(),
-            DEFAULT_SEGMENT_CACHE,
             Some(Arc::clone(&set)),
         );
         (q, set)
@@ -1127,7 +1097,7 @@ mod tests {
 
     #[test]
     fn drained_segments_are_retired_and_recycled() {
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(3, 1);
+        let (q, set) = counted(3, 1);
         let mut h = q.register().unwrap();
         for round in 0..4 {
             for i in 0..64 {
@@ -1143,14 +1113,15 @@ mod tests {
                 "after a full drain only the tail segment stays live"
             );
         }
-        let stats = q.segment_stats();
+        let snap = set.snapshot();
         assert!(
-            stats.reused_total > 0,
-            "later bursts must reuse cached segments: {stats:?}"
+            snap.get(Counter::SegmentsReused) > 0,
+            "later bursts must reuse cached segments: {snap:?}"
         );
+        // The constructor's first segment is no `SegmentAllocs` event.
         assert!(
-            stats.allocated_total < 4 * (64 / 8),
-            "the cache must cap allocations across rounds: {stats:?}"
+            snap.get(Counter::SegmentAllocs) + 1 < 4 * (64 / 8),
+            "the cache must cap allocations across rounds: {snap:?}"
         );
     }
 
@@ -1581,18 +1552,22 @@ mod tests {
 
     #[test]
     fn a_closed_queue_refuses_without_allocating() {
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(1, 1);
+        let (q, set) = counted(1, 1);
         let mut h = q.register().unwrap();
         h.enqueue(1);
         h.enqueue(2); // the two-slot segment is full
         h.close();
         h.close(); // idempotent
         let mut batch = vec![4, 5, 6];
-        let (allocated, heap) = (q.segments_allocated(), thread_heap::live());
+        let (allocated, heap) = (set.get(Counter::SegmentAllocs), thread_heap::live());
         assert_eq!(h.try_enqueue(3), Err(3));
         assert_eq!(h.enqueue_many(&mut batch), 0);
         assert_eq!(batch, [4, 5, 6], "a refused batch keeps every value");
-        assert_eq!(q.segments_allocated(), allocated, "a refusal allocated");
+        assert_eq!(
+            set.get(Counter::SegmentAllocs),
+            allocated,
+            "a refusal allocated"
+        );
         assert_eq!(thread_heap::live(), heap, "a refusal touched the heap");
         assert_eq!(q.segments_live(), 1);
         assert!(h.settled(), "closed with nothing in flight");
@@ -1728,14 +1703,13 @@ mod tests {
 
     /// Appends so far on a queue only one thread appends to: every segment
     /// beyond the first came from the allocator or the cache.
-    fn appends<F: CellFamily>(q: &UnboundedWcq<u64, F>) -> usize {
-        let stats = q.segment_stats();
-        stats.allocated_total - 1 + stats.reused_total
+    fn appends(set: &CounterSet) -> u64 {
+        set.get(Counter::SegmentAllocs) + set.get(Counter::SegmentsReused)
     }
 
     #[test]
     fn a_dropped_producer_gives_its_stash_back() {
-        let q: UnboundedWcq<u64> = UnboundedWcq::new(6, 2); // 64 slots
+        let (q, set) = counted(6, 2); // 64 slots
         let cap = q.segment_capacity() as u64;
         assert_eq!(q.run, 8);
         let mut first = q.register().unwrap();
@@ -1749,8 +1723,8 @@ mod tests {
             second.enqueue(v);
         }
         assert_eq!(
-            (q.segments_allocated(), q.segments_live()),
-            (1, 1),
+            (set.get(Counter::SegmentAllocs), q.segments_live()),
+            (0, 1),
             "one segment took all {cap} values"
         );
         second.enqueue(cap);
@@ -1763,7 +1737,7 @@ mod tests {
     #[test]
     fn a_moving_memo_returns_the_stash_to_the_segment_it_leaves() {
         for order in 2..=4 {
-            let q: UnboundedWcq<u64> = UnboundedWcq::new(order, 1);
+            let (q, set) = counted(order, 1);
             let cap = q.segment_capacity() as u64;
             let mut h = q.register().unwrap();
             // Past a backlog of two segments, each enqueue moves the memo to
@@ -1771,9 +1745,9 @@ mod tests {
             // it to the head, which must give the rest of that run back.
             let (mut next_out, mut in_segment) = (0, 0);
             for v in 0..12 * cap {
-                let before = appends(&q);
+                let before = appends(&set);
                 h.enqueue(v);
-                if appends(&q) > before {
+                if appends(&set) > before {
                     assert_eq!(
                         in_segment, cap,
                         "order {order}: a segment took {in_segment} values before value {v} opened the next"
@@ -1786,8 +1760,8 @@ mod tests {
                     next_out += 1;
                 }
             }
-            let stats = q.segment_stats();
-            assert!(stats.reused_total > 2, "order {order}: {stats:?}");
+            let reused = set.get(Counter::SegmentsReused);
+            assert!(reused > 2, "order {order}: {reused} reuses");
         }
     }
 
@@ -1836,8 +1810,7 @@ mod tests {
         };
         for seed in 1..=12u64 {
             // 64-slot segments and 4 handles: runs of 4.
-            let q: UnboundedWcq<u64, F> =
-                UnboundedWcq::with_config_cache_counters(6, 4, config, DEFAULT_SEGMENT_CACHE, None);
+            let q: UnboundedWcq<u64, F> = UnboundedWcq::with_config_counters(6, 4, config, None);
             assert_eq!(q.run, 4);
             let (q, closed, delivered) = (&q, &AtomicBool::new(false), &AtomicU64::new(0));
             let close_after = seed * 53 % (2 * PER);

@@ -98,12 +98,14 @@
 
 use std::collections::VecDeque;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicPtr, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wcq_core::metrics::CounterSet;
 use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue, BATCH};
 use wcq_reclaim::HazardHandle;
+
+use crate::queue::DEFAULT_SEGMENT_CACHE;
 
 /// The hazard slot in which an enqueue announces the segment it works in
 /// (module docs, point 2).  The queue's handles use slots 0 and 1 to
@@ -458,17 +460,16 @@ pub(crate) unsafe fn recycle_segment<T, F: CellFamily>(p: *mut u8) {
 /// Steady-state traffic that repeatedly grows and shrinks by a few segments
 /// allocates nothing: retired segments come back through
 /// [`recycle_segment`] and are reused by the next append, `fq` rebuilt on the
-/// way out ([`SegmentCache::take`]).  The store is a fixed array of
-/// `AtomicPtr` slots (null = empty): `take` swaps slots to null,
+/// way out ([`SegmentCache::take`]).  The store is an inline array of
+/// [`DEFAULT_SEGMENT_CACHE`] `AtomicPtr` slots (null = empty), so a
+/// steady-state `give_back` never allocates: `take` swaps slots to null,
 /// `give_back` CASes null to the segment pointer.  Each segment lives
 /// in at most one slot and every insertion/removal is one successful atomic
 /// exchange on that slot, so there is no ABA hazard to protect against —
 /// unlike a Treiber stack — and no lock, which keeps the (blocking-freedom)
 /// lint's `Mutex` ban satisfiable for the whole crate.
 pub(crate) struct SegmentCache<T, F: CellFamily> {
-    slots: Box<[AtomicPtr<Segment<T, F>>]>,
-    /// Appends served from the cache instead of the allocator (statistics).
-    reused: AtomicUsize,
+    slots: [AtomicPtr<Segment<T, F>>; DEFAULT_SEGMENT_CACHE],
 }
 
 // SAFETY: the raw pointers are exclusively owned by the cache while stored
@@ -478,31 +479,18 @@ unsafe impl<T: Send, F: CellFamily> Send for SegmentCache<T, F> {}
 unsafe impl<T: Send, F: CellFamily> Sync for SegmentCache<T, F> {}
 
 impl<T, F: CellFamily> SegmentCache<T, F> {
-    pub(crate) fn new(limit: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            // Pre-allocate every slot so a steady-state `give_back` never
-            // allocates.
-            slots: (0..limit)
-                .map(|_| AtomicPtr::new(ptr::null_mut()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            reused: AtomicUsize::new(0),
+            slots: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
         }
     }
 
-    /// Heap bytes of the slot array (cached segments are counted by the
-    /// queue, as resident segments).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.slots)
-    }
-
-    /// Takes a reopened segment from the cache, if any.  The reuse statistic
-    /// is *not* bumped here: a taken segment only counts as reused once its
-    /// append wins the link race (see [`SegmentCache::note_reused`]) —
-    /// otherwise a lost race that hands the segment straight back would
-    /// overstate cache effectiveness.  (Hits and misses — how often the
-    /// cache could answer at all — are recorded by the caller into the
-    /// queue's counter set.)
+    /// Takes a reopened segment from the cache, if any.  The caller records
+    /// the hit or miss; [`Counter::SegmentsReused`] is recorded only once the
+    /// taken segment's append wins the link race, since a lost race hands
+    /// the segment straight back.
+    ///
+    /// [`Counter::SegmentsReused`]: wcq_core::metrics::Counter::SegmentsReused
     ///
     /// The taken segment's `fq` is rebuilt in place with every index free
     /// ([`WcqQueue::rebuild_free`]): the dequeues that drained it after it
@@ -523,11 +511,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
             }
         }
         None
-    }
-
-    /// Records that a cache-served segment was actually linked into a queue.
-    pub(crate) fn note_reused(&self) {
-        self.reused.fetch_add(1, SeqCst);
     }
 
     /// Accepts an exclusively owned, unreachable segment back (or frees it
@@ -559,10 +542,6 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
             .iter()
             .filter(|slot| !slot.load(SeqCst).is_null())
             .count()
-    }
-
-    pub(crate) fn reused_total(&self) -> usize {
-        self.reused.load(SeqCst)
     }
 }
 
@@ -704,7 +683,7 @@ mod tests {
     /// no index in `fq`; the one the cache hands out again takes exactly
     /// `capacity` values, fresh and after a reopen.
     fn a_reused_segment_takes_exactly_capacity<F: CellFamily>(order: u32) {
-        let cache = SegmentCache::<u64, F>::new(1);
+        let cache = SegmentCache::<u64, F>::new();
         let seg = Box::into_raw(Box::new(Segment::new(
             order,
             1,

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use wcq_core::metrics::{Counter, CounterSet};
 use wcq_core::wcq::{CellFamily, NativeFamily, WcqConfig};
 
-use crate::queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
+use crate::queue::{SegmentStats, UnboundedWcq, UnboundedWcqHandle};
 
 /// An unbounded MPMC queue of `N` independent [`UnboundedWcq`] shards.
 ///
@@ -54,38 +54,24 @@ impl<T, F: CellFamily> ShardedWcq<T, F> {
     /// each usable by up to `max_threads` registered threads, with the
     /// default [`WcqConfig`] and segment-cache size, and no telemetry.
     pub fn new(shards: usize, seg_order: u32, max_threads: usize) -> Self {
-        Self::with_config_cache_counters(
-            shards,
-            seg_order,
-            max_threads,
-            WcqConfig::default(),
-            DEFAULT_SEGMENT_CACHE,
-            None,
-        )
+        Self::with_config_counters(shards, seg_order, max_threads, WcqConfig::default(), None)
     }
 
-    /// Fully explicit constructor; every shard shares the same geometry,
-    /// wait-freedom configuration and cache bound, and records into the same
-    /// optional [`CounterSet`] (steals are tallied per handle and flushed on
-    /// handle drop).
-    pub fn with_config_cache_counters(
+    /// Fully explicit constructor; every shard shares the same geometry and
+    /// wait-freedom configuration, and records into the same optional
+    /// [`CounterSet`] (steals are tallied per handle and flushed on handle
+    /// drop).
+    pub fn with_config_counters(
         shards: usize,
         seg_order: u32,
         max_threads: usize,
         config: WcqConfig,
-        cache_limit: usize,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
         assert!(shards >= 1, "a sharded queue needs at least one shard");
         let shards: Box<[UnboundedWcq<T, F>]> = (0..shards)
             .map(|_| {
-                UnboundedWcq::with_config_cache_counters(
-                    seg_order,
-                    max_threads,
-                    config,
-                    cache_limit,
-                    counters.clone(),
-                )
+                UnboundedWcq::with_config_counters(seg_order, max_threads, config, counters.clone())
             })
             .collect();
         Self {
@@ -112,7 +98,7 @@ impl<T, F: CellFamily> ShardedWcq<T, F> {
     }
 
     /// The underlying shards, for statistics and memory accounting (each is a
-    /// full [`UnboundedWcq`] with its own segment stats and cache stats).
+    /// full [`UnboundedWcq`] with its own segment stats and cache).
     pub fn shards(&self) -> &[UnboundedWcq<T, F>] {
         &self.shards
     }
@@ -125,19 +111,11 @@ impl<T, F: CellFamily> ShardedWcq<T, F> {
 
     /// Aggregated segment statistics across all shards.
     pub fn segment_stats(&self) -> SegmentStats {
-        let mut total = SegmentStats {
-            live: 0,
-            cached: 0,
-            retired_pending: 0,
-            allocated_total: 0,
-            reused_total: 0,
-        };
+        let mut total = SegmentStats::default();
         for stats in self.shards.iter().map(|s| s.segment_stats()) {
             total.live += stats.live;
             total.cached += stats.cached;
             total.retired_pending += stats.retired_pending;
-            total.allocated_total += stats.allocated_total;
-            total.reused_total += stats.reused_total;
         }
         total
     }

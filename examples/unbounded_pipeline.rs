@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use wcq::atomics::Backoff;
-use wcq::UnboundedWcq;
+use wcq::{Counter, CountingInstrument, UnboundedWcq};
 
 const BURSTS: u64 = 8;
 const BURST_SIZE: u64 = 4_096; // each burst spans many 256-slot segments
@@ -33,10 +33,12 @@ const WARM_UP: u64 = 1_024; // four segments
 fn main() {
     // 2^8-element segments; 1 producer + 2 consumers + 1 main registration;
     // up to `DEFAULT_SEGMENT_CACHE` drained segments kept warm for the next
-    // burst.
+    // burst.  The instrument counts segment allocations and reuses.
+    let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = wcq::builder()
         .capacity_order(8)
         .threads(4)
+        .instrument(instr.clone())
         .build_unbounded();
     let consumed = AtomicU64::new(0);
     let peak_live = AtomicU64::new(0);
@@ -116,19 +118,21 @@ fn main() {
     drop(h);
 
     let stats = q.segment_stats();
+    let snap = instr.snapshot();
+    let reused = snap.get(Counter::SegmentsReused);
     println!("moved {total} values through {BURSTS} bursts of {BURST_SIZE}");
     println!(
         "segments: peak live {}, now live {}, cached {}, allocated {}, reused {}",
         peak_live.load(Ordering::Relaxed),
         stats.live,
         stats.cached,
-        stats.allocated_total,
-        stats.reused_total
+        snap.get(Counter::SegmentAllocs),
+        reused
     );
     println!("current footprint: {} KiB", q.memory_footprint() / 1024);
     assert_eq!(stats.live, 1, "drained queue returns to one segment");
     assert!(
-        stats.reused_total > 0,
-        "the bursts must reuse the cached segments: {stats:?}"
+        reused > 0,
+        "the bursts must reuse the cached segments: {snap:?}"
     );
 }

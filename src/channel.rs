@@ -970,7 +970,7 @@ impl<T: Send + 'static, I: Instrument> Receiver<T, I> {
     /// the `wcq-check` explorer asserts it after quiescence.  Not part of the
     /// stable API.
     #[doc(hidden)]
-    pub fn debug_gate_inflight(&mut self) -> usize {
+    pub fn debug_inflight(&mut self) -> usize {
         let Self { slot, core, .. } = self;
         slot.bind(core).inflight()
     }
@@ -1150,7 +1150,7 @@ mod tests {
                         let _ = tx.try_send(1);
                         let wins = usize::from(tx.close()) + usize::from(rx.close());
                         transitions.fetch_add(wins, SeqCst);
-                        assert!(rx.debug_gate_inflight() <= 2, "more than the senders");
+                        assert!(rx.debug_inflight() <= 2, "more than the senders");
                         assert_eq!(tx.try_send(2), Err(TrySendError::Closed(2)));
                         let _ = rx.try_recv();
                     });
@@ -1158,7 +1158,7 @@ mod tests {
             });
             assert_eq!(transitions.load(SeqCst), 1, "exactly one close transitions");
             assert!(tx.is_closed() && rx.is_closed());
-            assert_eq!(rx.debug_gate_inflight(), 0);
+            assert_eq!(rx.debug_inflight(), 0);
         }
     }
 

@@ -3,8 +3,8 @@
 //! One crate, one construction path, one queue abstraction:
 //!
 //! * [`builder`] / [`QueueBuilder`] — the single way applications construct
-//!   queues, in place of the per-crate `new` / `with_config_counters` /
-//!   `with_config_cache_counters` constructors;
+//!   queues, in place of the per-crate `new` / `with_config_counters`
+//!   constructors;
 //! * [`WaitFreeQueue`] / [`QueueHandle`] — the object-safe trait pair every
 //!   queue in the workspace implements (wCQ, wLSCQ, SCQ and the six §6
 //!   baselines), re-exported from [`wcq_core::api`];
@@ -92,7 +92,7 @@
 //! | `WcqQueue::with_config(order, threads, cfg)` (removed; in-crate it is `with_config_counters(order, threads, cfg, None)`) | `…().config(cfg).build_bounded()` |
 //! | `WcqQueue::<_, LlscFamily>::new(order, threads)` | `…().llsc().build_bounded()` |
 //! | `UnboundedWcq::new(seg_order, threads)` | `…().build_unbounded()` |
-//! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` (removed; in-crate it is `with_config_cache_counters(o, t, cfg, n, None)`) | `…().config(cfg).build_unbounded()` (the cache holds [`DEFAULT_SEGMENT_CACHE`] segments) |
+//! | `UnboundedWcq::with_config_and_cache(o, t, cfg, n)` (removed; in-crate it is `with_config_counters(o, t, cfg, None)`, and the cache size is no parameter) | `…().config(cfg).build_unbounded()` (the cache holds [`DEFAULT_SEGMENT_CACHE`] segments) |
 //! | `WcqRing::new(order, threads)` | `…().build_ring()` |
 //! | `queue.register().expect(…)` | `queue.handle()` (RAII, hinted re-entry) |
 //! | hand-rolled closed-flag channel over `WcqQueue` | `…().backend(ChannelBackend::Bounded).build_channel()` |
@@ -188,7 +188,8 @@ pub enum ChannelBackend {
 ///
 /// So is the observability strategy:
 /// [`instrument`](QueueBuilder::instrument) switches from the default
-/// [`NoopInstrument`] (telemetry compiled out entirely) to a live
+/// [`NoopInstrument`] (the channel endpoints' telemetry compiled out; the
+/// queues below skip theirs on a `None` counter set) to a live
 /// [`CountingInstrument`] whose shared [`CounterSet`] every layer built by
 /// the finishers — ring, queue, segments, channel endpoints — records into.
 /// Snapshot it with [`CountingInstrument::snapshot`].
@@ -241,9 +242,11 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// clone!) and every queue, segment and channel endpoint the finishers
     /// build records contention telemetry — fast/slow-path ops, helping
     /// entries, CAS failures, segment lifecycle, channel park/wake — into its
-    /// shared [`CounterSet`].  The default
-    /// [`NoopInstrument`] compiles all of it out (see the [`Instrument`]
-    /// zero-overhead contract).
+    /// shared [`CounterSet`].  The default [`NoopInstrument`] compiles the
+    /// channel endpoints' recording out; the rings, queues and segments
+    /// below them get no counter set, so each of their recording sites is a
+    /// `None` test and their handles still keep their tallies (see the
+    /// [`Instrument`] zero-overhead contract).
     ///
     /// ```
     /// use wcq::{CountingInstrument, QueueHandle, WaitFreeQueue};
@@ -383,11 +386,10 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// and its deposit stalls every dequeuer at that boundary
     /// (`dequeue_crossing`; ROADMAP item 5(b) is the fix).
     pub fn build_unbounded<T>(&self) -> UnboundedWcq<T, F> {
-        UnboundedWcq::with_config_cache_counters(
+        UnboundedWcq::with_config_counters(
             self.capacity_order,
             self.threads,
             self.config,
-            DEFAULT_SEGMENT_CACHE,
             self.instr.counter_set(),
         )
     }
@@ -410,12 +412,11 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// and no [`WaitFreeQueue`]: only the `benchmark/` ledger's sharded rungs
     /// build it, through the handle's own methods (ROADMAP item 4 deletes it).
     pub fn build_sharded<T>(&self) -> wcq_unbounded::ShardedWcq<T, F> {
-        wcq_unbounded::ShardedWcq::with_config_cache_counters(
+        wcq_unbounded::ShardedWcq::with_config_counters(
             self.shards,
             self.capacity_order,
             self.threads,
             self.config,
-            DEFAULT_SEGMENT_CACHE,
             self.instr.counter_set(),
         )
     }

@@ -185,7 +185,7 @@ fn a_spinning_recv_watches_the_length_hint_instead_of_polling_the_ring() {
         "{while_empty} ring polls while provably empty"
     );
     tx.send(7).unwrap();
-    drop(tx); // the second `recv` must still see the close through the gate
+    drop(tx); // the second `recv` must still see the close: `SHUT` linked after the tail
     assert_eq!(receiver.join().unwrap(), (Ok(7), Err(RecvError)));
 }
 

@@ -187,26 +187,27 @@ fn unbounded_kinds_report_segment_traffic() {
 
 #[test]
 fn ring_op_counters_count_operations_not_segment_construction() {
-    // Order-4 segments and no segment cache: 160 values through one handle
-    // are carried by ten freshly built segments, all enqueued before the
-    // first dequeue.  Every value is one `aq` enqueue on the way in: N.  On
-    // the way out its index goes back to `fq` only if its segment has no
-    // successor, which is the last segment alone: its 16 values, so 16 more
-    // (the first nine had successors, and their 144 returns are skipped).
+    // Order-4 segments: 160 values through one handle are carried by ten
+    // freshly built segments, all enqueued before the first dequeue (so
+    // before any segment can reach the cache).  Every value is one `aq`
+    // enqueue on the way in: N.  On the way out its index goes back to `fq`
+    // only if its segment has no successor, which is the last segment
+    // alone: its 16 values, so 16 more (the first nine had successors, and
+    // their 144 returns are skipped).
     // No stash goes back either: every segment's runs of 4 end empty (the
     // first takes 4 runs, each appended one a preload and 4 + 4 + 4 + 3),
     // and building a segment is no operation —
     // `fq` starts full by construction, not by running `capacity`
     // operations (which would add 16 phantoms a segment).  Dequeues can
     // exceed 2 N: the empty polls that find a segment full or drained, and
-    // each retired segment's drop, are ring operations too.
+    // the drop of each retired segment the full cache frees, are ring
+    // operations too.
     const N: u64 = 160;
     let instr = CountingInstrument::new();
-    let q: UnboundedWcq<u64> = UnboundedWcq::with_config_cache_counters(
+    let q: UnboundedWcq<u64> = UnboundedWcq::with_config_counters(
         4,
         1,
         WcqConfig::default(),
-        0,
         Some(instr.counters().clone()),
     );
     {
@@ -218,8 +219,9 @@ fn ring_op_counters_count_operations_not_segment_construction() {
             assert_eq!(h.dequeue(), Some(i));
         }
     }
-    assert_eq!(q.segments_allocated(), 10);
     let snap = instr.snapshot();
+    // The constructor builds the first of the ten, uncounted.
+    assert_eq!(snap.get(Counter::SegmentAllocs), 9);
     assert_eq!(snap.get(Counter::RingEnqueues), N + 16);
     assert!(snap.get(Counter::RingDequeues) >= 2 * N);
 }

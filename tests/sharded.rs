@@ -59,9 +59,10 @@ fn every_shard_binding_follows_forced_segment_growth() {
         }
     }
     // A value only reaches a later segment through a binding that moved
-    // there, so per-shard growth is per-shard rebinding.
+    // there, so per-shard growth is per-shard rebinding.  Nothing has been
+    // dequeued yet, so every segment a shard has built is still linked.
     let grown: usize = (q.shards().iter())
-        .map(|shard| shard.segments_allocated())
+        .map(|shard| shard.segments_live())
         .inspect(|&segments| assert!(segments > 1, "every shard must have grown"))
         .sum();
     // One handle drains all four shards: its own by home, the rest by

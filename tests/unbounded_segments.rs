@@ -9,7 +9,9 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use wcq_core::metrics::{Counter, CounterSet, CountingInstrument};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig};
 use wcq_unbounded::{UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 
@@ -22,7 +24,13 @@ use wcq_unbounded::{UnboundedWcq, UnboundedWcqHandle, DEFAULT_SEGMENT_CACHE};
 fn burst_drain_returns_to_steady_state<F: CellFamily>() {
     const SEG_ORDER: u32 = 4; // 16-slot segments
     const BURST: u64 = 200; // >> segment capacity: forces many appends
-    let q: UnboundedWcq<u64, F> = UnboundedWcq::new(SEG_ORDER, 2);
+    let set = Arc::new(CounterSet::new());
+    let q: UnboundedWcq<u64, F> = UnboundedWcq::with_config_counters(
+        SEG_ORDER,
+        2,
+        WcqConfig::default(),
+        Some(Arc::clone(&set)),
+    );
     let mut h = q.register().unwrap();
 
     for round in 0..5u64 {
@@ -58,8 +66,8 @@ fn burst_drain_returns_to_steady_state<F: CellFamily>() {
     }
     // Across five identical rounds the cache must serve appends: the number
     // of genuine allocations stays far below the number of appends.
-    let stats = q.segment_stats();
-    assert!(stats.reused_total > 0, "{stats:?}");
+    let snap = set.snapshot();
+    assert!(snap.get(Counter::SegmentsReused) > 0, "{snap:?}");
 }
 
 #[test]
@@ -200,10 +208,12 @@ fn concurrent_churn_with_forced_slow_path_returns_to_bound() {
         help_delay: 1,
         catchup_bound: 8,
     };
+    let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = wcq::builder()
         .capacity_order(4)
         .threads((PRODUCERS + CONSUMERS) as usize)
         .config(cfg)
+        .instrument(instr.clone())
         .build_unbounded();
     let consumed = AtomicU64::new(0);
     let sum = AtomicU64::new(0);
@@ -265,9 +275,21 @@ fn concurrent_churn_with_forced_slow_path_returns_to_bound() {
         stats.resident() <= 1 + DEFAULT_SEGMENT_CACHE,
         "residency bounded by live + cache: {stats:?}"
     );
+    // The constructor's first segment is no `SegmentAllocs` event.
+    let snap = instr.snapshot();
+    let allocs = snap.get(Counter::SegmentAllocs);
     assert!(
-        stats.allocated_total as u64 <= 2 * n / (1 << 4),
-        "allocations bounded by segment churn: {stats:?}"
+        allocs < 2 * n / (1 << 4),
+        "allocations bounded by segment churn: {snap:?}"
+    );
+    // A miss is what sends an append to the allocator: the two are recorded
+    // on the same branch.
+    assert_eq!(snap.get(Counter::SegmentCacheMisses), allocs, "{snap:?}");
+    // A cache hit counts as a reuse only once its append wins the link race;
+    // the two producers race appends, so some hits go straight back.
+    assert!(
+        snap.get(Counter::SegmentsReused) <= snap.get(Counter::SegmentCacheHits),
+        "{snap:?}"
     );
 }
 
