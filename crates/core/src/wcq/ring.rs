@@ -261,7 +261,9 @@ impl<F: CellFamily> WcqRing<F> {
     }
 
     /// `help_enqueue`: atomically snapshot the request and run the slow path
-    /// on the helpee's behalf.
+    /// on the helpee's behalf.  The snapshot is of request `seq`, and the
+    /// slow path keeps checking that the helpee is still on it
+    /// ([`Self::still_on`]).
     fn help_enqueue(&self, my_tid: usize, target: usize) {
         let thr = &self.slow.records[target];
         let seq = thr.seq2.load(SeqCst);
@@ -269,7 +271,7 @@ impl<F: CellFamily> WcqRing<F> {
         let idx = thr.index.load(SeqCst);
         let tail = thr.init_tail.load(SeqCst);
         if enqueue && thr.seq1.load(SeqCst) == seq {
-            self.enqueue_slow(my_tid, target, tail, idx);
+            self.enqueue_slow(my_tid, target, seq, tail, idx);
         }
     }
 
@@ -280,27 +282,47 @@ impl<F: CellFamily> WcqRing<F> {
         let enqueue = thr.enqueue.load(SeqCst);
         let head = thr.init_head.load(SeqCst);
         if !enqueue && thr.seq1.load(SeqCst) == seq {
-            self.dequeue_slow(my_tid, target, head);
+            self.dequeue_slow(my_tid, target, seq, head);
         }
+    }
+
+    /// Whether `helpee_tid` is still running request `seq`, read after a
+    /// `slow_faa` that agreed on a ticket and before the ticket is used.
+    ///
+    /// The helping snapshot checks `seq1 == seq` once, when it is taken.  A
+    /// helper delayed after that check can resume once the owner has
+    /// finished request `seq` and published its next one.  Its `slow_faa`
+    /// then reads the *new* request's `local_*` word, which has neither `INC`
+    /// nor `FIN`, and agrees on that request's ticket: an enqueue helper would
+    /// deposit the old index there and FIN the new request (one value
+    /// duplicated, another lost), a dequeue helper would FIN it at a ticket
+    /// its owner did not choose.  The owner stores `seq1 = seq + 1` before it
+    /// writes the next request's `local_*`, and all of these are `SeqCst`, so
+    /// a helper that read a later request's word reads the new `seq1` here.
+    #[inline]
+    fn still_on(&self, helpee_tid: usize, seq: u64) -> bool {
+        self.slow.records[helpee_tid].seq1.load(SeqCst) == seq
     }
 
     // ------------------------------------------------------------------
     // Slow path (Figure 7)
     // ------------------------------------------------------------------
 
-    /// `enqueue_slow` (Figure 7, lines 70–72).
-    fn enqueue_slow(&self, my_tid: usize, helpee_tid: usize, mut t: u64, index: u64) {
+    /// `enqueue_slow` (Figure 7, lines 70–72) for the helpee's request
+    /// `seq`, which stops as soon as the helpee has moved past it.
+    fn enqueue_slow(&self, my_tid: usize, helpee_tid: usize, seq: u64, mut t: u64, index: u64) {
         while self.slow_faa(my_tid, helpee_tid, true, &mut t) {
-            if self.try_enq_slow(t, index, helpee_tid) {
+            if !self.still_on(helpee_tid, seq) || self.try_enq_slow(t, index, helpee_tid) {
                 break;
             }
         }
     }
 
-    /// `dequeue_slow` (Figure 7, lines 73–76).
-    fn dequeue_slow(&self, my_tid: usize, helpee_tid: usize, mut h: u64) {
+    /// `dequeue_slow` (Figure 7, lines 73–76) for the helpee's request
+    /// `seq`, which stops as soon as the helpee has moved past it.
+    fn dequeue_slow(&self, my_tid: usize, helpee_tid: usize, seq: u64, mut h: u64) {
         while self.slow_faa(my_tid, helpee_tid, false, &mut h) {
-            if self.try_deq_slow(h, helpee_tid) {
+            if !self.still_on(helpee_tid, seq) || self.try_deq_slow(h, helpee_tid) {
                 break;
             }
         }
@@ -578,7 +600,7 @@ impl<F: CellFamily> WcqRing<F> {
         rec.enqueue.store(true, SeqCst);
         rec.seq2.store(seq, SeqCst);
         rec.pending.store(true, SeqCst);
-        self.enqueue_slow(tid, tid, tail, index);
+        self.enqueue_slow(tid, tid, seq, tail, index);
         rec.pending.store(false, SeqCst);
         rec.seq1.store(seq + 1, SeqCst);
     }
@@ -634,7 +656,7 @@ impl<F: CellFamily> WcqRing<F> {
         rec.enqueue.store(false, SeqCst);
         rec.seq2.store(seq, SeqCst);
         rec.pending.store(true, SeqCst);
-        self.dequeue_slow(tid, tid, head);
+        self.dequeue_slow(tid, tid, seq, head);
         rec.pending.store(false, SeqCst);
         rec.seq1.store(seq + 1, SeqCst);
         // Gather the slow-path result (Figure 5, lines 48–54).

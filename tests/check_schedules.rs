@@ -83,6 +83,29 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         892,
         "owner abandoned live dequeue request (secondary schedule)",
     ),
+    // A helper that checked `seq1 == seq` once, at its snapshot, and was
+    // delayed past it: the owner finished that request and published its
+    // next one, and the helper's `slow_faa` read the *new* request's
+    // `local_tail` (no `INC`, no `FIN`) as the agreed ticket.  It then
+    // deposited the *old* index there and FINed the new request: one value
+    // duplicated, another lost.  The slow path now re-reads `seq1` after
+    // every agreed ticket and stops once the helpee has moved on.
+    (
+        3,
+        Target::Bounded,
+        0xDAA6_6D2C_7DDF_7550,
+        16,
+        464,
+        "stale slow-path helper deposited an old index at a new request's ticket",
+    ),
+    (
+        7,
+        Target::BoundedLlsc,
+        0x5384_5412_7B09_64CA,
+        16,
+        1209,
+        "stale slow-path helper broke per-producer FIFO (LL/SC model)",
+    ),
     // Since half the channel plans run the unbounded backend, plan 1's does,
     // without the forced slow path, and this replay no longer reaches the
     // FIN CAS window: it passes with that bug put back, as it did before
