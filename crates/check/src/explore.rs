@@ -580,7 +580,10 @@ fn sample_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
     // home shards — a function of the plan, not of the schedule: worker `id`
     // lives on shard `id % SHARDS`.  Two producers sit on distinct shards; a
     // lone producer's shard is drained by a consumer whose home is the
-    // *other* one, so each of its dequeues is a steal.
+    // *other* one, so each of its dequeues is a steal.  Nobody starts until
+    // everybody has registered: a worker that finished its plan would drop
+    // its handle, and a later worker could then claim the freed slot.
+    let workers = plan.threads(Target::Sharded) as u64;
     let turn = AtomicU64::new(0);
     run_sampled(
         plan,
@@ -602,6 +605,9 @@ fn sample_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
             let h = q.register().expect("one record slot per worker");
             assert_eq!(h.home_shard(), id % SHARDS);
             turn.fetch_add(1, SeqCst);
+            while turn.load(SeqCst) != workers {
+                maybe_yield("driver.register");
+            }
             Box::new(h)
         },
         |_| Ok(()),

@@ -153,7 +153,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Sharded,
         0xDAA6_6D2C_7DDF_7443,
         4,
-        982,
+        1092,
         "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
