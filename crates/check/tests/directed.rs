@@ -27,9 +27,9 @@ fn counted(set: &Arc<CounterSet>) -> Rc<UnboundedWcq<u64, CheckedFamily>> {
 /// `next`.
 const ANNOUNCE: &str = "segment.announce";
 
-/// A producer admitted to a segment is refused by `fq` because, while it
-/// was stopped there, another producer filled the segment and linked a
-/// successor.  It retries on that successor; it builds no segment of its
+/// A producer admitted to a segment is refused by its free-index claim (⊥
+/// from `fq`, then from the claim counter) because, while it was stopped
+/// there, another producer filled the segment and linked a successor.  It retries on that successor; it builds no segment of its
 /// own only to lose the link race and abandon it.
 #[test]
 fn a_producer_refused_by_a_linked_segment_retries_on_its_successor() {

@@ -6,9 +6,10 @@
 //! single-word cells with no slow-path state, [`crate::wcq::WcqRing`] over
 //! `(Value, Note)` pairs with its thread records in the `slow` field.  This
 //! module holds the only copies of `try_enq`, `try_deq`, `catchup`, `consume`,
-//! the threshold re-arm and the pre-filled `fq` state, built fresh or rebuilt
-//! in place — the only code that calls `cas_value` or `or_value` on an entry,
-//! or builds an entry or a counter (`wcq-check --lint` fails on a second one).
+//! the threshold re-arm, the pre-filled `fq` state and the empty state, each
+//! built fresh or rewritten in place — the only code that calls `cas_value` or
+//! `or_value` on an entry, or builds an entry or a counter (`wcq-check --lint`
+//! fails on a second one).
 //!
 //! The two places where wCQ's fast path says more than SCQ's are `Hook`
 //! methods, empty for SCQ: a failed entry CAS is counted, and `consume`
@@ -121,28 +122,44 @@ impl<F: RingFamily, S> Ring<F, S> {
         self
     }
 
-    /// Rewrites the ring, in place, into the state [`Ring::empty`]`.full()`
-    /// builds: the state `capacity` uncontended enqueues into a fresh ring
-    /// leave behind.  The slot of ticket `2n + i` holds `{cycle 1, safe, Enq,
-    /// i}` for `i < n` and the initial entry otherwise, every `Note` is zero,
-    /// `Head` is `2n` and `Tail` `3n` with no help reference, and the
-    /// threshold is re-armed.  `&mut self` makes each write a plain store:
-    /// no ring operation runs, so no counter moves and no checked run passes
-    /// a yield point.  The slow-path state (wCQ's thread records) is left as
-    /// it is.
-    pub(crate) fn fill(&mut self) {
+    /// Rewrites the ring, in place, into the state [`Ring::empty`] builds:
+    /// every entry initial, every `Note` zero, `Head` and `Tail` at `2n` with
+    /// no help reference, and the threshold at −1.  `&mut self` makes each
+    /// write a plain store: no ring operation runs, so no counter moves and
+    /// no checked run passes a yield point.  The slow-path state (wCQ's
+    /// thread records) is left as it is.
+    ///
+    /// A ring whose `Head` and `Tail` are both still at `2n` took no ticket
+    /// since it was built or last cleared, and an entry changes only under a
+    /// ticket, so only the threshold is written then.  (`Head` moves only
+    /// past a non-negative threshold, which only a deposit — a tail ticket —
+    /// or [`Ring::fill`] sets.)
+    pub(crate) fn clear(&mut self) {
         let l = self.layout;
         let first = l.init_counter();
-        for p in 0..l.ring_size() {
-            let t = first + p;
-            let value = if p < l.capacity() {
-                l.pack(l.cycle(t), true, true, p)
-            } else {
-                l.init_entry()
-            };
-            self.entries[l.slot(t)] = F::Entry::new(value);
+        if self.head.load_cnt() != first || self.tail.load_cnt() != first {
+            for entry in self.entries.iter_mut() {
+                *entry = F::Entry::new(l.init_entry());
+            }
+            self.head = CachePadded::new(F::Ctr::new(first));
+            self.tail = CachePadded::new(F::Ctr::new(first));
         }
-        self.head = CachePadded::new(F::Ctr::new(first));
+        self.threshold = CachePadded::new(AtomicI64::new(-1));
+    }
+
+    /// Rewrites the ring, in place, into the state [`Ring::empty`]`.full()`
+    /// builds: the state `capacity` uncontended enqueues into a fresh ring
+    /// leave behind.  [`Ring::clear`], then the slot of ticket `2n + i`
+    /// holds `{cycle 1, safe, Enq, i}` for `i < n`, `Tail` is `3n`, and the
+    /// threshold is re-armed — plain stores, as in `clear`.
+    pub(crate) fn fill(&mut self) {
+        self.clear();
+        let l = self.layout;
+        let first = l.init_counter();
+        for i in 0..l.capacity() {
+            let t = first + i;
+            self.entries[l.slot(t)] = F::Entry::new(l.pack(l.cycle(t), true, true, i));
+        }
         self.tail = CachePadded::new(F::Ctr::new(first + l.capacity()));
         self.threshold = CachePadded::new(AtomicI64::new(l.max_threshold()));
     }

@@ -30,12 +30,14 @@ pub const BATCH: usize = 64;
 ///
 /// A layer above may run the two halves of each operation itself: an
 /// enqueue is [`WcqQueue::claim_free`] then [`WcqQueue::deposit`], a dequeue
-/// [`WcqQueue::take_at`] then [`WcqQueue::return_index`].  A dequeuer that
-/// knows no enqueue will claim a free index here again may keep the index
-/// instead of returning it, and [`WcqQueue::rebuild_free`] puts every index
-/// back once the queue is drained: `wcq-unbounded` skips the `fq` return on a
-/// segment that has a successor, and rebuilds the segment's `fq` when it
-/// reuses it.
+/// [`WcqQueue::take_at`] then [`WcqQueue::return_index`].  It may also keep
+/// the never-used indices out of `fq` and hand them out itself: a queue
+/// built with [`WcqQueue::with_empty_free`] starts with `fq` empty, and
+/// [`WcqQueue::clear_free`] empties it again once the queue is drained.
+/// `wcq-unbounded` builds its segments so: a segment hands out its fresh
+/// indices from a claim counter, its `fq` holds only indices dequeues
+/// returned, and a dequeuer that knows no enqueue will claim a free index
+/// there again keeps the index instead of returning it.
 pub struct WcqQueue<T, F: CellFamily = NativeFamily> {
     aq: WcqRing<F>,
     fq: WcqRing<F>,
@@ -64,8 +66,24 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         config: WcqConfig,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
+        let mut queue = Self::with_empty_free(order, max_threads, config, counters);
+        queue.fq.fill();
+        queue
+    }
+
+    /// [`WcqQueue::with_config_counters`] with `fq` left empty: no index is
+    /// free in the queue itself.  The caller owns every index `0..capacity`
+    /// and hands each out to [`WcqQueue::deposit`] at most once, until
+    /// [`WcqQueue::clear_free`]; only indices dequeues hand back
+    /// ([`WcqQueue::return_index`], [`WcqQueue::return_free`]) reach `fq`.
+    pub fn with_empty_free(
+        order: u32,
+        max_threads: usize,
+        config: WcqConfig,
+        counters: Option<Arc<CounterSet>>,
+    ) -> Self {
         let aq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters.clone());
-        let fq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters).full();
+        let fq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters);
         let capacity = aq.capacity() as usize;
         let data = (0..capacity)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
@@ -179,15 +197,35 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// slot of the claimed free `index` and publishes the index through `aq`.
     ///
     /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`]; and `index` came from `fq`
-    /// through [`WcqQueue::claim_free`] on this queue (or `enqueue_at`'s own
-    /// claim), and has not been deposited at or returned since.
+    /// Same contract as [`WcqQueue::enqueue_at`]; and `index` is the
+    /// caller's alone: it came from `fq` through [`WcqQueue::claim_free`] on
+    /// this queue (or `enqueue_at`'s own claim) and has not been deposited at
+    /// or returned since, or — on a queue built with
+    /// [`WcqQueue::with_empty_free`] — the caller handed it out itself, once
+    /// since the queue was built or its `fq` last cleared with `aq` empty
+    /// ([`WcqQueue::clear_free`]).
     #[inline]
     pub unsafe fn deposit(&self, tid: usize, index: u32, value: T) {
         // SAFETY: the caller owns the slot until the index is published
         // through `aq`.
         unsafe { (*self.data[index as usize].get()).write(value) };
         self.aq.enqueue_index(tid, index.into());
+    }
+
+    /// [`WcqQueue::deposit`] for a run: writes the front `free.len()` values of
+    /// `values` to the slots of `free`, in order, and publishes the run
+    /// through `aq` with one batch enqueue (one tail F&A).
+    ///
+    /// # Safety
+    /// As for [`WcqQueue::deposit`], for every index in `free`; and `values`
+    /// holds at least `free.len()` values.
+    pub unsafe fn deposit_many(&self, tid: usize, free: &[u32], values: &mut VecDeque<T>) {
+        for (&index, value) in free.iter().zip(values.drain(..free.len())) {
+            // SAFETY: the caller owns each slot until the run is published
+            // through `aq`.
+            unsafe { (*self.data[index as usize].get()).write(value) };
+        }
+        self.aq.enqueue_many(tid, free);
     }
 
     /// Hands free indices back to `fq` with one batch enqueue (one tail
@@ -219,8 +257,9 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     /// The first half of [`WcqQueue::dequeue_at`]: takes an index from `aq`
     /// and moves its value out.  The slot is then free, and its index the
     /// caller's: it hands it back to `fq` ([`WcqQueue::return_index`]), or
-    /// keeps it, which is safe and takes one slot out of circulation until
-    /// [`WcqQueue::rebuild_free`].
+    /// keeps it, which is safe and takes one slot out of circulation (for
+    /// good, unless the caller hands its indices out itself:
+    /// [`WcqQueue::with_empty_free`]).
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
@@ -270,12 +309,9 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
             let want = values.len().min(BATCH);
             // SAFETY: per the function contract.
             let claimed = unsafe { self.claim_free(tid, &mut free[..want]) };
-            for (&index, value) in free[..claimed].iter().zip(values.drain(..claimed)) {
-                // SAFETY: each free index came from `fq`; we own its slot
-                // until the run is published through `aq`.
-                unsafe { (*self.data[index as usize].get()).write(value) };
-            }
-            self.aq.enqueue_many(tid, &free[..claimed]);
+            // SAFETY: as above; each index just came from `fq`, and `values`
+            // holds `want >= claimed` values.
+            unsafe { self.deposit_many(tid, &free[..claimed], values) };
             accepted += claimed;
             if claimed < want {
                 break;
@@ -332,19 +368,14 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         })
     }
 
-    /// Puts every slot index back into `fq`, in place: `fq` becomes the ring
-    /// [`WcqQueue::new`] builds, written with plain stores (no ring
-    /// operation, no allocation).  `aq`, the data array and both rings'
-    /// thread records are left as they are.  Indices that callers of
-    /// [`WcqQueue::take_at`] kept instead of returning are free again.
-    ///
-    /// # Safety
-    /// `aq` holds no index (every value enqueued has been dequeued), and no
-    /// index claimed with [`WcqQueue::claim_free`] is still held to be
-    /// deposited at or returned.  Such an index would be free twice over,
-    /// and two dequeues could read its slot's value.
-    pub unsafe fn rebuild_free(&mut self) {
-        self.fq.fill();
+    /// Empties `fq` in place: it becomes the ring
+    /// [`WcqQueue::with_empty_free`] builds, written with plain stores (no
+    /// ring operation, no allocation; only the threshold when `fq` never
+    /// took a ticket).  `aq`, the data array and both rings' thread records
+    /// are left as they are.  Once `aq` is empty too, every index is the
+    /// caller's to hand out again ([`WcqQueue::deposit`]).
+    pub fn clear_free(&mut self) {
+        self.fq.clear();
     }
 
     /// Returns `true` if a dequeue would currently observe an empty queue

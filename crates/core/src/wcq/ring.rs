@@ -1227,76 +1227,108 @@ mod tests {
         (r.head.load(), r.tail.load(), r.threshold(), entries)
     }
 
-    /// `fill` rebuilds, in place, the ring `empty(..).full()` builds, word
-    /// for word: after many fast-path laps, and after a history in which
-    /// every enqueue and many dequeues ran the slow path past a stalled
-    /// dequeuer.
-    fn fill_rebuilds_a_fresh_full_ring<F: CellFamily>() {
+    /// Two used rings of capacity `2^order`: one after many fast-path laps,
+    /// one after a history in which every enqueue and many dequeues ran the
+    /// slow path past a stalled dequeuer.  Each holds half its indices.
+    fn used_rings<F: CellFamily>(order: u32) -> [(WcqRing<F>, &'static str); 2] {
         let slow = WcqConfig {
             max_patience_enqueue: 1,
             max_patience_dequeue: 1,
             help_delay: 1,
             catchup_bound: 8,
         };
+        let laps = ring::<F>(order, 1).full();
+        let n = laps.capacity();
+        {
+            let mut h = laps.register().unwrap();
+            for _ in 0..40 * n {
+                let index = h.dequeue().expect("every index circulates");
+                h.enqueue(index);
+            }
+            for _ in 0..n / 2 {
+                h.dequeue().expect("half of them are taken out");
+            }
+        }
+
+        let counters = Arc::new(CounterSet::new());
+        let forced =
+            WcqRing::<F>::with_config_counters(order, 1, slow, Some(Arc::clone(&counters))).full();
+        {
+            let tid = forced.register().unwrap().tid();
+            // A dequeuer stalled for good right after its F&A: the index
+            // at its ticket stays unconsumed, so later cycles find its
+            // slot unusable and the slow path notes that in the slot.
+            forced.head.fetch_add_cnt();
+            let mut rng = u64::from(order).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            for _ in 0..16 * n {
+                let index = forced.dequeue_index(tid).expect("every index circulates");
+                if xorshift(&mut rng).is_multiple_of(3) {
+                    forced.enqueue_index(tid, index);
+                    continue;
+                }
+                // Spend a tail ticket as a failed first attempt does: the
+                // enqueue runs the slow path, and the hole it leaves sends
+                // a later dequeue there too.
+                let tail = forced.tail.fetch_add_cnt();
+                forced.enqueue_rest(tid, index, tail);
+            }
+        }
+        let snap = counters.snapshot();
+        assert!(snap.get(Counter::PatienceExhaustedEnqueues) > 0);
+        assert!(snap.get(Counter::PatienceExhaustedDequeues) > 0);
+        assert!(
+            words(&forced).3.iter().any(|&(_, note)| note != 0),
+            "{} order {order}: the slow path wrote no Note",
+            F::NAME
+        );
+        [(laps, "laps"), (forced, "slow path")]
+    }
+
+    /// `fill` rebuilds, in place, the ring `empty(..).full()` builds, word
+    /// for word, after either history of [`used_rings`].
+    fn fill_rebuilds_a_fresh_full_ring<F: CellFamily>() {
         for order in 1..=4u32 {
             let fresh = words(&ring::<F>(order, 1).full());
-
-            let mut laps = ring::<F>(order, 1).full();
-            let n = laps.capacity();
-            {
-                let mut h = laps.register().unwrap();
-                for _ in 0..40 * n {
-                    let index = h.dequeue().expect("every index circulates");
-                    h.enqueue(index);
-                }
-                for _ in 0..n / 2 {
-                    h.dequeue().expect("half of them are taken out");
-                }
+            for (mut used, history) in used_rings::<F>(order) {
+                assert_ne!(words(&used), fresh, "{} order {order}", F::NAME);
+                used.fill();
+                assert_eq!(words(&used), fresh, "{} order {order}: {history}", F::NAME);
             }
-            assert_ne!(words(&laps), fresh, "{} order {order}", F::NAME);
-            laps.fill();
-            assert_eq!(words(&laps), fresh, "{} order {order}: laps", F::NAME);
-
-            let counters = Arc::new(CounterSet::new());
-            let mut forced =
-                WcqRing::<F>::with_config_counters(order, 1, slow, Some(Arc::clone(&counters)))
-                    .full();
-            {
-                let tid = forced.register().unwrap().tid();
-                // A dequeuer stalled for good right after its F&A: the index
-                // at its ticket stays unconsumed, so later cycles find its
-                // slot unusable and the slow path notes that in the slot.
-                forced.head.fetch_add_cnt();
-                let mut rng = u64::from(order).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                for _ in 0..16 * n {
-                    let index = forced.dequeue_index(tid).expect("every index circulates");
-                    if xorshift(&mut rng).is_multiple_of(3) {
-                        forced.enqueue_index(tid, index);
-                        continue;
-                    }
-                    // Spend a tail ticket as a failed first attempt does: the
-                    // enqueue runs the slow path, and the hole it leaves sends
-                    // a later dequeue there too.
-                    let tail = forced.tail.fetch_add_cnt();
-                    forced.enqueue_rest(tid, index, tail);
-                }
-            }
-            let snap = counters.snapshot();
-            assert!(snap.get(Counter::PatienceExhaustedEnqueues) > 0);
-            assert!(snap.get(Counter::PatienceExhaustedDequeues) > 0);
-            assert!(
-                words(&forced).3.iter().any(|&(_, note)| note != 0),
-                "{} order {order}: the slow path wrote no Note",
-                F::NAME
-            );
-            forced.fill();
-            assert_eq!(
-                words(&forced),
-                fresh,
-                "{} order {order}: slow path",
-                F::NAME
-            );
         }
+    }
+
+    /// `clear` rebuilds, in place, the ring `empty(..)` builds, word for
+    /// word: after either history of [`used_rings`], on a full ring, and on
+    /// an empty one that only answered empty polls (no ticket taken, so
+    /// only the threshold is written).
+    fn clear_rebuilds_a_fresh_empty_ring<F: CellFamily>() {
+        for order in 1..=4u32 {
+            let fresh = words(&ring::<F>(order, 1));
+            let polled = ring::<F>(order, 1);
+            {
+                let mut h = polled.register().unwrap();
+                for _ in 0..3 {
+                    assert_eq!(h.dequeue(), None);
+                }
+            }
+            let used = used_rings::<F>(order);
+            let full = (ring::<F>(order, 1).full(), "full");
+            for (mut ring, history) in used.into_iter().chain([full, (polled, "polled")]) {
+                ring.clear();
+                assert_eq!(words(&ring), fresh, "{} order {order}: {history}", F::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn clear_rebuilds_a_fresh_empty_ring_native() {
+        clear_rebuilds_a_fresh_empty_ring::<NativeFamily>();
+    }
+
+    #[test]
+    fn clear_rebuilds_a_fresh_empty_ring_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        clear_rebuilds_a_fresh_empty_ring::<LlscFamily>();
     }
 
     #[test]

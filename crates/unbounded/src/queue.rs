@@ -93,8 +93,7 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     cache: Box<SegmentCache<T, F>>,
     seg_order: u32,
     max_threads: usize,
-    /// Free indices a producer claims per `fq` batch dequeue
-    /// ([`Stash::run`]).
+    /// Free indices a producer claims per stash refill ([`Stash::run`]).
     run: usize,
     config: WcqConfig,
     per_segment_bytes: usize,
@@ -418,8 +417,9 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// The memoized segment (null when there is none), kept alive by hazard
     /// slot 1 for as long as it is set.
     bound: *mut Segment<T, F>,
-    /// Free slot indices of `bound`, claimed from its `fq` in runs and given
-    /// back before hazard slot 1 lets go of it (empty while `bound` is null).
+    /// Free slot indices of `bound`, claimed in runs (from its `fq` or its
+    /// claim counter) and given back to its `fq` before hazard slot 1 lets go
+    /// of it (empty while `bound` is null).
     stash: Stash,
     /// `true` while hazard slot 0 holds a segment for the operation in flight:
     /// set by [`Self::pin`] on a memo miss, cleared by [`Self::unpin`].
@@ -568,8 +568,9 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     }
 
     /// Hands the stash back to the memo segment's `fq`.  Every place the
-    /// memo moves or ends calls this before hazard slot 1 lets go, so a
-    /// segment is reclaimed with all its indices in `fq`.
+    /// memo moves or ends calls this before hazard slot 1 lets go, so an open
+    /// segment can hand the indices out again, and no stash holds an index
+    /// of a segment that is reclaimed.
     fn return_stash(&mut self) {
         if self.stash.len() > 0 {
             // SAFETY: a non-empty stash holds indices of `bound`, which
@@ -1698,7 +1699,7 @@ mod tests {
     // ------------------------------------------------------------------
     // Free slots in runs: every stash goes back to its segment before the
     // handle lets go of it, so an open segment takes exactly `capacity`
-    // values.  (A reused segment's `fq` is rebuilt by `SegmentCache::take`.)
+    // values.  (A reused segment is renewed by `SegmentCache::take`.)
     // ------------------------------------------------------------------
 
     /// Appends so far on a queue only one thread appends to: every segment
@@ -1779,8 +1780,9 @@ mod tests {
                 let who = next(&mut rng) as usize % THREADS;
                 producers[who].enqueue(taken as u64);
                 if q.segments_live() > 1 {
-                    // `who` met `fq`'s ⊥ with its own stash empty, closed
-                    // the segment and put this value in the next one.
+                    // `who` met ⊥ from `fq` and the claim counter with its
+                    // own stash empty, closed the segment and put this value
+                    // in the next one.
                     break;
                 }
                 taken += 1;

@@ -7,7 +7,9 @@
 //!   queue's close: "closed for good, and no successor will come").  Either
 //!   non-null value is also the segment's own close;
 //! * a back-pointer to the owning queue's [`SegmentCache`] so the hazard
-//!   domain can *recycle* a drained segment instead of freeing it.
+//!   domain can *recycle* a drained segment instead of freeing it;
+//! * a claim counter of the slot indices not yet handed out in this life of
+//!   the segment ("Fresh indices from a counter", below).
 //!
 //! ## The link is the close
 //!
@@ -15,23 +17,25 @@
 //! F&A.  wCQ's enqueue cannot be told to fail permanently, so a segment
 //! closes one layer up, and the word that closes it is `next`:
 //!
-//! 1. **`fq` already answers "full", or early.**  A segment holds at most
-//!    `capacity` indices, and while it has no successor they circulate only
-//!    between `fq`, `aq` and the producers' [`Stash`]es (Figure 2, with free
-//!    slots claimed in runs).  So the inner enqueue's `fq` claim returns ⊥ —
-//!    a linearizable answer — exactly when no index is free *outside the
-//!    stashes*, read from the ring the enqueue has to touch anyway; no
-//!    second semaphore is needed to refuse a full segment.  (Once the
-//!    segment has a successor, dequeues keep the indices they free — see
-//!    "Free slots in runs" — and a ⊥ there tells a producer admitted before
-//!    the link what the link tells every later one.)  A producer links on
-//!    that ⊥ only with its own stash empty, even while other producers'
-//!    stashes still hold some of the segment's indices.  Linking early is
-//!    always safe: nothing is ever deposited through a stash without an
-//!    admitted announcement (point 2), so the stashed indices are simply
-//!    never used here again and go back to `fq` when their holders move on.
-//!    It wastes at most `(max_threads − 1) × run` slots of the segment, one
-//!    run per other producer.
+//! 1. **The free-index claim already answers "full", or early.**  A segment
+//!    hands out each of its `capacity` indices once per life from its claim
+//!    counter, and while it has no successor a handed-out index circulates
+//!    only between `aq`, `fq` and the producers' [`Stash`]es (Figure 2, with
+//!    free slots claimed in runs).  So a refill that gets ⊥ from `fq` and
+//!    then from the counter saw no index free *outside the stashes* — or
+//!    one returned between the two answers, which only makes the close
+//!    early — read from words the enqueue has to touch anyway; no second
+//!    semaphore is needed to refuse a full segment.  (Once the segment has a
+//!    successor, dequeues keep the indices they free — see "Free slots in
+//!    runs" — and a ⊥ there tells a producer admitted before the link what
+//!    the link tells every later one.)  A producer links on that ⊥ only with
+//!    its own stash empty, even while other producers' stashes still hold
+//!    some of the segment's indices.  Linking early is always safe: nothing
+//!    is ever deposited through a stash without an admitted announcement
+//!    (point 2), so the stashed indices are simply never used here again and
+//!    go back to `fq` when their holders move on.  It wastes at most
+//!    `(max_threads − 1) × run` slots of the segment, one run per other
+//!    producer.
 //! 2. **`next` answers "closed".**  An enqueue announces the segment in its
 //!    handle's hazard slot [`ANNOUNCE`] with a `SeqCst` store, then loads
 //!    `next` (`SeqCst`).  A non-null `next` refuses it: it clears the slot
@@ -60,30 +64,50 @@
 //! A dequeue writes no announcement — it is the inner `aq` take and, after a
 //! successful one, a load of `next` and maybe the `fq` return — so the
 //! dequeuer writes no line the enqueuers own, and no enqueue writes a word
-//! another enqueue writes outside the rings.
+//! another enqueue writes outside the rings and the claim counter.
 //!
 //! ## Free slots in runs
 //!
 //! Figure 2 makes every enqueue fetch a free index with a full `fq` dequeue
 //! (head F&A, consume `OR`, threshold check), though no caller observes the
 //! order of free indices.  So a producer claims them in runs instead: one
-//! `fq` batch dequeue fills its [`Stash`] with up to `run` indices, and its
-//! next `run` enqueues into the segment deposit at them with no `fq`
-//! operation at all.  A stash belongs to one segment, the unbounded handle's
-//! memo, is refilled only inside an admitted announcement (so a refused
-//! enqueue still touches no ring), and goes back to `fq` before the handle's
-//! hazard slot 1 lets go of the segment.
+//! refill puts up to `run` indices in its [`Stash`], and its next `run`
+//! enqueues into the segment deposit at them with no further claim at all.
+//! A stash belongs to one segment, the unbounded handle's memo, is refilled
+//! only inside an admitted announcement (so a refused enqueue still touches
+//! no ring and no counter), and goes back to `fq` before the handle's hazard
+//! slot 1 lets go of the segment.
 //!
 //! A dequeue returns each freed index at once, but only while the segment's
 //! `next` is null.  Once it is not, the segment is closed for good (point
 //! 2): no announcement is admitted there again, and only a producer admitted
-//! before the link can still ask `fq` for an index.  So a dequeue there keeps the index it freed and skips a whole
-//! `fq` enqueue (tail F&A, entry CAS, threshold re-arm, helping countdown);
-//! such a straggler may then get ⊥ sooner and move on to the successor.
-//! `next` is read only after a successful `aq` take, so an empty poll is
-//! exactly what it was.  A drained segment therefore reaches the cache with
-//! indices missing from `fq`, and [`SegmentCache::take`] rebuilds `fq` in
-//! place, every index free, before it reuses one.  The rebuild also makes a
+//! before the link can still ask for an index.  So a dequeue there keeps the
+//! index it freed and skips a whole `fq` enqueue (tail F&A, entry CAS,
+//! threshold re-arm, helping countdown); such a straggler may then get ⊥
+//! sooner and move on to the successor.  `next` is read only after a
+//! successful `aq` take, so an empty poll is exactly what it was.
+//!
+//! ## Fresh indices from a counter
+//!
+//! Figure 2 starts `fq` with all `capacity` indices in it.  A segment's `fq`
+//! starts **empty** instead, and the indices no one has used yet in this
+//! life come from a claim counter beside `next`: a refill asks `fq` first
+//! and, only when `fq` answers ⊥, takes the next run with one `fetch_add`
+//! on the counter.  A fresh segment's `fq` answers ⊥ at its threshold
+//! check, with no locked instruction, so a segment that fills before any of
+//! its indices come back — every segment of a backlog but the last — never
+//! touches `fq` at all, and nothing writes a pre-filled `fq`.  The open tail
+//! in steady state is served by `fq` after its first run, as in Figure 2.
+//! ⊥ from both is "full" (point 1).  The fresh-segment preload takes index 0
+//! from the counter too, with a plain load and store: the segment is
+//! unpublished.
+//!
+//! A drained segment therefore reaches the cache with its counter spent and
+//! some indices, or none, in `fq` (a stash returned after the link, or a
+//! return between a ⊥ and the link).  [`SegmentCache::take`] starts the
+//! segment's next life before it reuses one: the counter back to 0 and `fq`
+//! emptied, both with plain stores ([`WcqQueue::clear_free`] writes only
+//! the threshold of an `fq` that took no ticket).  The reset also makes a
 //! lost stash harmless to the reused segment.
 //!
 //! ## Whose thread records
@@ -98,7 +122,10 @@
 
 use std::collections::VecDeque;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering::SeqCst};
+use std::sync::atomic::{
+    AtomicPtr, AtomicU32,
+    Ordering::{Relaxed, SeqCst},
+};
 use std::sync::Arc;
 
 use wcq_core::metrics::CounterSet;
@@ -128,6 +155,11 @@ pub(crate) struct Segment<T, F: CellFamily> {
     pub(crate) next: AtomicPtr<Segment<T, F>>,
     /// The owning queue's cache, for hazard-domain recycling.
     pub(crate) cache: *const SegmentCache<T, F>,
+    /// The claim counter: the first index not yet handed out in this life.
+    /// Indices `fresh..capacity` are in no ring and no stash; a value at or
+    /// past `capacity` means every index has been handed out (module docs,
+    /// "Fresh indices from a counter").
+    fresh: AtomicU32,
 }
 
 impl<T, F: CellFamily> Segment<T, F> {
@@ -139,9 +171,10 @@ impl<T, F: CellFamily> Segment<T, F> {
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
         Self {
-            queue: WcqQueue::with_config_counters(order, max_threads, config, counters),
+            queue: WcqQueue::with_empty_free(order, max_threads, config, counters),
             next: AtomicPtr::new(ptr::null_mut()),
             cache,
+            fresh: AtomicU32::new(0),
         }
     }
 
@@ -225,15 +258,17 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// Batch counterpart of [`Segment::try_enqueue`]: one announcement covers
-    /// the inner batch enqueue, and the number accepted (drained from the
-    /// front of `values`) is returned.  Returning `0` means the segment is
-    /// full or closed and will never accept anything.
+    /// the whole batch, and the number accepted (drained from the front of
+    /// `values`) is returned.  Returning `0` means the segment is full or
+    /// closed and will never accept anything.
     ///
-    /// The inner batch enqueue's free-slot claim is racily partial: under
-    /// contention its run of free-ring tickets can miss free slots (holes in
-    /// the claimed run).  The remainder goes through the stash one element
-    /// at a time until the free-ring claim — the authoritative "full" —
-    /// refuses one.
+    /// The batch claims runs of up to [`BATCH`] indices the way a refill
+    /// does (`fq`, then the claim counter), each run deposited with one `aq`
+    /// batch enqueue, until both answer ⊥.  An `fq` claim can come back
+    /// short under contention (holes in its run of tickets), but its `0` is
+    /// authoritative, so the batch goes on while a claim gets anything.  The
+    /// remainder then goes through the stash one element at a time, so
+    /// stashed indices are used before the segment is called full.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`].
@@ -248,8 +283,20 @@ impl<T, F: CellFamily> Segment<T, F> {
             return 0;
         }
         let tid = hp.tid();
-        // SAFETY: `tid` is exclusive per the function contract.
-        let mut accepted = unsafe { self.queue.enqueue_many_at(tid, values) };
+        let mut free = [0u32; BATCH];
+        let mut accepted = 0;
+        while !values.is_empty() {
+            let want = values.len().min(BATCH);
+            // SAFETY: per the function contract.
+            let claimed = unsafe { self.claim(tid, &mut free[..want]) };
+            if claimed == 0 {
+                break;
+            }
+            // SAFETY: as above; the claim made the run ours alone, and
+            // `values` holds `want >= claimed` values.
+            unsafe { self.queue.deposit_many(tid, &free[..claimed], values) };
+            accepted += claimed;
+        }
         while let Some(value) = values.pop_front() {
             // SAFETY: per the function contract, admitted by the
             // announcement.
@@ -293,9 +340,9 @@ impl<T, F: CellFamily> Segment<T, F> {
         Ok(())
     }
 
-    /// Claims a run of up to `run` free indices into the empty `stash` with
-    /// one `fq` batch dequeue, and pops one.  Once per run, so out of line.
-    /// `None` is `fq`'s ⊥.
+    /// Claims a run of up to `run` free indices into the empty `stash`
+    /// ([`Segment::claim`]), and pops one.  Once per run, so out of line.
+    /// `None` is ⊥ from both `fq` and the claim counter.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
@@ -303,9 +350,45 @@ impl<T, F: CellFamily> Segment<T, F> {
     #[cold]
     #[inline(never)]
     unsafe fn refill(&self, tid: usize, stash: &mut Stash, run: usize) -> Option<u32> {
-        // SAFETY: `tid` is exclusive per the function contract.
-        stash.len = unsafe { self.queue.claim_free(tid, &mut stash.free[..run]) } as u32;
+        // SAFETY: per the function contract.
+        stash.len = unsafe { self.claim(tid, &mut stash.free[..run]) } as u32;
         stash.pop()
+    }
+
+    /// Claims up to `free.len()` free indices into the front of `free` and
+    /// returns how many: from `fq` with one batch dequeue or, when `fq`
+    /// answers ⊥, from the claim counter with one `fetch_add` (module docs,
+    /// "Fresh indices from a counter").  `0` is ⊥ from both.
+    ///
+    /// # Safety
+    /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
+    /// id; and the caller's announcement of this segment was admitted and is
+    /// still published.
+    #[inline(always)]
+    unsafe fn claim(&self, tid: usize, free: &mut [u32]) -> usize {
+        // SAFETY: `tid` is exclusive per the function contract.
+        match unsafe { self.queue.claim_free(tid, free) } {
+            0 => self.claim_fresh(free),
+            claimed => claimed,
+        }
+    }
+
+    /// Takes the next run of up to `free.len()` never-used indices from the
+    /// claim counter, ascending into the front of `free`, and returns how
+    /// many; `0` once all `capacity` are out.  A claim past `capacity` is a
+    /// refusal, after which its producer links a successor or finds one
+    /// linked, so the counter passes `capacity` by at most two runs (a batch
+    /// and its stash refill) per producer per life, and never wraps.
+    fn claim_fresh(&self, free: &mut [u32]) -> usize {
+        let capacity = self.queue.capacity() as u32;
+        wcq_atomics::yield_point("segment.claim");
+        let first = self.fresh.fetch_add(free.len() as u32, SeqCst);
+        let end = capacity.min(first.saturating_add(free.len() as u32));
+        let claimed = end.saturating_sub(first) as usize;
+        for (slot, index) in free.iter_mut().zip(first..end) {
+            *slot = index;
+        }
+        claimed
     }
 
     /// Hands every index in `stash` back to `fq` and empties it.
@@ -321,15 +404,26 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// Enqueues the first value of an unpublished segment (the fresh-segment
-    /// preload).  One free index, claimed alone: nothing is left stashed.
+    /// preload).  One index, the claim counter's first, taken alone: nothing
+    /// is left stashed.
     ///
     /// # Safety
-    /// The segment is unpublished and owned by the caller.
+    /// The segment is unpublished and owned by the caller, and new or reset
+    /// by [`SegmentCache::take`].
     pub(crate) unsafe fn preload(&self, tid: usize, value: T) {
-        // SAFETY: an unpublished segment has a single user under any `tid`.
-        if unsafe { self.queue.enqueue_at(tid, value) }.is_err() {
-            unreachable!("a fresh segment must accept its first element");
-        }
+        // relaxed: the segment is unpublished, so the caller is its only
+        // user, and the `SeqCst` CAS that links it orders this load and store
+        // before any other thread's claim.
+        let index = self.fresh.load(Relaxed);
+        assert!(
+            (index as usize) < self.queue.capacity(),
+            "a fresh segment must accept its first element"
+        );
+        // relaxed: see above.
+        self.fresh.store(index + 1, Relaxed);
+        // SAFETY: an unpublished segment has a single user under any `tid`,
+        // and the counter handed the index out to us alone.
+        unsafe { self.queue.deposit(tid, index, value) };
     }
 
     /// Attempts to dequeue as thread record `tid`; `None` means the inner
@@ -386,10 +480,24 @@ impl<T, F: CellFamily> Segment<T, F> {
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
     /// can serve as a fresh tail.  `aq` needs no reset: a drained wCQ is
-    /// simply an empty wCQ whose cycle counters have advanced.  `fq` is
-    /// rebuilt when the cache hands the segment out ([`SegmentCache::take`]).
+    /// simply an empty wCQ whose cycle counters have advanced.  The claim
+    /// counter and `fq` are reset when the cache hands the segment out
+    /// ([`Segment::renew`]).
     pub(crate) fn reopen(&self) {
         self.next.store(ptr::null_mut(), SeqCst);
+    }
+
+    /// Starts the segment's next life: every index fresh again (the claim
+    /// counter at 0) and `fq` empty, both with plain stores (module docs,
+    /// "Fresh indices from a counter").  Indices that dequeues kept, or that
+    /// a stash returned to `fq` after the link, are handed out afresh.
+    ///
+    /// # Safety
+    /// `aq` holds no index and no stash holds one of this segment's: each
+    /// index the counter hands out again must be free.
+    pub(crate) unsafe fn renew(&mut self) {
+        *self.fresh.get_mut() = 0;
+        self.queue.clear_free();
     }
 
     /// Bytes occupied by this segment (struct + inner rings and data array).
@@ -399,9 +507,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 }
 
-/// Free slot indices a producer claimed from one segment's `fq` and has not
-/// deposited at yet (module docs, "Free slots in runs"): inline, no heap of
-/// its own.
+/// Free slot indices a producer claimed from one segment — from its `fq` or
+/// its claim counter — and has not deposited at yet (module docs, "Free
+/// slots in runs"): inline, no heap of its own.
 pub(crate) struct Stash {
     free: [u32; Stash::MAX],
     len: u32,
@@ -459,8 +567,8 @@ pub(crate) unsafe fn recycle_segment<T, F: CellFamily>(p: *mut u8) {
 ///
 /// Steady-state traffic that repeatedly grows and shrinks by a few segments
 /// allocates nothing: retired segments come back through
-/// [`recycle_segment`] and are reused by the next append, `fq` rebuilt on the
-/// way out ([`SegmentCache::take`]).  The store is an inline array of
+/// [`recycle_segment`] and are reused by the next append, renewed on the way
+/// out ([`SegmentCache::take`]).  The store is an inline array of
 /// [`DEFAULT_SEGMENT_CACHE`] `AtomicPtr` slots (null = empty), so a
 /// steady-state `give_back` never allocates: `take` swaps slots to null,
 /// `give_back` CASes null to the segment pointer.  Each segment lives
@@ -492,10 +600,10 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     ///
     /// [`Counter::SegmentsReused`]: wcq_core::metrics::Counter::SegmentsReused
     ///
-    /// The taken segment's `fq` is rebuilt in place with every index free
-    /// ([`WcqQueue::rebuild_free`]): the dequeues that drained it after it
-    /// gained a successor kept their indices.  The rebuild is here, not in
-    /// `give_back`, so a segment that is only ever freed (one the hazard
+    /// The taken segment starts its next life ([`Segment::renew`]): its
+    /// claim counter hands out every index afresh, and its `fq` is emptied
+    /// of any index a stash returned after the link.  The reset is here, not
+    /// in `give_back`, so a segment that is only ever freed (one the hazard
     /// domain's drop hands back) never pays it.
     pub(crate) fn take(&self) -> Option<*mut Segment<T, F>> {
         for slot in self.slots.iter() {
@@ -506,7 +614,7 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
                 // abandoned, gave its one value back), so `aq` holds no
                 // index, and every stash of it went back before its holder's
                 // hazard slot let go.
-                unsafe { (*seg).queue.rebuild_free() };
+                unsafe { (*seg).renew() };
                 return Some(seg);
             }
         }
@@ -575,9 +683,14 @@ mod tests {
     }
 
     /// Head, tail and threshold of `aq` and `fq`, as the inner queue's
-    /// `Debug` prints them.
+    /// `Debug` prints them, then the claim counter.
     fn rings<F: CellFamily>(seg: &Segment<u64, F>) -> String {
-        format!("{:?}", seg.queue)
+        format!("{:?} fresh: {}", seg.queue, fresh(seg))
+    }
+
+    /// The claim counter.
+    fn fresh<F: CellFamily>(seg: &Segment<u64, F>) -> u32 {
+        seg.fresh.load(SeqCst)
     }
 
     /// Links `next` after `seg` the way an append or a close does: from then
@@ -629,8 +742,151 @@ mod tests {
     /// `fq`'s head, tail and threshold, as the inner queue's `Debug` prints
     /// them.
     fn fq<F: CellFamily>(seg: &Segment<u64, F>) -> String {
-        let rings = rings(seg);
+        let rings = format!("{:?}", seg.queue);
         rings[rings.find("fq:").expect("fq in the Debug output")..].to_owned()
+    }
+
+    /// The preload deposits at the claim counter's first index and leaves
+    /// `fq` untouched; the first refill after it takes the next run from the
+    /// counter.
+    fn the_preload_takes_its_index_from_the_counter<F: CellFamily>() {
+        let seg = segment::<F>(3, 1);
+        let untouched = fq(&seg);
+        let (stash, run) = (&mut Stash::new(), 2);
+        let domain = domain(1);
+        let hp = domain.register().unwrap();
+        // SAFETY: one thread, the only user of tid 0 and of the unpublished
+        // segment; the stash is `seg`'s.
+        unsafe {
+            seg.preload(0, 7);
+            assert_eq!(fresh(&seg), 1, "the preload took index 0");
+            assert_eq!(fq(&seg), untouched, "the preload asked no ring for it");
+            assert_eq!(seg.try_enqueue(&hp, 8, stash, run), Ok(()));
+            assert_eq!(fresh(&seg), 3, "the refill took indices 1 and 2");
+            assert_eq!(seg.try_dequeue(0), Some(7));
+            assert_eq!(seg.try_dequeue(0), Some(8));
+        }
+    }
+
+    #[test]
+    fn the_preload_takes_its_index_from_the_counter_native() {
+        the_preload_takes_its_index_from_the_counter::<NativeFamily>();
+    }
+
+    #[test]
+    fn the_preload_takes_its_index_from_the_counter_llsc() {
+        the_preload_takes_its_index_from_the_counter::<LlscFamily>();
+    }
+
+    /// On an open tail whose dequeues return their indices, the claim
+    /// counter serves the first run alone: every later refill is an `fq`
+    /// claim of a whole run, so the stash holds `run - 1` right after each
+    /// refill and the counter stays at `run`.
+    fn the_counter_serves_only_the_first_run_of_a_returning_tail<F: CellFamily>() {
+        let seg = segment::<F>(6, 1);
+        let (stash, run) = (&mut Stash::new(), 4);
+        let domain = domain(1);
+        let hp = domain.register().unwrap();
+        // SAFETY: one thread, the only user of tid 0; the stash is `seg`'s.
+        unsafe {
+            for v in 0..10 * seg.queue.capacity() as u64 {
+                assert_eq!(seg.try_enqueue(&hp, v, stash, run), Ok(()));
+                assert_eq!(
+                    stash.len(),
+                    run - 1 - (v as usize % run),
+                    "send {v}: each refill claims a whole run"
+                );
+                assert_eq!(fresh(&seg), run as u32, "send {v}");
+                assert_eq!(seg.try_dequeue(0), Some(v));
+            }
+        }
+    }
+
+    #[test]
+    fn the_counter_serves_only_the_first_run_of_a_returning_tail_native() {
+        the_counter_serves_only_the_first_run_of_a_returning_tail::<NativeFamily>();
+    }
+
+    #[test]
+    fn the_counter_serves_only_the_first_run_of_a_returning_tail_llsc() {
+        the_counter_serves_only_the_first_run_of_a_returning_tail::<LlscFamily>();
+    }
+
+    /// Where a drained segment's leftover `fq` indices come from.
+    #[derive(Clone, Copy, Debug)]
+    enum Leftover {
+        /// A producer's stash, returned after the link.
+        Stash,
+        /// A dequeue's return between the ⊥ that found the segment full and
+        /// the link.
+        Return,
+    }
+
+    /// A segment that reaches the cache with indices in `fq` comes out of it
+    /// taking exactly `capacity` values, each delivered once and in order:
+    /// the renewal empties `fq`, so no index is handed out twice.
+    fn a_reused_segment_with_leftovers_in_fq_takes_exactly_capacity<F: CellFamily>(
+        leftover: Leftover,
+    ) {
+        let cache = SegmentCache::<u64, F>::new();
+        let seg = Box::into_raw(Box::new(Segment::new(
+            3,
+            1,
+            WcqConfig::default(),
+            &cache,
+            None,
+        )));
+        let successor = segment::<F>(3, 1);
+        let domain = domain(1);
+        let hp = domain.register().unwrap();
+        // SAFETY: one thread, the only user of tid 0 and of `seg`, which
+        // came from `Box::into_raw` and is freed once, at the end.
+        unsafe {
+            let empty = fq(&*seg);
+            let cap = (*seg).queue.capacity() as u64;
+            let (stash, run) = (&mut Stash::new(), 4);
+            match leftover {
+                Leftover::Stash => {
+                    assert_eq!((*seg).try_enqueue(&hp, 0, stash, run), Ok(()));
+                    link(&*seg, ptr::from_ref(&successor).cast_mut());
+                    (*seg).return_stash(0, stash);
+                    assert_eq!((*seg).try_dequeue(0), Some(0));
+                }
+                Leftover::Return => {
+                    for v in 0..cap {
+                        assert_eq!((*seg).try_enqueue(&hp, v, stash, run), Ok(()));
+                    }
+                    assert_eq!((*seg).try_enqueue(&hp, cap, stash, run), Err(cap));
+                    assert_eq!((*seg).try_dequeue(0), Some(0), "returned: no link yet");
+                    link(&*seg, ptr::from_ref(&successor).cast_mut());
+                    for v in 1..cap {
+                        assert_eq!((*seg).try_dequeue(0), Some(v));
+                    }
+                }
+            }
+            assert_eq!((*seg).try_dequeue(0), None);
+            assert_ne!(fq(&*seg), empty, "{leftover:?}: `fq` holds indices");
+            SegmentCache::give_back(&cache, seg);
+            let again = cache.take().expect("the segment just given back");
+            assert_eq!(again, seg);
+            assert_eq!(fresh(&*again), 0, "{leftover:?}: the counter was reset");
+            takes_exactly_capacity(&*again);
+            drop(Box::from_raw(again));
+        }
+    }
+
+    #[test]
+    fn a_reused_segment_with_leftovers_in_fq_takes_exactly_capacity_native() {
+        for leftover in [Leftover::Stash, Leftover::Return] {
+            a_reused_segment_with_leftovers_in_fq_takes_exactly_capacity::<NativeFamily>(leftover);
+        }
+    }
+
+    #[test]
+    fn a_reused_segment_with_leftovers_in_fq_takes_exactly_capacity_llsc() {
+        for leftover in [Leftover::Stash, Leftover::Return] {
+            a_reused_segment_with_leftovers_in_fq_takes_exactly_capacity::<LlscFamily>(leftover);
+        }
     }
 
     /// A dequeue, single or batch, returns its index to `fq` on the open

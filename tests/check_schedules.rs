@@ -38,12 +38,15 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         255,
         "slow-path enqueue lost element (LL/SC model)",
     ),
+    // (Since segments take fresh indices from a claim counter this replay
+    // runs another interleaving; with the guard removed it still loses the
+    // element, and the consumer polls until the step bound.)
     (
         3,
         Target::Unbounded,
         0x7,
         4,
-        1942,
+        1198,
         "slow-path enqueue lost element (segmented queue)",
     ),
     // Register-allocation hazard in the cmpxchg16b inline asm: LLVM could
@@ -109,14 +112,16 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // Since half the channel plans run the unbounded backend, plan 1's does,
     // without the forced slow path, and this replay no longer reaches the
     // FIN CAS window: it passes with that bug put back, as it did before
-    // the segment announcement moved its count.  The two `BoundedLlsc`
+    // the segment announcement and then the claim counter moved its count.
+    // With the bug back, no schedule of plan 1 reached it in a search of
+    // 900 seeds (300 at each of depths 1, 4 and 16).  The two `BoundedLlsc`
     // entries above still fail with it.  Kept as a channel regression.
     (
         1,
         Target::Channel,
         0x9E37_79B9_7F4A_7C1B,
         16,
-        512,
+        399,
         "stranded element surfaced as channel recv livelock",
     ),
     (
@@ -133,27 +138,30 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // the step bound could not even see.  The backoff now passes through the
     // checkpoint seam.  Under this schedule the consumer's wait for an
     // in-flight enqueue passes no other yield point: with the checkpoint
-    // removed from `snooze_or_yield`, this replay hangs.
+    // removed from `snooze_or_yield`, this replay hangs.  (Re-found when
+    // segments began taking fresh indices from a claim counter: the old seed,
+    // 0x71BB_CDCB_FA53_E0A8, no longer reached the wait; this one was the
+    // first of a seed search to hang without the checkpoint.)
     (
         4,
         Target::Unbounded,
-        0x71BB_CDCB_FA53_E0A8,
+        0xF555_40B2_BFF0_6252,
         16,
-        2573,
+        2376,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
     // Pins the sharded queue's ordering contract rather than a fixed bug.
     // Plan 3 is one producer (home shard 0) forced down the slow path across
     // a segment boundary, and two consumers: one whose home is shard 0, one
     // whose home is the empty shard 1, so all it ever gets it steals.  Under
-    // this schedule five of the eleven values are stolen, and the oracle
-    // asserts per-producer FIFO on both consumers' views.
+    // this schedule six of the eleven values are stolen (`ShardSteals`), and
+    // the oracle asserts per-producer FIFO on both consumers' views.
     (
         3,
         Target::Sharded,
         0xDAA6_6D2C_7DDF_7443,
         4,
-        1092,
+        1876,
         "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
@@ -168,7 +176,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        791,
+        754,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
@@ -183,7 +191,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Channel,
         0x3C6E_F372_FE94_F82B,
         1,
-        233,
+        275,
         "an enqueue that starts after the close must not append a segment",
     ),
 ];

@@ -538,11 +538,10 @@ fn a_leaked_producer_costs_one_slot_and_at_most_two_segments() {
 }
 
 /// Dropping a queue after a producer leaked with indices in its stash frees
-/// everything without tripping the segment cache's debug check.  The head
-/// segment the leaked handle pinned is an orphan of the hazard domain, whose
-/// drop hands it back with the leaked stash's index still missing from its
-/// `fq`; the cache checks a segment when it is taken for reuse, and this one
-/// is only ever freed.
+/// everything.  The head segment the leaked handle pinned is an orphan of
+/// the hazard domain, whose drop hands it back with the leaked stash's
+/// indices never deposited at; the cache renews a segment only when it is
+/// taken for reuse, and this one is only ever freed.
 #[test]
 fn a_queue_drops_cleanly_after_a_producer_leaked_its_stash() {
     let q = leaked_producer_queue();

@@ -188,20 +188,24 @@ fn unbounded_kinds_report_segment_traffic() {
 #[test]
 fn ring_op_counters_count_operations_not_segment_construction() {
     // Order-4 segments: 160 values through one handle are carried by ten
-    // freshly built segments, all enqueued before the first dequeue (so
-    // before any segment can reach the cache).  Every value is one `aq`
-    // enqueue on the way in: N.  On the way out its index goes back to `fq`
-    // only if its segment has no successor, which is the last segment
-    // alone: its 16 values, so 16 more (the first nine had successors, and
-    // their 144 returns are skipped).
+    // segments, all enqueued before the first dequeue (so before any
+    // segment can reach the cache), and building a segment is no
+    // operation.  Every value is one `aq` enqueue on the way in: N.  On the
+    // way out its index goes back to `fq` only if its segment has no
+    // successor, which is the last segment alone: its 16 values, so 16 more
+    // (the first nine had successors, and their 144 returns are skipped).
     // No stash goes back either: every segment's runs of 4 end empty (the
-    // first takes 4 runs, each appended one a preload and 4 + 4 + 4 + 3),
-    // and building a segment is no operation —
-    // `fq` starts full by construction, not by running `capacity`
-    // operations (which would add 16 phantoms a segment).  Dequeues can
-    // exceed 2 N: the empty polls that find a segment full or drained, and
-    // the drop of each retired segment the full cache frees, are ring
-    // operations too.
+    // first takes 4 runs, each appended one a preload and 4 + 4 + 4 + 3).
+    //
+    // A segment's `fq` starts empty and is only ever asked while empty
+    // here, and an empty `fq` answers a claim at its threshold check, before
+    // it counts anything: every index comes from the claim counter, the
+    // preloads' included, so no free-index claim is a ring dequeue.  The
+    // dequeues are then exactly: N `aq` dequeues that found a value; two
+    // empty polls at each of the nine crossings (the one that finds the head
+    // segment drained, and the one after its announcements were counted);
+    // and the drain of each of the five retired segments the full cache
+    // (four slots) frees, one empty poll each.
     const N: u64 = 160;
     let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = UnboundedWcq::with_config_counters(
@@ -223,7 +227,7 @@ fn ring_op_counters_count_operations_not_segment_construction() {
     // The constructor builds the first of the ten, uncounted.
     assert_eq!(snap.get(Counter::SegmentAllocs), 9);
     assert_eq!(snap.get(Counter::RingEnqueues), N + 16);
-    assert!(snap.get(Counter::RingDequeues) >= 2 * N);
+    assert_eq!(snap.get(Counter::RingDequeues), N + 2 * 9 + 5);
 }
 
 #[test]
