@@ -25,7 +25,7 @@
 //!      evidence);
 //!    * `crates/reclaim/src/hazard.rs`, whose orphan list is a `Mutex` taken
 //!      only in a handle's `Drop` and by a `try_lock` in `scan`, which never
-//!      waits.  ROADMAP item 3(c) lists it among what is not wait-free.
+//!      waits.  ROADMAP item 5(c) lists it among what is not wait-free.
 //!
 //! The scan is a line-oriented token scan, not a parser: `use` statements
 //! (including multi-line ones) and comment lines are skipped, trailing

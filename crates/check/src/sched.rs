@@ -1,8 +1,9 @@
 //! Cooperative token scheduler: the heart of the schedule explorer.
 //!
 //! A checked run serializes its worker threads: exactly one registered thread
-//! holds the *token* at any moment and all others block on a condition
-//! variable.  Before every instrumented atomic operation (and once per driver
+//! holds the *token* at any moment and every other one blocks on its own
+//! condition variable, so a hand-off wakes the next holder and no one else.
+//! Before every instrumented atomic operation (and once per driver
 //! loop iteration) the running thread passes through [`maybe_yield`], where a
 //! seeded [`DetRng`] decides whether the token moves and to whom.  Because
 //! every scheduling decision is drawn from the PRNG and execution between
@@ -82,7 +83,8 @@ struct State {
 /// registered.
 pub struct Scheduler {
     state: Mutex<State>,
-    cv: Condvar,
+    /// One per logical thread: thread `id` waits for the token on `cvs[id]`.
+    cvs: Box<[Condvar]>,
     /// Mirror of `state.steps` readable without the lock after the run.
     steps_mirror: AtomicU64,
 }
@@ -215,7 +217,7 @@ impl Scheduler {
                 max_steps: STEP_BOUND,
                 aborted: false,
             }),
-            cv: Condvar::new(),
+            cvs: (0..threads).map(|_| Condvar::new()).collect(),
             steps_mirror: AtomicU64::new(0),
         })
     }
@@ -241,10 +243,10 @@ impl Scheduler {
         if st.registered == st.slots.len() {
             st.started = true;
             st.current = pick_next(&mut st, None);
-            self.cv.notify_all();
+            self.hand_to(st.current);
         }
         while !(st.aborted || st.started && st.current == Some(id)) {
-            st = self.cv.wait(st).unwrap();
+            st = self.cvs[id].wait(st).unwrap();
         }
         let aborted = st.aborted;
         drop(st);
@@ -275,7 +277,7 @@ impl Scheduler {
         self.steps_mirror.store(st.steps, SeqCst);
         if st.steps > st.max_steps {
             st.aborted = true;
-            self.cv.notify_all();
+            self.wake_all();
             let steps = st.steps;
             drop(st);
             return abandon(format_args!(
@@ -289,9 +291,9 @@ impl Scheduler {
             if let Some(next) = pick_next(&mut st, Some(id)) {
                 if next != id {
                     st.current = Some(next);
-                    self.cv.notify_all();
+                    self.hand_to(st.current);
                     while !st.aborted && st.current != Some(id) {
-                        st = self.cv.wait(st).unwrap();
+                        st = self.cvs[id].wait(st).unwrap();
                     }
                     if st.aborted {
                         drop(st);
@@ -309,7 +311,22 @@ impl Scheduler {
         st.slots[id] = Slot::Finished;
         if st.current == Some(id) {
             st.current = pick_next(&mut st, Some(id));
-            self.cv.notify_all();
+            self.hand_to(st.current);
+        }
+    }
+
+    /// Wakes the token's new holder, if any, and no other thread.  Called
+    /// with the state locked, after `current` changed.
+    fn hand_to(&self, holder: Option<usize>) {
+        if let Some(holder) = holder {
+            self.cvs[holder].notify_one();
+        }
+    }
+
+    /// Wakes every waiting thread (an abort).  Called with the state locked.
+    fn wake_all(&self) {
+        for cv in self.cvs.iter() {
+            cv.notify_one();
         }
     }
 }

@@ -30,7 +30,8 @@ pub const BATCH: usize = 64;
 ///
 /// A layer above may run the two halves of each operation itself: an
 /// enqueue is [`WcqQueue::claim_free`] then [`WcqQueue::deposit`], a dequeue
-/// [`WcqQueue::take_at`] then [`WcqQueue::return_index`].  It may also keep
+/// [`WcqQueue::take_finds_empty`], [`WcqQueue::take_checked_at`] and
+/// [`WcqQueue::return_index`].  It may also keep
 /// the never-used indices out of `fq` and hand them out itself: a queue
 /// built with [`WcqQueue::with_empty_free`] starts with `fq` empty, and
 /// [`WcqQueue::clear_free`] empties it again once the queue is drained.
@@ -241,21 +242,23 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         self.fq.enqueue_many(tid, free);
     }
 
-    /// Attempts to dequeue an element as the thread owning record slot `tid`;
-    /// `None` when the queue was observed empty (`Dequeue_Ptr`, Figure 2).
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn dequeue_at(&self, tid: usize) -> Option<T> {
-        // SAFETY: per the function contract.
-        let (value, index) = unsafe { self.take_at(tid) }?;
-        // SAFETY: as above; the index is the one just taken.
-        unsafe { self.return_index(tid, index) };
-        Some(value)
+    /// The first step of a dequeue (`Dequeue_Ptr`, Figure 2): counts one
+    /// `aq` dequeue and reads `aq`'s threshold.  `true` is the dequeue's
+    /// whole answer: the queue was observed empty (Figure 5, line 30).
+    /// After `false` the caller goes on with [`WcqQueue::take_checked_at`],
+    /// which counts and reads neither again.  A layer that inlines only this
+    /// step and calls out for the rest keeps its empty poll free of calls
+    /// and register saves.
+    #[inline(always)]
+    pub fn take_finds_empty(&self) -> bool {
+        self.aq.dequeue_finds_empty()
     }
 
-    /// The first half of [`WcqQueue::dequeue_at`]: takes an index from `aq`
-    /// and moves its value out.  The slot is then free, and its index the
+    /// The second step of a dequeue, after [`WcqQueue::take_finds_empty`]
+    /// answered `false`, as the thread owning record slot `tid`: the `aq`
+    /// dequeue's attempt, inline, and the value's move; `None` when the
+    /// attempt found `aq` empty.  Call it from the out-of-line half of a
+    /// split dequeue.  The slot is then free, and its index the
     /// caller's: it hands it back to `fq` ([`WcqQueue::return_index`]), or
     /// keeps it, which is safe and takes one slot out of circulation (for
     /// good, unless the caller hands its indices out itself:
@@ -263,9 +266,9 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    #[inline]
-    pub unsafe fn take_at(&self, tid: usize) -> Option<(T, u32)> {
-        let index = self.aq.dequeue_index(tid)?;
+    #[inline(always)]
+    pub unsafe fn take_checked_at(&self, tid: usize) -> Option<(T, u32)> {
+        let index = self.aq.dequeue_checked(tid)?;
         // SAFETY: the index came from `aq`; the matching enqueue fully
         // initialized the slot and nobody else touches it until the index is
         // handed back to `fq`.
@@ -273,13 +276,13 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         Some((value, index as u32))
     }
 
-    /// The second half of [`WcqQueue::dequeue_at`]: hands one free index
-    /// back to `fq` (one `fq` enqueue).
+    /// The last step of a dequeue: hands one free index back to `fq` (one
+    /// `fq` enqueue).
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`]; and `index` came from
-    /// [`WcqQueue::take_at`] or [`WcqQueue::take_many_at`] on this queue and
-    /// has not been returned since.
+    /// [`WcqQueue::take_checked_at`] or [`WcqQueue::take_many_at`] on this
+    /// queue and has not been returned since.
     #[inline]
     pub unsafe fn return_index(&self, tid: usize, index: u32) {
         self.fq.enqueue_index(tid, index.into());
@@ -320,45 +323,73 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         accepted
     }
 
-    /// Dequeues up to `max` elements into `out` as the thread owning record
-    /// slot `tid`, with one data-ring F&A claiming a run of up to [`BATCH`]
-    /// and one free-ring F&A recycling its slot indices; a longer request
-    /// goes in runs, until one comes back short.  Returns the number
-    /// appended — possibly fewer than `max` even while elements remain, but
-    /// a `0` is authoritative (see `WcqRing::dequeue_many` for both halves
-    /// of that contract).
+    /// [`WcqQueueHandle::dequeue_many`] after
+    /// [`WcqQueue::take_many_finds_empty`] answered `false`, with `max > 0`:
+    /// runs of up to [`BATCH`], each one data-ring F&A claiming the run and
+    /// one free-ring F&A recycling its slot indices, until one comes back
+    /// short.  The first run goes through [`WcqQueue::take_many_checked_at`],
+    /// every later one through [`WcqQueue::take_many_at`].
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn dequeue_many_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
+    unsafe fn dequeue_many_checked_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         let mut free = [0u32; BATCH];
+        let mut want = max.min(BATCH);
+        // SAFETY: per the function contract.
+        let mut took = unsafe { self.take_many_checked_at(tid, out, &mut free[..want]) };
         let mut got = 0;
-        while got < max {
-            let want = (max - got).min(BATCH);
-            // SAFETY: per the function contract.
-            let took = unsafe { self.take_many_at(tid, out, &mut free[..want]) };
+        loop {
             // SAFETY: as above; `free` holds the indices just taken.
             unsafe { self.return_free(tid, &free[..took]) };
             got += took;
-            if took < want {
-                break;
+            if took < want || got == max {
+                return got;
             }
+            want = (max - got).min(BATCH);
+            // SAFETY: per the function contract.
+            took = unsafe { self.take_many_at(tid, out, &mut free[..want]) };
         }
-        got
     }
 
-    /// The first half of [`WcqQueue::dequeue_many_at`]: takes up to
-    /// `free.len()` indices from `aq` with one batch dequeue, moves their
-    /// values to `out` and writes the freed indices to the front of `free`,
-    /// where they become the caller's as in [`WcqQueue::take_at`] (hand them
-    /// back with [`WcqQueue::return_free`]).  Returns the number taken, with
-    /// the partial-success contract of `dequeue_many_at`.
+    /// A batch dequeue's take: takes up to `free.len()` indices from `aq`
+    /// with one batch dequeue, moves their values to `out` and writes the
+    /// freed indices to the front of `free`, where they become the caller's
+    /// as in [`WcqQueue::take_checked_at`] (hand them back with
+    /// [`WcqQueue::return_free`]).  Returns the number taken, with the
+    /// partial-success contract of [`WcqQueueHandle::dequeue_many`].
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
     pub unsafe fn take_many_at(&self, tid: usize, out: &mut Vec<T>, free: &mut [u32]) -> usize {
+        if free.is_empty() || self.take_many_finds_empty() {
+            return 0;
+        }
+        // SAFETY: per the function contract.
+        unsafe { self.take_many_checked_at(tid, out, free) }
+    }
+
+    /// The first step of [`WcqQueue::take_many_at`]: reads `aq`'s threshold, counting
+    /// nothing (a batch counts the run it reserves).  `true` is the batch's
+    /// whole answer, `0`; after `false` the caller finishes with
+    /// [`WcqQueue::take_many_checked_at`].
+    #[inline(always)]
+    pub fn take_many_finds_empty(&self) -> bool {
+        self.aq.threshold() < 0
+    }
+
+    /// [`WcqQueue::take_many_at`] after [`WcqQueue::take_many_finds_empty`]
+    /// answered `false`, with `free` non-empty.
+    ///
+    /// # Safety
+    /// Same contract as [`WcqQueue::enqueue_at`].
+    pub unsafe fn take_many_checked_at(
+        &self,
+        tid: usize,
+        out: &mut Vec<T>,
+        free: &mut [u32],
+    ) -> usize {
         let mut took = 0;
-        self.aq.dequeue_many(tid, free.len(), |index| {
+        self.aq.dequeue_many_attempt(tid, free.len(), |index| {
             // SAFETY: each index came from `aq`; the matching enqueue fully
             // initialized the slot and nobody else touches it until the
             // index is handed back to `fq`.
@@ -449,9 +480,25 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
 
     /// Attempts to dequeue an element; returns `None` when the queue is
     /// empty.
+    ///
+    /// Only the empty answer is inline ([`WcqQueue::take_finds_empty`]):
+    /// the rest is `dequeue_checked`, out of line, so a caller's empty poll
+    /// saves no register and makes no call.
+    #[inline(always)]
     pub fn dequeue(&mut self) -> Option<T> {
+        if self.queue.take_finds_empty() {
+            return None;
+        }
+        self.dequeue_checked()
+    }
+
+    /// [`Self::dequeue`] past its threshold check.
+    #[inline(never)]
+    fn dequeue_checked(&mut self) -> Option<T> {
         // SAFETY: as in `enqueue`.
-        let value = unsafe { self.queue.dequeue_at(self.tid) }?;
+        let (value, index) = unsafe { self.queue.take_checked_at(self.tid) }?;
+        // SAFETY: as above; the index is the one just taken.
+        unsafe { self.queue.return_index(self.tid, index) };
         self.tallies.dequeues_completed += 1;
         Some(value)
     }
@@ -475,13 +522,28 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     }
 
     /// Batch [`WcqQueueHandle::dequeue`]: appends up to `max` elements to
-    /// `out` with one data-ring and one free-ring F&A for the whole run (see
-    /// [`WcqQueue::dequeue_many_at`] for the partial-success contract).
+    /// `out` with one data-ring and one free-ring F&A per run of up to
+    /// [`BATCH`], and returns the number appended — possibly fewer than
+    /// `max` even while elements remain, but a `0` is authoritative (see
+    /// `WcqRing::dequeue_many` for both halves of that contract).
+    ///
+    /// Split like [`Self::dequeue`]: the empty answer
+    /// ([`WcqQueue::take_many_finds_empty`]) inline, the rest out of line.
+    #[inline(always)]
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        // SAFETY: as in `enqueue`.
-        let got = unsafe { self.queue.dequeue_many_at(self.tid, out, max) };
-        self.tallies.dequeues_completed += got as u64;
         self.tallies.batch_values_requested += max as u64;
+        if max == 0 || self.queue.take_many_finds_empty() {
+            return 0;
+        }
+        self.dequeue_many_checked(out, max)
+    }
+
+    /// [`Self::dequeue_many`] past its threshold check, with `max > 0`.
+    #[inline(never)]
+    fn dequeue_many_checked(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        // SAFETY: as in `enqueue`.
+        let got = unsafe { self.queue.dequeue_many_checked_at(self.tid, out, max) };
+        self.tallies.dequeues_completed += got as u64;
         self.tallies.batch_values_granted += got as u64;
         got
     }
@@ -832,5 +894,80 @@ mod tests {
                 check_against_model(&q, &mut state, len);
             }
         }
+    }
+
+    /// A queue of `2^order` slots, one handle, recording into a fresh
+    /// counter set.
+    fn counted<F: CellFamily>(order: u32) -> (WcqQueue<u64, F>, Arc<CounterSet>) {
+        let set = Arc::new(CounterSet::new());
+        let q = WcqQueue::with_config_counters(order, 1, WcqConfig::default(), Some(set.clone()));
+        (q, set)
+    }
+
+    /// An empty poll answers from `aq`'s threshold inline: one ring dequeue
+    /// counted per `dequeue`, none per batch (the ring's batch dequeue counts
+    /// only the run it reserves).
+    fn an_empty_poll_counts_one_ring_dequeue<F: CellFamily>() {
+        use crate::metrics::Counter::RingDequeues;
+        let (q, set) = counted::<F>(3);
+        let mut h = q.register().unwrap();
+        assert!(q.ring_thresholds().0 < 0, "a fresh aq's threshold is -1");
+        let mut out = Vec::new();
+        for poll in 0..100 {
+            let before = set.get(RingDequeues);
+            assert_eq!(h.dequeue(), None);
+            assert_eq!(set.get(RingDequeues), before + 1, "poll {poll}");
+            assert_eq!(h.dequeue_many(&mut out, 8), 0);
+            assert_eq!(set.get(RingDequeues), before + 1, "batch {poll}");
+        }
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn an_empty_poll_counts_one_ring_dequeue_native() {
+        an_empty_poll_counts_one_ring_dequeue::<NativeFamily>();
+    }
+
+    #[test]
+    fn an_empty_poll_counts_one_ring_dequeue_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        an_empty_poll_counts_one_ring_dequeue::<LlscFamily>();
+    }
+
+    /// A poll whose threshold check lets it on counts its `aq` dequeue once,
+    /// not again in the out-of-line rest: when it takes a value, and when
+    /// the attempt then finds the ring empty.  A batch counts its run once.
+    fn a_poll_past_the_threshold_counts_one_ring_dequeue<F: CellFamily>() {
+        use crate::metrics::Counter::RingDequeues;
+        let (q, set) = counted::<F>(3);
+        let mut h = q.register().unwrap();
+        let mut out = Vec::new();
+        for v in 0..20 {
+            h.enqueue(v).unwrap();
+            let before = set.get(RingDequeues);
+            assert_eq!(h.dequeue(), Some(v));
+            assert_eq!(set.get(RingDequeues), before + 1, "take {v}");
+            assert!(q.ring_thresholds().0 >= 0, "a drained ring stays armed");
+            let before = set.get(RingDequeues);
+            assert_eq!(h.dequeue(), None);
+            assert_eq!(set.get(RingDequeues), before + 1, "poll after {v}");
+            let mut batch = vec![v, v + 1, v + 2];
+            assert_eq!(h.enqueue_many(&mut batch), 3);
+            let before = set.get(RingDequeues);
+            assert_eq!(h.dequeue_many(&mut out, 8), 3);
+            assert_eq!(set.get(RingDequeues), before + 3, "batch after {v}");
+            assert_eq!(std::mem::take(&mut out), [v, v + 1, v + 2]);
+        }
+    }
+
+    #[test]
+    fn a_poll_past_the_threshold_counts_one_ring_dequeue_native() {
+        a_poll_past_the_threshold_counts_one_ring_dequeue::<NativeFamily>();
+    }
+
+    #[test]
+    fn a_poll_past_the_threshold_counts_one_ring_dequeue_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        a_poll_past_the_threshold_counts_one_ring_dequeue::<LlscFamily>();
     }
 }

@@ -7,7 +7,9 @@
 //! patience loop, request publication, Figures 6–7), so the common case
 //! executes SCQ's instructions plus a counter decrement.  A dequeue keeps only
 //! its threshold check inline and makes the countdown and attempt one
-//! out-of-line call, so an empty poll costs its caller no call at all.
+//! out-of-line call.  That alone does not make an empty poll call-free: the
+//! layers above must keep their own non-empty work out of line too (DESIGN.md,
+//! "The empty poll, split at every layer").
 //!
 //! The implementation follows the paper's pseudo-code line by line; comments
 //! reference the figure/line they reproduce.  Differences are limited to the
@@ -607,23 +609,44 @@ impl<F: CellFamily> WcqRing<F> {
 
     /// Full dequeue operation for the thread owning record `tid`
     /// (`Dequeue_wCQ`); `None` means the ring was empty.  An empty ring
-    /// answers from the threshold alone, and only that check is inline: an
-    /// empty poll is a load and a compare in its caller's instruction stream,
-    /// with no call.  Everything after it is [`Self::dequeue_attempt`].
+    /// answers from the threshold alone ([`Self::dequeue_finds_empty`]), and
+    /// only that check is inline: everything after it is
+    /// [`Self::dequeue_attempt`].  Whether the caller's empty poll is then
+    /// call-free depends on what the caller inlines around it: the queue
+    /// layers above split their own take the same way (DESIGN.md, "The empty
+    /// poll, split at every layer").
     #[inline(always)]
     pub(crate) fn dequeue_index(&self, tid: usize) -> Option<u64> {
-        self.count(Counter::RingDequeues, 1);
-        if self.threshold() < 0 {
-            return None; // Line 30: empty.
+        if self.dequeue_finds_empty() {
+            return None;
         }
         self.dequeue_attempt(tid)
     }
 
-    /// [`Self::dequeue_index`] past its threshold check, out of line: the
-    /// helping countdown and one attempt, [`Self::dequeue_rest`] when that
-    /// attempt says retry.
+    /// The first step of [`Self::dequeue_index`]: counts the ring dequeue
+    /// and reads the threshold.  `true` is the whole dequeue, answering
+    /// empty (Figure 5, line 30); after `false` the caller finishes with
+    /// [`Self::dequeue_checked`], which counts and reads neither again.
+    #[inline(always)]
+    pub(crate) fn dequeue_finds_empty(&self) -> bool {
+        self.count(Counter::RingDequeues, 1);
+        self.threshold() < 0 // Line 30: empty.
+    }
+
+    /// [`Self::dequeue_index`] past its threshold check, out of line.
     #[inline(never)]
     fn dequeue_attempt(&self, tid: usize) -> Option<u64> {
+        self.dequeue_checked(tid)
+    }
+
+    /// The helping countdown and one attempt, [`Self::dequeue_rest`] when
+    /// that attempt says retry: a dequeue after
+    /// [`Self::dequeue_finds_empty`] answered `false`.  Inline, for a caller
+    /// that is itself the out-of-line half of a split dequeue (the queue
+    /// layers' rests), so the non-empty path pays one call for the split,
+    /// not two.
+    #[inline(always)]
+    pub(crate) fn dequeue_checked(&self, tid: usize) -> Option<u64> {
         self.help_threads(tid);
         let head = self.head.fetch_add_cnt();
         match self.try_deq(head, (self, tid)) {
@@ -744,10 +767,23 @@ impl<F: CellFamily> WcqRing<F> {
     /// skipping one would let a straggling enqueuer deposit into a slot no
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
-    pub(crate) fn dequeue_many(&self, tid: usize, max: usize, mut push: impl FnMut(u64)) -> usize {
+    pub(crate) fn dequeue_many(&self, tid: usize, max: usize, push: impl FnMut(u64)) -> usize {
         if max == 0 || self.threshold() < 0 {
             return 0;
         }
+        self.dequeue_many_attempt(tid, max, push)
+    }
+
+    /// [`Self::dequeue_many`] past its threshold check, which counts
+    /// nothing: a caller that has read the threshold itself and found it
+    /// `>= 0` finishes here, with `max > 0`.
+    pub(crate) fn dequeue_many_attempt(
+        &self,
+        tid: usize,
+        max: usize,
+        mut push: impl FnMut(u64),
+    ) -> usize {
+        debug_assert!(max > 0, "an empty batch answers before its attempt");
         self.help_threads(tid);
         // Clamp to the visible backlog so an oversized batch never burns a
         // run of guaranteed-empty tickets (each would cost a threshold

@@ -450,6 +450,11 @@ unsafe impl<T: Send, F: CellFamily> Send for UnboundedWcqHandle<'_, T, F> {}
 /// that successor.
 type Crossing<T, F> = (*mut Segment<T, F>, *mut Segment<T, F>);
 
+/// What a dequeue's inline poll hands its out-of-line rest: the head segment
+/// it read and the `next` it read there, null when it read none
+/// (`UnboundedWcqHandle::poll_head`).
+type Polled<T, F> = (*mut Segment<T, F>, *mut Segment<T, F>);
+
 impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// This handle's participant id: its record index in every segment,
     /// stable for the handle's lifetime.
@@ -750,11 +755,33 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     }
 
     /// Dequeues an element; `None` when the whole queue was observed empty.
+    ///
+    /// Only the empty answer of a memo hit is inline (`poll_head`):
+    /// everything else is `dequeue_rest`, out of line, handed what the poll
+    /// read.  So an empty poll saves no register and makes no call.
+    #[inline(always)]
     pub fn dequeue(&mut self) -> Option<T> {
+        if let Some((headp, next)) = self.poll_head(Segment::dequeue_finds_empty) {
+            return self.dequeue_rest(headp, next);
+        }
+        None
+    }
+
+    /// [`Self::dequeue`] past [`Self::poll_head`].
+    #[inline(never)]
+    fn dequeue_rest(&mut self, headp: *mut Segment<T, F>, next: *mut Segment<T, F>) -> Option<T> {
         let tid = self.hp.tid();
-        // SAFETY: `tid` is this handle's participant id, which no other
-        // thread holds while the handle lives.
-        let value = self.dequeue_pinned(|seg| unsafe { seg.try_dequeue(tid) });
+        let value = self.dequeue_pinned(headp, next, move |seg, checked| {
+            // SAFETY: `tid` is this handle's participant id, which no other
+            // thread holds while the handle lives.
+            unsafe {
+                if checked {
+                    seg.try_dequeue_checked(tid)
+                } else {
+                    seg.try_dequeue(tid)
+                }
+            }
+        });
         if value.is_some() {
             self.queue.note_dequeued(tid, 1);
             self.tallies.dequeues_completed += 1;
@@ -770,16 +797,41 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// A call never straddles a segment boundary: the first segment that
     /// yields anything ends the call, so fewer than `max` elements returned
     /// does **not** imply the queue is empty.
+    ///
+    /// Split like [`Self::dequeue`]: the empty answer inline, the rest in
+    /// `dequeue_many_rest`.
+    #[inline(always)]
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
         }
         self.tallies.batch_values_requested += max as u64;
+        match self.poll_head(Segment::batch_finds_empty) {
+            None => 0,
+            Some((headp, next)) => self.dequeue_many_rest(headp, next, out, max),
+        }
+    }
+
+    /// [`Self::dequeue_many`] past [`Self::poll_head`], with `max > 0`.
+    #[inline(never)]
+    fn dequeue_many_rest(
+        &mut self,
+        headp: *mut Segment<T, F>,
+        next: *mut Segment<T, F>,
+        out: &mut Vec<T>,
+        max: usize,
+    ) -> usize {
         let tid = self.hp.tid();
         let got = self
-            .dequeue_pinned(|seg| {
-                // SAFETY: as in `dequeue`.
-                NonZeroUsize::new(unsafe { seg.try_dequeue_many(tid, out, max) })
+            .dequeue_pinned(headp, next, move |seg, checked| {
+                // SAFETY: as in `dequeue_rest`.
+                NonZeroUsize::new(unsafe {
+                    if checked {
+                        seg.try_dequeue_many_checked(tid, out, max)
+                    } else {
+                        seg.try_dequeue_many(tid, out, max)
+                    }
+                })
             })
             .map_or(0, NonZeroUsize::get);
         if got > 0 {
@@ -791,18 +843,72 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         got
     }
 
-    /// [`Self::dequeue`] and [`Self::dequeue_many`] up to, not including,
-    /// the closing [`Self::unpin`]: `take` is one inner dequeue, `None` when
-    /// it finds the segment empty.  One attempt on the head segment is the
-    /// whole operation unless the head is drained and has a successor; that
-    /// crossing is [`Self::dequeue_crossing`]'s, out of line.
+    /// The inline head of [`Self::dequeue`] and [`Self::dequeue_many`]:
+    /// [`Self::pin`]'s load and compare of the outer head, then, on a memo
+    /// hit, `empty` (the segment's count and threshold load, Figure 5 line
+    /// 30) and a load of `next`.
+    ///
+    /// `None` is the operation's answer: a memo hit whose segment was empty
+    /// and had no successor (a null `next`, or `SHUT`), as when a take finds
+    /// it empty — the queue was empty at the threshold read.  No hazard slot
+    /// is written, and slot 0 needs no clearing: every operation clears it
+    /// before it returns.
+    ///
+    /// `Some((headp, next))` hands the out-of-line rest the head and what the
+    /// poll read of it: `next` is the successor of a drained memo head, and
+    /// null when the memo missed or when the threshold let a take go on
+    /// ([`Self::dequeue_pinned`] tells those two apart by the memo).
+    #[inline(always)]
+    fn poll_head(&self, empty: impl FnOnce(&Segment<T, F>) -> bool) -> Option<Polled<T, F>> {
+        let headp = self.queue.head.load(SeqCst);
+        if headp == self.bound {
+            debug_assert!(!self.slot0_held, "slot 0 is clear between operations");
+            // SAFETY: a memo hit: hazard slot 1 pins `headp` (`Self::pin`).
+            let seg = unsafe { &*headp };
+            if empty(seg) {
+                return seg.successor().map(|next| (headp, next));
+            }
+        }
+        Some((headp, ptr::null_mut()))
+    }
+
+    /// [`Self::dequeue`] and [`Self::dequeue_many`] past
+    /// [`Self::poll_head`], up to, not including, the closing
+    /// [`Self::unpin`]: `take(seg, checked)` is one inner dequeue, `None`
+    /// when it finds the segment empty, and `checked` says the poll already
+    /// found the segment's threshold `>= 0`, so the take starts past that
+    /// check and counts nothing again.
+    ///
+    /// - The memo missed: [`Self::pin_miss`] finishes the pin, the memo
+    ///   moves, and `take` runs whole.
+    /// - A memo hit with a null `next`: the threshold let the take go on.
+    /// - A memo hit with a `next`: the head is drained and has that
+    ///   successor.
+    ///
+    /// One attempt on the head segment is the whole operation unless the
+    /// head is drained and has a successor; that crossing is
+    /// [`Self::dequeue_crossing`]'s.
+    #[inline(always)]
     fn dequeue_pinned<R>(
         &mut self,
-        mut take: impl FnMut(&Segment<T, F>) -> Option<R>,
+        headp: *mut Segment<T, F>,
+        next: *mut Segment<T, F>,
+        mut take: impl FnMut(&Segment<T, F>, bool) -> Option<R>,
     ) -> Option<R> {
-        match self.head_attempt(&mut take) {
+        let attempt = if headp != self.bound {
+            let headp = self.pin_miss(&self.queue.head, headp);
+            self.attempt_pinned(headp, &mut |seg| take(seg, false))
+        } else if next.is_null() {
+            // SAFETY: a memo hit, as in `poll_head`.
+            let got = take(unsafe { &*headp }, true);
+            // SAFETY: as above.
+            unsafe { Self::outcome(headp, got) }
+        } else {
+            Err((headp, next))
+        };
+        match attempt {
             Ok(got) => got,
-            Err((headp, next)) => self.dequeue_crossing(headp, next, take),
+            Err((headp, next)) => self.dequeue_crossing(headp, next, move |seg| take(seg, false)),
         }
     }
 
@@ -816,15 +922,42 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         take: &mut impl FnMut(&Segment<T, F>) -> Option<R>,
     ) -> Result<Option<R>, Crossing<T, F>> {
         let headp = self.pin(&self.queue.head);
+        self.attempt_pinned(headp, take)
+    }
+
+    /// [`Self::head_attempt`] after its pin: the memo moves onto `headp`,
+    /// which `take`s once.
+    #[inline(always)]
+    fn attempt_pinned<R>(
+        &mut self,
+        headp: *mut Segment<T, F>,
+        take: &mut impl FnMut(&Segment<T, F>) -> Option<R>,
+    ) -> Result<Option<R>, Crossing<T, F>> {
         // SAFETY: `headp` comes from `pin` in this operation.
         let seg = unsafe {
             self.rebind(headp);
             &*headp
         };
-        if let Some(got) = take(seg) {
-            return Ok(Some(got));
+        let got = take(seg);
+        // SAFETY: the memo pins `headp` now.
+        unsafe { Self::outcome(headp, got) }
+    }
+
+    /// What a take `got` on the head `headp` answers: `Ok` unless it found
+    /// the head drained with a successor, the `Err`.
+    ///
+    /// # Safety
+    /// `headp` is pinned.
+    #[inline(always)]
+    unsafe fn outcome<R>(
+        headp: *mut Segment<T, F>,
+        got: Option<R>,
+    ) -> Result<Option<R>, Crossing<T, F>> {
+        if got.is_some() {
+            return Ok(got);
         }
-        match seg.successor() {
+        // SAFETY: per the function contract.
+        match unsafe { (*headp).successor() } {
             None => Ok(None),
             Some(next) => Err((headp, next)),
         }
@@ -1052,6 +1185,14 @@ mod tests {
     /// A queue recording into a fresh counter set — the one way to read
     /// rebind and cache statistics.
     fn counted(seg_order: u32, max_threads: usize) -> (UnboundedWcq<u64>, Arc<CounterSet>) {
+        counted_in(seg_order, max_threads)
+    }
+
+    /// [`counted`] in family `F`.
+    fn counted_in<F: CellFamily>(
+        seg_order: u32,
+        max_threads: usize,
+    ) -> (UnboundedWcq<u64, F>, Arc<CounterSet>) {
         let set = Arc::new(CounterSet::new());
         let q = UnboundedWcq::with_config_counters(
             seg_order,
@@ -1890,5 +2031,136 @@ mod tests {
     fn stashing_producers_race_a_close_llsc() {
         wcq_atomics::llsc::set_spurious_failure_rate(0.0);
         stashing_producers_race_a_close::<LlscFamily>();
+    }
+
+    /// An empty poll on a memo hit is the inline part of `dequeue` alone:
+    /// one ring dequeue counted (the threshold check), no hazard slot 0
+    /// published and no memo move.  An empty batch poll counts none, as the
+    /// ring's batch dequeue never did.
+    fn an_empty_memo_hit_poll_counts_one_ring_dequeue_and_pins_nothing<F: CellFamily>() {
+        let (q, set) = counted_in::<F>(4, 1);
+        let mut h = q.register().unwrap();
+        assert_eq!(h.dequeue(), None, "the first poll binds the memo");
+        let (pins, rebinds) = (h.pins, h.rebinds);
+        // SAFETY: the memo, pinned by hazard slot 1.
+        let seg = unsafe { &*h.bound };
+        assert!(seg.aq_threshold() < 0, "a fresh segment's threshold is -1");
+        let mut out = Vec::new();
+        for poll in 0..100 {
+            assert_eq!(q.head.load(SeqCst), h.bound, "poll {poll} hits the memo");
+            let before = set.get(Counter::RingDequeues);
+            assert_eq!(h.dequeue(), None);
+            assert_eq!(set.get(Counter::RingDequeues), before + 1, "poll {poll}");
+            assert_eq!(h.dequeue_many(&mut out, 8), 0);
+            assert_eq!(set.get(Counter::RingDequeues), before + 1, "batch {poll}");
+        }
+        assert!(out.is_empty());
+        assert_eq!((h.pins, h.rebinds), (pins, rebinds));
+        assert!(h.hp.protected(0).is_null());
+    }
+
+    #[test]
+    fn an_empty_memo_hit_poll_counts_one_ring_dequeue_and_pins_nothing_native() {
+        an_empty_memo_hit_poll_counts_one_ring_dequeue_and_pins_nothing::<NativeFamily>();
+    }
+
+    #[test]
+    fn an_empty_memo_hit_poll_counts_one_ring_dequeue_and_pins_nothing_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        an_empty_memo_hit_poll_counts_one_ring_dequeue_and_pins_nothing::<LlscFamily>();
+    }
+
+    /// A poll whose threshold check lets it on counts its ring dequeue once,
+    /// not once in the inline check and again in the out-of-line take:
+    /// neither when it takes a value nor when the attempt then finds the
+    /// segment empty.
+    fn a_poll_past_the_threshold_counts_one_ring_dequeue<F: CellFamily>() {
+        let (q, set) = counted_in::<F>(4, 1);
+        let mut h = q.register().unwrap();
+        assert_eq!(h.dequeue(), None, "the first poll binds the memo");
+        let pins = h.pins;
+        for v in 0..20 {
+            h.enqueue(v);
+            let before = set.get(Counter::RingDequeues);
+            assert_eq!(h.dequeue(), Some(v));
+            assert_eq!(set.get(Counter::RingDequeues), before + 1, "take {v}");
+            // SAFETY: the memo, pinned by hazard slot 1.
+            let seg = unsafe { &*h.bound };
+            assert!(seg.aq_threshold() >= 0, "a drained ring stays armed");
+            let before = set.get(Counter::RingDequeues);
+            assert_eq!(h.dequeue(), None);
+            assert_eq!(set.get(Counter::RingDequeues), before + 1, "poll after {v}");
+        }
+        assert_eq!(h.pins, pins, "every operation hit the memo");
+    }
+
+    #[test]
+    fn a_poll_past_the_threshold_counts_one_ring_dequeue_native() {
+        a_poll_past_the_threshold_counts_one_ring_dequeue::<NativeFamily>();
+    }
+
+    #[test]
+    fn a_poll_past_the_threshold_counts_one_ring_dequeue_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        a_poll_past_the_threshold_counts_one_ring_dequeue::<LlscFamily>();
+    }
+
+    /// A drained head segment with a successor never answers `None` on a
+    /// memo hit: `dequeue` (and `dequeue_many`, when `batch`) returns the
+    /// successor's value, whether the head's threshold still lets a take go
+    /// on or already answers empty by itself (`exhausted`).
+    fn a_drained_head_hands_over_to_its_successor<F: CellFamily>(batch: bool, exhausted: bool) {
+        let q: UnboundedWcq<u64, F> = UnboundedWcq::new(3, 2);
+        let (mut p, mut c) = (q.register().unwrap(), q.register().unwrap());
+        for v in 0..9 {
+            p.enqueue(v);
+        }
+        for v in 0..8 {
+            assert_eq!(c.dequeue(), Some(v));
+        }
+        let headp = c.bound;
+        assert_eq!(
+            q.head.load(SeqCst),
+            headp,
+            "the consumer's memo is the head"
+        );
+        // SAFETY: the memo, pinned by hazard slot 1.
+        let seg = unsafe { &*headp };
+        assert!(
+            seg.successor().is_some(),
+            "the ninth value linked a successor"
+        );
+        if exhausted {
+            while seg.aq_threshold() >= 0 {
+                // SAFETY: the consumer's participant id, on this thread.
+                assert!(unsafe { seg.try_dequeue(c.tid()) }.is_none());
+            }
+        } else {
+            assert!(seg.aq_threshold() >= 0);
+        }
+        let mut out = Vec::new();
+        let got = if batch {
+            (c.dequeue_many(&mut out, 4) == 1).then(|| out[0])
+        } else {
+            c.dequeue()
+        };
+        assert_eq!(got, Some(8), "batch {batch}, exhausted {exhausted}");
+        assert_ne!(q.head.load(SeqCst), headp, "the head moved on");
+        assert_eq!(c.dequeue(), None);
+    }
+
+    #[test]
+    fn a_drained_head_hands_over_to_its_successor_native() {
+        for (batch, exhausted) in [(false, false), (false, true), (true, false), (true, true)] {
+            a_drained_head_hands_over_to_its_successor::<NativeFamily>(batch, exhausted);
+        }
+    }
+
+    #[test]
+    fn a_drained_head_hands_over_to_its_successor_llsc() {
+        wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+        for (batch, exhausted) in [(false, false), (false, true), (true, false), (true, true)] {
+            a_drained_head_hands_over_to_its_successor::<LlscFamily>(batch, exhausted);
+        }
     }
 }

@@ -85,7 +85,11 @@
 //! index it freed and skips a whole `fq` enqueue (tail F&A, entry CAS,
 //! threshold re-arm, helping countdown); such a straggler may then get ⊥
 //! sooner and move on to the successor.  `next` is read only after a
-//! successful `aq` take, so an empty poll is exactly what it was.
+//! successful `aq` take, so a take that finds the segment empty reads no
+//! `next` of its own.  An empty poll is the take's first step, inlined by the
+//! handle in front of its own load of `next`: the count and the threshold
+//! load ([`Segment::dequeue_finds_empty`]).  Everything after it is out of
+//! line, in `UnboundedWcqHandle`'s rest of the dequeue.
 //!
 //! ## Fresh indices from a counter
 //!
@@ -431,14 +435,40 @@ impl<T, F: CellFamily> Segment<T, F> {
     ///
     /// The freed index goes back to `fq` only while `next` is null (module
     /// docs, "Free slots in runs").  `next` is read after the `aq` take
-    /// succeeded, so an empty poll runs the take and nothing else.
+    /// succeeded, so the take reads no `next` of its own when it finds the
+    /// segment empty: [`Segment::dequeue_finds_empty`], its first step, is
+    /// the count and the threshold load, and the outer handle inlines only
+    /// that step and reads `next` itself.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
     /// id.
+    #[inline]
     pub(crate) unsafe fn try_dequeue(&self, tid: usize) -> Option<T> {
+        if self.dequeue_finds_empty() {
+            return None;
+        }
+        // SAFETY: per the function contract.
+        unsafe { self.try_dequeue_checked(tid) }
+    }
+
+    /// The first step of [`Segment::try_dequeue`]: counts one ring dequeue
+    /// and reads `aq`'s threshold ([`WcqQueue::take_finds_empty`]).  `true`
+    /// is the take's whole answer, `None`.
+    #[inline(always)]
+    pub(crate) fn dequeue_finds_empty(&self) -> bool {
+        self.queue.take_finds_empty()
+    }
+
+    /// [`Segment::try_dequeue`] after [`Segment::dequeue_finds_empty`]
+    /// answered `false`.
+    ///
+    /// # Safety
+    /// As for [`Segment::try_dequeue`].
+    #[inline(always)]
+    pub(crate) unsafe fn try_dequeue_checked(&self, tid: usize) -> Option<T> {
         // SAFETY: `tid` is exclusive per the function contract.
-        let (value, index) = unsafe { self.queue.take_at(tid) }?;
+        let (value, index) = unsafe { self.queue.take_checked_at(tid) }?;
         if self.next.load(SeqCst).is_null() {
             // SAFETY: as above; the index was just taken.
             unsafe { self.queue.return_index(tid, index) };
@@ -454,28 +484,58 @@ impl<T, F: CellFamily> Segment<T, F> {
     ///
     /// # Safety
     /// As for [`Segment::try_dequeue`].
+    #[inline]
     pub(crate) unsafe fn try_dequeue_many(
         &self,
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
     ) -> usize {
+        if max == 0 || self.batch_finds_empty() {
+            return 0;
+        }
+        // SAFETY: per the function contract.
+        unsafe { self.try_dequeue_many_checked(tid, out, max) }
+    }
+
+    /// The first step of [`Segment::try_dequeue_many`]: reads `aq`'s
+    /// threshold, counting nothing ([`WcqQueue::take_many_finds_empty`]).
+    /// `true` is the batch's whole answer, `0`.
+    #[inline(always)]
+    pub(crate) fn batch_finds_empty(&self) -> bool {
+        self.queue.take_many_finds_empty()
+    }
+
+    /// [`Segment::try_dequeue_many`] after [`Segment::batch_finds_empty`]
+    /// answered `false`, with `max > 0`: the first run starts past the
+    /// threshold check, every later one makes its own.
+    ///
+    /// # Safety
+    /// As for [`Segment::try_dequeue`].
+    pub(crate) unsafe fn try_dequeue_many_checked(
+        &self,
+        tid: usize,
+        out: &mut Vec<T>,
+        max: usize,
+    ) -> usize {
         let mut free = [0u32; BATCH];
+        let mut want = max.min(BATCH);
+        // SAFETY: `tid` is exclusive per the function contract.
+        let mut took = unsafe { self.queue.take_many_checked_at(tid, out, &mut free[..want]) };
         let mut got = 0;
-        while got < max {
-            let want = (max - got).min(BATCH);
-            // SAFETY: `tid` is exclusive per the function contract.
-            let took = unsafe { self.queue.take_many_at(tid, out, &mut free[..want]) };
+        loop {
             if took > 0 && self.next.load(SeqCst).is_null() {
                 // SAFETY: as above; `free` holds the indices just taken.
                 unsafe { self.queue.return_free(tid, &free[..took]) };
             }
             got += took;
-            if took < want {
-                break;
+            if took < want || got == max {
+                return got;
             }
+            want = (max - got).min(BATCH);
+            // SAFETY: as above.
+            took = unsafe { self.queue.take_many_at(tid, out, &mut free[..want]) };
         }
-        got
     }
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
@@ -498,6 +558,12 @@ impl<T, F: CellFamily> Segment<T, F> {
     pub(crate) unsafe fn renew(&mut self) {
         *self.fresh.get_mut() = 0;
         self.queue.clear_free();
+    }
+
+    /// `aq`'s threshold: negative once an empty take answers from it alone.
+    #[cfg(test)]
+    pub(crate) fn aq_threshold(&self) -> i64 {
+        self.queue.ring_thresholds().0
     }
 
     /// Bytes occupied by this segment (struct + inner rings and data array).
