@@ -323,73 +323,45 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         accepted
     }
 
-    /// [`WcqQueueHandle::dequeue_many`] after
-    /// [`WcqQueue::take_many_finds_empty`] answered `false`, with `max > 0`:
-    /// runs of up to [`BATCH`], each one data-ring F&A claiming the run and
-    /// one free-ring F&A recycling its slot indices, until one comes back
-    /// short.  The first run goes through [`WcqQueue::take_many_checked_at`],
-    /// every later one through [`WcqQueue::take_many_at`].
+    /// Dequeues up to `max` elements into `out` as the thread owning record
+    /// slot `tid`, with one data-ring F&A claiming a run of up to [`BATCH`]
+    /// and one free-ring F&A recycling its slot indices; a longer request
+    /// goes in runs, until one comes back short.  Returns the number
+    /// appended — possibly fewer than `max` even while elements remain, but
+    /// a `0` is authoritative (see `WcqRing::dequeue_many` for both halves
+    /// of that contract).
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
-    unsafe fn dequeue_many_checked_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
+    pub unsafe fn dequeue_many_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         let mut free = [0u32; BATCH];
-        let mut want = max.min(BATCH);
-        // SAFETY: per the function contract.
-        let mut took = unsafe { self.take_many_checked_at(tid, out, &mut free[..want]) };
         let mut got = 0;
-        loop {
+        while got < max {
+            let want = (max - got).min(BATCH);
+            // SAFETY: per the function contract.
+            let took = unsafe { self.take_many_at(tid, out, &mut free[..want]) };
             // SAFETY: as above; `free` holds the indices just taken.
             unsafe { self.return_free(tid, &free[..took]) };
             got += took;
-            if took < want || got == max {
-                return got;
+            if took < want {
+                break;
             }
-            want = (max - got).min(BATCH);
-            // SAFETY: per the function contract.
-            took = unsafe { self.take_many_at(tid, out, &mut free[..want]) };
         }
+        got
     }
 
-    /// A batch dequeue's take: takes up to `free.len()` indices from `aq`
-    /// with one batch dequeue, moves their values to `out` and writes the
-    /// freed indices to the front of `free`, where they become the caller's
-    /// as in [`WcqQueue::take_checked_at`] (hand them back with
-    /// [`WcqQueue::return_free`]).  Returns the number taken, with the
-    /// partial-success contract of [`WcqQueueHandle::dequeue_many`].
+    /// The first half of [`WcqQueue::dequeue_many_at`]: takes up to
+    /// `free.len()` indices from `aq` with one batch dequeue, moves their
+    /// values to `out` and writes the freed indices to the front of `free`,
+    /// where they become the caller's as in [`WcqQueue::take_checked_at`]
+    /// (hand them back with [`WcqQueue::return_free`]).  Returns the number
+    /// taken, with the partial-success contract of `dequeue_many_at`.
     ///
     /// # Safety
     /// Same contract as [`WcqQueue::enqueue_at`].
     pub unsafe fn take_many_at(&self, tid: usize, out: &mut Vec<T>, free: &mut [u32]) -> usize {
-        if free.is_empty() || self.take_many_finds_empty() {
-            return 0;
-        }
-        // SAFETY: per the function contract.
-        unsafe { self.take_many_checked_at(tid, out, free) }
-    }
-
-    /// The first step of [`WcqQueue::take_many_at`]: reads `aq`'s threshold, counting
-    /// nothing (a batch counts the run it reserves).  `true` is the batch's
-    /// whole answer, `0`; after `false` the caller finishes with
-    /// [`WcqQueue::take_many_checked_at`].
-    #[inline(always)]
-    pub fn take_many_finds_empty(&self) -> bool {
-        self.aq.threshold() < 0
-    }
-
-    /// [`WcqQueue::take_many_at`] after [`WcqQueue::take_many_finds_empty`]
-    /// answered `false`, with `free` non-empty.
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn take_many_checked_at(
-        &self,
-        tid: usize,
-        out: &mut Vec<T>,
-        free: &mut [u32],
-    ) -> usize {
         let mut took = 0;
-        self.aq.dequeue_many_attempt(tid, free.len(), |index| {
+        self.aq.dequeue_many(tid, free.len(), |index| {
             // SAFETY: each index came from `aq`; the matching enqueue fully
             // initialized the slot and nobody else touches it until the
             // index is handed back to `fq`.
@@ -522,28 +494,13 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     }
 
     /// Batch [`WcqQueueHandle::dequeue`]: appends up to `max` elements to
-    /// `out` with one data-ring and one free-ring F&A per run of up to
-    /// [`BATCH`], and returns the number appended — possibly fewer than
-    /// `max` even while elements remain, but a `0` is authoritative (see
-    /// `WcqRing::dequeue_many` for both halves of that contract).
-    ///
-    /// Split like [`Self::dequeue`]: the empty answer
-    /// ([`WcqQueue::take_many_finds_empty`]) inline, the rest out of line.
-    #[inline(always)]
+    /// `out` with one data-ring and one free-ring F&A for the whole run (see
+    /// [`WcqQueue::dequeue_many_at`] for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.tallies.batch_values_requested += max as u64;
-        if max == 0 || self.queue.take_many_finds_empty() {
-            return 0;
-        }
-        self.dequeue_many_checked(out, max)
-    }
-
-    /// [`Self::dequeue_many`] past its threshold check, with `max > 0`.
-    #[inline(never)]
-    fn dequeue_many_checked(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         // SAFETY: as in `enqueue`.
-        let got = unsafe { self.queue.dequeue_many_checked_at(self.tid, out, max) };
+        let got = unsafe { self.queue.dequeue_many_at(self.tid, out, max) };
         self.tallies.dequeues_completed += got as u64;
+        self.tallies.batch_values_requested += max as u64;
         self.tallies.batch_values_granted += got as u64;
         got
     }

@@ -767,23 +767,10 @@ impl<F: CellFamily> WcqRing<F> {
     /// skipping one would let a straggling enqueuer deposit into a slot no
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
-    pub(crate) fn dequeue_many(&self, tid: usize, max: usize, push: impl FnMut(u64)) -> usize {
+    pub(crate) fn dequeue_many(&self, tid: usize, max: usize, mut push: impl FnMut(u64)) -> usize {
         if max == 0 || self.threshold() < 0 {
             return 0;
         }
-        self.dequeue_many_attempt(tid, max, push)
-    }
-
-    /// [`Self::dequeue_many`] past its threshold check, which counts
-    /// nothing: a caller that has read the threshold itself and found it
-    /// `>= 0` finishes here, with `max > 0`.
-    pub(crate) fn dequeue_many_attempt(
-        &self,
-        tid: usize,
-        max: usize,
-        mut push: impl FnMut(u64),
-    ) -> usize {
-        debug_assert!(max > 0, "an empty batch answers before its attempt");
         self.help_threads(tid);
         // Clamp to the visible backlog so an oversized batch never burns a
         // run of guaranteed-empty tickets (each would cost a threshold

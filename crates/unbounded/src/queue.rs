@@ -447,13 +447,9 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
 unsafe impl<T: Send, F: CellFamily> Send for UnboundedWcqHandle<'_, T, F> {}
 
 /// A dequeue's head segment found drained with a successor: the segment and
-/// that successor.
+/// that successor.  (`UnboundedWcqHandle::poll_head` hands its rest the same
+/// pair, with a null successor when it read none.)
 type Crossing<T, F> = (*mut Segment<T, F>, *mut Segment<T, F>);
-
-/// What a dequeue's inline poll hands its out-of-line rest: the head segment
-/// it read and the `next` it read there, null when it read none
-/// (`UnboundedWcqHandle::poll_head`).
-type Polled<T, F> = (*mut Segment<T, F>, *mut Segment<T, F>);
 
 impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// This handle's participant id: its record index in every segment,
@@ -761,33 +757,82 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// read.  So an empty poll saves no register and makes no call.
     #[inline(always)]
     pub fn dequeue(&mut self) -> Option<T> {
-        if let Some((headp, next)) = self.poll_head(Segment::dequeue_finds_empty) {
-            return self.dequeue_rest(headp, next);
+        match self.poll_head() {
+            None => None,
+            Some((headp, next)) => self.dequeue_rest(headp, next),
         }
-        None
     }
 
-    /// [`Self::dequeue`] past [`Self::poll_head`].
+    /// [`Self::dequeue`] past [`Self::poll_head`], handed the head `headp` it
+    /// read and the successor `next` it read there:
+    ///
+    /// - The memo missed: [`Self::pin_miss`] finishes the pin, the memo
+    ///   moves, and the take runs whole.
+    /// - A memo hit with a null `next`: the poll found the threshold `>= 0`,
+    ///   so the take starts past that check
+    ///   ([`Segment::try_dequeue_checked`]) and counts nothing again.
+    /// - A memo hit with a `next`: the head is drained and has that
+    ///   successor.
+    ///
+    /// One attempt on the head segment is the whole operation unless the
+    /// head is drained and has a successor; that crossing is
+    /// [`Self::dequeue_crossing`]'s.
     #[inline(never)]
     fn dequeue_rest(&mut self, headp: *mut Segment<T, F>, next: *mut Segment<T, F>) -> Option<T> {
         let tid = self.hp.tid();
-        let value = self.dequeue_pinned(headp, next, move |seg, checked| {
-            // SAFETY: `tid` is this handle's participant id, which no other
-            // thread holds while the handle lives.
-            unsafe {
-                if checked {
-                    seg.try_dequeue_checked(tid)
-                } else {
-                    seg.try_dequeue(tid)
-                }
-            }
-        });
+        // SAFETY: `tid` is this handle's participant id, which no other
+        // thread holds while the handle lives.
+        let mut take = move |seg: &Segment<T, F>| unsafe { seg.try_dequeue(tid) };
+        let attempt = if headp != self.bound {
+            let headp = self.pin_miss(&self.queue.head, headp);
+            self.attempt_pinned(headp, &mut take)
+        } else if next.is_null() {
+            // SAFETY: a memo hit, as in `poll_head`; `tid` as above.
+            let got = unsafe { (*headp).try_dequeue_checked(tid) };
+            // SAFETY: as above.
+            unsafe { Self::outcome(headp, got) }
+        } else {
+            Err((headp, next))
+        };
+        let value = match attempt {
+            Ok(got) => got,
+            Err((headp, next)) => self.dequeue_crossing(headp, next, take),
+        };
         if value.is_some() {
             self.queue.note_dequeued(tid, 1);
             self.tallies.dequeues_completed += 1;
         }
         self.unpin();
         value
+    }
+
+    /// The inline head of [`Self::dequeue`]: [`Self::pin`]'s load and compare
+    /// of the outer head, then, on a memo hit, the segment's count and
+    /// threshold load ([`Segment::dequeue_finds_empty`], Figure 5 line 30)
+    /// and a load of `next`.
+    ///
+    /// `None` is the operation's answer: a memo hit whose segment was empty
+    /// and had no successor (a null `next`, or `SHUT`), as when a take finds
+    /// it empty — the queue was empty at the threshold read.  No hazard slot
+    /// is written, and slot 0 needs no clearing: every operation clears it
+    /// before it returns.
+    ///
+    /// `Some((headp, next))` hands [`Self::dequeue_rest`] the head and what
+    /// the poll read of it: `next` is the successor of a drained memo head,
+    /// and null when the memo missed or when the threshold let a take go on
+    /// (the rest tells those two apart by the memo).
+    #[inline(always)]
+    fn poll_head(&self) -> Option<Crossing<T, F>> {
+        let headp = self.queue.head.load(SeqCst);
+        if headp == self.bound {
+            debug_assert!(!self.slot0_held, "slot 0 is clear between operations");
+            // SAFETY: a memo hit: hazard slot 1 pins `headp` (`Self::pin`).
+            let seg = unsafe { &*headp };
+            if seg.dequeue_finds_empty() {
+                return seg.successor().map(|next| (headp, next));
+            }
+        }
+        Some((headp, ptr::null_mut()))
     }
 
     /// Dequeues up to `max` elements into `out` with one head protection,
@@ -797,41 +842,16 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// A call never straddles a segment boundary: the first segment that
     /// yields anything ends the call, so fewer than `max` elements returned
     /// does **not** imply the queue is empty.
-    ///
-    /// Split like [`Self::dequeue`]: the empty answer inline, the rest in
-    /// `dequeue_many_rest`.
-    #[inline(always)]
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
         }
         self.tallies.batch_values_requested += max as u64;
-        match self.poll_head(Segment::batch_finds_empty) {
-            None => 0,
-            Some((headp, next)) => self.dequeue_many_rest(headp, next, out, max),
-        }
-    }
-
-    /// [`Self::dequeue_many`] past [`Self::poll_head`], with `max > 0`.
-    #[inline(never)]
-    fn dequeue_many_rest(
-        &mut self,
-        headp: *mut Segment<T, F>,
-        next: *mut Segment<T, F>,
-        out: &mut Vec<T>,
-        max: usize,
-    ) -> usize {
         let tid = self.hp.tid();
         let got = self
-            .dequeue_pinned(headp, next, move |seg, checked| {
+            .dequeue_pinned(|seg| {
                 // SAFETY: as in `dequeue_rest`.
-                NonZeroUsize::new(unsafe {
-                    if checked {
-                        seg.try_dequeue_many_checked(tid, out, max)
-                    } else {
-                        seg.try_dequeue_many(tid, out, max)
-                    }
-                })
+                NonZeroUsize::new(unsafe { seg.try_dequeue_many(tid, out, max) })
             })
             .map_or(0, NonZeroUsize::get);
         if got > 0 {
@@ -843,72 +863,18 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         got
     }
 
-    /// The inline head of [`Self::dequeue`] and [`Self::dequeue_many`]:
-    /// [`Self::pin`]'s load and compare of the outer head, then, on a memo
-    /// hit, `empty` (the segment's count and threshold load, Figure 5 line
-    /// 30) and a load of `next`.
-    ///
-    /// `None` is the operation's answer: a memo hit whose segment was empty
-    /// and had no successor (a null `next`, or `SHUT`), as when a take finds
-    /// it empty — the queue was empty at the threshold read.  No hazard slot
-    /// is written, and slot 0 needs no clearing: every operation clears it
-    /// before it returns.
-    ///
-    /// `Some((headp, next))` hands the out-of-line rest the head and what the
-    /// poll read of it: `next` is the successor of a drained memo head, and
-    /// null when the memo missed or when the threshold let a take go on
-    /// ([`Self::dequeue_pinned`] tells those two apart by the memo).
-    #[inline(always)]
-    fn poll_head(&self, empty: impl FnOnce(&Segment<T, F>) -> bool) -> Option<Polled<T, F>> {
-        let headp = self.queue.head.load(SeqCst);
-        if headp == self.bound {
-            debug_assert!(!self.slot0_held, "slot 0 is clear between operations");
-            // SAFETY: a memo hit: hazard slot 1 pins `headp` (`Self::pin`).
-            let seg = unsafe { &*headp };
-            if empty(seg) {
-                return seg.successor().map(|next| (headp, next));
-            }
-        }
-        Some((headp, ptr::null_mut()))
-    }
-
-    /// [`Self::dequeue`] and [`Self::dequeue_many`] past
-    /// [`Self::poll_head`], up to, not including, the closing
-    /// [`Self::unpin`]: `take(seg, checked)` is one inner dequeue, `None`
-    /// when it finds the segment empty, and `checked` says the poll already
-    /// found the segment's threshold `>= 0`, so the take starts past that
-    /// check and counts nothing again.
-    ///
-    /// - The memo missed: [`Self::pin_miss`] finishes the pin, the memo
-    ///   moves, and `take` runs whole.
-    /// - A memo hit with a null `next`: the threshold let the take go on.
-    /// - A memo hit with a `next`: the head is drained and has that
-    ///   successor.
-    ///
-    /// One attempt on the head segment is the whole operation unless the
-    /// head is drained and has a successor; that crossing is
-    /// [`Self::dequeue_crossing`]'s.
-    #[inline(always)]
+    /// [`Self::dequeue_many`] up to, not including, the closing
+    /// [`Self::unpin`]: `take` is one inner dequeue, `None` when it finds the
+    /// segment empty.  One attempt on the head segment is the whole
+    /// operation unless the head is drained and has a successor; that
+    /// crossing is [`Self::dequeue_crossing`]'s, out of line.
     fn dequeue_pinned<R>(
         &mut self,
-        headp: *mut Segment<T, F>,
-        next: *mut Segment<T, F>,
-        mut take: impl FnMut(&Segment<T, F>, bool) -> Option<R>,
+        mut take: impl FnMut(&Segment<T, F>) -> Option<R>,
     ) -> Option<R> {
-        let attempt = if headp != self.bound {
-            let headp = self.pin_miss(&self.queue.head, headp);
-            self.attempt_pinned(headp, &mut |seg| take(seg, false))
-        } else if next.is_null() {
-            // SAFETY: a memo hit, as in `poll_head`.
-            let got = take(unsafe { &*headp }, true);
-            // SAFETY: as above.
-            unsafe { Self::outcome(headp, got) }
-        } else {
-            Err((headp, next))
-        };
-        match attempt {
+        match self.head_attempt(&mut take) {
             Ok(got) => got,
-            Err((headp, next)) => self.dequeue_crossing(headp, next, move |seg| take(seg, false)),
+            Err((headp, next)) => self.dequeue_crossing(headp, next, take),
         }
     }
 

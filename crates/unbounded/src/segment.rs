@@ -484,58 +484,28 @@ impl<T, F: CellFamily> Segment<T, F> {
     ///
     /// # Safety
     /// As for [`Segment::try_dequeue`].
-    #[inline]
     pub(crate) unsafe fn try_dequeue_many(
         &self,
         tid: usize,
         out: &mut Vec<T>,
         max: usize,
     ) -> usize {
-        if max == 0 || self.batch_finds_empty() {
-            return 0;
-        }
-        // SAFETY: per the function contract.
-        unsafe { self.try_dequeue_many_checked(tid, out, max) }
-    }
-
-    /// The first step of [`Segment::try_dequeue_many`]: reads `aq`'s
-    /// threshold, counting nothing ([`WcqQueue::take_many_finds_empty`]).
-    /// `true` is the batch's whole answer, `0`.
-    #[inline(always)]
-    pub(crate) fn batch_finds_empty(&self) -> bool {
-        self.queue.take_many_finds_empty()
-    }
-
-    /// [`Segment::try_dequeue_many`] after [`Segment::batch_finds_empty`]
-    /// answered `false`, with `max > 0`: the first run starts past the
-    /// threshold check, every later one makes its own.
-    ///
-    /// # Safety
-    /// As for [`Segment::try_dequeue`].
-    pub(crate) unsafe fn try_dequeue_many_checked(
-        &self,
-        tid: usize,
-        out: &mut Vec<T>,
-        max: usize,
-    ) -> usize {
         let mut free = [0u32; BATCH];
-        let mut want = max.min(BATCH);
-        // SAFETY: `tid` is exclusive per the function contract.
-        let mut took = unsafe { self.queue.take_many_checked_at(tid, out, &mut free[..want]) };
         let mut got = 0;
-        loop {
+        while got < max {
+            let want = (max - got).min(BATCH);
+            // SAFETY: `tid` is exclusive per the function contract.
+            let took = unsafe { self.queue.take_many_at(tid, out, &mut free[..want]) };
             if took > 0 && self.next.load(SeqCst).is_null() {
                 // SAFETY: as above; `free` holds the indices just taken.
                 unsafe { self.queue.return_free(tid, &free[..took]) };
             }
             got += took;
-            if took < want || got == max {
-                return got;
+            if took < want {
+                break;
             }
-            want = (max - got).min(BATCH);
-            // SAFETY: as above.
-            took = unsafe { self.queue.take_many_at(tid, out, &mut free[..want]) };
         }
+        got
     }
 
     /// Resets the outer bookkeeping of a drained, unreachable segment so it
