@@ -161,3 +161,57 @@ fn a_producer_stopped_in_its_announcement_keeps_a_closed_queue_unsettled() {
     assert_eq!(h.dequeue(), None);
     assert!(h.settled());
 }
+
+/// A handle stopped in a memo miss pins one segment, not two.  Its memo is
+/// the tail segment, where its stash holds a claimed index, and it dequeues
+/// from the older head: the miss gives the stash back to the old memo first,
+/// and it is stopped at the first yield point of that give-back.  While it
+/// is stopped, an intruder drains past both segments, appends, drains again
+/// and flushes reclamation: the head the stopped dequeue was about to move
+/// to goes back to the cache, and only its memo stays retired and pinned.
+#[test]
+fn a_handle_stopped_in_a_memo_miss_pins_one_segment() {
+    // 16-slot segments for two handles: stash runs of 2.
+    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(4, 2));
+    let cap = q.segment_capacity() as u64;
+    let armed = Rc::new(Cell::new(false));
+    let seen = Rc::new(Cell::new(None));
+    let intruder = {
+        let (q, armed, seen) = (Rc::clone(&q), Rc::clone(&armed), Rc::clone(&seen));
+        move |_op: &'static str| {
+            if !armed.replace(false) {
+                return;
+            }
+            let mut b = q.register().expect("the intruder's slot");
+            // Past the head segment and the stopped handle's memo: both
+            // drained, and the head moved onto the memo.
+            let drained: Vec<_> = std::iter::from_fn(|| b.dequeue()).collect();
+            assert_eq!(drained, (0..=cap + 1).collect::<Vec<_>>());
+            // The memo fills and links a successor; draining again moves
+            // the head past the memo.
+            for v in 0..2 * cap {
+                b.enqueue(100 + v);
+            }
+            let drained: Vec<_> = std::iter::from_fn(|| b.dequeue()).collect();
+            assert_eq!(drained, (100..100 + 2 * cap).collect::<Vec<_>>());
+            b.flush_reclamation();
+            seen.set(Some(q.segment_stats()));
+        }
+    };
+    with_intruder(intruder, || {
+        let mut a = q.register().expect("the stopped handle's slot");
+        // `cap` values fill the head segment, the next one links the tail
+        // segment, and the one after it moves the memo there and claims a
+        // run of two indices: one left in the stash.
+        for v in 0..=cap + 1 {
+            a.enqueue(v);
+        }
+        armed.set(true);
+        assert_eq!(a.dequeue(), None, "the intruder drained everything");
+    });
+    let stats = seen.get().expect("the intruder never ran");
+    assert!(
+        stats.resident() <= stats.live + stats.cached + 1,
+        "a handle stopped in a memo miss pinned more than one retired segment: {stats:?}"
+    );
+}

@@ -768,7 +768,12 @@ impl<F: CellFamily> WcqRing<F> {
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
     pub(crate) fn dequeue_many(&self, tid: usize, max: usize, mut push: impl FnMut(u64)) -> usize {
-        if max == 0 || self.threshold() < 0 {
+        if max == 0 {
+            return 0;
+        }
+        if self.threshold() < 0 {
+            // An empty poll: one ring dequeue, as `dequeue_index` counts it.
+            self.count(Counter::RingDequeues, 1);
             return 0;
         }
         self.help_threads(tid);

@@ -68,7 +68,7 @@
 //!         }
 //!     });
 //! });
-//! assert_eq!(q.segments_live(), 1); // drained segments were retired
+//! assert_eq!(q.segment_stats().live, 1); // drained segments were retired
 //! ```
 
 #![warn(missing_docs)]

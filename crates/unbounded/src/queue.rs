@@ -15,7 +15,7 @@ use wcq_core::metrics::{Counter, CounterSet, OpTallies};
 use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, RingFamily, WcqConfig};
 use wcq_reclaim::{HazardDomain, HazardHandle};
 
-use crate::segment::{recycle_segment, shut, Segment, SegmentCache, Stash, ANNOUNCE};
+use crate::segment::{recycle_segment, shut, Segment, SegmentCache, Stash, ANNOUNCE, MEMO};
 
 /// Number of drained segments every queue keeps for reuse: a constant, not a
 /// knob (the cache's slots are an inline array of this length).
@@ -158,13 +158,12 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
         Self {
             head: CachePadded::new(AtomicPtr::new(first)),
             tail: CachePadded::new(AtomicPtr::new(first)),
-            // Slot 1 pins the handle's memoized segment binding, between and
-            // during operations; slot 0 protects the segment of an operation
-            // that finds the memo pointing elsewhere (see `pin`).  Slot 2
-            // protects nothing the memo does not: an enqueue announces its
-            // segment there (`segment::ANNOUNCE`).  The three fit the
-            // participant's one padded block, so it costs no byte.
-            domain: HazardDomain::new(max_threads, 3),
+            // Slot `MEMO` pins the handle's memoized segment, between and
+            // during operations: every segment a handle dereferences is its
+            // memo (see `pin`).  Slot `ANNOUNCE` protects nothing the memo
+            // does not: an enqueue announces its segment there.  Both fit
+            // the participant's one padded block.
+            domain: HazardDomain::new(max_threads, 2),
             cache,
             seg_order,
             max_threads,
@@ -221,8 +220,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             hp: self.domain.register()?,
             bound: ptr::null_mut(),
             stash: Stash::new(),
-            slot0_held: false,
-            pins: 0,
             rebinds: 0,
             tallies: OpTallies::default(),
         })
@@ -265,11 +262,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             .iter()
             .fold(0u64, |net, count| net.wrapping_add(count.read()));
         (net as i64).max(0) as usize
-    }
-
-    /// Segments currently linked into the queue.
-    pub fn segments_live(&self) -> usize {
-        self.segments_live.load(SeqCst)
     }
 
     /// Bytes currently held: the queue header, what it owns on the heap
@@ -401,12 +393,12 @@ impl NetCount {
 /// orders each owner of a record after the previous one.
 ///
 /// The handle additionally **memoizes the last segment it touched** in hazard
-/// slot 1, which pins it between operations: while `head`/`tail` still reads
-/// equal to the memo, an operation runs under slot 1 alone and writes no
-/// hazard slot at all (see `pin`).
-/// A memoized segment cannot be recycled until the handle moves on or drops,
-/// so at most one extra segment per registered handle can linger in the
-/// retired state — the memory bound stays O(backlog + threads).
+/// slot `MEMO`, its one protecting slot: while `head`/`tail` still reads
+/// equal to the memo, an operation writes no hazard slot at all, and a miss
+/// moves the memo (see `pin`).  A memoized segment cannot be recycled until
+/// the handle moves on or drops, so at most one segment per registered
+/// handle, stopped or not, can linger in the retired state — the memory
+/// bound stays O(backlog + threads).
 ///
 /// The registration belongs to the handle, not to a thread, so the handle is
 /// `Send` (for `T: Send`): it may be registered on one thread, operated on
@@ -415,20 +407,14 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     queue: &'q UnboundedWcq<T, F>,
     hp: HazardHandle<'q>,
     /// The memoized segment (null when there is none), kept alive by hazard
-    /// slot 1 for as long as it is set.
+    /// slot `MEMO` for as long as it is set.
     bound: *mut Segment<T, F>,
     /// Free slot indices of `bound`, claimed in runs (from its `fq` or its
-    /// claim counter) and given back to its `fq` before hazard slot 1 lets go
-    /// of it (empty while `bound` is null).
+    /// claim counter) and given back to its `fq` before hazard slot `MEMO`
+    /// lets go of it (empty while `bound` is null).
     stash: Stash,
-    /// `true` while hazard slot 0 holds a segment for the operation in flight:
-    /// set by [`Self::pin`] on a memo miss, cleared by [`Self::unpin`].
-    slot0_held: bool,
-    /// How many times [`Self::pin`] missed the memo and took hazard slot 0
-    /// (statistics; lets tests assert which path an operation ran).
-    pins: u64,
-    /// How many times the memo moved to a different segment (statistics;
-    /// lets tests assert the memo actually hits).
+    /// How many times the memo moved, i.e. how many times [`Self::pin`]
+    /// missed (statistics; lets tests assert the memo actually hits).
     rebinds: u64,
     /// Completion/batch tallies, flushed into the queue's counter set (when
     /// attached) once, on drop.
@@ -436,10 +422,10 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
 }
 
 // SAFETY: the one field that is not `Send` on its own is the memo pointer
-// `bound`, and the segment it names is pinned by hazard slot 1 of this
+// `bound`, and the segment it names is pinned by hazard slot `MEMO` of this
 // handle's participant id wherever the handle runs.  Every other field is the
-// handle's own — `hp` with its retire buffer, `slot0_held`, and the plain
-// `pins`/`rebinds`/completion tallies — or `queue`, a shared reference whose
+// handle's own — `hp` with its retire buffer, the stash, and the plain
+// `rebinds`/completion tallies — or `queue`, a shared reference whose
 // segment records and length-hint words are shared atomics keyed by that
 // same id (`UnboundedWcq` is `Sync` for `T: Send`, and `T` values cross
 // threads only through it).  Nothing is per-thread, and `&mut self`
@@ -463,22 +449,20 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         self.queue
     }
 
-    /// Returns the segment `src` (the outer `head` or `tail`) points at, safe
-    /// to dereference until [`Self::unpin`].
+    /// Returns the segment `src` (the outer `head` or `tail`) points at, now
+    /// the memo, safe to dereference until the memo moves again.
     ///
     /// **Memo hit** — `src` reads equal to the memoized segment: hazard slot
-    /// 1 has pinned that segment ever since [`Self::rebind`] moved onto it
-    /// under a validated slot-0 protection, so it cannot have been reclaimed
-    /// (nor, therefore, recycled and re-linked: the equality is not an ABA),
-    /// and the one load is the same "`src` pointed here at some instant
-    /// during the operation" a validated protect establishes.  No hazard slot
-    /// is written.  (`src` is never null, so a handle without a memo always
-    /// misses.)
+    /// `MEMO` has pinned that segment ever since a validated protect put it
+    /// there, so it cannot have been reclaimed (nor, therefore, recycled and
+    /// re-linked: the equality is not an ABA), and the one load is the same
+    /// "`src` pointed here at some instant during the operation" a validated
+    /// protect establishes.  No hazard slot is written.  (`src` is never
+    /// null, so a handle without a memo always misses.)
     ///
     /// **Memo miss** — a segment crossing, a lagging tail, a head advance, a
-    /// fresh handle: Michael's publish-and-revalidate on slot 0, out of line
-    /// in [`Self::pin_miss`], so a hit is a load, a compare and a
-    /// fall-through.
+    /// fresh handle: the memo moves, out of line in [`Self::pin_miss`], so a
+    /// hit is a load, a compare and a fall-through.
     #[inline(always)]
     fn pin(&mut self, src: &AtomicPtr<Segment<T, F>>) -> *mut Segment<T, F> {
         let seen = src.load(SeqCst);
@@ -488,7 +472,12 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         self.pin_miss(src, seen)
     }
 
-    /// [`Self::pin`] on a memo miss, out of line.
+    /// [`Self::pin`] on a memo miss, out of line: the stash goes back to the
+    /// old memo while hazard slot `MEMO` still pins it, then Michael's
+    /// publish-and-revalidate puts the segment `src` points at in the same
+    /// slot, which lets go of the old memo.  So a handle, even one stopped
+    /// here, pins one segment: the one it is about to dereference, or the
+    /// one it has not let go of yet.
     #[cold]
     #[inline(never)]
     fn pin_miss(
@@ -496,95 +485,53 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         src: &AtomicPtr<Segment<T, F>>,
         seen: *mut Segment<T, F>,
     ) -> *mut Segment<T, F> {
-        #[cfg(feature = "check-mutations")]
-        {
-            // MUTATION (check-mutations): treats every miss as a hit — the
-            // segment is used on the strength of one unvalidated load, with
-            // no hazard published.  The schedule point marks the window the
-            // missing protection leaves open: whatever runs here can drain,
-            // retire and recycle `seen` before this operation touches it.
-            let _ = src;
-            wcq_atomics::checkpoint::hit("hazard.unpinned");
-            seen
-        }
-        #[cfg(not(feature = "check-mutations"))]
-        {
-            let _ = seen;
-            self.slot0_held = true;
-            self.pins += 1;
-            self.hp.protect(0, src)
-        }
-    }
-
-    /// Ends the protection [`Self::pin`] took: clears hazard slot 0 iff this
-    /// operation published it.  The one place slot 0 is cleared.
-    #[inline(always)]
-    fn unpin(&mut self) {
-        if self.slot0_held {
-            self.slot0_held = false;
-            self.hp.clear_one(0);
-        }
-    }
-
-    /// Moves the memo onto `seg`: hazard slot 1 now pins it.  A no-op when
-    /// `seg` is the memo already, which is the only inline part.
-    ///
-    /// # Safety
-    /// `seg` must come from [`Self::pin`] in the current operation: either it
-    /// is already the memo, or hazard slot 0 protects it (so it cannot be
-    /// reclaimed while hazard slot 1 moves onto it).
-    #[inline(always)]
-    unsafe fn rebind(&mut self, seg: *mut Segment<T, F>) {
-        if self.bound != seg {
-            // SAFETY: per the function contract.
-            unsafe { self.move_memo(seg) };
-        }
-    }
-
-    /// [`Self::rebind`]'s memo move, out of line: the stash goes back to the
-    /// segment being left while slot 1 still pins it, then slot 1 moves.
-    ///
-    /// # Safety
-    /// As for [`Self::rebind`].
-    #[cold]
-    #[inline(never)]
-    unsafe fn move_memo(&mut self, seg: *mut Segment<T, F>) {
-        debug_assert!(
-            self.slot0_held,
-            "a segment crossing must run under hazard slot 0"
-        );
         self.return_stash();
-        self.hp.protect_raw(1, seg);
+        #[cfg(feature = "check-mutations")]
+        let seg = {
+            // MUTATION (check-mutations): publishes `seen`, the pointer the
+            // memo check loaded, without re-reading `src`.  The schedule
+            // point marks the window the missing revalidation leaves open:
+            // whatever runs here (or in the stash return above) can drain,
+            // retire and recycle `seen` before it is published.
+            let _ = src;
+            wcq_atomics::checkpoint::hit("hazard.unvalidated");
+            self.hp.protect_raw(MEMO, seen)
+        };
+        #[cfg(not(feature = "check-mutations"))]
+        let seg = {
+            let _ = seen;
+            self.hp.protect(MEMO, src)
+        };
         self.bound = seg;
         self.rebinds += 1;
+        seg
     }
 
-    /// Drops the memo, clearing hazard slot 1 after the stash goes back.
+    /// Drops the memo, clearing hazard slot `MEMO` after the stash goes back.
     fn unbind(&mut self) {
         if !self.bound.is_null() {
             self.return_stash();
             self.bound = ptr::null_mut();
-            self.hp.clear_one(1);
+            self.hp.clear_one(MEMO);
         }
     }
 
     /// Hands the stash back to the memo segment's `fq`.  Every place the
-    /// memo moves or ends calls this before hazard slot 1 lets go, so an open
-    /// segment can hand the indices out again, and no stash holds an index
-    /// of a segment that is reclaimed.
+    /// memo moves or ends calls this before hazard slot `MEMO` lets go, so an
+    /// open segment can hand the indices out again, and no stash holds an
+    /// index of a segment that is reclaimed.
     fn return_stash(&mut self) {
         if self.stash.len() > 0 {
             // SAFETY: a non-empty stash holds indices of `bound`, which
-            // hazard slot 1 pins; `tid` is this handle's participant id.
+            // hazard slot `MEMO` pins; `tid` is this handle's participant id.
             unsafe { (*self.bound).return_stash(self.hp.tid(), &mut self.stash) };
         }
     }
 
-    /// Pins the tail segment and moves the memo onto it, first swinging a
-    /// lagging outer tail (one whose segment already has a successor)
-    /// forward, as in MSQueue.  The segment returned had no successor when
-    /// pinned (its `next` was null or `SHUT`), and is safe to dereference
-    /// until [`Self::unpin`].
+    /// Pins the tail segment as the memo, first swinging a lagging outer tail
+    /// (one whose segment already has a successor) forward, as in MSQueue.
+    /// The segment returned had no successor when pinned (its `next` was null
+    /// or `SHUT`).
     #[inline(always)]
     fn pin_tail(&mut self) -> *mut Segment<T, F> {
         let tail = &self.queue.tail;
@@ -593,11 +540,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // SAFETY: pinned; segments are retired only after becoming
             // unreachable and unprotected.
             match unsafe { (*tailp).successor() } {
-                None => {
-                    // SAFETY: `tailp` comes from `pin` in this operation.
-                    unsafe { self.rebind(tailp) };
-                    return tailp;
-                }
+                None => return tailp,
                 Some(next) => {
                     let _ = tail.compare_exchange(tailp, next, SeqCst, SeqCst);
                 }
@@ -620,15 +563,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// Enqueues `value` like [`Self::enqueue`], or hands it back once the
     /// queue is closed ([`Self::close`]).  The queue is unbounded, so that is
     /// the only refusal.
-    pub fn try_enqueue(&mut self, value: T) -> Result<(), T> {
-        let result = self.enqueue_pinned(value);
-        self.unpin();
-        result
-    }
-
-    /// [`Self::try_enqueue`] up to, not including, the closing
-    /// [`Self::unpin`].
-    fn enqueue_pinned(&mut self, mut value: T) -> Result<(), T> {
+    pub fn try_enqueue(&mut self, mut value: T) -> Result<(), T> {
         let queue = self.queue;
         let tid = self.hp.tid();
         loop {
@@ -637,8 +572,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             let seg = unsafe { &*tailp };
             // SAFETY: `tid` is this handle's participant id, which no other
             // thread holds while the handle lives, and `pin_tail` made `seg`
-            // the memo, which slot 1 protects and whose indices are the only
-            // ones the stash holds.
+            // the memo, which slot `MEMO` protects and whose indices are the
+            // only ones the stash holds.
             match unsafe { seg.try_enqueue(&self.hp, value, &mut self.stash, queue.run) } {
                 Ok(()) => break,
                 Err(back) => {
@@ -717,7 +652,6 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                 }
             }
         }
-        self.unpin();
     }
 
     /// Whether the queue is closed with nothing left in flight: the head
@@ -734,9 +668,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         let headp = self.pin(&self.queue.head);
         // SAFETY: pinned by `pin`.  Once `SHUT` is seen no announcement is
         // admitted there, so the count read after it can only fall.
-        let settled = unsafe { (*headp).is_shut() } && self.queue.announced(headp) == 0;
-        self.unpin();
-        settled
+        let shut = unsafe { (*headp).is_shut() };
+        shut && self.queue.announced(headp) == 0
     }
 
     /// Handles announced on the head segment: after a close has drained the
@@ -745,9 +678,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     #[doc(hidden)]
     pub fn head_inflight(&mut self) -> usize {
         let headp = self.pin(&self.queue.head);
-        let inflight = self.queue.announced(headp);
-        self.unpin();
-        inflight
+        self.queue.announced(headp)
     }
 
     /// Dequeues an element; `None` when the whole queue was observed empty.
@@ -766,8 +697,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// [`Self::dequeue`] past [`Self::poll_head`], handed the head `headp` it
     /// read and the successor `next` it read there:
     ///
-    /// - The memo missed: [`Self::pin_miss`] finishes the pin, the memo
-    ///   moves, and the take runs whole.
+    /// - The memo missed: [`Self::pin_miss`] moves the memo, and the take
+    ///   runs whole.
     /// - A memo hit with a null `next`: the poll found the threshold `>= 0`,
     ///   so the take starts past that check
     ///   ([`Segment::try_dequeue_checked`]) and counts nothing again.
@@ -802,7 +733,6 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             self.queue.note_dequeued(tid, 1);
             self.tallies.dequeues_completed += 1;
         }
-        self.unpin();
         value
     }
 
@@ -814,8 +744,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// `None` is the operation's answer: a memo hit whose segment was empty
     /// and had no successor (a null `next`, or `SHUT`), as when a take finds
     /// it empty — the queue was empty at the threshold read.  No hazard slot
-    /// is written, and slot 0 needs no clearing: every operation clears it
-    /// before it returns.
+    /// is written.
     ///
     /// `Some((headp, next))` hands [`Self::dequeue_rest`] the head and what
     /// the poll read of it: `next` is the successor of a drained memo head,
@@ -825,8 +754,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     fn poll_head(&self) -> Option<Crossing<T, F>> {
         let headp = self.queue.head.load(SeqCst);
         if headp == self.bound {
-            debug_assert!(!self.slot0_held, "slot 0 is clear between operations");
-            // SAFETY: a memo hit: hazard slot 1 pins `headp` (`Self::pin`).
+            // SAFETY: a memo hit: hazard slot `MEMO` pins `headp` (`Self::pin`).
             let seg = unsafe { &*headp };
             if seg.dequeue_finds_empty() {
                 return seg.successor().map(|next| (headp, next));
@@ -848,37 +776,28 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         }
         self.tallies.batch_values_requested += max as u64;
         let tid = self.hp.tid();
-        let got = self
-            .dequeue_pinned(|seg| {
-                // SAFETY: as in `dequeue_rest`.
-                NonZeroUsize::new(unsafe { seg.try_dequeue_many(tid, out, max) })
-            })
-            .map_or(0, NonZeroUsize::get);
+        // One inner batch dequeue, `None` when it finds the segment empty.
+        let mut take = |seg: &Segment<T, F>| {
+            // SAFETY: as in `dequeue_rest`.
+            NonZeroUsize::new(unsafe { seg.try_dequeue_many(tid, out, max) })
+        };
+        // One attempt on the head segment is the whole operation unless the
+        // head is drained and has a successor; that crossing is
+        // `dequeue_crossing`'s, out of line.
+        let got = match self.head_attempt(&mut take) {
+            Ok(got) => got,
+            Err((headp, next)) => self.dequeue_crossing(headp, next, take),
+        }
+        .map_or(0, NonZeroUsize::get);
         if got > 0 {
             self.queue.note_dequeued(tid, got as u64);
             self.tallies.dequeues_completed += got as u64;
             self.tallies.batch_values_granted += got as u64;
         }
-        self.unpin();
         got
     }
 
-    /// [`Self::dequeue_many`] up to, not including, the closing
-    /// [`Self::unpin`]: `take` is one inner dequeue, `None` when it finds the
-    /// segment empty.  One attempt on the head segment is the whole
-    /// operation unless the head is drained and has a successor; that
-    /// crossing is [`Self::dequeue_crossing`]'s, out of line.
-    fn dequeue_pinned<R>(
-        &mut self,
-        mut take: impl FnMut(&Segment<T, F>) -> Option<R>,
-    ) -> Option<R> {
-        match self.head_attempt(&mut take) {
-            Ok(got) => got,
-            Err((headp, next)) => self.dequeue_crossing(headp, next, take),
-        }
-    }
-
-    /// Pins the head segment, moves the memo onto it and `take`s once.
+    /// Pins the head segment as the memo and `take`s once.
     /// `Ok` is the operation's answer — a `None` there means the head had no
     /// successor, so the queue was empty at the inner dequeue's
     /// linearization point.  `Err` is a drained head with a successor.
@@ -891,20 +810,16 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         self.attempt_pinned(headp, take)
     }
 
-    /// [`Self::head_attempt`] after its pin: the memo moves onto `headp`,
-    /// which `take`s once.
+    /// [`Self::head_attempt`] after its pin: `take`s once on `headp`, the
+    /// memo.
     #[inline(always)]
     fn attempt_pinned<R>(
         &mut self,
         headp: *mut Segment<T, F>,
         take: &mut impl FnMut(&Segment<T, F>) -> Option<R>,
     ) -> Result<Option<R>, Crossing<T, F>> {
-        // SAFETY: `headp` comes from `pin` in this operation.
-        let seg = unsafe {
-            self.rebind(headp);
-            &*headp
-        };
-        let got = take(seg);
+        // SAFETY: `headp` comes from `pin` in this operation: the memo.
+        let got = take(unsafe { &*headp });
         // SAFETY: the memo pins `headp` now.
         unsafe { Self::outcome(headp, got) }
     }
@@ -975,8 +890,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     /// The scan keeps memory at the backlog: an unprotected segment reaches
     /// the cache (or the allocator) before the next append asks for one,
     /// instead of waiting for the domain's batch threshold.  A segment
-    /// another handle still pins (its memo in slot 1, or slot 0 mid-crossing)
-    /// waits for this handle's next retirement.  A segment retires once per
+    /// another handle still pins (its memo) waits for this handle's next
+    /// retirement.  A segment retires once per
     /// `capacity` messages, so the scan is on no per-message path.
     ///
     /// # Safety
@@ -997,9 +912,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         {
             queue.segments_live.fetch_sub(1, SeqCst);
             // Release our own protection before retiring the segment, or our
-            // hazard slots would keep it pending until the next rebind.
+            // memo would keep it pending until the memo next moves.
             self.unbind();
-            self.unpin();
             queue.count(Counter::SegmentsRetired, 1);
             // SAFETY: the CAS winner is the unique retirer of the now
             // unreachable segment; `recycle_segment` matches `T, F`.
@@ -1032,8 +946,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         let mut total = 0;
         while !pending.is_empty() {
             let tailp = self.pin_tail();
-            // SAFETY: pinned and made the memo by `pin_tail`, as in
-            // `enqueue_pinned`.
+            // SAFETY: pinned as the memo by `pin_tail`, as in `try_enqueue`.
             let accepted = unsafe {
                 (*tailp).try_enqueue_many(&self.hp, &mut pending, &mut self.stash, queue.run)
             };
@@ -1047,15 +960,14 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
             // the single-op path (which closes the tail and appends a fresh
             // segment), then resume batching into the new tail.
             let value = pending.pop_front().expect("loop guard: non-empty");
-            // `enqueue_pinned` tallies its own completion.
-            if let Err(value) = self.enqueue_pinned(value) {
+            // `try_enqueue` tallies its own completion.
+            if let Err(value) = self.try_enqueue(value) {
                 pending.push_front(value);
                 *values = pending.into();
                 break;
             }
             total += 1;
         }
-        self.unpin();
         self.tallies.batch_values_granted += total as u64;
         total
     }
@@ -1076,7 +988,7 @@ impl<'q, T, F: CellFamily> Drop for UnboundedWcqHandle<'q, T, F> {
             self.tallies.flush(set);
             set.add(Counter::SegmentRebinds, self.rebinds);
         }
-        // The hazard handle, dropped next, clears slot 1 (the memo) and then
+        // The hazard handle, dropped next, clears slot `MEMO` and then
         // releases the participant id.
     }
 }
@@ -1086,7 +998,6 @@ impl<'q, T, F: CellFamily> std::fmt::Debug for UnboundedWcqHandle<'q, T, F> {
         f.debug_struct("UnboundedWcqHandle")
             .field("tid", &self.hp.tid())
             .field("rebinds", &self.rebinds)
-            .field("pins", &self.pins)
             .finish()
     }
 }
@@ -1181,7 +1092,7 @@ mod tests {
             assert_eq!(h.dequeue(), Some(i));
         }
         assert_eq!(h.dequeue(), None);
-        assert_eq!(q.segments_live(), 1);
+        assert_eq!(q.segment_stats().live, 1);
     }
 
     #[test]
@@ -1193,7 +1104,7 @@ mod tests {
             h.enqueue(i);
         }
         assert!(
-            q.segments_live() > 1,
+            q.segment_stats().live > 1,
             "a burst beyond one segment must link new segments: {:?}",
             q.segment_stats()
         );
@@ -1216,7 +1127,7 @@ mod tests {
             }
             h.flush_reclamation();
             assert_eq!(
-                q.segments_live(),
+                q.segment_stats().live,
                 1,
                 "after a full drain only the tail segment stays live"
             );
@@ -1271,7 +1182,7 @@ mod tests {
         }
         assert_eq!(next_out, 500, "every value crossed the segment chain");
         h.flush_reclamation();
-        assert_eq!(q.segments_live(), 1);
+        assert_eq!(q.segment_stats().live, 1);
         drop(h); // flushes the handle-local tally
         assert!(
             set.get(Counter::SegmentRebinds) > 1,
@@ -1287,11 +1198,11 @@ mod tests {
         let q: UnboundedWcq<u64> = UnboundedWcq::new(8, 2);
         let mut h = q.register().unwrap();
         assert_eq!(h.dequeue(), None, "the first operation binds the memo");
-        assert_eq!((h.pins, h.rebinds), (1, 1));
+        assert_eq!(h.rebinds, 1);
         let seg = h.bound;
         let on_the_memo = |h: &UnboundedWcqHandle<'_, u64>| {
-            assert!(h.hp.protected(0).is_null(), "slot 0 is clear between ops");
-            assert_eq!(h.hp.protected(1), seg.cast(), "slot 1 pins the segment");
+            assert_eq!(h.hp.protected(MEMO), seg.cast(), "slot 0 pins the memo");
+            assert!(h.hp.protected(ANNOUNCE).is_null(), "slot 1 is clear");
             assert_eq!(h.bound, seg);
         };
         on_the_memo(&h);
@@ -1308,41 +1219,58 @@ mod tests {
         assert_eq!(h.dequeue(), None, "an empty poll is a memo hit too");
         on_the_memo(&h);
         assert_eq!(
-            (h.pins, h.rebinds),
-            (1, 1),
-            "every operation after the first ran under hazard slot 1 alone"
+            h.rebinds, 1,
+            "every operation after the first hit the memo and wrote no hazard slot 0"
         );
     }
 
     #[test]
     fn every_segment_crossing_runs_under_hazard_slot_zero() {
-        // 16-slot segments with interleaved enqueue/dequeue: the binding
-        // chases head and tail across many crossings, and each one must have
-        // been a memo miss that published (and afterwards cleared) slot 0.
+        // 16-slot segments with interleaved enqueue/dequeue: the memo chases
+        // head and tail across many crossings.  Each is a memo miss, whose
+        // validated protect published the segment the operation reached (the
+        // outer head after a dequeue, the tail or the full segment before it
+        // after an enqueue) in slot 0, and between operations slot 0
+        // publishes the memo and nothing else.
         let q: UnboundedWcq<u64> = UnboundedWcq::new(4, 1);
         let mut h = q.register().unwrap();
         let mut next_out = 0u64;
         let mut crossings = 0;
+        let published = |h: &UnboundedWcqHandle<'_, u64>, at: &str| {
+            assert_eq!(h.hp.protected(MEMO), h.bound.cast(), "slot 0 after {at}");
+            assert!(h.hp.protected(ANNOUNCE).is_null(), "slot 1 after {at}");
+        };
         for i in 0..500u64 {
-            let (pins, rebinds) = (h.pins, h.rebinds);
+            let (bound, rebinds) = (h.bound, h.rebinds);
             h.enqueue(i);
+            let tail = q.tail.load(SeqCst);
+            // SAFETY: the memo, pinned by hazard slot `MEMO`.
+            let linked = unsafe { (*h.bound).successor() };
+            assert!(
+                h.bound == tail || linked == Some(tail),
+                "an enqueue's memo is the tail, or the segment it linked the tail after"
+            );
+            published(&h, &format!("enqueue {i}"));
+            if h.bound != bound {
+                crossings += 1;
+                assert!(h.rebinds > rebinds, "the memo moved without a miss at {i}");
+            }
             if i % 3 == 0 {
+                let (bound, rebinds) = (h.bound, h.rebinds);
                 assert_eq!(h.dequeue(), Some(next_out));
                 next_out += 1;
+                assert_eq!(h.bound, q.head.load(SeqCst), "a dequeue's memo is the head");
+                published(&h, &format!("dequeue {i}"));
+                if h.bound != bound {
+                    assert!(h.rebinds > rebinds, "the memo moved without a miss at {i}");
+                }
             }
-            if h.rebinds > rebinds {
-                crossings += 1;
-                assert!(h.pins > pins, "a rebind without a slot-0 pin at op {i}");
-            }
-            assert!(h.hp.protected(0).is_null(), "slot 0 outlived op {i}");
-            assert_eq!(h.hp.protected(1), h.bound.cast());
         }
         assert!(crossings > 20, "growth must move the binding: {crossings}");
-        assert!(h.pins >= h.rebinds);
     }
 
     #[test]
-    fn every_completed_enqueue_leaves_hazard_slot_two_clear() {
+    fn every_completed_enqueue_leaves_the_announcement_slot_clear() {
         // 8-slot segments: single and batch enqueues cross many segment
         // boundaries, each through a refusal and an append.
         let q: UnboundedWcq<u64> = UnboundedWcq::new(3, 2);
@@ -1363,7 +1291,7 @@ mod tests {
                 assert!(h.hp.protected(ANNOUNCE).is_null(), "a dequeue announced");
             }
         }
-        assert!(q.segments_live() > 2, "the batches crossed segments");
+        assert!(q.segment_stats().live > 2, "the batches crossed segments");
         assert_eq!(h.head_inflight(), 0);
     }
 
@@ -1495,7 +1423,7 @@ mod tests {
             for _ in 0..50 {
                 h.enqueue(Arc::clone(&probe));
             }
-            assert!(q.segments_live() > 1);
+            assert!(q.segment_stats().live > 1);
             assert_eq!(Arc::strong_count(&probe), 51);
             drop(h);
         }
@@ -1677,7 +1605,7 @@ mod tests {
             "a refusal allocated"
         );
         assert_eq!(thread_heap::live(), heap, "a refusal touched the heap");
-        assert_eq!(q.segments_live(), 1);
+        assert_eq!(q.segment_stats().live, 1);
         assert!(h.settled(), "closed with nothing in flight");
         assert_eq!(h.dequeue(), Some(1), "pre-close values drain");
         assert_eq!(h.dequeue(), Some(2));
@@ -1793,7 +1721,10 @@ mod tests {
                 2,
                 "the dequeued and the refused"
             );
-            assert!(q.segments_live() > 1, "the values span several segments");
+            assert!(
+                q.segment_stats().live > 1,
+                "the values span several segments"
+            );
         }
         assert_eq!(
             dropped.load(Ordering::SeqCst),
@@ -1831,12 +1762,12 @@ mod tests {
             second.enqueue(v);
         }
         assert_eq!(
-            (set.get(Counter::SegmentAllocs), q.segments_live()),
+            (set.get(Counter::SegmentAllocs), q.segment_stats().live),
             (0, 1),
             "one segment took all {cap} values"
         );
         second.enqueue(cap);
-        assert_eq!(q.segments_live(), 2, "the next value opened a segment");
+        assert_eq!(q.segment_stats().live, 2, "the next value opened a segment");
         for v in 0..=cap {
             assert_eq!(second.dequeue(), Some(v));
         }
@@ -1886,7 +1817,7 @@ mod tests {
             loop {
                 let who = next(&mut rng) as usize % THREADS;
                 producers[who].enqueue(taken as u64);
-                if q.segments_live() > 1 {
+                if q.segment_stats().live > 1 {
                     // `who` met ⊥ from `fq` and the claim counter with its
                     // own stash empty, closed the segment and put this value
                     // in the next one.
@@ -2000,15 +1931,15 @@ mod tests {
     }
 
     /// An empty poll on a memo hit is the inline part of `dequeue` alone:
-    /// one ring dequeue counted (the threshold check), no hazard slot 0
-    /// published and no memo move.  An empty batch poll counts none, as the
-    /// ring's batch dequeue never did.
+    /// one ring dequeue counted (the threshold check), no hazard slot
+    /// written and no memo move.  An empty batch poll counts one too, on the
+    /// ring's own threshold check.
     fn an_empty_memo_hit_poll_counts_one_ring_dequeue_and_pins_nothing<F: CellFamily>() {
         let (q, set) = counted_in::<F>(4, 1);
         let mut h = q.register().unwrap();
         assert_eq!(h.dequeue(), None, "the first poll binds the memo");
-        let (pins, rebinds) = (h.pins, h.rebinds);
-        // SAFETY: the memo, pinned by hazard slot 1.
+        let (bound, rebinds) = (h.bound, h.rebinds);
+        // SAFETY: the memo, pinned by hazard slot `MEMO`.
         let seg = unsafe { &*h.bound };
         assert!(seg.aq_threshold() < 0, "a fresh segment's threshold is -1");
         let mut out = Vec::new();
@@ -2018,11 +1949,12 @@ mod tests {
             assert_eq!(h.dequeue(), None);
             assert_eq!(set.get(Counter::RingDequeues), before + 1, "poll {poll}");
             assert_eq!(h.dequeue_many(&mut out, 8), 0);
-            assert_eq!(set.get(Counter::RingDequeues), before + 1, "batch {poll}");
+            assert_eq!(set.get(Counter::RingDequeues), before + 2, "batch {poll}");
         }
         assert!(out.is_empty());
-        assert_eq!((h.pins, h.rebinds), (pins, rebinds));
-        assert!(h.hp.protected(0).is_null());
+        assert_eq!((h.bound, h.rebinds), (bound, rebinds));
+        assert_eq!(h.hp.protected(MEMO), bound.cast());
+        assert!(h.hp.protected(ANNOUNCE).is_null());
     }
 
     #[test]
@@ -2044,20 +1976,20 @@ mod tests {
         let (q, set) = counted_in::<F>(4, 1);
         let mut h = q.register().unwrap();
         assert_eq!(h.dequeue(), None, "the first poll binds the memo");
-        let pins = h.pins;
+        let rebinds = h.rebinds;
         for v in 0..20 {
             h.enqueue(v);
             let before = set.get(Counter::RingDequeues);
             assert_eq!(h.dequeue(), Some(v));
             assert_eq!(set.get(Counter::RingDequeues), before + 1, "take {v}");
-            // SAFETY: the memo, pinned by hazard slot 1.
+            // SAFETY: the memo, pinned by hazard slot `MEMO`.
             let seg = unsafe { &*h.bound };
             assert!(seg.aq_threshold() >= 0, "a drained ring stays armed");
             let before = set.get(Counter::RingDequeues);
             assert_eq!(h.dequeue(), None);
             assert_eq!(set.get(Counter::RingDequeues), before + 1, "poll after {v}");
         }
-        assert_eq!(h.pins, pins, "every operation hit the memo");
+        assert_eq!(h.rebinds, rebinds, "every operation hit the memo");
     }
 
     #[test]
@@ -2090,7 +2022,7 @@ mod tests {
             headp,
             "the consumer's memo is the head"
         );
-        // SAFETY: the memo, pinned by hazard slot 1.
+        // SAFETY: the memo, pinned by hazard slot `MEMO`.
         let seg = unsafe { &*headp };
         assert!(
             seg.successor().is_some(),

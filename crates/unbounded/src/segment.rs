@@ -76,7 +76,7 @@
 //! A stash belongs to one segment, the unbounded handle's memo, is refilled
 //! only inside an admitted announcement (so a refused enqueue still touches
 //! no ring and no counter), and goes back to `fq` before the handle's hazard
-//! slot 1 lets go of the segment.
+//! slot [`MEMO`] lets go of the segment.
 //!
 //! A dequeue returns each freed index at once, but only while the segment's
 //! `next` is null.  Once it is not, the segment is closed for good (point
@@ -138,10 +138,13 @@ use wcq_reclaim::HazardHandle;
 
 use crate::queue::DEFAULT_SEGMENT_CACHE;
 
+/// The hazard slot in which an unbounded handle pins its memo, the one
+/// segment it may dereference (`UnboundedWcqHandle::pin`).
+pub(crate) const MEMO: usize = 0;
+
 /// The hazard slot in which an enqueue announces the segment it works in
-/// (module docs, point 2).  The queue's handles use slots 0 and 1 to
-/// protect segments (`UnboundedWcqHandle::pin` and the memo).
-pub(crate) const ANNOUNCE: usize = 2;
+/// (module docs, point 2).  It protects nothing the memo does not.
+pub(crate) const ANNOUNCE: usize = 1;
 
 /// The `next` of the last segment of a closed queue: no append can link
 /// after it.  Never dereferenced, and never a segment's address (it is the
@@ -243,7 +246,7 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// and an earlier one that did is ordered before this call (see
     /// [`WcqQueue::enqueue_at`]).  `stash` holds only this segment's
     /// indices, and `run` is at most [`Stash::MAX`].  `hp` protects this
-    /// segment in another slot for the whole call.
+    /// segment in slot [`MEMO`] for the whole call.
     #[inline]
     pub(crate) unsafe fn try_enqueue(
         &self,

@@ -2,7 +2,7 @@
 //!
 //! It is no channel backend and implements no `WaitFreeQueue`: its `None` is
 //! a racy scan and it keeps only per-producer FIFO, so nothing but the
-//! `benchmark/` ledger's sharded rungs builds it (ROADMAP item 4 deletes it).
+//! `benchmark/` ledger's sharded rungs builds it (ROADMAP item 9 deletes it).
 //!
 //! A single [`UnboundedWcq`] funnels every thread through one head/tail pair;
 //! past a handful of cores those two cache lines are the whole bottleneck.
@@ -476,7 +476,10 @@ mod tests {
         assert!(stats.live > 3, "every shard grew past its first segment");
         assert_eq!(
             stats.live,
-            q.shards().iter().map(|s| s.segments_live()).sum::<usize>()
+            q.shards()
+                .iter()
+                .map(|s| s.segment_stats().live)
+                .sum::<usize>()
         );
     }
 }

@@ -74,10 +74,10 @@ fn main() {
                 for i in 0..BURST_SIZE {
                     h.enqueue(burst * BURST_SIZE + i);
                 }
-                peak.fetch_max(q_ref.segments_live() as u64, Ordering::Relaxed);
+                peak.fetch_max(q_ref.segment_stats().live as u64, Ordering::Relaxed);
                 first_burst_in.store(true, Ordering::Release);
                 // Idle phase: let the consumers drain the backlog.
-                while q_ref.segments_live() > 1 {
+                while q_ref.segment_stats().live > 1 {
                     std::thread::yield_now();
                 }
             }

@@ -410,7 +410,7 @@ impl<F: CellFamily, I: Instrument> QueueBuilder<F, I> {
     /// a dequeue scans home-first and steals.  It keeps only per-producer
     /// FIFO and its empty answer is a racy scan, so it is no channel backend
     /// and no [`WaitFreeQueue`]: only the `benchmark/` ledger's sharded rungs
-    /// build it, through the handle's own methods (ROADMAP item 4 deletes it).
+    /// build it, through the handle's own methods (ROADMAP item 9 deletes it).
     pub fn build_sharded<T>(&self) -> wcq_unbounded::ShardedWcq<T, F> {
         wcq_unbounded::ShardedWcq::with_config_counters(
             self.shards,

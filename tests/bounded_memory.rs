@@ -138,7 +138,7 @@ fn wcq_footprint_is_a_function_of_geometry_only() {
 #[test]
 fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
     let _serial = serial();
-    // Every queue layer of the memory account (ROADMAP item 4a) is exact:
+    // Every queue layer of the memory account (ROADMAP item 11(a)) is exact:
     // `memory_footprint()` is the struct plus every heap byte it owns.
     // `SERIAL` keeps sibling tests out of the window but not the harness'
     // own thread, which prints a result and spawns the next test just as
@@ -192,7 +192,7 @@ fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
         assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 78_712);
         assert_eq!(
             std::mem::size_of::<wcq_unbounded::UnboundedWcqHandle<'_, u64>>(),
-            176
+            168
         );
     }
 }

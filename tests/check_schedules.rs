@@ -165,18 +165,23 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
-    // this seed the stalled dequeue is a memo *miss* (the handle's binding is
-    // not on the head segment), so only hazard slot 0 keeps the head segment
-    // from being recycled during the turnover.  The `check-mutations` mutant
-    // that skips slot 0 fails exactly here ("a dequeue returned None where
-    // the sequential model holds ..."); if a memo hit is ever inferred from
-    // anything weaker than `src == bound`, so does the real tree.
+    // this seed the stalled dequeue is a memo *miss* (the handle's memo is
+    // the tail segment, not the head), stopped while it gives its stash back
+    // to that memo, before it protects the head it loaded.  The turnover
+    // recycles that head, so only the protect's revalidation sends the
+    // dequeue to the new one.  The `check-mutations` mutant that publishes
+    // the loaded pointer unrevalidated fails exactly here ("a dequeue
+    // returned None where the sequential model holds ..."); if a memo hit
+    // is ever inferred from anything weaker than `src == bound`, so does the
+    // real tree.  (754 -> 734 yield points when the give-back moved before
+    // the protect: the head is no longer pinned through the turnover, so
+    // the intruder's reclamation and appends run differently.)
     (
         1,
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        754,
+        734,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is

@@ -131,7 +131,7 @@ fn segment_memo_survives_forced_growth_without_missing_values() {
     h.flush_reclamation();
     drop(h);
     assert_eq!(
-        q.segments_live(),
+        q.segment_stats().live,
         1,
         "drained queue returns to one live segment"
     );
@@ -471,7 +471,7 @@ fn a_leaked_bounded_handle_costs_exactly_its_slot() {
 ///
 /// 32-slot segments and three registrations make the derived free-slot run
 /// 2, so the first producer's three sends leave one claimed index in its
-/// stash, and its memo (hazard slot 1) pins the head segment.
+/// stash, and its memo (hazard slot 0) pins the head segment.
 fn leaked_producer_traffic(q: &UnboundedWcq<u64>, leak: bool) -> usize {
     const SEGMENT: u64 = 32;
     const ROUNDS: u64 = 6;
@@ -493,7 +493,7 @@ fn leaked_producer_traffic(q: &UnboundedWcq<u64>, leak: bool) -> usize {
     for i in 3..SEGMENT {
         producer.enqueue(i);
     }
-    assert_eq!(q.segments_live(), 1 + usize::from(leak));
+    assert_eq!(q.segment_stats().live, 1 + usize::from(leak));
 
     // Four segments' worth and more through the queue and back, in rounds
     // that carry the head past the leaked handle's memo.

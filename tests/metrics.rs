@@ -198,14 +198,17 @@ fn ring_op_counters_count_operations_not_segment_construction() {
     // first takes 4 runs, each appended one a preload and 4 + 4 + 4 + 3).
     //
     // A segment's `fq` starts empty and is only ever asked while empty
-    // here, and an empty `fq` answers a claim at its threshold check, before
-    // it counts anything: every index comes from the claim counter, the
-    // preloads' included, so no free-index claim is a ring dequeue.  The
-    // dequeues are then exactly: N `aq` dequeues that found a value; two
-    // empty polls at each of the nine crossings (the one that finds the head
-    // segment drained, and the one after its announcements were counted);
-    // and the drain of each of the five retired segments the full cache
-    // (four slots) frees, one empty poll each.
+    // here: every index comes from the claim counter, the preloads'
+    // included.  An empty `fq` answers a claim at its threshold check, which
+    // counts one ring dequeue, as an empty poll of `aq` does.  The claims
+    // are the first segment's 4 runs, each appended segment's 4 (its
+    // preload asks no ring), and the nine that found a segment full and
+    // appended the next: 4 + 9 × 4 + 9 = 49.  The `aq` dequeues are N that
+    // found a value; two empty polls at each of the nine crossings (the one
+    // that finds the head segment drained, and the one after its
+    // announcements were counted); and the drain of each of the five
+    // retired segments the full cache (four slots) frees, one empty poll
+    // each.
     const N: u64 = 160;
     let instr = CountingInstrument::new();
     let q: UnboundedWcq<u64> = UnboundedWcq::with_config_counters(
@@ -227,7 +230,7 @@ fn ring_op_counters_count_operations_not_segment_construction() {
     // The constructor builds the first of the ten, uncounted.
     assert_eq!(snap.get(Counter::SegmentAllocs), 9);
     assert_eq!(snap.get(Counter::RingEnqueues), N + 16);
-    assert_eq!(snap.get(Counter::RingDequeues), N + 2 * 9 + 5);
+    assert_eq!(snap.get(Counter::RingDequeues), N + 2 * 9 + 5 + 49);
 }
 
 #[test]

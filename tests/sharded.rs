@@ -62,7 +62,7 @@ fn every_shard_binding_follows_forced_segment_growth() {
     // there, so per-shard growth is per-shard rebinding.  Nothing has been
     // dequeued yet, so every segment a shard has built is still linked.
     let grown: usize = (q.shards().iter())
-        .map(|shard| shard.segments_live())
+        .map(|shard| shard.segment_stats().live)
         .inspect(|&segments| assert!(segments > 1, "every shard must have grown"))
         .sum();
     // One handle drains all four shards: its own by home, the rest by
@@ -84,7 +84,7 @@ fn every_shard_binding_follows_forced_segment_growth() {
     );
     for (i, shard) in q.shards().iter().enumerate() {
         assert_eq!(
-            shard.segments_live(),
+            shard.segment_stats().live,
             1,
             "shard {i} must shrink back to one live segment"
         );

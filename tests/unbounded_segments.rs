@@ -38,7 +38,7 @@ fn burst_drain_returns_to_steady_state<F: CellFamily>() {
             h.enqueue(round * BURST + i);
         }
         assert!(
-            q.segments_live() as u64 >= BURST / (1 << SEG_ORDER),
+            q.segment_stats().live as u64 >= BURST / (1 << SEG_ORDER),
             "burst must grow the queue: {:?}",
             q.segment_stats()
         );
