@@ -3,9 +3,10 @@
 //! The `wcq-check` crate explores thread interleavings by serialising a run:
 //! every participating thread must pass through a *yield point* before each
 //! atomic operation so a deterministic scheduler can decide who runs next.
-//! For the `CheckedFamily` (native-CAS2 model) the yield points live in the
-//! checker itself, but the LL/SC model (`llsc::Granule`) is reached through
-//! the ordinary `LlscFamily`/channel builders, so the seam has to live here.
+//! This is the one seam for both hardware models: [`crate::AtomicDouble`]
+//! (under `NativeFamily`'s cells) and `llsc::Granule` (under `LlscFamily`'s)
+//! pass it at the entry of every operation, so the checker schedules the
+//! cells that ship, reached through the ordinary queue and channel builders.
 //!
 //! The seam is a single process-global function pointer.  It is:
 //!

@@ -8,11 +8,13 @@
 //! running *thousands of schedules*, not thousands of operations.
 //!
 //! Every run drives one [`Target`] under one [`Schedule`].  The four
-//! *sampled* targets — the bounded queue under the [`CheckedFamily`]
-//! native-CAS2 model or the instrumented LL/SC model, the unbounded wLSCQ and
-//! the two-shard sharded queue — share one producer/consumer driver
+//! *sampled* targets — the bounded queue under the native-CAS2 model
+//! ([`NativeFamily`]) or the LL/SC model, the unbounded wLSCQ and the
+//! two-shard sharded queue — share one producer/consumer driver
 //! (`run_sampled`).  The channel close protocol and the directed
-//! hazard-window probe keep their own loops.  Every run feeds its
+//! hazard-window probe keep their own loops.  Every target runs the shipped
+//! cells, preempted at each cell operation through the one `wcq-atomics`
+//! checkpoint seam.  Every run feeds its
 //! observations to the shared no-loss/no-duplication/per-producer-FIFO oracle
 //! ([`verify_observations`]) plus the invariant probes the big stress suite
 //! cannot sample deterministically:
@@ -41,29 +43,29 @@ use std::sync::Arc;
 
 use wcq::{builder, ChannelBackend, TryRecvError, TrySendError};
 use wcq_core::wcq::cells::CellFamily;
-use wcq_core::wcq::{LlscFamily, WcqConfig, WcqQueue, WcqQueueHandle};
+use wcq_core::wcq::{LlscFamily, NativeFamily, WcqConfig, WcqQueue, WcqQueueHandle};
 use wcq_harness::{decode, encode, verify_observations, DetRng};
 use wcq_unbounded::{
     SegmentStats, ShardedWcq, ShardedWcqHandle, UnboundedWcq, UnboundedWcqHandle,
     DEFAULT_SEGMENT_CACHE,
 };
 
-use crate::family::CheckedFamily;
 use crate::sched::{maybe_yield, with_intruder, Schedule, Scheduler};
 
 /// Which structure a checked run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Target {
-    /// Bounded `WcqQueue<u64, CheckedFamily>` — the native-CAS2 model with a
-    /// yield point at every cell operation.
+    /// Bounded `WcqQueue<u64, NativeFamily>` — the shipped native-CAS2
+    /// cells, preempted at every `AtomicDouble` operation through the
+    /// `wcq-atomics` checkpoint seam.
     Bounded,
     /// Bounded `WcqQueue<u64, LlscFamily>` — the LL/SC emulation, preempted
-    /// through the instrumented `Granule` seam in `wcq-atomics`.  (The
-    /// packed `LlscCtr` counter is a plain atomic and is *not* a preemption
-    /// point; coverage there comes from the `Bounded` model, whose counter
-    /// is fully instrumented.)
+    /// through the same seam in its `Granule`.  (The packed `LlscCtr`
+    /// counter is a plain atomic and is *not* a preemption point; coverage
+    /// there comes from the `Bounded` model, whose counter is an
+    /// `AtomicDouble`.)
     BoundedLlsc,
-    /// Unbounded wLSCQ over [`CheckedFamily`] segments, plus the segment
+    /// Unbounded wLSCQ over [`NativeFamily`] segments, plus the segment
     /// residency probe.
     Unbounded,
     /// The channel close protocol over an LL/SC backend the plan picks —
@@ -71,7 +73,7 @@ pub enum Target {
     /// plan's threads admit, so closes race appends and crossings — plus the
     /// close-balance probe.
     Channel,
-    /// Two-shard [`ShardedWcq`] over [`CheckedFamily`] segments: producers
+    /// Two-shard [`ShardedWcq`] over [`NativeFamily`] segments: producers
     /// on distinct home shards, consumers draining their own home and
     /// stealing from the other while its producer is still enqueueing —
     /// under the full oracle (per-producer FIFO included) plus the segment
@@ -182,9 +184,9 @@ impl CheckPlan {
         }
     }
 
-    /// An unbounded wLSCQ over [`CheckedFamily`] segments for `handles`
+    /// An unbounded wLSCQ over [`NativeFamily`] segments for `handles`
     /// registered handles.
-    fn unbounded(&self, handles: usize) -> UnboundedWcq<u64, CheckedFamily> {
+    fn unbounded(&self, handles: usize) -> UnboundedWcq<u64, NativeFamily> {
         UnboundedWcq::with_config_counters(self.ring_order, handles, self.config(), None)
     }
 
@@ -246,7 +248,7 @@ pub struct ExploreOutcome {
 /// too — a checked run must never take the test process down with it.
 pub fn run_one(plan: &CheckPlan, target: Target, schedule: Schedule) -> Result<u64, Violation> {
     let result = catch_unwind(AssertUnwindSafe(|| match target {
-        Target::Bounded => sample_bounded::<CheckedFamily>(plan, target, schedule),
+        Target::Bounded => sample_bounded::<NativeFamily>(plan, target, schedule),
         Target::BoundedLlsc => sample_bounded::<LlscFamily>(plan, target, schedule),
         Target::Unbounded => sample_unbounded(plan, schedule),
         Target::Channel => run_channel(plan, schedule),
@@ -428,7 +430,7 @@ impl<F: CellFamily> Worker for WcqQueueHandle<'_, u64, F> {
 /// its reclamation before it lets go of the token.
 macro_rules! segmented_worker {
     ($($handle:ident),*) => {$(
-        impl Worker for $handle<'_, u64, CheckedFamily> {
+        impl Worker for $handle<'_, u64, NativeFamily> {
             fn try_enqueue(&mut self, v: u64) -> Result<(), u64> {
                 self.enqueue(v);
                 Ok(())
@@ -590,7 +592,7 @@ fn sample_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
         Target::Sharded,
         schedule,
         |threads| {
-            ShardedWcq::<u64, CheckedFamily>::with_config_counters(
+            ShardedWcq::<u64, NativeFamily>::with_config_counters(
                 SHARDS,
                 plan.ring_order,
                 threads,
@@ -618,7 +620,7 @@ fn sample_sharded(plan: &CheckPlan, schedule: Schedule) -> Result<u64, String> {
 /// State the stalled handle's script and the intruder share in a
 /// [`Target::HazardWindow`] run (one thread, so plain cells).
 struct Window {
-    queue: ManuallyDrop<UnboundedWcq<u64, CheckedFamily>>,
+    queue: ManuallyDrop<UnboundedWcq<u64, NativeFamily>>,
     /// What the queue must hold, front first: every operation of either
     /// handle is applied here too, and every dequeue is checked against it.
     model: RefCell<VecDeque<u64>>,
@@ -635,7 +637,7 @@ struct Window {
 }
 
 impl Window {
-    fn enqueue(&self, h: &mut UnboundedWcqHandle<'_, u64, CheckedFamily>, who: usize) {
+    fn enqueue(&self, h: &mut UnboundedWcqHandle<'_, u64, NativeFamily>, who: usize) {
         let seq = self.sent[who].get() + 1;
         self.sent[who].set(seq);
         let v = encode(who, seq);
@@ -645,7 +647,7 @@ impl Window {
 
     /// Dequeues through `h` and checks the result against the model; `false`
     /// (with the violation recorded) on a mismatch.
-    fn dequeue(&self, h: &mut UnboundedWcqHandle<'_, u64, CheckedFamily>, what: &str) -> bool {
+    fn dequeue(&self, h: &mut UnboundedWcqHandle<'_, u64, NativeFamily>, what: &str) -> bool {
         let got = h.dequeue();
         let want = self.model.borrow_mut().pop_front();
         if got != want {

@@ -2,9 +2,9 @@
 //!
 //! Deterministic analysis subsystem for the wCQ reproduction: a cooperative
 //! token **scheduler** ([`sched`]) that serializes threads and explores
-//! interleavings PCT-style from a `(seed, depth)` pair, a third hardware
-//! model ([`family::CheckedFamily`]) whose every cell operation is a
-//! preemption point, an **explorer** ([`explore()`]) that runs shrunken
+//! interleavings PCT-style from a `(seed, depth)` pair and preempts the
+//! shipped cells of both hardware models at the one `wcq-atomics`
+//! checkpoint seam, an **explorer** ([`explore()`]) that runs shrunken
 //! stress plans under thousands of schedules against the no-loss/no-dup/FIFO
 //! oracle plus invariant probes (threshold bound, close balance,
 //! segment residency) — its four sampled targets through one
@@ -30,11 +30,9 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod explore;
-pub mod family;
 pub mod lint;
 pub mod sched;
 
 pub use explore::{explore, replay, run_one, smoke, CheckPlan, ExploreOutcome, Target, Violation};
-pub use family::CheckedFamily;
 pub use lint::{lint_source, lint_tree, Finding};
 pub use sched::{Schedule, Scheduler};

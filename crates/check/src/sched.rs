@@ -3,8 +3,9 @@
 //! A checked run serializes its worker threads: exactly one registered thread
 //! holds the *token* at any moment and every other one blocks on its own
 //! condition variable, so a hand-off wakes the next holder and no one else.
-//! Before every instrumented atomic operation (and once per driver
-//! loop iteration) the running thread passes through [`maybe_yield`], where a
+//! Before every instrumented atomic operation (the `wcq-atomics` checkpoint
+//! seam, whose hook this module installs) and once per driver loop iteration
+//! ([`maybe_yield`]) the running thread passes a yield point, where a
 //! seeded [`DetRng`] decides whether the token moves and to whom.  Because
 //! every scheduling decision is drawn from the PRNG and execution between
 //! yield points is single-threaded, the entire run — every interleaving,
@@ -147,8 +148,11 @@ fn install_global_hook() {
     });
 }
 
-/// Explicit yield point for driver loops and `CheckedFamily` operations.
-/// No-op unless the calling thread holds a live [`Registration`].
+/// Explicit yield point for the explorer's driver loops, which touch no
+/// cell between two queue operations.  The queues' own yield points are the
+/// `wcq-atomics` checkpoint seam's, which reach the same dispatcher.  No-op
+/// unless the calling thread holds a live [`Registration`] or runs under
+/// [`with_intruder`].
 #[inline]
 pub fn maybe_yield(op: &'static str) {
     dispatcher(op);

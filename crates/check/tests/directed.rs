@@ -8,13 +8,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use wcq_check::sched::with_intruder;
-use wcq_check::CheckedFamily;
 use wcq_core::metrics::{Counter, CounterSet};
-use wcq_core::wcq::WcqConfig;
+use wcq_core::wcq::{NativeFamily, WcqConfig};
 use wcq_unbounded::UnboundedWcq;
 
 /// A queue of two-slot segments for two handles, recording into `set`.
-fn counted(set: &Arc<CounterSet>) -> Rc<UnboundedWcq<u64, CheckedFamily>> {
+fn counted(set: &Arc<CounterSet>) -> Rc<UnboundedWcq<u64, NativeFamily>> {
     Rc::new(UnboundedWcq::with_config_counters(
         1,
         2,
@@ -132,7 +131,7 @@ fn a_producer_stopped_in_its_announcement_is_counted_by_the_crossing() {
 /// linking `SHUT`, so there this test fails on the count alone.)
 #[test]
 fn a_producer_stopped_in_its_announcement_keeps_a_closed_queue_unsettled() {
-    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(2, 2));
+    let q = Rc::new(UnboundedWcq::<u64, NativeFamily>::new(2, 2));
     let seen = Rc::new(Cell::new(None));
     let intruder = {
         let (q, seen) = (Rc::clone(&q), Rc::clone(&seen));
@@ -172,7 +171,7 @@ fn a_producer_stopped_in_its_announcement_keeps_a_closed_queue_unsettled() {
 #[test]
 fn a_handle_stopped_in_a_memo_miss_pins_one_segment() {
     // 16-slot segments for two handles: stash runs of 2.
-    let q = Rc::new(UnboundedWcq::<u64, CheckedFamily>::new(4, 2));
+    let q = Rc::new(UnboundedWcq::<u64, NativeFamily>::new(4, 2));
     let cap = q.segment_capacity() as u64;
     let armed = Rc::new(Cell::new(false));
     let seen = Rc::new(Cell::new(None));

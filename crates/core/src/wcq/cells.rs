@@ -153,7 +153,8 @@ impl EntryCell for NativeEntry {
 }
 
 /// Head/Tail counter backed by [`AtomicDouble`]: counter in the low word,
-/// help reference in the high word.
+/// help reference in the high word.  Under the `check-mutations` feature its
+/// fast-path F&A is deliberately torn, for the `wcq-check` mutation proof.
 pub struct NativeCtr(AtomicDouble);
 
 impl TicketCtr for NativeCtr {
@@ -166,6 +167,22 @@ impl TicketCtr for NativeCtr {
     }
     #[inline]
     fn fetch_add_cnt(&self) -> u64 {
+        #[cfg(feature = "check-mutations")]
+        {
+            // MUTATION (check-mutations): models downgrading the Head/Tail
+            // counter F&A from one SeqCst read-modify-write to the weaker
+            // access the algorithm must NOT use.  A memory-ordering downgrade
+            // alone is invisible under a serialized sequentially-consistent
+            // explorer, so the mutation realizes the concrete outcome the
+            // downgrade licenses: the RMW is torn into a load and a blind
+            // store with a schedule point in between, letting two threads
+            // claim the same ring ticket.
+            let prev = self.0.load_lo();
+            wcq_atomics::yield_point("ctr.faa.torn");
+            self.0.store_lo(prev.wrapping_add(1));
+            prev
+        }
+        #[cfg(not(feature = "check-mutations"))]
         self.0.fetch_add_lo(1)
     }
     #[inline]

@@ -1057,6 +1057,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use wcq_core::wcq::LlscFamily;
 
     /// A queue recording into a fresh counter set — the one way to read
@@ -1795,8 +1796,19 @@ mod tests {
                 }
                 in_segment += 1;
                 if v >= 2 * cap {
+                    let rebinds = h.rebinds;
                     assert_eq!(h.dequeue(), Some(next_out));
                     next_out += 1;
+                    // A memo move that kept the stash would hand the tail's
+                    // indices out again once the memo comes back, so the
+                    // count above cannot see it.
+                    if h.rebinds > rebinds {
+                        assert_eq!(
+                            h.stash.len(),
+                            0,
+                            "order {order}: the memo left the tail for the head with its stash"
+                        );
+                    }
                 }
             }
             let reused = set.get(Counter::SegmentsReused);
@@ -1839,9 +1851,11 @@ mod tests {
     }
 
     /// Two producers, both stashing, a closer and a drainer, with every
-    /// operation forced onto the slow path.
+    /// operation forced onto the slow path.  A close that never links
+    /// `SHUT` never settles the queue: the waits give up at a deadline.
     fn stashing_producers_race_a_close<F: CellFamily>() {
         const PER: u64 = 400;
+        const PATIENCE: Duration = Duration::from_secs(30);
         let config = WcqConfig {
             max_patience_enqueue: 1,
             max_patience_dequeue: 1,
@@ -1854,6 +1868,7 @@ mod tests {
             assert_eq!(q.run, 4);
             let (q, closed, delivered) = (&q, &AtomicBool::new(false), &AtomicU64::new(0));
             let close_after = seed * 53 % (2 * PER);
+            let deadline = Instant::now() + PATIENCE;
             let (mut accepted, mut got) = std::thread::scope(|s| {
                 let producers: Vec<_> = (0..2u64)
                     .map(|p| {
@@ -1876,6 +1891,10 @@ mod tests {
                     .collect();
                 s.spawn(move || {
                     while delivered.load(Ordering::SeqCst) < close_after {
+                        assert!(
+                            Instant::now() < deadline,
+                            "seed {seed}: {close_after} deliveries never came in {PATIENCE:?}"
+                        );
                         std::thread::yield_now();
                     }
                     q.register().unwrap().close();
@@ -1891,6 +1910,10 @@ mod tests {
                             if settled {
                                 break;
                             }
+                            assert!(
+                                Instant::now() < deadline,
+                                "seed {seed}: the closed queue did not settle in {PATIENCE:?}"
+                            );
                             std::thread::yield_now();
                             continue;
                         };

@@ -21,13 +21,17 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // Slow-path enqueue treated a dequeuer's `⊥` burn marker on the agreed
     // ticket as "already inserted" and lost the element (missing
     // `Index != ⊥` guard on try_enq_slow's cycle-match branch).  Three
-    // targets caught the same bug independently.
+    // targets caught the same bug independently.  (Since the native targets
+    // run the shipped cells, with one yield point per cell operation, the
+    // `Bounded` and `Unbounded` replays run other interleavings; with the
+    // guard removed both still lose the element, and the consumer polls
+    // until the step bound.)
     (
         3,
         Target::Bounded,
         0x7,
         4,
-        1287,
+        313,
         "slow-path enqueue lost element on burned ticket",
     ),
     (
@@ -38,28 +42,28 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         255,
         "slow-path enqueue lost element (LL/SC model)",
     ),
-    // (Since segments take fresh indices from a claim counter this replay
-    // runs another interleaving; with the guard removed it still loses the
-    // element, and the consumer polls until the step bound.)
     (
         3,
         Target::Unbounded,
         0x7,
         4,
-        1198,
+        884,
         "slow-path enqueue lost element (segmented queue)",
     ),
     // Register-allocation hazard in the cmpxchg16b inline asm: LLVM could
     // place the pointer operand in rbx, which the rbx save/restore xchg
     // clobbers — a null-write segfault in release builds only.  The checker
     // surfaced it by generating enough register pressure; the operands are
-    // now pinned (rdi / r8b).
+    // now pinned (rdi / r8b).  The bug was in the compiled asm, so no
+    // mutation of today's source re-creates it: since the native targets run
+    // the shipped cells this replay runs another interleaving, re-pinned
+    // without proof that it would still reach the clobber.
     (
         2,
         Target::Bounded,
         0x3C6E_F372_FE94_F82C,
         1,
-        639,
+        310,
         "cmpxchg16b asm operand clobbered by rbx save/restore",
     ),
     // `try_deq_slow` reported a slow dequeue request finished when its FIN
@@ -92,13 +96,16 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // `local_tail` (no `INC`, no `FIN`) as the agreed ticket.  It then
     // deposited the *old* index there and FINed the new request: one value
     // duplicated, another lost.  The slow path now re-reads `seq1` after
-    // every agreed ticket and stops once the helpee has moved on.
+    // every agreed ticket and stops once the helpee has moved on.  (Since
+    // the native targets run the shipped cells, the first `Bounded` seed,
+    // 0xDAA6_6D2C_7DDF_7550, passes with the bug put back; this one was the
+    // first of plan 3's in a `--explore 24 300` sweep with the bug back.)
     (
         3,
         Target::Bounded,
-        0xDAA6_6D2C_7DDF_7550,
+        0xDAA6_6D2C_7DDF_74FA,
         16,
-        464,
+        577,
         "stale slow-path helper deposited an old index at a new request's ticket",
     ),
     (
@@ -138,16 +145,16 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // the step bound could not even see.  The backoff now passes through the
     // checkpoint seam.  Under this schedule the consumer's wait for an
     // in-flight enqueue passes no other yield point: with the checkpoint
-    // removed from `snooze_or_yield`, this replay hangs.  (Re-found when
-    // segments began taking fresh indices from a claim counter: the old seed,
-    // 0x71BB_CDCB_FA53_E0A8, no longer reached the wait; this one was the
-    // first of a seed search to hang without the checkpoint.)
+    // removed from `snooze_or_yield`, this replay hangs.  (Re-found twice,
+    // each time by a seed search for the first replay to hang without the
+    // checkpoint: when segments began taking fresh indices from a claim
+    // counter, and when the native targets began running the shipped cells.)
     (
         4,
         Target::Unbounded,
-        0xF555_40B2_BFF0_6252,
+        0x78DD_E6E5_FD29_F077,
         16,
-        2376,
+        1534,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
     // Pins the sharded queue's ordering contract rather than a fixed bug.
@@ -161,7 +168,7 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
         Target::Sharded,
         0xDAA6_6D2C_7DDF_7443,
         4,
-        1876,
+        783,
         "steals racing the home shard's producer must keep its FIFO order",
     ),
     // Pins the hazard memo's miss condition rather than a fixed bug: under
@@ -173,22 +180,22 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // the loaded pointer unrevalidated fails exactly here ("a dequeue
     // returned None where the sequential model holds ..."); if a memo hit
     // is ever inferred from anything weaker than `src == bound`, so does the
-    // real tree.  (754 -> 734 yield points when the give-back moved before
-    // the protect: the head is no longer pinned through the turnover, so
-    // the intruder's reclamation and appends run differently.)
+    // real tree.  (The count is every yield point of the run, so it fell
+    // 734 -> 390 when each cell operation became one yield point, not two;
+    // the mutant still fails here, with the same message.)
     (
         1,
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        734,
+        390,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
     // two producers on the unbounded backend's 4-slot segments, and the
     // receiver closes after 10 values.  The `check-mutations` mutant whose
-    // close returns without linking `SHUT` fails exactly here ("worker 0
-    // seq 8 was accepted by a send that started after the channel's close
+    // close returns without linking `SHUT` fails exactly here ("worker 1
+    // seq 10 was accepted by a send that started after the channel's close
     // had returned"): the queue stays open.  If an enqueue can ever be
     // admitted after a completed close, so does the real tree.
     (
