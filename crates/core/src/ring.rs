@@ -122,19 +122,20 @@ impl<F: RingFamily, S> Ring<F, S> {
         self
     }
 
-    /// Rewrites the ring, in place, into the state [`Ring::empty`] builds:
-    /// every entry initial, every `Note` zero, `Head` and `Tail` at `2n` with
-    /// no help reference, and the threshold at −1.  `&mut self` makes each
-    /// write a plain store: no ring operation runs, so no counter moves and
-    /// no checked run passes a yield point.  The slow-path state (wCQ's
-    /// thread records) is left as it is.
+    /// Rewrites the ring, in place, into the state a new empty ring starts
+    /// in: every entry initial, every `Note` zero, `Head` and `Tail` at `2n`
+    /// with no help reference, and the threshold at −1.  `&mut self` makes
+    /// each write a plain store: no ring operation runs, so no counter moves
+    /// (a checked run passes only the two reads of `Head` and `Tail`, which
+    /// go through the cells).  The slow-path state (wCQ's thread records) is
+    /// left as it is.
     ///
     /// A ring whose `Head` and `Tail` are both still at `2n` took no ticket
     /// since it was built or last cleared, and an entry changes only under a
     /// ticket, so only the threshold is written then.  (`Head` moves only
     /// past a non-negative threshold, which only a deposit — a tail ticket —
-    /// or [`Ring::fill`] sets.)
-    pub(crate) fn clear(&mut self) {
+    /// or a pre-filled `fq`'s construction sets.)
+    pub fn clear(&mut self) {
         let l = self.layout;
         let first = l.init_counter();
         if self.head.load_cnt() != first || self.tail.load_cnt() != first {

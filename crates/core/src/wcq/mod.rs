@@ -18,5 +18,5 @@ pub mod record;
 mod ring;
 
 pub use cells::{CellFamily, LlscFamily, NativeFamily, RingFamily};
-pub use queue::{WcqQueue, WcqQueueHandle, BATCH};
+pub use queue::{new_slots, WcqQueue, WcqQueueHandle, BATCH};
 pub use ring::{WcqConfig, WcqHandle, WcqRing, WcqState};

@@ -16,6 +16,135 @@ use super::ring::{WcqConfig, WcqRing};
 /// the stack instead of allocating one, and a longer request goes in runs.
 pub const BATCH: usize = 64;
 
+/// Figure 2's data array: one slot per index, owned by whoever holds the
+/// index.
+type Slot<T> = UnsafeCell<MaybeUninit<T>>;
+
+/// `capacity` uninitialised data slots: the array [`WcqRing::deposit_at`]
+/// and its neighbours hand values through.  [`WcqQueue`] and
+/// `wcq-unbounded`'s segments each keep one beside their `aq`.
+pub fn new_slots<T>(capacity: usize) -> Box<[UnsafeCell<MaybeUninit<T>>]> {
+    (0..capacity)
+        .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+        .collect()
+}
+
+/// Figure 2's hand-off between a data array and its `aq` (this ring): an
+/// enqueue writes its value to the slot of a free index and publishes the
+/// index ([`WcqRing::deposit_at`]); a dequeue takes an index and moves the
+/// value out ([`WcqRing::take_checked_at`]), which frees the index.
+///
+/// Where free indices come from and where freed ones go is the owner's
+/// business.  [`WcqQueue`] circulates them through its `fq` ring, as in
+/// Figure 2.  `wcq-unbounded`'s segments hand never-used indices out from a
+/// claim counter, and install an `fq` only when a dequeue first hands one
+/// back.  The owner keeps the array beside its `aq` rather than inside a
+/// struct of its own, so a segment packs its own words into the line the
+/// data pointer takes.
+///
+/// Every method's `slots` is the array whose indices this ring publishes:
+/// the owner's one array, on every call.  A value still published when the
+/// owner drops is dropped by [`WcqRing::drop_published`], which the owner's
+/// `Drop` calls.
+impl<F: CellFamily> WcqRing<F> {
+    /// Writes `value` to the slot of the free `index` and publishes the
+    /// index, as the thread owning record slot `tid`.
+    ///
+    /// # Safety
+    /// * `slots` is the array this ring publishes the indices of;
+    /// * `tid` is exclusive to the caller, as for [`WcqQueue::enqueue_at`];
+    /// * `index` is the caller's alone: a free index the owner handed to it
+    ///   (from `fq`, or from its own supply of never-used ones) and not
+    ///   deposited at since.
+    #[inline]
+    pub unsafe fn deposit_at<T>(&self, slots: &[Slot<T>], tid: usize, index: u32, value: T) {
+        // SAFETY: the caller owns the slot until the index is published.
+        unsafe { (*slots[index as usize].get()).write(value) };
+        self.enqueue_index(tid, index.into());
+    }
+
+    /// [`WcqRing::deposit_at`] for a run: writes the front `free.len()`
+    /// values of `values` to the slots of `free`, in order, and publishes
+    /// the run with one batch enqueue (one tail F&A).
+    ///
+    /// # Safety
+    /// As for [`WcqRing::deposit_at`], for every index in `free`; and
+    /// `values` holds at least `free.len()` values.
+    pub unsafe fn deposit_many_at<T>(
+        &self,
+        slots: &[Slot<T>],
+        tid: usize,
+        free: &[u32],
+        values: &mut VecDeque<T>,
+    ) {
+        for (&index, value) in free.iter().zip(values.drain(..free.len())) {
+            // SAFETY: the caller owns each slot until the run is published.
+            unsafe { (*slots[index as usize].get()).write(value) };
+        }
+        self.enqueue_many(tid, free);
+    }
+
+    /// The rest of a dequeue once [`WcqRing::dequeue_finds_empty`] answered
+    /// `false`, as the thread owning record slot `tid`: the dequeue's
+    /// attempt, inline, and the value's move; `None` when the attempt found
+    /// the ring empty.  Call it from the out-of-line half of a split
+    /// dequeue.  The slot is then free, and its index the caller's: it hands
+    /// it to the owner's free supply, or keeps it, which is safe and takes
+    /// the slot out of circulation until the owner hands its indices out
+    /// afresh.
+    ///
+    /// # Safety
+    /// `slots` and `tid` as for [`WcqRing::deposit_at`].
+    #[inline(always)]
+    pub unsafe fn take_checked_at<T>(&self, slots: &[Slot<T>], tid: usize) -> Option<(T, u32)> {
+        let index = self.dequeue_checked(tid)?;
+        // SAFETY: the index came from this ring; the matching deposit fully
+        // initialized the slot and nobody else touches it until the index
+        // is deposited at again.
+        let value = unsafe { (*slots[index as usize].get()).assume_init_read() };
+        Some((value, index as u32))
+    }
+
+    /// Takes up to `free.len()` indices with one batch dequeue, moves their
+    /// values to `out` and writes the freed indices to the front of `free`,
+    /// where they become the caller's as in [`WcqRing::take_checked_at`].
+    /// Returns the number taken: possibly fewer than asked while values
+    /// remain, but a `0` is authoritative (see
+    /// [`WcqQueue::dequeue_many_at`]).
+    ///
+    /// # Safety
+    /// `slots` and `tid` as for [`WcqRing::deposit_at`].
+    pub unsafe fn take_many_at<T>(
+        &self,
+        slots: &[Slot<T>],
+        tid: usize,
+        out: &mut Vec<T>,
+        free: &mut [u32],
+    ) -> usize {
+        let mut took = 0;
+        self.dequeue_many(tid, free.len(), |index| {
+            // SAFETY: each index came from this ring; the matching deposit
+            // fully initialized the slot and nobody else touches it until
+            // the index is deposited at again.
+            out.push(unsafe { (*slots[index as usize].get()).assume_init_read() });
+            free[took] = index as u32;
+            took += 1;
+        })
+    }
+
+    /// Drops every value still published in `slots`: the owner's `Drop`,
+    /// which `&mut` proves alone.  It claims one of the ring's records to
+    /// drain under.
+    pub fn drop_published<T>(&mut self, slots: &mut [Slot<T>]) {
+        let mut h = self.register().expect("no handles can outlive the queue");
+        while let Some(index) = h.dequeue() {
+            // SAFETY: the index was delivered by this ring, so the slot holds
+            // an initialized element that nobody else owns.
+            unsafe { (*slots[index as usize].get()).assume_init_drop() };
+        }
+    }
+}
+
 /// A bounded, wait-free MPMC FIFO queue of `T` with capacity `2^order`.
 ///
 /// Values live in a data array; a `fq` ring circulates free slot indices and
@@ -26,23 +155,13 @@ pub const BATCH: usize = 64;
 /// registered thread.
 ///
 /// Threads operate through [`WcqQueueHandle`]s obtained from
-/// [`WcqQueue::register`].
-///
-/// A layer above may run the two halves of each operation itself: an
-/// enqueue is [`WcqQueue::claim_free`] then [`WcqQueue::deposit`], a dequeue
-/// [`WcqQueue::take_finds_empty`], [`WcqQueue::take_checked_at`] and
-/// [`WcqQueue::return_index`].  It may also keep
-/// the never-used indices out of `fq` and hand them out itself: a queue
-/// built with [`WcqQueue::with_empty_free`] starts with `fq` empty, and
-/// [`WcqQueue::clear_free`] empties it again once the queue is drained.
-/// `wcq-unbounded` builds its segments so: a segment hands out its fresh
-/// indices from a claim counter, its `fq` holds only indices dequeues
-/// returned, and a dequeuer that knows no enqueue will claim a free index
-/// there again keeps the index instead of returning it.
+/// [`WcqQueue::register`].  The data array's hand-off through `aq` is
+/// [`WcqRing::deposit_at`] and its neighbours, which `wcq-unbounded`'s
+/// segments run too.
 pub struct WcqQueue<T, F: CellFamily = NativeFamily> {
     aq: WcqRing<F>,
     fq: WcqRing<F>,
-    data: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    slots: Box<[Slot<T>]>,
 }
 
 // SAFETY: slot indices are handed between threads through the rings; the slot
@@ -67,35 +186,16 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         config: WcqConfig,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
-        let mut queue = Self::with_empty_free(order, max_threads, config, counters);
-        queue.fq.fill();
-        queue
-    }
-
-    /// [`WcqQueue::with_config_counters`] with `fq` left empty: no index is
-    /// free in the queue itself.  The caller owns every index `0..capacity`
-    /// and hands each out to [`WcqQueue::deposit`] at most once, until
-    /// [`WcqQueue::clear_free`]; only indices dequeues hand back
-    /// ([`WcqQueue::return_index`], [`WcqQueue::return_free`]) reach `fq`.
-    pub fn with_empty_free(
-        order: u32,
-        max_threads: usize,
-        config: WcqConfig,
-        counters: Option<Arc<CounterSet>>,
-    ) -> Self {
         let aq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters.clone());
-        let fq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters);
-        let capacity = aq.capacity() as usize;
-        let data = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self { aq, fq, data }
+        let mut fq = WcqRing::<F>::with_config_counters(order, max_threads, config, counters);
+        fq.fill();
+        let slots = new_slots(aq.capacity() as usize);
+        Self { aq, fq, slots }
     }
 
     /// Maximum number of elements the queue can hold.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.slots.len()
     }
 
     /// Maximum number of simultaneously registered threads.
@@ -144,10 +244,8 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
     }
 
     // ------------------------------------------------------------------
-    // Tid-keyed operations without a borrowing handle.  `wcq-unbounded`
-    // runs its segments on these under its hazard-domain participant id (a
-    // handle would be self-referential through the hazard-protected segment
-    // pointer).
+    // Tid-keyed operations without a borrowing handle, for a layer that
+    // keeps its own registration.
     // ------------------------------------------------------------------
 
     /// Attempts to enqueue `value` as the thread owning record slot `tid`;
@@ -171,121 +269,8 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         };
         // SAFETY: `tid` is exclusive per the function contract, and the
         // index just came from `fq`.
-        unsafe { self.deposit(tid, index as u32, value) };
+        unsafe { self.aq.deposit_at(&self.slots, tid, index as u32, value) };
         Ok(())
-    }
-
-    /// The first half of [`WcqQueue::enqueue_at`] for a run of values:
-    /// claims up to `free.len()` free slot indices with one `fq` batch
-    /// dequeue (one head F&A for the run), writes them to the front of
-    /// `free` and returns how many.  `0` is `fq`'s ⊥: no index was free.
-    /// Each claimed index is the caller's until it deposits a value there
-    /// ([`WcqQueue::deposit`]) or hands it back ([`WcqQueue::return_free`]);
-    /// until then no other enqueuer can claim it.
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn claim_free(&self, tid: usize, free: &mut [u32]) -> usize {
-        let mut claimed = 0;
-        self.fq.dequeue_many(tid, free.len(), |index| {
-            free[claimed] = index as u32;
-            claimed += 1;
-        });
-        claimed
-    }
-
-    /// The second half of [`WcqQueue::enqueue_at`]: writes `value` to the
-    /// slot of the claimed free `index` and publishes the index through `aq`.
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`]; and `index` is the
-    /// caller's alone: it came from `fq` through [`WcqQueue::claim_free`] on
-    /// this queue (or `enqueue_at`'s own claim) and has not been deposited at
-    /// or returned since, or — on a queue built with
-    /// [`WcqQueue::with_empty_free`] — the caller handed it out itself, once
-    /// since the queue was built or its `fq` last cleared with `aq` empty
-    /// ([`WcqQueue::clear_free`]).
-    #[inline]
-    pub unsafe fn deposit(&self, tid: usize, index: u32, value: T) {
-        // SAFETY: the caller owns the slot until the index is published
-        // through `aq`.
-        unsafe { (*self.data[index as usize].get()).write(value) };
-        self.aq.enqueue_index(tid, index.into());
-    }
-
-    /// [`WcqQueue::deposit`] for a run: writes the front `free.len()` values of
-    /// `values` to the slots of `free`, in order, and publishes the run
-    /// through `aq` with one batch enqueue (one tail F&A).
-    ///
-    /// # Safety
-    /// As for [`WcqQueue::deposit`], for every index in `free`; and `values`
-    /// holds at least `free.len()` values.
-    pub unsafe fn deposit_many(&self, tid: usize, free: &[u32], values: &mut VecDeque<T>) {
-        for (&index, value) in free.iter().zip(values.drain(..free.len())) {
-            // SAFETY: the caller owns each slot until the run is published
-            // through `aq`.
-            unsafe { (*self.data[index as usize].get()).write(value) };
-        }
-        self.aq.enqueue_many(tid, free);
-    }
-
-    /// Hands free indices back to `fq` with one batch enqueue (one tail
-    /// F&A): claimed ones left unused, or ones freed by
-    /// [`WcqQueue::take_many_at`].
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`]; and every index in `free`
-    /// is the caller's, claimed and not deposited at (as for
-    /// [`WcqQueue::deposit`]) or taken and not returned (as for
-    /// [`WcqQueue::return_index`]).
-    pub unsafe fn return_free(&self, tid: usize, free: &[u32]) {
-        self.fq.enqueue_many(tid, free);
-    }
-
-    /// The first step of a dequeue (`Dequeue_Ptr`, Figure 2): counts one
-    /// `aq` dequeue and reads `aq`'s threshold.  `true` is the dequeue's
-    /// whole answer: the queue was observed empty (Figure 5, line 30).
-    /// After `false` the caller goes on with [`WcqQueue::take_checked_at`],
-    /// which counts and reads neither again.  A layer that inlines only this
-    /// step and calls out for the rest keeps its empty poll free of calls
-    /// and register saves.
-    #[inline(always)]
-    pub fn take_finds_empty(&self) -> bool {
-        self.aq.dequeue_finds_empty()
-    }
-
-    /// The second step of a dequeue, after [`WcqQueue::take_finds_empty`]
-    /// answered `false`, as the thread owning record slot `tid`: the `aq`
-    /// dequeue's attempt, inline, and the value's move; `None` when the
-    /// attempt found `aq` empty.  Call it from the out-of-line half of a
-    /// split dequeue.  The slot is then free, and its index the
-    /// caller's: it hands it back to `fq` ([`WcqQueue::return_index`]), or
-    /// keeps it, which is safe and takes one slot out of circulation (for
-    /// good, unless the caller hands its indices out itself:
-    /// [`WcqQueue::with_empty_free`]).
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    #[inline(always)]
-    pub unsafe fn take_checked_at(&self, tid: usize) -> Option<(T, u32)> {
-        let index = self.aq.dequeue_checked(tid)?;
-        // SAFETY: the index came from `aq`; the matching enqueue fully
-        // initialized the slot and nobody else touches it until the index is
-        // handed back to `fq`.
-        let value = unsafe { (*self.data[index as usize].get()).assume_init_read() };
-        Some((value, index as u32))
-    }
-
-    /// The last step of a dequeue: hands one free index back to `fq` (one
-    /// `fq` enqueue).
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`]; and `index` came from
-    /// [`WcqQueue::take_checked_at`] or [`WcqQueue::take_many_at`] on this
-    /// queue and has not been returned since.
-    #[inline]
-    pub unsafe fn return_index(&self, tid: usize, index: u32) {
-        self.fq.enqueue_index(tid, index.into());
     }
 
     /// Attempts to enqueue a prefix of `values` as the thread owning record
@@ -311,10 +296,13 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         while !values.is_empty() {
             let want = values.len().min(BATCH);
             // SAFETY: per the function contract.
-            let claimed = unsafe { self.claim_free(tid, &mut free[..want]) };
+            let claimed = unsafe { self.fq.dequeue_many_at(tid, &mut free[..want]) };
             // SAFETY: as above; each index just came from `fq`, and `values`
             // holds `want >= claimed` values.
-            unsafe { self.deposit_many(tid, &free[..claimed], values) };
+            unsafe {
+                self.aq
+                    .deposit_many_at(&self.slots, tid, &free[..claimed], values)
+            };
             accepted += claimed;
             if claimed < want {
                 break;
@@ -339,46 +327,18 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         while got < max {
             let want = (max - got).min(BATCH);
             // SAFETY: per the function contract.
-            let took = unsafe { self.take_many_at(tid, out, &mut free[..want]) };
+            let took = unsafe {
+                self.aq
+                    .take_many_at(&self.slots, tid, out, &mut free[..want])
+            };
             // SAFETY: as above; `free` holds the indices just taken.
-            unsafe { self.return_free(tid, &free[..took]) };
+            unsafe { self.fq.enqueue_many_at(tid, &free[..took]) };
             got += took;
             if took < want {
                 break;
             }
         }
         got
-    }
-
-    /// The first half of [`WcqQueue::dequeue_many_at`]: takes up to
-    /// `free.len()` indices from `aq` with one batch dequeue, moves their
-    /// values to `out` and writes the freed indices to the front of `free`,
-    /// where they become the caller's as in [`WcqQueue::take_checked_at`]
-    /// (hand them back with [`WcqQueue::return_free`]).  Returns the number
-    /// taken, with the partial-success contract of `dequeue_many_at`.
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn take_many_at(&self, tid: usize, out: &mut Vec<T>, free: &mut [u32]) -> usize {
-        let mut took = 0;
-        self.aq.dequeue_many(tid, free.len(), |index| {
-            // SAFETY: each index came from `aq`; the matching enqueue fully
-            // initialized the slot and nobody else touches it until the
-            // index is handed back to `fq`.
-            out.push(unsafe { (*self.data[index as usize].get()).assume_init_read() });
-            free[took] = index as u32;
-            took += 1;
-        })
-    }
-
-    /// Empties `fq` in place: it becomes the ring
-    /// [`WcqQueue::with_empty_free`] builds, written with plain stores (no
-    /// ring operation, no allocation; only the threshold when `fq` never
-    /// took a ticket).  `aq`, the data array and both rings' thread records
-    /// are left as they are.  Once `aq` is empty too, every index is the
-    /// caller's to hand out again ([`WcqQueue::deposit`]).
-    pub fn clear_free(&mut self) {
-        self.fq.clear();
     }
 
     /// Returns `true` if a dequeue would currently observe an empty queue
@@ -393,23 +353,15 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         std::mem::size_of::<Self>()
             + self.aq.heap_bytes()
             + self.fq.heap_bytes()
-            + self.data.len() * std::mem::size_of::<UnsafeCell<MaybeUninit<T>>>()
+            + std::mem::size_of_val(&*self.slots)
     }
 }
 
 impl<T, F: CellFamily> Drop for WcqQueue<T, F> {
     fn drop(&mut self) {
-        // Drain and drop any remaining elements.  `&mut self` guarantees no
-        // concurrent handles exist (they borrow the queue).
-        let mut h = self
-            .aq
-            .register()
-            .expect("no handles can outlive the queue");
-        while let Some(index) = h.dequeue() {
-            // SAFETY: the index was delivered by `aq`, so the slot holds an
-            // initialized element that nobody else owns.
-            unsafe { (*self.data[index as usize].get()).assume_init_drop() };
-        }
+        // `&mut self` guarantees no concurrent handles exist (they borrow the
+        // queue).
+        self.aq.drop_published(&mut self.slots);
     }
 }
 
@@ -453,12 +405,13 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Attempts to dequeue an element; returns `None` when the queue is
     /// empty.
     ///
-    /// Only the empty answer is inline ([`WcqQueue::take_finds_empty`]):
-    /// the rest is `dequeue_checked`, out of line, so a caller's empty poll
-    /// saves no register and makes no call.
+    /// Only the empty answer is inline (`aq`'s threshold check,
+    /// [`WcqRing::dequeue_finds_empty`]): the rest is `dequeue_checked`, out
+    /// of line, so a caller's empty poll saves no register and makes no
+    /// call.
     #[inline(always)]
     pub fn dequeue(&mut self) -> Option<T> {
-        if self.queue.take_finds_empty() {
+        if self.queue.aq.dequeue_finds_empty() {
             return None;
         }
         self.dequeue_checked()
@@ -467,10 +420,11 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// [`Self::dequeue`] past its threshold check.
     #[inline(never)]
     fn dequeue_checked(&mut self) -> Option<T> {
-        // SAFETY: as in `enqueue`.
-        let (value, index) = unsafe { self.queue.take_checked_at(self.tid) }?;
-        // SAFETY: as above; the index is the one just taken.
-        unsafe { self.queue.return_index(self.tid, index) };
+        let queue = self.queue;
+        // SAFETY: the handle's existence proves ownership of slot `tid`, and
+        // `&mut self` keeps its operations from overlapping.
+        let (value, index) = unsafe { queue.aq.take_checked_at(&queue.slots, self.tid) }?;
+        queue.fq.enqueue_index(self.tid, index.into());
         self.tallies.dequeues_completed += 1;
         Some(value)
     }

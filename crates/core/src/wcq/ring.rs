@@ -623,12 +623,13 @@ impl<F: CellFamily> WcqRing<F> {
         self.dequeue_attempt(tid)
     }
 
-    /// The first step of [`Self::dequeue_index`]: counts the ring dequeue
-    /// and reads the threshold.  `true` is the whole dequeue, answering
-    /// empty (Figure 5, line 30); after `false` the caller finishes with
-    /// [`Self::dequeue_checked`], which counts and reads neither again.
+    /// The first step of a dequeue: counts the ring dequeue and reads the
+    /// threshold.  `true` is the whole dequeue, answering empty (Figure 5,
+    /// line 30); after `false` the caller finishes with the rest of the
+    /// dequeue (`dequeue_checked`, inside [`WcqRing::take_checked_at`]),
+    /// which counts and reads neither again.
     #[inline(always)]
-    pub(crate) fn dequeue_finds_empty(&self) -> bool {
+    pub fn dequeue_finds_empty(&self) -> bool {
         self.count(Counter::RingDequeues, 1);
         self.threshold() < 0 // Line 30: empty.
     }
@@ -808,6 +809,50 @@ impl<F: CellFamily> WcqRing<F> {
             };
         }
         got
+    }
+
+    // ------------------------------------------------------------------
+    // Tid-keyed index operations without a handle, for a layer that keys
+    // the ring's records by a registration of its own: `wcq-unbounded`
+    // runs a segment's `fq` on these under its hazard-domain participant
+    // id, as it runs the segment's `aq` through [`WcqRing::deposit_at`] and
+    // its neighbours.
+    // ------------------------------------------------------------------
+
+    /// Enqueues `index` as the thread owning record `tid` (one ring
+    /// enqueue).
+    ///
+    /// # Safety
+    /// `tid` is exclusive to the caller, as for
+    /// [`super::WcqQueue::enqueue_at`]; and at most `capacity` indices
+    /// circulate through the ring at a time.
+    #[inline]
+    pub unsafe fn enqueue_at(&self, tid: usize, index: u32) {
+        self.enqueue_index(tid, index.into());
+    }
+
+    /// Enqueues every index in `indices` with one batch enqueue (one tail
+    /// F&A), as the thread owning record `tid`.
+    ///
+    /// # Safety
+    /// As for [`Self::enqueue_at`].
+    pub unsafe fn enqueue_many_at(&self, tid: usize, indices: &[u32]) {
+        self.enqueue_many(tid, indices);
+    }
+
+    /// Dequeues up to `free.len()` indices with one batch dequeue (one head
+    /// F&A), as the thread owning record `tid`, writes them to the front of
+    /// `free` and returns how many.  `0` is the ring's ⊥: it was empty.
+    ///
+    /// # Safety
+    /// As for [`Self::enqueue_at`].
+    pub unsafe fn dequeue_many_at(&self, tid: usize, free: &mut [u32]) -> usize {
+        let mut claimed = 0;
+        self.dequeue_many(tid, free.len(), |index| {
+            free[claimed] = index as u32;
+            claimed += 1;
+        });
+        claimed
     }
 }
 

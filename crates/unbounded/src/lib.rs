@@ -17,13 +17,19 @@
 //!            SegmentCache ────────────────────┘  (bounded reuse free-list)
 //! ```
 //!
-//! * Every segment is a bounded, wait-free [`wcq_core::wcq::WcqQueue`], and
-//!   inner operations inherit its wait-freedom and bounded memory.  The
+//! * Every segment is Figure 2's bounded, wait-free queue: an `aq` ring and
+//!   its data slots (the hand-off is [`wcq_core::wcq::WcqRing::deposit_at`]
+//!   and its neighbours, as in `WcqQueue`), and an `fq` ring installed
+//!   only once a dequeue hands an index back (never-used indices come from a
+//!   claim counter).  Inner operations inherit wCQ's wait-freedom and
+//!   bounded memory; the install allocates at most once per segment life,
+//!   and not at all when the cache holds a spare ring.  The
 //!   queue as a whole does not: a dequeuer crossing to the next segment waits
 //!   (in `dequeue_crossing`) for enqueuers still announced on the drained
 //!   one, so one preempted enqueuer stalls every dequeuer there — blocking,
 //!   not lock-free (ROADMAP item 5(b) is the fix).
-//! * When the tail segment fills up — its free-index ring says so — a fresh
+//! * When the tail segment fills up — its claim counter and free-index ring
+//!   say so — a fresh
 //!   segment, pre-loaded with the element that triggered the append as in
 //!   LCRQ, is linked behind it, and the link is the full segment's close:
 //!   an enqueue announces the segment in one of its own hazard slots, then
@@ -35,8 +41,9 @@
 //!   dequeuer when the last accepted value has landed.
 //! * Drained segments are unlinked by dequeuers and **retired** through a
 //!   [`wcq_reclaim::HazardDomain`]; once unprotected they are **recycled**
-//!   into a bounded [`DEFAULT_SEGMENT_CACHE`]-sized free-list, so steady
-//!   traffic performs no per-operation allocation.
+//!   into a bounded [`DEFAULT_SEGMENT_CACHE`]-sized free-list, their `fq`
+//!   rings into its one spare slot, so steady traffic performs no
+//!   per-operation allocation.
 //! * The whole queue is generic over the paper's two hardware models
 //!   ([`wcq_core::wcq::NativeFamily`], [`wcq_core::wcq::LlscFamily`]).
 //! * [`ShardedWcq`] puts `N` independent wLSCQ shards behind one handle: an

@@ -96,7 +96,9 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     /// Free indices a producer claims per stash refill ([`Stash::run`]).
     run: usize,
     config: WcqConfig,
+    /// A segment's bytes without an `fq`, and an `fq` ring's.
     per_segment_bytes: usize,
+    per_fq_bytes: usize,
     segments_live: AtomicUsize,
     /// The length hint, kept as one single-writer net count (enqueues minus
     /// dequeues) per handle slot and summed on read (see
@@ -154,7 +156,8 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             counters.clone(),
         )));
         // SAFETY: freshly allocated, exclusively owned.
-        let per_segment_bytes = unsafe { (*first).footprint() };
+        let (per_segment_bytes, per_fq_bytes) =
+            unsafe { ((*first).footprint(), (*first).fq_footprint()) };
         Self {
             head: CachePadded::new(AtomicPtr::new(first)),
             tail: CachePadded::new(AtomicPtr::new(first)),
@@ -170,6 +173,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             run: Stash::run(1 << seg_order, max_threads),
             config,
             per_segment_bytes,
+            per_fq_bytes,
             segments_live: AtomicUsize::new(1),
             net_counts: (0..max_threads).map(|_| NetCount::default()).collect(),
             counters,
@@ -266,16 +270,18 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
 
     /// Bytes currently held: the queue header, what it owns on the heap
     /// beside the segments (hazard domain arrays, the boxed segment cache,
-    /// the length-hint words) and every resident segment (live, cached or
-    /// awaiting reclamation).  On a quiescent queue this is exactly what the
-    /// allocator handed out (`tests/bounded_memory.rs`); under traffic the
-    /// segment count is a racy read.
+    /// the length-hint words), every resident segment (live, cached or
+    /// awaiting reclamation) and every `fq` ring (one per segment that got
+    /// an index back in its current life, and the cache's spare).  On a
+    /// quiescent queue this is exactly what the allocator handed out
+    /// (`tests/bounded_memory.rs`); under traffic the counts are racy reads.
     pub fn memory_footprint(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.domain.heap_bytes()
             + std::mem::size_of::<SegmentCache<T, F>>()
             + std::mem::size_of_val(&*self.net_counts)
             + self.segment_stats().resident() * self.per_segment_bytes
+            + self.cache.rings() * self.per_fq_bytes
     }
 
     /// Obtains a fresh tail segment — from the cache when possible — already
@@ -320,8 +326,8 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
     /// thread won the append race) and parks the segment in the cache.
     fn abandon_fresh(&self, tid: usize, seg: *mut Segment<T, F>) -> T {
         // SAFETY: unpublished, exclusively owned by this thread, so it is
-        // the segment's only user under any `tid`.
-        let value = unsafe { (*seg).try_dequeue(tid) }
+        // the segment's only user under any `tid`, and pre-loaded.
+        let value = unsafe { (*seg).take_back(tid) }
             .expect("unpublished segment holds exactly the pre-loaded element");
         self.segments_live.fetch_sub(1, SeqCst);
         // SAFETY: still exclusively owned; never linked, so no hazard can
@@ -333,10 +339,11 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
 
 impl<T, F: CellFamily> Drop for UnboundedWcq<T, F> {
     fn drop(&mut self) {
-        // Free every segment still linked; the inner `WcqQueue` drops drain
-        // remaining elements.  Retired-but-unreclaimed segments are owned by
-        // `domain` (dropped next), which recycles them into `cache` (dropped
-        // last) — field order in the struct enforces this.
+        // Free every segment still linked; each segment's drop drains its
+        // remaining elements and frees its `fq`.  Retired-but-unreclaimed
+        // segments are owned by `domain` (dropped next), which recycles them
+        // into `cache` (dropped last) — field order in the struct enforces
+        // this.
         let mut cur = Some(self.head.load(SeqCst));
         while let Some(seg) = cur {
             // SAFETY: `&mut self` means no handles are live; the list is ours.
@@ -410,8 +417,8 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// slot `MEMO` for as long as it is set.
     bound: *mut Segment<T, F>,
     /// Free slot indices of `bound`, claimed in runs (from its `fq` or its
-    /// claim counter) and given back to its `fq` before hazard slot `MEMO`
-    /// lets go of it (empty while `bound` is null).
+    /// claim counter) and emptied before hazard slot `MEMO` lets go of it
+    /// (empty while `bound` is null).
     stash: Stash,
     /// How many times the memo moved, i.e. how many times [`Self::pin`]
     /// missed (statistics; lets tests assert the memo actually hits).
@@ -516,10 +523,11 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         }
     }
 
-    /// Hands the stash back to the memo segment's `fq`.  Every place the
-    /// memo moves or ends calls this before hazard slot `MEMO` lets go, so an
-    /// open segment can hand the indices out again, and no stash holds an
-    /// index of a segment that is reclaimed.
+    /// Empties the stash into the memo segment's `fq` (while the segment is
+    /// open; a linked one drops it: `Segment::return_stash`).  Every place
+    /// the memo moves or ends calls this before hazard slot `MEMO` lets go,
+    /// so an open segment can hand the indices out again, and no stash holds
+    /// an index of a segment that is reclaimed.
     fn return_stash(&mut self) {
         if self.stash.len() > 0 {
             // SAFETY: a non-empty stash holds indices of `bound`, which
@@ -1515,6 +1523,56 @@ mod tests {
         let (hot_hits, hot_misses) = cache_stats();
         assert!(hot_hits > 0, "warm appends must hit");
         assert_eq!(hot_misses, warm_misses, "no new allocator trips");
+    }
+
+    /// Which linked segments hold an `fq`, head first (a quiescent queue:
+    /// the list is walked unprotected).
+    fn fq_map<F: CellFamily>(q: &UnboundedWcq<u64, F>) -> Vec<bool> {
+        let mut map = Vec::new();
+        let mut seg = Some(q.head.load(SeqCst));
+        while let Some(p) = seg {
+            // SAFETY: no operation is in flight, so every linked segment is
+            // alive.
+            let s = unsafe { &*p };
+            map.push(s.has_fq());
+            seg = s.successor();
+        }
+        map
+    }
+
+    /// A producer and a consumer handle run bursts of k × capacity: a
+    /// backlog segment never gets an index back, so only the open tail
+    /// installs an `fq`, and the retiring head's ring is the one the next
+    /// tail installs.
+    fn a_backlog_installs_an_fq_only_on_its_open_tail<F: CellFamily>() {
+        let (q, _) = counted_in::<F>(3, 2);
+        let cap = q.segment_capacity() as u64;
+        let (mut tx, mut rx) = (q.register().unwrap(), q.register().unwrap());
+        let mut next = 0;
+        for (round, k) in [3u64, 1, 4, 2].into_iter().enumerate() {
+            for v in next..next + k * cap {
+                tx.enqueue(v);
+            }
+            let mut peak = vec![false; k as usize];
+            peak[0] = round > 0;
+            assert_eq!(fq_map(&q), peak, "round {round}: only the old tail");
+            for v in next..next + k * cap {
+                assert_eq!(rx.dequeue(), Some(v));
+            }
+            next += k * cap;
+            assert_eq!(fq_map(&q), [true], "round {round}: the open tail");
+            assert_eq!(q.cache.rings(), 1, "round {round}: one ring, reused");
+        }
+    }
+
+    #[test]
+    fn a_backlog_installs_an_fq_only_on_its_open_tail_native() {
+        a_backlog_installs_an_fq_only_on_its_open_tail::<NativeFamily>();
+    }
+
+    #[test]
+    fn a_backlog_installs_an_fq_only_on_its_open_tail_llsc() {
+        a_backlog_installs_an_fq_only_on_its_open_tail::<LlscFamily>();
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Ring segments and the segment cache of the unbounded queue.
 //!
-//! A [`Segment`] wraps one bounded [`WcqQueue`] together with the bookkeeping
+//! A [`Segment`] holds Figure 2's `aq` ring and data slots (with the
+//! hand-off `WcqQueue` runs too, [`WcqRing::deposit_at`] and its
+//! neighbours), an `fq` ring only while it needs one, and the bookkeeping
 //! the outer linked list needs:
 //!
 //! * the outer `next` link, which is null, a successor, or [`shut`] (the
@@ -9,7 +11,8 @@
 //! * a back-pointer to the owning queue's [`SegmentCache`] so the hazard
 //!   domain can *recycle* a drained segment instead of freeing it;
 //! * a claim counter of the slot indices not yet handed out in this life of
-//!   the segment ("Fresh indices from a counter", below).
+//!   the segment, and the `fq` pointer: null until an index first comes back
+//!   ("Fresh indices from a counter", below).
 //!
 //! ## The link is the close
 //!
@@ -33,7 +36,7 @@
 //!    some of the segment's indices.  Linking early is always safe: nothing
 //!    is ever deposited through a stash without an admitted announcement
 //!    (point 2), so the stashed indices are simply never used here again and
-//!    go back to `fq` when their holders move on.  It wastes at most
+//!    are dropped when their holders move on.  It wastes at most
 //!    `(max_threads − 1) × run` slots of the segment, one run per other
 //!    producer.
 //! 2. **`next` answers "closed".**  An enqueue announces the segment in its
@@ -61,7 +64,7 @@
 //!    way, so the same three observations — with `shut` in place of the
 //!    successor — prove the queue closed and drained.
 //!
-//! A dequeue writes no announcement — it is the inner `aq` take and, after a
+//! A dequeue writes no announcement — it is the `aq` take and, after a
 //! successful one, a load of `next` and maybe the `fq` return — so the
 //! dequeuer writes no line the enqueuers own, and no enqueue writes a word
 //! another enqueue writes outside the rings and the claim counter.
@@ -76,7 +79,8 @@
 //! A stash belongs to one segment, the unbounded handle's memo, is refilled
 //! only inside an admitted announcement (so a refused enqueue still touches
 //! no ring and no counter), and goes back to `fq` before the handle's hazard
-//! slot [`MEMO`] lets go of the segment.
+//! slot [`MEMO`] lets go of the segment — while `next` is null.  Once it is
+//! not, the stash is dropped: its indices are dead for the rest of this life.
 //!
 //! A dequeue returns each freed index at once, but only while the segment's
 //! `next` is null.  Once it is not, the segment is closed for good (point
@@ -93,26 +97,38 @@
 //!
 //! ## Fresh indices from a counter
 //!
-//! Figure 2 starts `fq` with all `capacity` indices in it.  A segment's `fq`
-//! starts **empty** instead, and the indices no one has used yet in this
-//! life come from a claim counter beside `next`: a refill asks `fq` first
-//! and, only when `fq` answers ⊥, takes the next run with one `fetch_add`
-//! on the counter.  A fresh segment's `fq` answers ⊥ at its threshold
-//! check, with no locked instruction, so a segment that fills before any of
-//! its indices come back — every segment of a backlog but the last — never
-//! touches `fq` at all, and nothing writes a pre-filled `fq`.  The open tail
-//! in steady state is served by `fq` after its first run, as in Figure 2.
-//! ⊥ from both is "full" (point 1).  The fresh-segment preload takes index 0
+//! Figure 2 starts `fq` with all `capacity` indices in it.  A segment starts
+//! with **no `fq` at all**, and the indices no one has used yet in this life
+//! come from a claim counter beside `next`: a refill asks `fq` first and,
+//! only when `fq` answers ⊥, takes the next run with one `fetch_add` on the
+//! counter.  An absent `fq` answers ⊥ the way an empty one would: the claim
+//! counts one ring dequeue, touches no ring, and goes on to the counter.  ⊥
+//! from both is "full" (point 1).  The fresh-segment preload takes index 0
 //! from the counter too, with a plain load and store: the segment is
 //! unpublished.
 //!
-//! A drained segment therefore reaches the cache with its counter spent and
-//! some indices, or none, in `fq` (a stash returned after the link, or a
-//! return between a ⊥ and the link).  [`SegmentCache::take`] starts the
-//! segment's next life before it reuses one: the counter back to 0 and `fq`
-//! emptied, both with plain stores ([`WcqQueue::clear_free`] writes only
-//! the threshold of an `fq` that took no ticket).  The reset also makes a
-//! lost stash harmless to the reused segment.
+//! The first index handed back in a life installs the `fq` with one CAS on
+//! the segment's `fq` pointer ([`Segment::free_ring`]): a dequeue's return
+//! while `next` is null, or a stash given back to a segment whose `next` is
+//! null.  The ring installed is the [`SegmentCache`]'s one spare if it holds
+//! one, and a new allocation otherwise; an installer that loses the CAS
+//! parks its ring as the spare (or frees it) and uses the winner's.  So a
+//! segment that fills before any of its indices come back — every segment of
+//! a backlog but the last — never holds an `fq`, and the open tail in steady
+//! state is served by its `fq` after its first run, as in Figure 2.  A
+//! preload taken back from a segment that lost the append race keeps its
+//! index: that segment was never published, and goes to the cache as it
+//! came.
+//!
+//! The recycler takes a retired segment's `fq` away: it clears the ring in
+//! place ([`WcqRing::clear`], plain stores; only the threshold of a ring that
+//! took no ticket) and parks it as the spare, or frees it if the spare slot
+//! is taken.  A segment therefore reaches the cache with no `fq` and its
+//! counter spent, and [`SegmentCache::take`] starts its next life by
+//! resetting only the counter, with a plain store ([`Segment::renew`]).  The
+//! spare a retiring segment leaves is the one the next open tail installs,
+//! so steady-state churn allocates no ring.  The reset also makes a lost
+//! stash harmless to the reused segment.
 //!
 //! ## Whose thread records
 //!
@@ -122,18 +138,23 @@
 //! release/acquire of that id orders each owner of a record after the
 //! previous one — the hand-off Figure 4's owner-private cursor needs.  An
 //! unpublished segment (the fresh-segment preload, `abandon_fresh`) has a
-//! single user.
+//! single user.  An `fq` ring keeps its records when it moves to another
+//! segment as the spare: the records are keyed by the same participant ids
+//! there, and the recycler, which owns the retired segment alone, orders
+//! the ring's last users before the CASes that park and install it.
 
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
+use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{
-    AtomicPtr, AtomicU32,
+    AtomicPtr, AtomicU32, AtomicUsize,
     Ordering::{Relaxed, SeqCst},
 };
 use std::sync::Arc;
 
-use wcq_core::metrics::CounterSet;
-use wcq_core::wcq::{CellFamily, WcqConfig, WcqQueue, BATCH};
+use wcq_core::metrics::{Counter, CounterSet};
+use wcq_core::wcq::{new_slots, CellFamily, WcqConfig, WcqRing, BATCH};
 use wcq_reclaim::HazardHandle;
 
 use crate::queue::DEFAULT_SEGMENT_CACHE;
@@ -155,7 +176,14 @@ pub(crate) fn shut<T, F: CellFamily>() -> *mut Segment<T, F> {
 
 /// One ring segment of the unbounded queue.
 pub(crate) struct Segment<T, F: CellFamily> {
-    queue: WcqQueue<T, F>,
+    /// Figure 2's `aq`: the indices of `slots` that hold values, in order.
+    aq: WcqRing<F>,
+    /// The data slots, handed off through `aq`.
+    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    /// Figure 2's `fq`, or null: installed by the first index handed back
+    /// in this life, taken away by the recycler (module docs, "Fresh
+    /// indices from a counter").  Once installed it stays until then.
+    fq: AtomicPtr<WcqRing<F>>,
     /// Outer list link and the segment's close: null, a successor, or
     /// [`shut`] (module docs).  Readers go through [`Segment::successor`],
     /// which treats `shut` as "none".
@@ -177,8 +205,12 @@ impl<T, F: CellFamily> Segment<T, F> {
         cache: *const SegmentCache<T, F>,
         counters: Option<Arc<CounterSet>>,
     ) -> Self {
+        let aq = WcqRing::with_config_counters(order, max_threads, config, counters);
+        let slots = new_slots(aq.capacity() as usize);
         Self {
-            queue: WcqQueue::with_empty_free(order, max_threads, config, counters),
+            aq,
+            slots,
+            fq: AtomicPtr::new(ptr::null_mut()),
             next: AtomicPtr::new(ptr::null_mut()),
             cache,
             fresh: AtomicU32::new(0),
@@ -237,14 +269,14 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// Attempts to enqueue `value` as `hp`'s participant, at a free index
-    /// from `stash`, which is refilled from `fq` with up to `run` indices
-    /// when it is empty.  `Err` means the segment is closed, or has no free
+    /// from `stash`, which is refilled with up to `run` indices when it is
+    /// empty ([`Segment::claim`]).  `Err` means the segment is closed, or has no free
     /// index outside the stashes, and will never accept this value.
     ///
     /// # Safety
     /// No other thread operates on this segment as `hp.tid()` concurrently,
     /// and an earlier one that did is ordered before this call (see
-    /// [`WcqQueue::enqueue_at`]).  `stash` holds only this segment's
+    /// [`wcq_core::wcq::WcqQueue::enqueue_at`]).  `stash` holds only this segment's
     /// indices, and `run` is at most [`Stash::MAX`].  `hp` protects this
     /// segment in slot [`MEMO`] for the whole call.
     #[inline]
@@ -301,7 +333,10 @@ impl<T, F: CellFamily> Segment<T, F> {
             }
             // SAFETY: as above; the claim made the run ours alone, and
             // `values` holds `want >= claimed` values.
-            unsafe { self.queue.deposit_many(tid, &free[..claimed], values) };
+            unsafe {
+                self.aq
+                    .deposit_many_at(&self.slots, tid, &free[..claimed], values)
+            };
             accepted += claimed;
         }
         while let Some(value) = values.pop_front() {
@@ -343,7 +378,7 @@ impl<T, F: CellFamily> Segment<T, F> {
         };
         // SAFETY: the index is this segment's (function contract), and
         // popping it made it ours alone.
-        unsafe { self.queue.deposit(tid, index, value) };
+        unsafe { self.aq.deposit_at(&self.slots, tid, index, value) };
         Ok(())
     }
 
@@ -364,8 +399,8 @@ impl<T, F: CellFamily> Segment<T, F> {
 
     /// Claims up to `free.len()` free indices into the front of `free` and
     /// returns how many: from `fq` with one batch dequeue or, when `fq`
-    /// answers ⊥, from the claim counter with one `fetch_add` (module docs,
-    /// "Fresh indices from a counter").  `0` is ⊥ from both.
+    /// answers ⊥ or is absent, from the claim counter with one `fetch_add`
+    /// (module docs, "Fresh indices from a counter").  `0` is ⊥ from both.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
@@ -373,8 +408,20 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// still published.
     #[inline(always)]
     unsafe fn claim(&self, tid: usize, free: &mut [u32]) -> usize {
-        // SAFETY: `tid` is exclusive per the function contract.
-        match unsafe { self.queue.claim_free(tid, free) } {
+        let fq = self.fq.load(SeqCst);
+        let claimed = if fq.is_null() {
+            // ⊥ as an empty `fq` answers it: one ring dequeue, counted.
+            if let Some(set) = self.aq.counter_set() {
+                set.add(Counter::RingDequeues, 1);
+            }
+            0
+        } else {
+            // SAFETY: an installed `fq` stays until the recycler, which the
+            // caller's pin of the segment keeps away; `tid` is exclusive per
+            // the function contract.
+            unsafe { (*fq).dequeue_many_at(tid, free) }
+        };
+        match claimed {
             0 => self.claim_fresh(free),
             claimed => claimed,
         }
@@ -387,7 +434,7 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// linked, so the counter passes `capacity` by at most two runs (a batch
     /// and its stash refill) per producer per life, and never wraps.
     fn claim_fresh(&self, free: &mut [u32]) -> usize {
-        let capacity = self.queue.capacity() as u32;
+        let capacity = self.slots.len() as u32;
         wcq_atomics::yield_point("segment.claim");
         let first = self.fresh.fetch_add(free.len() as u32, SeqCst);
         let end = capacity.min(first.saturating_add(free.len() as u32));
@@ -398,16 +445,20 @@ impl<T, F: CellFamily> Segment<T, F> {
         claimed
     }
 
-    /// Hands every index in `stash` back to `fq` and empties it.
+    /// Empties `stash`, handing its indices back to `fq` while `next` is
+    /// null; once the segment is linked they are dead for this life (module
+    /// docs, "Free slots in runs").
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
     /// id.
     pub(crate) unsafe fn return_stash(&self, tid: usize, stash: &mut Stash) {
         let len = std::mem::take(&mut stash.len) as usize;
-        // SAFETY: the indices are this segment's, claimed and not deposited
-        // at (function contract).
-        unsafe { self.queue.return_free(tid, &stash.free[..len]) };
+        if len > 0 && self.next.load(SeqCst).is_null() {
+            // SAFETY: the indices are this segment's, claimed and not
+            // deposited at (function contract).
+            unsafe { self.free_ring().enqueue_many_at(tid, &stash.free[..len]) };
+        }
     }
 
     /// Enqueues the first value of an unpublished segment (the fresh-segment
@@ -423,14 +474,29 @@ impl<T, F: CellFamily> Segment<T, F> {
         // before any other thread's claim.
         let index = self.fresh.load(Relaxed);
         assert!(
-            (index as usize) < self.queue.capacity(),
+            (index as usize) < self.slots.len(),
             "a fresh segment must accept its first element"
         );
         // relaxed: see above.
         self.fresh.store(index + 1, Relaxed);
         // SAFETY: an unpublished segment has a single user under any `tid`,
         // and the counter handed the index out to us alone.
-        unsafe { self.queue.deposit(tid, index, value) };
+        unsafe { self.aq.deposit_at(&self.slots, tid, index, value) };
+    }
+
+    /// Takes the preloaded value back out of an unpublished segment that lost
+    /// the append race.  Its index is kept, not handed back: the segment
+    /// goes to the cache, whose renewal hands it out afresh, and installs no
+    /// `fq` on the way.
+    ///
+    /// # Safety
+    /// As for [`Segment::preload`], which this segment has run.
+    pub(crate) unsafe fn take_back(&self, tid: usize) -> Option<T> {
+        if self.dequeue_finds_empty() {
+            return None;
+        }
+        // SAFETY: a single user under any `tid` (function contract).
+        unsafe { self.aq.take_checked_at(&self.slots, tid) }.map(|(value, _)| value)
     }
 
     /// Attempts to dequeue as thread record `tid`; `None` means the inner
@@ -456,11 +522,11 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// The first step of [`Segment::try_dequeue`]: counts one ring dequeue
-    /// and reads `aq`'s threshold ([`WcqQueue::take_finds_empty`]).  `true`
-    /// is the take's whole answer, `None`.
+    /// and reads `aq`'s threshold ([`WcqRing::dequeue_finds_empty`]).
+    /// `true` is the take's whole answer, `None`.
     #[inline(always)]
     pub(crate) fn dequeue_finds_empty(&self) -> bool {
-        self.queue.take_finds_empty()
+        self.aq.dequeue_finds_empty()
     }
 
     /// [`Segment::try_dequeue`] after [`Segment::dequeue_finds_empty`]
@@ -471,10 +537,10 @@ impl<T, F: CellFamily> Segment<T, F> {
     #[inline(always)]
     pub(crate) unsafe fn try_dequeue_checked(&self, tid: usize) -> Option<T> {
         // SAFETY: `tid` is exclusive per the function contract.
-        let (value, index) = unsafe { self.queue.take_checked_at(tid) }?;
+        let (value, index) = unsafe { self.aq.take_checked_at(&self.slots, tid) }?;
         if self.next.load(SeqCst).is_null() {
             // SAFETY: as above; the index was just taken.
-            unsafe { self.queue.return_index(tid, index) };
+            unsafe { self.free_ring().enqueue_at(tid, index) };
         }
         Some(value)
     }
@@ -498,10 +564,13 @@ impl<T, F: CellFamily> Segment<T, F> {
         while got < max {
             let want = (max - got).min(BATCH);
             // SAFETY: `tid` is exclusive per the function contract.
-            let took = unsafe { self.queue.take_many_at(tid, out, &mut free[..want]) };
+            let took = unsafe {
+                self.aq
+                    .take_many_at(&self.slots, tid, out, &mut free[..want])
+            };
             if took > 0 && self.next.load(SeqCst).is_null() {
                 // SAFETY: as above; `free` holds the indices just taken.
-                unsafe { self.queue.return_free(tid, &free[..took]) };
+                unsafe { self.free_ring().enqueue_many_at(tid, &free[..took]) };
             }
             got += took;
             if took < want {
@@ -511,38 +580,104 @@ impl<T, F: CellFamily> Segment<T, F> {
         got
     }
 
-    /// Resets the outer bookkeeping of a drained, unreachable segment so it
-    /// can serve as a fresh tail.  `aq` needs no reset: a drained wCQ is
-    /// simply an empty wCQ whose cycle counters have advanced.  The claim
-    /// counter and `fq` are reset when the cache hands the segment out
-    /// ([`Segment::renew`]).
-    pub(crate) fn reopen(&self) {
-        self.next.store(ptr::null_mut(), SeqCst);
+    /// The segment's `fq`, installed first if it is absent.  The load is
+    /// inline; the install, once per life at most, is not.
+    #[inline(always)]
+    fn free_ring(&self) -> &WcqRing<F> {
+        let fq = self.fq.load(SeqCst);
+        if fq.is_null() {
+            return self.install_fq();
+        }
+        // SAFETY: an installed `fq` stays until the recycler, which owns the
+        // segment alone when it takes it.
+        unsafe { &*fq }
     }
 
-    /// Starts the segment's next life: every index fresh again (the claim
-    /// counter at 0) and `fq` empty, both with plain stores (module docs,
-    /// "Fresh indices from a counter").  Indices that dequeues kept, or that
-    /// a stash returned to `fq` after the link, are handed out afresh.
+    /// Installs an `fq` with one CAS on the null pointer: the cache's spare
+    /// ring, or a new one shaped like `aq` (module docs, "Fresh indices from
+    /// a counter").  A loser parks its ring and uses the winner's.
+    #[cold]
+    #[inline(never)]
+    fn install_fq(&self) -> &WcqRing<F> {
+        // SAFETY: the cache outlives every segment of its queue (field order
+        // in `UnboundedWcq`).
+        let cache = unsafe { &*self.cache };
+        let ring = Box::into_raw(cache.take_ring(&self.aq));
+        match self
+            .fq
+            .compare_exchange(ptr::null_mut(), ring, SeqCst, SeqCst)
+        {
+            // SAFETY: installed; it stays until the recycler (`free_ring`).
+            Ok(_) => unsafe { &*ring },
+            Err(installed) => {
+                // SAFETY: the ring lost the CAS, so nobody else has seen it:
+                // still ours, and as clear as the cache or the allocator
+                // handed it out.
+                cache.park_ring(unsafe { Box::from_raw(ring) });
+                // SAFETY: as in `free_ring`.
+                unsafe { &*installed }
+            }
+        }
+    }
+
+    /// Resets the outer bookkeeping of a drained, unreachable segment so it
+    /// can serve as a fresh tail, and hands back its `fq`, if it got one:
+    /// the caller clears and parks it.  `aq` needs no reset: a drained wCQ is
+    /// simply an empty wCQ whose cycle counters have advanced.  The claim
+    /// counter is reset when the cache hands the segment out
+    /// ([`Segment::renew`]).
+    pub(crate) fn reopen(&mut self) -> Option<Box<WcqRing<F>>> {
+        *self.next.get_mut() = ptr::null_mut();
+        let fq = std::mem::replace(self.fq.get_mut(), ptr::null_mut());
+        // SAFETY: an installed `fq` came from `Box::into_raw` (`install_fq`),
+        // and `&mut self` makes it ours alone.
+        (!fq.is_null()).then(|| unsafe { Box::from_raw(fq) })
+    }
+
+    /// Starts the segment's next life: every index fresh again, the claim
+    /// counter at 0 with a plain store (module docs, "Fresh indices from a
+    /// counter").  Indices that dequeues kept, or that stashes dropped, are
+    /// handed out afresh.
     ///
     /// # Safety
     /// `aq` holds no index and no stash holds one of this segment's: each
     /// index the counter hands out again must be free.
     pub(crate) unsafe fn renew(&mut self) {
         *self.fresh.get_mut() = 0;
-        self.queue.clear_free();
+    }
+
+    /// Whether an `fq` is installed.
+    #[cfg(test)]
+    pub(crate) fn has_fq(&self) -> bool {
+        !self.fq.load(SeqCst).is_null()
     }
 
     /// `aq`'s threshold: negative once an empty take answers from it alone.
     #[cfg(test)]
     pub(crate) fn aq_threshold(&self) -> i64 {
-        self.queue.ring_thresholds().0
+        self.aq.threshold()
     }
 
-    /// Bytes occupied by this segment (struct + inner rings and data array).
+    /// Bytes occupied by this segment without an `fq`: the struct, `aq`'s
+    /// entries and records, and the data slots.  An installed `fq` adds
+    /// [`Segment::fq_footprint`].
     pub(crate) fn footprint(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<WcqQueue<T, F>>()
-            + self.queue.memory_footprint()
+        std::mem::size_of::<Self>() - std::mem::size_of::<WcqRing<F>>()
+            + self.aq.memory_footprint()
+            + std::mem::size_of_val(&*self.slots)
+    }
+
+    /// Bytes an `fq` ring occupies, header included: `aq`'s, the same shape.
+    pub(crate) fn fq_footprint(&self) -> usize {
+        self.aq.memory_footprint()
+    }
+}
+
+impl<T, F: CellFamily> Drop for Segment<T, F> {
+    fn drop(&mut self) {
+        self.aq.drop_published(&mut self.slots);
+        // A segment dropped with its `fq` is one the queue's own drop frees.
+        drop(self.reopen());
     }
 }
 
@@ -602,26 +737,34 @@ pub(crate) unsafe fn recycle_segment<T, F: CellFamily>(p: *mut u8) {
     unsafe { SegmentCache::give_back(cache, seg) };
 }
 
-/// A bounded free-list of drained segments.
+/// A bounded free-list of drained segments, and one spare `fq` ring.
 ///
 /// Steady-state traffic that repeatedly grows and shrinks by a few segments
 /// allocates nothing: retired segments come back through
 /// [`recycle_segment`] and are reused by the next append, renewed on the way
-/// out ([`SegmentCache::take`]).  The store is an inline array of
+/// out ([`SegmentCache::take`]), and the `fq` a retired segment held waits in
+/// the spare slot for the next install.  The store is an inline array of
 /// [`DEFAULT_SEGMENT_CACHE`] `AtomicPtr` slots (null = empty), so a
 /// steady-state `give_back` never allocates: `take` swaps slots to null,
 /// `give_back` CASes null to the segment pointer.  Each segment lives
 /// in at most one slot and every insertion/removal is one successful atomic
 /// exchange on that slot, so there is no ABA hazard to protect against —
 /// unlike a Treiber stack — and no lock, which keeps the (blocking-freedom)
-/// lint's `Mutex` ban satisfiable for the whole crate.
+/// lint's `Mutex` ban satisfiable for the whole crate.  The spare slot works
+/// the same way.
 pub(crate) struct SegmentCache<T, F: CellFamily> {
     slots: [AtomicPtr<Segment<T, F>>; DEFAULT_SEGMENT_CACHE],
+    /// A cleared `fq` ring, or null.
+    spare: AtomicPtr<WcqRing<F>>,
+    /// `fq` rings allocated and not freed yet: installed, spare, or in an
+    /// installer's hands (the queue's memory footprint counts them).
+    rings: AtomicUsize,
 }
 
 // SAFETY: the raw pointers are exclusively owned by the cache while stored
-// (a segment enters a slot through exactly one successful CAS and leaves it
-// through exactly one successful swap); all slot mutation is atomic.
+// (a segment or ring enters a slot through exactly one successful CAS and
+// leaves it through exactly one successful swap); all slot mutation is
+// atomic.
 unsafe impl<T: Send, F: CellFamily> Send for SegmentCache<T, F> {}
 unsafe impl<T: Send, F: CellFamily> Sync for SegmentCache<T, F> {}
 
@@ -629,6 +772,8 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     pub(crate) fn new() -> Self {
         Self {
             slots: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+            spare: AtomicPtr::new(ptr::null_mut()),
+            rings: AtomicUsize::new(0),
         }
     }
 
@@ -637,13 +782,11 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     /// taken segment's append wins the link race, since a lost race hands
     /// the segment straight back.
     ///
-    /// [`Counter::SegmentsReused`]: wcq_core::metrics::Counter::SegmentsReused
-    ///
     /// The taken segment starts its next life ([`Segment::renew`]): its
-    /// claim counter hands out every index afresh, and its `fq` is emptied
-    /// of any index a stash returned after the link.  The reset is here, not
-    /// in `give_back`, so a segment that is only ever freed (one the hazard
-    /// domain's drop hands back) never pays it.
+    /// claim counter hands out every index afresh.  It has no `fq`:
+    /// `give_back` took it away.  The reset is here, not in `give_back`, so
+    /// a segment that is only ever freed (one the hazard domain's drop hands
+    /// back) never pays it.
     pub(crate) fn take(&self) -> Option<*mut Segment<T, F>> {
         for slot in self.slots.iter() {
             let seg = slot.swap(ptr::null_mut(), SeqCst);
@@ -651,8 +794,8 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
                 // SAFETY: the swap made the segment exclusively ours.  A
                 // cached segment was drained before it retired (or, fresh and
                 // abandoned, gave its one value back), so `aq` holds no
-                // index, and every stash of it went back before its holder's
-                // hazard slot let go.
+                // index, and every stash of it was emptied before its
+                // holder's hazard slot let go.
                 unsafe { (*seg).renew() };
                 return Some(seg);
             }
@@ -661,15 +804,19 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
     }
 
     /// Accepts an exclusively owned, unreachable segment back (or frees it
-    /// when the cache is at its limit).
+    /// when the cache is at its limit).  Either way its `fq`, if it got one,
+    /// is cleared and parked first ([`SegmentCache::park_ring`]).
     ///
     /// # Safety
     /// `cache` must be live and `seg` exclusively owned by the caller.
     pub(crate) unsafe fn give_back(cache: *const Self, seg: *mut Segment<T, F>) {
         // SAFETY: per the function contract.
         let this = unsafe { &*cache };
-        // SAFETY: exclusive ownership allows the (atomic-only) reset.
-        unsafe { (*seg).reopen() };
+        // SAFETY: exclusive ownership allows the reset.
+        if let Some(mut fq) = unsafe { (*seg).reopen() } {
+            fq.clear();
+            this.park_ring(fq);
+        }
         for slot in this.slots.iter() {
             if slot
                 .compare_exchange(ptr::null_mut(), seg, SeqCst, SeqCst)
@@ -683,12 +830,51 @@ impl<T, F: CellFamily> SegmentCache<T, F> {
         drop(unsafe { Box::from_raw(seg) });
     }
 
+    /// An empty `fq` ring for a segment whose `aq` is `aq`: the spare, or a
+    /// new ring of the same shape.
+    pub(crate) fn take_ring(&self, aq: &WcqRing<F>) -> Box<WcqRing<F>> {
+        let spare = self.spare.swap(ptr::null_mut(), SeqCst);
+        if !spare.is_null() {
+            // SAFETY: the swap made the parked ring exclusively ours, and
+            // it came from `Box::into_raw` (`park_ring`).
+            return unsafe { Box::from_raw(spare) };
+        }
+        self.rings.fetch_add(1, SeqCst);
+        Box::new(WcqRing::with_config_counters(
+            aq.layout().order(),
+            aq.max_threads(),
+            *aq.config(),
+            aq.counter_set().cloned(),
+        ))
+    }
+
+    /// Parks an empty, exclusively owned `fq` ring as the spare, or frees it
+    /// when the spare slot is taken.
+    pub(crate) fn park_ring(&self, ring: Box<WcqRing<F>>) {
+        let ring = Box::into_raw(ring);
+        if self
+            .spare
+            .compare_exchange(ptr::null_mut(), ring, SeqCst, SeqCst)
+            .is_err()
+        {
+            self.rings.fetch_sub(1, SeqCst);
+            // SAFETY: the CAS failed, so the ring is still ours; it came
+            // from `Box::into_raw` just above.
+            drop(unsafe { Box::from_raw(ring) });
+        }
+    }
+
     /// Number of cached segments (racy snapshot; statistics and tests only).
     pub(crate) fn len(&self) -> usize {
         self.slots
             .iter()
             .filter(|slot| !slot.load(SeqCst).is_null())
             .count()
+    }
+
+    /// Number of `fq` rings allocated and not freed (racy snapshot).
+    pub(crate) fn rings(&self) -> usize {
+        self.rings.load(SeqCst)
     }
 }
 
@@ -701,6 +887,11 @@ impl<T, F: CellFamily> Drop for SegmentCache<T, F> {
                 drop(unsafe { Box::from_raw(seg) });
             }
         }
+        let spare = *self.spare.get_mut();
+        if !spare.is_null() {
+            // SAFETY: the parked ring is exclusively owned by the cache.
+            drop(unsafe { Box::from_raw(spare) });
+        }
     }
 }
 
@@ -711,8 +902,24 @@ mod tests {
     use wcq_core::wcq::{LlscFamily, NativeFamily};
     use wcq_reclaim::HazardDomain;
 
-    fn segment<F: CellFamily>(order: u32, threads: usize) -> Segment<u64, F> {
-        Segment::new(order, threads, WcqConfig::default(), ptr::null(), None)
+    /// A segment whose `fq` installs come from `cache`, which must outlive
+    /// it (declare the cache first).
+    fn segment<F: CellFamily>(
+        cache: &SegmentCache<u64, F>,
+        order: u32,
+        threads: usize,
+    ) -> Segment<u64, F> {
+        Segment::new(order, threads, WcqConfig::default(), cache, None)
+    }
+
+    /// Reopens `seg` as the recycler does: its `fq`, if any, cleared and
+    /// parked in its cache.
+    fn reopen<F: CellFamily>(seg: &mut Segment<u64, F>) {
+        if let Some(mut fq) = seg.reopen() {
+            fq.clear();
+            // SAFETY: the test's cache outlives the segment (`segment`).
+            unsafe { (*seg.cache).park_ring(fq) };
+        }
     }
 
     /// A hazard domain shaped like the queue's: `threads` participants, with
@@ -721,10 +928,10 @@ mod tests {
         HazardDomain::new(threads, ANNOUNCE + 1)
     }
 
-    /// Head, tail and threshold of `aq` and `fq`, as the inner queue's
-    /// `Debug` prints them, then the claim counter.
+    /// Head, tail and threshold of `aq` and `fq`, as the rings' `Debug`
+    /// prints them, then the claim counter.
     fn rings<F: CellFamily>(seg: &Segment<u64, F>) -> String {
-        format!("{:?} fresh: {}", seg.queue, fresh(seg))
+        format!("aq: {:?} fq: {:?} fresh: {}", seg.aq, fq(seg), fresh(seg))
     }
 
     /// The claim counter.
@@ -742,15 +949,17 @@ mod tests {
     }
 
     /// Fills `seg` to exactly its capacity and sees the next value refused
-    /// (by `fq`'s ⊥: nothing linked the segment), twice — fresh, then drained
-    /// and reopened, as the cache hands it out again.  Every enqueue,
-    /// accepted or refused, leaves the announcement slot clear.
-    fn takes_exactly_capacity<F: CellFamily>(seg: &Segment<u64, F>) {
-        let cap = seg.queue.capacity() as u64;
+    /// (nothing linked the segment), three times: fresh, from the claim
+    /// counter; again in the same life, from the `fq` the first round's
+    /// returns installed; and after the recycler's and the cache's resets,
+    /// fresh again.  Every enqueue, accepted or refused, leaves the
+    /// announcement slot clear.
+    fn takes_exactly_capacity<F: CellFamily>(seg: &mut Segment<u64, F>) {
+        let cap = seg.slots.len() as u64;
         let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
         let domain = domain(1);
         let hp = domain.register().unwrap();
-        for round in 0..2 {
+        for round in 0..3 {
             // SAFETY: one thread, the only user of `hp`'s id; the stash is
             // this segment's.
             unsafe {
@@ -773,24 +982,31 @@ mod tests {
                 }
                 assert_eq!(seg.try_dequeue(hp.tid()), None);
             }
-            link(seg, shut());
-            seg.reopen();
+            assert_eq!(stash.len(), 0, "round {round}: every claimed index used");
+            assert!(seg.has_fq(), "round {round}: the returns installed an `fq`");
+            if round == 1 {
+                link(seg, shut());
+                reopen(seg);
+                // SAFETY: drained, and the stash is empty.
+                unsafe { seg.renew() };
+            }
         }
     }
 
-    /// `fq`'s head, tail and threshold, as the inner queue's `Debug` prints
-    /// them.
-    fn fq<F: CellFamily>(seg: &Segment<u64, F>) -> String {
-        let rings = format!("{:?}", seg.queue);
-        rings[rings.find("fq:").expect("fq in the Debug output")..].to_owned()
+    /// `fq`'s head, tail and threshold, as the ring's `Debug` prints them;
+    /// `None` while the segment has no `fq`.
+    fn fq<F: CellFamily>(seg: &Segment<u64, F>) -> Option<String> {
+        let fq = seg.fq.load(SeqCst);
+        // SAFETY: an installed `fq` lives as long as the segment's life.
+        (!fq.is_null()).then(|| format!("{:?}", unsafe { &*fq }))
     }
 
-    /// The preload deposits at the claim counter's first index and leaves
-    /// `fq` untouched; the first refill after it takes the next run from the
-    /// counter.
+    /// The preload deposits at the claim counter's first index and installs
+    /// no `fq`; the first refill after it takes the next run from the
+    /// counter, and so does a preload taken back.
     fn the_preload_takes_its_index_from_the_counter<F: CellFamily>() {
-        let seg = segment::<F>(3, 1);
-        let untouched = fq(&seg);
+        let cache = SegmentCache::new();
+        let seg = segment::<F>(&cache, 3, 1);
         let (stash, run) = (&mut Stash::new(), 2);
         let domain = domain(1);
         let hp = domain.register().unwrap();
@@ -799,12 +1015,20 @@ mod tests {
         unsafe {
             seg.preload(0, 7);
             assert_eq!(fresh(&seg), 1, "the preload took index 0");
-            assert_eq!(fq(&seg), untouched, "the preload asked no ring for it");
+            assert_eq!(fq(&seg), None, "the preload asked no ring for it");
             assert_eq!(seg.try_enqueue(&hp, 8, stash, run), Ok(()));
             assert_eq!(fresh(&seg), 3, "the refill took indices 1 and 2");
+            assert_eq!(fq(&seg), None, "a claim on an absent `fq` installs none");
             assert_eq!(seg.try_dequeue(0), Some(7));
             assert_eq!(seg.try_dequeue(0), Some(8));
+            assert!(fq(&seg).is_some(), "the first return installed an `fq`");
+
+            let abandoned = segment::<F>(&cache, 3, 1);
+            abandoned.preload(0, 9);
+            assert_eq!(abandoned.take_back(0), Some(9));
+            assert_eq!(fq(&abandoned), None, "a take-back keeps its index");
         }
+        assert_eq!(cache.rings(), 1);
     }
 
     #[test]
@@ -822,13 +1046,14 @@ mod tests {
     /// claim of a whole run, so the stash holds `run - 1` right after each
     /// refill and the counter stays at `run`.
     fn the_counter_serves_only_the_first_run_of_a_returning_tail<F: CellFamily>() {
-        let seg = segment::<F>(6, 1);
+        let cache = SegmentCache::new();
+        let seg = segment::<F>(&cache, 6, 1);
         let (stash, run) = (&mut Stash::new(), 4);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0; the stash is `seg`'s.
         unsafe {
-            for v in 0..10 * seg.queue.capacity() as u64 {
+            for v in 0..10 * seg.slots.len() as u64 {
                 assert_eq!(seg.try_enqueue(&hp, v, stash, run), Ok(()));
                 assert_eq!(
                     stash.len(),
@@ -851,19 +1076,22 @@ mod tests {
         the_counter_serves_only_the_first_run_of_a_returning_tail::<LlscFamily>();
     }
 
-    /// Where a drained segment's leftover `fq` indices come from.
+    /// Where a drained segment's leftover free indices went.
     #[derive(Clone, Copy, Debug)]
     enum Leftover {
-        /// A producer's stash, returned after the link.
+        /// A producer's stash, given back after the link: dropped, so no
+        /// `fq` is installed.
         Stash,
         /// A dequeue's return between the ⊥ that found the segment full and
-        /// the link.
+        /// the link: into an `fq` it installed.
         Return,
     }
 
-    /// A segment that reaches the cache with indices in `fq` comes out of it
-    /// taking exactly `capacity` values, each delivered once and in order:
-    /// the renewal empties `fq`, so no index is handed out twice.
+    /// A segment that reaches the cache with leftover indices — dropped
+    /// with a stash, or in its `fq` — comes out of it taking exactly
+    /// `capacity` values, each delivered once and in order: the cache took
+    /// the `fq` away, cleared, as its spare, and the renewal resets the
+    /// counter, so no index is handed out twice.
     fn a_reused_segment_with_leftovers_in_fq_takes_exactly_capacity<F: CellFamily>(
         leftover: Leftover,
     ) {
@@ -875,21 +1103,22 @@ mod tests {
             &cache,
             None,
         )));
-        let successor = segment::<F>(3, 1);
+        let successor = segment::<F>(&cache, 3, 1);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0 and of `seg`, which
         // came from `Box::into_raw` and is freed once, at the end.
         unsafe {
-            let empty = fq(&*seg);
-            let cap = (*seg).queue.capacity() as u64;
+            let cap = (*seg).aq.capacity();
             let (stash, run) = (&mut Stash::new(), 4);
             match leftover {
                 Leftover::Stash => {
                     assert_eq!((*seg).try_enqueue(&hp, 0, stash, run), Ok(()));
                     link(&*seg, ptr::from_ref(&successor).cast_mut());
                     (*seg).return_stash(0, stash);
+                    assert_eq!(stash.len(), 0);
                     assert_eq!((*seg).try_dequeue(0), Some(0));
+                    assert_eq!(fq(&*seg), None, "{leftover:?}: no index came back");
                 }
                 Leftover::Return => {
                     for v in 0..cap {
@@ -901,15 +1130,18 @@ mod tests {
                     for v in 1..cap {
                         assert_eq!((*seg).try_dequeue(0), Some(v));
                     }
+                    assert!(fq(&*seg).is_some(), "the return installed an `fq`");
                 }
             }
             assert_eq!((*seg).try_dequeue(0), None);
-            assert_ne!(fq(&*seg), empty, "{leftover:?}: `fq` holds indices");
+            let rings = cache.rings();
             SegmentCache::give_back(&cache, seg);
+            assert_eq!(fq(&*seg), None, "{leftover:?}: the cache took the `fq`");
+            assert_eq!(cache.rings(), rings, "{leftover:?}: parked, not freed");
             let again = cache.take().expect("the segment just given back");
             assert_eq!(again, seg);
             assert_eq!(fresh(&*again), 0, "{leftover:?}: the counter was reset");
-            takes_exactly_capacity(&*again);
+            takes_exactly_capacity(&mut *again);
             drop(Box::from_raw(again));
         }
     }
@@ -932,8 +1164,9 @@ mod tests {
     /// tail and keeps it once the segment has a successor; an empty poll
     /// moves no `fq` counter either way.
     fn a_dequeue_returns_its_index_only_without_a_successor<F: CellFamily>() {
-        let seg = segment::<F>(3, 1);
-        let successor = segment::<F>(3, 1);
+        let cache = SegmentCache::new();
+        let seg = segment::<F>(&cache, 3, 1);
+        let successor = segment::<F>(&cache, 3, 1);
         let (stash, run, out) = (&mut Stash::new(), 2, &mut Vec::new());
         let domain = domain(1);
         let hp = domain.register().unwrap();
@@ -942,10 +1175,10 @@ mod tests {
             for v in 0..4 {
                 assert_eq!(seg.try_enqueue(&hp, v, stash, run), Ok(()));
             }
-            let before = fq(&seg);
+            assert_eq!(fq(&seg), None, "no index came back yet");
             assert_eq!(seg.try_dequeue(0), Some(0));
             let after = fq(&seg);
-            assert_ne!(after, before, "the open tail returns its index");
+            assert!(after.is_some(), "the open tail returns its index");
             assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
             assert_ne!(fq(&seg), after, "the open tail returns the run");
 
@@ -975,8 +1208,8 @@ mod tests {
     }
 
     /// A segment drained after it gained a successor reaches the cache with
-    /// no index in `fq`; the one the cache hands out again takes exactly
-    /// `capacity` values, fresh and after a reopen.
+    /// no `fq`: no index came back; the one the cache hands out again takes
+    /// exactly `capacity` values, fresh and after a reopen.
     fn a_reused_segment_takes_exactly_capacity<F: CellFamily>(order: u32) {
         let cache = SegmentCache::<u64, F>::new();
         let seg = Box::into_raw(Box::new(Segment::new(
@@ -986,29 +1219,29 @@ mod tests {
             &cache,
             None,
         )));
-        let successor = segment::<F>(order, 1);
+        let successor = segment::<F>(&cache, order, 1);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0 and of `seg`, which
         // came from `Box::into_raw` and is freed once, at the end.
         unsafe {
-            let cap = (*seg).queue.capacity() as u64;
+            let cap = (*seg).aq.capacity();
             let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
             for v in 0..cap {
                 assert_eq!((*seg).try_enqueue(&hp, v, stash, run), Ok(()));
             }
             assert_eq!((*seg).try_enqueue(&hp, cap, stash, run), Err(cap));
             link(&*seg, ptr::from_ref(&successor).cast_mut());
-            let full = fq(&*seg);
             for v in 0..cap {
                 assert_eq!((*seg).try_dequeue(0), Some(v));
             }
             assert_eq!((*seg).try_dequeue(0), None);
-            assert_eq!(fq(&*seg), full, "every return was skipped");
+            assert_eq!(fq(&*seg), None, "every return was skipped");
+            assert_eq!(cache.rings(), 0, "no ring was ever allocated");
             SegmentCache::give_back(&cache, seg);
             let again = cache.take().expect("the segment just given back");
             assert_eq!(again, seg);
-            takes_exactly_capacity(&*again);
+            takes_exactly_capacity(&mut *again);
             drop(Box::from_raw(again));
         }
     }
@@ -1029,7 +1262,8 @@ mod tests {
 
     #[test]
     fn a_segment_takes_exactly_capacity_native() {
-        takes_exactly_capacity(&segment::<NativeFamily>(3, 1));
+        let cache = SegmentCache::new();
+        takes_exactly_capacity(&mut segment::<NativeFamily>(&cache, 3, 1));
     }
 
     /// A spurious ⊥ from `fq` would now close a segment early, so the LL/SC
@@ -1046,7 +1280,8 @@ mod tests {
         for rate in [0.0, 0.3] {
             wcq_atomics::llsc::set_spurious_failure_rate(rate);
             for order in 1..=4 {
-                takes_exactly_capacity(&segment::<LlscFamily>(order, 1));
+                let cache = SegmentCache::new();
+                takes_exactly_capacity(&mut segment::<LlscFamily>(&cache, order, 1));
             }
         }
     }
@@ -1056,9 +1291,10 @@ mod tests {
     /// leaves the announcement slot clear; pre-link values still drain.
     #[test]
     fn a_closed_segment_refuses_without_touching_a_ring() {
-        let successor = segment::<NativeFamily>(3, 1);
+        let cache = SegmentCache::new();
+        let successor = segment::<NativeFamily>(&cache, 3, 1);
         for next in [ptr::from_ref(&successor).cast_mut(), shut()] {
-            let seg = segment::<NativeFamily>(3, 1);
+            let mut seg = segment::<NativeFamily>(&cache, 3, 1);
             let (stash, run) = (&mut Stash::new(), 2);
             let domain = domain(1);
             let hp = domain.register().unwrap();
@@ -1086,7 +1322,7 @@ mod tests {
             }
             let me = ptr::from_ref(&seg).cast::<u8>();
             assert_eq!(domain.count_publishing(ANNOUNCE, me), 0);
-            seg.reopen();
+            reopen(&mut seg);
             // SAFETY: as above.
             assert_eq!(unsafe { seg.try_enqueue(&hp, 7, stash, run) }, Ok(()));
         }
@@ -1097,10 +1333,10 @@ mod tests {
 
     /// Lets the race below share one segment across threads.
     struct Shared(Segment<u64, NativeFamily>);
-    // SAFETY: test-only.  Of `Segment<u64, _>`'s fields, the inner queue is
-    // `Sync` (and every thread operates as its own tid) and `next` is an
-    // atomic, and `cache` — the one raw pointer — is null here and never
-    // dereferenced (nothing is recycled).
+    // SAFETY: test-only.  Of `Segment<u64, _>`'s fields, the rings and the
+    // slots are `Sync` (and every thread operates as its own tid), `next`,
+    // `fq` and the counter are atomics, and `cache` — the one raw pointer —
+    // names the race's own cache, which is `Sync` and outlives the segment.
     unsafe impl Sync for Shared {}
 
     /// One seeded race on a 4-slot segment: two single and one batch
@@ -1109,7 +1345,8 @@ mod tests {
     /// announced, then one more empty dequeue.  Returns `(accepted, refused,
     /// delivered)`, sorted.
     fn closing_race(seed: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-        let shared = &Shared(segment(2, 4));
+        let cache = &SegmentCache::new();
+        let shared = &Shared(segment(cache, 2, 4));
         let domain = &domain(4);
         let delivered_count = &AtomicU64::new(0);
         let finished = &AtomicU64::new(0);

@@ -13,17 +13,45 @@
 //! before/after window (about one run in four failed that way on a 2-vCPU
 //! box).  Every test holds [`SERIAL`] for its whole body.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::alloc::{GlobalAlloc, Layout};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use wcq::{Counter, CountingInstrument};
 use wcq_core::scq::{ScqQueue, ScqRing};
-use wcq_core::wcq::{NativeFamily, WcqConfig, WcqQueue, WcqRing};
+use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig, WcqQueue, WcqRing};
 use wcq_harness::memtrack::{self, CountingAllocator};
 use wcq_unbounded::UnboundedWcq;
 
+/// The harness' counting allocator, which also counts the allocations laid
+/// out as a native `WcqRing` header: a boxed ring, which only an unbounded
+/// segment's `fq` is (an `aq` lives inside its segment, and a bounded queue's
+/// rings inside the queue).  A ring's records are a block of the same
+/// layout at 4 threads, so the count is read only on 2-thread queues.
+struct RingCountingAllocator;
+
+/// Allocations laid out as a `WcqRing<NativeFamily>` so far.
+static RING_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: defers every allocation to `CountingAllocator` and only adds an
+// atomic counter update in front of it.
+unsafe impl GlobalAlloc for RingCountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout == Layout::new::<WcqRing<NativeFamily>>() {
+            RING_ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
+        // SAFETY: forwarded verbatim.
+        unsafe { CountingAllocator.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim.
+        unsafe { CountingAllocator.dealloc(ptr, layout) }
+    }
+}
+
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+static ALLOCATOR: RingCountingAllocator = RingCountingAllocator;
 
 /// Serialises the tests of this binary (see the module doc).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -183,13 +211,15 @@ fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
         || UnboundedWcq::<u64>::new(10, 8),
         UnboundedWcq::memory_footprint,
     );
-    // DESIGN.md "The memory account", at the default geometry: one 77 072 B
-    // segment, the 512 B header, the hazard arrays (8 participants × one
-    // 128 B block + 8 flags = 1 032 B), the cache and the length hint.  And
-    // an endpoint's handle, with its 68 B stash inline.
+    // DESIGN.md "The memory account", at the default geometry: one 42 632 B
+    // segment, with no `fq` until an index comes back, the 512 B header,
+    // the hazard arrays (8 participants × one 128 B block + 8 flags =
+    // 1 032 B), the cache with its spare-ring slot and ring count (48 B) and
+    // the length hint.  And an endpoint's handle, with its 68 B stash
+    // inline.
     #[cfg(target_arch = "x86_64")]
     {
-        assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 78_712);
+        assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 44_288);
         assert_eq!(
             std::mem::size_of::<wcq_unbounded::UnboundedWcqHandle<'_, u64>>(),
             168
@@ -216,12 +246,19 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
     let mut h = q.register().unwrap();
 
     // Warm-up: populate the segment cache through one full burst/drain cycle.
+    // The tail's first returned index allocates its `fq`.
+    let rings_before_warm_up = RING_ALLOCS.load(Ordering::SeqCst);
     for i in 0..BURST {
         h.enqueue(i);
     }
     for i in 0..BURST {
         assert_eq!(h.dequeue(), Some(i));
     }
+    let rings_warm = RING_ALLOCS.load(Ordering::SeqCst);
+    assert!(
+        rings_warm > rings_before_warm_up,
+        "the warm-up's drain installed an `fq`"
+    );
 
     let allocated_before = instr.snapshot().get(Counter::SegmentAllocs);
     let before = memtrack::snapshot();
@@ -242,6 +279,13 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
         "steady-state churn must be served from the cache: {:?}",
         q.segment_stats()
     );
+    // Each round's retiring head parks its `fq` as the cache's spare, and
+    // the new tail installs that spare: no ring is allocated.
+    assert_eq!(
+        RING_ALLOCS.load(Ordering::SeqCst),
+        rings_warm,
+        "steady-state churn allocated an `fq` ring"
+    );
     // 50 rounds * 128 ops with per-op allocation would show up as >= 6400
     // allocations; the only heap traffic allowed is the hazard scan's small
     // bookkeeping on each segment retirement.
@@ -255,6 +299,181 @@ fn unbounded_wcq_steady_state_reuses_segments_without_allocating() {
         live_growth < 16 * 1024,
         "live heap grew {live_growth} bytes across steady-state rounds"
     );
+}
+
+/// Bytes of one `fq` ring on an `order`, `threads` queue: a ring shaped like
+/// the segment's `aq`.
+fn fq_ring_bytes<F: CellFamily>(order: u32, threads: usize) -> usize {
+    WcqRing::<F>::new(order, threads).memory_footprint()
+}
+
+/// Bursts of k × capacity on a queue with one handle, measured between
+/// handles (a dropped handle holds no heap, so the allocator's reading is
+/// the queue's): every reading of `memory_footprint()` is what the
+/// allocator handed out, and the rings in it are the ones a returned index
+/// installed — none at the first burst's peak, then one: the open tail's.
+/// Returns the readings as `(footprint, allocator's bytes, fq rings)`.
+fn bursts_carry_fq_rings_only_where_an_index_came_back<F: CellFamily>() -> Vec<(usize, usize, usize)>
+{
+    const ORDER: u32 = 4;
+    const THREADS: usize = 2;
+    let cap = 1u64 << ORDER;
+    let ring = fq_ring_bytes::<F>(ORDER, THREADS);
+    // Allocated before the base reading, so it grows no heap under it.
+    let mut readings = Vec::with_capacity(8);
+    let base = memtrack::snapshot().live_bytes;
+    let q: UnboundedWcq<u64, F> = UnboundedWcq::new(ORDER, THREADS);
+    let fresh = q.memory_footprint();
+    let mut read = |q: &UnboundedWcq<u64, F>, segment: usize| {
+        let footprint = q.memory_footprint();
+        let measured =
+            std::mem::size_of::<UnboundedWcq<u64, F>>() + memtrack::snapshot().live_bytes - base;
+        let resident = q.segment_stats().resident();
+        let rings = (footprint - fresh - (resident - 1) * segment) / ring;
+        assert_eq!(
+            footprint,
+            fresh + (resident - 1) * segment + rings * ring,
+            "segments and rings account for every byte"
+        );
+        readings.push((footprint, measured, rings));
+    };
+    // One more segment, with no `fq`, is what a second live one costs.
+    let mut h = q.register().unwrap();
+    for v in 0..=cap {
+        h.enqueue(v);
+    }
+    let segment = q.memory_footprint() - fresh;
+    for v in 0..=cap {
+        assert_eq!(h.dequeue(), Some(v));
+    }
+    drop(h);
+    let mut next = 0;
+    for k in [3, 1, 4, 2] {
+        let mut h = q.register().unwrap();
+        for v in next..next + k * cap {
+            h.enqueue(v);
+        }
+        let peak = q.segment_stats();
+        assert!(peak.live as u64 >= k, "{peak:?}");
+        read(&q, segment);
+        for v in next..next + k * cap {
+            assert_eq!(h.dequeue(), Some(v));
+        }
+        next += k * cap;
+        drop(h);
+        read(&q, segment);
+    }
+    readings
+}
+
+#[test]
+fn only_segments_that_got_an_index_back_carry_an_fq() {
+    let _serial = serial();
+    // As in the footprint test above, a try may be disturbed by the
+    // harness' own threads, so one of ten must read exact throughout.
+    fn check<F: CellFamily>(family: &str) {
+        let mut tries = Vec::new();
+        while tries.len() < 10 {
+            let readings = bursts_carry_fq_rings_only_where_an_index_came_back::<F>();
+            // The warm-up's drain returned indices to its open tail, so
+            // every burst's peak holds that one `fq` (in the head segment,
+            // the old tail) and no backlog segment holds one; after each
+            // drain the new tail has installed the one the head left.
+            let rings: Vec<usize> = readings.iter().map(|r| r.2).collect();
+            assert_eq!(rings, [1; 8], "{family}: fq rings at each peak and drain");
+            let exact = readings.iter().all(|(said, is, _)| said == is);
+            tries.push(readings);
+            if exact {
+                return;
+            }
+        }
+        panic!("{family}: (memory_footprint, allocator, fq rings) = {tries:?}");
+    }
+    check::<NativeFamily>("native");
+    wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+    check::<LlscFamily>("llsc");
+}
+
+/// Two consumer handles on their own threads race the first returns on a
+/// full tail that has no `fq` yet.  Returns `(lost, rings, leaked)`: how many
+/// indices the tail failed to take again, how many `fq` rings the queue
+/// held after the race (one installed, plus a loser's parked as the spare),
+/// and the heap bytes left once the queue dropped.  A ring a racer leaked
+/// would be left behind whole.
+fn racing_returns_install_one_fq<F: CellFamily>() -> (u64, usize, isize) {
+    const ORDER: u32 = 8;
+    let cap = 1u64 << ORDER;
+    let before = memtrack::snapshot().live_bytes;
+    let (lost, rings);
+    {
+        let q: UnboundedWcq<u64, F> = UnboundedWcq::new(ORDER, 3);
+        let fresh = q.memory_footprint();
+        let mut producer = q.register().unwrap();
+        for v in 0..cap {
+            producer.enqueue(v);
+        }
+        assert_eq!(q.segment_stats().live, 1, "the tail is full, not linked");
+        assert_eq!(q.memory_footprint(), fresh, "no index came back yet");
+        let (ready, go) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let taken = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut h = q.register().unwrap();
+                    ready.fetch_add(1, Ordering::SeqCst);
+                    while !go.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    while taken.load(Ordering::SeqCst) < cap {
+                        if h.dequeue().is_some() {
+                            taken.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+            while ready.load(Ordering::SeqCst) < 2 {
+                std::hint::spin_loop();
+            }
+            go.store(true, Ordering::SeqCst);
+        });
+        rings = (q.memory_footprint() - fresh) / fq_ring_bytes::<F>(ORDER, 3);
+        // Every index went back to the tail, which is still open: it takes
+        // exactly `capacity` values before the next one opens a segment.
+        let mut took = 0;
+        while q.segment_stats().live == 1 {
+            producer.enqueue(cap + took);
+            took += 1;
+        }
+        lost = cap + 1 - took;
+        while producer.dequeue().is_some() {}
+    }
+    let leaked = memtrack::snapshot().live_bytes as isize - before as isize;
+    (lost, rings, leaked)
+}
+
+#[test]
+fn racing_first_returns_install_exactly_one_fq_and_leak_no_ring() {
+    let _serial = serial();
+    // Each try races the install once (two rings after a try mean both
+    // racers built one).  A lost index shows in every try that raced.  A
+    // leaked ring shows as at least a ring's bytes left behind; thread
+    // spawns and the harness' own threads move the reading by a few hundred
+    // bytes either way.
+    fn check<F: CellFamily>(family: &str) {
+        let ring = fq_ring_bytes::<F>(8, 3) as isize;
+        let results: Vec<_> = (0..20)
+            .map(|_| racing_returns_install_one_fq::<F>())
+            .collect();
+        for (try_no, &(lost, rings, left)) in results.iter().enumerate() {
+            let at = format!("{family} try {try_no}: (lost, rings, heap left) = {results:?}");
+            assert_eq!(lost, 0, "{at}");
+            assert!((1..=2).contains(&rings), "{at}");
+            assert!(left < ring, "{at}");
+        }
+    }
+    check::<NativeFamily>("native");
+    wcq_atomics::llsc::set_spurious_failure_rate(0.0);
+    check::<LlscFamily>("llsc");
 }
 
 #[test]

@@ -148,13 +148,18 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // removed from `snooze_or_yield`, this replay hangs.  (Re-found twice,
     // each time by a seed search for the first replay to hang without the
     // checkpoint: when segments began taking fresh indices from a claim
-    // counter, and when the native targets began running the shipped cells.)
+    // counter, and when the native targets began running the shipped cells.
+    // Re-pinned 1534 -> 1540 when a segment's `fq` became a ring installed on
+    // the first index handed back: its clear moved from the cache's take,
+    // which read an untouched ring's `Head` and `Tail` through the cells on
+    // every reuse, to the recycler, only for a segment that got an `fq`.
+    // With the checkpoint removed, this replay still hangs.)
     (
         4,
         Target::Unbounded,
         0x78DD_E6E5_FD29_F077,
         16,
-        1534,
+        1540,
         "uninstrumented backoff spin-wait hung the token scheduler",
     ),
     // Pins the sharded queue's ordering contract rather than a fixed bug.
@@ -181,14 +186,16 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // returned None where the sequential model holds ..."); if a memo hit
     // is ever inferred from anything weaker than `src == bound`, so does the
     // real tree.  (The count is every yield point of the run, so it fell
-    // 734 -> 390 when each cell operation became one yield point, not two;
-    // the mutant still fails here, with the same message.)
+    // 734 -> 390 when each cell operation became one yield point, not two,
+    // and rose to 392 when the `fq` clear moved from the cache's take to the
+    // recycler (see the `Unbounded` entry above); the mutant still fails
+    // here, with the same message, both times.)
     (
         1,
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        390,
+        392,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is
@@ -197,13 +204,17 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // close returns without linking `SHUT` fails exactly here ("worker 1
     // seq 10 was accepted by a send that started after the channel's close
     // had returned"): the queue stays open.  If an enqueue can ever be
-    // admitted after a completed close, so does the real tree.
+    // admitted after a completed close, so does the real tree.  (275 -> 279
+    // when a producer that lost the append race stopped handing its
+    // preloaded index back to the abandoned segment's `fq`: the `fq` ring
+    // enqueue it no longer makes moved every later yield point; the mutant
+    // still fails here, with the same message.)
     (
         2,
         Target::Channel,
         0x3C6E_F372_FE94_F82B,
         1,
-        275,
+        279,
         "an enqueue that starts after the close must not append a segment",
     ),
 ];
