@@ -93,10 +93,19 @@ impl<F: CellFamily> WcqRing<F> {
     /// the slot out of circulation until the owner hands its indices out
     /// afresh.
     ///
+    /// `slots` is the owner's box itself, not the slice: the slice's
+    /// pointer and length are loaded only once a take has succeeded, so an
+    /// attempt that finds the ring empty holds no register for them.
+    ///
     /// # Safety
     /// `slots` and `tid` as for [`WcqRing::deposit_at`].
     #[inline(always)]
-    pub unsafe fn take_checked_at<T>(&self, slots: &[Slot<T>], tid: usize) -> Option<(T, u32)> {
+    #[allow(clippy::borrowed_box)]
+    pub unsafe fn take_checked_at<T>(
+        &self,
+        slots: &Box<[Slot<T>]>,
+        tid: usize,
+    ) -> Option<(T, u32)> {
         let index = self.dequeue_checked(tid)?;
         // SAFETY: the index came from this ring; the matching deposit fully
         // initialized the slot and nobody else touches it until the index

@@ -21,6 +21,7 @@ use core::sync::atomic::{
     AtomicU64,
     Ordering::{Relaxed, SeqCst},
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 use wcq_atomics::{CachePadded, Registry};
@@ -820,22 +821,58 @@ impl<F: CellFamily> WcqRing<F> {
     // ------------------------------------------------------------------
 
     /// Enqueues `index` as the thread owning record `tid` (one ring
-    /// enqueue).
+    /// enqueue) at the next ticket of `window`, a run of consecutive tail
+    /// tickets the caller reserved through this method.  An empty window
+    /// first reserves `run` new ones with one tail F&A, after the helping
+    /// countdown, so a caller pays both once per run, as a batch enqueue
+    /// does.
+    ///
+    /// A ticket a dequeuer burned before its deposit (`try_enq` fails)
+    /// empties the window, and `index` goes the standard enqueue way:
+    /// patience, slow path and helping, so the wait-freedom argument is the
+    /// batch enqueue's ([`Self::enqueue_many_at`]).  A reserved
+    /// ticket nobody has filled yet is an enqueuer stalled after its F&A,
+    /// which the `3n - 1` threshold bound already allows for; every index
+    /// is in the ring once this returns, and only the window's empty
+    /// tickets wait.  The caller empties the window (`start = end`) when it
+    /// drops it.
     ///
     /// # Safety
     /// `tid` is exclusive to the caller, as for
-    /// [`super::WcqQueue::enqueue_at`]; and at most `capacity` indices
-    /// circulate through the ring at a time.
+    /// [`super::WcqQueue::enqueue_at`]; at most `capacity` indices circulate
+    /// through the ring at a time; `window` is empty or was filled in by
+    /// this ring's own calls, in its current life (no [`Self::clear`]
+    /// since); and every caller's unfilled tickets together stay within the
+    /// ring's `n` slots of slack.
     #[inline]
-    pub unsafe fn enqueue_at(&self, tid: usize, index: u32) {
-        self.enqueue_index(tid, index.into());
+    pub unsafe fn enqueue_windowed_at(
+        &self,
+        tid: usize,
+        index: u32,
+        window: &mut Range<u64>,
+        run: u64,
+    ) {
+        if window.is_empty() {
+            self.help_threads(tid);
+            let base = self.tail.fetch_add_cnt_n(run);
+            *window = base..base + run;
+        }
+        if self.try_enq(window.start, index.into(), (self, tid)) {
+            window.start += 1;
+            self.count(Counter::RingEnqueues, 1);
+        } else {
+            window.start = window.end;
+            self.enqueue_index(tid, index.into());
+        }
     }
 
     /// Enqueues every index in `indices` with one batch enqueue (one tail
     /// F&A), as the thread owning record `tid`.
     ///
     /// # Safety
-    /// As for [`Self::enqueue_at`].
+    /// `tid` is exclusive to the caller, as for
+    /// [`super::WcqQueue::enqueue_at`]; and at most `capacity` indices
+    /// circulate through the ring at a time.
     pub unsafe fn enqueue_many_at(&self, tid: usize, indices: &[u32]) {
         self.enqueue_many(tid, indices);
     }
@@ -845,7 +882,7 @@ impl<F: CellFamily> WcqRing<F> {
     /// `free` and returns how many.  `0` is the ring's ⊥: it was empty.
     ///
     /// # Safety
-    /// As for [`Self::enqueue_at`].
+    /// As for [`Self::enqueue_many_at`].
     pub unsafe fn dequeue_many_at(&self, tid: usize, free: &mut [u32]) -> usize {
         let mut claimed = 0;
         self.dequeue_many(tid, free.len(), |index| {

@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::ptr;
 use std::sync::atomic::{
     AtomicPtr, AtomicU64, AtomicUsize,
@@ -224,6 +225,7 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             hp: self.domain.register()?,
             bound: ptr::null_mut(),
             stash: Stash::new(),
+            window: 0..0,
             rebinds: 0,
             tallies: OpTallies::default(),
         })
@@ -420,6 +422,13 @@ pub struct UnboundedWcqHandle<'q, T, F: CellFamily = NativeFamily> {
     /// claim counter) and emptied before hazard slot `MEMO` lets go of it
     /// (empty while `bound` is null).
     stash: Stash,
+    /// The `fq` tail tickets of `bound` that this handle's dequeues reserved
+    /// and have not filled yet, `next..end`: each return while `bound` is
+    /// open deposits at the next one, and an empty window reserves a run
+    /// of [`Stash::run`] more (`Segment::try_dequeue`).
+    /// Emptied with the stash, before hazard slot `MEMO` lets go of
+    /// `bound`; its tickets are then abandoned, as a failed attempt's are.
+    window: Range<u64>,
     /// How many times the memo moved, i.e. how many times [`Self::pin`]
     /// missed (statistics; lets tests assert the memo actually hits).
     rebinds: u64,
@@ -480,7 +489,8 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     }
 
     /// [`Self::pin`] on a memo miss, out of line: the stash goes back to the
-    /// old memo while hazard slot `MEMO` still pins it, then Michael's
+    /// old memo, and the `fq` window is dropped, while hazard slot `MEMO`
+    /// still pins it ([`Self::hand_back`]), then Michael's
     /// publish-and-revalidate puts the segment `src` points at in the same
     /// slot, which lets go of the old memo.  So a handle, even one stopped
     /// here, pins one segment: the one it is about to dereference, or the
@@ -492,7 +502,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         src: &AtomicPtr<Segment<T, F>>,
         seen: *mut Segment<T, F>,
     ) -> *mut Segment<T, F> {
-        self.return_stash();
+        self.hand_back();
         #[cfg(feature = "check-mutations")]
         let seg = {
             // MUTATION (check-mutations): publishes `seen`, the pointer the
@@ -514,21 +524,24 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         seg
     }
 
-    /// Drops the memo, clearing hazard slot `MEMO` after the stash goes back.
+    /// Drops the memo, clearing hazard slot `MEMO` after the stash goes back
+    /// and the `fq` window is dropped.
     fn unbind(&mut self) {
         if !self.bound.is_null() {
-            self.return_stash();
+            self.hand_back();
             self.bound = ptr::null_mut();
             self.hp.clear_one(MEMO);
         }
     }
 
     /// Empties the stash into the memo segment's `fq` (while the segment is
-    /// open; a linked one drops it: `Segment::return_stash`).  Every place
-    /// the memo moves or ends calls this before hazard slot `MEMO` lets go,
-    /// so an open segment can hand the indices out again, and no stash holds
-    /// an index of a segment that is reclaimed.
-    fn return_stash(&mut self) {
+    /// open; a linked one drops it: `Segment::return_stash`) and drops the
+    /// `fq` window.  Every place the memo moves or ends calls this before
+    /// hazard slot `MEMO` lets go, so an open segment can hand the indices
+    /// out again, no stash holds an index of a segment that is reclaimed,
+    /// and no window outlives the `fq` life its tickets belong to.
+    fn hand_back(&mut self) {
+        self.window = 0..0;
         if self.stash.len() > 0 {
             // SAFETY: a non-empty stash holds indices of `bound`, which
             // hazard slot `MEMO` pins; `tid` is this handle's participant id.
@@ -720,14 +733,18 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     fn dequeue_rest(&mut self, headp: *mut Segment<T, F>, next: *mut Segment<T, F>) -> Option<T> {
         let tid = self.hp.tid();
         // SAFETY: `tid` is this handle's participant id, which no other
-        // thread holds while the handle lives.
-        let mut take = move |seg: &Segment<T, F>| unsafe { seg.try_dequeue(tid) };
+        // thread holds while the handle lives; a take runs on the memo, and
+        // `window` is the handle's, which holds only the memo's tickets.
+        let mut take = move |seg: &Segment<T, F>, window: &mut Range<u64>| unsafe {
+            seg.try_dequeue(tid, window)
+        };
         let attempt = if headp != self.bound {
             let headp = self.pin_miss(&self.queue.head, headp);
             self.attempt_pinned(headp, &mut take)
         } else if next.is_null() {
-            // SAFETY: a memo hit, as in `poll_head`; `tid` as above.
-            let got = unsafe { (*headp).try_dequeue_checked(tid) };
+            // SAFETY: a memo hit, as in `poll_head`; `tid` and the window as
+            // above.
+            let got = unsafe { (*headp).try_dequeue_checked(tid, &mut self.window) };
             // SAFETY: as above.
             unsafe { Self::outcome(headp, got) }
         } else {
@@ -785,7 +802,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         self.tallies.batch_values_requested += max as u64;
         let tid = self.hp.tid();
         // One inner batch dequeue, `None` when it finds the segment empty.
-        let mut take = |seg: &Segment<T, F>| {
+        let mut take = |seg: &Segment<T, F>, _: &mut Range<u64>| {
             // SAFETY: as in `dequeue_rest`.
             NonZeroUsize::new(unsafe { seg.try_dequeue_many(tid, out, max) })
         };
@@ -805,14 +822,15 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         got
     }
 
-    /// Pins the head segment as the memo and `take`s once.
+    /// Pins the head segment as the memo and `take`s once, handing `take`
+    /// the handle's `fq` window.
     /// `Ok` is the operation's answer — a `None` there means the head had no
     /// successor, so the queue was empty at the inner dequeue's
     /// linearization point.  `Err` is a drained head with a successor.
     #[inline(always)]
     fn head_attempt<R>(
         &mut self,
-        take: &mut impl FnMut(&Segment<T, F>) -> Option<R>,
+        take: &mut impl FnMut(&Segment<T, F>, &mut Range<u64>) -> Option<R>,
     ) -> Result<Option<R>, Crossing<T, F>> {
         let headp = self.pin(&self.queue.head);
         self.attempt_pinned(headp, take)
@@ -824,10 +842,10 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
     fn attempt_pinned<R>(
         &mut self,
         headp: *mut Segment<T, F>,
-        take: &mut impl FnMut(&Segment<T, F>) -> Option<R>,
+        take: &mut impl FnMut(&Segment<T, F>, &mut Range<u64>) -> Option<R>,
     ) -> Result<Option<R>, Crossing<T, F>> {
         // SAFETY: `headp` comes from `pin` in this operation: the memo.
-        let got = take(unsafe { &*headp });
+        let got = take(unsafe { &*headp }, &mut self.window);
         // SAFETY: the memo pins `headp` now.
         unsafe { Self::outcome(headp, got) }
     }
@@ -867,7 +885,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
         &mut self,
         mut headp: *mut Segment<T, F>,
         mut next: *mut Segment<T, F>,
-        mut take: impl FnMut(&Segment<T, F>) -> Option<R>,
+        mut take: impl FnMut(&Segment<T, F>, &mut Range<u64>) -> Option<R>,
     ) -> Option<R> {
         let mut backoff = Backoff::new();
         loop {
@@ -878,7 +896,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
                 // completes a *wait-free* inner enqueue as soon as it gets
                 // CPU, so giving it the core beats burning ours.
                 backoff.snooze_or_yield();
-            } else if let Some(got) = take(seg) {
+            } else if let Some(got) = take(seg, &mut self.window) {
                 return Some(got);
             } else {
                 // SAFETY: `headp` is pinned, drained and closed, and `next`
@@ -991,7 +1009,7 @@ impl<'q, T, F: CellFamily> UnboundedWcqHandle<'q, T, F> {
 
 impl<'q, T, F: CellFamily> Drop for UnboundedWcqHandle<'q, T, F> {
     fn drop(&mut self) {
-        self.return_stash();
+        self.hand_back();
         if let Some(set) = self.queue.counter_set() {
             self.tallies.flush(set);
             set.add(Counter::SegmentRebinds, self.rebinds);
@@ -1565,6 +1583,55 @@ mod tests {
         }
     }
 
+    /// Bursts of k × capacity + 3 values, each drained by a receiver whose
+    /// `fq` window is then left open, three returns into its eight tickets.
+    /// A window holds tickets, not indices: every return deposits its index
+    /// at once, so the drain leaves every index of the open tail in its
+    /// `fq`.  The next burst's first `capacity` values fit in that tail, and
+    /// every burst links exactly k segments.  (A receiver that held its
+    /// freed indices back for one batch return would strand three here, and
+    /// the tail would link after `capacity - 3` values.)
+    fn a_drain_that_ends_with_an_open_window_strands_no_index<F: CellFamily>() {
+        let (q, set) = counted_in::<F>(6, 2); // 64 slots, windows of 8
+        let cap = q.segment_capacity() as u64;
+        let (mut tx, mut rx) = (q.register().unwrap(), q.register().unwrap());
+        let mut next = 0;
+        for (round, k) in [3u64, 1, 4, 2].into_iter().enumerate() {
+            let before = appends(&set);
+            for (sent, v) in (next..next + k * cap + 3).enumerate() {
+                tx.enqueue(v);
+                if sent as u64 == cap - 1 {
+                    assert_eq!(
+                        appends(&set),
+                        before,
+                        "round {round}: the tail took fewer than {cap} values"
+                    );
+                }
+            }
+            assert_eq!(appends(&set) - before, k, "round {round}");
+            for v in next..next + k * cap + 3 {
+                assert_eq!(rx.dequeue(), Some(v));
+            }
+            assert_eq!(rx.dequeue(), None);
+            assert_eq!(
+                rx.window.clone().count(),
+                5,
+                "round {round}: the drain ends three returns into a window"
+            );
+            next += k * cap + 3;
+        }
+    }
+
+    #[test]
+    fn a_drain_that_ends_with_an_open_window_strands_no_index_native() {
+        a_drain_that_ends_with_an_open_window_strands_no_index::<NativeFamily>();
+    }
+
+    #[test]
+    fn a_drain_that_ends_with_an_open_window_strands_no_index_llsc() {
+        a_drain_that_ends_with_an_open_window_strands_no_index::<LlscFamily>();
+    }
+
     #[test]
     fn a_backlog_installs_an_fq_only_on_its_open_tail_native() {
         a_backlog_installs_an_fq_only_on_its_open_tail::<NativeFamily>();
@@ -2111,8 +2178,9 @@ mod tests {
         );
         if exhausted {
             while seg.aq_threshold() >= 0 {
-                // SAFETY: the consumer's participant id, on this thread.
-                assert!(unsafe { seg.try_dequeue(c.tid()) }.is_none());
+                // SAFETY: the consumer's participant id and `fq` window, on
+                // this thread.
+                assert!(unsafe { seg.try_dequeue(c.tid(), &mut c.window) }.is_none());
             }
         } else {
             assert!(seg.aq_threshold() >= 0);

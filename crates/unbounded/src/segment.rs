@@ -82,8 +82,27 @@
 //! slot [`MEMO`] lets go of the segment — while `next` is null.  Once it is
 //! not, the stash is dropped: its indices are dead for the rest of this life.
 //!
-//! A dequeue returns each freed index at once, but only while the segment's
-//! `next` is null.  Once it is not, the segment is closed for good (point
+//! A dequeue returns each freed index at once, and the tail F&A of those
+//! returns is paid once per run too: the handle's first return on the
+//! segment reserves `run` consecutive `fq` tail tickets with one F&A (the
+//! same `run` as a stash's, kept in the segment's header), and it and the
+//! next `run - 1` returns each deposit at the next ticket of that window
+//! with Figure 3's `try_enq` ([`WcqRing::enqueue_windowed_at`]).  A window
+//! holds tickets, not indices: every freed index is in `fq` the moment its
+//! dequeue returns, so a drain strands nothing in the tail, and the windows
+//! leave at most `max_threads × (run - 1)` tickets unfilled, a quarter of
+//! `fq`'s slack at most.  A claim whose batch dequeue passes a ticket the
+//! receiver has not filled yet burns it; the receiver's fill there fails,
+//! its index goes the standard enqueue way (patience, slow path, helping)
+//! and the window is dropped.  The window belongs to the memo, like the
+//! stash, and is dropped when the stash goes back; its unfilled tickets are
+//! then abandoned, as a failed attempt's are.  Overruns stay rare because a
+//! claim that comes back short takes the rest from the claim counter (next
+//! section): each one deepens `fq`'s pool, until claims stop reaching the
+//! windows.
+//!
+//! Returns happen only while the segment's `next` is null.  Once it is not,
+//! the segment is closed for good (point
 //! 2): no announcement is admitted there again, and only a producer admitted
 //! before the link can still ask for an index.  So a dequeue there keeps the
 //! index it freed and skips a whole `fq` enqueue (tail F&A, entry CAS,
@@ -101,7 +120,9 @@
 //! with **no `fq` at all**, and the indices no one has used yet in this life
 //! come from a claim counter beside `next`: a refill asks `fq` first and,
 //! only when `fq` answers ⊥, takes the next run with one `fetch_add` on the
-//! counter.  An absent `fq` answers ⊥ the way an empty one would: the claim
+//! counter; an `fq` batch that comes back short takes the rest from the
+//! counter too, while the counter has any.  An absent `fq` answers ⊥ the
+//! way an empty one would: the claim
 //! counts one ring dequeue, touches no ring, and goes on to the counter.  ⊥
 //! from both is "full" (point 1).  The fresh-segment preload takes index 0
 //! from the counter too, with a plain load and store: the segment is
@@ -146,6 +167,7 @@
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
+use std::ops::Range;
 use std::ptr;
 use std::sync::atomic::{
     AtomicPtr, AtomicU32, AtomicUsize,
@@ -195,6 +217,10 @@ pub(crate) struct Segment<T, F: CellFamily> {
     /// past `capacity` means every index has been handed out (module docs,
     /// "Fresh indices from a counter").
     fresh: AtomicU32,
+    /// The `fq` tail tickets a receiver's window reserves at a time: the
+    /// queue's [`Stash::run`], kept beside `fresh` (in its padding) so a
+    /// return reads it only after its take.
+    run: u32,
 }
 
 impl<T, F: CellFamily> Segment<T, F> {
@@ -207,6 +233,7 @@ impl<T, F: CellFamily> Segment<T, F> {
     ) -> Self {
         let aq = WcqRing::with_config_counters(order, max_threads, config, counters);
         let slots = new_slots(aq.capacity() as usize);
+        let run = Stash::run(slots.len(), max_threads) as u32;
         Self {
             aq,
             slots,
@@ -214,6 +241,7 @@ impl<T, F: CellFamily> Segment<T, F> {
             next: AtomicPtr::new(ptr::null_mut()),
             cache,
             fresh: AtomicU32::new(0),
+            run,
         }
     }
 
@@ -401,6 +429,10 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// returns how many: from `fq` with one batch dequeue or, when `fq`
     /// answers ⊥ or is absent, from the claim counter with one `fetch_add`
     /// (module docs, "Fresh indices from a counter").  `0` is ⊥ from both.
+    /// A batch that comes back short takes the rest from the counter while
+    /// it has any left: the indices it adds deepen `fq`'s pool, so later
+    /// claims stop reaching the `fq` tickets receivers reserved and have
+    /// not filled yet (module docs, "Free slots in runs").
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
@@ -409,7 +441,7 @@ impl<T, F: CellFamily> Segment<T, F> {
     #[inline(always)]
     unsafe fn claim(&self, tid: usize, free: &mut [u32]) -> usize {
         let fq = self.fq.load(SeqCst);
-        let claimed = if fq.is_null() {
+        let mut claimed = if fq.is_null() {
             // ⊥ as an empty `fq` answers it: one ring dequeue, counted.
             if let Some(set) = self.aq.counter_set() {
                 set.add(Counter::RingDequeues, 1);
@@ -421,18 +453,24 @@ impl<T, F: CellFamily> Segment<T, F> {
             // the function contract.
             unsafe { (*fq).dequeue_many_at(tid, free) }
         };
-        match claimed {
-            0 => self.claim_fresh(free),
-            claimed => claimed,
+        // A short batch reads the counter before it moves it, so a spent
+        // counter is moved again only on ⊥ from `fq` (`claim_fresh`).
+        if claimed == 0
+            || (claimed < free.len() && self.fresh.load(SeqCst) < self.slots.len() as u32)
+        {
+            claimed += self.claim_fresh(&mut free[claimed..]);
         }
+        claimed
     }
 
     /// Takes the next run of up to `free.len()` never-used indices from the
     /// claim counter, ascending into the front of `free`, and returns how
     /// many; `0` once all `capacity` are out.  A claim past `capacity` is a
     /// refusal, after which its producer links a successor or finds one
-    /// linked, so the counter passes `capacity` by at most two runs (a batch
-    /// and its stash refill) per producer per life, and never wraps.
+    /// linked, and a short `fq` batch tops up here only while the counter
+    /// is below `capacity`, so the counter passes `capacity` by at most
+    /// three runs (a top-up, a batch and its stash refill) per producer per
+    /// life, and never wraps.
     fn claim_fresh(&self, free: &mut [u32]) -> usize {
         let capacity = self.slots.len() as u32;
         wcq_atomics::yield_point("segment.claim");
@@ -503,22 +541,26 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// ring was observed empty.
     ///
     /// The freed index goes back to `fq` only while `next` is null (module
-    /// docs, "Free slots in runs").  `next` is read after the `aq` take
-    /// succeeded, so the take reads no `next` of its own when it finds the
-    /// segment empty: [`Segment::dequeue_finds_empty`], its first step, is
-    /// the count and the threshold load, and the outer handle inlines only
-    /// that step and reads `next` itself.
+    /// docs, "Free slots in runs"), at the next ticket of `window`, which
+    /// reserves the next run of tickets when it is empty
+    /// ([`WcqRing::enqueue_windowed_at`]).  `next` is read after the `aq`
+    /// take succeeded, so the take reads no `next` of its own when it finds
+    /// the segment empty: [`Segment::dequeue_finds_empty`], its first step,
+    /// is the count and the threshold load, and the outer handle inlines
+    /// only that step and reads `next` itself.
     ///
     /// # Safety
     /// As for [`Segment::try_enqueue`], with `tid` the caller's participant
-    /// id.
+    /// id; and `window` is empty or holds tickets of this segment's `fq`
+    /// that only this caller's returns reserved, in the segment's current
+    /// life.
     #[inline]
-    pub(crate) unsafe fn try_dequeue(&self, tid: usize) -> Option<T> {
+    pub(crate) unsafe fn try_dequeue(&self, tid: usize, window: &mut Range<u64>) -> Option<T> {
         if self.dequeue_finds_empty() {
             return None;
         }
         // SAFETY: per the function contract.
-        unsafe { self.try_dequeue_checked(tid) }
+        unsafe { self.try_dequeue_checked(tid, window) }
     }
 
     /// The first step of [`Segment::try_dequeue`]: counts one ring dequeue
@@ -535,14 +577,57 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// # Safety
     /// As for [`Segment::try_dequeue`].
     #[inline(always)]
-    pub(crate) unsafe fn try_dequeue_checked(&self, tid: usize) -> Option<T> {
+    pub(crate) unsafe fn try_dequeue_checked(
+        &self,
+        tid: usize,
+        window: &mut Range<u64>,
+    ) -> Option<T> {
         // SAFETY: `tid` is exclusive per the function contract.
         let (value, index) = unsafe { self.aq.take_checked_at(&self.slots, tid) }?;
         if self.next.load(SeqCst).is_null() {
-            // SAFETY: as above; the index was just taken.
-            unsafe { self.free_ring().enqueue_at(tid, index) };
+            let fq = self.fq.load(SeqCst);
+            if fq.is_null() {
+                // SAFETY: as above; the index was just taken.
+                unsafe { self.install_and_return(tid, index, window) };
+            } else {
+                // SAFETY: as above, and `fq` is installed (`free_ring`).
+                unsafe { self.return_index(&*fq, tid, index, window) };
+            }
         }
         Some(value)
+    }
+
+    /// [`Segment::try_dequeue_checked`]'s return when the segment has no
+    /// `fq` yet: the install and the return together, out of line, so the
+    /// take keeps no register across the install's call.
+    ///
+    /// # Safety
+    /// As for [`Segment::return_index`].
+    #[cold]
+    #[inline(never)]
+    unsafe fn install_and_return(&self, tid: usize, index: u32, window: &mut Range<u64>) {
+        // SAFETY: per the function contract.
+        unsafe { self.return_index(self.install_fq(), tid, index, window) };
+    }
+
+    /// Hands the freed `index` back to `fq` at the next ticket of `window`.
+    ///
+    /// # Safety
+    /// `fq` is this segment's installed `fq`, `tid` and `window` as for
+    /// [`Segment::try_dequeue`], and `index` was just taken from `aq`.
+    #[inline(always)]
+    unsafe fn return_index(
+        &self,
+        fq: &WcqRing<F>,
+        tid: usize,
+        index: u32,
+        window: &mut Range<u64>,
+    ) {
+        // SAFETY: per the function contract.  The windows of all
+        // participants leave at most `max_threads × (run − 1)` tickets
+        // unfilled: a quarter of the ring's `n` slots of slack at most
+        // ([`Stash::run`]).
+        unsafe { fq.enqueue_windowed_at(tid, index, window, self.run.into()) };
     }
 
     /// Batch counterpart of [`Segment::try_dequeue`]: pulls up to `max`
@@ -957,6 +1042,7 @@ mod tests {
     fn takes_exactly_capacity<F: CellFamily>(seg: &mut Segment<u64, F>) {
         let cap = seg.slots.len() as u64;
         let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
+        let window = &mut (0..0);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         for round in 0..3 {
@@ -978,9 +1064,9 @@ mod tests {
                 );
                 assert!(hp.protected(ANNOUNCE).is_null());
                 for v in 0..cap {
-                    assert_eq!(seg.try_dequeue(hp.tid()), Some(v));
+                    assert_eq!(seg.try_dequeue(hp.tid(), window), Some(v));
                 }
-                assert_eq!(seg.try_dequeue(hp.tid()), None);
+                assert_eq!(seg.try_dequeue(hp.tid(), window), None);
             }
             assert_eq!(stash.len(), 0, "round {round}: every claimed index used");
             assert!(seg.has_fq(), "round {round}: the returns installed an `fq`");
@@ -989,6 +1075,8 @@ mod tests {
                 reopen(seg);
                 // SAFETY: drained, and the stash is empty.
                 unsafe { seg.renew() };
+                // The window's tickets belong to the `fq` the reopen took.
+                *window = 0..0;
             }
         }
     }
@@ -1008,6 +1096,7 @@ mod tests {
         let cache = SegmentCache::new();
         let seg = segment::<F>(&cache, 3, 1);
         let (stash, run) = (&mut Stash::new(), 2);
+        let window = &mut (0..0);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0 and of the unpublished
@@ -1019,8 +1108,8 @@ mod tests {
             assert_eq!(seg.try_enqueue(&hp, 8, stash, run), Ok(()));
             assert_eq!(fresh(&seg), 3, "the refill took indices 1 and 2");
             assert_eq!(fq(&seg), None, "a claim on an absent `fq` installs none");
-            assert_eq!(seg.try_dequeue(0), Some(7));
-            assert_eq!(seg.try_dequeue(0), Some(8));
+            assert_eq!(seg.try_dequeue(0, window), Some(7));
+            assert_eq!(seg.try_dequeue(0, window), Some(8));
             assert!(fq(&seg).is_some(), "the first return installed an `fq`");
 
             let abandoned = segment::<F>(&cache, 3, 1);
@@ -1049,6 +1138,7 @@ mod tests {
         let cache = SegmentCache::new();
         let seg = segment::<F>(&cache, 6, 1);
         let (stash, run) = (&mut Stash::new(), 4);
+        let window = &mut (0..0);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0; the stash is `seg`'s.
@@ -1061,7 +1151,7 @@ mod tests {
                     "send {v}: each refill claims a whole run"
                 );
                 assert_eq!(fresh(&seg), run as u32, "send {v}");
-                assert_eq!(seg.try_dequeue(0), Some(v));
+                assert_eq!(seg.try_dequeue(0, window), Some(v));
             }
         }
     }
@@ -1111,13 +1201,14 @@ mod tests {
         unsafe {
             let cap = (*seg).aq.capacity();
             let (stash, run) = (&mut Stash::new(), 4);
+            let window = &mut (0..0);
             match leftover {
                 Leftover::Stash => {
                     assert_eq!((*seg).try_enqueue(&hp, 0, stash, run), Ok(()));
                     link(&*seg, ptr::from_ref(&successor).cast_mut());
                     (*seg).return_stash(0, stash);
                     assert_eq!(stash.len(), 0);
-                    assert_eq!((*seg).try_dequeue(0), Some(0));
+                    assert_eq!((*seg).try_dequeue(0, window), Some(0));
                     assert_eq!(fq(&*seg), None, "{leftover:?}: no index came back");
                 }
                 Leftover::Return => {
@@ -1125,15 +1216,19 @@ mod tests {
                         assert_eq!((*seg).try_enqueue(&hp, v, stash, run), Ok(()));
                     }
                     assert_eq!((*seg).try_enqueue(&hp, cap, stash, run), Err(cap));
-                    assert_eq!((*seg).try_dequeue(0), Some(0), "returned: no link yet");
+                    assert_eq!(
+                        (*seg).try_dequeue(0, window),
+                        Some(0),
+                        "returned: no link yet"
+                    );
                     link(&*seg, ptr::from_ref(&successor).cast_mut());
                     for v in 1..cap {
-                        assert_eq!((*seg).try_dequeue(0), Some(v));
+                        assert_eq!((*seg).try_dequeue(0, window), Some(v));
                     }
                     assert!(fq(&*seg).is_some(), "the return installed an `fq`");
                 }
             }
-            assert_eq!((*seg).try_dequeue(0), None);
+            assert_eq!((*seg).try_dequeue(0, window), None);
             let rings = cache.rings();
             SegmentCache::give_back(&cache, seg);
             assert_eq!(fq(&*seg), None, "{leftover:?}: the cache took the `fq`");
@@ -1168,6 +1263,7 @@ mod tests {
         let seg = segment::<F>(&cache, 3, 1);
         let successor = segment::<F>(&cache, 3, 1);
         let (stash, run, out) = (&mut Stash::new(), 2, &mut Vec::new());
+        let window = &mut (0..0);
         let domain = domain(1);
         let hp = domain.register().unwrap();
         // SAFETY: one thread, the only user of tid 0; the stash is `seg`'s.
@@ -1176,7 +1272,7 @@ mod tests {
                 assert_eq!(seg.try_enqueue(&hp, v, stash, run), Ok(()));
             }
             assert_eq!(fq(&seg), None, "no index came back yet");
-            assert_eq!(seg.try_dequeue(0), Some(0));
+            assert_eq!(seg.try_dequeue(0, window), Some(0));
             let after = fq(&seg);
             assert!(after.is_some(), "the open tail returns its index");
             assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
@@ -1184,10 +1280,10 @@ mod tests {
 
             link(&seg, ptr::from_ref(&successor).cast_mut());
             let linked = fq(&seg);
-            assert_eq!(seg.try_dequeue(0), Some(2));
+            assert_eq!(seg.try_dequeue(0, window), Some(2));
             assert_eq!(seg.try_dequeue_many(0, out, 1), 1);
             assert_eq!(*out, [1, 3]);
-            assert_eq!(seg.try_dequeue(0), None);
+            assert_eq!(seg.try_dequeue(0, window), None);
             assert_eq!(seg.try_dequeue_many(0, out, 4), 0);
             assert_eq!(
                 fq(&seg),
@@ -1227,15 +1323,16 @@ mod tests {
         unsafe {
             let cap = (*seg).aq.capacity();
             let (stash, run) = (&mut Stash::new(), Stash::MAX.min(cap as usize));
+            let window = &mut (0..0);
             for v in 0..cap {
                 assert_eq!((*seg).try_enqueue(&hp, v, stash, run), Ok(()));
             }
             assert_eq!((*seg).try_enqueue(&hp, cap, stash, run), Err(cap));
             link(&*seg, ptr::from_ref(&successor).cast_mut());
             for v in 0..cap {
-                assert_eq!((*seg).try_dequeue(0), Some(v));
+                assert_eq!((*seg).try_dequeue(0, window), Some(v));
             }
-            assert_eq!((*seg).try_dequeue(0), None);
+            assert_eq!((*seg).try_dequeue(0, window), None);
             assert_eq!(fq(&*seg), None, "every return was skipped");
             assert_eq!(cache.rings(), 0, "no ring was ever allocated");
             SegmentCache::give_back(&cache, seg);
@@ -1258,6 +1355,111 @@ mod tests {
         for order in 1..=4 {
             a_reused_segment_takes_exactly_capacity::<LlscFamily>(order);
         }
+    }
+
+    /// Fills `seg` as `hp`'s participant until it refuses, then drains it
+    /// as the receiver `rx` with its `window`: returns how many values it
+    /// took, and checks they come out in order.
+    ///
+    /// # Safety
+    /// One thread; `stash` holds only `seg`'s indices and `window` only
+    /// `rx`'s tickets of its `fq`.
+    unsafe fn fill_and_drain<F: CellFamily>(
+        seg: &Segment<u64, F>,
+        hp: &HazardHandle<'_>,
+        stash: &mut Stash,
+        rx: usize,
+        window: &mut Range<u64>,
+    ) -> u64 {
+        let mut took = 0;
+        // SAFETY: per the function contract.
+        while unsafe { seg.try_enqueue(hp, took, stash, 4) }.is_ok() {
+            took += 1;
+        }
+        for v in 0..took {
+            // SAFETY: as above.
+            assert_eq!(unsafe { seg.try_dequeue(rx, window) }, Some(v));
+        }
+        took
+    }
+
+    /// A producer's claim that reaches past the filled part of a receiver's
+    /// `fq` window burns the window's next tickets.  The receiver's next
+    /// return then finds its ticket burned: it falls back to a whole `fq`
+    /// enqueue and drops the window, and its next return reserves a fresh
+    /// one past the fallback's ticket.  No index is lost or handed out
+    /// twice: the segment then takes exactly `capacity` values, twice in
+    /// the same life, and once more after the cache hands it out again.
+    fn an_overrun_window_falls_back_and_loses_no_index<F: CellFamily>() {
+        let cache = SegmentCache::<u64, F>::new();
+        // 64 slots and 2 participants: windows of 8 tickets.
+        let seg = Box::into_raw(Box::new(Segment::new(
+            6,
+            2,
+            WcqConfig::default(),
+            &cache,
+            None,
+        )));
+        let domain = domain(2);
+        let (tx, rx) = (domain.register().unwrap(), domain.register().unwrap());
+        let (stash, window) = (&mut Stash::new(), &mut (0..0));
+        // SAFETY: one thread, the only user of both ids and of `seg`, which
+        // came from `Box::into_raw` and is freed once, at the end; the
+        // stash is `tx`'s and the window `rx`'s, both of `seg`.
+        unsafe {
+            let cap = (*seg).aq.capacity();
+            assert_eq!((*seg).run, 8);
+            for v in 0..4 {
+                assert_eq!((*seg).try_enqueue(&tx, v, stash, 4), Ok(()));
+            }
+            for v in 0..2 {
+                assert_eq!((*seg).try_dequeue(rx.tid(), window), Some(v));
+            }
+            assert_eq!(window.clone().count(), 6, "two of eight tickets filled");
+            let reserved = window.end;
+            // The refill asks `fq` for 4 indices: its batch dequeue takes
+            // the two returned and burns the window's next two tickets, and
+            // the claim takes the other two from the counter.
+            assert_eq!((*seg).try_enqueue(&tx, 4, stash, 4), Ok(()));
+            assert_eq!(stash.len(), 3, "the claim got four indices");
+            assert_eq!(fresh(&*seg), 6, "two of them fresh");
+            assert_eq!((*seg).try_dequeue(rx.tid(), window), Some(2));
+            assert!(window.is_empty(), "the failed fill dropped the window");
+            assert_eq!((*seg).try_dequeue(rx.tid(), window), Some(3));
+            assert_eq!(
+                window.start,
+                reserved + 2,
+                "the fallback took the next ticket, and a new window the rest"
+            );
+            assert_eq!((*seg).try_dequeue(rx.tid(), window), Some(4));
+            for round in 0..2 {
+                assert_eq!(
+                    fill_and_drain(&*seg, &tx, stash, rx.tid(), window),
+                    cap,
+                    "round {round}: an index was lost or handed out twice"
+                );
+            }
+            link(&*seg, shut());
+            SegmentCache::give_back(&cache, seg);
+            let again = cache.take().expect("the segment just given back");
+            assert_eq!(again, seg);
+            assert_eq!(
+                fill_and_drain(&*again, &tx, stash, rx.tid(), &mut (0..0)),
+                cap,
+                "reused"
+            );
+            drop(Box::from_raw(again));
+        }
+    }
+
+    #[test]
+    fn an_overrun_window_falls_back_and_loses_no_index_native() {
+        an_overrun_window_falls_back_and_loses_no_index::<NativeFamily>();
+    }
+
+    #[test]
+    fn an_overrun_window_falls_back_and_loses_no_index_llsc() {
+        an_overrun_window_falls_back_and_loses_no_index::<LlscFamily>();
     }
 
     #[test]
@@ -1296,6 +1498,7 @@ mod tests {
         for next in [ptr::from_ref(&successor).cast_mut(), shut()] {
             let mut seg = segment::<NativeFamily>(&cache, 3, 1);
             let (stash, run) = (&mut Stash::new(), 2);
+            let window = &mut (0..0);
             let domain = domain(1);
             let hp = domain.register().unwrap();
             // SAFETY: one thread, the only user of `hp`'s id; the stash is
@@ -1318,7 +1521,7 @@ mod tests {
                 );
                 assert_eq!(batch, [3, 4, 5], "a refused batch keeps every value");
                 assert_eq!(rings(&seg), before, "a refused enqueue touched a ring");
-                assert_eq!(seg.try_dequeue(0), Some(1), "pre-link values drain");
+                assert_eq!(seg.try_dequeue(0, window), Some(1), "pre-link values drain");
             }
             let me = ptr::from_ref(&seg).cast::<u8>();
             assert_eq!(domain.count_publishing(ANNOUNCE, me), 0);
@@ -1398,9 +1601,10 @@ mod tests {
                 let hp = domain.register().unwrap();
                 let me = ptr::from_ref(seg).cast::<u8>();
                 let mut got = Vec::new();
+                let window = &mut (0..0);
                 loop {
                     // SAFETY: this thread is the only user of `hp`'s id.
-                    if let Some(v) = unsafe { seg.try_dequeue(hp.tid()) } {
+                    if let Some(v) = unsafe { seg.try_dequeue(hp.tid(), window) } {
                         got.push(v);
                         delivered_count.fetch_add(1, SeqCst);
                         continue;
@@ -1410,7 +1614,7 @@ mod tests {
                         continue;
                     }
                     // SAFETY: as above.
-                    match unsafe { seg.try_dequeue(hp.tid()) } {
+                    match unsafe { seg.try_dequeue(hp.tid(), window) } {
                         Some(v) => got.push(v),
                         None => break,
                     }
@@ -1426,7 +1630,7 @@ mod tests {
             let mut delivered = drainer.join().expect("drainer");
             // SAFETY: every other thread has been joined.
             assert_eq!(
-                unsafe { shared.0.try_dequeue(0) },
+                unsafe { shared.0.try_dequeue(0, &mut (0..0)) },
                 None,
                 "a value landed after the drain"
             );

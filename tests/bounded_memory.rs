@@ -215,14 +215,14 @@ fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
     // segment, with no `fq` until an index comes back, the 512 B header,
     // the hazard arrays (8 participants × one 128 B block + 8 flags =
     // 1 032 B), the cache with its spare-ring slot and ring count (48 B) and
-    // the length hint.  And an endpoint's handle, with its 68 B stash
-    // inline.
+    // the length hint.  And an endpoint's handle, with its 68 B stash and
+    // its 16 B `fq` window (two ticket counters) inline.
     #[cfg(target_arch = "x86_64")]
     {
         assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 44_288);
         assert_eq!(
             std::mem::size_of::<wcq_unbounded::UnboundedWcqHandle<'_, u64>>(),
-            168
+            184
         );
     }
 }

@@ -188,14 +188,17 @@ const CORPUS: &[(u64, Target, u64, u32, u64, &str)] = &[
     // real tree.  (The count is every yield point of the run, so it fell
     // 734 -> 390 when each cell operation became one yield point, not two,
     // and rose to 392 when the `fq` clear moved from the cache's take to the
-    // recycler (see the `Unbounded` entry above); the mutant still fails
-    // here, with the same message, both times.)
+    // recycler (see the `Unbounded` entry above), then to 393 when a
+    // receiver began returning indices on `fq` tickets it reserves a run at
+    // a time and a producer whose `fq` batch comes back short began taking
+    // the rest from the claim counter, which moved every later yield point;
+    // the mutant still fails here, with the same message, every time.)
     (
         1,
         Target::HazardWindow,
         0x9E37_79B9_7F4A_7C1F,
         1,
-        392,
+        393,
         "a segment pinned by a stalled memo-miss dequeue must not be recycled",
     ),
     // Pins the unbounded channel's close rather than a fixed bug: plan 2 is

@@ -352,3 +352,52 @@ fn paper_default_patience_keeps_a_single_thread_on_the_fast_path() {
         });
     }
 }
+
+#[test]
+fn a_default_channel_message_is_four_ring_operations_across_window_boundaries() {
+    // The default channel: 1 024-slot segments and 8 threads, so a producer
+    // claims free indices, and a receiver reserves `fq` tail tickets for the
+    // ones it frees, sixteen at a time.  The first run of sixteen messages
+    // comes from the segment's claim counter, whose claim counts one ring
+    // dequeue for the absent `fq`'s ⊥: 16 + 16 `aq` operations, 1, and 16
+    // `fq` returns.  From then on a message is one `aq` enqueue and
+    // dequeue, a sixteenth of a 16-index `fq` batch dequeue (16 ring
+    // dequeues), and one `fq` return at the next ticket of the receiver's
+    // window, counted once whether it reserved the window or not: 4.  The
+    // loop crosses twenty window boundaries in the one segment, on both
+    // hardware models.
+    const RUN: u64 = 16;
+    const MESSAGES: u64 = 20 * RUN;
+    let ring_ops =
+        |s: &MetricsSnapshot| s.get(Counter::RingEnqueues) + s.get(Counter::RingDequeues);
+    for llsc in [false, true] {
+        let instr = CountingInstrument::new();
+        let builder = wcq::builder().instrument(instr.clone());
+        let (mut tx, mut rx) = if llsc {
+            builder.llsc().build_channel::<u64>()
+        } else {
+            builder.build_channel::<u64>()
+        };
+        for i in 0..RUN {
+            tx.send(i).expect("the receiver is alive");
+            assert_eq!(rx.try_recv(), Ok(i));
+        }
+        let first_run = instr.snapshot();
+        assert_eq!(ring_ops(&first_run), 4 * RUN - (RUN - 1), "llsc: {llsc}");
+        for i in RUN..RUN + MESSAGES {
+            tx.send(i).expect("the receiver is alive");
+            assert_eq!(rx.try_recv(), Ok(i));
+        }
+        let snap = instr.snapshot();
+        assert_eq!(
+            ring_ops(&snap) - ring_ops(&first_run),
+            4 * MESSAGES,
+            "llsc: {llsc}"
+        );
+        assert_eq!(
+            snap.get(Counter::SegmentAllocs),
+            0,
+            "one segment throughout"
+        );
+    }
+}
