@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use wcq_atomics::{CachePadded, Registry};
@@ -65,6 +65,25 @@ impl Retired {
 /// user needs.
 pub const MAX_HAZARDS: usize = 3;
 
+/// A value on a 64 B line of its own.
+#[repr(align(64))]
+#[derive(Default)]
+struct Line<T>(T);
+
+/// One participant's block, a 128 B line pair: its hazard slots on the first
+/// line, its word ([`HazardDomain::word`]) on the second.  Both have one
+/// writer, the participant, but others read the word far more often than
+/// the slots: a reader polling the word must not hold the line its owner's
+/// next publication stores to.  (The word beside the slots cost a paced
+/// two-thread channel ≈ 10 % of its latency, measured in DESIGN.md "One
+/// writer per line".)
+#[repr(C)]
+#[derive(Default)]
+struct Block {
+    slots: Line<[AtomicPtr<u8>; MAX_HAZARDS]>,
+    word: Line<AtomicU64>,
+}
+
 /// A hazard-pointer domain shared by all threads operating on one (or more)
 /// data structures.
 ///
@@ -72,11 +91,11 @@ pub const MAX_HAZARDS: usize = 3;
 /// `hazards_per_thread` hazard slots (LCRQ needs 1, MSQueue 2, CRTurn 3 — the
 /// baselines ask for what they need, up to [`MAX_HAZARDS`]).
 pub struct HazardDomain {
-    /// One padded block of published pointers per participant.  A
-    /// participant's slots have one writer, the participant itself, so they
-    /// share a line pair and only participants are kept apart; slots past
+    /// One padded [`Block`] per participant: its published pointers and its
+    /// word.  Everything in a block has one writer, the participant itself,
+    /// so only participants are kept apart, a line pair each; slots past
     /// `hazards_per_thread` stay null.
-    slots: Box<[CachePadded<[AtomicPtr<u8>; MAX_HAZARDS]>]>,
+    blocks: Box<[CachePadded<Block>]>,
     /// Which participant ids are held.
     participants: Registry,
     hazards_per_thread: usize,
@@ -117,12 +136,12 @@ impl HazardDomain {
             "need between one and {MAX_HAZARDS} hazards per thread"
         );
         let total = max_threads * hazards_per_thread;
-        let slots = (0..max_threads)
-            .map(|_| CachePadded::new(Default::default()))
+        let blocks = (0..max_threads)
+            .map(|_| CachePadded::default())
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Self {
-            slots,
+            blocks,
             participants: Registry::new(max_threads),
             hazards_per_thread,
             // Classical choice: scan when the retire buffer is ~2× the number
@@ -144,11 +163,35 @@ impl HazardDomain {
         self.hazards_per_thread
     }
 
-    /// Heap bytes of the domain's two fixed arrays (hazard slots and
+    /// Heap bytes of the domain's two fixed arrays (participant blocks and
     /// participant flags), for an owner's `memory_footprint()`.  Retired
     /// nodes are their owner's to count: the domain only holds pointers.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.slots) + self.participants.heap_bytes()
+        std::mem::size_of_val(&*self.blocks) + self.participants.heap_bytes()
+    }
+
+    /// Participant `tid`'s word: a `u64` that belongs to the participant id,
+    /// not to a handle, so it starts at 0 and a dropped handle's value
+    /// carries over to the id's next owner.  The domain gives it no meaning;
+    /// an owner keeps a per-participant count there (the unbounded queue's
+    /// length hint), and anyone may read it as an advisory snapshot.
+    #[inline]
+    pub fn word(&self, tid: usize) -> u64 {
+        // relaxed: an advisory snapshot; the word publishes nothing.
+        self.word_cell(tid).load(Ordering::Relaxed)
+    }
+
+    /// Adds `delta` to participant `tid`'s word, modulo 2^64 (a negated
+    /// count subtracts).  Only the handle holding `tid` may call this.
+    #[inline]
+    pub fn add_to_word(&self, tid: usize, delta: u64) {
+        let word = self.word_cell(tid);
+        // relaxed: one writer, so a load then a store loses no update, and
+        // the value publishes nothing.  The id's next owner is ordered after
+        // this one by the participant hand-off (`register`, `Drop`).
+        let now = word.load(Ordering::Relaxed).wrapping_add(delta);
+        // relaxed: see above.
+        word.store(now, Ordering::Relaxed);
     }
 
     /// Total nodes retired so far (statistics for the memory benchmark).
@@ -187,9 +230,14 @@ impl HazardDomain {
     }
 
     #[inline]
+    fn word_cell(&self, tid: usize) -> &AtomicU64 {
+        &self.blocks[tid].word.0
+    }
+
+    #[inline]
     fn slot(&self, tid: usize, idx: usize) -> &AtomicPtr<u8> {
         debug_assert!(idx < self.hazards_per_thread, "hazard slot out of range");
-        &self.slots[tid][idx]
+        &self.blocks[tid].slots.0[idx]
     }
 
     /// Number of participants whose hazard slot `idx` holds `ptr` — read with
@@ -200,17 +248,17 @@ impl HazardDomain {
     /// participants still at work there.
     pub fn count_publishing(&self, idx: usize, ptr: *const u8) -> usize {
         debug_assert!(idx < self.hazards_per_thread, "hazard slot out of range");
-        self.slots
+        self.blocks
             .iter()
-            .filter(|block| ptr::eq(block[idx].load(Ordering::SeqCst), ptr))
+            .filter(|block| ptr::eq(block.slots.0[idx].load(Ordering::SeqCst), ptr))
             .count()
     }
 
     /// Collects the set of currently protected raw pointers.
     fn protected_set(&self) -> HashSet<*mut u8> {
-        self.slots
+        self.blocks
             .iter()
-            .flat_map(|block| &block[..self.hazards_per_thread])
+            .flat_map(|block| &block.slots.0[..self.hazards_per_thread])
             .map(|s| s.load(Ordering::SeqCst))
             .filter(|p| !p.is_null())
             .collect()
@@ -424,6 +472,43 @@ mod tests {
         fn drop(&mut self) {
             self.live.fetch_sub(1, Ordering::SeqCst);
         }
+    }
+
+    #[test]
+    fn a_word_shares_no_line_pair_with_another_participant_nor_a_line_with_its_slots() {
+        const LINE: usize = 64;
+        let dom = HazardDomain::new(4, MAX_HAZARDS);
+        let word = |tid: usize| dom.word_cell(tid) as *const AtomicU64 as usize;
+        for tid in 0..4 {
+            for other in 0..4 {
+                if other != tid {
+                    assert_ne!(word(tid) / (2 * LINE), word(other) / (2 * LINE));
+                }
+            }
+            for idx in 0..MAX_HAZARDS {
+                let slot = dom.slot(tid, idx) as *const AtomicPtr<u8> as usize;
+                assert_ne!(
+                    word(tid) / LINE,
+                    slot / LINE,
+                    "participant {tid} slot {idx}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_word_belongs_to_the_id_and_outlives_its_handle() {
+        let dom = HazardDomain::new(2, 1);
+        let h = dom.register().unwrap();
+        let tid = h.tid();
+        dom.add_to_word(tid, 5);
+        dom.add_to_word(tid, 2u64.wrapping_neg());
+        assert_eq!(dom.word(tid), 3);
+        drop(h);
+        let again = dom.register().unwrap();
+        assert_eq!(again.tid(), tid);
+        assert_eq!(dom.word(tid), 3, "registration keeps the id's word");
+        assert_eq!(dom.word(1 - tid), 0);
     }
 
     #[test]

@@ -4,10 +4,7 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::ptr;
-use std::sync::atomic::{
-    AtomicPtr, AtomicU64, AtomicUsize,
-    Ordering::{Relaxed, SeqCst},
-};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use wcq_atomics::{Backoff, CachePadded};
@@ -101,16 +98,6 @@ pub struct UnboundedWcq<T, F: CellFamily = NativeFamily> {
     per_segment_bytes: usize,
     per_fq_bytes: usize,
     segments_live: AtomicUsize,
-    /// The length hint, kept as one single-writer net count (enqueues minus
-    /// dequeues) per handle slot and summed on read (see
-    /// [`UnboundedWcq::len_hint`]).  Deliberately decoupled from the queue's
-    /// linearization points — it is a *hint* (`is_empty_hint` and the
-    /// channel's park decision read it), never a correctness input.
-    /// Updating it is a plain load and store on the owner's own word, where
-    /// one shared counter cost every operation a locked `fetch_add`.  The words are not cache-padded (8 B × `max_threads`
-    /// keeps the queue header small), so handles still share their lines —
-    /// as they shared the one counter's.
-    net_counts: Box<[NetCount]>,
     /// Optional telemetry counter set, shared with every segment's inner
     /// rings; segment-lifecycle events are recorded here too.
     counters: Option<Arc<CounterSet>>,
@@ -166,7 +153,8 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             // during operations: every segment a handle dereferences is its
             // memo (see `pin`).  Slot `ANNOUNCE` protects nothing the memo
             // does not: an enqueue announces its segment there.  Both fit
-            // the participant's one padded block.
+            // the first line of the participant's padded block, whose second
+            // line holds the participant's length-hint count.
             domain: HazardDomain::new(max_threads, 2),
             cache,
             seg_order,
@@ -176,7 +164,6 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
             per_segment_bytes,
             per_fq_bytes,
             segments_live: AtomicUsize::new(1),
-            net_counts: (0..max_threads).map(|_| NetCount::default()).collect(),
             counters,
         }
     }
@@ -190,15 +177,27 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
     }
 
     /// Adds `n` completed enqueues by handle `tid` to the length hint.
+    ///
+    /// The hint is one net count (enqueues minus dequeues, modulo 2^64) per
+    /// participant id, kept in the id's hazard-domain word
+    /// ([`HazardDomain::word`]) and summed on read (see
+    /// [`UnboundedWcq::len_hint`]).  Deliberately decoupled from the queue's
+    /// linearization points — it is a *hint* (`is_empty_hint` and the
+    /// channel's park decision read it), never a correctness input.
+    /// Updating it is a plain load and store on the owner's own word, where
+    /// one shared counter cost every operation a locked `fetch_add`.  Each
+    /// word sits on the second line of its participant's 128 B block, so no
+    /// two handles share a line, and a receiver polling the hint does not
+    /// hold the line of the sender's hazard slots.
     #[inline]
     fn note_enqueued(&self, tid: usize, n: u64) {
-        self.net_counts[tid].add(n);
+        self.domain.add_to_word(tid, n);
     }
 
     /// Takes `n` completed dequeues by handle `tid` off the length hint.
     #[inline]
     fn note_dequeued(&self, tid: usize, n: u64) {
-        self.net_counts[tid].add(n.wrapping_neg());
+        self.domain.add_to_word(tid, n.wrapping_neg());
     }
 
     /// The telemetry counter set shared with every segment, if attached.
@@ -254,34 +253,32 @@ impl<T, F: CellFamily> UnboundedWcq<T, F> {
 
     /// Approximate number of elements currently queued.
     ///
-    /// Maintained as per-handle side counters next to the real operations
-    /// and summed here, so it can transiently lag both ways under concurrency;
-    /// transient negatives clamp to zero.  Use it for load estimates and
-    /// freshness hints — never as an emptiness proof; only a dequeue that
-    /// returns `None` is authoritative.
+    /// Maintained as per-participant side counters next to the real
+    /// operations and summed here, so it can transiently lag both ways under
+    /// concurrency; transient negatives clamp to zero.  Use it for load
+    /// estimates and freshness hints — never as an emptiness proof; only a
+    /// dequeue that returns `None` is authoritative.
     pub fn len_hint(&self) -> usize {
         // Exact whenever no operation is in flight; otherwise each handle's
         // word is read at its own instant, hence the clamp.  (One handle's
         // word alone may well be "negative": a pure consumer's is.)
-        let net = self
-            .net_counts
-            .iter()
-            .fold(0u64, |net, count| net.wrapping_add(count.read()));
+        let net =
+            (0..self.max_threads).fold(0u64, |net, tid| net.wrapping_add(self.domain.word(tid)));
         (net as i64).max(0) as usize
     }
 
     /// Bytes currently held: the queue header, what it owns on the heap
-    /// beside the segments (hazard domain arrays, the boxed segment cache,
-    /// the length-hint words), every resident segment (live, cached or
-    /// awaiting reclamation) and every `fq` ring (one per segment that got
-    /// an index back in its current life, and the cache's spare).  On a
-    /// quiescent queue this is exactly what the allocator handed out
-    /// (`tests/bounded_memory.rs`); under traffic the counts are racy reads.
+    /// beside the segments (hazard domain arrays, the length-hint words
+    /// among them, and the boxed segment cache), every resident segment
+    /// (live, cached or awaiting reclamation) and every `fq` ring (one per
+    /// segment that got an index back in its current life, and the cache's
+    /// spare).  On a quiescent queue this is exactly what the allocator
+    /// handed out (`tests/bounded_memory.rs`); under traffic the counts are
+    /// racy reads.
     pub fn memory_footprint(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.domain.heap_bytes()
             + std::mem::size_of::<SegmentCache<T, F>>()
-            + std::mem::size_of_val(&*self.net_counts)
             + self.segment_stats().resident() * self.per_segment_bytes
             + self.cache.rings() * self.per_fq_bytes
     }
@@ -363,33 +360,6 @@ impl<T, F: CellFamily> std::fmt::Debug for UnboundedWcq<T, F> {
             .field("max_threads", &self.max_threads)
             .field("segments", &self.segment_stats())
             .finish()
-    }
-}
-
-/// One handle slot's completed enqueues minus its completed dequeues, modulo
-/// 2^64: a single writer at a time — the handle that owns the slot — and any
-/// number of advisory readers.
-#[derive(Default)]
-struct NetCount(AtomicU64);
-
-impl NetCount {
-    /// Adds `delta` (a negated count to subtract).  Owner only.
-    #[inline]
-    fn add(&self, delta: u64) {
-        // relaxed: single writer, so load-then-store loses no update; the
-        // value publishes nothing (an advisory statistic).  A later owner of
-        // the slot is ordered after this one by the hazard domain's
-        // participant hand-off.
-        let now = self.0.load(Relaxed).wrapping_add(delta);
-        // relaxed: see above.
-        self.0.store(now, Relaxed);
-    }
-
-    /// An advisory snapshot.
-    #[inline]
-    fn read(&self) -> u64 {
-        // relaxed: the `len_hint` contract says a stale read is acceptable.
-        self.0.load(Relaxed)
     }
 }
 
@@ -1510,6 +1480,39 @@ mod tests {
         while h.dequeue().is_some() {}
         assert_eq!(q.len_hint(), 0);
         assert!(WaitFreeQueue::is_empty_hint(&q));
+    }
+
+    #[test]
+    fn len_hint_stays_exact_across_handles_and_a_reused_id() {
+        let q: UnboundedWcq<u64> = UnboundedWcq::new(3, 2);
+        let mut producer = q.register().unwrap();
+        let mut consumer = q.register().unwrap();
+        let id = producer.tid();
+        for i in 0..100 {
+            producer.enqueue(i);
+        }
+        drop(producer);
+        assert_eq!(q.len_hint(), 100, "a dropped handle's enqueues still count");
+        for _ in 0..30 {
+            assert!(consumer.dequeue().is_some());
+        }
+        assert_eq!(q.len_hint(), 70);
+        let mut heir = q.register().unwrap();
+        assert_eq!(heir.tid(), id, "the dropped id is the next one claimed");
+        assert_eq!(q.len_hint(), 70, "registering keeps the id's count");
+        for i in 0..10 {
+            heir.enqueue(100 + i);
+        }
+        for _ in 0..5 {
+            assert!(heir.dequeue().is_some());
+        }
+        assert_eq!(q.len_hint(), 75);
+        let mut drained = 0;
+        while consumer.dequeue().is_some() {
+            drained += 1;
+        }
+        assert_eq!(drained, 75);
+        assert_eq!(q.len_hint(), 0);
     }
 
     #[test]

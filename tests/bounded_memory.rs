@@ -213,13 +213,13 @@ fn ring_and_bounded_queue_footprints_are_what_the_allocator_hands_out() {
     );
     // DESIGN.md "The memory account", at the default geometry: one 42 632 B
     // segment, with no `fq` until an index comes back, the 512 B header,
-    // the hazard arrays (8 participants × one 128 B block + 8 flags =
-    // 1 032 B), the cache with its spare-ring slot and ring count (48 B) and
-    // the length hint.  And an endpoint's handle, with its 68 B stash and
-    // its 16 B `fq` window (two ticket counters) inline.
+    // the hazard arrays (8 participants × one 128 B block, the length-hint
+    // word on its second line, + 8 flags = 1 032 B) and the cache with its
+    // spare-ring slot and ring count (48 B).  And an endpoint's handle, with
+    // its 68 B stash and its 16 B `fq` window (two ticket counters) inline.
     #[cfg(target_arch = "x86_64")]
     {
-        assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 44_288);
+        assert_eq!(UnboundedWcq::<u64>::new(10, 8).memory_footprint(), 44_224);
         assert_eq!(
             std::mem::size_of::<wcq_unbounded::UnboundedWcqHandle<'_, u64>>(),
             184
