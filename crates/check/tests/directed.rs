@@ -1,15 +1,16 @@
-//! Directed runs of the unbounded queue: a handle is stopped at a chosen
-//! yield point while an intruder operates on the queue from the same thread
-//! ([`wcq_check::sched::with_intruder`]), so an interleaving that real
-//! threads reach only by chance is reached every time.
+//! Directed runs of the wCQ ring and the unbounded queue: a handle is
+//! stopped at a chosen yield point while an intruder operates on the same
+//! structure from the same thread ([`wcq_check::sched::with_intruder`]), so
+//! an interleaving that real threads reach only by chance is reached every
+//! time.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use wcq_check::sched::with_intruder;
 use wcq_core::metrics::{Counter, CounterSet};
-use wcq_core::wcq::{NativeFamily, WcqConfig};
+use wcq_core::wcq::{CellFamily, LlscFamily, NativeFamily, WcqConfig, WcqRing};
 use wcq_unbounded::UnboundedWcq;
 
 /// A queue of two-slot segments for two handles, recording into `set`.
@@ -213,4 +214,59 @@ fn a_handle_stopped_in_a_memo_miss_pins_one_segment() {
         stats.resident() <= stats.live + stats.cached + 1,
         "a handle stopped in a memo miss pinned more than one retired segment: {stats:?}"
     );
+}
+
+/// A batch enqueue whose run of tail tickets meets a burned one: producer A
+/// reserves four tickets for `[0, 1, 2, 3]` on an order-2 ring, and after
+/// its first deposit an intruder's batch dequeue of two takes 0 and burns
+/// the ticket reserved for 1 (its miss there is dropped, not retried, since
+/// the batch got a value).  Resumed, A's deposit of 1 misses, so 1 takes a
+/// fresh ticket, and 2 and 3 must reserve a new run behind it: a batch that
+/// kept riding its first run would put 2 and 3 at their old tickets, ahead
+/// of 1.  Every index comes out once, in order, and each is one ring
+/// enqueue.
+fn batch_run_meets_a_burned_ticket<F: CellFamily>() {
+    let set = Arc::new(CounterSet::new());
+    let ring = Rc::new(WcqRing::<F>::with_config_counters(
+        2,
+        2,
+        WcqConfig::default(),
+        Some(Arc::clone(&set)),
+    ));
+    let taken = Rc::new(RefCell::new(None));
+    let intruder = {
+        let (ring, set, taken) = (Rc::clone(&ring), Arc::clone(&set), Rc::clone(&taken));
+        move |_op: &'static str| {
+            // The first yield point after A's first deposit.
+            if set.snapshot().get(Counter::RingEnqueues) == 1 && taken.borrow().is_none() {
+                let mut b = ring.register().expect("the intruder's slot");
+                let mut out = Vec::new();
+                b.dequeue_many(&mut out, 2);
+                *taken.borrow_mut() = Some(out);
+            }
+        }
+    };
+    with_intruder(intruder, || {
+        let mut a = ring.register().expect("the stopped producer's slot");
+        a.enqueue_many(&[0, 1, 2, 3]);
+    });
+    assert_eq!(
+        taken.take(),
+        Some(vec![0]),
+        "the intruder ran after A's first deposit and took it, burning the next ticket"
+    );
+    let mut h = ring.register().expect("a slot");
+    let drained: Vec<_> = std::iter::from_fn(|| h.dequeue()).collect();
+    assert_eq!(drained, [1, 2, 3], "the batch lost an index or its order");
+    assert_eq!(set.snapshot().get(Counter::RingEnqueues), 4);
+}
+
+#[test]
+fn a_batch_run_that_meets_a_burned_ticket_reserves_a_new_run_native() {
+    batch_run_meets_a_burned_ticket::<NativeFamily>();
+}
+
+#[test]
+fn a_batch_run_that_meets_a_burned_ticket_reserves_a_new_run_llsc() {
+    batch_run_meets_a_burned_ticket::<LlscFamily>();
 }

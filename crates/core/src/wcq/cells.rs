@@ -154,7 +154,8 @@ impl EntryCell for NativeEntry {
 
 /// Head/Tail counter backed by [`AtomicDouble`]: counter in the low word,
 /// help reference in the high word.  Under the `check-mutations` feature its
-/// fast-path F&A is deliberately torn, for the `wcq-check` mutation proof.
+/// fast-path F&A and its run reservation are deliberately torn, for the
+/// `wcq-check` mutation proof.
 pub struct NativeCtr(AtomicDouble);
 
 impl TicketCtr for NativeCtr {
@@ -187,6 +188,16 @@ impl TicketCtr for NativeCtr {
     }
     #[inline]
     fn fetch_add_cnt_n(&self, n: u64) -> u64 {
+        #[cfg(feature = "check-mutations")]
+        {
+            // MUTATION (check-mutations): the run reservation torn the same
+            // way, so two threads can claim overlapping runs of tickets.
+            let prev = self.0.load_lo();
+            wcq_atomics::yield_point("ctr.faa_n.torn");
+            self.0.store_lo(prev.wrapping_add(n));
+            prev
+        }
+        #[cfg(not(feature = "check-mutations"))]
         self.0.fetch_add_lo(n)
     }
     #[inline]

@@ -52,7 +52,8 @@ impl<F: CellFamily> WcqRing<F> {
     ///
     /// # Safety
     /// * `slots` is the array this ring publishes the indices of;
-    /// * `tid` is exclusive to the caller, as for [`WcqQueue::enqueue_at`];
+    /// * `tid` is exclusive to the caller
+    ///   ([tid-keyed operations](WcqRing#tid-keyed-operations));
     /// * `index` is the caller's alone: a free index the owner handed to it
     ///   (from `fq`, or from its own supply of never-used ones) and not
     ///   deposited at since.
@@ -65,7 +66,7 @@ impl<F: CellFamily> WcqRing<F> {
 
     /// [`WcqRing::deposit_at`] for a run: writes the front `free.len()`
     /// values of `values` to the slots of `free`, in order, and publishes
-    /// the run with one batch enqueue (one tail F&A).
+    /// the run with one batch enqueue ([`WcqRing::enqueue_many_at`]).
     ///
     /// # Safety
     /// As for [`WcqRing::deposit_at`], for every index in `free`; and
@@ -81,7 +82,8 @@ impl<F: CellFamily> WcqRing<F> {
             // SAFETY: the caller owns each slot until the run is published.
             unsafe { (*slots[index as usize].get()).write(value) };
         }
-        self.enqueue_many(tid, free);
+        // SAFETY: per the function contract.
+        unsafe { self.enqueue_many_at(tid, free) };
     }
 
     /// The rest of a dequeue once [`WcqRing::dequeue_finds_empty`] answered
@@ -114,12 +116,13 @@ impl<F: CellFamily> WcqRing<F> {
         Some((value, index as u32))
     }
 
-    /// Takes up to `free.len()` indices with one batch dequeue, moves their
-    /// values to `out` and writes the freed indices to the front of `free`,
-    /// where they become the caller's as in [`WcqRing::take_checked_at`].
-    /// Returns the number taken: possibly fewer than asked while values
-    /// remain, but a `0` is authoritative (see
-    /// [`WcqQueue::dequeue_many_at`]).
+    /// Takes up to `max` values into `out`, in runs of up to [`BATCH`]
+    /// indices with one batch dequeue each, and hands each run's freed
+    /// indices to `give_back`, where they become the caller's as in
+    /// [`WcqRing::take_checked_at`].  A run that comes back short ends the
+    /// call.  Returns the number taken: possibly fewer than `max` while
+    /// values remain, but a `0` is authoritative (see
+    /// [`WcqRing::dequeue_many_at`]).
     ///
     /// # Safety
     /// `slots` and `tid` as for [`WcqRing::deposit_at`].
@@ -128,17 +131,31 @@ impl<F: CellFamily> WcqRing<F> {
         slots: &[Slot<T>],
         tid: usize,
         out: &mut Vec<T>,
-        free: &mut [u32],
+        max: usize,
+        mut give_back: impl FnMut(&[u32]),
     ) -> usize {
-        let mut took = 0;
-        self.dequeue_many(tid, free.len(), |index| {
-            // SAFETY: each index came from this ring; the matching deposit
-            // fully initialized the slot and nobody else touches it until
-            // the index is deposited at again.
-            out.push(unsafe { (*slots[index as usize].get()).assume_init_read() });
-            free[took] = index as u32;
-            took += 1;
-        })
+        let mut free = [0u32; BATCH];
+        let mut got = 0;
+        while got < max {
+            let want = (max - got).min(BATCH);
+            let mut took = 0;
+            let take = |index: u64| {
+                // SAFETY: each index came from this ring; the matching
+                // deposit fully initialized the slot and nobody else touches
+                // it until the index is deposited at again.
+                out.push(unsafe { (*slots[index as usize].get()).assume_init_read() });
+                free[took] = index as u32;
+                took += 1;
+            };
+            // SAFETY: `tid` per the function contract.
+            unsafe { self.dequeue_many_at(tid, want, take) };
+            give_back(&free[..took]);
+            got += took;
+            if took < want {
+                break;
+            }
+        }
+        got
     }
 
     /// Drops every value still published in `slots`: the owner's `Drop`,
@@ -252,104 +269,6 @@ impl<T, F: CellFamily> WcqQueue<T, F> {
         })
     }
 
-    // ------------------------------------------------------------------
-    // Tid-keyed operations without a borrowing handle, for a layer that
-    // keeps its own registration.
-    // ------------------------------------------------------------------
-
-    /// Attempts to enqueue `value` as the thread owning record slot `tid`;
-    /// returns it back inside `Err` when the queue is full (`Enqueue_Ptr`,
-    /// Figure 2).
-    ///
-    /// # Safety
-    /// `tid` must be exclusive to the caller: below `max_threads`, no other
-    /// thread operating on this queue as `tid` concurrently, and every
-    /// earlier user of `tid` ordered before this call (Figure 4's per-thread
-    /// cursor is owner-private).  There are two ways to own one:
-    /// * a registered [`WcqQueueHandle`], whose claim and release of its id
-    ///   on `aq`'s registry order successive owners;
-    /// * a registration kept outside this queue that never mixes with
-    ///   handles on it — `wcq-unbounded` keys a segment's records by its
-    ///   hazard-domain participant id, whose release/acquire orders
-    ///   successive owners.
-    pub unsafe fn enqueue_at(&self, tid: usize, value: T) -> Result<(), T> {
-        let Some(index) = self.fq.dequeue_index(tid) else {
-            return Err(value);
-        };
-        // SAFETY: `tid` is exclusive per the function contract, and the
-        // index just came from `fq`.
-        unsafe { self.aq.deposit_at(&self.slots, tid, index as u32, value) };
-        Ok(())
-    }
-
-    /// Attempts to enqueue a prefix of `values` as the thread owning record
-    /// slot `tid`, with one free-ring F&A claiming a run of up to [`BATCH`]
-    /// free slots and one data-ring F&A publishing it (instead of one pair
-    /// per element); a longer batch goes in runs, each once the last was
-    /// claimed whole.  Accepted elements are removed from the *front* of `values`
-    /// in order, so the batch preserves per-producer FIFO; the remainder is
-    /// left in `values` (partial success — the queue was full, or a
-    /// concurrent producer raced the free-slot claim).  Returns the number
-    /// of elements accepted.
-    ///
-    /// `values` is a `VecDeque` so the per-call front drain is O(accepted):
-    /// batching layers that feed one buffer through many calls (the
-    /// unbounded queue crossing segments) never pay a full front shift of
-    /// the remainder.
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn enqueue_many_at(&self, tid: usize, values: &mut VecDeque<T>) -> usize {
-        let mut free = [0u32; BATCH];
-        let mut accepted = 0;
-        while !values.is_empty() {
-            let want = values.len().min(BATCH);
-            // SAFETY: per the function contract.
-            let claimed = unsafe { self.fq.dequeue_many_at(tid, &mut free[..want]) };
-            // SAFETY: as above; each index just came from `fq`, and `values`
-            // holds `want >= claimed` values.
-            unsafe {
-                self.aq
-                    .deposit_many_at(&self.slots, tid, &free[..claimed], values)
-            };
-            accepted += claimed;
-            if claimed < want {
-                break;
-            }
-        }
-        accepted
-    }
-
-    /// Dequeues up to `max` elements into `out` as the thread owning record
-    /// slot `tid`, with one data-ring F&A claiming a run of up to [`BATCH`]
-    /// and one free-ring F&A recycling its slot indices; a longer request
-    /// goes in runs, until one comes back short.  Returns the number
-    /// appended — possibly fewer than `max` even while elements remain, but
-    /// a `0` is authoritative (see `WcqRing::dequeue_many` for both halves
-    /// of that contract).
-    ///
-    /// # Safety
-    /// Same contract as [`WcqQueue::enqueue_at`].
-    pub unsafe fn dequeue_many_at(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
-        let mut free = [0u32; BATCH];
-        let mut got = 0;
-        while got < max {
-            let want = (max - got).min(BATCH);
-            // SAFETY: per the function contract.
-            let took = unsafe {
-                self.aq
-                    .take_many_at(&self.slots, tid, out, &mut free[..want])
-            };
-            // SAFETY: as above; `free` holds the indices just taken.
-            unsafe { self.fq.enqueue_many_at(tid, &free[..took]) };
-            got += took;
-            if took < want {
-                break;
-            }
-        }
-        got
-    }
-
     /// Returns `true` if a dequeue would currently observe an empty queue
     /// (hint only under concurrency).
     pub fn is_empty_hint(&self) -> bool {
@@ -404,9 +323,14 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
     /// Attempts to enqueue `value`; returns it back inside `Err` when the
     /// queue is full.
     pub fn enqueue(&mut self, value: T) -> Result<(), T> {
+        let (queue, tid) = (self.queue, self.tid);
+        let Some(index) = queue.fq.dequeue_index(tid) else {
+            return Err(value);
+        };
         // SAFETY: the handle's existence proves ownership of slot `tid`, and
-        // `&mut self` keeps its operations from overlapping.
-        unsafe { self.queue.enqueue_at(self.tid, value) }?;
+        // `&mut self` keeps its operations from overlapping; the index just
+        // came from `fq`.
+        unsafe { queue.aq.deposit_at(&queue.slots, tid, index as u32, value) };
         self.tallies.enqueues_completed += 1;
         Ok(())
     }
@@ -438,30 +362,65 @@ impl<'q, T, F: CellFamily> WcqQueueHandle<'q, T, F> {
         Some(value)
     }
 
-    /// Batch [`WcqQueueHandle::enqueue`]: accepts a FIFO prefix of `values`
-    /// with one free-ring and one data-ring F&A for the whole run (see
-    /// [`WcqQueue::enqueue_many_at`]); the unaccepted remainder stays in
-    /// `values`.  Returns the number accepted.
+    /// Batch [`WcqQueueHandle::enqueue`]: accepts a FIFO prefix of
+    /// `values`, with one free-ring F&A claiming a run of up to [`BATCH`]
+    /// free slots and one data-ring F&A publishing it (instead of one pair
+    /// per element); a longer batch goes in runs, each once the last was
+    /// claimed whole.  The unaccepted remainder stays in `values` (the
+    /// queue was full, or a concurrent producer raced the free-slot claim).
+    /// Returns the number accepted.
     pub fn enqueue_many(&mut self, values: &mut Vec<T>) -> usize {
-        // The Vec ↔ VecDeque round-trip is one buffer reuse in and at most
-        // one memmove out (when a prefix was drained).
-        let requested = values.len() as u64;
+        let (queue, tid) = (self.queue, self.tid);
+        let requested = values.len();
+        // A run's deposit drains the front of a `VecDeque`: the Vec ↔
+        // VecDeque round-trip is one buffer reuse in and at most one memmove
+        // out (when a prefix was drained).
         let mut pending: VecDeque<T> = std::mem::take(values).into();
-        // SAFETY: as in `enqueue`.
-        let accepted = unsafe { self.queue.enqueue_many_at(self.tid, &mut pending) };
+        let mut free = [0u32; BATCH];
+        let mut accepted = 0;
+        while !pending.is_empty() {
+            let want = pending.len().min(BATCH);
+            let mut n = 0;
+            // SAFETY: as in `enqueue`.
+            let claimed = unsafe {
+                queue.fq.dequeue_many_at(tid, want, |index| {
+                    free[n] = index as u32;
+                    n += 1;
+                })
+            };
+            // SAFETY: as in `enqueue`; each index just came from `fq`, and
+            // `pending` holds `want >= claimed` values.
+            unsafe {
+                queue
+                    .aq
+                    .deposit_many_at(&queue.slots, tid, &free[..claimed], &mut pending)
+            };
+            accepted += claimed;
+            if claimed < want {
+                break;
+            }
+        }
         *values = pending.into();
         self.tallies.enqueues_completed += accepted as u64;
-        self.tallies.batch_values_requested += requested;
+        self.tallies.batch_values_requested += requested as u64;
         self.tallies.batch_values_granted += accepted as u64;
         accepted
     }
 
     /// Batch [`WcqQueueHandle::dequeue`]: appends up to `max` elements to
-    /// `out` with one data-ring and one free-ring F&A for the whole run (see
-    /// [`WcqQueue::dequeue_many_at`] for the partial-success contract).
+    /// `out`, with one data-ring F&A claiming a run of up to [`BATCH`] and
+    /// one free-ring F&A recycling its slot indices (see
+    /// [`WcqRing::take_many_at`] for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        let (queue, tid) = (self.queue, self.tid);
+        // SAFETY: as in `enqueue`; the indices given back were just taken.
+        let give_back = |free: &[u32]| unsafe { queue.fq.enqueue_many_at(tid, free) };
         // SAFETY: as in `enqueue`.
-        let got = unsafe { self.queue.dequeue_many_at(self.tid, out, max) };
+        let got = unsafe {
+            queue
+                .aq
+                .take_many_at(&queue.slots, tid, out, max, give_back)
+        };
         self.tallies.dequeues_completed += got as u64;
         self.tallies.batch_values_requested += max as u64;
         self.tallies.batch_values_granted += got as u64;

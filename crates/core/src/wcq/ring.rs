@@ -90,6 +90,19 @@ impl SlowState for WcqState {
 /// Threads must register (obtaining a [`WcqHandle`]) before operating on the
 /// ring; the number of simultaneously registered threads is bounded by
 /// `max_threads`, matching the paper's `k ≤ n` assumption.
+///
+/// # Tid-keyed operations
+///
+/// The `unsafe` methods keyed by a record index `tid` run without a handle,
+/// for a layer that keys the ring's records itself.  Each requires `tid` to
+/// be exclusive to the caller: no other thread operating on this ring as
+/// `tid` concurrently, and every earlier user of `tid` ordered before the
+/// call (Figure 4's per-thread cursor is owner-private).  A [`WcqHandle`]
+/// owns its id from the ring's registry, and a [`super::WcqQueueHandle`]
+/// owns one from its `aq`'s registry and runs `fq` under it too.  A
+/// registration kept outside the ring, such as the hazard-domain
+/// participant id `wcq-unbounded` keys a segment's records by, must order
+/// successive owners itself and never mix with handles on the same ring.
 pub type WcqRing<F = NativeFamily> = Ring<F, WcqState>;
 
 /// A ring and the record index of the thread running a fast-path attempt
@@ -697,79 +710,38 @@ impl<F: CellFamily> WcqRing<F> {
     }
 
     // ------------------------------------------------------------------
-    // Batch operations: one F&A reserves a run of consecutive tickets.
+    // Tid-keyed operations (`WcqRing`'s docs): one F&A reserves a run.
     // ------------------------------------------------------------------
 
-    /// Enqueues every index in `indices`, reserving `indices.len()`
-    /// consecutive tail tickets with a single F&A (instead of one F&A per
-    /// element).  Always accepts the whole batch — like
-    /// [`WcqHandle::enqueue`], callers must respect the capacity discipline
-    /// (at most `capacity` values in circulation).
-    ///
-    /// Elements whose reserved ticket lands on an unusable slot (stale cycle,
-    /// unsafe bit, straddling the head) abandon that ticket — exactly what a
-    /// failed fast-path attempt does — and fall back to the standard
-    /// [`WcqRing::enqueue_index`] path, patience bound and slow-path helping
-    /// included, so the wait-freedom argument is unchanged.  After the first
-    /// such miss the rest of the run is skipped uninspected and falls back
-    /// too, so the batch stays in FIFO order (one extra F&A per skipped
-    /// element, on the contended path only: an uncontended batch never
-    /// misses).
-    ///
-    /// Skipped tickets do not loosen the `3n - 1` threshold bound.  To a
-    /// dequeuer, a tail ticket nobody deposits at is what every failed
-    /// fast-path attempt — or an enqueuer stalled right after its F&A —
-    /// already leaves behind; the bound never counted on the tickets below an
-    /// element being filled.  It is re-armed by each *successful* deposit, at
-    /// that deposit's own ticket `T`, and bounds the head's distance to `T`
-    /// through the conditions `try_enq` checks on `T`'s slot alone (its
-    /// cycle, its safe bit against the head) — and every fallback deposit
-    /// goes through exactly that check on its fresh ticket.
-    pub(crate) fn enqueue_many<I: Copy + Into<u64>>(&self, tid: usize, indices: &[I]) {
-        if indices.is_empty() {
-            return;
-        }
-        self.help_threads(tid);
-        let base = self.tail.fetch_add_cnt_n(indices.len() as u64);
-        // Elements that used their batch ticket: a prefix of the run.
-        let mut on_ticket = 0;
-        for (k, index) in indices.iter().map(|&i| i.into()).enumerate() {
-            // Once one element lost its ticket, the rest of the run abandon
-            // theirs too: the fallback below takes a *fresh* (later) ticket,
-            // so an element still riding its batch ticket would overtake it
-            // and break the batch's FIFO order (pinned by
-            // `batch_mpmc_keeps_each_producers_order`).
-            if on_ticket == k && self.try_enq(base + k as u64, index, (self, tid)) {
-                on_ticket += 1;
-            } else {
-                // The fallback records its own RingEnqueues (and any further
-                // helping entry), so only the on-ticket elements are counted
-                // below — no double counting.
-                self.enqueue_index(tid, index);
-            }
-        }
-        self.count(Counter::RingEnqueues, on_ticket as u64);
-    }
-
-    /// Dequeues up to `max` indices, handing each to `push`, reserving the
-    /// whole run of head tickets with a single F&A.  Returns the number of
-    /// indices pushed — possibly fewer than `max` (partial success): the run is
-    /// clamped to the visible backlog, and a ticket raced by a concurrent
-    /// consumer or a not-yet-visible slow-path insertion counts as a miss
-    /// rather than being retried.
+    /// Dequeues up to `max` indices as the thread owning record `tid`,
+    /// handing each to `push`, reserving the whole run of head tickets with
+    /// a single F&A.  Returns the number of indices pushed — possibly fewer
+    /// than `max` (partial success): the run is clamped to the visible
+    /// backlog, and a ticket raced by a concurrent consumer or a
+    /// not-yet-visible slow-path insertion counts as a miss rather than
+    /// being retried.
     ///
     /// A return of `0` is **authoritative**: when every reserved ticket
     /// misses (each miss is only a racy observation — elements may remain in
     /// slots whose tickets were abandoned), the call falls back to the
-    /// standard [`WcqRing::dequeue_index`] path, so `0` carries exactly the
-    /// emptiness verdict of a single dequeue returning `None` (patience,
-    /// slow-path helping and the threshold check included).
+    /// standard dequeue path ([`WcqHandle::dequeue`]'s), so `0` carries
+    /// exactly the emptiness verdict of a single dequeue returning `None`
+    /// (patience, slow-path helping and the threshold check included).
     ///
     /// Every reserved ticket is inspected via `try_deq` even after a miss;
     /// skipping one would let a straggling enqueuer deposit into a slot no
     /// dequeuer revisits (lost element).  A missed ticket pays the same
     /// threshold decrement an individual failed dequeue would (Lemma 5.6).
-    pub(crate) fn dequeue_many(&self, tid: usize, max: usize, mut push: impl FnMut(u64)) -> usize {
+    ///
+    /// # Safety
+    /// `tid` is exclusive to the caller
+    /// ([tid-keyed operations](WcqRing#tid-keyed-operations)).
+    pub unsafe fn dequeue_many_at(
+        &self,
+        tid: usize,
+        max: usize,
+        mut push: impl FnMut(u64),
+    ) -> usize {
         if max == 0 {
             return 0;
         }
@@ -812,43 +784,35 @@ impl<F: CellFamily> WcqRing<F> {
         got
     }
 
-    // ------------------------------------------------------------------
-    // Tid-keyed index operations without a handle, for a layer that keys
-    // the ring's records by a registration of its own: `wcq-unbounded`
-    // runs a segment's `fq` on these under its hazard-domain participant
-    // id, as it runs the segment's `aq` through [`WcqRing::deposit_at`] and
-    // its neighbours.
-    // ------------------------------------------------------------------
-
     /// Enqueues `index` as the thread owning record `tid` (one ring
     /// enqueue) at the next ticket of `window`, a run of consecutive tail
     /// tickets the caller reserved through this method.  An empty window
     /// first reserves `run` new ones with one tail F&A, after the helping
-    /// countdown, so a caller pays both once per run, as a batch enqueue
-    /// does.
+    /// countdown, so a caller pays both once per run.
     ///
     /// A ticket a dequeuer burned before its deposit (`try_enq` fails)
-    /// empties the window, and `index` goes the standard enqueue way:
-    /// patience, slow path and helping, so the wait-freedom argument is the
-    /// batch enqueue's ([`Self::enqueue_many_at`]).  A reserved
-    /// ticket nobody has filled yet is an enqueuer stalled after its F&A,
-    /// which the `3n - 1` threshold bound already allows for; every index
-    /// is in the ring once this returns, and only the window's empty
-    /// tickets wait.  The caller empties the window (`start = end`) when it
-    /// drops it.
+    /// empties the window, and `index` goes the standard enqueue way, as
+    /// after any failed attempt: one reserved ticket on top of full
+    /// patience, slow path and helping, so wait-freedom is unchanged.  Every
+    /// index is in the ring once this returns; only the window's empty
+    /// tickets wait, as an enqueuer stalled after its F&A would, which the
+    /// `3n - 1` threshold bound allows for: each deposit re-arms it through
+    /// what `try_enq` checks on its own ticket's slot alone.  The caller
+    /// empties the window (`start = end`) when it drops it.
     ///
     /// # Safety
-    /// `tid` is exclusive to the caller, as for
-    /// [`super::WcqQueue::enqueue_at`]; at most `capacity` indices circulate
-    /// through the ring at a time; `window` is empty or was filled in by
-    /// this ring's own calls, in its current life (no [`Self::clear`]
-    /// since); and every caller's unfilled tickets together stay within the
-    /// ring's `n` slots of slack.
+    /// `tid` is exclusive to the caller
+    /// ([tid-keyed operations](WcqRing#tid-keyed-operations)); at most
+    /// `capacity` indices circulate through the ring at a time; `window` is
+    /// empty or was filled in by this ring's own calls, in its current life
+    /// (no [`Self::clear`] since); and every caller's unfilled tickets,
+    /// beyond those its current call is about to fill with indices it
+    /// holds, together stay within the ring's `n` slots of slack.
     #[inline]
-    pub unsafe fn enqueue_windowed_at(
+    pub unsafe fn enqueue_windowed_at<I: Into<u64>>(
         &self,
         tid: usize,
-        index: u32,
+        index: I,
         window: &mut Range<u64>,
         run: u64,
     ) {
@@ -857,39 +821,36 @@ impl<F: CellFamily> WcqRing<F> {
             let base = self.tail.fetch_add_cnt_n(run);
             *window = base..base + run;
         }
-        if self.try_enq(window.start, index.into(), (self, tid)) {
+        let index = index.into();
+        if self.try_enq(window.start, index, (self, tid)) {
             window.start += 1;
             self.count(Counter::RingEnqueues, 1);
         } else {
             window.start = window.end;
-            self.enqueue_index(tid, index.into());
+            self.enqueue_index(tid, index);
         }
     }
 
-    /// Enqueues every index in `indices` with one batch enqueue (one tail
-    /// F&A), as the thread owning record `tid`.
+    /// Enqueues every index in `indices`, in order, as the thread owning
+    /// record `tid`: each at the next ticket of a window local to the call
+    /// ([`Self::enqueue_windowed_at`]), which reserves a run for the indices
+    /// still left whenever it is empty.  An uncontended batch is one tail
+    /// F&A.  After a miss, the next index reserves a run for the rest behind
+    /// the missed index's own deposit, so the batch keeps its FIFO order.
     ///
     /// # Safety
-    /// `tid` is exclusive to the caller, as for
-    /// [`super::WcqQueue::enqueue_at`]; and at most `capacity` indices
-    /// circulate through the ring at a time.
-    pub unsafe fn enqueue_many_at(&self, tid: usize, indices: &[u32]) {
-        self.enqueue_many(tid, indices);
-    }
-
-    /// Dequeues up to `free.len()` indices with one batch dequeue (one head
-    /// F&A), as the thread owning record `tid`, writes them to the front of
-    /// `free` and returns how many.  `0` is the ring's ⊥: it was empty.
-    ///
-    /// # Safety
-    /// As for [`Self::enqueue_many_at`].
-    pub unsafe fn dequeue_many_at(&self, tid: usize, free: &mut [u32]) -> usize {
-        let mut claimed = 0;
-        self.dequeue_many(tid, free.len(), |index| {
-            free[claimed] = index as u32;
-            claimed += 1;
-        });
-        claimed
+    /// `tid` is exclusive to the caller
+    /// ([tid-keyed operations](WcqRing#tid-keyed-operations)), and at most
+    /// `capacity` indices circulate through the ring at a time, `indices`
+    /// among them.
+    pub unsafe fn enqueue_many_at<I: Copy + Into<u64>>(&self, tid: usize, indices: &[I]) {
+        let mut window = 0..0;
+        for (k, &index) in indices.iter().enumerate() {
+            let left = (indices.len() - k) as u64;
+            // SAFETY: per the function contract; the window's unfilled
+            // tickets wait for the indices left, which capacity counts.
+            unsafe { self.enqueue_windowed_at(tid, index, &mut window, left) };
+        }
     }
 }
 
@@ -924,18 +885,23 @@ impl<'q, F: CellFamily> WcqHandle<'q, F> {
         self.ring.dequeue_index(self.tid)
     }
 
-    /// Enqueues every index in `indices` with one tail F&A for the whole run
-    /// (see `WcqRing::enqueue_many`).
+    /// Enqueues every index in `indices`, with one tail F&A for the whole
+    /// run while no ticket of it is burned (see [`WcqRing::enqueue_many_at`]).
     pub fn enqueue_many(&mut self, indices: &[u64]) {
-        self.ring.enqueue_many(self.tid, indices);
+        // SAFETY: the handle owns `tid`; an index ring holds no data, so
+        // the capacity discipline bounds its answers, not its memory.
+        unsafe { self.ring.enqueue_many_at(self.tid, indices) };
     }
 
     /// Dequeues up to `max` indices into `out` with one head F&A for the
     /// whole run; returns the number appended (see
-    /// `WcqRing::dequeue_many` for the partial-success contract).
+    /// [`WcqRing::dequeue_many_at`] for the partial-success contract).
     pub fn dequeue_many(&mut self, out: &mut Vec<u64>, max: usize) -> usize {
-        self.ring
-            .dequeue_many(self.tid, max, |index| out.push(index))
+        // SAFETY: the handle owns `tid`, as in `enqueue_many`.
+        unsafe {
+            self.ring
+                .dequeue_many_at(self.tid, max, |index| out.push(index))
+        }
     }
 }
 

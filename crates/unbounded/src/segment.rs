@@ -302,11 +302,11 @@ impl<T, F: CellFamily> Segment<T, F> {
     /// index outside the stashes, and will never accept this value.
     ///
     /// # Safety
-    /// No other thread operates on this segment as `hp.tid()` concurrently,
-    /// and an earlier one that did is ordered before this call (see
-    /// [`wcq_core::wcq::WcqQueue::enqueue_at`]).  `stash` holds only this segment's
-    /// indices, and `run` is at most [`Stash::MAX`].  `hp` protects this
-    /// segment in slot [`MEMO`] for the whole call.
+    /// `hp.tid()` is exclusive to the caller on this segment's rings
+    /// ([tid-keyed operations](WcqRing#tid-keyed-operations)).  `stash`
+    /// holds only this segment's indices, and `run` is at most
+    /// [`Stash::MAX`].  `hp` protects this segment in slot [`MEMO`] for the
+    /// whole call.
     #[inline]
     pub(crate) unsafe fn try_enqueue(
         &self,
@@ -448,10 +448,16 @@ impl<T, F: CellFamily> Segment<T, F> {
             }
             0
         } else {
+            let mut n = 0;
             // SAFETY: an installed `fq` stays until the recycler, which the
             // caller's pin of the segment keeps away; `tid` is exclusive per
             // the function contract.
-            unsafe { (*fq).dequeue_many_at(tid, free) }
+            unsafe {
+                (*fq).dequeue_many_at(tid, free.len(), |index| {
+                    free[n] = index as u32;
+                    n += 1;
+                })
+            }
         };
         // A short batch reads the counter before it moves it, so a spent
         // counter is moved again only on ⊥ from `fq` (`claim_fresh`).
@@ -631,10 +637,9 @@ impl<T, F: CellFamily> Segment<T, F> {
     }
 
     /// Batch counterpart of [`Segment::try_dequeue`]: pulls up to `max`
-    /// values in runs of up to [`BATCH`], each one inner batch dequeue into
-    /// an index buffer on the stack, and returns each run's indices with one
-    /// batch enqueue under the same rule.  A run that comes back short ends
-    /// the call.
+    /// values in runs of up to [`BATCH`] ([`WcqRing::take_many_at`]), and
+    /// returns each run's indices with one batch enqueue under the same
+    /// rule.
     ///
     /// # Safety
     /// As for [`Segment::try_dequeue`].
@@ -644,25 +649,15 @@ impl<T, F: CellFamily> Segment<T, F> {
         out: &mut Vec<T>,
         max: usize,
     ) -> usize {
-        let mut free = [0u32; BATCH];
-        let mut got = 0;
-        while got < max {
-            let want = (max - got).min(BATCH);
-            // SAFETY: `tid` is exclusive per the function contract.
-            let took = unsafe {
-                self.aq
-                    .take_many_at(&self.slots, tid, out, &mut free[..want])
-            };
-            if took > 0 && self.next.load(SeqCst).is_null() {
-                // SAFETY: as above; `free` holds the indices just taken.
-                unsafe { self.free_ring().enqueue_many_at(tid, &free[..took]) };
+        let give_back = |free: &[u32]| {
+            if !free.is_empty() && self.next.load(SeqCst).is_null() {
+                // SAFETY: `tid` is exclusive per the function contract, and
+                // `free` holds indices just taken.
+                unsafe { self.free_ring().enqueue_many_at(tid, free) };
             }
-            got += took;
-            if took < want {
-                break;
-            }
-        }
-        got
+        };
+        // SAFETY: `tid` is exclusive per the function contract.
+        unsafe { self.aq.take_many_at(&self.slots, tid, out, max, give_back) }
     }
 
     /// The segment's `fq`, installed first if it is absent.  The load is

@@ -17,10 +17,14 @@
 //!
 //! The park decision is gated by
 //! [`is_empty_hint`](crate::WaitFreeQueue::is_empty_hint) (the counting
-//! backends' approximate length): while the hint says values are present —
-//! an enqueue may have counted its value moments before depositing it — the
-//! receiver retries the dequeue instead of paying the park/re-check round
-//! trip.
+//! backends' approximate length): while the hint says values are present,
+//! the receiver retries the dequeue instead of paying the park/re-check round
+//! trip.  The two backends' hints err in opposite directions.  The bounded
+//! queue's is `aq`'s tail−head distance, and an enqueue's tail F&A comes
+//! before its entry write, so it may count a value moments before the
+//! deposit.  The unbounded queue's counts a value only after its deposit, so
+//! it may read empty while a value is there: the receiver parks, and the
+//! re-check with its waker in place finds the value.
 //!
 //! No executor is required or shipped: the futures are ordinary
 //! [`std::future::Future`]s driven by any runtime; this repo's tests and
@@ -294,10 +298,14 @@ impl<T: Send + 'static, I: Instrument> std::fmt::Debug for AsyncReceiver<T, I> {
 
 /// The receive futures' poll: `try_recv` under the task driver, with up to
 /// two more tries before parking, gated by the backend's length hint.  While
-/// the hint says values exist (they may be headed to the next segment), a
-/// retry is cheaper than the park/re-check round trip; the bound
+/// the hint says values exist, a retry is cheaper than the park/re-check
+/// round trip: the bounded backend's hint may count a value from its tail
+/// F&A, just before the deposit, and the unbounded backend's may still count
+/// a value another receiver took, until that take is subtracted.  The bound
 /// keeps one poll finite even if the hint stays stubbornly non-empty.  The
-/// re-check with the waker in place is always one try.
+/// unbounded hint lags a deposit instead of leading it, so an empty reading
+/// can be stale; the re-check with the waker in place, always one try, then
+/// finds the value.
 fn poll_hinted<T: Send + 'static, I: Instrument, R>(
     wait: &mut Parked<'_, Receiver<T, I>>,
     cx: &mut Context<'_>,

@@ -401,3 +401,34 @@ fn a_default_channel_message_is_four_ring_operations_across_window_boundaries() 
         );
     }
 }
+
+#[test]
+fn a_default_channel_batch_is_one_ring_operation_per_index_on_each_ring() {
+    // A `send_iter` of 64 on a fresh default channel claims its indices
+    // from the segment's claim counter, after one ring dequeue for the
+    // absent `fq`'s ⊥, and publishes them with one `aq` batch enqueue: 64
+    // ring enqueues, 1 ring dequeue.  A `recv_many` of 64 takes them with
+    // one `aq` batch dequeue, its run clamped to the 64 visible (64 ring
+    // dequeues), and returns the freed indices with one `fq` batch enqueue
+    // (64 ring enqueues, one per index whether it rode the run's ticket or
+    // not): 2 × 64 enqueues and 64 + 1 dequeues, on both hardware models.
+    const N: u64 = 64;
+    let ops = |s: &MetricsSnapshot| (s.get(Counter::RingEnqueues), s.get(Counter::RingDequeues));
+    for llsc in [false, true] {
+        let instr = CountingInstrument::new();
+        let builder = wcq::builder().instrument(instr.clone());
+        let (mut tx, mut rx) = if llsc {
+            builder.llsc().build_channel::<u64>()
+        } else {
+            builder.build_channel::<u64>()
+        };
+        let sent = tx.send_iter(0..N).expect("the receiver is alive");
+        assert_eq!(sent, N as usize, "llsc: {llsc}");
+        assert_eq!(ops(&instr.snapshot()), (N, 1), "llsc: {llsc}");
+        let mut out = Vec::new();
+        let got = rx.recv_many(&mut out, N as usize);
+        assert_eq!(got, Ok(N as usize), "llsc: {llsc}");
+        assert_eq!(out, (0..N).collect::<Vec<_>>(), "llsc: {llsc}");
+        assert_eq!(ops(&instr.snapshot()), (2 * N, N + 1), "llsc: {llsc}");
+    }
+}
